@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/mail"
@@ -199,4 +200,110 @@ func TestRequestContract(t *testing.T) {
 			t.Fatalf("last line %q is not a bad-line error (%v)", lines[64], err)
 		}
 	})
+}
+
+// streamBatch posts an NDJSON body the way a streaming client does:
+// it sends the first split bytes, waits (up to a second) for the
+// response to start, then sends the rest. It returns the response
+// lines.
+func streamBatch(t *testing.T, client *http.Client, url string, body []byte, split int) []string {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, url, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := client.Do(req)
+		done <- result{resp, err}
+	}()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := pw.Write(body[:split])
+		if err == nil {
+			select {
+			case res := <-done:
+				done <- res
+			case <-time.After(time.Second):
+			}
+			_, err = pw.Write(body[split:])
+		}
+		pw.CloseWithError(err)
+		wrote <- err
+	}()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	defer res.resp.Body.Close()
+	out, err := io.ReadAll(res.resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("sending the batch body: %v", err)
+	}
+	if res.resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %.200q", res.resp.StatusCode, out)
+	}
+	return ndjsonLines(t, out)
+}
+
+// TestBatchFullDuplex sends batches far past one 64-line chunk over a
+// real connection, holding back everything after the first chunk until
+// the verdicts for it start to arrive. Each batch must still come back
+// whole, in order, and equal to the single-message answers.
+func TestBatchFullDuplex(t *testing.T) {
+	guarded := newGuarded(t, "sbayes", acceptAll{}, engine.GuardedConfig{})
+	srv := serve.NewSingle(guarded, serve.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	g := testGen(t)
+	rng := stats.NewRNG(31)
+
+	const n = 300
+	msgs := make([]serve.WireMessage, n)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	split := 0
+	for i := range msgs {
+		msgs[i] = wireMsg(g.Message(rng, i%3 == 0))
+		enc.Encode(msgs[i])
+		if i == 64 {
+			split = buf.Len()
+		}
+	}
+	for _, route := range []string{"/classify", "/score"} {
+		t.Run(route, func(t *testing.T) {
+			lines := streamBatch(t, client, ts.URL+route+"/batch", buf.Bytes(), split)
+			if len(lines) != n {
+				last := ""
+				if len(lines) > 0 {
+					last = lines[len(lines)-1]
+				}
+				t.Fatalf("%d lines, want %d (last %.200q)", len(lines), n, last)
+			}
+			for i, line := range lines {
+				body, err := json.Marshal(serve.ClassifyRequest{Message: msgs[i]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				status, single := postRaw(t, client, ts.URL+route, body)
+				if status != http.StatusOK {
+					t.Fatalf("single %s %d: status %d", route, i, status)
+				}
+				if got, want := line, strings.TrimSpace(string(single)); got != want {
+					t.Fatalf("line %d = %s, single answer %s", i, got, want)
+				}
+			}
+		})
+	}
 }

@@ -35,6 +35,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -277,6 +278,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument wraps a handler with its route's latency histogram and
 // status-class counters. The instruments are created once at route
 // registration — labels are the fixed route name plus a three-value
@@ -477,6 +481,14 @@ const batchChunk = 64
 // (verdicts=true) or score. The inflight slot is held for the whole
 // request — one connection, one slot.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bool) {
+	// Verdicts stream back while the body is still arriving. Without
+	// full duplex, net/http discards the unread body at the first
+	// response flush; HTTP/2 is full duplex already and reports
+	// ErrNotSupported.
+	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	if !s.acquire(w, r) {
 		return
 	}
