@@ -444,11 +444,11 @@ func (s *Server) release() { <-s.inflight }
 // --- Handlers ---
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req ClassifyRequest
-	if !decodeJSON(w, r, &req) {
+	req, ok := readRequest(w, r, false)
+	if !ok {
 		return
 	}
-	res := s.classify(req.Message.Mail())
+	res := s.classify(req.msg)
 	s.classified.Inc()
 	writeJSON(w, http.StatusOK, ClassifyResponse{
 		Label:      res.Label.String(),
@@ -458,11 +458,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	var req ClassifyRequest
-	if !decodeJSON(w, r, &req) {
+	req, ok := readRequest(w, r, false)
+	if !ok {
 		return
 	}
-	out, err := s.scoreBatch(r.Context(), []*mail.Message{req.Message.Mail()})
+	out, err := s.scoreBatch(r.Context(), []*mail.Message{req.msg})
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -477,7 +477,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 const batchChunk = 64
 
 // handleBatch streams an NDJSON request through the engine in chunks:
-// each line is one WireMessage, each response line one verdict
+// each line is one WireMessage, decoded leniently (unknown keys are
+// skipped), each response line one verdict
 // (verdicts=true) or score. The inflight slot is held for the whole
 // request — one connection, one slot.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bool) {
@@ -496,6 +497,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	chunk := make([]*mail.Message, 0, batchChunk)
+	dec := getDecoder()
+	defer dec.release()
 
 	flush := func() error {
 		if len(chunk) == 0 {
@@ -536,13 +539,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 		if len(line) == 0 {
 			continue
 		}
-		var wm WireMessage
-		if err := json.Unmarshal(line, &wm); err != nil {
+		m, err := dec.line(line)
+		if err != nil {
 			// The header is already out; report in-stream and stop.
 			enc.Encode(ErrorResponse{Error: fmt.Sprintf("bad batch line: %v", err)})
 			return
 		}
-		chunk = append(chunk, wm.Mail())
+		chunk = append(chunk, m)
 		if len(chunk) == batchChunk {
 			if err := flush(); err != nil {
 				enc.Encode(ErrorResponse{Error: err.Error()})
@@ -564,12 +567,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 // 503 + Retry-After so well-behaved clients back off while the
 // scoring endpoints run on untouched.
 func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
-	var req LearnRequest
-	if !decodeJSON(w, r, &req) {
+	req, ok := readRequest(w, r, true)
+	if !ok {
 		return
 	}
 	select {
-	case s.learnCh <- learnReq{msg: req.Message.Mail(), spam: req.Spam}:
+	case s.learnCh <- req:
 		s.learnQueued.Inc()
 		writeJSON(w, http.StatusAccepted, LearnResponse{Queued: true, Depth: len(s.learnCh)})
 	default:
@@ -815,14 +818,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // maxBodyBytes bounds a single-message request body.
 const maxBodyBytes = 1 << 20
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// readRequest decodes a single-message body under the cap, answering
+// 400 itself when it is bad. learn selects LearnRequest over
+// ClassifyRequest; the spam flag is set only then.
+func readRequest(w http.ResponseWriter, r *http.Request, learn bool) (learnReq, bool) {
+	dec := getDecoder()
+	defer dec.release()
+	msg, spam, err := dec.request(http.MaxBytesReader(w, r.Body, maxBodyBytes), learn)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
+		return learnReq{}, false
 	}
-	return true
+	return learnReq{msg: msg, spam: spam}, true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
