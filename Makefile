@@ -17,9 +17,12 @@
 #   make lint-vettool  the same suite driven by `go vet -vettool=`,
 #                    exercising the unitchecker protocol and the
 #                    cross-package fact transport CI also runs
-#   make fuzz        short fuzz smoke over the persistence decoders
+#   make fuzz        short fuzz smoke over the persistence decoders,
+#                    the tokenizer and the HTTP request decoder
 #                    ($(FUZZTIME) per target; CI runs it, so a format
-#                    regression that panics on garbage cannot land)
+#                    regression that panics on garbage, or a request
+#                    decoder that stops agreeing with encoding/json,
+#                    cannot land)
 #   make cover       run the test suite with coverage and write
 #                    cover.out + the per-function summary cover.txt
 #                    (CI uploads both)
@@ -27,9 +30,11 @@
 #   make bench-tokenize  just the tokenizer microbench (stream vs the
 #                    legacy []string path, MB/s and allocs/op) — the
 #                    fast loop for tokenize-once pipeline work
-#   make bench-json  run the benchmarks and write $(BENCH_JSON) as a
-#                    machine-readable artifact (CI uploads it, so the
-#                    perf trajectory accumulates across PRs)
+#   make bench-json  run the benchmarks (the root package's plus the
+#                    request decoder's BenchmarkWireDecode) and write
+#                    $(BENCH_JSON) as a machine-readable artifact (CI
+#                    uploads it, so the perf trajectory accumulates
+#                    across PRs)
 #   make serve-bench run cmd/sbload against a live cmd/sbserved daemon
 #                    and write $(SERVE_BENCH_JSON): end-to-end serving
 #                    throughput and latency percentiles, learn
@@ -85,6 +90,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSBayesSaveLoad -fuzztime=$(FUZZTIME) ./internal/sbayes/
 	$(GO) test -run='^$$' -fuzz=FuzzGrahamSaveLoad -fuzztime=$(FUZZTIME) ./internal/graham/
 	$(GO) test -run='^$$' -fuzz=FuzzTokenStream -fuzztime=$(FUZZTIME) ./internal/tokenize/
+	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/serve/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -101,7 +107,7 @@ bench-tokenize:
 # `go test` failure would otherwise exit 0 and archive a truncated
 # artifact as green.
 bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -timeout=30m -run=^$$ . \
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -timeout=30m -run=^$$ . ./internal/serve/ \
 		> $(BENCH_JSON:.json=.txt)
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) < $(BENCH_JSON:.json=.txt)
 

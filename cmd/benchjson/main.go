@@ -7,10 +7,11 @@
 //	go test -bench=. -benchmem -run='^$' . | benchjson -out BENCH.json
 //
 // Each benchmark result line becomes one record with its name (the
-// trailing -GOMAXPROCS suffix split off), iteration count, and every
-// value/unit metric pair (ns/op, B/op, allocs/op, and any custom
-// b.ReportMetric units). Context lines (goos, goarch, pkg, cpu) are
-// captured into a context object. When -out is set, the raw input is
+// trailing -GOMAXPROCS suffix split off), its package, iteration count,
+// and every value/unit metric pair (ns/op, B/op, allocs/op, and any
+// custom b.ReportMetric units). Context lines (goos, goarch, pkg, cpu)
+// are captured into a context object; with several packages in the
+// input, each record's pkg says which one it came from. When -out is set, the raw input is
 // echoed to stdout so a piped CI step still shows the human-readable
 // results in its log.
 package main
@@ -30,6 +31,8 @@ type Result struct {
 	// Name is the benchmark's full name without the -GOMAXPROCS
 	// suffix, e.g. "ShardedClassifyBatch/shards=4/workers=1".
 	Name string `json:"name"`
+	// Pkg is the package of the most recent "pkg:" line before it.
+	Pkg string `json:"pkg,omitempty"`
 	// Procs is the GOMAXPROCS suffix the line ran under (0 if absent).
 	Procs int `json:"procs,omitempty"`
 	// Iterations is the b.N the reported averages are over.
@@ -68,6 +71,7 @@ func main() {
 			}
 		}
 		if res, ok := parseLine(line); ok {
+			res.Pkg = report.Context["pkg"]
 			report.Benchmarks = append(report.Benchmarks, res)
 		}
 	}
