@@ -62,9 +62,8 @@ type wireDecoder struct {
 	data   []byte // the input being decoded
 	pos    int    // next unread byte of data
 	strict bool   // unknown keys are errors
-	eof    bool   // nothing follows data
 	depth  int    // objects and arrays open
-	stack  []byte // the opening byte of each container skip has open
+	stack  []byte // the closing byte of each container skip has open
 
 	// The message so far. hdr[:n] is the header; hdr[n:] holds the
 	// elements a longer, earlier header array left behind, which a
@@ -86,7 +85,7 @@ func getDecoder() *wireDecoder { return decoders.Get().(*wireDecoder) }
 // release drops every reference into the last message and returns d to
 // the pool.
 func (d *wireDecoder) release() {
-	d.reset(nil, false, false)
+	d.reset(nil, false)
 	if cap(d.buf) > maxPooledBuf {
 		d.buf = nil
 	}
@@ -96,11 +95,18 @@ func (d *wireDecoder) release() {
 	decoders.Put(d)
 }
 
-func (d *wireDecoder) reset(data []byte, strict, eof bool) {
-	d.data, d.pos, d.strict, d.eof, d.depth = data, 0, strict, eof, 0
+func (d *wireDecoder) reset(data []byte, strict bool) {
+	d.data, d.pos, d.strict, d.depth = data, 0, strict, 0
 	d.stack = d.stack[:0]
+	d.body, d.spam = "", false
+	d.dropHeader()
+}
+
+// dropHeader empties the header and forgets the elements behind it, as
+// encoding/json does when it decodes null or [] into a slice.
+func (d *wireDecoder) dropHeader() {
 	clear(d.hdr)
-	d.hdr, d.n, d.body, d.spam = d.hdr[:0], 0, "", false
+	d.hdr, d.n = d.hdr[:0], 0
 }
 
 // message returns the decoded message. Its header is a fresh,
@@ -116,7 +122,7 @@ func (d *wireDecoder) message() *mail.Message {
 
 // line decodes one NDJSON batch line.
 func (d *wireDecoder) line(b []byte) (*mail.Message, error) {
-	d.reset(b, false, true)
+	d.reset(b, false)
 	if err := d.wireMessage(); err != nil {
 		return nil, err
 	}
@@ -142,8 +148,8 @@ func (d *wireDecoder) request(r io.Reader, learn bool) (*mail.Message, bool, err
 		if !end.scan(d.buf) && rerr == nil {
 			continue
 		}
-		d.reset(d.buf, true, rerr == io.EOF)
-		err := d.requestValue(learn)
+		d.reset(d.buf, true)
+		err := d.requestValue(learn, rerr == io.EOF)
 		switch {
 		case err == nil:
 			return d.message(), d.spam, nil
@@ -209,8 +215,9 @@ func (e *valueEnd) scan(b []byte) bool {
 	return e.done
 }
 
-// requestValue decodes the top-level value of a single-message body.
-func (d *wireDecoder) requestValue(learn bool) error {
+// requestValue decodes the top-level value of a single-message body;
+// eof says nothing follows d.data.
+func (d *wireDecoder) requestValue(learn, eof bool) error {
 	c, err := d.peek()
 	if err != nil {
 		return err
@@ -222,7 +229,7 @@ func (d *wireDecoder) requestValue(learn bool) error {
 		}
 		// json.Decoder ends a top-level literal only at the byte after
 		// it, or at EOF.
-		if d.pos == len(d.data) && !d.eof {
+		if d.pos == len(d.data) && !eof {
 			return errShort
 		}
 		return nil
@@ -275,28 +282,15 @@ func (d *wireDecoder) header() error {
 	}
 	switch c {
 	case 'n':
-		clear(d.hdr)
-		d.hdr, d.n = d.hdr[:0], 0
+		d.dropHeader()
 		return d.literal("null")
 	case '[':
 	default:
 		return d.typeError(c, "header")
 	}
-	if err := d.open(); err != nil {
-		return err
-	}
 	i := 0
-	if c, err = d.peek(); err != nil {
-		return err
-	}
-	if c == ']' {
-		d.pos++
-		d.depth--
-		clear(d.hdr)
-		d.hdr, d.n = d.hdr[:0], 0
-		return nil
-	}
-	for {
+	more, err := d.enter(']')
+	for ; more && err == nil; more, err = d.next(']') {
 		if i == len(d.hdr) {
 			d.hdr = append(d.hdr, mail.Field{})
 		}
@@ -304,20 +298,15 @@ func (d *wireDecoder) header() error {
 			return err
 		}
 		i++
-		if c, err = d.peek(); err != nil {
-			return err
-		}
-		d.pos++
-		if c == ']' {
-			d.depth--
-			d.n = i
-			return nil
-		}
-		if c != ',' {
-			d.pos--
-			return d.syntax("after array element")
-		}
 	}
+	if err != nil {
+		return err
+	}
+	if i == 0 {
+		d.dropHeader()
+	}
+	d.n = i
+	return nil
 }
 
 // field decodes one header element, an object or null, over f.
@@ -347,19 +336,8 @@ func (d *wireDecoder) field(f *mail.Field) error {
 // members walks the object at d.pos, calling member with each key once
 // d stands at the key's value; member must consume the value.
 func (d *wireDecoder) members(member func(key []byte) error) error {
-	if err := d.open(); err != nil {
-		return err
-	}
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
-		d.pos++
-		d.depth--
-		return nil
-	}
-	for {
+	more, err := d.enter('}')
+	for ; more && err == nil; more, err = d.next('}') {
 		key, err := d.key()
 		if err != nil {
 			return err
@@ -367,19 +345,48 @@ func (d *wireDecoder) members(member func(key []byte) error) error {
 		if err := member(key); err != nil {
 			return err
 		}
-		if c, err = d.peek(); err != nil {
-			return err
-		}
-		d.pos++
-		if c == '}' {
-			d.depth--
-			return nil
-		}
-		if c != ',' {
-			d.pos--
-			return d.syntax("after object key:value pair")
-		}
 	}
+	return err
+}
+
+// enter steps into the object or array at d.pos, which close ends. It
+// reports whether the container has members; an empty one it steps
+// straight out of.
+func (d *wireDecoder) enter(close byte) (bool, error) {
+	if d.depth++; d.depth > maxDepth {
+		return false, fmt.Errorf("exceeded max depth at offset %d", d.pos)
+	}
+	d.pos++
+	c, err := d.peek()
+	switch {
+	case err != nil:
+		return false, err
+	case c != close:
+		return true, nil
+	}
+	d.pos++
+	d.depth--
+	return false, nil
+}
+
+// next steps over the comma after a member, reporting true, or out of
+// the container when close follows instead, reporting false.
+func (d *wireDecoder) next(close byte) (bool, error) {
+	c, err := d.peek()
+	switch {
+	case err != nil:
+		return false, err
+	case c == ',':
+		d.pos++
+		return true, nil
+	case c == close:
+		d.pos++
+		d.depth--
+		return false, nil
+	case close == '}':
+		return false, d.syntax("after object key:value pair")
+	}
+	return false, d.syntax("after array element")
 }
 
 // key reads an object key and its colon. The key aliases the input or
@@ -595,24 +602,16 @@ func (d *wireDecoder) skip() error {
 		if err != nil {
 			return err
 		}
+		more := false // a container was entered and has members
 		switch c {
 		case '{', '[':
-			if err := d.open(); err != nil {
-				return err
+			close := byte('}')
+			if c == '[' {
+				close = ']'
 			}
-			d.stack = append(d.stack, c)
-			if c, err = d.peek(); err != nil {
-				return err
+			if more, err = d.enter(close); more {
+				d.stack = append(d.stack, close)
 			}
-			if c != closer(d.stack[len(d.stack)-1]) {
-				if err := d.skipKey(); err != nil {
-					return err
-				}
-				continue
-			}
-			d.pos++
-			d.depth--
-			d.stack = d.stack[:len(d.stack)-1]
 		case '"':
 			err = d.skipString()
 		case 't':
@@ -624,52 +623,27 @@ func (d *wireDecoder) skip() error {
 		default:
 			err = d.number()
 		}
-		if err != nil {
-			return err
-		}
-		// A value ended: close containers until one has another member.
-		for {
-			if len(d.stack) == base {
-				return nil
+		// Step out of every container the value completed.
+		for err == nil && !more && len(d.stack) > base {
+			if more, err = d.next(d.stack[len(d.stack)-1]); !more {
+				d.stack = d.stack[:len(d.stack)-1]
 			}
-			if c, err = d.peek(); err != nil {
+		}
+		switch {
+		case err != nil:
+			return err
+		case !more:
+			return nil
+		case d.stack[len(d.stack)-1] == '}':
+			if err := d.skipKey(); err != nil {
 				return err
 			}
-			open := d.stack[len(d.stack)-1]
-			if c == ',' {
-				d.pos++
-				if err := d.skipKey(); err != nil {
-					return err
-				}
-				break
-			}
-			if c != closer(open) {
-				if open == '{' {
-					return d.syntax("after object key:value pair")
-				}
-				return d.syntax("after array element")
-			}
-			d.pos++
-			d.depth--
-			d.stack = d.stack[:len(d.stack)-1]
 		}
 	}
 }
 
-// closer returns the byte that closes a container opened by c.
-func closer(c byte) byte {
-	if c == '{' {
-		return '}'
-	}
-	return ']'
-}
-
-// skipKey steps over an object key and its colon when skip stands
-// inside an object; inside an array it does nothing.
+// skipKey validates and steps over an object key and its colon.
 func (d *wireDecoder) skipKey() error {
-	if d.stack[len(d.stack)-1] != '{' {
-		return nil
-	}
 	c, err := d.peek()
 	if err != nil {
 		return err
@@ -785,16 +759,6 @@ func (d *wireDecoder) literal(lit string) error {
 		}
 	}
 	d.pos += len(lit)
-	return nil
-}
-
-// open enters the object or array at d.pos.
-func (d *wireDecoder) open() error {
-	d.depth++
-	if d.depth > maxDepth {
-		return fmt.Errorf("exceeded max depth at offset %d", d.pos)
-	}
-	d.pos++
 	return nil
 }
 
