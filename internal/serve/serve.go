@@ -29,6 +29,18 @@
 //     submissions shed with 503 + Retry-After while classification
 //     continues at full speed. A stuck training path can never block
 //     a verdict.
+//
+// Requests decode in one pass from wire bytes to *mail.Message, with
+// exactly encoding/json's rules for the wire types (decode.go), and
+// every decoded string copied out of the request buffer. Single bodies
+// (/classify, /score, /learn) are strict, as json.Decoder with
+// DisallowUnknownFields: the first value is the request, an unknown
+// key at any level is a 400, and bytes after the value are never read.
+// NDJSON batch lines are lenient, as json.Unmarshal: each line is one
+// value, and unknown keys are skipped. The cap is 1 MiB per body and
+// per batch line. Batches of any length stream full duplex: verdicts
+// for each 64-line chunk go out while the rest of the body is still
+// arriving.
 package serve
 
 import (

@@ -124,7 +124,14 @@
 // classifying at full speed. Scoring never waits on training: the
 // batch endpoints are gated only by their own inflight semaphore, the
 // learn queue holds no scoring resources, and a wedged admitter can
-// at worst degrade the daemon to score-only. cmd/sbserved wires this
+// at worst degrade the daemon to score-only. Requests decode in one
+// reflection-free pass straight into a Message, matching encoding/json
+// on the wire types exactly (a differential fuzz target holds it to
+// that): classify, score and learn bodies are strict — the first JSON
+// value only, no unknown keys — while NDJSON batch lines are lenient
+// and skip unknown keys; each body and each batch line is capped at
+// 1 MiB, and batches of any length stream full duplex, verdicts going
+// out while the request is still arriving. cmd/sbserved wires this
 // into a runnable daemon (flood gate + incremental RONI + quarantine,
 // snapshot-dir persistence with save-on-shutdown and
 // resume-at-startup, single or sharded); cmd/sbload drives it with a
