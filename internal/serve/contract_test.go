@@ -169,6 +169,24 @@ func TestRequestContract(t *testing.T) {
 		}
 	})
 
+	t.Run("batch line cap", func(t *testing.T) {
+		for _, tc := range []struct {
+			n  int
+			ok bool
+		}{{1<<20 - 1024, true}, {1<<20 + 1024, false}} {
+			line := `{"body":"` + strings.Repeat("y", tc.n) + `"}` + "\n"
+			status, out := postRaw(t, client, ts.URL+"/score/batch", []byte(line))
+			if status != http.StatusOK {
+				t.Fatalf("%d-byte body: status %d", tc.n, status)
+			}
+			lines := ndjsonLines(t, out)
+			var er serve.ErrorResponse
+			if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &er) != nil || (er.Error == "") != tc.ok {
+				t.Fatalf("%d-byte body: got %.200q, want ok=%v", tc.n, out, tc.ok)
+			}
+		}
+	})
+
 	t.Run("bad line after a full chunk", func(t *testing.T) {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)

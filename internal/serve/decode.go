@@ -40,8 +40,9 @@ import (
 // and arrays open at once, counting the top-level value.
 const maxDepth = 10000
 
-// maxPooledBuf caps the scratch buffers a pooled decoder keeps, so one
-// large body does not pin its buffer for the life of the pool.
+// maxPooledBuf is the size of a batch's line buffer, and caps the
+// scratch buffers a pooled decoder keeps, so one large body or line
+// does not pin its buffer for the life of the pool.
 const maxPooledBuf = 64 << 10
 
 // errShort reports input that ends inside a value.
@@ -75,7 +76,7 @@ type wireDecoder struct {
 	spam bool
 
 	str []byte // unquoting scratch
-	buf []byte // body read buffer
+	buf []byte // read buffer: a single body, or a batch's lines
 }
 
 var decoders = sync.Pool{New: func() any { return new(wireDecoder) }}

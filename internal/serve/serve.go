@@ -490,9 +490,9 @@ const batchChunk = 64
 
 // handleBatch streams an NDJSON request through the engine in chunks:
 // each line is one WireMessage, decoded leniently (unknown keys are
-// skipped), each response line one verdict
-// (verdicts=true) or score. The inflight slot is held for the whole
-// request — one connection, one slot.
+// skipped), each response line one verdict (verdicts=true) or score.
+// The inflight slot is held for the whole request — one connection,
+// one slot.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bool) {
 	// Verdicts stream back while the body is still arriving. Without
 	// full duplex, net/http discards the unread body at the first
@@ -509,8 +509,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	chunk := make([]*mail.Message, 0, batchChunk)
-	dec := getDecoder()
-	defer dec.release()
 
 	flush := func() error {
 		if len(chunk) == 0 {
@@ -544,8 +542,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 		return nil
 	}
 
+	dec := getDecoder()
+	defer dec.release()
+	// The scanner reads into the pooled decoder's buffer and grows past
+	// it, up to the line cap, only for a line that needs it.
+	if cap(dec.buf) < maxPooledBuf {
+		dec.buf = make([]byte, maxPooledBuf)
+	}
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(dec.buf[:cap(dec.buf)], maxBodyBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -827,7 +832,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // --- JSON plumbing ---
 
-// maxBodyBytes bounds a single-message request body.
+// maxBodyBytes bounds a single-message request body and one NDJSON
+// batch line.
 const maxBodyBytes = 1 << 20
 
 // readRequest decodes a single-message body under the cap, answering
