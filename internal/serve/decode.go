@@ -724,7 +724,9 @@ func (d *wireDecoder) number() error {
 	case data[i] == '0':
 		i++
 	case '1' <= data[i] && data[i] <= '9':
-		digits()
+		if err := digits(); err != nil {
+			return err
+		}
 	default:
 		d.pos = i
 		return d.syntax("looking for beginning of value")
