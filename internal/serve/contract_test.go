@@ -11,9 +11,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,6 +24,38 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 )
+
+// serverLog collects what a test server logs. A handler panic that
+// net/http recovers shows up only here.
+type serverLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *serverLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// startServer serves h over real connections, and fails the test if
+// the server logged a panic by the time it closes.
+func startServer(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(h)
+	l := &serverLog{}
+	ts.Config.ErrorLog = log.New(l, "", 0)
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if strings.Contains(l.buf.String(), "panic") {
+			t.Errorf("server log:\n%s", l.buf.String())
+		}
+	})
+	return ts
+}
 
 // postRaw posts body verbatim and returns the status and response body.
 func postRaw(t *testing.T, client *http.Client, url string, body []byte) (int, []byte) {
@@ -55,8 +89,7 @@ func TestRequestContract(t *testing.T) {
 	guarded := newGuarded(t, "sbayes", acceptAll{}, engine.GuardedConfig{})
 	srv := serve.NewSingle(guarded, serve.Config{})
 	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := startServer(t, srv)
 	client := ts.Client()
 	g := testGen(t)
 	rng := stats.NewRNG(29)
@@ -187,6 +220,24 @@ func TestRequestContract(t *testing.T) {
 		}
 	})
 
+	t.Run("bad first line of a long batch", func(t *testing.T) {
+		// The handler stops at line 1 with most of the body unread.
+		var buf bytes.Buffer
+		buf.WriteString(`{"body":` + "\n")
+		enc := json.NewEncoder(&buf)
+		for i := 0; i < 100; i++ {
+			enc.Encode(wireMsg(g.Message(rng, i%2 == 0)))
+		}
+		for i := 0; i < 3; i++ {
+			status, out := postRaw(t, client, ts.URL+"/classify/batch", buf.Bytes())
+			lines := ndjsonLines(t, out)
+			var er serve.ErrorResponse
+			if status != http.StatusOK || len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &er) != nil || !strings.HasPrefix(er.Error, "bad batch line:") {
+				t.Fatalf("status %d, lines %.200q; want one bad-line error", status, lines)
+			}
+		}
+	})
+
 	t.Run("bad line after a full chunk", func(t *testing.T) {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
@@ -281,8 +332,7 @@ func TestBatchFullDuplex(t *testing.T) {
 	guarded := newGuarded(t, "sbayes", acceptAll{}, engine.GuardedConfig{})
 	srv := serve.NewSingle(guarded, serve.Config{})
 	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := startServer(t, srv)
 	client := ts.Client()
 	g := testGen(t)
 	rng := stats.NewRNG(31)

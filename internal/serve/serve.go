@@ -502,6 +502,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	// In full duplex, net/http leaves a body the handler stopped reading
+	// (a bad line) for after the handler returns, where reaching its EOF
+	// races the connection's next read and panics. Closing it here
+	// discards the rest (up to net/http's 256 KB, past which the
+	// connection closes) while the handler still owns the connection.
+	defer r.Body.Close()
 	if !s.acquire(w, r) {
 		return
 	}
