@@ -16,6 +16,7 @@ import (
 	"context"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/admission"
@@ -37,7 +38,7 @@ var (
 )
 
 // env returns the cached small-scale experiment environment.
-func env(b *testing.B) *experiments.Env {
+func env(b testing.TB) *experiments.Env {
 	b.Helper()
 	benchEnvOnce.Do(func() {
 		benchEnv, benchEnvErr = experiments.NewEnv(experiments.SmallScale())
@@ -804,6 +805,75 @@ func BenchmarkObsOverhead(b *testing.B) {
 			inst.Classify(m)
 		}
 	})
+}
+
+// TestOneShardGuardMatchesEngine pins, beside BenchmarkObsOverhead's
+// zero-extra-allocation check, that a single engine served as a
+// one-shard fleet costs nothing a bare Engine does not: the guard's
+// Classify allocates exactly what Engine.Classify allocates on the
+// same filter, and no path through the one-shard fleet — classify,
+// batch scoring, vetting, retraining, swapping, streaming — ever calls
+// its routing key.
+func TestOneShardGuardMatchesEngine(t *testing.T) {
+	e := env(t)
+	r := e.RNG("one-shard")
+	f := eval.TrainFilter(e.Gen.Corpus(r, 300, 300), sbayes.DefaultOptions(), e.Tok)
+	m := e.Gen.HamMessage(r)
+	b, err := engine.Lookup("sbayes")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var keyCalls atomic.Int64
+	key := func(*Message) uint64 { keyCalls.Add(1); return 0 }
+	bare := engine.New(f, engine.Config{Name: "bare"})
+	gate := admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 1 << 20})
+	guard := engine.NewGuardedSharded(
+		engine.NewSharded([]engine.Classifier{f.Clone()}, engine.ShardedConfig{Name: "one", Key: key}),
+		gate, engine.GuardedConfig{})
+
+	bare.Classify(m)
+	guard.Classify(m)
+	base := testing.AllocsPerRun(200, func() { bare.Classify(m) })
+	one := testing.AllocsPerRun(200, func() { guard.Classify(m) })
+	if one != base {
+		t.Errorf("one-shard guard Classify allocates %.1f/op, Engine.Classify %.1f/op", one, base)
+	}
+
+	ctx := context.Background()
+	batch := e.Gen.Corpus(r, 8, 8)
+	msgs := append(batch.Ham(), batch.Spam()...)
+	if _, err := guard.ClassifyBatch(ctx, msgs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := guard.ScoreBatch(ctx, msgs); err != nil {
+		t.Fatal(err)
+	}
+	guard.Vet(ctx, m, false)
+	if _, err := guard.RetrainIncremental(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := guard.Retrain(ctx, b.New, batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := guard.Swap(f.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	in, wait := guard.LearnStream(ctx)
+	for _, ex := range batch.Examples {
+		in <- engine.Labeled{Msg: ex.Msg, Spam: ex.Spam}
+	}
+	close(in)
+	if _, err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	guard.Sharded().Partition(batch)
+	if n := keyCalls.Load(); n != 0 {
+		t.Errorf("one-shard fleet called its routing key %d times", n)
+	}
+	if st := guard.Stats(); st.Name != "one" || st.Shards[0].Name != "one" || st.Admission.Vetted != 1+3*uint64(batch.Len()) {
+		t.Errorf("one-shard stats %+v", st.Stats)
+	}
 }
 
 // BenchmarkCloneFilter measures the cost of branching a poisoned

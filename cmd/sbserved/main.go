@@ -1,6 +1,7 @@
 // Command sbserved runs the guarded serving daemon: an HTTP front-end
-// over one guarded engine (or a sharded fleet) that classifies on
-// demand and learns only through admission control.
+// over one guarded fleet — a single engine, or N engines sharded by
+// recipient — that classifies on demand and learns only through
+// admission control.
 //
 // The daemon wires the paper's §5 defenses into a network deployment:
 // a token-flood gate and incremental RONI vet every learn submission,
@@ -16,10 +17,18 @@
 //	sbserved -addr :8525 -backend sbayes
 //	sbserved -backend graham -shards 4 -snapshot-dir /var/lib/sbserved
 //
+// -shards 0 or 1 serves one engine; -shards N > 1 partitions the
+// filter across N recipient-hashed shards. Both are built, saved and
+// resumed through one path: a single engine is a one-shard fleet.
+//
 // With -snapshot-dir, the daemon resumes the newest persisted
 // snapshot at startup (falling back to a fresh bootstrap when none
 // exists), exposes POST /admin/save and /admin/resume, and saves on
-// graceful shutdown.
+// graceful shutdown. Every save writes each shard's snapshot line —
+// the line -name itself for one engine, -name.shard<i> for a fleet —
+// plus one admission sidecar, -name.admission, so held mail and the
+// spent probe budget survive a restart or an in-place resume at any
+// shard count.
 //
 // Endpoints: POST /classify, /score (single JSON), /classify/batch,
 // /score/batch (NDJSON streams), /learn (202 or 503 shed),
@@ -32,7 +41,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -60,7 +68,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8525", "listen address")
 		backend  = flag.String("backend", "sbayes", fmt.Sprintf("classifier backend %v", engine.Backends()))
-		shards   = flag.Int("shards", 0, "shard the fleet N ways (0 = single engine)")
+		shards   = flag.Int("shards", 0, "shard the fleet N ways (0 or 1 = single engine)")
 		name     = flag.String("name", "served", "snapshot line name")
 		snapDir  = flag.String("snapshot-dir", "", "snapshot store directory (empty disables persistence)")
 		seed     = flag.Uint64("seed", 1, "deterministic seed for bootstrap and admission")
@@ -206,43 +214,16 @@ func run(cfg config) error {
 		EnablePprof: cfg.pprofOn,
 	}
 
-	var srv *serve.Server
-	var saveOnExit func()
-	if cfg.shards > 0 {
-		gsh, resumed, err := buildSharded(cfg, b, gen, rng, chain, gcfg, store, reg, tracer)
-		if err != nil {
-			return err
-		}
-		log.Printf("serving %d shards of %s (resumed=%v) on %s", cfg.shards, cfg.backend, resumed, cfg.addr)
-		scfg.Resumed = resumed
-		srv = serve.NewSharded(gsh, scfg)
-		if store != nil {
-			saveOnExit = func() {
-				if gens, err := gsh.Sharded().SaveAll(store, cfg.backend); err != nil {
-					log.Printf("save on exit: %v", err)
-				} else {
-					log.Printf("saved shard generations %v", gens)
-				}
-			}
-		}
-	} else {
-		guarded, resumed, err := buildSingle(cfg, b, gen, rng, chain, gcfg, store, reg, tracer)
-		if err != nil {
-			return err
-		}
-		log.Printf("serving %s generation %d (resumed=%v) on %s", cfg.backend, guarded.Generation(), resumed, cfg.addr)
-		scfg.Resumed = resumed
-		srv = serve.NewSingle(guarded, scfg)
-		if store != nil {
-			saveOnExit = func() {
-				if g, err := engine.SaveGuarded(store, cfg.name, cfg.backend, guarded); err != nil {
-					log.Printf("save on exit: %v", err)
-				} else {
-					log.Printf("saved generation %d", g)
-				}
-			}
-		}
+	shards := max(1, cfg.shards)
+	guarded, resumed, err := build(cfg, shards, b, gen, rng, chain, gcfg, store,
+		engine.ShardedConfig{Name: cfg.name, Obs: reg, Trace: tracer})
+	if err != nil {
+		return err
 	}
+	log.Printf("serving %d shard(s) of %s at generation %d (resumed=%v) on %s",
+		shards, cfg.backend, guarded.Generation(), resumed, cfg.addr)
+	scfg.Resumed = resumed
+	srv := serve.New(guarded, scfg)
 	defer srv.Close()
 
 	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv}
@@ -265,56 +246,38 @@ func run(cfg config) error {
 	if err := srv.Close(); err != nil {
 		return err
 	}
-	if saveOnExit != nil {
-		saveOnExit()
+	if store != nil {
+		if gens, err := engine.SaveGuarded(store, cfg.name, cfg.backend, guarded); err != nil {
+			log.Printf("save on exit: %v", err)
+		} else {
+			log.Printf("saved generations %v", gens)
+		}
 	}
 	return nil
 }
 
-// buildSingle resumes the guarded engine from the store when a
-// snapshot line exists, else bootstraps a fresh classifier from the
-// synthetic population.
-func buildSingle(cfg config, b engine.Backend, gen *textgen.Generator, rng *stats.RNG, chain *admission.Chain, gcfg engine.GuardedConfig, store engine.SnapshotStore, reg *obs.Registry, tracer *obs.Tracer) (*engine.Guarded, bool, error) {
-	ecfg := engine.Config{Name: cfg.name, Obs: reg, Trace: tracer}
+// build resumes the guarded fleet from the store when its first
+// shard's snapshot line exists, else bootstraps fresh shards, each
+// trained on its own partition of the bootstrap corpus (one shard
+// trains on all of it).
+func build(cfg config, shards int, b engine.Backend, gen *textgen.Generator, rng *stats.RNG, chain *admission.Chain, gcfg engine.GuardedConfig, store engine.SnapshotStore, shcfg engine.ShardedConfig) (*engine.Guarded, bool, error) {
 	if store != nil {
-		if _, err := engine.LatestEnvelope(store, cfg.name); err == nil {
-			guarded, env, err := engine.ResumeGuarded(store, cfg.name, ecfg, chain, gcfg)
+		if _, err := engine.LatestEnvelope(store, engine.ShardSnapshotName(cfg.name, 0, shards)); err == nil {
+			guarded, gens, err := engine.ResumeGuarded(store, shards, shcfg, chain, gcfg)
 			if err != nil {
 				return nil, false, err
 			}
-			_ = env
-			return guarded, true, nil
-		}
-	}
-	clf := b.New()
-	trainBootstrap(clf, gen.Corpus(rng.Split("boot"), cfg.bootHam, cfg.bootSpam))
-	return engine.NewGuarded(engine.New(clf, ecfg), chain, gcfg), false, nil
-}
-
-// buildSharded resumes the fleet from the store when every shard's
-// snapshot line exists, else bootstraps fresh shards, each trained on
-// its own partition of the bootstrap corpus.
-func buildSharded(cfg config, b engine.Backend, gen *textgen.Generator, rng *stats.RNG, chain *admission.Chain, gcfg engine.GuardedConfig, store engine.SnapshotStore, reg *obs.Registry, tracer *obs.Tracer) (*engine.GuardedSharded, bool, error) {
-	shcfg := engine.ShardedConfig{Name: cfg.name, Obs: reg, Trace: tracer}
-	if store != nil {
-		sh, gens, err := engine.ResumeAll(store, cfg.shards, shcfg)
-		if err == nil {
 			if stale := engine.StaleShards(gens); len(stale) > 0 {
 				log.Printf("warning: shards %v resumed stale (generations %v)", stale, gens)
 			}
-			return engine.NewGuardedSharded(sh, chain, gcfg), true, nil
-		}
-		if !errors.Is(err, os.ErrNotExist) {
-			log.Printf("resume unavailable (%v); bootstrapping fresh shards", err)
+			return guarded, true, nil
 		}
 	}
-	boot := gen.Corpus(rng.Split("boot"), cfg.bootHam, cfg.bootSpam)
-	parts := engine.PartitionByKey(boot, cfg.shards, engine.RecipientKey)
-	clfs := make([]engine.Classifier, cfg.shards)
+	parts := engine.PartitionByKey(gen.Corpus(rng.Split("boot"), cfg.bootHam, cfg.bootSpam), shards, engine.RecipientKey)
+	clfs := make([]engine.Classifier, shards)
 	for i := range clfs {
-		clf := b.New()
-		trainBootstrap(clf, parts[i])
-		clfs[i] = clf
+		clfs[i] = b.New()
+		trainBootstrap(clfs[i], parts[i])
 	}
 	return engine.NewGuardedSharded(engine.NewSharded(clfs, shcfg), chain, gcfg), false, nil
 }

@@ -11,15 +11,17 @@
 //     generation — and watch resume fall back past a corrupted file
 //     instead of failing (or worse, loading it: every snapshot is
 //     checksummed).
+//
 //  2. A sharded fleet: every shard persists its own generation line;
 //     after a crash that lost some shards' latest checkpoints, the
 //     resumed fleet reports which shards are stale.
+//
 //  3. The online deployment simulator in durable mode: checkpoint
 //     every retrain, crash mid-simulation, and verify users cannot
 //     tell — then checkpoint too rarely and watch the restart rewind
 //     the filter to an old generation.
 //
-//	go run ./examples/persistence
+//     go run ./examples/persistence
 package main
 
 import (
@@ -109,8 +111,8 @@ func main() {
 	// Shards 1 and 3 retrain once more and checkpoint; 0 and 2 crash
 	// before their next checkpoint.
 	for _, i := range []int{1, 3} {
-		fleet.Swap(i, base.Clone()) //sbvet:unguarded example: checkpoint walkthrough publishes operator-built snapshots, no third-party training
-		name := repro.ShardSnapshotName("fleet", i)
+		fleet.Shard(i).Swap(base.Clone()) //sbvet:unguarded example: checkpoint walkthrough publishes operator-built snapshots, no third-party training
+		name := repro.ShardSnapshotName("fleet", i, fleet.NumShards())
 		if _, err := repro.SaveEngine(st, name, "sbayes", fleet.Shard(i)); err != nil {
 			log.Fatal(err)
 		}

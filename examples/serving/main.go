@@ -1,9 +1,10 @@
-// Serving walkthrough: the guarded engine on the network. The daemon
-// surface (repro.HTTPServer, the library behind cmd/sbserved) exposes
-// classification over HTTP while routing every learn submission
-// through the admission guard — the admitflow analyzer proves there
-// is no other training path — and carries the admission state through
-// snapshot save/resume, so a restart cannot amnesty quarantined mail.
+// Serving walkthrough: the guarded engine — or fleet — on the network.
+// The daemon surface (repro.HTTPServer, the library behind
+// cmd/sbserved) exposes classification over HTTP while routing every
+// learn submission through the admission guard — the admitflow
+// analyzer proves there is no other training path — and carries the
+// admission state through snapshot save/resume, so a restart cannot
+// amnesty quarantined mail.
 //
 // The walkthrough runs the server in-process over a loopback
 // listener and speaks plain HTTP to it:
@@ -16,7 +17,10 @@
 //  4. submit a dictionary-style flood (admission rejects it — the
 //     generation still advances, but nothing trains);
 //  5. save a snapshot, train past it, resume in place: serving rolls
-//     back to the saved state under a fresh generation.
+//     back to the saved state under a fresh generation;
+//  6. serve a three-shard fleet through the same constructor: a save
+//     writes every shard's line plus one admission sidecar, and the
+//     fleet resumes in place just as the single engine did.
 //
 // The learn path is bounded: a saturated queue (or a wedged admitter)
 // sheds submissions with 503 + Retry-After while classification
@@ -138,6 +142,30 @@ func main() {
 	stats := srv.Stats()
 	fmt.Printf("server counters: classified %d, trained %d, publishes %d, shed %d\n",
 		stats.Classified, stats.Trained, stats.Publishes, stats.LearnShed)
+
+	// 6. A fleet: three recipient-hashed shards, each bootstrapped on
+	// its own slice of the corpus, behind one guard and one server.
+	parts := repro.PartitionByShardKey(gen.Corpus(rng, 150, 150), 3, nil)
+	shards := make([]repro.Classifier, len(parts))
+	for i := range shards {
+		if shards[i], err = repro.NewClassifier("sbayes"); err != nil {
+			log.Fatal(err)
+		}
+		repro.TrainClassifier(shards[i], parts[i])
+	}
+	fleet := repro.NewGuardedSharded(
+		repro.NewSharded(shards, repro.ShardedConfig{Name: "fleet"}),
+		chain,
+		repro.GuardedConfig{Quarantine: repro.NewQuarantine(repro.QuarantineConfig{Capacity: 64})},
+	)
+	fsrv := repro.NewHTTPServer(fleet, repro.HTTPServerConfig{Store: store, Name: "fleet", Backend: "sbayes"})
+	defer fsrv.Close()
+	fts := httptest.NewServer(fsrv)
+	defer fts.Close()
+	post(fts.Client(), fts.URL+"/admin/save", struct{}{}, &saved)
+	post(fts.Client(), fts.URL+"/admin/resume", struct{}{}, &resumed)
+	fmt.Printf("fleet save/resume: shard generations %v saved, resumed in place at generation %d (admission sidecar loaded: %v)\n",
+		saved.Generations, resumed.Generation, resumed.AdmissionLoaded)
 }
 
 // post sends v as JSON and decodes the response into out when non-nil.

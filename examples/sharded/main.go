@@ -16,6 +16,12 @@
 //     per-shard stats/confusions make the containment visible — the
 //     same dose spread across the population degrades everyone.
 //
+// A single engine is the one-shard fleet: with one shard the routing
+// key is never called and the shard keeps the fleet's name, so the
+// guard, the HTTP server, persistence and the simulator run one code
+// path for every shard count. The walkthrough checks that a one-shard
+// fleet gives exactly a single engine's verdicts.
+//
 //	go run ./examples/sharded
 package main
 
@@ -65,11 +71,22 @@ func main() {
 	}
 	st := sh.Stats()
 	fmt.Printf("scored %d messages across %d shards (%d flagged spam)\n",
-		st.Combined.Classified, len(st.Shards), spam)
+		st.Classified, len(st.Shards), spam)
 	for i, s := range st.Shards {
 		fmt.Printf("  shard %d: %d classified, generation %d\n", i, s.Classified, st.Generations[i])
 	}
-	fmt.Println()
+
+	// The one-shard fleet against a plain engine over the same filter.
+	one := repro.NewSharded([]repro.Classifier{base}, repro.ShardedConfig{Name: "single"})
+	single := repro.NewEngine(base, repro.EngineConfig{Name: "single"})
+	same := 0
+	for _, m := range msgs {
+		if one.Classify(m) == single.Classify(m) {
+			same++
+		}
+	}
+	fmt.Printf("one-shard fleet %q agrees with a single engine on %d/%d messages\n\n",
+		one.Shard(0).Name(), same, len(msgs))
 
 	// ---- 2. Targeted poison vs. spread poison, per-shard damage. ----
 	cfg := scenario.DefaultConfig()

@@ -56,15 +56,15 @@ func TestFacadeSharded(t *testing.T) {
 		t.Fatalf("%d results for %d messages", len(results), len(msgs.Ham()))
 	}
 	st := sh.Stats()
-	if st.Combined.Classified != uint64(len(results)) || len(st.Shards) != 3 {
-		t.Fatalf("sharded stats: %+v", st.Combined)
+	if st.Classified != uint64(len(results)) || len(st.Shards) != 3 {
+		t.Fatalf("sharded stats: %+v", st)
 	}
 	var byLabel uint64
-	for _, n := range st.Combined.ByLabel {
+	for _, n := range st.ByLabel {
 		byLabel += n
 	}
-	if byLabel != st.Combined.Classified {
-		t.Errorf("combined sum(ByLabel) = %d != Classified %d", byLabel, st.Combined.Classified)
+	if byLabel != st.Classified {
+		t.Errorf("combined sum(ByLabel) = %d != Classified %d", byLabel, st.Classified)
 	}
 	if sh.ShardFor(msgs.Ham()[0]) != int(RecipientShardKey(msgs.Ham()[0])%3) {
 		t.Error("facade routing disagrees with RecipientShardKey")

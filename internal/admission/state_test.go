@@ -187,22 +187,23 @@ func TestCrashResumeKeepsHeldMailAndSpentBudget(t *testing.T) {
 			heldBefore := q.Len()
 			budgetBefore := roni.Stats()
 
-			gen, err := engine.SaveGuarded(store, "served", backend, guarded)
+			gens, err := engine.SaveGuarded(store, "served", backend, guarded)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gen != eng.Generation() {
-				t.Fatalf("saved generation %d, serving %d", gen, eng.Generation())
+			if len(gens) != 1 || gens[0] != eng.Generation() {
+				t.Fatalf("saved generations %v, serving %d", gens, eng.Generation())
 			}
+			gen := gens[0]
 
 			// Crash: rebuild everything from the store.
 			chain2, roni2, q2 := build()
-			resumed, env, err := engine.ResumeGuarded(store, "served", engine.Config{Name: "served"}, chain2, engine.GuardedConfig{Quarantine: q2})
+			resumed, rgens, err := engine.ResumeGuarded(store, 1, engine.ShardedConfig{Name: "served"}, chain2, engine.GuardedConfig{Quarantine: q2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if env.Generation != gen {
-				t.Fatalf("resumed generation %d, want %d", env.Generation, gen)
+			if len(rgens) != 1 || rgens[0] != gen {
+				t.Fatalf("resumed generations %v, want [%d]", rgens, gen)
 			}
 			if got := q2.Len(); got != heldBefore {
 				t.Fatalf("resume amnestied the quarantine: %d held, want %d", got, heldBefore)

@@ -12,15 +12,15 @@
 // walks the call graph:
 //
 //   - sinks are the engine-level training surface — methods named
-//     LearnStream / Retrain / RetrainIncremental / RetrainAll /
-//     RetrainIncrementalAll / Swap / SwapAll on the engine package's
-//     Engine and Sharded types — and the backend-level learners,
+//     LearnStream / Retrain / RetrainIncremental / Swap on the engine
+//     package's Engine and Sharded types — and the backend-level
+//     learners,
 //     any method shaped like Learn(x, bool) or
 //     LearnWeighted(x, bool, int), including the Classifier
 //     interface's own (so dispatch through the declared interface is
 //     caught, not just concrete calls);
-//   - guards stop the search: methods on Guarded / GuardedSharded
-//     (every training path through them is vetted by construction)
+//   - guards stop the search: methods on Guarded (every training
+//     path through them is vetted by construction)
 //     and functions that vet inline — a direct call to an Admitter's
 //     Admit or a guard's Vet;
 //   - taint flows bottom-up: a function with an unwaived sink call is
@@ -95,13 +95,10 @@ var engineOwners = []string{"internal/engine"}
 
 // engineSinkNames is the serving engine's training surface.
 var engineSinkNames = map[string]bool{
-	"LearnStream":           true,
-	"Retrain":               true,
-	"RetrainIncremental":    true,
-	"RetrainAll":            true,
-	"RetrainIncrementalAll": true,
-	"Swap":                  true,
-	"SwapAll":               true,
+	"LearnStream":        true,
+	"Retrain":            true,
+	"RetrainIncremental": true,
+	"Swap":               true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -242,12 +239,12 @@ func sinkName(fn *types.Func) string {
 }
 
 // isGuard reports whether f's training calls are vetted by
-// construction: a method on Guarded/GuardedSharded, or a function
+// construction: a method on Guarded, or a function
 // that vets inline (a direct call to an Admitter's Admit or a guard's
 // Vet).
 func isGuard(g *analysis.CallGraph, f *types.Func) bool {
 	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if recv, _ := recvNamed(sig); recv == "Guarded" || recv == "GuardedSharded" {
+		if recv, _ := recvNamed(sig); recv == "Guarded" {
 			return true
 		}
 	}
@@ -260,7 +257,7 @@ func isGuard(g *analysis.CallGraph, f *types.Func) bool {
 			return true
 		case "Vet":
 			if sig, ok := site.Callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if recv, _ := recvNamed(sig); recv == "Guarded" || recv == "GuardedSharded" {
+				if recv, _ := recvNamed(sig); recv == "Guarded" {
 					return true
 				}
 			}

@@ -14,11 +14,10 @@
 // The analyzer works in two halves joined by facts:
 //
 //   - everywhere, it computes which functions (transitively) call the
-//     publish surface — Swap / SwapAll / publish / Retrain /
-//     RetrainIncremental / RetrainAll / RetrainIncrementalAll on the
-//     engine package's Engine, Sharded, Guarded, or GuardedSharded —
-//     and exports a publishesFact for each, so the reachability
-//     crosses package boundaries;
+//     publish surface — Swap / publish / Retrain / RetrainIncremental
+//     on the engine package's Engine, Sharded, or Guarded — and
+//     exports a publishesFact for each, so the reachability crosses
+//     package boundaries;
 //   - at every hook registration — a PrePublish/PostPublish field in a
 //     composite literal, or an assignment or append to such a field —
 //     it inspects the registered values: a function literal is flagged
@@ -65,21 +64,17 @@ var hookFields = map[string]bool{
 // publishNames is the publish surface: calling any of these from
 // inside a hook re-enters the publish path.
 var publishNames = map[string]bool{
-	"Swap":                  true,
-	"SwapAll":               true,
-	"publish":               true,
-	"Retrain":               true,
-	"RetrainIncremental":    true,
-	"RetrainAll":            true,
-	"RetrainIncrementalAll": true,
+	"Swap":               true,
+	"publish":            true,
+	"Retrain":            true,
+	"RetrainIncremental": true,
 }
 
 // publishRecvs are the engine types carrying the publish surface.
 var publishRecvs = map[string]bool{
-	"Engine":         true,
-	"Sharded":        true,
-	"Guarded":        true,
-	"GuardedSharded": true,
+	"Engine":  true,
+	"Sharded": true,
+	"Guarded": true,
 }
 
 // enginePkgs are the package-path suffixes where the publish surface

@@ -387,8 +387,8 @@ func TestConformanceShardedClassifyBatch(t *testing.T) {
 			}
 		}
 		st := sh.Stats()
-		if st.Combined.Classified != uint64(2*len(msgs)) {
-			t.Errorf("combined Classified = %d, want %d", st.Combined.Classified, 2*len(msgs))
+		if st.Classified != uint64(2*len(msgs)) {
+			t.Errorf("combined Classified = %d, want %d", st.Classified, 2*len(msgs))
 		}
 	})
 }

@@ -10,7 +10,7 @@
 // simulator, the experiment drivers — speaks to them through the
 // Classifier interface declared here rather than to a concrete type.
 //
-// The package has three layers:
+// The package has these layers:
 //
 //   - the contract: Classifier plus the optional capability
 //     interfaces (TokenClassifier, TokenLearner, StreamClassifier,
@@ -29,8 +29,20 @@
 //   - Sharded, the scale-out layer: one logical filter partitioned
 //     across N Engines routed by a recipient-address hash (pluggable
 //     ShardKey), batches fanned out per shard and restitched in
-//     input order, per-shard and all-shards retraining, and Stats
-//     aggregated into a combined view with per-shard breakdown.
+//     input order, all-shards Retrain/RetrainIncremental/Swap (one
+//     shard alone through Shard(i)), and Stats embedding the
+//     combined counters beside the per-shard breakdown;
+//   - Guarded, the one admission guard: it vets a fleet's training
+//     path once, at the gateway, counts each decision on the shard
+//     the example routes to, and runs the publish hooks — PrePublish
+//     on every replacement before any shard swaps, PostPublish once.
+//
+// A single engine is a one-shard fleet. With N == 1 the routing key
+// is never called, the shard keeps the fleet's bare name as its stats
+// label and store key, and its trace events carry shard -1, so
+// NewGuarded over one Engine, the serving daemon, persistence
+// (SaveGuarded writes the line "name" plus "name.admission") and the
+// online simulator each have one code path for every shard count.
 package engine
 
 import (

@@ -11,8 +11,8 @@ package engine
 // The admission contract (AdmitVerdict, AdmitDecision, Admitter,
 // QuarantineSink) is declared here — the concrete admitters live in
 // internal/admission, which aliases these types the way sbayes aliases
-// engine.Label — because Guarded and GuardedSharded must reference it
-// and internal/admission already imports this package.
+// engine.Label — because Guarded must reference it and
+// internal/admission already imports this package.
 
 import (
 	"context"
@@ -123,8 +123,8 @@ func (s *AdmissionStats) add(o AdmissionStats) {
 }
 
 // recordAdmission tallies one decision against the engine's admission
-// counters. Guarded (and GuardedSharded, per destination shard) call
-// it for every vetted candidate.
+// counters. Guarded calls it on the destination shard of every vetted
+// candidate.
 func (e *Engine) recordAdmission(v AdmitVerdict) {
 	switch v {
 	case AdmitAccept:
@@ -157,81 +157,113 @@ type GuardedConfig struct {
 	// PrePublish hooks run on every replacement classifier after it is
 	// built and before it is published — the one moment a swap-time
 	// defense may still mutate it (e.g. a dynamic-threshold refit via
-	// ThresholdSetter). A hook error aborts the publish, leaving the
-	// serving snapshot unchanged.
+	// ThresholdSetter). They run on every shard's replacement before
+	// any shard swaps, so a hook error aborts the whole publish,
+	// leaving every serving snapshot unchanged.
 	PrePublish []func(next Classifier) error
 	// PostPublish hooks run once after each publish (a fleet-wide
-	// publish on a guarded Sharded counts once) — where quarantine
-	// review and admitter-pool refresh belong.
+	// publish counts once, however many shards it swapped) — where
+	// quarantine review and admitter-pool refresh belong.
 	PostPublish []func()
 }
 
-// Guarded threads admission control through an Engine's training path:
+// Guarded threads admission control through a fleet's training path:
 // LearnStream, Retrain, and RetrainIncremental vet every example
 // through the Admitter before it is learned, quarantined examples are
 // routed to the configured sink, and every publish runs the
 // PrePublish/PostPublish hooks. Scoring (Classify, ClassifyBatch,
-// ScoreBatch) passes straight through to the engine and is never
+// ScoreBatch) passes straight through to the shards and is never
 // blocked by admission work — vetting happens on the training path
 // only.
+//
+// The fleet is a Sharded of N >= 1 shards; a single engine is the
+// one-shard fleet NewGuarded builds. Mail is vetted once, at the
+// gateway, upstream of the partition, and each decision is counted
+// against the shard the example would train, so sum(per-shard
+// admission counters) == the combined view holds by the same
+// aggregation that keeps every other Sharded counter honest.
 type Guarded struct {
-	eng   *Engine
+	fleet *Sharded
 	admit Admitter
 	cfg   GuardedConfig
 }
 
-// NewGuarded wraps e with admission control.
+// NewGuarded wraps e, as a one-shard fleet, with admission control.
 func NewGuarded(e *Engine, admit Admitter, cfg GuardedConfig) *Guarded {
 	if e == nil {
 		panic("engine: NewGuarded with nil engine")
 	}
+	return NewGuardedSharded(oneShard(e), admit, cfg)
+}
+
+// NewGuardedSharded wraps the fleet s with admission control.
+func NewGuardedSharded(s *Sharded, admit Admitter, cfg GuardedConfig) *Guarded {
+	if s == nil {
+		panic("engine: NewGuardedSharded with nil sharded engine")
+	}
 	if admit == nil {
 		panic("engine: NewGuarded with nil admitter")
 	}
-	return &Guarded{eng: e, admit: admit, cfg: cfg}
+	return &Guarded{fleet: s, admit: admit, cfg: cfg}
 }
 
-// Engine returns the wrapped engine.
-func (g *Guarded) Engine() *Engine { return g.eng }
+// Engine returns the engine of a one-shard guard. It panics on a
+// fleet of several shards, whose engines Sharded().Shard(i) returns.
+func (g *Guarded) Engine() *Engine {
+	if n := g.fleet.NumShards(); n != 1 {
+		panic(fmt.Sprintf("engine: Engine() on a guard over %d shards", n))
+	}
+	return g.fleet.shards[0]
+}
+
+// Sharded returns the guarded fleet.
+func (g *Guarded) Sharded() *Sharded { return g.fleet }
 
 // Admitter returns the vetting policy.
 func (g *Guarded) Admitter() Admitter { return g.admit }
 
-// Name returns the wrapped engine's stats label.
-func (g *Guarded) Name() string { return g.eng.Name() }
+// Name returns the fleet's stats label.
+func (g *Guarded) Name() string { return g.fleet.Name() }
 
-// Classify scores one message against the current snapshot,
-// unguarded — admission vets training, never scoring.
-func (g *Guarded) Classify(m *mail.Message) Result { return g.eng.Classify(m) }
+// Classify routes and scores one message against its shard's current
+// snapshot, unguarded — admission vets training, never scoring.
+func (g *Guarded) Classify(m *mail.Message) Result { return g.fleet.Classify(m) }
 
-// ClassifyBatch passes straight through to the engine; admission work
+// ClassifyBatch passes straight through to the fleet; admission work
 // never blocks it.
 func (g *Guarded) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Result, error) {
-	return g.eng.ClassifyBatch(ctx, msgs)
+	return g.fleet.ClassifyBatch(ctx, msgs)
 }
 
-// ScoreBatch passes straight through to the engine.
+// ScoreBatch passes straight through to the fleet.
 func (g *Guarded) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, error) {
-	return g.eng.ScoreBatch(ctx, msgs)
+	return g.fleet.ScoreBatch(ctx, msgs)
 }
 
-// Generation returns the serving snapshot's generation.
-func (g *Guarded) Generation() uint64 { return g.eng.Generation() }
+// Generation returns the newest serving generation across the shards
+// — for one shard, its serving snapshot's generation.
+func (g *Guarded) Generation() uint64 {
+	var gen uint64
+	for _, e := range g.fleet.shards {
+		gen = max(gen, e.Generation())
+	}
+	return gen
+}
 
-// Stats returns the wrapped engine's counters, including the
-// admission tallies this guard recorded.
-func (g *Guarded) Stats() Stats { return g.eng.Stats() }
+// Stats returns the fleet's counters, including the admission tallies
+// this guard recorded on each shard.
+func (g *Guarded) Stats() ShardedStats { return g.fleet.Stats() }
 
 // Vet runs one candidate through the admitter, records the decision in
-// the engine's admission counters, and routes a quarantine verdict to
-// the configured sink. It is the tokenizing adapter over VetStream:
-// the candidate is tokenized once here (with the serving snapshot's
-// tokenizer, when it exposes one) and the same stream feeds the
-// admitter and the quarantine sink. Callers already holding the
-// stream call VetStream instead.
+// the admission counters of the shard the candidate routes to, and
+// routes a quarantine verdict to the configured sink. It is the
+// tokenizing adapter over VetStream: the candidate is tokenized once
+// here (with that shard's serving tokenizer, when it exposes one) and
+// the same stream feeds the admitter and the quarantine sink. Callers
+// already holding the stream call VetStream instead.
 func (g *Guarded) Vet(ctx context.Context, m *mail.Message, spam bool) AdmitDecision {
 	var ts *tokenize.TokenStream
-	if tok := tokenizerOf(g.eng.Classifier()); tok != nil {
+	if tok := tokenizerOf(g.fleet.shards[g.fleet.ShardFor(m)].Classifier()); tok != nil {
 		ts = tok.Stream(m)
 	}
 	return g.VetStream(ctx, m, ts, spam)
@@ -239,20 +271,15 @@ func (g *Guarded) Vet(ctx context.Context, m *mail.Message, spam bool) AdmitDeci
 
 // VetStream is the single vetting chokepoint every guarded training
 // path shares: it runs one candidate (tokenized once upstream; ts may
-// be nil) through the admitter, records the decision, and routes a
-// quarantine verdict — stream and all — to the configured sink. It is
-// exported so a deployment that trains through its own machinery (the
-// scenario simulator's background rebuilds) can still vet inline
-// without re-tokenizing.
+// be nil) through the admitter, records the decision against the
+// shard the candidate routes to, and routes a quarantine verdict —
+// stream and all — to the configured sink. It is exported so a
+// deployment that trains through its own machinery (the scenario
+// simulator's background rebuilds) can still vet inline without
+// re-tokenizing.
 func (g *Guarded) VetStream(ctx context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) AdmitDecision {
-	return vet(ctx, g.admit, g.cfg.Quarantine, g.eng, m, ts, spam)
-}
-
-// vet is the shared VetStream implementation of Guarded and
-// GuardedSharded; counters land on the engine that would train the
-// example.
-func vet(ctx context.Context, admit Admitter, sink QuarantineSink, counters *Engine, m *mail.Message, ts *tokenize.TokenStream, spam bool) AdmitDecision {
-	d := admit.Admit(ctx, m, ts, spam)
+	counters := g.fleet.shards[g.fleet.ShardFor(m)]
+	d := g.admit.Admit(ctx, m, ts, spam)
 	counters.recordAdmission(d.Verdict)
 	if ts != nil {
 		if digest := ts.Digest(); counters.trace.Sampled(digest) {
@@ -262,26 +289,31 @@ func vet(ctx context.Context, admit Admitter, sink QuarantineSink, counters *Eng
 			})
 		}
 	}
-	if d.Verdict == AdmitQuarantine && sink != nil {
-		sink.Hold(m, ts, spam, d.Reason)
+	if d.Verdict == AdmitQuarantine && g.cfg.Quarantine != nil {
+		g.cfg.Quarantine.Hold(m, ts, spam, d.Reason)
 	}
 	return d
 }
 
-// VetCorpus vets every example of c in corpus order, returning the
-// admitted subset. Quarantined examples go to the sink; rejected ones
-// are dropped. It checks ctx between examples.
-func (g *Guarded) VetCorpus(ctx context.Context, c *corpus.Corpus) (*corpus.Corpus, error) {
-	tok := tokenizerOf(g.eng.Classifier())
-	return vetCorpus(ctx, c, func(*mail.Message) *tokenize.Tokenizer { return tok }, g.VetStream)
+// tokFor resolves each shard's serving tokenizer once and returns the
+// per-message routing view of them, so batch vetting and the guarded
+// stream tokenize each candidate exactly once with the tokenizer of
+// the shard that would train it (nil when that shard has none).
+func (g *Guarded) tokFor() func(*mail.Message) *tokenize.Tokenizer {
+	toks := make([]*tokenize.Tokenizer, g.fleet.NumShards())
+	for i, e := range g.fleet.shards {
+		toks[i] = tokenizerOf(e.Classifier())
+	}
+	return func(m *mail.Message) *tokenize.Tokenizer { return toks[g.fleet.ShardFor(m)] }
 }
 
-// vetCorpus is the shared VetCorpus loop of Guarded and
-// GuardedSharded, parameterized on the per-message tokenizer routing
-// (tokFor returns nil when no tokenizer applies) and the vet
-// chokepoint. Each example is tokenized exactly once, for the vetting
-// decision and the sink together.
-func vetCorpus(ctx context.Context, c *corpus.Corpus, tokFor func(*mail.Message) *tokenize.Tokenizer, vet func(context.Context, *mail.Message, *tokenize.TokenStream, bool) AdmitDecision) (*corpus.Corpus, error) {
+// VetCorpus vets every example of c in corpus order, returning the
+// admitted subset (unpartitioned — the training paths route it).
+// Quarantined examples go to the sink; rejected ones are dropped. Each
+// example is tokenized exactly once, for the vetting decision and the
+// sink together. It checks ctx between examples.
+func (g *Guarded) VetCorpus(ctx context.Context, c *corpus.Corpus) (*corpus.Corpus, error) {
+	tokFor := g.tokFor()
 	kept := &corpus.Corpus{}
 	for _, ex := range c.Examples {
 		if err := ctx.Err(); err != nil {
@@ -291,113 +323,137 @@ func vetCorpus(ctx context.Context, c *corpus.Corpus, tokFor func(*mail.Message)
 		if tok := tokFor(ex.Msg); tok != nil {
 			ts = tok.Stream(ex.Msg)
 		}
-		if vet(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
+		if g.VetStream(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
 			kept.Add(ex.Msg, ex.Spam)
 		}
 	}
 	return kept, nil
 }
 
-// publish runs the PrePublish hooks on the replacement, installs it,
-// then runs the PostPublish hooks. A PrePublish error aborts the
-// publish with the serving snapshot unchanged, reporting the serving
-// generation read once on entry (sbvet:snapshotonce — one decision,
-// one snapshot read).
-func (g *Guarded) publish(clf Classifier) (uint64, error) {
-	cur := g.eng.Generation()
-	for _, hook := range g.cfg.PrePublish {
-		if err := hook(clf); err != nil {
-			return cur, fmt.Errorf("engine: pre-publish hook: %w", err)
+// publish runs the PrePublish hooks on every replacement, swaps each
+// shard to its own, then runs the PostPublish hooks once. A PrePublish
+// error aborts before any shard swaps, reporting cur — the serving
+// generations the caller read once on entry (sbvet:snapshotonce — one
+// decision, one snapshot read).
+func (g *Guarded) publish(cur []uint64, next []Classifier) ([]uint64, error) {
+	for _, clf := range next {
+		for _, hook := range g.cfg.PrePublish {
+			if err := hook(clf); err != nil {
+				return cur, fmt.Errorf("engine: pre-publish hook: %w", err)
+			}
 		}
 	}
-	gen := g.eng.Swap(clf)
+	gens := g.fleet.Swap(next...)
 	for _, hook := range g.cfg.PostPublish {
 		hook()
 	}
-	return gen, nil
+	return gens, nil
 }
 
-// Swap vets nothing — the caller built the replacement — but still
-// runs the publish hooks, so swap-time defenses fire on externally
-// built snapshots too (the scenario simulator's background rebuilds
-// publish through here). Unlike Engine.Swap it can fail: a PrePublish
-// hook error aborts the publish.
-func (g *Guarded) Swap(clf Classifier) (uint64, error) {
-	if clf == nil {
-		panic("engine: Swap with nil classifier")
+// snapshots reads every shard's serving classifier and generation, one
+// Snapshot() each.
+func (g *Guarded) snapshots() ([]Classifier, []uint64) {
+	clfs := make([]Classifier, g.fleet.NumShards())
+	gens := make([]uint64, len(clfs))
+	for i, e := range g.fleet.shards {
+		clfs[i], gens[i] = e.Snapshot()
 	}
-	return g.publish(clf)
+	return clfs, gens
 }
 
-// Retrain vets train, builds a fresh classifier from the admitted
-// subset, and publishes it through the hooks. See Engine.Retrain for
-// the snapshot semantics; on error the serving snapshot is unchanged.
-func (g *Guarded) Retrain(ctx context.Context, factory Factory, train *corpus.Corpus) (uint64, error) {
+// Swap vets nothing — the caller built the replacements, one per
+// shard — but still runs the publish hooks, so swap-time defenses fire
+// on externally built snapshots too (the scenario simulator's
+// background rebuilds publish through here). Unlike Engine.Swap it can
+// fail: a PrePublish hook error aborts the publish with no shard
+// swapped. It returns every shard's new generation.
+func (g *Guarded) Swap(clfs ...Classifier) ([]uint64, error) {
+	if len(clfs) != g.fleet.NumShards() {
+		panic(fmt.Sprintf("engine: Swap with %d classifiers for %d shards", len(clfs), g.fleet.NumShards()))
+	}
+	for _, clf := range clfs {
+		if clf == nil {
+			panic("engine: Swap with nil classifier")
+		}
+	}
+	_, cur := g.snapshots()
+	return g.publish(cur, clfs)
+}
+
+// Retrain vets train at the gateway, partitions the admitted subset by
+// the routing key, rebuilds every shard from its own slice with a
+// fresh classifier from factory, and publishes the replacements
+// through the hooks. It returns every shard's new generation; on error
+// no shard has swapped. See Engine.Retrain for the snapshot semantics.
+func (g *Guarded) Retrain(ctx context.Context, factory Factory, train *corpus.Corpus) ([]uint64, error) {
 	if factory == nil {
 		panic("engine: Retrain with nil factory")
 	}
-	cur := g.eng.Generation()
+	_, cur := g.snapshots()
 	kept, err := g.VetCorpus(ctx, train)
 	if err != nil {
 		return cur, err
 	}
-	replacement := factory()
-	if err := trainAll(ctx, replacement, kept); err != nil {
+	parts := g.fleet.Partition(kept)
+	next := make([]Classifier, len(parts))
+	err = g.fleet.forEachShard(func(sh int) error {
+		next[sh] = factory()
+		return trainAll(ctx, next[sh], parts[sh])
+	})
+	if err != nil {
 		return cur, err
 	}
-	return g.publish(replacement)
+	return g.publish(cur, next)
 }
 
-// RetrainIncremental vets delta, clones the serving snapshot, trains
-// the admitted subset into the clone, and publishes it through the
-// hooks. It requires the serving classifier to be a Cloner. The
-// classifier to clone and the generation reported on error come from
-// one Snapshot() read: the previous per-call accessor reads could
-// straddle a concurrent publish and pair the cloned classifier with
-// another generation's number (the torn-read class sbvet:snapshotonce
-// now rejects at lint time).
-func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) (uint64, error) {
-	cur, gen := g.eng.Snapshot()
-	cloner, ok := cur.(Cloner)
-	if !ok {
-		return gen, fmt.Errorf("engine: %T is not a Cloner; use Retrain", cur)
+// RetrainIncremental vets delta at the gateway, partitions the
+// admitted subset by the routing key, clones every shard's serving
+// snapshot, trains each shard's slice into its clone, and publishes
+// the clones through the hooks — the guarded live-learn path the
+// serving daemon's learn queue drains through. Every shard must serve
+// a Cloner; a fleet that does not fails before vetting anything. The
+// classifiers cloned and the generations reported on error come from
+// one Snapshot() read per shard, so a concurrent publish cannot pair a
+// clone with another generation's number (the torn-read class
+// sbvet:snapshotonce rejects at lint time).
+func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) ([]uint64, error) {
+	clfs, cur := g.snapshots()
+	for _, clf := range clfs {
+		if _, ok := clf.(Cloner); !ok {
+			return cur, fmt.Errorf("engine: %T is not a Cloner; use Retrain", clf)
+		}
 	}
 	kept, err := g.VetCorpus(ctx, delta)
 	if err != nil {
-		return gen, err
+		return cur, err
 	}
-	replacement := cloner.CloneClassifier()
-	if err := trainAll(ctx, replacement, kept); err != nil {
-		return gen, err
+	parts := g.fleet.Partition(kept)
+	next := make([]Classifier, len(parts))
+	err = g.fleet.forEachShard(func(sh int) error {
+		next[sh] = clfs[sh].(Cloner).CloneClassifier()
+		return trainAll(ctx, next[sh], parts[sh])
+	})
+	if err != nil {
+		return cur, err
 	}
-	return g.publish(replacement)
+	return g.publish(cur, next)
 }
 
 // LearnStream starts a guarded bulk-training stream: every example is
-// vetted, admitted examples flow into the engine's own LearnStream,
-// and the wait count is the number actually learned. The contract
-// matches Engine.LearnStream — cancellation discards the remainder but
-// keeps draining until wait observes it, and producers must stop
-// sending before calling wait.
-func (g *Guarded) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, error)) {
-	inner, innerWait := g.eng.LearnStream(ctx)
-	tok := tokenizerOf(g.eng.Classifier())
-	return guardStream(ctx, inner, innerWait, g.eng.learnBuf,
-		func(*mail.Message) *tokenize.Tokenizer { return tok }, g.VetStream)
-}
-
-// guardStream interposes a vetting goroutine in front of a training
-// stream — the shared scaffold of Guarded.LearnStream and
-// GuardedSharded.LearnStream. Each example is tokenized exactly once
+// vetted (counted on its destination shard), admitted examples flow
+// into the fleet's own routing LearnStream, and the wait count is the
+// number actually learned. Each example is tokenized exactly once
 // (unless the producer already attached a stream): the same stream
 // feeds the admission decision and, on acceptance, rides the Labeled
-// into the inner learn stream so the learner never re-tokenizes. The
-// drain contract mirrors the Sharded router: on cancellation the
-// vetting goroutine stops forwarding and keeps the outer channel
-// flowing until wait observes the error, so a producer blocked on a
-// full buffer is always released.
-func guardStream(ctx context.Context, inner chan<- Labeled, innerWait func() (int, error), buf int, tokFor func(*mail.Message) *tokenize.Tokenizer, vet func(context.Context, *mail.Message, *tokenize.TokenStream, bool) AdmitDecision) (chan<- Labeled, func() (int, error)) {
-	in := make(chan Labeled, buf)
+// into the inner stream so the learner never re-tokenizes. The
+// contract matches Engine.LearnStream — cancellation discards the
+// remainder but keeps draining until wait observes it, so a producer
+// blocked on a full buffer is always released, and producers must stop
+// sending before calling wait.
+func (g *Guarded) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, error)) {
+	inner, innerWait := g.fleet.LearnStream(ctx)
+	tokFor := g.tokFor()
+	in := make(chan Labeled, g.fleet.shards[0].learnBuf)
 	stop := make(chan struct{})
 	vetDone := make(chan struct{})
 	var stopOnce sync.Once
@@ -426,7 +482,7 @@ func guardStream(ctx context.Context, inner chan<- Labeled, innerWait func() (in
 						ts = tok.Stream(ex.Msg)
 					}
 				}
-				if vet(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
+				if g.VetStream(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
 					// On cancellation the inner consumer drains its own
 					// stream until its wait observes it, and wait below
 					// does not call innerWait until vetting has exited,
@@ -447,195 +503,4 @@ func guardStream(ctx context.Context, inner chan<- Labeled, innerWait func() (in
 		return n, err
 	}
 	return in, wait
-}
-
-// GuardedSharded threads one admission policy through a Sharded
-// engine's training path — the gateway deployment, where mail is
-// vetted once upstream of the partition and each decision is counted
-// against the shard the example would have trained. sum(per-shard
-// admission counters) == the combined view therefore holds by the same
-// aggregation that keeps every other Sharded counter honest.
-type GuardedSharded struct {
-	sh    *Sharded
-	admit Admitter
-	cfg   GuardedConfig
-}
-
-// NewGuardedSharded wraps s with admission control.
-func NewGuardedSharded(s *Sharded, admit Admitter, cfg GuardedConfig) *GuardedSharded {
-	if s == nil {
-		panic("engine: NewGuardedSharded with nil sharded engine")
-	}
-	if admit == nil {
-		panic("engine: NewGuardedSharded with nil admitter")
-	}
-	return &GuardedSharded{sh: s, admit: admit, cfg: cfg}
-}
-
-// Sharded returns the wrapped sharded engine.
-func (g *GuardedSharded) Sharded() *Sharded { return g.sh }
-
-// Admitter returns the vetting policy.
-func (g *GuardedSharded) Admitter() Admitter { return g.admit }
-
-// Classify routes and scores unguarded.
-func (g *GuardedSharded) Classify(m *mail.Message) Result { return g.sh.Classify(m) }
-
-// ClassifyBatch passes straight through to the sharded engine.
-func (g *GuardedSharded) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Result, error) {
-	return g.sh.ClassifyBatch(ctx, msgs)
-}
-
-// ScoreBatch passes straight through to the sharded engine.
-func (g *GuardedSharded) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, error) {
-	return g.sh.ScoreBatch(ctx, msgs)
-}
-
-// Stats returns the sharded engine's aggregated counters, including
-// per-shard admission tallies.
-func (g *GuardedSharded) Stats() ShardedStats { return g.sh.Stats() }
-
-// Vet runs one candidate through the admitter, counting the decision
-// against the shard the example routes to. Like Guarded.Vet it is the
-// tokenizing adapter: the candidate is tokenized once with its
-// destination shard's tokenizer and the stream shared with the sink.
-func (g *GuardedSharded) Vet(ctx context.Context, m *mail.Message, spam bool) AdmitDecision {
-	sh := g.sh.shards[g.sh.ShardFor(m)]
-	var ts *tokenize.TokenStream
-	if tok := tokenizerOf(sh.Classifier()); tok != nil {
-		ts = tok.Stream(m)
-	}
-	return vet(ctx, g.admit, g.cfg.Quarantine, sh, m, ts, spam)
-}
-
-// VetStream vets one already-tokenized candidate (ts may be nil),
-// counting the decision against the shard the example routes to.
-func (g *GuardedSharded) VetStream(ctx context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) AdmitDecision {
-	return vet(ctx, g.admit, g.cfg.Quarantine, g.sh.shards[g.sh.ShardFor(m)], m, ts, spam)
-}
-
-// tokFor resolves each shard's serving tokenizer once and returns the
-// per-message routing view of them, so batch vetting and the guarded
-// stream tokenize each candidate exactly once with the tokenizer of
-// the shard that would train it.
-func (g *GuardedSharded) tokFor() func(*mail.Message) *tokenize.Tokenizer {
-	toks := make([]*tokenize.Tokenizer, g.sh.NumShards())
-	for i, sh := range g.sh.shards {
-		toks[i] = tokenizerOf(sh.Classifier())
-	}
-	return func(m *mail.Message) *tokenize.Tokenizer { return toks[g.sh.ShardFor(m)] }
-}
-
-// VetCorpus vets every example in corpus order, returning the admitted
-// subset (still unpartitioned — the caller routes it).
-func (g *GuardedSharded) VetCorpus(ctx context.Context, c *corpus.Corpus) (*corpus.Corpus, error) {
-	return vetCorpus(ctx, c, g.tokFor(), g.VetStream)
-}
-
-// RetrainAll vets train at the gateway, partitions the admitted subset
-// by the routing key, rebuilds every shard from its own slice
-// concurrently, and publishes each through the PrePublish hooks; the
-// PostPublish hooks run once for the fleet-wide publish.
-func (g *GuardedSharded) RetrainAll(ctx context.Context, factory Factory, train *corpus.Corpus) ([]uint64, error) {
-	if factory == nil {
-		panic("engine: RetrainAll with nil factory")
-	}
-	kept, err := g.VetCorpus(ctx, train)
-	if err != nil {
-		return nil, err
-	}
-	parts := g.sh.Partition(kept)
-	gens := make([]uint64, g.sh.NumShards())
-	err = g.sh.forEachShard(func(sh int) error {
-		replacement := factory()
-		if err := trainAll(ctx, replacement, parts[sh]); err != nil {
-			return err
-		}
-		for _, hook := range g.cfg.PrePublish {
-			if err := hook(replacement); err != nil {
-				return fmt.Errorf("engine: pre-publish hook (shard %d): %w", sh, err)
-			}
-		}
-		gens[sh] = g.sh.shards[sh].Swap(replacement)
-		return nil
-	})
-	if err != nil {
-		return gens, err
-	}
-	for _, hook := range g.cfg.PostPublish {
-		hook()
-	}
-	return gens, nil
-}
-
-// RetrainIncrementalAll vets delta at the gateway, partitions the
-// admitted subset by the routing key, and extends every shard's
-// serving snapshot with its own slice concurrently — the sharded
-// guarded live-learn path (the serving daemon's learn queue drains
-// through here). Each shard's replacement is cloned from its own
-// snapshot and passes the PrePublish hooks before its swap; the
-// PostPublish hooks run once for the fleet-wide publish. Every shard
-// must serve a Cloner classifier.
-func (g *GuardedSharded) RetrainIncrementalAll(ctx context.Context, delta *corpus.Corpus) ([]uint64, error) {
-	kept, err := g.VetCorpus(ctx, delta)
-	if err != nil {
-		return nil, err
-	}
-	parts := g.sh.Partition(kept)
-	gens := make([]uint64, g.sh.NumShards())
-	err = g.sh.forEachShard(func(sh int) error {
-		cur, _ := g.sh.shards[sh].Snapshot()
-		cloner, ok := cur.(Cloner)
-		if !ok {
-			return fmt.Errorf("engine: shard %d serves %T, not a Cloner", sh, cur)
-		}
-		replacement := cloner.CloneClassifier()
-		if err := trainAll(ctx, replacement, parts[sh]); err != nil {
-			return err
-		}
-		for _, hook := range g.cfg.PrePublish {
-			if err := hook(replacement); err != nil {
-				return fmt.Errorf("engine: pre-publish hook (shard %d): %w", sh, err)
-			}
-		}
-		gens[sh] = g.sh.shards[sh].Swap(replacement)
-		return nil
-	})
-	if err != nil {
-		return gens, err
-	}
-	for _, hook := range g.cfg.PostPublish {
-		hook()
-	}
-	return gens, nil
-}
-
-// SwapAll publishes clfs[i] as shard i's new snapshot, running the
-// PrePublish hooks on every replacement first (so a hook error aborts
-// the whole fleet publish atomically — no shard has swapped yet) and
-// the PostPublish hooks once after.
-func (g *GuardedSharded) SwapAll(clfs []Classifier) ([]uint64, error) {
-	if len(clfs) != g.sh.NumShards() {
-		panic(fmt.Sprintf("engine: SwapAll with %d classifiers for %d shards", len(clfs), g.sh.NumShards()))
-	}
-	for i, clf := range clfs {
-		for _, hook := range g.cfg.PrePublish {
-			if err := hook(clf); err != nil {
-				return nil, fmt.Errorf("engine: pre-publish hook (shard %d): %w", i, err)
-			}
-		}
-	}
-	gens := g.sh.SwapAll(clfs)
-	for _, hook := range g.cfg.PostPublish {
-		hook()
-	}
-	return gens, nil
-}
-
-// LearnStream starts a guarded routed bulk-training stream: every
-// example is vetted (counters on its destination shard), and admitted
-// examples flow into the sharded engine's own routing LearnStream.
-func (g *GuardedSharded) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, error)) {
-	inner, innerWait := g.sh.LearnStream(ctx)
-	return guardStream(ctx, inner, innerWait, g.sh.shards[0].learnBuf, g.tokFor(), g.VetStream)
 }

@@ -1,19 +1,26 @@
 package engine_test
 
-// Guarded / GuardedSharded conformance: admission vets only the
-// training path (ClassifyBatch is never blocked, even by a wedged
-// admitter), decisions land in the engine's admission counters with
-// the Vetted == Admitted+Quarantined+Rejected invariant, the sharded
-// aggregation keeps sum(per-shard) == combined under concurrent
-// vetting, and the publish hooks run in order with errors aborting the
-// publish. Run under -race via `make race`.
+// Guarded conformance at both fleet sizes — a single engine (the
+// one-shard fleet NewGuarded builds) and three recipient-hashed
+// shards: admission vets only the training path (ClassifyBatch is
+// never blocked, even by a wedged admitter), each decision lands in
+// the admission counters of its destination shard with the Vetted ==
+// Admitted+Quarantined+Rejected invariant, sum(per-shard) == combined
+// holds under concurrent vetting, and the publish hooks run in order —
+// PrePublish on every replacement before any shard swaps, PostPublish
+// once per publish — with a hook error aborting the whole publish. Run
+// under -race via `make race`.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,285 +72,531 @@ func (s *heldSink) Hold(m *mail.Message, _ *tokenize.TokenStream, _ bool, _ stri
 	s.mu.Unlock()
 }
 
+// guardSizes are the fleet sizes every guard behaviour is checked at.
+var guardSizes = []int{1, 3}
+
+// forEachSize runs check once per fleet size, as subtest "shards=N".
+func forEachSize(t *testing.T, check func(t *testing.T, n int)) {
+	for _, n := range guardSizes {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { check(t, n) })
+	}
+}
+
+// newGuard guards n shards, shard i serving mk(i): one shard goes
+// through NewGuarded over a plain Engine, more through
+// NewGuardedSharded.
+func newGuard(n int, mk func(i int) engine.Classifier, learnBuf int, admit engine.Admitter, cfg engine.GuardedConfig) *engine.Guarded {
+	if n == 1 {
+		return engine.NewGuarded(engine.New(mk(0), engine.Config{LearnBuffer: learnBuf}), admit, cfg)
+	}
+	clfs := make([]engine.Classifier, n)
+	for i := range clfs {
+		clfs[i] = mk(i)
+	}
+	return engine.NewGuardedSharded(engine.NewSharded(clfs, engine.ShardedConfig{LearnBuffer: learnBuf}), admit, cfg)
+}
+
+// userMsg is msg addressed to user u, so a fleet spreads a run of
+// users across its shards.
+func userMsg(body string, u int) *mail.Message {
+	m := msg(body)
+	m.Header.Set("To", fmt.Sprintf("user%d@corp.example", u))
+	return m
+}
+
+// sumAdmission adds up the per-shard admission counters.
+func sumAdmission(st engine.ShardedStats) engine.AdmissionStats {
+	var sum engine.AdmissionStats
+	for _, s := range st.Shards {
+		sum.Vetted += s.Admission.Vetted
+		sum.Admitted += s.Admission.Admitted
+		sum.Quarantined += s.Admission.Quarantined
+		sum.Rejected += s.Admission.Rejected
+	}
+	return sum
+}
+
+// spamCounts sums the spam examples every shard's snapshot trained.
+func spamCounts(g *engine.Guarded) int {
+	total := 0
+	for i := 0; i < g.Sharded().NumShards(); i++ {
+		ns, _ := g.Sharded().Shard(i).Classifier().Counts()
+		total += ns
+	}
+	return total
+}
+
 func TestGuardedLearnStreamVetsAndCounts(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		sink := &heldSink{}
-		g := engine.NewGuarded(engine.New(trained(t, backend), engine.Config{}), markerAdmitter{},
-			engine.GuardedConfig{Quarantine: sink})
-		in, wait := g.LearnStream(context.Background())
-		for i := 0; i < 30; i++ {
-			body := fmt.Sprintf("clean message %d\n", i)
-			switch i % 3 {
-			case 1:
-				body = fmt.Sprintf("poison message %d\n", i)
-			case 2:
-				body = fmt.Sprintf("odd message %d\n", i)
+		forEachSize(t, func(t *testing.T, n int) {
+			sink := &heldSink{}
+			g := newGuard(n, func(int) engine.Classifier { return trained(t, backend) }, 0,
+				markerAdmitter{}, engine.GuardedConfig{Quarantine: sink})
+			in, wait := g.LearnStream(context.Background())
+			for i := 0; i < 30; i++ {
+				body := fmt.Sprintf("clean message %d\n", i)
+				switch i % 3 {
+				case 1:
+					body = fmt.Sprintf("poison message %d\n", i)
+				case 2:
+					body = fmt.Sprintf("odd message %d\n", i)
+				}
+				in <- engine.Labeled{Msg: userMsg(body, i%8), Spam: true}
 			}
-			in <- engine.Labeled{Msg: msg(body), Spam: true}
-		}
-		close(in)
-		n, err := wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 10 {
-			t.Errorf("learned %d, want the 10 accepted", n)
-		}
-		a := g.Stats().Admission
-		if a.Admitted != 10 || a.Rejected != 10 || a.Quarantined != 10 {
-			t.Errorf("admission counters %+v, want 10/10/10", a)
-		}
-		if a.Vetted != a.Admitted+a.Quarantined+a.Rejected {
-			t.Errorf("Vetted %d != sum of verdict counters (%+v)", a.Vetted, a)
-		}
-		if len(sink.held) != 10 {
-			t.Errorf("sink holds %d, want 10", len(sink.held))
-		}
+			close(in)
+			learned, err := wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if learned != 10 {
+				t.Errorf("learned %d, want the 10 accepted", learned)
+			}
+			st := g.Stats()
+			a := st.Admission
+			if a.Admitted != 10 || a.Rejected != 10 || a.Quarantined != 10 {
+				t.Errorf("admission counters %+v, want 10/10/10", a)
+			}
+			if a.Vetted != a.Admitted+a.Quarantined+a.Rejected {
+				t.Errorf("Vetted %d != sum of verdict counters (%+v)", a.Vetted, a)
+			}
+			if sum := sumAdmission(st); sum != a {
+				t.Errorf("sum(per-shard) %+v != combined %+v", sum, a)
+			}
+			if st.Learned != 10 {
+				t.Errorf("shards learned %d, want 10", st.Learned)
+			}
+			if len(sink.held) != 10 {
+				t.Errorf("sink holds %d, want 10", len(sink.held))
+			}
+		})
 	})
 }
 
 func TestGuardedNeverBlocksClassifyBatch(t *testing.T) {
 	// A wedged admitter (stuck mid-probe, say) must not stall scoring:
 	// the admission pipeline sits on the training path only.
-	block := &blockingAdmitter{release: make(chan struct{}), entered: make(chan struct{})}
-	g := engine.NewGuarded(engine.New(trained(t, "sbayes"), engine.Config{}), block, engine.GuardedConfig{})
+	forEachSize(t, func(t *testing.T, n int) {
+		block := &blockingAdmitter{release: make(chan struct{}), entered: make(chan struct{})}
+		g := newGuard(n, func(int) engine.Classifier { return trained(t, "sbayes") }, 0, block, engine.GuardedConfig{})
 
-	in, wait := g.LearnStream(context.Background())
-	in <- engine.Labeled{Msg: msg("stuck example\n"), Spam: true}
-	<-block.entered // the vetting goroutine is now wedged inside Admit
+		in, wait := g.LearnStream(context.Background())
+		in <- engine.Labeled{Msg: msg("stuck example\n"), Spam: true}
+		<-block.entered // the vetting goroutine is now wedged inside Admit
 
-	batch := []*mail.Message{msg("winner lottery prize claim urgent millions\n"), msg("meeting agenda report\n")}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := g.ClassifyBatch(context.Background(), batch); err != nil {
-			t.Error(err)
+		batch := []*mail.Message{
+			userMsg("winner lottery prize claim urgent millions\n", 0),
+			userMsg("meeting agenda report\n", 1),
+			userMsg("meeting agenda report\n", 2),
 		}
-		if g.Classify(batch[0]).Label != engine.Spam {
-			t.Error("classify through the guard misfired")
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := g.ClassifyBatch(context.Background(), batch); err != nil {
+				t.Error(err)
+			}
+			if g.Classify(batch[0]).Label != engine.Spam {
+				t.Error("classify through the guard misfired")
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("ClassifyBatch blocked behind a wedged admitter")
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ClassifyBatch blocked behind a wedged admitter")
-	}
-	close(block.release)
-	close(in)
-	if _, err := wait(); err != nil {
-		t.Fatal(err)
-	}
+		close(block.release)
+		close(in)
+		if _, err := wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestGuardedLearnStreamCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	g := engine.NewGuarded(engine.New(trained(t, "sbayes"), engine.Config{LearnBuffer: 1}), markerAdmitter{}, engine.GuardedConfig{})
-	in, wait := g.LearnStream(ctx)
-	in <- engine.Labeled{Msg: msg("clean a\n"), Spam: true}
-	cancel()
-	if _, err := wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("wait returned %v, want context.Canceled", err)
-	}
+	// A cancelled stream keeps draining: a producer that goes on
+	// sending into the one-slot buffer is released rather than wedged,
+	// and wait reports the cancellation.
+	forEachSize(t, func(t *testing.T, n int) {
+		ctx, cancel := context.WithCancel(context.Background())
+		g := newGuard(n, func(int) engine.Classifier { return trained(t, "sbayes") }, 1, markerAdmitter{}, engine.GuardedConfig{})
+		in, wait := g.LearnStream(ctx)
+		in <- engine.Labeled{Msg: msg("clean a\n"), Spam: true}
+		cancel()
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for i := 0; i < 20; i++ {
+				in <- engine.Labeled{Msg: userMsg(fmt.Sprintf("clean after cancel %d\n", i), i), Spam: true}
+			}
+		}()
+		select {
+		case <-sent:
+		case <-time.After(5 * time.Second):
+			t.Fatal("producer blocked after cancellation: the guarded stream stopped draining")
+		}
+		if _, err := wait(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("wait returned %v, want context.Canceled", err)
+		}
+	})
 }
 
 func TestGuardedRetrainVetsAndRunsHooks(t *testing.T) {
+	// Vetting happens once, at the gateway: only the admitted subset
+	// reaches any shard. PrePublish sees every shard's replacement
+	// before PostPublish runs, once per publish.
 	forEachBackend(t, func(t *testing.T, backend string) {
-		b, err := engine.Lookup(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var order []string
-		cfg := engine.GuardedConfig{
-			PrePublish:  []func(engine.Classifier) error{func(engine.Classifier) error { order = append(order, "pre"); return nil }},
-			PostPublish: []func(){func() { order = append(order, "post") }},
-		}
-		g := engine.NewGuarded(engine.New(b.New(), engine.Config{}), markerAdmitter{}, cfg)
+		forEachSize(t, func(t *testing.T, n int) {
+			b, err := engine.Lookup(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var order []string
+			cfg := engine.GuardedConfig{
+				PrePublish:  []func(engine.Classifier) error{func(engine.Classifier) error { order = append(order, "pre"); return nil }},
+				PostPublish: []func(){func() { order = append(order, "post") }},
+			}
+			g := newGuard(n, func(int) engine.Classifier { return b.New() }, 0, markerAdmitter{}, cfg)
+			wantOrder := strings.Repeat("pre,", n) + "post"
 
-		train := &corpus.Corpus{}
-		for i := 0; i < 8; i++ {
-			train.Add(msg(fmt.Sprintf("clean spam words %d\n", i)), true)
-		}
-		train.Add(msg("poison payload\n"), true)
-		gen, err := g.Retrain(context.Background(), b.New, train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gen != 2 {
-			t.Fatalf("generation %d after first retrain", gen)
-		}
-		ns, _ := g.Engine().Classifier().Counts()
-		if ns != 8 {
-			t.Errorf("replacement trained on %d spam, want the 8 admitted", ns)
-		}
-		if strings.Join(order, ",") != "pre,post" {
-			t.Errorf("hook order %v", order)
-		}
-		// RetrainIncremental vets too and the clone extends the admitted
-		// state only.
-		delta := &corpus.Corpus{}
-		delta.Add(msg("clean followup\n"), true)
-		delta.Add(msg("poison again\n"), true)
-		if _, err := g.RetrainIncremental(context.Background(), delta); err != nil {
-			t.Fatal(err)
-		}
-		ns, _ = g.Engine().Classifier().Counts()
-		if ns != 9 {
-			t.Errorf("incremental clone trained on %d spam, want 9", ns)
-		}
+			train := &corpus.Corpus{}
+			for i := 0; i < 8; i++ {
+				train.Add(userMsg(fmt.Sprintf("clean spam words %d\n", i), i), true)
+			}
+			train.Add(userMsg("poison payload\n", 0), true)
+			gens, err := g.Retrain(context.Background(), b.New, train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, gen := range gens {
+				if gen != 2 {
+					t.Errorf("shard %d generation %d after first retrain", i, gen)
+				}
+			}
+			if len(gens) != n {
+				t.Fatalf("Retrain returned %d generations for %d shards", len(gens), n)
+			}
+			if got := spamCounts(g); got != 8 {
+				t.Errorf("replacements trained on %d spam, want the 8 admitted", got)
+			}
+			if got := strings.Join(order, ","); got != wantOrder {
+				t.Errorf("hook order %v, want %v", got, wantOrder)
+			}
+			// RetrainIncremental vets too and the clones extend the
+			// admitted state only.
+			order = nil
+			delta := &corpus.Corpus{}
+			delta.Add(userMsg("clean followup\n", 5), true)
+			delta.Add(userMsg("poison again\n", 6), true)
+			if _, err := g.RetrainIncremental(context.Background(), delta); err != nil {
+				t.Fatal(err)
+			}
+			if got := spamCounts(g); got != 9 {
+				t.Errorf("incremental clones trained on %d spam, want 9", got)
+			}
+			if got := strings.Join(order, ","); got != wantOrder {
+				t.Errorf("incremental hook order %v, want %v", got, wantOrder)
+			}
+			if a := g.Stats().Admission; a.Admitted != 9 || a.Rejected != 2 {
+				t.Errorf("admission counters %+v, want 9 admitted and 2 rejected", a)
+			}
+		})
 	})
 }
 
 func TestGuardedPrePublishErrorAbortsPublish(t *testing.T) {
-	b, err := engine.Lookup("sbayes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("refit failed")
-	posts := 0
-	g := engine.NewGuarded(engine.New(b.New(), engine.Config{}), markerAdmitter{}, engine.GuardedConfig{
-		PrePublish:  []func(engine.Classifier) error{func(engine.Classifier) error { return boom }},
-		PostPublish: []func(){func() { posts++ }},
-	})
-	before := g.Generation()
-	if _, err := g.Swap(b.New()); !errors.Is(err, boom) {
-		t.Fatalf("Swap error %v, want the hook error", err)
-	}
-	if g.Generation() != before {
-		t.Error("failed publish still advanced the generation")
-	}
-	if posts != 0 {
-		t.Error("post-publish hook ran after an aborted publish")
-	}
-	// Sharded: the whole fleet publish aborts before any shard swaps.
-	sh := engine.NewSharded([]engine.Classifier{b.New(), b.New()}, engine.ShardedConfig{})
-	gs := engine.NewGuardedSharded(sh, markerAdmitter{}, engine.GuardedConfig{
-		PrePublish: []func(engine.Classifier) error{func(engine.Classifier) error { return boom }},
-	})
-	if _, err := gs.SwapAll([]engine.Classifier{b.New(), b.New()}); !errors.Is(err, boom) {
-		t.Fatalf("SwapAll error %v, want the hook error", err)
-	}
-	for i := 0; i < sh.NumShards(); i++ {
-		if got := sh.Shard(i).Generation(); got != 1 {
-			t.Errorf("shard %d generation %d after aborted fleet publish", i, got)
-		}
-	}
-}
-
-// TestGuardedShardedAdmissionCountersSumAcrossShards is the regression
-// for the Sharded stats audit: under concurrent vetting from many
-// goroutines, every Stats() snapshot must satisfy sum(per-shard
-// admission counters) == combined, and each shard's Vetted must equal
-// the sum of its verdict counters — the same invariant class the
-// Scored/Classified fix established. Run under -race.
-func TestGuardedShardedAdmissionCountersSumAcrossShards(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend string) {
-		b, err := engine.Lookup(backend)
+	// The hook fails on the last replacement: every earlier shard's
+	// replacement has passed it, yet no shard may swap.
+	forEachSize(t, func(t *testing.T, n int) {
+		b, err := engine.Lookup("sbayes")
 		if err != nil {
 			t.Fatal(err)
 		}
-		const nsh = 4
-		clfs := make([]engine.Classifier, nsh)
-		for i := range clfs {
-			clfs[i] = b.New()
-		}
-		sh := engine.NewSharded(clfs, engine.ShardedConfig{})
-		g := engine.NewGuardedSharded(sh, markerAdmitter{}, engine.GuardedConfig{Quarantine: &heldSink{}})
-
-		const workers, perWorker = 8, 300
-		var wg sync.WaitGroup
-		stopReader := make(chan struct{})
-		readerDone := make(chan struct{})
-		go func() {
-			defer close(readerDone)
-			for {
-				st := g.Stats()
-				var sum engine.AdmissionStats
-				for i, s := range st.Shards {
-					if s.Admission.Vetted != s.Admission.Admitted+s.Admission.Quarantined+s.Admission.Rejected {
-						t.Errorf("shard %d Vetted %d != verdict sum (%+v)", i, s.Admission.Vetted, s.Admission)
-					}
-					sum.Vetted += s.Admission.Vetted
-					sum.Admitted += s.Admission.Admitted
-					sum.Quarantined += s.Admission.Quarantined
-					sum.Rejected += s.Admission.Rejected
+		boom := errors.New("refit failed")
+		var pres, posts int
+		g := newGuard(n, func(int) engine.Classifier { return b.New() }, 0, markerAdmitter{}, engine.GuardedConfig{
+			PrePublish: []func(engine.Classifier) error{func(engine.Classifier) error {
+				if pres++; pres%n == 0 {
+					return boom
 				}
-				if sum != st.Combined.Admission {
-					t.Errorf("sum(per-shard) %+v != combined %+v", sum, st.Combined.Admission)
-				}
-				select {
-				case <-stopReader:
-					return
-				default:
+				return nil
+			}},
+			PostPublish: []func(){func() { posts++ }},
+		})
+		unswapped := func(what string) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				if got := g.Sharded().Shard(i).Generation(); got != 1 {
+					t.Errorf("%s: shard %d generation %d after an aborted publish", what, i, got)
 				}
 			}
-		}()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perWorker; i++ {
-					body := "clean\n"
-					switch i % 3 {
-					case 1:
-						body = "poison\n"
-					case 2:
-						body = "odd\n"
-					}
-					m := &mail.Message{
-						Header: mail.Header{{Name: "To", Value: fmt.Sprintf("user%d@corp.example", (w*perWorker+i)%16)}},
-						Body:   body,
-					}
-					g.Vet(context.Background(), m, true)
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(stopReader)
-		<-readerDone
-
-		st := g.Stats()
-		if st.Combined.Admission.Vetted != workers*perWorker {
-			t.Errorf("combined vetted %d, want %d", st.Combined.Admission.Vetted, workers*perWorker)
-		}
-		// Every shard saw traffic (16 users over 4 shards).
-		for i, s := range st.Shards {
-			if s.Admission.Vetted == 0 {
-				t.Errorf("shard %d vetted nothing — routing broken", i)
+			if posts != 0 {
+				t.Errorf("%s: post-publish hook ran after an aborted publish", what)
 			}
+		}
+		next := make([]engine.Classifier, n)
+		for i := range next {
+			next[i] = b.New()
+		}
+		gens, err := g.Swap(next...)
+		if !errors.Is(err, boom) {
+			t.Fatalf("Swap error %v, want the hook error", err)
+		}
+		if !reflect.DeepEqual(gens, ones(n)) {
+			t.Errorf("aborted Swap reported generations %v, want the serving ones", gens)
+		}
+		unswapped("Swap")
+		delta := &corpus.Corpus{}
+		for i := 0; i < 6; i++ {
+			delta.Add(userMsg(fmt.Sprintf("clean %d\n", i), i), true)
+		}
+		if _, err := g.RetrainIncremental(context.Background(), delta); !errors.Is(err, boom) {
+			t.Fatalf("RetrainIncremental error %v, want the hook error", err)
+		}
+		unswapped("RetrainIncremental")
+	})
+}
+
+// ones is n serving generations of a fresh fleet.
+func ones(n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = 1
+	}
+	return out
+}
+
+// plainClassifier hides its backend's Cloner capability.
+type plainClassifier struct{ engine.Classifier }
+
+// countingAdmitter accepts everything and counts its calls.
+type countingAdmitter struct{ calls atomic.Int64 }
+
+func (*countingAdmitter) Name() string { return "counting" }
+func (c *countingAdmitter) Admit(context.Context, *mail.Message, *tokenize.TokenStream, bool) engine.AdmitDecision {
+	c.calls.Add(1)
+	return engine.AdmitDecision{Verdict: engine.AdmitAccept}
+}
+
+func TestGuardedRetrainIncrementalRequiresClonerBeforeVetting(t *testing.T) {
+	// One non-Cloner shard is enough to refuse the incremental retrain,
+	// and the refusal comes before a single candidate is vetted — a
+	// failed publish must not spend probe budget or fill the quarantine.
+	forEachSize(t, func(t *testing.T, n int) {
+		b, err := engine.Lookup("sbayes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		admit := &countingAdmitter{}
+		g := newGuard(n, func(i int) engine.Classifier {
+			if i == n-1 {
+				return plainClassifier{b.New()}
+			}
+			return b.New()
+		}, 0, admit, engine.GuardedConfig{})
+		delta := &corpus.Corpus{}
+		for i := 0; i < 6; i++ {
+			delta.Add(userMsg(fmt.Sprintf("clean %d\n", i), i), true)
+		}
+		if _, err := g.RetrainIncremental(context.Background(), delta); err == nil || !strings.Contains(err.Error(), "not a Cloner") {
+			t.Fatalf("RetrainIncremental error %v, want a not-a-Cloner refusal", err)
+		}
+		if calls := admit.calls.Load(); calls != 0 {
+			t.Errorf("admitter consulted %d times before the refusal", calls)
+		}
+		if v := g.Stats().Admission.Vetted; v != 0 {
+			t.Errorf("%d candidates vetted before the refusal", v)
 		}
 	})
 }
 
-func TestGuardedShardedRetrainAllVetsAtGateway(t *testing.T) {
-	b, err := engine.Lookup("sbayes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := engine.NewSharded([]engine.Classifier{b.New(), b.New()}, engine.ShardedConfig{})
-	g := engine.NewGuardedSharded(sh, markerAdmitter{}, engine.GuardedConfig{})
-	train := &corpus.Corpus{}
-	for i := 0; i < 10; i++ {
-		m := msg(fmt.Sprintf("clean words %d\n", i))
-		m.Header.Set("To", fmt.Sprintf("user%d@corp.example", i%4))
-		train.Add(m, true)
-	}
-	poison := msg("poison payload\n")
-	poison.Header.Set("To", "user0@corp.example")
-	train.Add(poison, true)
+// TestGuardedAdmissionCountersSumAcrossShards: each decision is
+// counted on the shard its candidate routes to, and under concurrent
+// vetting from many goroutines every Stats() snapshot satisfies
+// sum(per-shard admission counters) == combined, with each shard's
+// Vetted equal to the sum of its verdict counters — the same invariant
+// class the Scored/Classified fix established. Run under -race.
+func TestGuardedAdmissionCountersSumAcrossShards(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		forEachSize(t, func(t *testing.T, n int) {
+			b, err := engine.Lookup(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := newGuard(n, func(int) engine.Classifier { return b.New() }, 0,
+				markerAdmitter{}, engine.GuardedConfig{Quarantine: &heldSink{}})
 
-	gens, err := g.RetrainAll(context.Background(), b.New, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i := range gens {
-		if gens[i] != 2 {
-			t.Errorf("shard %d generation %d", i, gens[i])
+			// Deterministic routing check: one decision, one shard.
+			for u := 0; u < 6; u++ {
+				m := userMsg("clean\n", u)
+				dest := g.Sharded().ShardFor(m)
+				before := g.Stats()
+				g.Vet(context.Background(), m, true)
+				after := g.Stats()
+				for i := range after.Shards {
+					want := before.Shards[i].Admission.Vetted
+					if i == dest {
+						want++
+					}
+					if got := after.Shards[i].Admission.Vetted; got != want {
+						t.Errorf("user%d: shard %d vetted %d, want %d (destination shard %d)", u, i, got, want, dest)
+					}
+				}
+			}
+
+			const workers, perWorker = 8, 300
+			var wg sync.WaitGroup
+			stopReader := make(chan struct{})
+			readerDone := make(chan struct{})
+			go func() {
+				defer close(readerDone)
+				for {
+					st := g.Stats()
+					for i, s := range st.Shards {
+						if s.Admission.Vetted != s.Admission.Admitted+s.Admission.Quarantined+s.Admission.Rejected {
+							t.Errorf("shard %d Vetted %d != verdict sum (%+v)", i, s.Admission.Vetted, s.Admission)
+						}
+					}
+					if sum := sumAdmission(st); sum != st.Admission {
+						t.Errorf("sum(per-shard) %+v != combined %+v", sum, st.Admission)
+					}
+					select {
+					case <-stopReader:
+						return
+					default:
+					}
+				}
+			}()
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWorker; i++ {
+						body := "clean\n"
+						switch i % 3 {
+						case 1:
+							body = "poison\n"
+						case 2:
+							body = "odd\n"
+						}
+						g.Vet(context.Background(), userMsg(body, (w*perWorker+i)%16), true)
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(stopReader)
+			<-readerDone
+
+			st := g.Stats()
+			if st.Admission.Vetted != 6+workers*perWorker {
+				t.Errorf("combined vetted %d, want %d", st.Admission.Vetted, 6+workers*perWorker)
+			}
+			// Every shard saw traffic (16 users over the shards).
+			for i, s := range st.Shards {
+				if s.Admission.Vetted == 0 {
+					t.Errorf("shard %d vetted nothing — routing broken", i)
+				}
+			}
+		})
+	})
+}
+
+// stateAdmitter is markerAdmitter with a durable state blob.
+type stateAdmitter struct {
+	markerAdmitter
+	state string
+}
+
+func (a *stateAdmitter) SaveState(w io.Writer) error {
+	_, err := io.WriteString(w, a.state)
+	return err
+}
+
+func (a *stateAdmitter) LoadState(r io.Reader) error {
+	b, err := io.ReadAll(r)
+	a.state = string(b)
+	return err
+}
+
+func TestSaveGuardedWritesShardLinesAndOneSidecar(t *testing.T) {
+	// One shard persists exactly as the single engine always did: the
+	// line "served" and its sidecar "served.admission", at the one
+	// serving generation. A fleet adds nothing but its shard lines, and
+	// its sidecar carries the newest shard generation.
+	forEachSize(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		st, err := engine.NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ns, _ := sh.Shard(i).Classifier().Counts()
-		total += ns
-	}
-	if total != 10 {
-		t.Errorf("shards trained on %d spam total, want the 10 admitted", total)
-	}
+		b, err := engine.Lookup("sbayes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		admit := &stateAdmitter{state: "spent budget"}
+		var g *engine.Guarded
+		if n == 1 {
+			g = engine.NewGuarded(engine.New(b.New(), engine.Config{Name: "served"}), admit, engine.GuardedConfig{})
+		} else {
+			clfs := make([]engine.Classifier, n)
+			for i := range clfs {
+				clfs[i] = b.New()
+			}
+			g = engine.NewGuardedSharded(engine.NewSharded(clfs, engine.ShardedConfig{Name: "served"}), admit, engine.GuardedConfig{})
+		}
+		// Publish twice on the last shard only, so the fleet's lines
+		// diverge and the sidecar must pick the newest.
+		last := g.Sharded().Shard(n - 1)
+		for i := 0; i < 2; i++ {
+			last.Swap(b.New())
+		}
+		gens, err := engine.SaveGuarded(st, "served", "sbayes", g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ones(n)
+		want[n-1] = 3
+		if !reflect.DeepEqual(gens, want) {
+			t.Fatalf("SaveGuarded generations %v, want %v", gens, want)
+		}
+		keys := map[string][]uint64{engine.AdmissionSnapshotName("served"): {3}}
+		for i := 0; i < n; i++ {
+			keys[engine.ShardSnapshotName("served", i, n)] = []uint64{want[i]}
+		}
+		if n == 1 {
+			if _, ok := keys["served"]; !ok || len(keys) != 2 {
+				t.Fatalf("one-shard keys %v, want exactly served and served.admission", keys)
+			}
+		}
+		for key, wantGens := range keys {
+			got, err := st.Generations(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, wantGens) {
+				t.Errorf("line %q holds generations %v, want %v", key, got, wantGens)
+			}
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != len(keys) {
+			t.Errorf("store holds %d files, want %d (one per line)", len(files), len(keys))
+		}
+
+		// A restart brings the state back through the same keys.
+		admit2 := &stateAdmitter{}
+		resumed, rgens, err := engine.ResumeGuarded(st, n, engine.ShardedConfig{Name: "served"}, admit2, engine.GuardedConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rgens, want) || resumed.Generation() != 3 {
+			t.Errorf("resumed generations %v (newest %d), want %v", rgens, resumed.Generation(), want)
+		}
+		if admit2.state != "spent budget" {
+			t.Errorf("resumed admitter state %q, want the saved one", admit2.state)
+		}
+		if got := resumed.Sharded().Shard(0).Name(); n == 1 && got != "served" {
+			t.Errorf("one-shard resume labels its engine %q, want served", got)
+		}
+	})
 }

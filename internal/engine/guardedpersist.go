@@ -7,13 +7,14 @@ package engine
 // classifier survives the restart but the quarantine empties (a held
 // attacker walks free) and the RONI probe budget refills (the
 // exhaustion an attacker caused is forgotten). SaveGuarded therefore
-// writes a second, sidecar envelope under the store key
-// "<name>.admission" at the same generation as the classifier
-// snapshot, holding whatever durable state the engine's admitter and
-// quarantine sink expose through AdmissionStatePersister:
+// writes, next to the shard lines, one sidecar envelope under the
+// store key "<name>.admission" at the newest shard generation — for a
+// one-shard guard, the classifier snapshot's own generation — holding
+// whatever durable state the guard's admitter and quarantine sink
+// expose through AdmissionStatePersister:
 //
 //	magic    "ADMS" 0x01 (format version)
-//	uvarint  generation (matches the classifier snapshot's stamp)
+//	uvarint  generation (the newest shard snapshot's stamp)
 //	uvarint  section count
 //	per section:
 //	  uvarint len(label), label bytes   ("admitter" | "quarantine")
@@ -34,6 +35,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // AdmissionStatePersister is the capability of carrying admitter or
@@ -57,9 +59,9 @@ const (
 	admsSectionQuarantine = "quarantine"
 )
 
-// AdmissionSnapshotName is the store key of a guarded engine's
-// admission sidecar: the classifier line "name" pairs with
-// "name.admission" at the same generations.
+// AdmissionSnapshotName is the store key of a guarded fleet's
+// admission sidecar: the shard lines of the fleet saved as name pair
+// with "name.admission" at their newest generation.
 func AdmissionSnapshotName(name string) string { return name + ".admission" }
 
 // admsSection is one labeled persister payload inside the sidecar.
@@ -152,8 +154,7 @@ func decodeAdmissionState(data []byte) (gen uint64, sections []admsSection, err 
 	return gen, sections, nil
 }
 
-// guardSections collects the persistable components of one guard —
-// the shared save path of Guarded and GuardedSharded.
+// guardSections collects the persistable components of one guard.
 func guardSections(admit Admitter, sink QuarantineSink) ([]admsSection, error) {
 	var sections []admsSection
 	add := func(label string, p AdmissionStatePersister) error {
@@ -206,37 +207,41 @@ func applySections(sections []admsSection, admit Admitter, sink QuarantineSink) 
 	return nil
 }
 
-// SaveGuarded persists g's serving snapshot (exactly as SaveEngine)
-// plus an admission sidecar carrying the admitter's and quarantine
-// sink's durable state, both stamped with the same generation. Guards
-// whose components expose no durable state write no sidecar. The
-// admission state is read after the classifier snapshot, so decisions
-// that land between the two reads are in the sidecar but not the
-// snapshot — the safe direction: a resume can re-vet, but can never
-// un-forget.
-func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) (uint64, error) {
-	gen, err := SaveEngine(st, name, backend, g.eng)
+// SaveGuarded persists every shard's serving snapshot of g under
+// ShardSnapshotName(name, i, N) — for one shard, exactly SaveEngine
+// under name — plus one admission sidecar carrying the admitter's and
+// quarantine sink's durable state, stamped with the newest of the
+// shard generations. It returns every shard's persisted generation.
+// Guards whose components expose no durable state write no sidecar.
+// The admission state is read after the classifier snapshots, so
+// decisions that land between the two reads are in the sidecar but
+// not a snapshot — the safe direction: a resume can re-vet, but can
+// never un-forget.
+func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) ([]uint64, error) {
+	gens, err := g.fleet.saveLines(st, name, backend)
 	if err != nil {
-		return 0, err
+		return gens, err
 	}
 	sections, err := guardSections(g.admit, g.cfg.Quarantine)
 	if err != nil {
-		return gen, err
+		return gens, err
 	}
 	if len(sections) == 0 {
-		return gen, nil
+		return gens, nil
 	}
+	gen := slices.Max(gens)
 	if err := st.Write(AdmissionSnapshotName(name), gen, encodeAdmissionState(gen, sections)); err != nil {
-		return gen, fmt.Errorf("engine: writing admission sidecar: %w", err)
+		return gens, fmt.Errorf("engine: writing admission sidecar: %w", err)
 	}
-	return gen, nil
+	return gens, nil
 }
 
 // LoadAdmissionState restores g's admitter and quarantine sink from
-// name's admission sidecar at generation gen. It returns false (and
-// no error) when no sidecar exists for that generation — snapshots
-// saved through plain SaveEngine, or from before the sidecar format —
-// and an error when a sidecar exists but cannot be applied in full.
+// name's admission sidecar at generation gen (for a fleet, the newest
+// shard generation). It returns false (and no error) when no sidecar
+// exists for that generation — snapshots saved through plain
+// SaveEngine or SaveAll, or from before the sidecar format — and an
+// error when a sidecar exists but cannot be applied in full.
 func LoadAdmissionState(st SnapshotStore, name string, gen uint64, g *Guarded) (bool, error) {
 	data, err := st.Read(AdmissionSnapshotName(name), gen)
 	if err != nil {
@@ -258,21 +263,24 @@ func LoadAdmissionState(st SnapshotStore, name string, gen uint64, g *Guarded) (
 	return true, nil
 }
 
-// ResumeGuarded restores a guarded engine from name's latest valid
-// generation: the classifier resumes exactly as ResumeEngine, the
-// fresh guard wraps it with admit and gcfg, and any admission sidecar
-// saved at that generation is loaded into the guard — held mail stays
-// held and the probe budget stays spent across the restart. Callers
-// construct admit and gcfg exactly as for NewGuarded (the calibration
-// pool, hooks, and sinks are wiring, not persisted state).
-func ResumeGuarded(st SnapshotStore, name string, cfg Config, admit Admitter, gcfg GuardedConfig) (*Guarded, Envelope, error) {
-	eng, env, err := ResumeEngine(st, name, cfg)
+// ResumeGuarded restores a guarded fleet of shards engines: the
+// shards resume exactly as ResumeAll (keys from cfg.Name; one shard
+// resumes the bare line cfg.Name, as ResumeEngine would), the fresh
+// guard wraps them with admit and gcfg, and any admission sidecar
+// saved at the newest resumed generation is loaded into the guard —
+// held mail stays held and the probe budget stays spent across the
+// restart. Callers construct admit and gcfg exactly as for
+// NewGuardedSharded (the calibration pool, hooks, and sinks are
+// wiring, not persisted state). The returned generations are each
+// shard's resumed generation.
+func ResumeGuarded(st SnapshotStore, shards int, cfg ShardedConfig, admit Admitter, gcfg GuardedConfig) (*Guarded, []uint64, error) {
+	fleet, gens, err := ResumeAll(st, shards, cfg)
 	if err != nil {
-		return nil, Envelope{}, err
+		return nil, nil, err
 	}
-	g := NewGuarded(eng, admit, gcfg)
-	if _, err := LoadAdmissionState(st, name, env.Generation, g); err != nil {
-		return nil, Envelope{}, fmt.Errorf("engine: resuming %q: %w", name, err)
+	g := NewGuardedSharded(fleet, admit, gcfg)
+	if _, err := LoadAdmissionState(st, fleet.name, slices.Max(gens), g); err != nil {
+		return nil, nil, fmt.Errorf("engine: resuming %q: %w", fleet.name, err)
 	}
-	return g, env, nil
+	return g, gens, nil
 }

@@ -541,11 +541,15 @@ func Prune(st SnapshotStore, name string, keep int) ([]uint64, error) {
 	return removed, nil
 }
 
-// ShardSnapshotName is the store key of one shard's snapshot line:
-// shard i of a Sharded named name persists as "name.shard<i>". (The
-// Engine stats label "name/i" is not filesystem-safe, so the store
-// key scheme is its own.)
-func ShardSnapshotName(name string, shard int) string {
+// ShardSnapshotName is the store key of shard i's snapshot line in a
+// fleet of n shards named name: "name.shard<i>", except that the one
+// shard of a one-shard fleet persists under name itself, exactly as a
+// single engine does. (The Engine stats label "name/i" is not
+// filesystem-safe, so the store key scheme is its own.)
+func ShardSnapshotName(name string, shard, shards int) string {
+	if shards == 1 {
+		return name
+	}
 	return fmt.Sprintf("%s.shard%d", name, shard)
 }
 
@@ -556,10 +560,15 @@ func ShardSnapshotName(name string, shard int) string {
 // shard; on error some shards may have saved (each save is atomic,
 // so no shard is ever half-saved).
 func (s *Sharded) SaveAll(st SnapshotStore, backend string) ([]uint64, error) {
+	return s.saveLines(st, s.name, backend)
+}
+
+// saveLines is SaveAll with the lines keyed under name.
+func (s *Sharded) saveLines(st SnapshotStore, name, backend string) ([]uint64, error) {
 	gens := make([]uint64, len(s.shards))
 	err := s.forEachShard(func(sh int) error {
 		var err error
-		gens[sh], err = SaveEngine(st, ShardSnapshotName(s.name, sh), backend, s.shards[sh])
+		gens[sh], err = SaveEngine(st, ShardSnapshotName(name, sh, len(s.shards)), backend, s.shards[sh])
 		return err
 	})
 	return gens, err
@@ -583,7 +592,7 @@ func ResumeAll(st SnapshotStore, shards int, cfg ShardedConfig) (*Sharded, []uin
 	clfs := make([]Classifier, shards)
 	gens := make([]uint64, shards)
 	for i := 0; i < shards; i++ {
-		env, clf, err := latestValid(st, ShardSnapshotName(name, i))
+		env, clf, err := latestValid(st, ShardSnapshotName(name, i, shards))
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: resuming shard %d of %q: %w", i, name, err)
 		}

@@ -358,7 +358,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 		for i := 0; i < nsh; i++ {
 			next := cloner.CloneClassifier()
 			next.Learn(msg(fmt.Sprintf("shard%d distinctive vocabulary alpha\n", i)), true)
-			sh.Swap(i, next)
+			sh.Shard(i).Swap(next)
 		}
 		if gens, err := sh.SaveAll(st, backend); err != nil {
 			t.Fatal(err)
@@ -371,8 +371,8 @@ func TestShardedCrashRecovery(t *testing.T) {
 		for _, i := range []int{0, 2} {
 			next := cloner.CloneClassifier()
 			next.Learn(msg(fmt.Sprintf("shard%d distinctive vocabulary beta\n", i)), true)
-			sh.Swap(i, next)
-			name := engine.ShardSnapshotName("fleet", i)
+			sh.Shard(i).Swap(next)
+			name := engine.ShardSnapshotName("fleet", i, nsh)
 			if gen, err := engine.SaveEngine(st, name, backend, sh.Shard(i)); err != nil || gen != 3 {
 				t.Fatalf("shard %d save = (%d, %v)", i, gen, err)
 			}
@@ -386,7 +386,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 		stored := make([][]byte, nsh)
 		wantGens := []uint64{3, 2, 3, 2}
 		for i := 0; i < nsh; i++ {
-			data, err := st.Read(engine.ShardSnapshotName("fleet", i), wantGens[i])
+			data, err := st.Read(engine.ShardSnapshotName("fleet", i, nsh), wantGens[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -423,7 +423,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < nsh; i++ {
-			data, err := st2.Read(engine.ShardSnapshotName("fleet", i), wantGens[i])
+			data, err := st2.Read(engine.ShardSnapshotName("fleet", i, nsh), wantGens[i])
 			if err != nil {
 				t.Fatal(err)
 			}

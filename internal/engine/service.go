@@ -63,8 +63,8 @@ type Engine struct {
 	workers  int
 	learnBuf int
 	// shard is this engine's index inside a Sharded fleet (-1 when
-	// standalone); it stamps trace events so a replayed decision names
-	// the shard it landed on.
+	// standalone or the fleet's only shard); it stamps trace events so
+	// a replayed decision names the shard it landed on.
 	shard int32
 	trace *obs.Tracer
 
@@ -88,8 +88,8 @@ type Engine struct {
 	learnLat    *obs.Histogram
 	publishes   *obs.Counter
 
-	// Admission-control tallies, recorded by a Guarded wrapper (or a
-	// GuardedSharded routing decisions to this shard); see guarded.go.
+	// Admission-control tallies, recorded by the Guarded wrapper for
+	// the decisions that route to this engine; see guarded.go.
 	admitted      *obs.Counter
 	quarantined   *obs.Counter
 	admitRejected *obs.Counter

@@ -55,7 +55,8 @@ func AddressKey(addr string) uint64 {
 // ShardedConfig tunes a Sharded engine.
 type ShardedConfig struct {
 	// Name labels the engine in stats (defaults to "sharded"); shard i
-	// is labeled "Name/i".
+	// is labeled "Name/i", and the shard of a one-shard fleet is
+	// labeled "Name".
 	Name string
 	// Workers is the per-shard batch parallelism. <= 0 selects
 	// GOMAXPROCS divided across the shards (at least 1 each), so a
@@ -68,12 +69,12 @@ type ShardedConfig struct {
 	// Key routes messages to shards (nil selects RecipientKey).
 	Key ShardKey
 	// Obs, when non-nil, registers every shard's instruments with
-	// per-shard labels (engine="Name/i"), so an operator can see one
-	// shard's latency or admission mix diverge — the per-user
-	// blast-radius isolation made observable.
+	// per-shard labels (engine="Name/i", or "Name" for one shard), so
+	// an operator can see one shard's latency or admission mix diverge
+	// — the per-user blast-radius isolation made observable.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives each shard's sampled decision
-	// events, stamped with the shard index.
+	// events, stamped with the shard index (-1 for one shard).
 	Trace *obs.Tracer
 }
 
@@ -91,6 +92,12 @@ type ShardedConfig struct {
 // trained into one shard degrades only the mailboxes routed there,
 // which is exactly the containment the per-shard Stats breakdown
 // makes observable.
+//
+// A single engine is a one-shard fleet: with N == 1 the routing key
+// is never called, the shard carries the fleet's bare name as its
+// stats label and store key, and its trace events carry shard -1, so
+// a one-shard Sharded serves, counts, traces and persists exactly as
+// the Engine it wraps.
 type Sharded struct {
 	name   string
 	key    ShardKey
@@ -135,16 +142,26 @@ func newShardedAt(clfs []Classifier, gens []uint64, cfg ShardedConfig) *Sharded 
 		if gens != nil {
 			gen = gens[i]
 		}
+		label, shard := name, int32(-1)
+		if len(clfs) > 1 {
+			label, shard = fmt.Sprintf("%s/%d", name, i), int32(i)
+		}
 		s.shards[i] = NewAt(clf, gen, Config{
-			Name:        fmt.Sprintf("%s/%d", name, i),
+			Name:        label,
 			Workers:     workers,
 			LearnBuffer: cfg.LearnBuffer,
 			Obs:         cfg.Obs,
 			Trace:       cfg.Trace,
 		})
-		s.shards[i].shard = int32(i)
+		s.shards[i].shard = shard
 	}
 	return s
+}
+
+// oneShard is the one-shard fleet over an existing engine: the engine
+// keeps its own name, generation line and instruments.
+func oneShard(e *Engine) *Sharded {
+	return &Sharded{name: e.name, key: RecipientKey, shards: []*Engine{e}}
 }
 
 // Name returns the sharded engine's stats label.
@@ -157,8 +174,12 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // combined surface does not cover (Snapshot, Generation, Classifier).
 func (s *Sharded) Shard(i int) *Engine { return s.shards[i] }
 
-// ShardFor returns the shard index m routes to.
+// ShardFor returns the shard index m routes to. A one-shard fleet
+// answers 0 without calling the routing key.
 func (s *Sharded) ShardFor(m *mail.Message) int {
+	if len(s.shards) == 1 {
+		return 0
+	}
 	return int(s.key(m) % uint64(len(s.shards)))
 }
 
@@ -173,7 +194,8 @@ func (s *Sharded) Partition(c *corpus.Corpus) []*corpus.Corpus {
 
 // PartitionByKey is Partition for callers that have not built the
 // Sharded engine yet (bootstrapping per-shard training corpora before
-// constructing the shards). A nil key selects RecipientKey.
+// constructing the shards). A nil key selects RecipientKey; with one
+// shard the key is never called.
 func PartitionByKey(c *corpus.Corpus, n int, key ShardKey) []*corpus.Corpus {
 	if n < 1 {
 		panic("engine: PartitionByKey with no shards")
@@ -186,7 +208,11 @@ func PartitionByKey(c *corpus.Corpus, n int, key ShardKey) []*corpus.Corpus {
 		out[i] = &corpus.Corpus{}
 	}
 	for _, ex := range c.Examples {
-		out[key(ex.Msg)%uint64(n)].Add(ex.Msg, ex.Spam)
+		i := uint64(0)
+		if n > 1 {
+			i = key(ex.Msg) % uint64(n)
+		}
+		out[i].Add(ex.Msg, ex.Spam)
 	}
 	return out
 }
@@ -273,8 +299,11 @@ func (s *Sharded) group(msgs []*mail.Message) (sub [][]*mail.Message, idx [][]in
 
 // forEachShard runs fn for every shard concurrently and returns the
 // first error — the one spawn-per-shard scaffold the batch fan-out
-// and the all-shards retrains share.
+// and the all-shards retrains share. A one-shard fleet runs fn inline.
 func (s *Sharded) forEachShard(fn func(sh int) error) error {
+	if len(s.shards) == 1 {
+		return fn(0)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(s.shards))
 	for sh := range s.shards {
@@ -293,32 +322,13 @@ func (s *Sharded) forEachShard(fn func(sh int) error) error {
 	return nil
 }
 
-// Retrain rebuilds shard sh's serving snapshot from factory and train,
-// leaving every other shard untouched — the per-user retrain of a
-// partitioned deployment. See Engine.Retrain for the publish
-// semantics.
-func (s *Sharded) Retrain(ctx context.Context, sh int, factory Factory, train *corpus.Corpus) (uint64, error) {
-	return s.shards[sh].Retrain(ctx, factory, train)
-}
-
-// RetrainIncremental clones shard sh's serving snapshot, trains delta
-// into the clone, and publishes it. See Engine.RetrainIncremental.
-func (s *Sharded) RetrainIncremental(ctx context.Context, sh int, delta *corpus.Corpus) (uint64, error) {
-	return s.shards[sh].RetrainIncremental(ctx, delta)
-}
-
-// Swap publishes clf as shard sh's new serving snapshot.
-func (s *Sharded) Swap(sh int, clf Classifier) uint64 {
-	return s.shards[sh].Swap(clf)
-}
-
-// RetrainAll partitions train by the routing key and rebuilds every
+// Retrain partitions train by the routing key and rebuilds every
 // shard from its own slice, concurrently; shard i is retrained on
 // exactly the examples it would have served. It returns the new
 // generation of every shard. Shards that finished before a
 // cancellation keep their new snapshots; the returned error is the
-// first ctx error observed.
-func (s *Sharded) RetrainAll(ctx context.Context, factory Factory, train *corpus.Corpus) ([]uint64, error) {
+// first ctx error observed. Retrain one shard alone through Shard(i).
+func (s *Sharded) Retrain(ctx context.Context, factory Factory, train *corpus.Corpus) ([]uint64, error) {
 	parts := s.Partition(train)
 	gens := make([]uint64, len(s.shards))
 	err := s.forEachShard(func(sh int) error {
@@ -329,10 +339,10 @@ func (s *Sharded) RetrainAll(ctx context.Context, factory Factory, train *corpus
 	return gens, err
 }
 
-// RetrainIncrementalAll partitions delta by the routing key and
-// extends every shard's snapshot with its own slice, concurrently.
-// Every shard must serve a Cloner classifier.
-func (s *Sharded) RetrainIncrementalAll(ctx context.Context, delta *corpus.Corpus) ([]uint64, error) {
+// RetrainIncremental partitions delta by the routing key and extends
+// every shard's snapshot with its own slice, concurrently. Every shard
+// must serve a Cloner classifier.
+func (s *Sharded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) ([]uint64, error) {
 	parts := s.Partition(delta)
 	gens := make([]uint64, len(s.shards))
 	err := s.forEachShard(func(sh int) error {
@@ -343,14 +353,14 @@ func (s *Sharded) RetrainIncrementalAll(ctx context.Context, delta *corpus.Corpu
 	return gens, err
 }
 
-// SwapAll publishes clfs[i] as shard i's new snapshot, one shard at a
+// Swap publishes clfs[i] as shard i's new snapshot, one shard at a
 // time. len(clfs) must equal NumShards. Unlike a single Engine swap,
 // the replacement is not atomic across shards: a batch in flight can
 // see old snapshots on some shards and new ones on others — but never
 // a mix within one shard's slice.
-func (s *Sharded) SwapAll(clfs []Classifier) []uint64 {
+func (s *Sharded) Swap(clfs ...Classifier) []uint64 {
 	if len(clfs) != len(s.shards) {
-		panic(fmt.Sprintf("engine: SwapAll with %d classifiers for %d shards", len(clfs), len(s.shards)))
+		panic(fmt.Sprintf("engine: Swap with %d classifiers for %d shards", len(clfs), len(s.shards)))
 	}
 	gens := make([]uint64, len(s.shards))
 	for i, clf := range clfs {
@@ -366,8 +376,11 @@ func (s *Sharded) SwapAll(clfs []Classifier) []uint64 {
 // matches Engine.LearnStream: cancellation discards the remainder but
 // keeps draining until wait observes it, so a blocked producer is
 // always released, and producers must stop sending before calling
-// wait.
+// wait. A one-shard fleet hands out its shard's own stream.
 func (s *Sharded) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, error)) {
+	if len(s.shards) == 1 {
+		return s.shards[0].LearnStream(ctx)
+	}
 	ins := make([]chan<- Labeled, len(s.shards))
 	waits := make([]func() (int, error), len(s.shards))
 	for i, e := range s.shards {
@@ -446,12 +459,12 @@ func (s *Sharded) LearnStream(ctx context.Context) (chan<- Labeled, func() (int,
 // user's filter degrading — the observability counterpart of the
 // blast-radius isolation sharding provides.
 type ShardedStats struct {
-	Name string
-	// Combined sums every shard's counters. Its Generation is the
-	// oldest serving generation across shards (the laggard a rolling
-	// retrain has not reached yet) and its Retrains is the total number
-	// of snapshot publishes across all shards.
-	Combined Stats
+	// Stats sums every shard's counters under the fleet's name. Its
+	// Generation is the oldest serving generation across shards (the
+	// laggard a rolling retrain has not reached yet) and its Retrains
+	// is the total number of snapshot publishes across all shards. For
+	// one shard it is that shard's own Stats.
+	Stats
 	// Shards is each shard's own counters, indexed by shard.
 	Shards []Stats
 	// Generations is each shard's serving generation, indexed by
@@ -462,35 +475,34 @@ type ShardedStats struct {
 // Stats returns a point-in-time aggregate of every shard's counters.
 func (s *Sharded) Stats() ShardedStats {
 	st := ShardedStats{
-		Name:        s.name,
+		Stats:       Stats{Name: s.name},
 		Shards:      make([]Stats, len(s.shards)),
 		Generations: make([]uint64, len(s.shards)),
 	}
-	st.Combined.Name = s.name
 	for i, e := range s.shards {
 		sh := e.Stats()
 		st.Shards[i] = sh
 		st.Generations[i] = sh.Generation
-		if i == 0 || sh.Generation < st.Combined.Generation {
-			st.Combined.Generation = sh.Generation
+		if i == 0 || sh.Generation < st.Generation {
+			st.Generation = sh.Generation
 		}
-		st.Combined.Retrains += sh.Retrains
-		st.Combined.Classified += sh.Classified
-		st.Combined.Scored += sh.Scored
-		st.Combined.Learned += sh.Learned
-		st.Combined.Batches += sh.Batches
+		st.Retrains += sh.Retrains
+		st.Classified += sh.Classified
+		st.Scored += sh.Scored
+		st.Learned += sh.Learned
+		st.Batches += sh.Batches
 		for l := range sh.ByLabel {
-			st.Combined.ByLabel[l] += sh.ByLabel[l]
+			st.ByLabel[l] += sh.ByLabel[l]
 		}
-		st.Combined.Publishes += sh.Publishes
-		st.Combined.BatchLatency += sh.BatchLatency
-		st.Combined.ClassifyLatency += sh.ClassifyLatency
-		st.Combined.LearnLatency += sh.LearnLatency
+		st.Publishes += sh.Publishes
+		st.BatchLatency += sh.BatchLatency
+		st.ClassifyLatency += sh.ClassifyLatency
+		st.LearnLatency += sh.LearnLatency
 		// Admission counters sum from the same per-shard snapshot the
 		// breakdown reports, so sum(Shards[i].Admission) ==
-		// Combined.Admission holds even against concurrent vetting —
-		// the invariant class the Scored/Classified fix established.
-		st.Combined.Admission.add(sh.Admission)
+		// Admission holds even against concurrent vetting — the
+		// invariant class the Scored/Classified fix established.
+		st.Admission.add(sh.Admission)
 	}
 	return st
 }

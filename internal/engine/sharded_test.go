@@ -110,8 +110,8 @@ func TestShardedScoreBatch(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Combined.Scored != 40 || st.Combined.Classified != 0 {
-		t.Fatalf("combined scored/classified = %d/%d, want 40/0", st.Combined.Scored, st.Combined.Classified)
+	if st.Scored != 40 || st.Classified != 0 {
+		t.Fatalf("combined scored/classified = %d/%d, want 40/0", st.Scored, st.Classified)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestShardedRetrainAllTrainsEachShardOnItsSlice(t *testing.T) {
 	for i, m := range msgs {
 		train.Add(m, i%2 == 0)
 	}
-	gens, err := s.RetrainAll(context.Background(), func() Classifier { return &countingClassifier{} }, train)
+	gens, err := s.Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestShardedRetrainIncrementalAll(t *testing.T) {
 	for i, m := range shardedMsgs(20, 9) {
 		delta.Add(m, i%2 == 0)
 	}
-	if _, err := s.RetrainIncrementalAll(context.Background(), delta); err != nil {
+	if _, err := s.RetrainIncremental(context.Background(), delta); err != nil {
 		t.Fatal(err)
 	}
 	parts := s.Partition(delta)
@@ -215,7 +215,7 @@ func TestShardedRetrainIncrementalAll(t *testing.T) {
 func TestShardedPerShardRetrainLeavesOthersUntouched(t *testing.T) {
 	clfs := []Classifier{&countingClassifier{trained: 1}, &countingClassifier{trained: 1}}
 	s := NewSharded(clfs, ShardedConfig{})
-	gen, err := s.Retrain(context.Background(), 1, func() Classifier { return &countingClassifier{} }, trainCorpus(9))
+	gen, err := s.Shard(1).Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, trainCorpus(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestShardedPerShardRetrainLeavesOthersUntouched(t *testing.T) {
 func TestShardedSwapAll(t *testing.T) {
 	s := newStubSharded(2, ShardedConfig{})
 	next := []Classifier{&countingClassifier{trained: 3}, &countingClassifier{trained: 4}}
-	gens := s.SwapAll(next)
+	gens := s.Swap(next...)
 	for i, g := range gens {
 		if g != 2 {
 			t.Errorf("shard %d generation %d, want 2", i, g)
@@ -247,10 +247,10 @@ func TestShardedSwapAll(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("SwapAll with mismatched length did not panic")
+			t.Error("Swap with mismatched length did not panic")
 		}
 	}()
-	s.SwapAll(next[:1])
+	s.Swap(next[:1]...)
 }
 
 func TestShardedLearnStreamRoutesByKey(t *testing.T) {
@@ -283,8 +283,8 @@ func TestShardedLearnStreamRoutesByKey(t *testing.T) {
 			t.Errorf("shard %d Stats.Learned = %d, want %d", sh, got, want)
 		}
 	}
-	if st := s.Stats(); st.Combined.Learned != 60 {
-		t.Errorf("combined Learned = %d", st.Combined.Learned)
+	if st := s.Stats(); st.Learned != 60 {
+		t.Errorf("combined Learned = %d", st.Learned)
 	}
 }
 
@@ -356,30 +356,30 @@ func TestShardedStatsAggregates(t *testing.T) {
 	if _, err := s.ScoreBatch(context.Background(), msgs); err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(1, &stubClassifier{})
+	s.Shard(1).Swap(&stubClassifier{})
 
 	st := s.Stats()
 	if st.Name != "agg" || len(st.Shards) != 2 || len(st.Generations) != 2 {
 		t.Fatalf("stats shape: %+v", st)
 	}
-	if st.Combined.Classified != 5 || st.Combined.Scored != 4 {
-		t.Errorf("combined classified/scored = %d/%d, want 5/4", st.Combined.Classified, st.Combined.Scored)
+	if st.Classified != 5 || st.Scored != 4 {
+		t.Errorf("combined classified/scored = %d/%d, want 5/4", st.Classified, st.Scored)
 	}
 	var byLabel uint64
-	for _, n := range st.Combined.ByLabel {
+	for _, n := range st.ByLabel {
 		byLabel += n
 	}
-	if byLabel != st.Combined.Classified {
-		t.Errorf("combined sum(ByLabel) = %d != Classified %d", byLabel, st.Combined.Classified)
+	if byLabel != st.Classified {
+		t.Errorf("combined sum(ByLabel) = %d != Classified %d", byLabel, st.Classified)
 	}
 	if st.Generations[0] != 1 || st.Generations[1] != 2 {
 		t.Errorf("generations %v, want [1 2]", st.Generations)
 	}
-	if st.Combined.Generation != 1 {
-		t.Errorf("combined generation %d, want 1 (oldest shard)", st.Combined.Generation)
+	if st.Generation != 1 {
+		t.Errorf("combined generation %d, want 1 (oldest shard)", st.Generation)
 	}
-	if st.Combined.Retrains != 1 {
-		t.Errorf("combined retrains %d, want 1", st.Combined.Retrains)
+	if st.Retrains != 1 {
+		t.Errorf("combined retrains %d, want 1", st.Retrains)
 	}
 	// The per-shard breakdown accounts for every combined counter.
 	var cls, scr uint64
@@ -387,9 +387,9 @@ func TestShardedStatsAggregates(t *testing.T) {
 		cls += sh.Classified
 		scr += sh.Scored
 	}
-	if cls != st.Combined.Classified || scr != st.Combined.Scored {
+	if cls != st.Classified || scr != st.Scored {
 		t.Errorf("per-shard breakdown (%d, %d) does not sum to combined (%d, %d)",
-			cls, scr, st.Combined.Classified, st.Combined.Scored)
+			cls, scr, st.Classified, st.Scored)
 	}
 }
 
@@ -435,7 +435,7 @@ func TestShardedServeWhileRetrainPerShardIsolation(t *testing.T) {
 		go func(sh int) {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				if _, err := s.Retrain(context.Background(), sh,
+				if _, err := s.Shard(sh).Retrain(context.Background(),
 					func() Classifier { return &countingClassifier{} }, parts[sh]); err != nil {
 					t.Errorf("shard %d Retrain: %v", sh, err)
 					return
@@ -469,7 +469,7 @@ func TestShardedServeWhileRetrainPerShardIsolation(t *testing.T) {
 	}
 	stop()
 	wg.Wait()
-	if st := s.Stats(); st.Combined.Retrains == 0 {
+	if st := s.Stats(); st.Retrains == 0 {
 		t.Fatal("no shard retrain published during the hammering")
 	}
 }

@@ -157,8 +157,9 @@ type onlineAdmission struct {
 
 	// mu orders hook state against the delivery loop. The scenario's
 	// publish points are fixed in simulated time, so the lock is for
-	// safety (GuardedSharded may run hooks from shard goroutines), not
-	// for determinism — determinism comes from the fixed swap points.
+	// safety (a guard runs its hooks on whichever goroutine publishes),
+	// not for determinism — determinism comes from the fixed swap
+	// points.
 	mu sync.Mutex
 	// theta0/theta1 are the cutoffs of the most recent refit.
 	theta0, theta1 float64

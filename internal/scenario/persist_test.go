@@ -178,7 +178,7 @@ func TestOnlineShardedCrashRecoveryTransparent(t *testing.T) {
 	// Each shard's snapshot line is its own: the store holds one line
 	// per shard, resumable independently of the scenario.
 	for i := 0; i < cfg.Shards; i++ {
-		name := engine.ShardSnapshotName(ShardedCheckpointName, i)
+		name := engine.ShardSnapshotName(ShardedCheckpointName, i, cfg.Shards)
 		gens, err := store.Generations(name)
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,9 @@
 //     week's end, then score a fresh test corpus against the new
 //     filter.
 //   - RunOnline measures what users actually experienced: every
-//     message (organic and attack) is scored one at a time through an
-//     engine.Engine as it arrives, the at-delivery verdicts accumulate
+//     message (organic and attack) is scored one at a time through a
+//     serving engine.Sharded (one shard unless Config.Shards says
+//     otherwise) as it arrives, the at-delivery verdicts accumulate
 //     into per-week confusions, and retraining happens in the
 //     background — the replacement snapshot is built concurrently with
 //     the next week's deliveries and published by atomic swap
@@ -29,6 +30,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -513,7 +515,7 @@ type OnlineResult struct {
 // Snapshot-store keys of the online deployment's checkpoint lines
 // (Config.Checkpoints): the single engine persists under
 // OnlineCheckpointName; sharded mode persists each shard under
-// engine.ShardSnapshotName(ShardedCheckpointName, i).
+// engine.ShardSnapshotName(ShardedCheckpointName, i, Shards).
 const (
 	OnlineCheckpointName  = "scenario-online"
 	ShardedCheckpointName = "scenario-sharded"
@@ -568,7 +570,7 @@ func (c *checkpointer) published() (bool, error) {
 }
 
 // RunOnline simulates the deployment one message at a time through a
-// serving engine: every message is classified as it arrives and the
+// serving fleet: every message is classified as it arrives and the
 // verdict the user saw is recorded; at each week's end the candidates
 // are (optionally) RONI-scrubbed into the store and a replacement
 // snapshot is built in the background — concurrently with the next
@@ -577,13 +579,21 @@ func (c *checkpointer) published() (bool, error) {
 // the swap point is fixed in simulated time, so verdicts do not
 // depend on wall-clock scheduling.
 //
+// The fleet is one engine, or with cfg.Shards > 1 a hash-by-recipient
+// engine.Sharded (see sharded.go): every shard serves — and is rebuilt
+// from — only its own slice of the kept mail, and reports carry
+// per-shard confusions and generations. The defenses vet mail at the
+// gateway, upstream of the shards: RONI scrubs against the
+// organization-wide trusted store, and inline admission counts each
+// decision against the shard the example routes to.
+//
 // With cfg.Checkpoints set the deployment is durable: publishes are
 // persisted through the engine persistence layer on the
 // CheckpointEvery cadence, and cfg.CrashAtWeek simulates the restart
-// — the engine is discarded at that week's end and resumed from the
-// store's latest valid generation, so the remaining weeks measure
-// what users experience after a recovery (including any generations
-// the checkpoint cadence lost).
+// — the fleet is discarded at that week's end and every shard resumed
+// from its own line's latest valid generation, so the remaining weeks
+// measure what users experience after a recovery (including any
+// generations the checkpoint cadence lost).
 func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -592,18 +602,36 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	if cfg.Shards > 1 {
-		return runOnlineSharded(g, cfg, r, backend)
+	sharded := cfg.Shards > 1
+	nsh, name := 1, OnlineCheckpointName
+	var pop []string
+	if sharded {
+		nsh, name = cfg.Shards, ShardedCheckpointName
+		pop = make([]string, cfg.NumRecipients())
+		for i := range pop {
+			pop[i] = RecipientAddress(i)
+		}
 	}
 
+	// Bootstrap: one clean store — stamped with recipients when
+	// sharded — partitioned into per-shard training corpora.
+	br := r.Split("bootstrap")
 	nSpam := int(float64(cfg.InitialMailStore)*cfg.SpamPrevalence + 0.5)
-	store := g.Corpus(r.Split("bootstrap"), cfg.InitialMailStore-nSpam, nSpam)
-	eng := engine.New(eval.TrainBackend(backend.New, store), engine.Config{Name: OnlineCheckpointName})
+	store := g.Corpus(br, cfg.InitialMailStore-nSpam, nSpam)
+	if sharded {
+		stampRecipients(store, pop, br)
+	}
+	stores := engine.PartitionByKey(store, nsh, nil)
+	clfs := make([]engine.Classifier, nsh)
+	eval.Parallel(nsh, nsh, func(i int) {
+		clfs[i] = eval.TrainBackend(backend.New, stores[i])
+	})
+	sh := engine.NewSharded(clfs, engine.ShardedConfig{Name: name})
 	res := &OnlineResult{Cfg: cfg}
 
-	// Inline admission control: the engine gains a guard whose chain
+	// Inline admission control: the fleet gains a guard whose chain
 	// vets every candidate at arrival and whose publish hooks run the
-	// swap-time defenses. The guard wraps whatever engine currently
+	// swap-time defenses. The guard wraps whatever fleet currently
 	// serves, so a post-crash resume rebuilds it below.
 	var adm *onlineAdmission
 	var guard *engine.Guarded
@@ -612,34 +640,41 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 		if err != nil {
 			return nil, err
 		}
-		guard = engine.NewGuarded(eng, adm.chain, adm.guardCfg)
+		guard = engine.NewGuardedSharded(sh, adm.chain, adm.guardCfg)
 	}
 	ctx := context.Background()
 
-	// Durable mode: persist the bootstrap snapshot up front, then
-	// checkpoint publishes on the configured cadence. The save
-	// closure reads eng through the variable, so post-crash
-	// checkpoints persist the resumed line.
+	// Durable mode: persist the bootstrap fleet up front, then
+	// checkpoint publishes on the configured cadence, every shard under
+	// its own line at its own generation. The save closure reads sh
+	// through the variable, so post-crash checkpoints persist the
+	// resumed fleet.
 	ckpt := newCheckpointer(cfg, func() error {
-		_, err := engine.SaveEngine(cfg.Checkpoints, OnlineCheckpointName, cfg.BackendName(), eng)
+		_, err := sh.SaveAll(cfg.Checkpoints, cfg.BackendName())
 		return err
 	})
 	if err := ckpt.saveNow(); err != nil {
 		return nil, fmt.Errorf("scenario: bootstrap checkpoint: %w", err)
 	}
 
-	// pending carries the background rebuild across the week boundary:
-	// the builder goroutine trains the replacement while the next
-	// week's early mail is delivered against the old snapshot.
-	var pending chan engine.Classifier
+	// pending carries the background rebuild of every shard across the
+	// week boundary: the builder goroutine trains the replacements while
+	// the next week's early mail is delivered against the old snapshots.
+	var pending chan []engine.Classifier
 	for week := 1; week <= cfg.Weeks; week++ {
 		wr := r.Split(fmt.Sprintf("week-%d", week))
 		report := OnlineWeekReport{Week: week}
+		if sharded {
+			report.ByShard = make([]eval.Confusion, nsh)
+		}
 
 		wSpam := int(float64(cfg.MessagesPerWeek)*cfg.SpamPrevalence + 0.5)
 		weekly := g.Corpus(wr, cfg.MessagesPerWeek-wSpam, wSpam)
+		if sharded {
+			stampRecipients(weekly, pop, wr)
+		}
 		dose := attackDose(cfg)
-		_, attackSet, arrived, err := injectAttack(cfg, week, dose, weekly, wr)
+		payloads, attackSet, arrived, err := injectAttack(cfg, week, dose, weekly, wr)
 		if err != nil {
 			return nil, err
 		}
@@ -647,22 +682,26 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 		if arrived > 0 {
 			report.AttackDose = dose
 		}
+		if sharded {
+			addressAttack(cfg, payloads, attackSet, weekly, pop, wr)
+		}
 
-		// publish swaps the background-built replacement in and
-		// checkpoints it when the cadence is due. With a guard the swap
-		// also runs the swap-time defenses: the pre-publish
-		// threshold refit mutates the replacement before it serves, and
-		// the post-publish hook refreshes the calibration pool and
-		// reviews the quarantine.
+		// publish swaps the background-built fleet in and checkpoints it
+		// when the cadence is due (a fleet-wide swap counts as one
+		// publish). With a guard the swap also runs the swap-time
+		// defenses: the pre-publish threshold refit mutates every
+		// replacement before it serves, and the post-publish hook
+		// refreshes the calibration pool and reviews the quarantine,
+		// once.
 		publish := func() error {
 			next := <-pending
 			pending = nil
 			if guard != nil {
-				if _, err := guard.Swap(next); err != nil {
+				if _, err := guard.Swap(next...); err != nil {
 					return fmt.Errorf("scenario week %d: %w", week, err)
 				}
 			} else {
-				eng.Swap(next)
+				sh.Swap(next...)
 			}
 			saved, err := ckpt.published()
 			if err != nil {
@@ -694,10 +733,14 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 					return nil, err
 				}
 			}
-			verdict := eng.Classify(ex.Msg)
+			verdict := sh.Classify(ex.Msg)
 			// Attack mail is observed as true spam even when the
 			// pseudospam variant trains it under a ham label.
-			report.Delivered.Observe(ex.Spam || attackSet[ex.Msg], verdict.Label)
+			spam := ex.Spam || attackSet[ex.Msg]
+			report.Delivered.Observe(spam, verdict.Label)
+			if sharded {
+				report.ByShard[sh.ShardFor(ex.Msg)].Observe(spam, verdict.Label)
+			}
 			if adm != nil {
 				d := guard.Vet(ctx, ex.Msg, ex.Spam)
 				adm.countWeek(report.Admission, d, attackSet[ex.Msg])
@@ -714,8 +757,9 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 			}
 		}
 
-		// Week's end: scrub the candidates (batch mode) or settle the
-		// inline accounting, then grow the store.
+		// Week's end: scrub at the gateway (batch mode) or settle the
+		// inline accounting, then grow the global store (the defenses'
+		// trusted pool) and each shard's own slice.
 		if cfg.UseRONI {
 			defense, err := core.NewRONIBackend(cfg.RONI, store, backend.New, wr)
 			if err != nil {
@@ -737,58 +781,80 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 			observeAttackFeedback(cfg, arrived, report.AttackRejected)
 		}
 		store.Append(kept)
+		parts := sh.Partition(kept)
+		for i := range stores {
+			stores[i].Append(parts[i])
+		}
 		report.MailStoreSize = store.Len()
-		report.Generation = eng.Generation()
+		gens := sh.Stats().Generations
 
 		// Simulated crash: the process dies at this week's end, taking
-		// the in-memory engine with it (the mail store is the org's
-		// disk and survives). The restart resumes the checkpoint
-		// store's latest valid generation — if the cadence skipped
-		// recent publishes, the resumed filter is older than the one
-		// that just served, and the trace shows it.
+		// the in-memory fleet with it (the mail stores are the org's disk
+		// and survive). The restart resumes every shard from its own
+		// line's latest valid generation — if the cadence skipped recent
+		// publishes, the resumed filter is older than the one that just
+		// served, and the trace shows it.
 		if week == cfg.CrashAtWeek {
-			resumed, _, err := engine.ResumeEngine(cfg.Checkpoints, OnlineCheckpointName,
-				engine.Config{Name: OnlineCheckpointName})
+			sh, gens, err = engine.ResumeAll(cfg.Checkpoints, nsh, engine.ShardedConfig{Name: name})
 			if err != nil {
 				return nil, fmt.Errorf("scenario week %d: resume after simulated crash: %w", week, err)
 			}
-			eng = resumed
 			if guard != nil {
-				// The guard wraps the restored engine; the admission
-				// pipeline (chain, quarantine, budget) is org state and
-				// survives the process crash with the mail store.
-				guard = engine.NewGuarded(eng, adm.chain, adm.guardCfg)
+				// Re-guard the restored fleet; the admission pipeline
+				// (chain, quarantine, budget) is org state and survives
+				// the process crash with the mail store.
+				guard = engine.NewGuardedSharded(sh, adm.chain, adm.guardCfg)
 			}
 			report.Resumed = true
-			report.Generation = eng.Generation()
+		}
+		report.Generation = slices.Min(gens)
+		if sharded {
+			report.ShardGenerations = gens
 		}
 
-		// Kick off the background rebuild; it publishes next week, so
-		// after the final week there is nothing to build. The builder
-		// works on its own shallow copies, so the main loop's store
-		// growth never races it.
+		// Kick off the background rebuild of every shard from its own
+		// store (or its own delta); it publishes next week, so after the
+		// final week there is nothing to build. The builder works on
+		// clones, so the main loop's store growth never races it.
 		if week == cfg.Weeks {
 			res.Weeks = append(res.Weeks, report)
 			break
 		}
-		build := make(chan engine.Classifier, 1)
+		build := make(chan []engine.Classifier, 1)
 		switch cfg.Retraining {
 		case RetrainIncremental:
-			cur := eng.Classifier()
-			cloner, ok := cur.(engine.Cloner)
-			if !ok {
-				return nil, fmt.Errorf("scenario: backend %q (%T) cannot retrain incrementally", cfg.BackendName(), cur)
+			cloners := make([]engine.Cloner, nsh)
+			for i := range cloners {
+				cur := sh.Shard(i).Classifier()
+				cloner, ok := cur.(engine.Cloner)
+				if !ok {
+					return nil, fmt.Errorf("scenario: backend %q (%T) cannot retrain incrementally", cfg.BackendName(), cur)
+				}
+				cloners[i] = cloner
 			}
-			delta := kept.Clone()
+			deltas := make([]*corpus.Corpus, nsh)
+			for i := range deltas {
+				deltas[i] = parts[i].Clone()
+			}
 			go func() {
-				next := cloner.CloneClassifier()
-				eval.Train(next, delta)
+				next := make([]engine.Classifier, nsh)
+				eval.Parallel(nsh, nsh, func(i int) {
+					next[i] = cloners[i].CloneClassifier()
+					eval.Train(next[i], deltas[i])
+				})
 				build <- next
 			}()
 		default:
-			full := store.Clone()
+			fulls := make([]*corpus.Corpus, nsh)
+			for i := range fulls {
+				fulls[i] = stores[i].Clone()
+			}
 			go func() {
-				build <- eval.TrainBackend(backend.New, full)
+				next := make([]engine.Classifier, nsh)
+				eval.Parallel(nsh, nsh, func(i int) {
+					next[i] = eval.TrainBackend(backend.New, fulls[i])
+				})
+				build <- next
 			}()
 		}
 		pending = build

@@ -1,25 +1,25 @@
 package scenario
 
-// Sharded online deployment: the §2.1 organization again, but served
-// by one logical filter partitioned across engine.Sharded shards
-// routed by recipient hash. Every user's mail lands on — and trains —
-// one shard, so an attacker who stamps their poison with a single
-// victim's address (the sharded rendition of the paper's §4.3
-// targeted setting) degrades only that shard, and the per-shard
-// at-delivery confusions make the blast radius measurable: target
-// damage in one column, collateral damage (ideally none) in the rest.
+// Sharded online deployment (Config.Shards > 1): the §2.1 organization
+// again, but served by one logical filter partitioned across
+// engine.Sharded shards routed by recipient hash. Every user's mail
+// lands on — and trains — one shard, so an attacker who stamps their
+// poison with a single victim's address (the sharded rendition of the
+// paper's §4.3 targeted setting) degrades only that shard, and the
+// per-shard at-delivery confusions make the blast radius measurable:
+// target damage in one column, collateral damage (ideally none) in the
+// rest. RunOnline runs both shapes through one body; the helpers here
+// are what only a fleet needs — a closed recipient population, attack
+// addressing, and the per-shard report table.
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/engine"
-	"repro/internal/eval"
+	"repro/internal/mail"
 	"repro/internal/stats"
-	"repro/internal/textgen"
 )
 
 // NumRecipients returns the effective sharded-mode user population
@@ -57,282 +57,32 @@ func stampRecipients(c *corpus.Corpus, pop []string, wr *stats.RNG) {
 	}
 }
 
-// runOnlineSharded is RunOnline's Shards > 1 path: deliveries flow
-// through an engine.Sharded, each shard retrains on only its own
-// slice of the kept mail, and reports carry per-shard confusions and
-// generations. RONI, when enabled, scrubs candidates against the
-// organization-wide trusted store before the kept mail is partitioned
-// — the defense vets mail at the gateway, upstream of the shards.
-func runOnlineSharded(g *textgen.Generator, cfg Config, r *stats.RNG, backend engine.Backend) (*OnlineResult, error) {
-	nsh := cfg.Shards
-	pop := make([]string, cfg.NumRecipients())
-	for i := range pop {
-		pop[i] = RecipientAddress(i)
+// addressAttack stamps the week's attack mail after injection.
+// Targeted: every payload (shared across its replicated copies)
+// carries the victim's address, so the whole dose trains into one
+// shard. Untargeted: each injected copy is cloned and stamped with its
+// own recipient, spreading the poison across the population like
+// organic mail; the clones join the identity set so rejection
+// attribution still matches by pointer.
+func addressAttack(cfg Config, payloads []*mail.Message, attackSet map[*mail.Message]bool, weekly *corpus.Corpus, pop []string, wr *stats.RNG) {
+	if cfg.AttackRecipient != "" {
+		for _, m := range payloads {
+			m.Header.Set("To", cfg.AttackRecipient)
+		}
+		return
 	}
-
-	// Bootstrap: one clean store, stamped with recipients, partitioned
-	// into per-shard training corpora.
-	br := r.Split("bootstrap")
-	nSpam := int(float64(cfg.InitialMailStore)*cfg.SpamPrevalence + 0.5)
-	store := g.Corpus(br, cfg.InitialMailStore-nSpam, nSpam)
-	stampRecipients(store, pop, br)
-	stores := engine.PartitionByKey(store, nsh, nil)
-	clfs := make([]engine.Classifier, nsh)
-	eval.Parallel(nsh, nsh, func(i int) {
-		clfs[i] = eval.TrainBackend(backend.New, stores[i])
-	})
-	sh := engine.NewSharded(clfs, engine.ShardedConfig{Name: ShardedCheckpointName})
-	res := &OnlineResult{Cfg: cfg}
-
-	// Inline admission control, gateway edition: one pipeline vets all
-	// mail upstream of the partition, each decision counted against
-	// the shard the example routes to.
-	var adm *onlineAdmission
-	var guard *engine.GuardedSharded
-	if cfg.Admission != nil {
-		var err error
-		adm, err = newOnlineAdmission(*cfg.Admission, backend, store, cfg.SpamPrevalence, r.Split("admission"))
-		if err != nil {
-			return nil, err
-		}
-		guard = engine.NewGuardedSharded(sh, adm.chain, adm.guardCfg)
+	if len(payloads) == 0 {
+		return
 	}
-	ctx := context.Background()
-
-	// Durable mode, fleet edition: every checkpoint persists all
-	// shards (each under its own snapshot line, at its own
-	// generation), and the bootstrap fleet is saved up front. The
-	// save closure reads sh through the variable, so post-crash
-	// checkpoints persist the resumed fleet.
-	ckpt := newCheckpointer(cfg, func() error {
-		_, err := sh.SaveAll(cfg.Checkpoints, cfg.BackendName())
-		return err
-	})
-	if err := ckpt.saveNow(); err != nil {
-		return nil, fmt.Errorf("scenario: bootstrap checkpoint: %w", err)
+	for i, ex := range weekly.Examples {
+		if !attackSet[ex.Msg] {
+			continue
+		}
+		clone := ex.Msg.Clone()
+		clone.Header.Set("To", pop[wr.Intn(len(pop))])
+		weekly.Examples[i].Msg = clone
+		attackSet[clone] = true
 	}
-
-	// pending carries the background rebuild of every shard across the
-	// week boundary, exactly like the single-engine path.
-	var pending chan []engine.Classifier
-	for week := 1; week <= cfg.Weeks; week++ {
-		wr := r.Split(fmt.Sprintf("week-%d", week))
-		report := OnlineWeekReport{Week: week, ByShard: make([]eval.Confusion, nsh)}
-
-		wSpam := int(float64(cfg.MessagesPerWeek)*cfg.SpamPrevalence + 0.5)
-		weekly := g.Corpus(wr, cfg.MessagesPerWeek-wSpam, wSpam)
-		stampRecipients(weekly, pop, wr)
-		dose := attackDose(cfg)
-		payloads, attackSet, arrived, err := injectAttack(cfg, week, dose, weekly, wr)
-		if err != nil {
-			return nil, err
-		}
-		report.AttackArrived = arrived
-		if arrived > 0 {
-			report.AttackDose = dose
-		}
-		// Attack mail is addressed after injection. Targeted: every
-		// payload (shared across its replicated copies) carries the
-		// victim's address, so the whole dose trains into one shard.
-		// Untargeted: each injected copy is cloned and stamped with its
-		// own recipient, spreading the poison across the population
-		// like organic mail; the clones join the identity set so
-		// rejection attribution still matches by pointer.
-		if cfg.AttackRecipient != "" {
-			for _, m := range payloads {
-				m.Header.Set("To", cfg.AttackRecipient)
-			}
-		} else if len(payloads) > 0 {
-			for i, ex := range weekly.Examples {
-				if !attackSet[ex.Msg] {
-					continue
-				}
-				clone := ex.Msg.Clone()
-				clone.Header.Set("To", pop[wr.Intn(len(pop))])
-				weekly.Examples[i].Msg = clone
-				attackSet[clone] = true
-			}
-		}
-
-		// publish swaps the background-built fleet in and checkpoints
-		// it when the cadence is due (the fleet-wide SwapAll counts as
-		// one publish). With a guard, every shard's replacement gets
-		// the pre-publish threshold refit and the post-publish hook
-		// (calibration refresh, quarantine review) runs once.
-		publish := func() error {
-			next := <-pending
-			pending = nil
-			if guard != nil {
-				if _, err := guard.SwapAll(next); err != nil {
-					return fmt.Errorf("scenario week %d: %w", week, err)
-				}
-			} else {
-				sh.SwapAll(next)
-			}
-			saved, err := ckpt.published()
-			if err != nil {
-				return fmt.Errorf("scenario week %d: checkpoint: %w", week, err)
-			}
-			if saved {
-				report.Checkpointed++
-			}
-			return nil
-		}
-
-		// Inline vetting accumulates the admitted candidates as they
-		// arrive; without admission everything trains (modulo the
-		// optional week-end batch scrub below).
-		kept := weekly
-		var admStartProbes uint64
-		if adm != nil {
-			report.Admission = &AdmissionWeek{}
-			admStartProbes = adm.roni.Stats().Probes
-			kept = &corpus.Corpus{}
-		}
-
-		// Deliver one message at a time through the sharded layer.
-		for i, ex := range weekly.Examples {
-			if pending != nil && i == cfg.RetrainLag {
-				if err := publish(); err != nil {
-					return nil, err
-				}
-			}
-			verdict := sh.Classify(ex.Msg)
-			// Attack mail is observed as true spam even when the
-			// pseudospam variant trains it under a ham label.
-			spam := ex.Spam || attackSet[ex.Msg]
-			report.Delivered.Observe(spam, verdict.Label)
-			report.ByShard[sh.ShardFor(ex.Msg)].Observe(spam, verdict.Label)
-			if adm != nil {
-				d := guard.Vet(ctx, ex.Msg, ex.Spam)
-				adm.countWeek(report.Admission, d, attackSet[ex.Msg])
-				if d.Verdict == engine.AdmitAccept {
-					kept.Add(ex.Msg, ex.Spam)
-				}
-			}
-		}
-		if pending != nil {
-			if err := publish(); err != nil {
-				return nil, err
-			}
-		}
-
-		// Week's end: scrub at the gateway (batch mode) or settle the
-		// inline accounting, then grow the global store (the defenses'
-		// trusted pool) and each shard's own slice.
-		if cfg.UseRONI {
-			defense, err := core.NewRONIBackend(cfg.RONI, store, backend.New, wr)
-			if err != nil {
-				return nil, fmt.Errorf("scenario week %d: %w", week, err)
-			}
-			kept, report.AttackRejected, report.OrganicRejected = scrubWeek(defense, weekly, attackSet)
-		}
-		if adm != nil {
-			aw := report.Admission
-			aw.Probes = int(adm.roni.Stats().Probes - admStartProbes)
-			aw.BatchProbeEquivalent = distinctCandidates(weekly)
-			kept.Append(adm.drainWeek(aw))
-			report.AttackRejected = aw.AttackRejected
-			report.OrganicRejected = aw.OrganicRejected
-			observeAttackFeedback(cfg, arrived, aw.AttackRejected+aw.AttackQuarantined)
-		} else {
-			observeAttackFeedback(cfg, arrived, report.AttackRejected)
-		}
-		store.Append(kept)
-		parts := sh.Partition(kept)
-		for i := range stores {
-			stores[i].Append(parts[i])
-		}
-		report.MailStoreSize = store.Len()
-		report.ShardGenerations = make([]uint64, nsh)
-		for i := 0; i < nsh; i++ {
-			report.ShardGenerations[i] = sh.Shard(i).Generation()
-		}
-		report.Generation = minGeneration(report.ShardGenerations)
-
-		// Simulated crash: the whole fleet process dies at this week's
-		// end (the mail stores are disk and survive); the restart
-		// resumes every shard from its own snapshot line's latest
-		// valid generation, and the per-shard generations show which
-		// shards' lines lagged the checkpoint cadence.
-		if week == cfg.CrashAtWeek {
-			resumed, gens, err := engine.ResumeAll(cfg.Checkpoints, nsh,
-				engine.ShardedConfig{Name: ShardedCheckpointName})
-			if err != nil {
-				return nil, fmt.Errorf("scenario week %d: resume after simulated crash: %w", week, err)
-			}
-			sh = resumed
-			if guard != nil {
-				// Re-guard the restored fleet; the admission pipeline is
-				// org state and survives with the mail store.
-				guard = engine.NewGuardedSharded(sh, adm.chain, adm.guardCfg)
-			}
-			report.Resumed = true
-			copy(report.ShardGenerations, gens)
-			report.Generation = minGeneration(gens)
-		}
-
-		if week == cfg.Weeks {
-			res.Weeks = append(res.Weeks, report)
-			break
-		}
-		// Background rebuild of every shard from its own store (or its
-		// own delta), published together at next week's lag point. The
-		// builder works on clones, so the main loop's store growth never
-		// races it.
-		build := make(chan []engine.Classifier, 1)
-		switch cfg.Retraining {
-		case RetrainIncremental:
-			cloners := make([]engine.Cloner, nsh)
-			for i := 0; i < nsh; i++ {
-				cur := sh.Shard(i).Classifier()
-				cloner, ok := cur.(engine.Cloner)
-				if !ok {
-					return nil, fmt.Errorf("scenario: backend %q (%T) cannot retrain incrementally", cfg.BackendName(), cur)
-				}
-				cloners[i] = cloner
-			}
-			deltas := make([]*corpus.Corpus, nsh)
-			for i := range deltas {
-				deltas[i] = parts[i].Clone()
-			}
-			go func() {
-				next := make([]engine.Classifier, nsh)
-				eval.Parallel(nsh, nsh, func(i int) {
-					clf := cloners[i].CloneClassifier()
-					eval.Train(clf, deltas[i])
-					next[i] = clf
-				})
-				build <- next
-			}()
-		default:
-			fulls := make([]*corpus.Corpus, nsh)
-			for i := range fulls {
-				fulls[i] = stores[i].Clone()
-			}
-			go func() {
-				next := make([]engine.Classifier, nsh)
-				eval.Parallel(nsh, nsh, func(i int) {
-					next[i] = eval.TrainBackend(backend.New, fulls[i])
-				})
-				build <- next
-			}()
-		}
-		pending = build
-		res.Weeks = append(res.Weeks, report)
-	}
-	return res, nil
-}
-
-// minGeneration returns the oldest serving generation across shards.
-func minGeneration(gens []uint64) uint64 {
-	min := gens[0]
-	for _, g := range gens[1:] {
-		if g < min {
-			min = g
-		}
-	}
-	return min
 }
 
 // renderShardTable appends the per-shard at-delivery ham-loss matrix

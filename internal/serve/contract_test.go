@@ -87,7 +87,7 @@ func ndjsonLines(t *testing.T, body []byte) []string {
 
 func TestRequestContract(t *testing.T) {
 	guarded := newGuarded(t, "sbayes", acceptAll{}, engine.GuardedConfig{})
-	srv := serve.NewSingle(guarded, serve.Config{})
+	srv := serve.New(guarded, serve.Config{})
 	defer srv.Close()
 	ts := startServer(t, srv)
 	client := ts.Client()
@@ -330,7 +330,7 @@ func streamBatch(t *testing.T, client *http.Client, url string, body []byte, spl
 // whole, in order, and equal to the single-message answers.
 func TestBatchFullDuplex(t *testing.T) {
 	guarded := newGuarded(t, "sbayes", acceptAll{}, engine.GuardedConfig{})
-	srv := serve.NewSingle(guarded, serve.Config{})
+	srv := serve.New(guarded, serve.Config{})
 	defer srv.Close()
 	ts := startServer(t, srv)
 	client := ts.Client()

@@ -75,7 +75,7 @@ func TestMetricsAndTraceUnderConcurrentLoad(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256, 1)
 	guarded := newObsGuarded(t, acceptAll{}, reg, tracer)
-	srv := serve.NewSingle(guarded, serve.Config{
+	srv := serve.New(guarded, serve.Config{
 		LearnQueue: 4,
 		RetryAfter: 50 * time.Millisecond,
 		Obs:        reg,
@@ -243,7 +243,7 @@ func TestHealthzReadinessFlipsUnderSustainedShed(t *testing.T) {
 	w := newWedge()
 	reg := obs.NewRegistry()
 	guarded := newObsGuarded(t, w, reg, nil)
-	srv := serve.NewSingle(guarded, serve.Config{
+	srv := serve.New(guarded, serve.Config{
 		LearnQueue: 1,
 		RetryAfter: retryAfter,
 		Obs:        reg,
@@ -312,7 +312,7 @@ func TestHealthzReadinessFlipsUnderSustainedShed(t *testing.T) {
 // tracer 404 on /trace, and pprof stays unmounted unless enabled.
 func TestMetricsAndTraceAbsentWithoutConfig(t *testing.T) {
 	guarded := newGuarded(t, "sbayes", acceptAll{}, engine.GuardedConfig{})
-	srv := serve.NewSingle(guarded, serve.Config{})
+	srv := serve.New(guarded, serve.Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -1,18 +1,20 @@
 // Package serve is the guarded network front-end: an HTTP daemon over
-// a guarded engine that scores on demand and learns only through
-// admission control.
+// a guarded fleet that scores on demand and learns only through
+// admission control. The fleet is one engine or N recipient-hashed
+// shards behind one engine.Guarded — a single engine is the one-shard
+// fleet — so every endpoint has one code path for both.
 //
 // The paper's threat model is an attacker who reaches the filter
 // through its training path. A network front-end is where that path
 // opens to the world, so the server is built so it cannot train
-// unguarded: it holds the concrete *engine.Guarded (or
-// *engine.GuardedSharded) — never a raw Engine, never an interface
-// abstracting one — and every learn submission drains through
-// RetrainIncremental, whose admission chain vets each example before
-// it can influence a snapshot. The sbvet admitflow analyzer walks
-// this package's call graph like any other non-owner package; the
-// daemon staying diagnostic-free is the machine-checked proof that no
-// handler reaches the engine's training surface around the guard.
+// unguarded: it holds the concrete *engine.Guarded — never a raw
+// Engine, never an interface abstracting one — and every learn
+// submission drains through RetrainIncremental, whose admission chain
+// vets each example before it can influence a snapshot. The sbvet
+// admitflow analyzer walks this package's call graph like any other
+// non-owner package; the daemon staying diagnostic-free is the
+// machine-checked proof that no handler reaches the engine's training
+// surface around the guard.
 //
 // The serving and training paths are isolated from each other:
 //
@@ -52,6 +54,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -139,12 +142,10 @@ type flushResult struct {
 	err     error
 }
 
-// Server is the HTTP front-end over one guarded engine (exactly one
-// of guarded/sharded is set — the constructors enforce it). It is an
+// Server is the HTTP front-end over one guarded fleet. It is an
 // http.Handler; callers wrap it in an http.Server or httptest.
 type Server struct {
 	guarded *engine.Guarded
-	sharded *engine.GuardedSharded
 	cfg     Config
 
 	learnCh  chan learnReq
@@ -178,28 +179,13 @@ type Server struct {
 	lastShed atomic.Int64
 }
 
-// NewSingle returns a started Server over one guarded engine.
+// New returns a started Server over a guarded fleet of any size.
 // Callers Close it when done.
-func NewSingle(g *engine.Guarded, cfg Config) *Server {
+func New(g *engine.Guarded, cfg Config) *Server {
 	if g == nil {
-		panic("serve: NewSingle with nil guarded engine")
+		panic("serve: New with nil guarded engine")
 	}
 	s := &Server{guarded: g, cfg: cfg.withDefaults()}
-	s.start()
-	return s
-}
-
-// NewSharded returns a started Server over a guarded sharded fleet.
-func NewSharded(g *engine.GuardedSharded, cfg Config) *Server {
-	if g == nil {
-		panic("serve: NewSharded with nil guarded engine")
-	}
-	s := &Server{sharded: g, cfg: cfg.withDefaults()}
-	s.start()
-	return s
-}
-
-func (s *Server) start() {
 	s.learnCh = make(chan learnReq, s.cfg.LearnQueue)
 	s.flushCh = make(chan chan flushResult)
 	s.inflight = make(chan struct{}, s.cfg.MaxInflight)
@@ -224,6 +210,7 @@ func (s *Server) start() {
 
 	s.routes()
 	go s.learnLoop()
+	return s
 }
 
 // Close stops the learn consumer and waits for it to exit. Admitters
@@ -364,10 +351,11 @@ func (s *Server) soak(pending []learnReq) []learnReq {
 
 // publishPending vets and trains the pending batch through the
 // guard's incremental retrain, then resets pending. An empty batch
-// publishes nothing and reports the current generation.
+// publishes nothing and reports the current generation; a fleet
+// reports its newest shard generation.
 func (s *Server) publishPending(pending *[]learnReq) flushResult {
 	if len(*pending) == 0 {
-		return flushResult{gen: s.generation()}
+		return flushResult{gen: s.guarded.Generation()}
 	}
 	delta := &corpus.Corpus{}
 	for _, req := range *pending {
@@ -376,19 +364,8 @@ func (s *Server) publishPending(pending *[]learnReq) flushResult {
 	n := len(*pending)
 	*pending = (*pending)[:0]
 
-	var gen uint64
-	var err error
-	if s.guarded != nil {
-		gen, err = s.guarded.RetrainIncremental(s.ctx, delta)
-	} else {
-		var gens []uint64
-		gens, err = s.sharded.RetrainIncrementalAll(s.ctx, delta)
-		for _, g := range gens {
-			if g > gen {
-				gen = g
-			}
-		}
-	}
+	gens, err := s.guarded.RetrainIncremental(s.ctx, delta)
+	gen := slices.Max(gens)
 	if err != nil {
 		s.publishErrs.Inc()
 		return flushResult{gen: gen, err: err}
@@ -396,43 +373,6 @@ func (s *Server) publishPending(pending *[]learnReq) flushResult {
 	s.trained.Add(uint64(n))
 	s.publishes.Inc()
 	return flushResult{gen: gen, trained: n}
-}
-
-// generation is the serving snapshot generation (fleet maximum in
-// sharded mode).
-func (s *Server) generation() uint64 {
-	if s.guarded != nil {
-		return s.guarded.Generation()
-	}
-	var max uint64
-	sh := s.sharded.Sharded()
-	for i := 0; i < sh.NumShards(); i++ {
-		if g := sh.Shard(i).Generation(); g > max {
-			max = g
-		}
-	}
-	return max
-}
-
-func (s *Server) classify(m *mail.Message) engine.Result {
-	if s.guarded != nil {
-		return s.guarded.Classify(m)
-	}
-	return s.sharded.Classify(m)
-}
-
-func (s *Server) classifyBatch(ctx context.Context, msgs []*mail.Message) ([]engine.Result, error) {
-	if s.guarded != nil {
-		return s.guarded.ClassifyBatch(ctx, msgs)
-	}
-	return s.sharded.ClassifyBatch(ctx, msgs)
-}
-
-func (s *Server) scoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, error) {
-	if s.guarded != nil {
-		return s.guarded.ScoreBatch(ctx, msgs)
-	}
-	return s.sharded.ScoreBatch(ctx, msgs)
 }
 
 // acquire takes one inflight slot, waiting under the request context
@@ -460,12 +400,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res := s.classify(req.msg)
+	res := s.guarded.Classify(req.msg)
 	s.classified.Inc()
 	writeJSON(w, http.StatusOK, ClassifyResponse{
 		Label:      res.Label.String(),
 		Score:      res.Score,
-		Generation: s.generation(),
+		Generation: s.guarded.Generation(),
 	})
 }
 
@@ -474,13 +414,13 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	out, err := s.scoreBatch(r.Context(), []*mail.Message{req.msg})
+	out, err := s.guarded.ScoreBatch(r.Context(), []*mail.Message{req.msg})
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	s.scored.Inc()
-	writeJSON(w, http.StatusOK, ScoreResponse{Score: out[0], Generation: s.generation()})
+	writeJSON(w, http.StatusOK, ScoreResponse{Score: out[0], Generation: s.guarded.Generation()})
 }
 
 // batchChunk is the number of NDJSON lines scored per engine batch
@@ -520,9 +460,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 		if len(chunk) == 0 {
 			return nil
 		}
-		gen := s.generation()
+		gen := s.guarded.Generation()
 		if verdicts {
-			res, err := s.classifyBatch(r.Context(), chunk)
+			res, err := s.guarded.ClassifyBatch(r.Context(), chunk)
 			if err != nil {
 				return err
 			}
@@ -533,7 +473,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 				}
 			}
 		} else {
-			out, err := s.scoreBatch(r.Context(), chunk)
+			out, err := s.guarded.ScoreBatch(r.Context(), chunk)
 			if err != nil {
 				return err
 			}
@@ -645,24 +585,15 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSave persists the serving snapshot: classifier plus admission
-// sidecar in single mode (SaveGuarded), one snapshot per shard in
-// sharded mode.
+// handleSave persists the serving snapshot of every shard plus the
+// admission sidecar (SaveGuarded): for one shard, the line Name and
+// its sidecar at the one serving generation.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")
 		return
 	}
-	if s.guarded != nil {
-		gen, err := engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, SaveResponse{Generations: []uint64{gen}})
-		return
-	}
-	gens, err := s.sharded.Sharded().SaveAll(s.cfg.Store, s.cfg.Backend)
+	gens, err := engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -670,53 +601,53 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SaveResponse{Generations: gens})
 }
 
-// handleResume restores the latest persisted snapshot into the
-// running daemon: the classifier is published as a new generation
-// through the guard's hooks, and any admission sidecar saved with it
-// is loaded back — held mail stays held, spent probe budget stays
-// spent. Sharded fleets resume at startup (engine.ResumeAll), not in
-// place: a per-shard hot resume would leave the fleet mixed-epoch
-// mid-request, so the endpoint declines.
+// handleResume restores the latest persisted snapshot of every shard
+// into the running daemon: the classifiers are published as one new
+// fleet generation through the guard's hooks, and any admission
+// sidecar saved with them is loaded back — held mail stays held,
+// spent probe budget stays spent. A fleet reports its newest snapshot
+// and serving generations.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")
 		return
 	}
-	if s.sharded != nil {
-		writeError(w, http.StatusNotImplemented, "sharded fleets resume at startup, not in place")
-		return
+	n := s.guarded.Sharded().NumShards()
+	clfs := make([]engine.Classifier, n)
+	var snapGen uint64
+	for i := range clfs {
+		env, err := engine.LatestEnvelope(s.cfg.Store, engine.ShardSnapshotName(s.cfg.Name, i, n))
+		if err != nil {
+			writeError(w, http.StatusNotFound, err.Error())
+			return
+		}
+		if clfs[i], err = engine.NewFromEnvelope(env); err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		snapGen = max(snapGen, env.Generation)
 	}
-	env, err := engine.LatestEnvelope(s.cfg.Store, s.cfg.Name)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	clf, err := engine.NewFromEnvelope(env)
+	gens, err := s.guarded.Swap(clfs...)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	gen, err := s.guarded.Swap(clf)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	loaded, err := engine.LoadAdmissionState(s.cfg.Store, s.cfg.Name, env.Generation, s.guarded)
+	loaded, err := engine.LoadAdmissionState(s.cfg.Store, s.cfg.Name, snapGen, s.guarded)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, ResumeResponse{
-		SnapshotGeneration: env.Generation,
-		Generation:         gen,
+		SnapshotGeneration: snapGen,
+		Generation:         slices.Max(gens),
 		AdmissionLoaded:    loaded,
 	})
 }
 
 // Stats is the front-end's point-in-time traffic counters.
 type Stats struct {
-	// Generation is the serving snapshot generation (fleet maximum in
-	// sharded mode).
+	// Generation is the serving snapshot generation (the newest shard
+	// generation of a fleet).
 	Generation uint64 `json:"generation"`
 	// Classified and Scored count messages answered by the verdict
 	// and score endpoints (single and batch).
@@ -741,7 +672,7 @@ type Stats struct {
 // Stats returns the front-end counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Generation:    s.generation(),
+		Generation:    s.guarded.Generation(),
 		Classified:    s.classified.Value(),
 		Scored:        s.scored.Value(),
 		LearnQueued:   s.learnQueued.Value(),
@@ -755,20 +686,15 @@ func (s *Server) Stats() Stats {
 }
 
 // statsResponse is the /stats body: front-end counters plus the
-// engine's own (verdict histogram, latency, admission tallies).
+// fleet's own (verdict histogram, latency, admission tallies, and the
+// per-shard breakdown).
 type statsResponse struct {
-	Serve  Stats `json:"serve"`
-	Engine any   `json:"engine"`
+	Serve  Stats               `json:"serve"`
+	Engine engine.ShardedStats `json:"engine"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := statsResponse{Serve: s.Stats()}
-	if s.guarded != nil {
-		resp.Engine = s.guarded.Stats()
-	} else {
-		resp.Engine = s.sharded.Stats()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, statsResponse{Serve: s.Stats(), Engine: s.guarded.Stats()})
 }
 
 // handleHealthz is the readiness probe. The daemon's one degraded
@@ -783,7 +709,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	shed := s.learnShed.Value()
 	resp := HealthResponse{
 		Status:             "ok",
-		Generation:         s.generation(),
+		Generation:         s.guarded.Generation(),
 		Resumed:            s.cfg.Resumed,
 		LearnQueueDepth:    depth,
 		LearnQueueCapacity: capacity,

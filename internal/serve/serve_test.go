@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +45,27 @@ func testGen(t testing.TB) *textgen.Generator {
 		PersonalWords:   400,
 	})
 	return textgen.MustNew(u, textgen.DefaultConfig())
+}
+
+// newFleet builds a bootstrapped guarded fleet of shards engines over
+// the given admitter, each shard trained on its partition of one
+// bootstrap corpus, as sbserved bootstraps; the test trains the
+// fixtures directly (tests are the sanctioned setup path).
+func newFleet(t *testing.T, backend string, shards int, admit engine.Admitter, gcfg engine.GuardedConfig) *engine.Guarded {
+	t.Helper()
+	b, err := engine.Lookup(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := engine.PartitionByKey(testGen(t).Corpus(stats.NewRNG(7), 60, 60), shards, engine.RecipientKey)
+	clfs := make([]engine.Classifier, shards)
+	for i := range clfs {
+		clfs[i] = b.New()
+		for _, ex := range parts[i].Examples {
+			clfs[i].Learn(ex.Msg, ex.Spam)
+		}
+	}
+	return engine.NewGuardedSharded(engine.NewSharded(clfs, engine.ShardedConfig{Name: "served"}), admit, gcfg)
 }
 
 // newGuarded builds a bootstrapped guarded engine over the given
@@ -136,7 +159,7 @@ func TestServeRoundTrip(t *testing.T) {
 			store := engine.NewMemStore()
 			chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 5000}))
 			guarded := newGuarded(t, backend, chain, engine.GuardedConfig{})
-			srv := serve.NewSingle(guarded, serve.Config{
+			srv := serve.New(guarded, serve.Config{
 				Store: store, Name: "e2e", Backend: backend,
 			})
 			defer srv.Close()
@@ -230,66 +253,118 @@ func TestServeRoundTrip(t *testing.T) {
 }
 
 // TestQuarantineSurvivesDaemonSaveResume is the crash-amnesty fix
-// seen from the network: mail held by the daemon's quarantine is
-// saved with the snapshot and comes back in a fresh daemon resumed
-// over the same store.
+// seen from the network, for a single engine and a three-shard fleet:
+// the mail the daemon's quarantine holds and the probe budget its RONI
+// link spent are saved with the snapshot, and come back both in a
+// fresh daemon resumed in place over the same store and in a guard
+// restarted through ResumeGuarded, as sbserved does at startup.
 func TestQuarantineSurvivesDaemonSaveResume(t *testing.T) {
-	store := engine.NewMemStore()
-	q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 16})
-	guarded := newGuarded(t, "sbayes", holdAll{}, engine.GuardedConfig{Quarantine: q})
-	srv := serve.NewSingle(guarded, serve.Config{Store: store, Name: "amnesty", Backend: "sbayes"})
-	ts := httptest.NewServer(srv)
-	client := ts.Client()
 	g := testGen(t)
-	rng := stats.NewRNG(5)
-
-	for i := 0; i < 3; i++ {
-		m := g.SpamMessage(rng)
-		m.Header.Set("Subject", fmt.Sprintf("held-%d", i))
-		if code := postJSON(t, client, ts.URL+"/learn", serve.LearnRequest{Message: wireMsg(m), Spam: true}, nil); code != http.StatusAccepted {
-			t.Fatalf("learn %d: status %d", i, code)
+	b, err := engine.Lookup("sbayes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calib := g.Corpus(stats.NewRNG(3), 40, 40)
+	// wire builds the admission pipeline as a process start does: a
+	// one-probe RONI budget, then hold-all, into an empty quarantine.
+	wire := func(t *testing.T) (*admission.Chain, *admission.IncrementalRONI, *admission.Quarantine) {
+		roni, err := admission.NewIncrementalRONI(
+			admission.IncrementalRONIConfig{BudgetPerMessage: 0.01, Burst: 1}, calib, b.New, stats.NewRNG(9))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return admission.NewChain(roni, holdAll{}), roni, admission.NewQuarantine(admission.QuarantineConfig{Capacity: 16})
 	}
-	var fl serve.FlushResponse
-	if code := postJSON(t, client, ts.URL+"/admin/flush", struct{}{}, &fl); code != http.StatusOK {
-		t.Fatalf("flush: status %d", code)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("quarantine holds %d, want 3", q.Len())
-	}
-	if code := postJSON(t, client, ts.URL+"/admin/save", struct{}{}, nil); code != http.StatusOK {
-		t.Fatal("save failed")
-	}
-	ts.Close()
-	srv.Close()
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			store := engine.NewMemStore()
+			scfg := serve.Config{Store: store, Name: "amnesty", Backend: "sbayes"}
+			chain, roni, q := wire(t)
+			srv := serve.New(newFleet(t, "sbayes", shards, chain, engine.GuardedConfig{Quarantine: q}), scfg)
+			ts := httptest.NewServer(srv)
+			client := ts.Client()
+			rng := stats.NewRNG(5)
 
-	// The "crashed" daemon: fresh guard, fresh (empty) quarantine,
-	// same store. Resume brings the held mail back.
-	q2 := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 16})
-	guarded2 := newGuarded(t, "sbayes", holdAll{}, engine.GuardedConfig{Quarantine: q2})
-	srv2 := serve.NewSingle(guarded2, serve.Config{Store: store, Name: "amnesty", Backend: "sbayes"})
-	defer srv2.Close()
-	ts2 := httptest.NewServer(srv2)
-	defer ts2.Close()
-	var rs serve.ResumeResponse
-	if code := postJSON(t, ts2.Client(), ts2.URL+"/admin/resume", struct{}{}, &rs); code != http.StatusOK {
-		t.Fatalf("resume: status %d (%+v)", code, rs)
+			for i := 0; i < 4; i++ {
+				m := g.SpamMessage(rng)
+				m.Header.Set("Subject", fmt.Sprintf("held-%d", i))
+				m.Header.Set("To", fmt.Sprintf("user%d@corp.example", i))
+				if code := postJSON(t, client, ts.URL+"/learn", serve.LearnRequest{Message: wireMsg(m), Spam: true}, nil); code != http.StatusAccepted {
+					t.Fatalf("learn %d: status %d", i, code)
+				}
+			}
+			var fl serve.FlushResponse
+			if code := postJSON(t, client, ts.URL+"/admin/flush", struct{}{}, &fl); code != http.StatusOK {
+				t.Fatalf("flush: status %d", code)
+			}
+			held := heldSubjects(q)
+			if len(held) < 3 {
+				t.Fatalf("quarantine holds %v, want at least the 3 candidates past the budget", held)
+			}
+			budget := roni.Stats()
+			var sv serve.SaveResponse
+			if code := postJSON(t, client, ts.URL+"/admin/save", struct{}{}, &sv); code != http.StatusOK {
+				t.Fatal("save failed")
+			}
+			if len(sv.Generations) != shards {
+				t.Fatalf("save reported generations %v for %d shards", sv.Generations, shards)
+			}
+			ts.Close()
+			srv.Close()
+
+			survived := func(how string, q *admission.Quarantine, roni *admission.IncrementalRONI) {
+				t.Helper()
+				if got := heldSubjects(q); !reflect.DeepEqual(got, held) {
+					t.Errorf("%s amnestied the quarantine: holds %v, want %v", how, got, held)
+				}
+				if got := roni.Stats(); got != budget {
+					t.Errorf("%s refilled the probe budget: %+v, want %+v", how, got, budget)
+				}
+			}
+
+			// The "crashed" daemon: fresh guard, fresh (empty)
+			// quarantine, same store. An in-place resume brings the held
+			// mail and the spent budget back.
+			chain2, roni2, q2 := wire(t)
+			srv2 := serve.New(newFleet(t, "sbayes", shards, chain2, engine.GuardedConfig{Quarantine: q2}), scfg)
+			defer srv2.Close()
+			ts2 := httptest.NewServer(srv2)
+			defer ts2.Close()
+			var rs serve.ResumeResponse
+			if code := postJSON(t, ts2.Client(), ts2.URL+"/admin/resume", struct{}{}, &rs); code != http.StatusOK {
+				t.Fatalf("resume: status %d (%+v)", code, rs)
+			}
+			if !rs.AdmissionLoaded {
+				t.Fatal("resume did not load the admission sidecar")
+			}
+			if rs.SnapshotGeneration != slices.Max(sv.Generations) {
+				t.Errorf("resumed snapshot generation %d, saved %v", rs.SnapshotGeneration, sv.Generations)
+			}
+			survived("in-place resume", q2, roni2)
+
+			// The restart sbserved performs: the guard is rebuilt from the
+			// store before the daemon starts serving.
+			chain3, roni3, q3 := wire(t)
+			resumed, gens, err := engine.ResumeGuarded(store, shards, engine.ShardedConfig{Name: "amnesty"}, chain3, engine.GuardedConfig{Quarantine: q3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gens, sv.Generations) || resumed.Sharded().NumShards() != shards {
+				t.Errorf("restart resumed generations %v over %d shards, saved %v", gens, resumed.Sharded().NumShards(), sv.Generations)
+			}
+			survived("restart", q3, roni3)
+		})
 	}
-	if !rs.AdmissionLoaded {
-		t.Fatal("resume did not load the admission sidecar")
+}
+
+// heldSubjects lists the quarantine's pending subjects, sorted.
+func heldSubjects(q *admission.Quarantine) []string {
+	var out []string
+	for _, h := range q.Pending() {
+		out = append(out, h.Msg.Subject())
 	}
-	if q2.Len() != 3 {
-		t.Fatalf("resume amnestied the quarantine: %d held, want 3", q2.Len())
-	}
-	subjects := map[string]bool{}
-	for _, h := range q2.Pending() {
-		subjects[h.Msg.Subject()] = true
-	}
-	for i := 0; i < 3; i++ {
-		if !subjects[fmt.Sprintf("held-%d", i)] {
-			t.Fatalf("held message %d missing after resume: %v", i, subjects)
-		}
-	}
+	slices.Sort(out)
+	return out
 }
 
 // TestLearnShedsWhileClassifyFlows proves the load-shedding contract
@@ -299,7 +374,7 @@ func TestQuarantineSurvivesDaemonSaveResume(t *testing.T) {
 func TestLearnShedsWhileClassifyFlows(t *testing.T) {
 	w := newWedge()
 	guarded := newGuarded(t, "sbayes", w, engine.GuardedConfig{})
-	srv := serve.NewSingle(guarded, serve.Config{LearnQueue: 2, RetryAfter: 7 * time.Second})
+	srv := serve.New(guarded, serve.Config{LearnQueue: 2, RetryAfter: 7 * time.Second})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -396,7 +471,7 @@ func TestLearnShedsWhileClassifyFlows(t *testing.T) {
 func TestWedgedAdmitterNeverBlocksScoreEndpoints(t *testing.T) {
 	w := newWedge()
 	guarded := newGuarded(t, "graham", w, engine.GuardedConfig{})
-	srv := serve.NewSingle(guarded, serve.Config{LearnQueue: 1})
+	srv := serve.New(guarded, serve.Config{LearnQueue: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -454,7 +529,7 @@ func TestWedgedAdmitterNeverBlocksScoreEndpoints(t *testing.T) {
 func TestFlushTimesOutUnderWedgeInsteadOfHanging(t *testing.T) {
 	w := newWedge()
 	guarded := newGuarded(t, "sbayes", w, engine.GuardedConfig{})
-	srv := serve.NewSingle(guarded, serve.Config{})
+	srv := serve.New(guarded, serve.Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -497,7 +572,7 @@ func TestFlushTimesOutUnderWedgeInsteadOfHanging(t *testing.T) {
 func TestLearnVetsThroughAdmission(t *testing.T) {
 	chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 50}))
 	guarded := newGuarded(t, "sbayes", chain, engine.GuardedConfig{})
-	srv := serve.NewSingle(guarded, serve.Config{})
+	srv := serve.New(guarded, serve.Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -549,7 +624,7 @@ func TestShardedServeRoundTrip(t *testing.T) {
 	chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 5000}))
 	gsh := engine.NewGuardedSharded(sh, chain, engine.GuardedConfig{})
 	store := engine.NewMemStore()
-	srv := serve.NewSharded(gsh, serve.Config{Store: store, Name: "fleet", Backend: "sbayes"})
+	srv := serve.New(gsh, serve.Config{Store: store, Name: "fleet", Backend: "sbayes"})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -576,9 +651,19 @@ func TestShardedServeRoundTrip(t *testing.T) {
 	if len(sv.Generations) != shards {
 		t.Fatalf("saved %d shard generations, want %d", len(sv.Generations), shards)
 	}
+	// A fleet resumes in place: every shard's line is published as one
+	// new fleet generation.
 	var rs serve.ResumeResponse
-	if code := postJSON(t, client, ts.URL+"/admin/resume", struct{}{}, &rs); code != http.StatusNotImplemented {
-		t.Fatalf("sharded in-place resume: status %d, want 501", code)
+	if code := postJSON(t, client, ts.URL+"/admin/resume", struct{}{}, &rs); code != http.StatusOK {
+		t.Fatalf("fleet in-place resume: status %d", code)
+	}
+	if rs.SnapshotGeneration != slices.Max(sv.Generations) || rs.Generation <= fl.Generation {
+		t.Fatalf("fleet resume %+v after save %v and flush %+v", rs, sv.Generations, fl)
+	}
+	for i := 0; i < shards; i++ {
+		if got, want := sh.Shard(i).Generation(), sv.Generations[i]+1; got != want {
+			t.Errorf("shard %d serves generation %d after the resume, want %d", i, got, want)
+		}
 	}
 
 	// The persisted lines resume into a working fleet.

@@ -49,8 +49,8 @@ type ClassifyRequest struct {
 }
 
 // ClassifyResponse is one verdict. Generation is the serving
-// snapshot generation the verdict was scored against (the fleet
-// maximum in sharded mode).
+// snapshot generation the verdict was scored against (a fleet's
+// newest shard generation).
 type ClassifyResponse struct {
 	Label      string  `json:"label"`
 	Score      float64 `json:"score"`
@@ -86,15 +86,16 @@ type FlushResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
-// SaveResponse reports the snapshot generations a save persisted
-// (one per shard in sharded mode).
+// SaveResponse reports the snapshot generations a save persisted, one
+// per shard (one for a single engine).
 type SaveResponse struct {
 	Generations []uint64 `json:"generations"`
 }
 
 // ResumeResponse reports an in-place resume: the snapshot generation
-// the classifier was restored from, the new serving generation it was
-// published as, and whether an admission sidecar was loaded with it.
+// the classifiers were restored from, the new serving generation they
+// were published as (for a fleet, the newest across shards of each),
+// and whether an admission sidecar was loaded with them.
 type ResumeResponse struct {
 	SnapshotGeneration uint64 `json:"snapshotGeneration"`
 	Generation         uint64 `json:"generation"`

@@ -28,15 +28,19 @@
 // Sharded scales that serving layer out: one logical filter
 // partitioned across N Engine shards routed by a recipient-address
 // hash, with the same surface (Classify, batch scoring with
-// input-order restitching, per-shard and all-shards retraining, a
-// routed LearnStream) and Stats that aggregate per-shard counters
-// into a combined view with per-shard breakdown. Because every user's
-// mail lands on — and trains — exactly one shard, batch throughput
-// scales across shards, and a poisoning attack addressed to a single
-// victim (the §4.3 targeted setting) degrades only that user's shard;
+// input-order restitching, all-shards Retrain / RetrainIncremental /
+// Swap, a routed LearnStream) and Stats that embed the combined
+// counters alongside the per-shard breakdown; one shard alone is
+// reached through Shard(i). Because every user's mail lands on — and
+// trains — exactly one shard, batch throughput scales across shards,
+// and a poisoning attack addressed to a single victim (the §4.3
+// targeted setting) degrades only that user's shard;
 // DeploymentConfig.Shards runs the online simulation in this mode and
 // reports per-shard at-delivery confusions separating target damage
-// from collateral.
+// from collateral. A single engine is a one-shard fleet: with N == 1
+// the routing key is never called and the shard keeps the fleet's
+// name as its stats label and store key, so the guarded, serving,
+// persistence and simulation layers each have one code path for both.
 //
 // # Snapshot persistence
 //
@@ -46,7 +50,8 @@
 // restores an engine from the newest generation that validates, so a
 // restarted deployment resumes the generation line instead of
 // restarting it (Sharded.SaveAll / ResumeSharded do the same per
-// shard, each shard keeping its own independent line). Every
+// shard, each shard keeping its own independent line — a one-shard
+// fleet's line is its bare name, exactly as SaveEngine writes it). Every
 // persisted snapshot is a self-describing envelope:
 //
 //	magic    "SNAP" 0x01 (format version)
@@ -93,13 +98,16 @@
 //   - AdmissionChain / SampledAdmitter compose admitters into a
 //     policy.
 //
-// NewGuarded (and NewGuardedSharded, which counts each decision
-// against the shard the example routes to) threads a policy through
-// LearnStream / Retrain / RetrainIncremental, exposes the admission
-// tallies in EngineStats, and runs publish hooks at every snapshot
-// swap — where the §5.2 dynamic-threshold defense refits the
-// replacement's cutoffs (DynamicThreshold.Refit, via the
-// ThresholdSetter capability) before it goes live. Scoring is never
+// A Guarded threads a policy through a fleet's LearnStream / Retrain /
+// RetrainIncremental — NewGuarded over one Engine, NewGuardedSharded
+// over a Sharded, one type either way. Candidates are vetted once, at
+// the gateway, and each decision is counted against the shard the
+// example routes to (the admission tallies in ShardedStats, summed and
+// per shard). Every publish runs the hooks: PrePublish on every
+// shard's replacement before any shard swaps — where the §5.2
+// dynamic-threshold defense refits the replacement's cutoffs
+// (DynamicThreshold.Refit, via the ThresholdSetter capability) before
+// it goes live — and PostPublish once per publish. Scoring is never
 // blocked: admission sits on the training path only.
 // DeploymentConfig.Admission runs the online simulator in this mode,
 // reporting per-week admitted/quarantined/rejected splits (organic
@@ -131,10 +139,13 @@
 // value only, no unknown keys — while NDJSON batch lines are lenient
 // and skip unknown keys; each body and each batch line is capped at
 // 1 MiB, and batches of any length stream full duplex, verdicts going
-// out while the request is still arriving. cmd/sbserved wires this
-// into a runnable daemon (flood gate + incremental RONI + quarantine,
-// snapshot-dir persistence with save-on-shutdown and
-// resume-at-startup, single or sharded); cmd/sbload drives it with a
+// out while the request is still arriving. One constructor serves a
+// guard of any fleet size; a fleet saves every shard's line plus one
+// admission sidecar and resumes in place like a single engine.
+// cmd/sbserved wires this into a runnable daemon (flood gate +
+// incremental RONI + quarantine, snapshot-dir persistence with
+// save-on-shutdown and resume-at-startup, -shards 0 or 1 for one
+// engine, N for a fleet); cmd/sbload drives it with a
 // deterministic closed-loop mix of organic traffic and
 // dictionary/focused attack submissions, reporting throughput and
 // latency percentiles in benchmark format.
@@ -174,11 +185,11 @@
 // in Prometheus text exposition format (v0.0.4). One registry is
 // shared across the layers: the engine registers classify/batch/learn
 // latency histograms, per-label verdict counters, and a generation
-// gauge (per-shard labels in sharded mode); the admitters register
-// their budget, memo, and quarantine accounting; the HTTP front-end
-// registers per-route request counters, status classes, latency
-// histograms, and learn-queue depth — and serves the whole registry at
-// GET /metrics. ParseMetricsText parses the exposition back (the load
+// gauge (per-shard labels on a fleet of several shards; one engine
+// keeps the fleet's name); the admitters register their budget, memo,
+// and quarantine accounting; the HTTP front-end registers per-route
+// request counters, status classes, latency histograms, and
+// learn-queue depth — and serves the whole registry at GET /metrics. ParseMetricsText parses the exposition back (the load
 // generator scrapes before and after a run and cross-checks its
 // client-observed percentiles against the server's own histograms via
 // HistogramSnapshot.Sub and Quantile). DecisionTracer is the second
@@ -393,17 +404,17 @@ func NewEngineAt(c Classifier, gen uint64, cfg EngineConfig) *Engine {
 // Sharded is one logical filter partitioned across N Engine shards
 // routed by a recipient hash: batches are grouped by shard, fanned
 // out concurrently, and restitched in input order; shards retrain
-// independently (per-shard or all at once on each shard's own slice
-// of the corpus), so poison trained into one user's shard degrades
-// only the mailboxes routed there.
+// independently (one through Shard(i), or all at once on each shard's
+// own slice of the corpus), so poison trained into one user's shard
+// degrades only the mailboxes routed there.
 type Sharded = engine.Sharded
 
 // ShardedConfig tunes a Sharded engine (name, per-shard workers,
 // learn buffer, routing key).
 type ShardedConfig = engine.ShardedConfig
 
-// ShardedStats aggregates shard counters into a combined view plus
-// the per-shard breakdown and per-shard generations.
+// ShardedStats embeds the combined EngineStats of every shard
+// alongside the per-shard breakdown and per-shard generations.
 type ShardedStats = engine.ShardedStats
 
 // ShardKey routes a message to a shard.
@@ -465,9 +476,10 @@ type AdmissionStats = engine.AdmissionStats
 // installs refit cutoffs through at each snapshot swap.
 type ThresholdSetter = engine.ThresholdSetter
 
-// Guarded threads an admission policy through an Engine's training
-// path (LearnStream, Retrain, RetrainIncremental) and runs publish
-// hooks at every snapshot swap; scoring is never blocked.
+// Guarded threads an admission policy through a fleet's training path
+// (LearnStream, Retrain, RetrainIncremental, one generation per shard)
+// and runs publish hooks at every snapshot swap; scoring is never
+// blocked. A single engine is the one-shard fleet NewGuarded builds.
 type Guarded = engine.Guarded
 
 // GuardedConfig wires the quarantine sink and the publish hooks.
@@ -477,17 +489,16 @@ type GuardedConfig = engine.GuardedConfig
 // *Quarantine is the stock implementation.
 type QuarantineSink = engine.QuarantineSink
 
-// GuardedSharded is Guarded over a Sharded engine: one policy vets at
-// the gateway, each decision counted against the destination shard.
-type GuardedSharded = engine.GuardedSharded
-
-// NewGuarded wraps an Engine with admission control.
+// NewGuarded wraps an Engine, as a one-shard fleet, with admission
+// control.
 func NewGuarded(e *Engine, admit Admitter, cfg GuardedConfig) *Guarded {
 	return engine.NewGuarded(e, admit, cfg)
 }
 
-// NewGuardedSharded wraps a Sharded engine with admission control.
-func NewGuardedSharded(s *Sharded, admit Admitter, cfg GuardedConfig) *GuardedSharded {
+// NewGuardedSharded wraps a Sharded engine with admission control: one
+// policy vets at the gateway, each decision counted against the
+// destination shard.
+func NewGuardedSharded(s *Sharded, admit Admitter, cfg GuardedConfig) *Guarded {
 	return engine.NewGuardedSharded(s, admit, cfg)
 }
 
@@ -631,9 +642,12 @@ func ResumeSharded(st SnapshotStore, shards int, cfg ShardedConfig) (*Sharded, [
 // checkpoints.
 func StaleShards(gens []uint64) []int { return engine.StaleShards(gens) }
 
-// ShardSnapshotName is the store key of one shard's snapshot line
-// within a Sharded named name.
-func ShardSnapshotName(name string, shard int) string { return engine.ShardSnapshotName(name, shard) }
+// ShardSnapshotName is the store key of shard's snapshot line within a
+// fleet of shards named name ("name.shard<i>"; name itself for one
+// shard).
+func ShardSnapshotName(name string, shard, shards int) string {
+	return engine.ShardSnapshotName(name, shard, shards)
+}
 
 // PruneSnapshots removes all but the newest keep generations of name.
 func PruneSnapshots(st SnapshotStore, name string, keep int) ([]uint64, error) {
@@ -652,37 +666,41 @@ func DecodeSnapshotEnvelope(data []byte) (SnapshotEnvelope, error) {
 // sidecar envelope next to the classifier snapshot.
 type AdmissionStatePersister = engine.AdmissionStatePersister
 
-// SaveGuarded persists g's serving snapshot plus an admission sidecar
-// (quarantine contents, probe budget, memoized verdicts) at the same
+// SaveGuarded persists every shard's serving snapshot of g (for one
+// shard, the line name itself) plus one admission sidecar (quarantine
+// contents, probe budget, memoized verdicts) at the newest shard
 // generation, closing the crash-amnesty hole: a restart can no longer
-// free held mail or refill an exhausted probe bucket.
-func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) (uint64, error) {
+// free held mail or refill an exhausted probe bucket. It returns each
+// shard's saved generation.
+func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) ([]uint64, error) {
 	return engine.SaveGuarded(st, name, backend, g)
 }
 
-// ResumeGuarded restores a guarded engine from name's newest valid
-// generation, loading any admission sidecar saved with it into the
-// freshly wired guard — held mail stays held, spent budget stays
-// spent.
-func ResumeGuarded(st SnapshotStore, name string, cfg EngineConfig, admit Admitter, gcfg GuardedConfig) (*Guarded, SnapshotEnvelope, error) {
-	return engine.ResumeGuarded(st, name, cfg, admit, gcfg)
+// ResumeGuarded restores a guarded fleet of shards engines from the
+// lines cfg.Name names, each shard at its newest valid generation,
+// loading any admission sidecar saved with them into the freshly wired
+// guard — held mail stays held, spent budget stays spent. It returns
+// each shard's resumed generation.
+func ResumeGuarded(st SnapshotStore, shards int, cfg ShardedConfig, admit Admitter, gcfg GuardedConfig) (*Guarded, []uint64, error) {
+	return engine.ResumeGuarded(st, shards, cfg, admit, gcfg)
 }
 
 // LoadAdmissionState restores g's admitter and quarantine sink from
-// name's admission sidecar at generation gen; false (and no error)
-// when that generation has no sidecar.
+// name's admission sidecar at generation gen (a fleet's newest shard
+// generation); false (and no error) when that generation has no
+// sidecar.
 func LoadAdmissionState(st SnapshotStore, name string, gen uint64, g *Guarded) (bool, error) {
 	return engine.LoadAdmissionState(st, name, gen, g)
 }
 
-// AdmissionSnapshotName is the store key of a guarded engine's
+// AdmissionSnapshotName is the store key of a guarded fleet's
 // admission sidecar line ("<name>.admission").
 func AdmissionSnapshotName(name string) string { return engine.AdmissionSnapshotName(name) }
 
 // ---- Serving (the guarded HTTP front-end) ----
 
-// HTTPServer is the network front-end over a guarded engine: an
-// http.Handler exposing classify/score (single and NDJSON batch),
+// HTTPServer is the network front-end over a guarded fleet of any
+// size: an http.Handler exposing classify/score (single and NDJSON batch),
 // admission-guarded learn with bounded-queue load shedding (503 +
 // Retry-After when the training path saturates; scoring never
 // blocks), admin flush/save/resume, stats and health endpoints.
@@ -696,15 +714,10 @@ type HTTPServerConfig = serve.Config
 // (queued/shed/trained/publishes), alongside the engine's.
 type HTTPServerStats = serve.Stats
 
-// NewHTTPServer serves one guarded engine. Close it when done.
+// NewHTTPServer serves a guarded fleet — one engine or many shards.
+// Close it when done.
 func NewHTTPServer(g *Guarded, cfg HTTPServerConfig) *HTTPServer {
-	return serve.NewSingle(g, cfg)
-}
-
-// NewHTTPServerSharded serves a guarded sharded fleet. Close it when
-// done.
-func NewHTTPServerSharded(g *GuardedSharded, cfg HTTPServerConfig) *HTTPServer {
-	return serve.NewSharded(g, cfg)
+	return serve.New(g, cfg)
 }
 
 // WireMessage is a Message on the wire: ordered headers plus body.
