@@ -9,6 +9,8 @@
 #                    front-end's shed/wedge tests, and the root
 #                    facade's end-to-end serving tests)
 #   make vet         static checks
+#   make gofmt       fail, listing them, if any tracked .go file is not
+#                    gofmt-clean (testdata fixtures included)
 #   make lint        run the repo's own analyzer suite (cmd/sbvet:
 #                    snapshotonce, statscomplete, ctxdrain,
 #                    tokenizeonce, plus the interprocedural admitflow,
@@ -42,11 +44,12 @@
 #                    server-side percentiles scraped from /metrics and
 #                    cross-checked against the client's view (a scrape
 #                    that fails to parse fails the target)
-#   make check       build + vet + lint + test + race (CI runs the
-#                    same pieces, but folds the plain test pass into
-#                    `make cover` and adds `make fuzz`)
+#   make check       build + vet + gofmt + lint + test + race (CI runs
+#                    the same pieces, but folds the plain test pass
+#                    into `make cover` and adds `make fuzz`)
 
 GO ?= go
+GOFMT ?= gofmt
 BENCH_JSON ?= BENCH_PR8.json
 BENCHTIME  ?= 1s
 FUZZTIME   ?= 10s
@@ -55,7 +58,7 @@ SERVE_BENCH_ADDR     ?= 127.0.0.1:18525
 SERVE_BENCH_DURATION ?= 10s
 SERVE_BENCH_WORKERS  ?= 8
 
-.PHONY: build test race vet lint lint-vettool fuzz cover bench bench-tokenize bench-json serve-bench check
+.PHONY: build test race vet gofmt lint lint-vettool fuzz cover bench bench-tokenize bench-json serve-bench check
 
 build:
 	$(GO) build ./...
@@ -68,6 +71,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l prints the files whose formatting differs; any output fails
+# the target, and so does a file gofmt cannot parse.
+gofmt:
+	@files=$$($(GOFMT) -l $$(git ls-files '*.go')) || exit 1; \
+	if [ -n "$$files" ]; then echo "gofmt -l: not formatted:"; echo "$$files"; exit 1; fi
 
 # The project-specific invariants (snapshot-once serving, complete
 # Stats accounting, ctx-aware channel drains, fenced tokenization,
@@ -127,4 +136,4 @@ serve-bench:
 	$(GO) run ./cmd/benchjson -out $(SERVE_BENCH_JSON) < $(SERVE_BENCH_JSON:.json=.txt)
 	rm -f $(CURDIR)/sbserved.bin $(CURDIR)/sbload.bin
 
-check: build vet lint test race
+check: build vet gofmt lint test race

@@ -44,9 +44,9 @@ func crossPackage(e *engine.Engine, g *engine.Guarded, train []*engine.Message) 
 // backendDirect hits the backend-level sinks: the interface methods
 // and a stream.
 func backendDirect(e *engine.Engine, clf engine.Classifier, m *engine.Message) {
-	clf.Learn(m, true)              // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.Learn`
-	clf.LearnWeighted(m, true, 10)  // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.LearnWeighted`
-	in := e.LearnStream()           // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.LearnStream`
+	clf.Learn(m, true)             // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.Learn`
+	clf.LearnWeighted(m, true, 10) // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.LearnWeighted`
+	in := e.LearnStream()          // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.LearnStream`
 	in <- m
 }
 

@@ -18,8 +18,8 @@ type Engine struct {
 }
 
 // Pure accessors: one load each, results derived from it.
-func (e *Engine) Classifier() int     { return e.cur.Load().clf }
-func (e *Engine) Generation() uint64  { return e.cur.Load().gen }
+func (e *Engine) Classifier() int    { return e.cur.Load().clf }
+func (e *Engine) Generation() uint64 { return e.cur.Load().gen }
 func (e *Engine) Snapshot() (int, uint64) {
 	s := e.cur.Load()
 	return s.clf, s.gen

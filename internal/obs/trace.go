@@ -124,8 +124,8 @@ type Tracer struct {
 
 	mu   sync.Mutex
 	ring []TraceEvent
-	next int  // ring index of the next write
-	n    int  // valid entries (== len(ring) once wrapped)
+	next int // ring index of the next write
+	n    int // valid entries (== len(ring) once wrapped)
 	seq  uint64
 }
 

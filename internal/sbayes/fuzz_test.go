@@ -26,11 +26,11 @@ func canonicalDB() []byte {
 func FuzzSBayesSaveLoad(f *testing.F) {
 	valid := canonicalDB()
 	f.Add([]byte{})
-	f.Add([]byte("SBDB"))            // truncated magic
-	f.Add([]byte("GRDB\x01"))        // foreign database
-	f.Add(valid)                     // well-formed
-	f.Add(valid[:len(valid)/2])      // truncated body
-	f.Add(append(valid, 0xff))       // trailing garbage
+	f.Add([]byte("SBDB"))       // truncated magic
+	f.Add([]byte("GRDB\x01"))   // foreign database
+	f.Add(valid)                // well-formed
+	f.Add(valid[:len(valid)/2]) // truncated body
+	f.Add(append(valid, 0xff))  // trailing garbage
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/2] ^= 0x40
 	f.Add(corrupt)

@@ -150,7 +150,7 @@ func TestChunkingRequiresCapableAttacker(t *testing.T) {
 // noChunkAttack is an Attacker without the ChunkedAttacker capability.
 type noChunkAttack struct{}
 
-func (noChunkAttack) Name() string        { return "no-chunk" }
+func (noChunkAttack) Name() string { return "no-chunk" }
 func (noChunkAttack) Taxonomy() core.Taxonomy {
 	return core.Taxonomy{Influence: core.Causative, Violation: core.Availability, Specificity: core.Indiscriminate}
 }
