@@ -189,11 +189,12 @@ type Guarded struct {
 }
 
 // NewGuarded wraps e, as a one-shard fleet, with admission control.
+// The engine keeps its own name, generation line and instruments.
 func NewGuarded(e *Engine, admit Admitter, cfg GuardedConfig) *Guarded {
 	if e == nil {
 		panic("engine: NewGuarded with nil engine")
 	}
-	return NewGuardedSharded(oneShard(e), admit, cfg)
+	return NewGuardedSharded(&Sharded{name: e.name, key: RecipientKey, shards: []*Engine{e}}, admit, cfg)
 }
 
 // NewGuardedSharded wraps the fleet s with admission control.

@@ -158,12 +158,6 @@ func newShardedAt(clfs []Classifier, gens []uint64, cfg ShardedConfig) *Sharded 
 	return s
 }
 
-// oneShard is the one-shard fleet over an existing engine: the engine
-// keeps its own name, generation line and instruments.
-func oneShard(e *Engine) *Sharded {
-	return &Sharded{name: e.name, key: RecipientKey, shards: []*Engine{e}}
-}
-
 // Name returns the sharded engine's stats label.
 func (s *Sharded) Name() string { return s.name }
 
