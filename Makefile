@@ -49,7 +49,6 @@
 #                    into `make cover` and adds `make fuzz`)
 
 GO ?= go
-GOFMT ?= gofmt
 BENCH_JSON ?= BENCH_PR8.json
 BENCHTIME  ?= 1s
 FUZZTIME   ?= 10s
@@ -75,7 +74,7 @@ vet:
 # gofmt -l prints the files whose formatting differs; any output fails
 # the target, and so does a file gofmt cannot parse.
 gofmt:
-	@files=$$($(GOFMT) -l $$(git ls-files '*.go')) || exit 1; \
+	@files=$$(gofmt -l $$(git ls-files '*.go')) || exit 1; \
 	if [ -n "$$files" ]; then echo "gofmt -l: not formatted:"; echo "$$files"; exit 1; fi
 
 # The project-specific invariants (snapshot-once serving, complete

@@ -606,7 +606,9 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 // fleet generation through the guard's hooks, and any admission
 // sidecar saved with them is loaded back — held mail stays held,
 // spent probe budget stays spent. A fleet reports its newest snapshot
-// and serving generations.
+// and serving generations. Its shards swap one after another, as in
+// every fleet publish, so a batch in flight may mix generations across
+// shards, never within one shard's slice.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")
