@@ -68,22 +68,11 @@ func newFleet(t *testing.T, backend string, shards int, admit engine.Admitter, g
 	return engine.NewGuardedSharded(engine.NewSharded(clfs, engine.ShardedConfig{Name: "served"}), admit, gcfg)
 }
 
-// newGuarded builds a bootstrapped guarded engine over the given
-// admitter; the test trains the base fixture directly (tests are the
-// sanctioned setup path).
+// newGuarded builds a bootstrapped one-engine guard over the given
+// admitter — the default daemon's shape.
 func newGuarded(t *testing.T, backend string, admit engine.Admitter, gcfg engine.GuardedConfig) *engine.Guarded {
 	t.Helper()
-	b, err := engine.Lookup(backend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := testGen(t)
-	rng := stats.NewRNG(7)
-	clf := b.New()
-	for _, ex := range g.Corpus(rng, 60, 60).Examples {
-		clf.Learn(ex.Msg, ex.Spam)
-	}
-	return engine.NewGuarded(engine.New(clf, engine.Config{Name: "served"}), admit, gcfg)
+	return newFleet(t, backend, 1, admit, gcfg)
 }
 
 // acceptAll admits everything — the permissive policy for round-trip
