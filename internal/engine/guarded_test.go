@@ -302,6 +302,39 @@ func TestGuardedRetrainVetsAndRunsHooks(t *testing.T) {
 	})
 }
 
+func TestGuardedShardedRetrainAllVetsAtGateway(t *testing.T) {
+	// A fleet retrain built through NewGuardedSharded vets the whole
+	// corpus once at the gateway: every shard publishes a replacement
+	// and together they hold only the admitted spam.
+	b, err := engine.Lookup("sbayes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := engine.NewSharded([]engine.Classifier{b.New(), b.New()}, engine.ShardedConfig{})
+	g := engine.NewGuardedSharded(sh, markerAdmitter{}, engine.GuardedConfig{})
+	train := &corpus.Corpus{}
+	for i := 0; i < 10; i++ {
+		train.Add(userMsg(fmt.Sprintf("clean words %d\n", i), i%4), true)
+	}
+	train.Add(userMsg("poison payload\n", 0), true)
+
+	gens, err := g.Retrain(context.Background(), b.New, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gens) != sh.NumShards() {
+		t.Fatalf("Retrain returned %d generations for %d shards", len(gens), sh.NumShards())
+	}
+	for i, gen := range gens {
+		if gen != 2 {
+			t.Errorf("shard %d generation %d", i, gen)
+		}
+	}
+	if got := spamCounts(g); got != 10 {
+		t.Errorf("shards trained on %d spam total, want the 10 admitted", got)
+	}
+}
+
 func TestGuardedPrePublishErrorAbortsPublish(t *testing.T) {
 	// The hook fails on the last replacement: every earlier shard's
 	// replacement has passed it, yet no shard may swap.
