@@ -24,15 +24,39 @@ type Field struct {
 	Value string
 }
 
+// EqualFieldName reports whether two header field names are equal,
+// ignoring ASCII case. RFC 5322 field names are printable ASCII, so no
+// Unicode folding applies: unlike strings.EqualFold, "ſubject" (with a
+// long s) does not name the Subject field. Every header lookup and the
+// tokenizer's header walk compare names through it.
+func EqualFieldName(a, b string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := 0; i < len(a); i++ {
+		x, y := a[i], b[i]
+		if 'A' <= x && x <= 'Z' {
+			x += 'a' - 'A'
+		}
+		if 'A' <= y && y <= 'Z' {
+			y += 'a' - 'A'
+		}
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
 // Header is an ordered sequence of header fields. Order is preserved
 // because real mail software (and the SpamBayes tokenizer) observes it.
 type Header []Field
 
 // Get returns the value of the first field with the given name
-// (case-insensitive), or "" if the header has no such field.
+// (ASCII case-insensitive), or "" if the header has no such field.
 func (h Header) Get(name string) string {
 	for _, f := range h {
-		if strings.EqualFold(f.Name, name) {
+		if EqualFieldName(f.Name, name) {
 			return f.Value
 		}
 	}
@@ -44,7 +68,7 @@ func (h Header) Get(name string) string {
 func (h Header) GetAll(name string) []string {
 	var vals []string
 	for _, f := range h {
-		if strings.EqualFold(f.Name, name) {
+		if EqualFieldName(f.Name, name) {
 			vals = append(vals, f.Value)
 		}
 	}
@@ -54,7 +78,7 @@ func (h Header) GetAll(name string) []string {
 // Has reports whether a field with the given name exists.
 func (h Header) Has(name string) bool {
 	for _, f := range h {
-		if strings.EqualFold(f.Name, name) {
+		if EqualFieldName(f.Name, name) {
 			return true
 		}
 	}
@@ -70,7 +94,7 @@ func (h *Header) Add(name, value string) {
 // none exists. Additional fields with the same name are left in place.
 func (h *Header) Set(name, value string) {
 	for i, f := range *h {
-		if strings.EqualFold(f.Name, name) {
+		if EqualFieldName(f.Name, name) {
 			(*h)[i].Value = value
 			return
 		}

@@ -36,6 +36,52 @@ func TestHeaderGetSetAdd(t *testing.T) {
 	}
 }
 
+// Field names are ASCII (RFC 5322), so lookups fold ASCII case only.
+// A name that merely Unicode-folds to a known field names a different
+// field: "ſubject" spelled with U+017F LATIN SMALL LETTER LONG S, or
+// "\u212aeywords" spelled with U+212A KELVIN SIGN.
+func TestHeaderNamesFoldASCIIOnly(t *testing.T) {
+	var h Header
+	h.Add("\u017fubject", "long s")
+	h.Add("\u017fender", "long s")
+	h.Add("\u212aeywords", "kelvin")
+	if got := h.Get("Subject"); got != "" {
+		t.Errorf(`Get("Subject") = %q, want "" for a field named "ſubject"`, got)
+	}
+	if h.Has("Sender") || len(h.GetAll("SENDER")) != 0 {
+		t.Error(`"ſender" matched Sender`)
+	}
+	if h.Has("keywords") {
+		t.Error(`"\u212aeywords" matched Keywords`)
+	}
+	h.Set("Subject", "ascii")
+	if len(h) != 4 || h[0].Value != "long s" {
+		t.Errorf(`Set("Subject") replaced the "ſubject" field: %v`, h)
+	}
+	if m := (&Message{Header: h}); m.Subject() != "ascii" {
+		t.Errorf("Subject() = %q", m.Subject())
+	}
+}
+
+func TestEqualFieldName(t *testing.T) {
+	for _, c := range []struct {
+		a, b string
+		want bool
+	}{
+		{"Subject", "subject", true},
+		{"CONTENT-TYPE", "Content-Type", true},
+		{"\u017fubject", "Subject", false},
+		{"\u212a", "k", false},
+		{"Subject", "Subjec", false},
+		{"", "", true},
+		{"a@", "A`", false},
+	} {
+		if got := EqualFieldName(c.a, c.b); got != c.want {
+			t.Errorf("EqualFieldName(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestHeaderClone(t *testing.T) {
 	var h Header
 	h.Add("A", "1")

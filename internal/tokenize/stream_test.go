@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/mail"
+	"repro/internal/stats"
+	"repro/internal/textgen"
 )
 
 // streamEqualsLegacy fails unless Stream(m) matches the legacy
@@ -185,44 +187,70 @@ func TestStreamFromTokensCounts(t *testing.T) {
 }
 
 // FuzzTokenStream holds the pooled streaming walk to exact
-// equivalence with the legacy []string walk on arbitrary header and
-// body bytes — the two implementations cannot drift.
+// equivalence with the legacy []string walk on arbitrary header fields
+// and body bytes. header is a raw header block, one "Name: value" field
+// per line, where a line starting with a space or tab continues the
+// previous value (as mail.Parse unfolds it), so the fuzzer mutates
+// field names as well as values. flags toggles the options the walk
+// branches on (see fuzzOptions).
 func FuzzTokenStream(f *testing.F) {
-	f.Add("WIN a prize", "bob <bob@spam.example.net>", "free MONEY http://x.example.com/a?b=c now now")
-	f.Add("", "", "")
-	f.Add("héllo", "no-at-sign", "日本語   "+strings.Repeat("w", 45)+" a@b.c longemailaddress@example.com")
-	f.Add("x", "a@b", string([]byte{0xff, 0x80, 'a', ' ', 0xc3}))
-	opts := DefaultOptions()
-	opts.MineReceived = true
-	tok := New(opts)
-	f.Fuzz(func(t *testing.T, subject, from, body string) {
-		m := &mail.Message{Body: body}
-		m.Header.Add("Subject", subject)
-		m.Header.Add("From", from)
-		m.Header.Add("Received", "from "+from+" (["+subject+"])")
-		full := tok.Tokenize(m)
-		ts := tok.Stream(m)
-		if ts.Total() != len(full) {
-			t.Fatalf("Total %d != %d", ts.Total(), len(full))
-		}
-		seen := make(map[string]int)
-		order := make([]string, 0, len(full))
-		for _, w := range full {
-			if seen[w] == 0 {
-				order = append(order, w)
-			}
-			seen[w]++
-		}
-		if ts.Len() != len(order) {
-			t.Fatalf("Len %d != %d", ts.Len(), len(order))
-		}
-		for i := range order {
-			if string(ts.At(i)) != order[i] || ts.Count(i) != seen[order[i]] {
-				t.Fatalf("token %d: %q×%d != %q×%d", i, ts.At(i), ts.Count(i), order[i], seen[order[i]])
-			}
-		}
-		if n := tok.DistinctTokenCount(m); n != len(order) {
-			t.Fatalf("DistinctTokenCount %d != %d", n, len(order))
-		}
+	f.Add("Subject: WIN a prize\nFrom: bob <bob@spam.example.net>\nReceived: from bob <bob@spam.example.net> ([WIN a prize])",
+		"free MONEY http://x.example.com/a?b=c now now", uint8(2))
+	f.Add("", "", uint8(2))
+	f.Add("Subject: héllo\nFrom: no-at-sign\nReceived: from no-at-sign ([héllo])",
+		"日本語   "+strings.Repeat("w", 45)+" a@b.c longemailaddress@example.com", uint8(2))
+	f.Add("Subject: x\nFrom: a@b\nReceived: from a@b ([x])", string([]byte{0xff, 0x80, 'a', ' ', 0xc3}), uint8(2))
+	// Every field the walk reads, in mixed case, one of them folded.
+	f.Add("SUBJECT: Re: Offer\nfrom: Ann <ann@a.example.com>\nTo: bob@b.example.org\nCC: carol\n"+
+		"sender: <s@relay.example.net>\nReply-TO: r@r.example\nx-mailer: Mutt/1.5\n"+
+		"content-TYPE: text/html; charset=utf-8\nreceived: from mx.example.com ([10.1.2.3])\n\tby relay.example.net",
+		"body words https://www.example.com/x", uint8(2))
+	u, err := textgen.NewUniverse(textgen.UniverseConfig{
+		CommonWords: 50, StandardWords: 700, FormalWords: 250,
+		ColloquialWords: 290, SpamWords: 120, PersonalWords: 400,
 	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, err := textgen.New(u, textgen.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	r := stats.NewRNG(1)
+	for flags := uint8(0); flags < 4; flags++ {
+		for _, m := range []*mail.Message{g.HamMessage(r), g.SpamMessage(r)} {
+			var block strings.Builder
+			for i, fl := range m.Header {
+				if i > 0 {
+					block.WriteByte('\n')
+				}
+				block.WriteString(fl.Name + ": " + strings.ReplaceAll(fl.Value, "\n", "\n\t"))
+			}
+			f.Add(block.String(), m.Body, flags)
+		}
+	}
+	f.Fuzz(func(t *testing.T, header, body string, flags uint8) {
+		var h mail.Header
+		for _, line := range strings.Split(header, "\n") {
+			if len(h) > 0 && line != "" && (line[0] == ' ' || line[0] == '\t') {
+				h[len(h)-1].Value += "\n" + line[1:]
+				continue
+			}
+			name, value, _ := strings.Cut(line, ":")
+			h.Add(name, value)
+		}
+		streamEqualsLegacy(t, New(fuzzOptions(flags)), &mail.Message{Header: h, Body: body})
+	})
+}
+
+// fuzzOptions maps a fuzzed byte onto the tokenizer options: bit 0
+// drops headers, bit 1 mines Received, bit 2 drops URL tokens, bit 3
+// drops skip tokens.
+func fuzzOptions(flags uint8) Options {
+	opts := DefaultOptions()
+	opts.Headers = flags&1 == 0
+	opts.MineReceived = flags&2 != 0
+	opts.URLTokens = flags&4 == 0
+	opts.SkipTokens = flags&8 == 0
+	return opts
 }

@@ -74,14 +74,14 @@ func (t *Tokenizer) DistinctTokenCount(m *mail.Message) int {
 func (t *Tokenizer) walkMessage(sc *scratch, m *mail.Message) {
 	if t.opts.Headers {
 		for i := range m.Header {
-			if headerNameIs(m.Header[i].Name, "Subject") {
+			if mail.EqualFieldName(m.Header[i].Name, "Subject") {
 				t.walkWords(sc, "subject:", m.Header[i].Value, true)
 			}
 		}
 		for fi, field := range addressFields {
 			prefix := addressPrefixes[fi]
 			for i := range m.Header {
-				if headerNameIs(m.Header[i].Name, field) {
+				if mail.EqualFieldName(m.Header[i].Name, field) {
 					sc.walkAddress(prefix, m.Header[i].Value)
 				}
 			}
@@ -89,41 +89,20 @@ func (t *Tokenizer) walkMessage(sc *scratch, m *mail.Message) {
 		for fi, field := range wordFields {
 			prefix := wordPrefixes[fi]
 			for i := range m.Header {
-				if headerNameIs(m.Header[i].Name, field) {
+				if mail.EqualFieldName(m.Header[i].Name, field) {
 					t.walkWords(sc, prefix, m.Header[i].Value, false)
 				}
 			}
 		}
 		if t.opts.MineReceived {
 			for i := range m.Header {
-				if headerNameIs(m.Header[i].Name, "Received") {
+				if mail.EqualFieldName(m.Header[i].Name, "Received") {
 					sc.walkReceived(m.Header[i].Value)
 				}
 			}
 		}
 	}
 	t.walkText(sc, m.Body)
-}
-
-// headerNameIs is strings.EqualFold restricted to what header names
-// are: it matches mail.Header's case-insensitive lookup.
-func headerNameIs(name, want string) bool {
-	if len(name) != len(want) {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		a, b := name[i], want[i]
-		if 'A' <= a && a <= 'Z' {
-			a += 'a' - 'A'
-		}
-		if 'A' <= b && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // lowerInto appends the lowercase of s to dst, byte-for-byte equal to
