@@ -14,11 +14,10 @@
 //   - sinks are the engine-level training surface — methods named
 //     LearnStream / Retrain / RetrainIncremental / Swap on the engine
 //     package's Engine and Sharded types — and the backend-level
-//     learners,
-//     any method shaped like Learn(x, bool) or
-//     LearnWeighted(x, bool, int), including the Classifier
-//     interface's own (so dispatch through the declared interface is
-//     caught, not just concrete calls);
+//     learners: any method shaped like Learn(x, bool),
+//     LearnWeighted(x, bool, int) or LearnTokenStream(x, bool, int),
+//     including the Classifier interface's own (so dispatch through
+//     the declared interface is caught, not just concrete calls);
 //   - guards stop the search: methods on Guarded (every training
 //     path through them is vetted by construction)
 //     and functions that vet inline — a direct call to an Admitter's
@@ -230,7 +229,7 @@ func sinkName(fn *types.Func) string {
 		if p := sig.Params(); p.Len() == 2 && isBool(p.At(1).Type()) {
 			return fn.FullName()
 		}
-	case name == "LearnWeighted":
+	case name == "LearnWeighted" || name == "LearnTokenStream":
 		if p := sig.Params(); p.Len() == 3 && isBool(p.At(1).Type()) && isInt(p.At(2).Type()) {
 			return fn.FullName()
 		}

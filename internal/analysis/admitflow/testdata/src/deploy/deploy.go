@@ -41,12 +41,14 @@ func crossPackage(e *engine.Engine, g *engine.Guarded, train []*engine.Message) 
 	deployutil.InjectAnnotated(nil, nil)
 }
 
-// backendDirect hits the backend-level sinks: the interface methods
-// and a stream.
-func backendDirect(e *engine.Engine, clf engine.Classifier, m *engine.Message) {
-	clf.Learn(m, true)             // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.Learn`
-	clf.LearnWeighted(m, true, 10) // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.LearnWeighted`
-	in := e.LearnStream()          // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.LearnStream`
+// backendDirect hits the backend-level sinks: the interface methods,
+// token-stream training through the Classifier contract, and a
+// stream.
+func backendDirect(e *engine.Engine, clf engine.Classifier, m *engine.Message, ts *engine.TokenStream) {
+	clf.Learn(m, true)                 // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.Learn`
+	clf.LearnWeighted(m, true, 10)     // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.LearnWeighted`
+	clf.LearnTokenStream(ts, false, 1) // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.LearnTokenStream`
+	in := e.LearnStream()              // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.LearnStream`
 	in <- m
 }
 

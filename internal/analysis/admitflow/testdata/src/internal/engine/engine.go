@@ -16,11 +16,15 @@ type Admitter interface {
 	Admit(m *Message, spam bool) Decision
 }
 
-// Classifier is the backend contract; Learn/LearnWeighted are
-// backend-level sinks.
+// TokenStream stands in for tokenize.TokenStream.
+type TokenStream struct{ Tokens []string }
+
+// Classifier is the backend contract; Learn, LearnWeighted and
+// LearnTokenStream are backend-level sinks.
 type Classifier interface {
 	Learn(m *Message, spam bool)
 	LearnWeighted(m *Message, spam bool, weight int)
+	LearnTokenStream(ts *TokenStream, spam bool, weight int)
 }
 
 // Engine serves a classifier; its training methods are the

@@ -36,7 +36,8 @@
 //   - admitflow (internal/analysis/admitflow): outside the packages
 //     that own training, no call path may reach the engine's training
 //     surface (LearnStream / Retrain* / Swap*) or a backend's raw
-//     Learn/LearnWeighted without passing through Guarded/Admitter —
+//     Learn/LearnWeighted/LearnTokenStream without passing through
+//     Guarded/Admitter —
 //     the guarded-training invariant the PR 5 admission layer exists
 //     to enforce, closed against future call sites.
 //   - hookorder (internal/analysis/hookorder): a PrePublish or
