@@ -51,6 +51,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -444,10 +445,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 	}
 	// In full duplex, net/http leaves a body the handler stopped reading
 	// (a bad line) for after the handler returns, where reaching its EOF
-	// races the connection's next read and panics. Closing it here
-	// discards the rest (up to net/http's 256 KB, past which the
-	// connection closes) while the handler still owns the connection.
-	defer r.Body.Close()
+	// races the connection's next read and panics. So the handler ends
+	// the body itself while it still owns the connection: it drains what
+	// the client is still sending, up to one line's cap, then closes.
+	// Closing alone discards only net/http's 256 KB and then closes the
+	// connection, and a client still sending a long batch rejected at an
+	// early line would see EOF instead of the error line.
+	defer func() {
+		io.CopyN(io.Discard, r.Body, maxBodyBytes)
+		r.Body.Close()
+	}()
 	if !s.acquire(w, r) {
 		return
 	}
