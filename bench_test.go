@@ -214,19 +214,19 @@ func BenchmarkExtPseudospam(b *testing.B) {
 func BenchmarkAblationWeightedLearn(b *testing.B) {
 	e := env(b)
 	attack := core.NewDictionaryAttack(e.Aspell).BuildAttack(e.RNG("bench"))
-	tokens := e.Tok.TokenSet(attack)
+	ts := e.Tok.Stream(attack)
 	const copies = 100
 	b.Run("weighted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			f := sbayes.NewDefault()
-			f.LearnTokens(tokens, true, copies)
+			f.LearnTokenStream(ts, true, copies)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			f := sbayes.NewDefault()
 			for c := 0; c < copies; c++ {
-				f.LearnTokens(tokens, true, 1)
+				f.LearnTokenStream(ts, true, 1)
 			}
 		}
 	})
@@ -263,14 +263,8 @@ func BenchmarkAblationRONIUnlearn(b *testing.B) {
 	})
 }
 
-// unboundFilter is a SpamBayes filter with every capability RONI uses
-// except engine.ValidationBinder.
-type unboundFilter struct {
-	engine.Classifier
-	engine.StreamClassifier
-	engine.StreamLearner
-	engine.Tokenizing
-}
+// unboundFilter is a SpamBayes filter without engine.ValidationBinder.
+type unboundFilter struct{ engine.Classifier }
 
 // BenchmarkRONIProbe measures one RONI probe at the paper's parameters
 // (5 trials, |T| = 20, |V| = 50) on a pre-tokenized query, the way
@@ -292,8 +286,7 @@ func BenchmarkRONIProbe(b *testing.B) {
 	}{
 		{"bound", func() engine.Classifier { return sbayes.New(sbayes.DefaultOptions(), e.Tok) }},
 		{"learn-unlearn", func() engine.Classifier {
-			f := sbayes.New(sbayes.DefaultOptions(), e.Tok)
-			return unboundFilter{f, f, f, f}
+			return unboundFilter{sbayes.New(sbayes.DefaultOptions(), e.Tok)}
 		}},
 	} {
 		d, err := core.NewRONIBackend(core.DefaultRONIConfig(), e.Pool, c.new, e.RNG("roni-probe-pool"))
@@ -369,16 +362,16 @@ func BenchmarkAblationChunkedDictionary(b *testing.B) {
 	r := e.RNG("chunk-ablation")
 	train := e.Gen.Corpus(r, 200, 200)
 	base := eval.TrainFilter(train, sbayes.DefaultOptions(), e.Tok)
-	probes := make([][]string, 40)
+	probes := make([]*tokenize.TokenStream, 40)
 	for i := range probes {
-		probes[i] = e.Tok.TokenSet(e.Gen.HamMessage(r))
+		probes[i] = e.Tok.Stream(e.Gen.HamMessage(r))
 	}
 	attack := core.NewDictionaryAttack(e.Optimal)
 	const copies = 20
 	damage := func(f *sbayes.Filter) float64 {
 		lost := 0
 		for _, p := range probes {
-			if l, _ := f.ClassifyTokens(p); l != sbayes.Ham {
+			if l, _ := f.ClassifyTokenStream(p); l != sbayes.Ham {
 				lost++
 			}
 		}
@@ -412,9 +405,9 @@ func BenchmarkAblationDiscriminators(b *testing.B) {
 	e := env(b)
 	r := e.RNG("disc-ablation")
 	train := e.Gen.Corpus(r, 200, 200)
-	probes := make([][]string, 50)
+	probes := make([]*tokenize.TokenStream, 50)
 	for i := range probes {
-		probes[i] = e.Tok.TokenSet(e.Gen.HamMessage(r))
+		probes[i] = e.Tok.Stream(e.Gen.HamMessage(r))
 	}
 	for _, cap := range []int{10, 50, 150, 10000} {
 		opts := sbayes.DefaultOptions()
@@ -422,7 +415,7 @@ func BenchmarkAblationDiscriminators(b *testing.B) {
 		f := eval.TrainFilter(train, opts, e.Tok)
 		b.Run(itoa(cap), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f.ScoreTokens(probes[i%len(probes)])
+				f.ScoreTokenStream(probes[i%len(probes)])
 			}
 		})
 	}
@@ -448,7 +441,7 @@ func BenchmarkAblationTokenizer(b *testing.B) {
 		tok := tokenize.New(opts)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tok.TokenSet(msgs[i%len(msgs)])
+				tok.Stream(msgs[i%len(msgs)])
 			}
 		})
 	}
@@ -482,12 +475,10 @@ func BenchmarkScenarioDeployment(b *testing.B) {
 // ---- Micro-benchmarks of the hot paths ----
 
 // BenchmarkTokenizeMessage measures tokenizer throughput (MB/s) and
-// per-message allocation. The stream sub-benchmark is the serving
-// path: an interned TokenStream built through the pooled per-message
-// scratch arena, so steady-state tokenization of familiar vocabulary
-// allocates only the stream's own arrays. tokenset is the legacy
-// []string materialization it replaced — the allocs/op ratio between
-// the two is the tokenize-once pipeline's headline win.
+// per-message allocation on the serving path: an interned TokenStream
+// built through the pooled per-message scratch arena, so steady-state
+// tokenization of familiar vocabulary allocates only the stream's own
+// arrays.
 func BenchmarkTokenizeMessage(b *testing.B) {
 	e := env(b)
 	m := e.Gen.HamMessage(e.RNG("micro-tok"))
@@ -499,27 +490,20 @@ func BenchmarkTokenizeMessage(b *testing.B) {
 			tok.Stream(m)
 		}
 	})
-	b.Run("tokenset", func(b *testing.B) {
-		b.SetBytes(int64(len(m.Body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tok.TokenSet(m)
-		}
-	})
 }
 
 // BenchmarkLearnMessage measures training throughput.
 func BenchmarkLearnMessage(b *testing.B) {
 	e := env(b)
 	r := e.RNG("micro-learn")
-	msgs := make([][]string, 200)
+	msgs := make([]*tokenize.TokenStream, 200)
 	for i := range msgs {
-		msgs[i] = e.Tok.TokenSet(e.Gen.Message(r, i%2 == 0))
+		msgs[i] = e.Tok.Stream(e.Gen.Message(r, i%2 == 0))
 	}
 	f := sbayes.NewDefault()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.LearnTokens(msgs[i%len(msgs)], i%2 == 0, 1)
+		f.LearnTokenStream(msgs[i%len(msgs)], i%2 == 0, 1)
 	}
 }
 
@@ -529,13 +513,13 @@ func BenchmarkClassifyMessage(b *testing.B) {
 	e := env(b)
 	r := e.RNG("micro-classify")
 	f := eval.TrainFilter(e.Gen.Corpus(r, 300, 300), sbayes.DefaultOptions(), e.Tok)
-	probes := make([][]string, 100)
+	probes := make([]*tokenize.TokenStream, 100)
 	for i := range probes {
-		probes[i] = e.Tok.TokenSet(e.Gen.Message(r, i%2 == 0))
+		probes[i] = e.Tok.Stream(e.Gen.Message(r, i%2 == 0))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.ClassifyTokens(probes[i%len(probes)])
+		f.ClassifyTokenStream(probes[i%len(probes)])
 	}
 }
 

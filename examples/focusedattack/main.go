@@ -59,8 +59,9 @@ func main() {
 
 	included := map[string]bool{}
 	//sbvet:retokenize exhibit inspects the attack payload's token set once, off the serving path
-	for _, tok := range repro.DefaultTokenizer().TokenSet(attackMsg) {
-		included[tok] = true
+	ts := repro.DefaultTokenizer().Stream(attackMsg)
+	for i := 0; i < ts.Len(); i++ {
+		included[string(ts.At(i))] = true
 	}
 	fmt.Println("\ntoken score shifts (first few):")
 	shown := 0

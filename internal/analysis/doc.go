@@ -21,10 +21,10 @@
 //     channel inside a context-aware function must either select on
 //     ctx.Done() or carry an explicit drain annotation (the PR 4
 //     Sharded.LearnStream cancellation-swallowing class).
-//   - tokenizeonce (internal/analysis/tokenizeonce): direct tokenizer
-//     calls are confined to the tokenization layer's own packages, so
-//     new double-tokenize call sites cannot creep into the serving or
-//     admission paths while the tokenize-once refactor is pending.
+//   - tokenizeonce (internal/analysis/tokenizeonce): direct calls to
+//     the tokenizer's entry point, Stream, are confined to the
+//     tokenization layer's own packages, so new double-tokenize call
+//     sites cannot creep into the serving or admission paths.
 //
 // The second round adds an interprocedural layer — a module-wide call
 // graph (CallGraph) over the already-type-checked packages, static

@@ -1,5 +1,5 @@
 // Fixture stand-in for the real tokenize package: same package name,
-// same Tokenizer type and entry points, so the analyzer's type-based
+// same Tokenizer type and entry point, so the analyzer's type-based
 // matching exercises the real shapes.
 package tokenize
 
@@ -9,30 +9,20 @@ type Tokenizer struct{}
 // Default returns a tokenizer.
 func Default() *Tokenizer { return &Tokenizer{} }
 
-// Tokenize may call sibling entry points freely: the package owns
-// tokenization.
-func (t *Tokenizer) Tokenize(m string) []string { return t.TokenizeText(m) }
-
-// TokenSet dedups the stream; calling Tokenize here is in-package and
-// allowed.
-func (t *Tokenizer) TokenSet(m string) []string { return t.Tokenize(m) }
-
-// TokenizeText tokenizes a bare body.
-func (t *Tokenizer) TokenizeText(s string) []string { return []string{s} }
-
-// DistinctCount is a derived-fact helper: callers outside the layer
-// ask for facts about tokens instead of tokenizing themselves.
-func (t *Tokenizer) DistinctCount(m string) int { return len(t.TokenSet(m)) }
-
 // TokenStream mimics the real interned stream.
 type TokenStream struct{ toks []string }
 
-// Stream is the tokenize-once entry point; fenced like the others.
-func (t *Tokenizer) Stream(m string) *TokenStream { return &TokenStream{toks: t.Tokenize(m)} }
+// Stream is the tokenize-once entry point, fenced outside the
+// allowlist.
+func (t *Tokenizer) Stream(m string) *TokenStream { return &TokenStream{toks: []string{m}} }
 
-// Strings materializes the stream back into a slice. The owning
-// package may call it (this call is in-package and quiet).
-func (s *TokenStream) Strings() []string { return append([]string(nil), s.toks...) }
+// DistinctCount is a derived-fact helper: callers outside the layer
+// ask for facts about tokens instead of tokenizing themselves. It may
+// call Stream freely: the package owns tokenization.
+func (t *Tokenizer) DistinctCount(m string) int { return len(t.Stream(m).toks) }
 
-// Render uses Strings in-package: the owner is allowed.
-func (s *TokenStream) Render() []string { return s.Strings() }
+// Stream on another type is not the tokenizer's entry point.
+type Pipeline struct{}
+
+// Stream here is unrelated to tokenization.
+func (Pipeline) Stream(m string) int { return len(m) }

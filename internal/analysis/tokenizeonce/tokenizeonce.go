@@ -5,20 +5,19 @@
 // message and flowing a *tokenize.TokenStream through
 // score/vet/learn. That invariant only holds if new double-tokenize
 // call sites cannot creep in, so this analyzer forbids direct calls
-// to the tokenizer's per-message entry points
-// ((*tokenize.Tokenizer).Tokenize, TokenSet, TokenizeText, Stream)
-// outside an allowlist of packages that legitimately own
-// tokenization:
+// to the tokenizer's one per-message entry point,
+// (*tokenize.Tokenizer).Stream, outside an allowlist of packages that
+// legitimately own tokenization:
 //
 //   - internal/tokenize itself;
 //   - internal/sbayes and internal/graham, the backends whose
 //     Learn/Classify/Score are the single sanctioned
 //     message->tokens boundary;
 //   - internal/engine, which tokenizes once at the batch boundary
-//     (streamPath, guardStream, vetCorpus) and hands the same stream
-//     to Classify, Admit, and the learn path;
-//   - internal/eval, whose TokenizeCorpus/StreamCorpus ARE the
-//     tokenize-once pattern (pre-tokenize, then score many times);
+//     and hands the same stream to Classify, Admit, and the learn
+//     path;
+//   - internal/eval, whose StreamCorpus IS the tokenize-once pattern
+//     (pre-tokenize, then score many times);
 //   - internal/core and internal/experiments, the offline exhibit
 //     layer that pre-tokenizes attack payloads and validation pools
 //     once per run, off the serving path.
@@ -28,14 +27,8 @@
 // explicit //sbvet:retokenize directive stating why this call site
 // may pay (and re-pay) the tokenization cost.
 //
-// The analyzer also fences (*tokenize.TokenStream).Strings in EVERY
-// package except internal/tokenize, allowlisted or not: converting a
-// stream back to []string rebuilds the materialized slice the
-// interned pipeline exists to avoid, so only diagnostics and
-// deliberately annotated call sites may do it.
-//
-// _test.go files are exempt from both checks: tests tokenize to
-// construct expected token sets.
+// _test.go files are exempt: tests tokenize to construct expected
+// token sets.
 package tokenizeonce
 
 import (
@@ -66,18 +59,8 @@ var Allow = []string{
 	"internal/experiments",
 }
 
-// entryPoints are the per-message tokenizer methods being fenced.
-var entryPoints = map[string]bool{
-	"Tokenize":     true,
-	"TokenSet":     true,
-	"TokenizeText": true,
-	"Stream":       true,
-}
-
 func run(pass *analysis.Pass) error {
-	pkgAllowed := allowed(pass.Pkg.Path())
-	streamOwner := isPkg(pass.Pkg.Path(), "internal/tokenize")
-	if pkgAllowed && streamOwner {
+	if allowed(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -87,35 +70,16 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fencedEntry := !pkgAllowed && entryPoints[sel.Sel.Name]
-			fencedStrings := !streamOwner && sel.Sel.Name == "Strings"
-			if !fencedEntry && !fencedStrings {
+			if !ok || sel.Sel.Name != "Stream" {
 				return true
 			}
 			fn := analysis.MethodCallee(pass.TypesInfo, sel)
-			if fn == nil {
-				return true
-			}
 			// Tests tokenize to construct expected token sets; the
 			// once-per-message economy is a serving-path concern.
-			if pass.IsTestFile(call.Lparen) {
+			if fn == nil || !isTokenizerMethod(fn) || pass.IsTestFile(call.Lparen) || pass.ExemptedAt(call.Lparen, "retokenize") {
 				return true
 			}
-			switch {
-			case fencedEntry && isTokenizeMethod(fn, "Tokenizer"):
-				if pass.ExemptedAt(call.Lparen, "retokenize") {
-					return true
-				}
-				pass.Reportf(call.Lparen, "direct call to (*tokenize.Tokenizer).%s outside the tokenization layer; the hot path must tokenize each message once and flow the tokens (see the tokenize-once roadmap item) — move the work behind an allowlisted package or annotate //sbvet:retokenize with a reason", sel.Sel.Name)
-			case fencedStrings && isTokenizeMethod(fn, "TokenStream"):
-				if pass.ExemptedAt(call.Lparen, "retokenize") {
-					return true
-				}
-				pass.Reportf(call.Lparen, "call to (*tokenize.TokenStream).Strings outside internal/tokenize; materializing the stream back into a []string defeats the interned token pipeline — iterate At/Count instead or annotate //sbvet:retokenize with a reason")
-			}
+			pass.Reportf(call.Lparen, "direct call to (*tokenize.Tokenizer).Stream outside the tokenization layer; the hot path must tokenize each message once and flow the stream — move the work behind an allowlisted package or annotate //sbvet:retokenize with a reason")
 			return true
 		})
 	}
@@ -137,9 +101,9 @@ func isPkg(pkgPath, entry string) bool {
 	return pkgPath == entry || strings.HasSuffix(pkgPath, "/"+entry)
 }
 
-// isTokenizeMethod reports whether fn is a method on the named type
-// recv from the tokenize package.
-func isTokenizeMethod(fn *types.Func, recv string) bool {
+// isTokenizerMethod reports whether fn is a method on the tokenize
+// package's Tokenizer.
+func isTokenizerMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false
@@ -153,5 +117,5 @@ func isTokenizeMethod(fn *types.Func, recv string) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == recv && obj.Pkg() != nil && obj.Pkg().Name() == "tokenize"
+	return obj.Name() == "Tokenizer" && obj.Pkg() != nil && obj.Pkg().Name() == "tokenize"
 }

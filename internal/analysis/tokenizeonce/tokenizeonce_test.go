@@ -7,13 +7,11 @@ import (
 	"repro/internal/analysis/tokenizeonce"
 )
 
-// TestFixtures proves the analyzer fences the tokenizer's entry
-// points (including the tokenize-once Stream constructor): direct
-// calls in a non-allowlisted package are flagged, while the tokenize
-// package itself, an allowlisted pre-tokenizing consumer,
-// derived-fact helpers, and the //sbvet:retokenize escape hatch stay
-// quiet. It also proves the (*TokenStream).Strings fence holds in
-// every package except internal/tokenize — allowlisted or not.
+// TestFixtures proves the analyzer fences the tokenizer's entry point,
+// Stream: a direct call in a non-allowlisted package is flagged, while
+// the tokenize package itself, an allowlisted pre-tokenizing consumer,
+// derived-fact helpers, a Stream method on another type, and the
+// //sbvet:retokenize escape hatch stay quiet.
 func TestFixtures(t *testing.T) {
 	analysistest.Run(t, "testdata", tokenizeonce.Analyzer,
 		"internal/tokenize", "internal/eval", "serving")

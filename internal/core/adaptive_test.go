@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/lexicon"
-	"repro/internal/mail"
 	"repro/internal/stats"
 	"repro/internal/textgen"
 
@@ -149,12 +148,6 @@ func TestDynamicThresholdRefit(t *testing.T) {
 	}
 }
 
-// noThresholds is a Classifier without the ThresholdSetter capability.
-type noThresholds struct{}
-
-func (noThresholds) Learn(*mail.Message, bool)                      {}
-func (noThresholds) LearnWeighted(*mail.Message, bool, int)         {}
-func (noThresholds) Unlearn(*mail.Message, bool) error              { return nil }
-func (noThresholds) Classify(*mail.Message) (engine.Label, float64) { return engine.Ham, 0 }
-func (noThresholds) Score(*mail.Message) float64                    { return 0 }
-func (noThresholds) Counts() (int, int)                             { return 0, 0 }
+// noThresholds is a Classifier without the ThresholdSetter
+// capability; Refit refuses it before calling any of its methods.
+type noThresholds struct{ engine.Classifier }

@@ -118,12 +118,12 @@ func TestDictionaryAttackEmail(t *testing.T) {
 		t.Errorf("attack email has %d header fields, want 0", len(m.Header))
 	}
 	// Body contains every lexicon word exactly once.
-	toks := tokenize.Default().TokenSet(m)
-	if len(toks) != lex.Len() {
-		t.Errorf("attack token set = %d, lexicon = %d", len(toks), lex.Len())
+	ts := tokenize.Default().Stream(m)
+	if ts.Len() != lex.Len() {
+		t.Errorf("attack token set = %d, lexicon = %d", ts.Len(), lex.Len())
 	}
-	for _, tok := range toks[:10] {
-		if !lex.Contains(tok) {
+	for i := 0; i < 10; i++ {
+		if tok := string(ts.At(i)); !lex.Contains(tok) {
 			t.Errorf("attack token %q not in lexicon", tok)
 		}
 	}
@@ -136,9 +136,8 @@ func TestOptimalAttackCoversUniverse(t *testing.T) {
 		t.Errorf("Name = %q", a.Name())
 	}
 	m := a.BuildAttack(stats.NewRNG(1))
-	toks := tokenize.Default().TokenSet(m)
-	if len(toks) != u.Size() {
-		t.Errorf("optimal attack tokens = %d, universe = %d", len(toks), u.Size())
+	if n := tokenize.Default().Stream(m).Len(); n != u.Size() {
+		t.Errorf("optimal attack tokens = %d, universe = %d", n, u.Size())
 	}
 }
 
@@ -328,9 +327,9 @@ func TestMonotonicityExpectedScore(t *testing.T) {
 	// message counts — must vary here.
 	scoreWith := func(attackWords []string) float64 {
 		f := base.Clone()
-		f.LearnTokens(attackWords, true, 10)
+		f.LearnTokenStream(tokenize.StreamFromTokens(attackWords), true, 10)
 		return ExpectedSpamScore(r.Clone(), p, 60, func(words []string) float64 {
-			return f.ScoreTokens(words)
+			return f.ScoreTokenStream(tokenize.StreamFromTokens(words))
 		})
 	}
 	small := u.Words(textgen.SegStandard)[:4]

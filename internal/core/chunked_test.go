@@ -23,8 +23,9 @@ func TestBuildChunkedPartition(t *testing.T) {
 			if len(m.Header) != 0 {
 				t.Error("chunk has a header")
 			}
-			for _, w := range tok.TokenSet(m) {
-				seen[w]++
+			ts := tok.Stream(m)
+			for i := 0; i < ts.Len(); i++ {
+				seen[string(ts.At(i))]++
 			}
 		}
 		// The chunks partition the lexicon: every word exactly once.
@@ -63,10 +64,10 @@ func TestChunkedWeakerThanReplicated(t *testing.T) {
 	for _, e := range train.Examples {
 		base.Learn(e.Msg, e.Spam)
 	}
-	msgs := make([][]string, 0, 50)
+	msgs := make([]*tokenize.TokenStream, 0, 50)
 	tok := tokenize.Default()
 	for i := 0; i < 50; i++ {
-		msgs = append(msgs, tok.TokenSet(g.HamMessage(r)))
+		msgs = append(msgs, tok.Stream(g.HamMessage(r)))
 	}
 
 	attack := NewDictionaryAttack(lexicon.Optimal(g.Universe()))
@@ -75,7 +76,7 @@ func TestChunkedWeakerThanReplicated(t *testing.T) {
 	meanScore := func(f *sbayes.Filter) float64 {
 		total := 0.0
 		for _, m := range msgs {
-			total += f.ScoreTokens(m)
+			total += f.ScoreTokenStream(m)
 		}
 		return total / float64(len(msgs))
 	}

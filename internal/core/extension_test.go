@@ -7,6 +7,7 @@ import (
 	"repro/internal/mail"
 	"repro/internal/sbayes"
 	"repro/internal/stats"
+	"repro/internal/tokenize"
 )
 
 func TestInformedAttackValidation(t *testing.T) {
@@ -111,7 +112,7 @@ func TestInformedBeatsRandomAtEqualBudget(t *testing.T) {
 	// verdict flips at this scale.
 	damage := func(words []string) float64 {
 		f := base.Clone()
-		f.LearnTokens(words, true, 30)
+		f.LearnTokenStream(tokenize.StreamFromTokens(words), true, 30)
 		total := 0.0
 		for _, m := range probes {
 			total += f.Score(m)

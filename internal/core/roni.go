@@ -80,33 +80,36 @@ type Impact struct {
 }
 
 // roniTrial is one sampled (T, V) pair with its baseline counts. The
-// clf is any backend; the optional capability views (bound,
-// streamClf, streamLearner) are resolved once at construction so the
-// per-query hot path pays no type assertions.
+// clf is any backend; whether it binds validation sets is resolved
+// once at construction so the per-query hot path pays no type
+// assertions.
 type roniTrial struct {
 	clf engine.Classifier
 	// bound is the validation set bound to clf, when the backend binds
 	// them: a probe then labels V as if Q were learned, in one pass,
-	// without touching clf. nil: Learn → re-evaluate → Unlearn.
-	bound         engine.ValidationSet
-	labels        []engine.Label          // bound's output, reused per probe
-	streamClf     engine.StreamClassifier // nil: bound, or classify val messages directly
-	streamLearner engine.StreamLearner    // nil: Learn/Unlearn the query message
-	val           []corpus.Example
-	valStreams    []*tokenize.TokenStream
-	baseHamHam    int
-	baseCorrect   int
+	// without touching clf. nil: learn Q's stream, re-score valStreams,
+	// unlearn it.
+	bound       engine.ValidationSet
+	labels      []engine.Label // bound's output, reused per probe
+	val         []corpus.Example
+	valStreams  []*tokenize.TokenStream // nil when bound
+	baseHamHam  int
+	baseCorrect int
 }
 
 // RONI is a reusable impact evaluator over one message pool. It works
 // against any backend: trial filters are built clone-and-train style
 // from a fresh classifier per trial. Backends that bind validation sets
 // (engine.ValidationBinder) measure a tokenized query without mutating
-// the trial filters; any other Classifier is measured with Learn →
-// re-evaluate → Unlearn. An evaluator is not safe for concurrent use.
+// the trial filters; any other Classifier is measured by learning the
+// query's stream, re-scoring and unlearning it. An evaluator is not
+// safe for concurrent use.
 type RONI struct {
-	cfg    RONIConfig
-	tok    *tokenize.Tokenizer // non-nil: all trials share it, query streams are reused
+	cfg RONIConfig
+	// tok tokenizes queries that arrive without a stream. A factory
+	// hands every trial an identically configured tokenizer, so one
+	// tokenization of the query serves all trials.
+	tok    *tokenize.Tokenizer
 	trials []roniTrial
 }
 
@@ -126,8 +129,7 @@ func NewRONI(cfg RONIConfig, pool *corpus.Corpus, opts sbayes.Options, tok *toke
 
 // NewRONIBackend is NewRONI against an arbitrary backend: each trial
 // filter comes from newClassifier (typically a registered Backend's
-// New). Backends that expose their tokenizer and consume token
-// streams get the same tokenize-once fast path as SpamBayes.
+// New).
 func NewRONIBackend(cfg RONIConfig, pool *corpus.Corpus, newClassifier engine.Factory, r *stats.RNG) (*RONI, error) {
 	return newRONI(cfg, pool, newClassifier, r)
 }
@@ -149,44 +151,22 @@ func newRONI(cfg RONIConfig, pool *corpus.Corpus, newClassifier engine.Factory, 
 		for _, e := range trainSet {
 			clf.Learn(e.Msg, e.Spam)
 		}
+		d.tok = clf.Tokenizer()
+		// Tokenize the validation set once, and bind it once when the
+		// backend can (the bound set no longer needs the streams).
 		trial := roniTrial{clf: clf, val: valSet}
-		trial.streamLearner, _ = clf.(engine.StreamLearner)
-		// Tokenize the validation set once when the backend can both
-		// expose its tokenizer and score token streams, and bind it
-		// once when the backend can (the bound set no longer needs the
-		// streams).
-		if tokenizing, ok := clf.(engine.Tokenizing); ok {
-			if streamClf, ok := clf.(engine.StreamClassifier); ok {
-				streams := make([]*tokenize.TokenStream, len(valSet))
-				for i, e := range valSet {
-					streams[i] = tokenizing.Tokenizer().Stream(e.Msg)
-				}
-				if binder, ok := clf.(engine.ValidationBinder); ok {
-					trial.bound = binder.BindValidation(streams)
-					trial.labels = make([]engine.Label, len(valSet))
-				} else {
-					trial.streamClf, trial.valStreams = streamClf, streams
-				}
-			}
+		streams := make([]*tokenize.TokenStream, len(valSet))
+		for i, e := range valSet {
+			streams[i] = d.tok.Stream(e.Msg)
+		}
+		if binder, ok := clf.(engine.ValidationBinder); ok {
+			trial.bound = binder.BindValidation(streams)
+			trial.labels = make([]engine.Label, len(valSet))
+		} else {
+			trial.valStreams = streams
 		}
 		trial.baseHamHam, trial.baseCorrect = trial.evaluate(nil, false)
 		d.trials = append(d.trials, trial)
-	}
-	// When every trial filter takes the query as a token stream (bound
-	// or learned), one tokenization of the query serves all trials: a
-	// factory hands every trial an identically configured tokenizer, so
-	// any trial's will do.
-	allStreams := len(d.trials) > 0
-	for i := range d.trials {
-		if d.trials[i].bound == nil && d.trials[i].streamLearner == nil {
-			allStreams = false
-			break
-		}
-	}
-	if allStreams {
-		if tokenizing, ok := d.trials[0].clf.(engine.Tokenizing); ok {
-			d.tok = tokenizing.Tokenizer()
-		}
 	}
 	return d, nil
 }
@@ -201,13 +181,10 @@ func (t *roniTrial) evaluate(q *tokenize.TokenStream, qSpam bool) (hamHam, corre
 	}
 	for i, e := range t.val {
 		var label engine.Label
-		switch {
-		case t.bound != nil:
+		if t.bound != nil {
 			label = t.labels[i]
-		case t.streamClf != nil:
-			label, _ = t.streamClf.ClassifyTokenStream(t.valStreams[i])
-		default:
-			label, _ = t.clf.Classify(e.Msg)
+		} else {
+			label, _ = t.clf.ClassifyTokenStream(t.valStreams[i])
 		}
 		if e.Spam {
 			if label == engine.Spam {
@@ -237,16 +214,15 @@ func (d *RONI) MeasureImpact(q *mail.Message, qSpam bool) Impact {
 
 // MeasureImpactStream is MeasureImpact for a query already tokenized
 // once by the caller. ts may be nil, in which case the evaluator
-// tokenizes Q itself when every trial filter learns streams (and
-// falls back to whole-message Learn/Unlearn otherwise).
+// tokenizes Q itself, once for every trial.
 func (d *RONI) MeasureImpactStream(q *mail.Message, ts *tokenize.TokenStream, qSpam bool) Impact {
-	if ts == nil && d.tok != nil {
+	if ts == nil {
 		ts = d.tok.Stream(q)
 	}
 	var hamHamDelta, correctDelta float64
 	for i := range d.trials {
 		t := &d.trials[i]
-		hh, corr := t.measure(q, ts, qSpam)
+		hh, corr := t.measure(ts, qSpam)
 		hamHamDelta += float64(hh - t.baseHamHam)
 		correctDelta += float64(corr - t.baseCorrect)
 	}
@@ -255,25 +231,15 @@ func (d *RONI) MeasureImpactStream(q *mail.Message, ts *tokenize.TokenStream, qS
 }
 
 // measure evaluates the trial with Q learned: in one bound pass when
-// the trial has a bound validation set and Q a stream, else by
-// training Q into the trial filter and unlearning it afterwards.
-func (t *roniTrial) measure(q *mail.Message, ts *tokenize.TokenStream, qSpam bool) (hamHam, correct int) {
-	if ts != nil && t.bound != nil {
+// the trial has a bound validation set, else by training Q's stream
+// into the trial filter and unlearning it afterwards.
+func (t *roniTrial) measure(ts *tokenize.TokenStream, qSpam bool) (hamHam, correct int) {
+	if t.bound != nil {
 		return t.evaluate(ts, qSpam)
 	}
-	if ts != nil && t.streamLearner != nil {
-		t.streamLearner.LearnTokenStream(ts, qSpam, 1)
-	} else {
-		t.clf.Learn(q, qSpam)
-	}
+	t.clf.LearnTokenStream(ts, qSpam, 1)
 	hamHam, correct = t.evaluate(nil, false)
-	var err error
-	if ts != nil && t.streamLearner != nil {
-		err = t.streamLearner.UnlearnTokenStream(ts, qSpam, 1)
-	} else {
-		err = t.clf.Unlearn(q, qSpam)
-	}
-	if err != nil {
+	if err := t.clf.UnlearnTokenStream(ts, qSpam, 1); err != nil {
 		// Unlearning what was just learned cannot underflow.
 		panic(fmt.Sprintf("core: RONI unlearn: %v", err))
 	}

@@ -11,20 +11,12 @@ import (
 	"repro/internal/tokenize"
 )
 
-// unbound is a SpamBayes filter with every capability RONI uses except
-// ValidationBinder, so a RONI over it measures queries the unbound way:
-// Learn → re-score the validation set → Unlearn.
-type unbound struct {
-	engine.Classifier
-	engine.StreamClassifier
-	engine.StreamLearner
-	engine.Tokenizing
-}
+// unbound is a SpamBayes filter without ValidationBinder, so a RONI
+// over it measures queries the unbound way: learn the query's stream,
+// re-score the validation set, unlearn it.
+type unbound struct{ engine.Classifier }
 
-func newUnbound() engine.Classifier {
-	f := sbayes.NewDefault()
-	return unbound{f, f, f, f}
-}
+func newUnbound() engine.Classifier { return unbound{sbayes.NewDefault()} }
 
 // TestRONIBoundMatchesLearnUnlearn proves the bound probe measures
 // exactly what learn-and-unlearn measures: two evaluators sampled

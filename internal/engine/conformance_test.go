@@ -219,7 +219,7 @@ func TestConformanceValidationBinderMatchesLearn(t *testing.T) {
 		if !ok {
 			t.Skipf("%s does not bind validation sets", backend)
 		}
-		tok := clf.(engine.Tokenizing).Tokenizer()
+		tok := clf.Tokenizer()
 		var streams []*tokenize.TokenStream
 		for _, body := range []string{
 			"meeting winner agenda lottery report\n",
@@ -241,14 +241,13 @@ func TestConformanceValidationBinderMatchesLearn(t *testing.T) {
 		} {
 			qs := tok.Stream(msg(q.body))
 			set.ClassifyWith(qs, q.spam, got)
-			learner := clf.(engine.StreamLearner)
-			learner.LearnTokenStream(qs, q.spam, 1)
+			clf.LearnTokenStream(qs, q.spam, 1)
 			for i, ts := range streams {
-				if want, _ := clf.(engine.StreamClassifier).ClassifyTokenStream(ts); got[i] != want {
+				if want, _ := clf.ClassifyTokenStream(ts); got[i] != want {
 					t.Errorf("query %q stream %d: bound %v, learned %v", q.body, i, got[i], want)
 				}
 			}
-			if err := learner.UnlearnTokenStream(qs, q.spam, 1); err != nil {
+			if err := clf.UnlearnTokenStream(qs, q.spam, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

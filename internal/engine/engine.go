@@ -12,11 +12,13 @@
 //
 // The package has these layers:
 //
-//   - the contract: Classifier plus the optional capability
-//     interfaces (TokenClassifier, TokenLearner, StreamClassifier,
-//     StreamLearner, Persistable, Tokenizing, ValidationBinder,
-//     Cloner) that fast paths, persistence, and incremental
-//     retraining discover with type assertions;
+//   - the contract: Classifier, which every backend implements over
+//     token streams (it embeds Tokenizing, StreamClassifier and
+//     StreamLearner, so the engine tokenizes each message once and
+//     scores, vets and learns that one stream), plus the optional
+//     capability interfaces (Persistable, ValidationBinder, Cloner)
+//     that persistence, RONI probes and incremental retraining
+//     discover with type assertions;
 //   - the Backend registry, keyed by name ("sbayes", "graham"), which
 //     backends join from their package init and callers query to pick
 //     a learner per deployment configuration;
@@ -82,11 +84,20 @@ func (l Label) String() string {
 }
 
 // Classifier is the backend-generic learner contract: incremental
-// training and untraining plus scoring. Implementations are not
-// required to be safe for concurrent mutation, but concurrent
-// Classify/Score calls without interleaved Learn calls must be safe —
-// Engine relies on that to parallelize batches.
+// training and untraining plus scoring, over a message or over the
+// token stream the classifier's own tokenizer makes of it. The stream
+// methods are the contract the serving path uses — the engine
+// tokenizes each message exactly once at the batch boundary, and
+// scoring, admission vetting and learning all consume that one stream
+// — while the message methods are the convenience over them.
+// Implementations are not required to be safe for concurrent
+// mutation, but concurrent Classify/Score calls (message or stream)
+// without interleaved Learn calls must be safe — Engine relies on that
+// to parallelize batches.
 type Classifier interface {
+	Tokenizing
+	StreamClassifier
+	StreamLearner
 	// Learn trains on one message with the given label.
 	Learn(m *mail.Message, isSpam bool)
 	// LearnWeighted trains as if weight identical copies of the
@@ -104,40 +115,18 @@ type Classifier interface {
 	Counts() (nspam, nham int)
 }
 
-// TokenClassifier is the capability of scoring a pre-tokenized
-// message (a distinct-token set). Hot loops tokenize a test corpus
-// once and re-score it many times through this interface.
-type TokenClassifier interface {
-	ClassifyTokens(tokens []string) (Label, float64)
-}
-
-// TokenLearner is the capability of training directly on a
-// distinct-token set with a multiplicity. Only backends whose
-// training is per-message token presence (SpamBayes) can offer it;
-// backends that count token occurrences (Graham) cannot, and callers
-// must fall back to Learn/Unlearn on the message.
-type TokenLearner interface {
-	LearnTokens(tokens []string, isSpam bool, weight int)
-	UnlearnTokens(tokens []string, isSpam bool, weight int) error
-}
-
-// StreamClassifier is the capability of scoring a tokenized message
-// (a tokenize.TokenStream) directly. This is the serving-path fast
-// lane of the tokenize-once pipeline: the engine tokenizes each
-// message exactly once at the batch boundary and every downstream
-// stage — scoring, admission vetting, learning — consumes the same
-// stream through these interfaces instead of re-tokenizing.
+// StreamClassifier scores a tokenized message (a tokenize.TokenStream)
+// directly. Classifier embeds it; the name stays so code that needs
+// only scoring can say so.
 type StreamClassifier interface {
 	ClassifyTokenStream(ts *tokenize.TokenStream) (Label, float64)
 	ScoreTokenStream(ts *tokenize.TokenStream) float64
 }
 
-// StreamLearner is the capability of training directly on a tokenized
-// message. Unlike TokenLearner, every backend can offer it: the
-// stream carries per-token occurrence counts, so occurrence-counting
-// backends (Graham) recover exactly what they would have read from
-// the raw message, and presence backends (SpamBayes) simply ignore
-// the counts.
+// StreamLearner trains directly on a tokenized message. The stream
+// carries per-token occurrence counts, so occurrence-counting backends
+// (Graham) recover exactly what they would have read from the raw
+// message, and presence backends (SpamBayes) simply ignore the counts.
 type StreamLearner interface {
 	LearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int)
 	UnlearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) error
@@ -151,9 +140,9 @@ type Persistable interface {
 	Load(r io.Reader) error
 }
 
-// Tokenizing is the capability of exposing the tokenizer the
-// classifier trains and scores with, so callers can pre-tokenize
-// corpora consistently with the backend.
+// Tokenizing exposes the tokenizer the classifier trains and scores
+// with, so callers tokenize messages and corpora exactly as the
+// backend would. Classifier embeds it.
 type Tokenizing interface {
 	Tokenizer() *tokenize.Tokenizer
 }

@@ -74,8 +74,9 @@ type Admitter interface {
 	// non-nil, is m tokenized once by the caller with the tokenizer the
 	// filter would learn it under — admitters consume it instead of
 	// re-tokenizing (the tokenize-once contract). A nil ts means the
-	// caller had no tokenizer; admitters that need tokens fall back to
-	// tokenizing m themselves.
+	// caller holds no stream (a quarantine hold resumed from saved
+	// admission state carries none); admitters that need tokens then
+	// tokenize m themselves.
 	Admit(ctx context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) AdmitDecision
 }
 
@@ -259,15 +260,11 @@ func (g *Guarded) Stats() ShardedStats { return g.fleet.Stats() }
 // the admission counters of the shard the candidate routes to, and
 // routes a quarantine verdict to the configured sink. It is the
 // tokenizing adapter over VetStream: the candidate is tokenized once
-// here (with that shard's serving tokenizer, when it exposes one) and
-// the same stream feeds the admitter and the quarantine sink. Callers
-// already holding the stream call VetStream instead.
+// here, with that shard's serving tokenizer, and the same stream feeds
+// the admitter and the quarantine sink. Callers already holding the
+// stream call VetStream instead.
 func (g *Guarded) Vet(ctx context.Context, m *mail.Message, spam bool) AdmitDecision {
-	var ts *tokenize.TokenStream
-	if tok := tokenizerOf(g.fleet.shards[g.fleet.ShardFor(m)].Classifier()); tok != nil {
-		ts = tok.Stream(m)
-	}
-	return g.VetStream(ctx, m, ts, spam)
+	return g.VetStream(ctx, m, g.tokFor()(m).Stream(m), spam)
 }
 
 // VetStream is the single vetting chokepoint every guarded training
@@ -299,11 +296,11 @@ func (g *Guarded) VetStream(ctx context.Context, m *mail.Message, ts *tokenize.T
 // tokFor resolves each shard's serving tokenizer once and returns the
 // per-message routing view of them, so batch vetting and the guarded
 // stream tokenize each candidate exactly once with the tokenizer of
-// the shard that would train it (nil when that shard has none).
+// the shard that would train it.
 func (g *Guarded) tokFor() func(*mail.Message) *tokenize.Tokenizer {
 	toks := make([]*tokenize.Tokenizer, g.fleet.NumShards())
 	for i, e := range g.fleet.shards {
-		toks[i] = tokenizerOf(e.Classifier())
+		toks[i] = e.Classifier().Tokenizer()
 	}
 	return func(m *mail.Message) *tokenize.Tokenizer { return toks[g.fleet.ShardFor(m)] }
 }
@@ -320,11 +317,7 @@ func (g *Guarded) VetCorpus(ctx context.Context, c *corpus.Corpus) (*corpus.Corp
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var ts *tokenize.TokenStream
-		if tok := tokFor(ex.Msg); tok != nil {
-			ts = tok.Stream(ex.Msg)
-		}
-		if g.VetStream(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
+		if g.VetStream(ctx, ex.Msg, tokFor(ex.Msg).Stream(ex.Msg), ex.Spam).Verdict == AdmitAccept {
 			kept.Add(ex.Msg, ex.Spam)
 		}
 	}
@@ -479,9 +472,7 @@ func (g *Guarded) LearnStream(ctx context.Context) (chan<- Labeled, func() (int,
 				}
 				ts := ex.Stream
 				if ts == nil {
-					if tok := tokFor(ex.Msg); tok != nil {
-						ts = tok.Stream(ex.Msg)
-					}
+					ts = tokFor(ex.Msg).Stream(ex.Msg)
 				}
 				if g.VetStream(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
 					// On cancellation the inner consumer drains its own

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/mail"
+	"repro/internal/tokenize"
 )
 
 // countingClassifier exposes exactly how many examples it has been
@@ -24,16 +25,29 @@ type countingClassifier struct {
 	trained int
 }
 
+func (c *countingClassifier) Tokenizer() *tokenize.Tokenizer { return stubTok }
+func (c *countingClassifier) LearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) {
+	c.trained += weight
+}
+func (c *countingClassifier) UnlearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) error {
+	if c.trained < weight {
+		return errors.New("counting: underflow")
+	}
+	c.trained -= weight
+	return nil
+}
+func (c *countingClassifier) ScoreTokenStream(*tokenize.TokenStream) float64 {
+	return float64(c.trained)
+}
+func (c *countingClassifier) ClassifyTokenStream(*tokenize.TokenStream) (Label, float64) {
+	return Unsure, float64(c.trained)
+}
 func (c *countingClassifier) Learn(m *mail.Message, isSpam bool) { c.trained++ }
 func (c *countingClassifier) LearnWeighted(m *mail.Message, isSpam bool, weight int) {
 	c.trained += weight
 }
 func (c *countingClassifier) Unlearn(m *mail.Message, isSpam bool) error {
-	if c.trained == 0 {
-		return errors.New("counting: underflow")
-	}
-	c.trained--
-	return nil
+	return c.UnlearnTokenStream(nil, isSpam, 1)
 }
 func (c *countingClassifier) Score(m *mail.Message) float64 { return float64(c.trained) }
 func (c *countingClassifier) Classify(m *mail.Message) (Label, float64) {

@@ -177,42 +177,6 @@ type Result struct {
 	Score float64
 }
 
-// streamPath is the resolved tokenize-once fast lane for one snapshot:
-// when the serving classifier both consumes token streams and exposes
-// its tokenizer, the engine tokenizes each message exactly once at the
-// batch boundary and scores the stream directly. Resolution happens
-// once per batch (two type assertions), not once per message.
-type streamPath struct {
-	sc  StreamClassifier
-	tok *tokenize.Tokenizer
-}
-
-// streamPathFor resolves the fast lane for clf; ok is false when the
-// classifier lacks either capability and callers must fall back to
-// whole-message scoring.
-func streamPathFor(clf Classifier) (streamPath, bool) {
-	sc, ok := clf.(StreamClassifier)
-	if !ok {
-		return streamPath{}, false
-	}
-	tok := tokenizerOf(clf)
-	if tok == nil {
-		return streamPath{}, false
-	}
-	return streamPath{sc: sc, tok: tok}, true
-}
-
-// tokenizerOf returns clf's tokenizer when it exposes one, nil
-// otherwise — the shared capability probe of the scoring fast lane and
-// the guarded vetting path (which tokenizes candidates with the same
-// tokenizer the filter would learn them under).
-func tokenizerOf(clf Classifier) *tokenize.Tokenizer {
-	if tz, ok := clf.(Tokenizing); ok {
-		return tz.Tokenizer()
-	}
-	return nil
-}
-
 // Classify scores one message against the current snapshot — the
 // at-delivery verdict an online deployment hands the user while
 // retraining may be running in the background. Its wall-clock cost is
@@ -221,25 +185,22 @@ func tokenizerOf(clf Classifier) *tokenize.Tokenizer {
 func (e *Engine) Classify(m *mail.Message) Result {
 	start := time.Now()
 	s := e.cur.Load()
-	var label Label
-	var score float64
-	var digest uint64
-	if sp, ok := streamPathFor(s.clf); ok {
-		ts := sp.tok.Stream(m)
-		digest = ts.Digest()
-		label, score = sp.sc.ClassifyTokenStream(ts)
-	} else {
-		label, score = s.clf.Classify(m)
-	}
+	ts := s.clf.Tokenizer().Stream(m)
+	label, score := s.clf.ClassifyTokenStream(ts)
 	e.classifyLat.ObserveSince(start)
 	e.byLabel[labelIndex(label)].Inc()
-	if digest != 0 && e.trace.Sampled(digest) {
+	e.traceClassify(s.gen, ts, label, score)
+	return Result{Label: label, Score: score}
+}
+
+// traceClassify records a sampled classify verdict.
+func (e *Engine) traceClassify(gen uint64, ts *tokenize.TokenStream, label Label, score float64) {
+	if d := ts.Digest(); e.trace.Sampled(d) {
 		e.trace.Record(obs.TraceEvent{
-			Kind: obs.TraceClassify, Digest: digest, Generation: s.gen,
+			Kind: obs.TraceClassify, Digest: d, Generation: gen,
 			Shard: e.shard, Verdict: label.String(), Score: score,
 		})
 	}
-	return Result{Label: label, Score: score}
 }
 
 // ClassifyBatch scores msgs across the worker pool and returns the
@@ -249,23 +210,12 @@ func (e *Engine) Classify(m *mail.Message) Result {
 // cancelled.
 func (e *Engine) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Result, error) {
 	s := e.cur.Load()
-	sp, streaming := streamPathFor(s.clf)
+	tok := s.clf.Tokenizer()
 	out := make([]Result, len(msgs))
 	err := e.run(ctx, len(msgs), func(i int) {
-		var label Label
-		var score float64
-		if streaming {
-			ts := sp.tok.Stream(msgs[i])
-			label, score = sp.sc.ClassifyTokenStream(ts)
-			if d := ts.Digest(); e.trace.Sampled(d) {
-				e.trace.Record(obs.TraceEvent{
-					Kind: obs.TraceClassify, Digest: d, Generation: s.gen,
-					Shard: e.shard, Verdict: label.String(), Score: score,
-				})
-			}
-		} else {
-			label, score = s.clf.Classify(msgs[i])
-		}
+		ts := tok.Stream(msgs[i])
+		label, score := s.clf.ClassifyTokenStream(ts)
+		e.traceClassify(s.gen, ts, label, score)
 		out[i] = Result{Label: label, Score: score}
 	})
 	if err != nil {
@@ -283,14 +233,10 @@ func (e *Engine) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Res
 // invariant sum(ByLabel) == Classified intact.
 func (e *Engine) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, error) {
 	clf := e.cur.Load().clf
-	sp, streaming := streamPathFor(clf)
+	tok := clf.Tokenizer()
 	out := make([]float64, len(msgs))
 	err := e.run(ctx, len(msgs), func(i int) {
-		if streaming {
-			out[i] = sp.sc.ScoreTokenStream(sp.tok.Stream(msgs[i]))
-		} else {
-			out[i] = clf.Score(msgs[i])
-		}
+		out[i] = clf.ScoreTokenStream(tok.Stream(msgs[i]))
 	})
 	if err != nil {
 		return nil, err
@@ -403,8 +349,9 @@ func trainAll(ctx context.Context, clf Classifier, c *corpus.Corpus) error {
 // Labeled is one training example flowing through LearnStream. Stream,
 // when non-nil, is Msg tokenized once upstream (a guarded stream's
 // vetting stage tokenizes each candidate exactly once and forwards the
-// stream here); a StreamLearner consumer trains on it directly instead
-// of re-tokenizing Msg. Producers without a stream leave it nil.
+// stream here), and the learner trains on it instead of re-tokenizing
+// Msg. Producers without a stream leave it nil and the learner
+// tokenizes Msg itself.
 type Labeled struct {
 	Msg    *mail.Message
 	Stream *tokenize.TokenStream
@@ -432,7 +379,7 @@ func (e *Engine) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, 
 	cur := e.cur.Load()
 	clf := cur.clf
 	gen := cur.gen
-	learner, _ := clf.(StreamLearner)
+	tok := clf.Tokenizer()
 	in := make(chan Labeled, e.learnBuf)
 	done := make(chan struct{})
 	stop := make(chan struct{})
@@ -456,19 +403,17 @@ func (e *Engine) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, 
 					return
 				}
 				start := time.Now()
-				if ex.Stream != nil && learner != nil {
-					learner.LearnTokenStream(ex.Stream, ex.Spam, 1)
-				} else {
-					clf.Learn(ex.Msg, ex.Spam)
+				ts := ex.Stream
+				if ts == nil {
+					ts = tok.Stream(ex.Msg)
 				}
+				clf.LearnTokenStream(ts, ex.Spam, 1)
 				e.learnLat.ObserveSince(start)
 				e.learned.Inc()
-				if ex.Stream != nil {
-					if d := ex.Stream.Digest(); e.trace.Sampled(d) {
-						e.trace.Record(obs.TraceEvent{
-							Kind: obs.TraceLearn, Digest: d, Generation: gen, Shard: e.shard,
-						})
-					}
+				if d := ts.Digest(); e.trace.Sampled(d) {
+					e.trace.Record(obs.TraceEvent{
+						Kind: obs.TraceLearn, Digest: d, Generation: gen, Shard: e.shard,
+					})
 				}
 				n++
 			}

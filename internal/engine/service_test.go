@@ -10,56 +10,60 @@ import (
 	"time"
 
 	"repro/internal/mail"
+	"repro/internal/tokenize"
 )
 
 // stubClassifier is a deterministic in-memory Classifier for service
-// tests: the score is parsed from the message body.
+// tests: the score is parsed from the message body, which stubTok
+// keeps whole as the stream's first token.
 type stubClassifier struct {
 	nspam, nham int
 	slow        time.Duration
 	calls       atomic.Int64
 }
 
-func (s *stubClassifier) Learn(m *mail.Message, isSpam bool) {
+// stubTok keeps every whitespace-separated body word verbatim.
+var stubTok = tokenize.New(tokenize.Options{MinWordLen: 1, MaxWordLen: 64})
+
+func (s *stubClassifier) Tokenizer() *tokenize.Tokenizer { return stubTok }
+
+func (s *stubClassifier) LearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) {
 	if isSpam {
-		s.nspam++
+		s.nspam += weight
 	} else {
-		s.nham++
+		s.nham += weight
 	}
 }
 
-func (s *stubClassifier) LearnWeighted(m *mail.Message, isSpam bool, weight int) {
-	for i := 0; i < weight; i++ {
-		s.Learn(m, isSpam)
-	}
-}
-
-func (s *stubClassifier) Unlearn(m *mail.Message, isSpam bool) error {
-	if isSpam && s.nspam == 0 || !isSpam && s.nham == 0 {
+func (s *stubClassifier) UnlearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) error {
+	if isSpam && s.nspam < weight || !isSpam && s.nham < weight {
 		return errors.New("stub: underflow")
 	}
 	if isSpam {
-		s.nspam--
+		s.nspam -= weight
 	} else {
-		s.nham--
+		s.nham -= weight
 	}
 	return nil
 }
 
-func (s *stubClassifier) Score(m *mail.Message) float64 {
+func (s *stubClassifier) ScoreTokenStream(ts *tokenize.TokenStream) float64 {
 	s.calls.Add(1)
 	if s.slow > 0 {
 		time.Sleep(s.slow)
 	}
-	v, err := strconv.ParseFloat(m.Body, 64)
+	if ts.Len() == 0 {
+		return 0.5
+	}
+	v, err := strconv.ParseFloat(string(ts.At(0)), 64)
 	if err != nil {
 		return 0.5
 	}
 	return v
 }
 
-func (s *stubClassifier) Classify(m *mail.Message) (Label, float64) {
-	v := s.Score(m)
+func (s *stubClassifier) ClassifyTokenStream(ts *tokenize.TokenStream) (Label, float64) {
+	v := s.ScoreTokenStream(ts)
 	switch {
 	case v <= 0.15:
 		return Ham, v
@@ -68,6 +72,26 @@ func (s *stubClassifier) Classify(m *mail.Message) (Label, float64) {
 	default:
 		return Spam, v
 	}
+}
+
+func (s *stubClassifier) Learn(m *mail.Message, isSpam bool) {
+	s.LearnTokenStream(stubTok.Stream(m), isSpam, 1)
+}
+
+func (s *stubClassifier) LearnWeighted(m *mail.Message, isSpam bool, weight int) {
+	s.LearnTokenStream(stubTok.Stream(m), isSpam, weight)
+}
+
+func (s *stubClassifier) Unlearn(m *mail.Message, isSpam bool) error {
+	return s.UnlearnTokenStream(stubTok.Stream(m), isSpam, 1)
+}
+
+func (s *stubClassifier) Score(m *mail.Message) float64 {
+	return s.ScoreTokenStream(stubTok.Stream(m))
+}
+
+func (s *stubClassifier) Classify(m *mail.Message) (Label, float64) {
+	return s.ClassifyTokenStream(stubTok.Stream(m))
 }
 
 func (s *stubClassifier) Counts() (int, int) { return s.nspam, s.nham }

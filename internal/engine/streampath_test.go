@@ -2,12 +2,12 @@ package engine_test
 
 // Stream-path conformance suite: the tokenize-once pipeline must be a
 // pure optimization. For every stock backend, the interned-ID stream
-// path (ClassifyTokenStream / LearnTokenStream) and the legacy paths
-// (whole-message Classify/Learn, []string ClassifyTokens/LearnTokens)
-// must produce identical verdicts, identical scores, and byte-identical
-// saved snapshots — and the serving snapshot must survive clone+swap
-// while stream-path classification traffic is in flight (run under
-// -race via `make race`).
+// path (ClassifyTokenStream / LearnTokenStream) and the whole-message
+// convenience methods (Classify / Learn) must produce identical
+// verdicts, identical scores, and byte-identical saved snapshots — and
+// the serving snapshot must survive clone+swap while stream-path
+// classification traffic is in flight (run under -race via
+// `make race`).
 
 import (
 	"bytes"
@@ -20,25 +20,6 @@ import (
 	"repro/internal/mail"
 	"repro/internal/tokenize"
 )
-
-// streamCaps asserts the backend exposes the full tokenize-once
-// surface and returns the capability views.
-func streamCaps(t *testing.T, clf engine.Classifier) (engine.StreamClassifier, engine.StreamLearner, *tokenize.Tokenizer) {
-	t.Helper()
-	sc, ok := clf.(engine.StreamClassifier)
-	if !ok {
-		t.Fatalf("%T is not a StreamClassifier", clf)
-	}
-	sl, ok := clf.(engine.StreamLearner)
-	if !ok {
-		t.Fatalf("%T is not a StreamLearner", clf)
-	}
-	tz, ok := clf.(engine.Tokenizing)
-	if !ok {
-		t.Fatalf("%T is not Tokenizing", clf)
-	}
-	return sc, sl, tz.Tokenizer()
-}
 
 // streamProbes mixes trained vocabulary, unseen tokens, and repeated
 // tokens (so occurrence-count handling is exercised, not just
@@ -56,34 +37,29 @@ func streamProbes() []*mail.Message {
 
 // TestConformanceStreamVerdictEquivalence proves all classification
 // entry points agree on every probe: whole-message Classify, the
-// interned stream path, the legacy []string path, and a stream
-// rebuilt from raw tokens through the StreamFromTokens bridge.
+// interned stream path, and a stream rebuilt from the distinct tokens
+// through StreamFromTokens.
 func TestConformanceStreamVerdictEquivalence(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		clf := trained(t, backend)
-		sc, _, tok := streamCaps(t, clf)
-		tc, hasTokenClf := clf.(engine.TokenClassifier)
+		tok := clf.Tokenizer()
 		for i, p := range streamProbes() {
 			wantLabel, wantScore := clf.Classify(p)
 
 			ts := tok.Stream(p)
-			if label, score := sc.ClassifyTokenStream(ts); label != wantLabel || score != wantScore {
+			if label, score := clf.ClassifyTokenStream(ts); label != wantLabel || score != wantScore {
 				t.Errorf("probe %d: stream (%v, %v) != message (%v, %v)", i, label, score, wantLabel, wantScore)
 			}
-			if got := sc.ScoreTokenStream(ts); got != wantScore {
+			if got := clf.ScoreTokenStream(ts); got != wantScore {
 				t.Errorf("probe %d: stream score %v != message score %v", i, got, wantScore)
 			}
-			if hasTokenClf {
-				if label, score := tc.ClassifyTokens(tok.TokenSet(p)); label != wantLabel || score != wantScore {
-					t.Errorf("probe %d: legacy tokens (%v, %v) != message (%v, %v)", i, label, score, wantLabel, wantScore)
-				}
-			}
 
-			bridge := tokenize.StreamFromTokens(tok.Tokenize(p))
-			if bridge.Digest() != ts.Digest() {
-				t.Errorf("probe %d: bridge digest %x != stream digest %x", i, bridge.Digest(), ts.Digest())
+			words := make([]string, ts.Len())
+			for j := range words {
+				words[j] = string(ts.At(j))
 			}
-			if label, score := sc.ClassifyTokenStream(bridge); label != wantLabel || score != wantScore {
+			bridge := tokenize.StreamFromTokens(words)
+			if label, score := clf.ClassifyTokenStream(bridge); label != wantLabel || score != wantScore {
 				t.Errorf("probe %d: bridged stream (%v, %v) != message (%v, %v)", i, label, score, wantLabel, wantScore)
 			}
 		}
@@ -94,9 +70,7 @@ func TestConformanceStreamVerdictEquivalence(t *testing.T) {
 // through whole messages and a second through pre-tokenized streams,
 // then demands indistinguishable filters: same counts, same verdicts,
 // and byte-identical saved snapshots (the persisted symbol table is
-// sorted, so intern order must not leak into the database). Where the
-// backend still carries the legacy []string learner, a third filter
-// trained that way must land on the same bytes.
+// sorted, so intern order must not leak into the database).
 func TestConformanceStreamTrainingSnapshotEquivalence(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		b, err := engine.Lookup(backend)
@@ -104,23 +78,16 @@ func TestConformanceStreamTrainingSnapshotEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		viaMsg, viaStream := b.New(), b.New()
-		_, sl, tok := streamCaps(t, viaStream)
-		tl, hasTokenLearner := interface{}(b.New()).(engine.TokenLearner)
+		tok := viaStream.Tokenizer()
 
 		ham, spam := trainingSet()
 		for _, m := range ham {
 			viaMsg.Learn(m, false)
-			sl.LearnTokenStream(tok.Stream(m), false, 1)
-			if hasTokenLearner {
-				tl.LearnTokens(tok.TokenSet(m), false, 1)
-			}
+			viaStream.LearnTokenStream(tok.Stream(m), false, 1)
 		}
 		for _, m := range spam {
 			viaMsg.Learn(m, true)
-			sl.LearnTokenStream(tok.Stream(m), true, 1)
-			if hasTokenLearner {
-				tl.LearnTokens(tok.TokenSet(m), true, 1)
-			}
+			viaStream.LearnTokenStream(tok.Stream(m), true, 1)
 		}
 
 		ns0, nh0 := viaMsg.Counts()
@@ -140,17 +107,8 @@ func TestConformanceStreamTrainingSnapshotEquivalence(t *testing.T) {
 			}
 			return buf.Bytes()
 		}
-		msgBytes, streamBytes := saved(viaMsg), saved(viaStream)
-		if !bytes.Equal(msgBytes, streamBytes) {
+		if !bytes.Equal(saved(viaMsg), saved(viaStream)) {
 			t.Error("stream-trained snapshot differs from message-trained snapshot")
-		}
-		if hasTokenLearner {
-			if ns2, nh2 := tl.(engine.Classifier).Counts(); ns2 != ns0 || nh2 != nh0 {
-				t.Fatalf("legacy-trained counts (%d, %d) != message-trained (%d, %d)", ns2, nh2, ns0, nh0)
-			}
-			if !bytes.Equal(msgBytes, saved(tl.(engine.Classifier))) {
-				t.Error("legacy []string-trained snapshot differs from message-trained snapshot")
-			}
 		}
 	})
 }
@@ -162,7 +120,7 @@ func TestConformanceStreamTrainingSnapshotEquivalence(t *testing.T) {
 func TestConformanceStreamPersistenceRoundTrip(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		clf := trained(t, backend)
-		sc, _, tok := streamCaps(t, clf)
+		tok := clf.Tokenizer()
 
 		var buf bytes.Buffer
 		if err := clf.(engine.Persistable).Save(&buf); err != nil {
@@ -173,14 +131,14 @@ func TestConformanceStreamPersistenceRoundTrip(t *testing.T) {
 		if err := restored.(engine.Persistable).Load(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}
-		rsc, _, rtok := streamCaps(t, restored)
+		rtok := restored.Tokenizer()
 		for i, p := range streamProbes() {
 			ts, rts := tok.Stream(p), rtok.Stream(p)
 			if ts.Digest() != rts.Digest() {
 				t.Errorf("probe %d: restored tokenizer digest %x != original %x", i, rts.Digest(), ts.Digest())
 			}
-			wantLabel, wantScore := sc.ClassifyTokenStream(ts)
-			if label, score := rsc.ClassifyTokenStream(rts); label != wantLabel || score != wantScore {
+			wantLabel, wantScore := clf.ClassifyTokenStream(ts)
+			if label, score := restored.ClassifyTokenStream(rts); label != wantLabel || score != wantScore {
 				t.Errorf("probe %d: restored stream (%v, %v) != original (%v, %v)", i, label, score, wantLabel, wantScore)
 			}
 		}
@@ -194,7 +152,6 @@ func TestConformanceStreamPersistenceRoundTrip(t *testing.T) {
 func TestConformanceStreamUnlearnInverse(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		clf := trained(t, backend)
-		_, sl, tok := streamCaps(t, clf)
 		probes := streamProbes()
 		before := make([]float64, len(probes))
 		for i, p := range probes {
@@ -202,9 +159,9 @@ func TestConformanceStreamUnlearnInverse(t *testing.T) {
 		}
 		ns0, nh0 := clf.Counts()
 
-		ts := tok.Stream(msg("novel tokens appearing nowhere else whatsoever\n"))
-		sl.LearnTokenStream(ts, true, 3)
-		if err := sl.UnlearnTokenStream(ts, true, 3); err != nil {
+		ts := clf.Tokenizer().Stream(msg("novel tokens appearing nowhere else whatsoever\n"))
+		clf.LearnTokenStream(ts, true, 3)
+		if err := clf.UnlearnTokenStream(ts, true, 3); err != nil {
 			t.Fatalf("unlearn just-learned stream: %v", err)
 		}
 		if ns1, nh1 := clf.Counts(); ns1 != ns0 || nh1 != nh0 {

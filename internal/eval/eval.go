@@ -1,6 +1,6 @@
 // Package eval provides the measurement layer of the experiment
 // harness: three-way confusion matrices over the backend-generic
-// verdicts, corpus tokenization caches, classifier training helpers,
+// verdicts, once-tokenized corpora, classifier training helpers,
 // serial and parallel corpus evaluation, and a small deterministic
 // parallel-for used to run cross-validation folds concurrently.
 // Everything is written against engine.Classifier, so the same
@@ -122,64 +122,14 @@ func (c Confusion) String() string {
 		c.SpamAsHam, c.SpamAsUnsure, c.SpamAsSpam)
 }
 
-// Labeled is a pre-tokenized labeled message.
-type Labeled struct {
-	Tokens []string
-	Spam   bool
-}
-
-// TokenSet is a pre-tokenized corpus; classification sweeps re-score
-// the same test messages many times, so tokenizing once matters.
-type TokenSet []Labeled
-
-// TokenizeCorpus tokenizes every message of c with tok (nil selects
-// the default tokenizer).
-func TokenizeCorpus(c *corpus.Corpus, tok *tokenize.Tokenizer) TokenSet {
-	if tok == nil {
-		tok = tokenize.Default()
-	}
-	out := make(TokenSet, 0, c.Len())
-	for _, e := range c.Examples {
-		out = append(out, Labeled{Tokens: tok.TokenSet(e.Msg), Spam: e.Spam})
-	}
-	return out
-}
-
-// EvaluateTokenSet scores a tokenized corpus under any classifier
-// that accepts pre-tokenized messages.
-func EvaluateTokenSet(c engine.TokenClassifier, ts TokenSet) Confusion {
-	var conf Confusion
-	for _, ex := range ts {
-		label, _ := c.ClassifyTokens(ex.Tokens)
-		conf.Observe(ex.Spam, label)
-	}
-	return conf
-}
-
-// EvaluateTokenSetBatch is EvaluateTokenSet sharded across up to
-// workers goroutines (GOMAXPROCS when workers <= 0). The classifier
-// must tolerate concurrent ClassifyTokens calls. The sum of per-shard
-// confusions is order-independent, so the result is deterministic.
-func EvaluateTokenSetBatch(c engine.TokenClassifier, ts TokenSet, workers int) Confusion {
-	confs := shardedConfusions(len(ts), &workers)
-	Parallel(workers, workers, func(w int) {
-		for i := w; i < len(ts); i += workers {
-			label, _ := c.ClassifyTokens(ts[i].Tokens)
-			confs[w].Observe(ts[i].Spam, label)
-		}
-	})
-	return sumConfusions(confs)
-}
-
-// LabeledStream is a once-tokenized labeled message — the stream
-// counterpart of Labeled, carrying occurrence counts and the stream
-// digest instead of a flat token slice.
+// LabeledStream is a once-tokenized labeled message.
 type LabeledStream struct {
 	Stream *tokenize.TokenStream
 	Spam   bool
 }
 
-// StreamSet is a once-tokenized corpus for the stream scoring path.
+// StreamSet is a once-tokenized corpus; classification sweeps re-score
+// the same test messages many times, so tokenizing once matters.
 type StreamSet []LabeledStream
 
 // StreamCorpus tokenizes every message of c exactly once with tok
@@ -195,8 +145,7 @@ func StreamCorpus(c *corpus.Corpus, tok *tokenize.Tokenizer) StreamSet {
 	return out
 }
 
-// EvaluateStreamSet scores a once-tokenized corpus under any
-// classifier that consumes token streams.
+// EvaluateStreamSet scores a once-tokenized corpus.
 func EvaluateStreamSet(c engine.StreamClassifier, ss StreamSet) Confusion {
 	var conf Confusion
 	for _, ex := range ss {
@@ -287,7 +236,7 @@ func TrainBackend(newClassifier engine.Factory, train *corpus.Corpus) engine.Cla
 
 // TrainFilter trains a fresh SpamBayes filter on a corpus. It remains
 // the concrete-typed helper for code that needs sbayes-only surface
-// (Clone, LearnTokens); backend-generic code uses Train.
+// (Clone, Explain); backend-generic code uses Train.
 func TrainFilter(train *corpus.Corpus, opts sbayes.Options, tok *tokenize.Tokenizer) *sbayes.Filter {
 	f := sbayes.New(opts, tok)
 	Train(f, train)

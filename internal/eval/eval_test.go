@@ -129,17 +129,17 @@ func TestTrainAndEvaluate(t *testing.T) {
 	}
 }
 
-func TestTokenizeCorpusAndEvaluateTokenSet(t *testing.T) {
+func TestStreamCorpusAndEvaluateStreamSet(t *testing.T) {
 	c := buildTinyCorpus(10)
 	f := TrainFilter(c, sbayes.DefaultOptions(), nil)
-	ts := TokenizeCorpus(c, nil)
-	if len(ts) != c.Len() {
-		t.Fatalf("token set size %d", len(ts))
+	ss := StreamCorpus(c, nil)
+	if len(ss) != c.Len() {
+		t.Fatalf("stream set size %d", len(ss))
 	}
 	direct := Evaluate(f, c)
-	viaTokens := EvaluateTokenSet(f, ts)
-	if direct != viaTokens {
-		t.Errorf("tokenized evaluation differs: %+v vs %+v", direct, viaTokens)
+	viaStreams := EvaluateStreamSet(f, ss)
+	if direct != viaStreams {
+		t.Errorf("tokenized evaluation differs: %+v vs %+v", direct, viaStreams)
 	}
 }
 
@@ -158,13 +158,13 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestEvaluateTokenSetBatchMatchesSerial(t *testing.T) {
+func TestEvaluateStreamSetBatchMatchesSerial(t *testing.T) {
 	c := buildTinyCorpus(30)
 	f := TrainFilter(c, sbayes.DefaultOptions(), nil)
-	ts := TokenizeCorpus(c, nil)
-	serial := EvaluateTokenSet(f, ts)
+	ss := StreamCorpus(c, nil)
+	serial := EvaluateStreamSet(f, ss)
 	for _, workers := range []int{0, 1, 3, 64} {
-		if got := EvaluateTokenSetBatch(f, ts, workers); got != serial {
+		if got := EvaluateStreamSetBatch(f, ss, workers); got != serial {
 			t.Errorf("workers=%d: %+v != serial %+v", workers, got, serial)
 		}
 	}

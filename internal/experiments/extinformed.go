@@ -8,6 +8,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/mail"
 	"repro/internal/sbayes"
+	"repro/internal/tokenize"
 )
 
 // InformedCell compares word sources at one attack-dictionary budget.
@@ -54,7 +55,7 @@ func RunInformed(env *Env) (*InformedResult, error) {
 	}
 	testSize := cfg.TrainSize / 10
 	test := env.Gen.Corpus(r, testSize/2, testSize/2)
-	testTokens := eval.TokenizeCorpus(test, env.Tok)
+	testStreams := eval.StreamCorpus(test, env.Tok)
 	heldOut := test.Ham()
 
 	n := core.AttackSize(cfg.InformedFraction, cfg.TrainSize)
@@ -88,27 +89,13 @@ func RunInformed(env *Env) (*InformedResult, error) {
 		}
 		for _, words := range [][]string{informed.Words(), topUsenet, random} {
 			f := base.Clone()
-			f.LearnTokens(dedupe(words), true, n)
-			cell.Confusions = append(cell.Confusions, eval.EvaluateTokenSet(f, testTokens))
+			f.LearnTokenStream(tokenize.StreamFromTokens(words), true, n) //sbvet:unguarded the attack injection being measured: the experiment trains the poison in deliberately
+			cell.Confusions = append(cell.Confusions, eval.EvaluateStreamSet(f, testStreams))
 			cell.Coverages = append(cell.Coverages, coverage(words, heldOut))
 		}
 		res.Cells = append(res.Cells, cell)
 	}
 	return res, nil
-}
-
-// dedupe removes duplicate words, preserving order.
-func dedupe(words []string) []string {
-	seen := make(map[string]struct{}, len(words))
-	out := make([]string, 0, len(words))
-	for _, w := range words {
-		if _, dup := seen[w]; dup {
-			continue
-		}
-		seen[w] = struct{}{}
-		out = append(out, w)
-	}
-	return out
 }
 
 // coverage is the share of held-out ham body words present in words.

@@ -70,13 +70,13 @@ func RunPseudospam(env *Env) (*PseudospamResult, error) {
 		future[i] = env.Gen.SpamMessage(r)
 	}
 	hamProbeCorpus := env.Gen.Corpus(r, cfg.FocusedTargets*5, 0)
-	hamProbes := eval.TokenizeCorpus(hamProbeCorpus, env.Tok)
+	hamProbes := eval.StreamCorpus(hamProbeCorpus, env.Tok)
 
 	attack, err := core.NewPseudospamAttack(future, inbox.Ham())
 	if err != nil {
 		return nil, err
 	}
-	attackTokens := env.Tok.TokenSet(attack.BuildAttack(r))
+	attackStream := env.Tok.Stream(attack.BuildAttack(r))
 
 	measure := func() PseudospamPoint {
 		var p PseudospamPoint
@@ -90,7 +90,7 @@ func RunPseudospam(env *Env) (*PseudospamResult, error) {
 				p.SpamAsSpam++
 			}
 		}
-		p.HamConfusion = eval.EvaluateTokenSet(filter, hamProbes)
+		p.HamConfusion = eval.EvaluateStreamSet(filter, hamProbes)
 		return p
 	}
 
@@ -100,7 +100,7 @@ func RunPseudospam(env *Env) (*PseudospamResult, error) {
 	for _, frac := range cfg.PseudospamFractions {
 		n := core.AttackSize(frac, cfg.FocusedInbox)
 		if n > trained {
-			filter.LearnTokens(attackTokens, false, n-trained) // trained as HAM
+			filter.LearnTokenStream(attackStream, false, n-trained) //sbvet:unguarded the attack injection being measured, trained as HAM: the experiment trains the poison in deliberately
 			trained = n
 		}
 		point := measure()
@@ -108,7 +108,7 @@ func RunPseudospam(env *Env) (*PseudospamResult, error) {
 		point.NumAttack = n
 		res.Points = append(res.Points, point)
 	}
-	if err := filter.UnlearnTokens(attackTokens, false, trained); err != nil {
+	if err := filter.UnlearnTokenStream(attackStream, false, trained); err != nil {
 		return nil, fmt.Errorf("pseudospam: restoring filter: %w", err)
 	}
 	return res, nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/sbayes"
+	"repro/internal/tokenize"
 )
 
 // Fig1Point is one (attack, fraction) cell of Figure 1, aggregated
@@ -55,9 +56,9 @@ func RunFig1(env *Env) (*Fig1Result, error) {
 		core.NewDictionaryAttack(env.Aspell),
 	}
 	// Attack emails are deterministic; tokenize each once.
-	attackTokens := make([][]string, len(attacks))
+	attackStreams := make([]*tokenize.TokenStream, len(attacks))
 	for i, a := range attacks {
-		attackTokens[i] = env.Tok.TokenSet(a.BuildAttack(rng))
+		attackStreams[i] = env.Tok.Stream(a.BuildAttack(rng))
 	}
 
 	type foldOut struct {
@@ -68,9 +69,9 @@ func RunFig1(env *Env) (*Fig1Result, error) {
 	eval.Parallel(len(folds), cfg.Workers, func(fi int) {
 		fold := folds[fi]
 		base := eval.TrainFilter(fold.Train, sbayes.DefaultOptions(), env.Tok)
-		test := eval.TokenizeCorpus(fold.Test, env.Tok)
+		test := eval.StreamCorpus(fold.Test, env.Tok)
 		out := foldOut{cells: make([][]eval.Confusion, len(attacks))}
-		out.baseline = eval.EvaluateTokenSet(base, test)
+		out.baseline = eval.EvaluateStreamSet(base, test)
 		trainN := fold.Train.Len()
 		for ai := range attacks {
 			f := base.Clone()
@@ -79,10 +80,10 @@ func RunFig1(env *Env) (*Fig1Result, error) {
 			for pi, frac := range cfg.Fractions {
 				n := core.AttackSize(frac, trainN)
 				if n > prev {
-					f.LearnTokens(attackTokens[ai], true, n-prev)
+					f.LearnTokenStream(attackStreams[ai], true, n-prev) //sbvet:unguarded the attack injection being measured: the experiment trains the poison in deliberately
 					prev = n
 				}
-				out.cells[ai][pi] = eval.EvaluateTokenSet(f, test)
+				out.cells[ai][pi] = eval.EvaluateStreamSet(f, test)
 			}
 		}
 		outs[fi] = out

@@ -68,13 +68,13 @@ func RunFig3(env *Env) (*Fig3Result, error) {
 				return nil, err
 			}
 			attackMsg := attack.BuildAttack(r.Split(fmt.Sprintf("t%d", ti)))
-			tokens := env.Tok.TokenSet(attackMsg)
+			ts := env.Tok.Stream(attackMsg)
 			// Sweep volumes incrementally: learn only the delta.
 			trained := 0
 			for pi := range res.Points {
 				n := res.Points[pi].NumAttack
 				if n > trained {
-					fr.filter.LearnTokens(tokens, true, n-trained)
+					fr.filter.LearnTokenStream(ts, true, n-trained) //sbvet:unguarded the attack injection being measured: the experiment trains the poison in deliberately
 					trained = n
 				}
 				label, _ := fr.filter.Classify(target)
@@ -87,7 +87,7 @@ func RunFig3(env *Env) (*Fig3Result, error) {
 					res.Points[pi].Spam++
 				}
 			}
-			if err := fr.filter.UnlearnTokens(tokens, true, trained); err != nil {
+			if err := fr.filter.UnlearnTokenStream(ts, true, trained); err != nil {
 				return nil, fmt.Errorf("fig3: restoring filter: %w", err)
 			}
 		}

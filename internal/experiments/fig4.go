@@ -81,18 +81,18 @@ func RunFig4(env *Env) (*Fig4Result, error) {
 			}
 			ar := r.Split(fmt.Sprintf("t%d-p%v", ti, p))
 			attackMsg := attack.BuildAttack(ar)
-			attackTokens := env.Tok.TokenSet(attackMsg)
-			included := make(map[string]bool, len(attackTokens))
-			for _, tok := range attackTokens {
-				included[tok] = true
+			attackStream := env.Tok.Stream(attackMsg)
+			included := make(map[string]bool, attackStream.Len())
+			for i := 0; i < attackStream.Len(); i++ {
+				included[string(attackStream.At(i))] = true
 			}
 
 			before := fr.filter.Explain(target)
 			_, scoreBefore := fr.filter.Classify(target)
-			fr.filter.LearnTokens(attackTokens, true, cfg.FocusedCount)
+			fr.filter.LearnTokenStream(attackStream, true, cfg.FocusedCount) //sbvet:unguarded the attack injection being measured: the experiment trains the poison in deliberately
 			after := fr.filter.Explain(target)
 			label, scoreAfter := fr.filter.Classify(target)
-			if err := fr.filter.UnlearnTokens(attackTokens, true, cfg.FocusedCount); err != nil {
+			if err := fr.filter.UnlearnTokenStream(attackStream, true, cfg.FocusedCount); err != nil {
 				return nil, fmt.Errorf("fig4: restoring filter: %w", err)
 			}
 			if byOutcome[label] != nil {

@@ -57,7 +57,7 @@ func RunFig5(env *Env) (*Fig5Result, error) {
 		return nil, fmt.Errorf("fig5: %w", err)
 	}
 	attack := core.NewDictionaryAttack(env.Usenet)
-	attackTokens := env.Tok.TokenSet(attack.BuildAttack(rng))
+	attackStream := env.Tok.Stream(attack.BuildAttack(rng))
 
 	defenses := make([]string, 0, 1+len(cfg.ThresholdUtilities))
 	defenses = append(defenses, "no defense")
@@ -78,11 +78,11 @@ func RunFig5(env *Env) (*Fig5Result, error) {
 		fold := folds[fi]
 		opts := sbayes.DefaultOptions()
 		base := eval.TrainFilter(fold.Train, opts, env.Tok)
-		test := eval.TokenizeCorpus(fold.Test, env.Tok)
+		test := eval.StreamCorpus(fold.Test, env.Tok)
 		// Split the clean training fold in half for threshold fitting.
 		half1, half2, _ := fold.Train.SplitFraction(0.5)
 		probeBase := eval.TrainFilter(half1, opts, env.Tok)
-		half2Tokens := eval.TokenizeCorpus(half2, env.Tok)
+		half2Streams := eval.StreamCorpus(half2, env.Tok)
 
 		out := make([][]cellOut, len(defenses))
 		for di := range out {
@@ -94,15 +94,15 @@ func RunFig5(env *Env) (*Fig5Result, error) {
 		for pi, frac := range fracs {
 			n := core.AttackSize(frac, fold.Train.Len())
 			if n > prevN {
-				poisoned.LearnTokens(attackTokens, true, n-prevN)
-				probe.LearnTokens(attackTokens, true, (n-prevN+1)/2)
+				poisoned.LearnTokenStream(attackStream, true, n-prevN)    //sbvet:unguarded the attack injection being measured: the experiment trains the poison in deliberately
+				probe.LearnTokenStream(attackStream, true, (n-prevN+1)/2) //sbvet:unguarded the attack injection being measured: the experiment trains the poison in deliberately
 				prevN = n
 			}
 			// Validation scores under the poisoned probe: the clean
 			// half plus n/2 attack copies (identical, scored once).
 			var hamScores, spamScores []float64
-			for _, ex := range half2Tokens {
-				s := probe.ScoreTokens(ex.Tokens)
+			for _, ex := range half2Streams {
+				s := probe.ScoreTokenStream(ex.Stream)
 				if ex.Spam {
 					spamScores = append(spamScores, s)
 				} else {
@@ -110,7 +110,7 @@ func RunFig5(env *Env) (*Fig5Result, error) {
 				}
 			}
 			if n/2 > 0 {
-				s := probe.ScoreTokens(attackTokens)
+				s := probe.ScoreTokenStream(attackStream)
 				for i := 0; i < n/2; i++ {
 					spamScores = append(spamScores, s)
 				}
@@ -129,7 +129,7 @@ func RunFig5(env *Env) (*Fig5Result, error) {
 					panic(fmt.Sprintf("fig5: applying thresholds (%v, %v): %v", theta0, theta1, err))
 				}
 				out[di][pi] = cellOut{
-					conf:   eval.EvaluateTokenSet(evalFilter, test),
+					conf:   eval.EvaluateStreamSet(evalFilter, test),
 					theta0: theta0,
 					theta1: theta1,
 				}

@@ -58,10 +58,10 @@ func (e *Env) newFocusedRep(r *stats.RNG) (*focusedRep, error) {
 // attackAndClassify trains n copies of the attack email, classifies
 // the target, and restores the filter exactly.
 func (rep *focusedRep) attackAndClassify(e *Env, attackMsg *mail.Message, n int, target *mail.Message) sbayes.Label {
-	tokens := e.Tok.TokenSet(attackMsg)
-	rep.filter.LearnTokens(tokens, true, n)
+	ts := e.Tok.Stream(attackMsg)
+	rep.filter.LearnTokenStream(ts, true, n) //sbvet:unguarded the attack injection being measured: the experiment trains the poison in deliberately
 	label, _ := rep.filter.Classify(target)
-	if err := rep.filter.UnlearnTokens(tokens, true, n); err != nil {
+	if err := rep.filter.UnlearnTokenStream(ts, true, n); err != nil {
 		panic(fmt.Sprintf("experiments: unlearn after focused attack: %v", err))
 	}
 	return label

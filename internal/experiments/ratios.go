@@ -45,7 +45,7 @@ func RunTokenRatio(env *Env) (*TokenRatioResult, error) {
 	}
 	total := 0
 	for _, e := range sample {
-		total += len(env.Tok.Tokenize(e.Msg))
+		total += env.Tok.Stream(e.Msg).Total()
 	}
 	if len(sample) == 0 {
 		return nil, fmt.Errorf("token ratio: empty pool")

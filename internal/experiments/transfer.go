@@ -135,10 +135,10 @@ func RunTransfer(env *Env) (*TransferResult, error) {
 	for _, p := range TransferProfiles() {
 		tok := tokenize.New(p.Tok)
 		f := eval.TrainFilter(inbox, p.Opts, tok)
-		testTokens := eval.TokenizeCorpus(test, tok)
-		row := TransferRow{Profile: p, Baseline: eval.EvaluateTokenSetBatch(f, testTokens, cfg.Workers)}
+		testStreams := eval.StreamCorpus(test, tok)
+		row := TransferRow{Profile: p, Baseline: eval.EvaluateStreamSetBatch(f, testStreams, cfg.Workers)}
 		f.LearnWeighted(attackMsg, true, n) //sbvet:unguarded the attack injection being measured: the experiment trains the poison in deliberately
-		row.Attacked = eval.EvaluateTokenSetBatch(f, testTokens, cfg.Workers)
+		row.Attacked = eval.EvaluateStreamSetBatch(f, testStreams, cfg.Workers)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -2,7 +2,9 @@ package graham
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -49,16 +51,38 @@ func TestScoreTokenStreamAllocFree(t *testing.T) {
 }
 
 // TestScoreTokenStreamMatchesTokens proves the selection path picks
-// exactly the candidates the sort-then-truncate path picks: both
-// entry points must agree on every message.
+// exactly the candidates sort-then-truncate picks: the stream scorer
+// must agree with scoreTokensBySort on the same distinct tokens.
 func TestScoreTokenStreamMatchesTokens(t *testing.T) {
 	f, m := allocFixture(t)
 	ts := f.Tokenizer().Stream(m)
-	stream := f.ScoreTokenStream(ts)
-	legacy := f.ScoreTokens(ts.Strings()) //sbvet:retokenize test compares the legacy []string path
-	if stream != legacy {
-		t.Fatalf("ScoreTokenStream %v != ScoreTokens %v", stream, legacy)
+	tokens := make([]string, ts.Len())
+	for i := range tokens {
+		tokens[i] = string(ts.At(i))
 	}
+	stream := f.ScoreTokenStream(ts)
+	if ref := scoreTokensBySort(f, tokens); stream != ref {
+		t.Fatalf("ScoreTokenStream %v != sort-then-truncate %v", stream, ref)
+	}
+}
+
+// scoreTokensBySort is the reference scorer for the selection path:
+// it scores every token, sorts all candidates in candLess order,
+// truncates to MaxTokens and takes the naive Bayes product.
+func scoreTokensBySort(f *Filter, tokens []string) float64 {
+	if len(tokens) == 0 {
+		return f.opts.UnknownProb
+	}
+	cands := make([]cand, 0, len(tokens))
+	for _, t := range tokens {
+		p := f.TokenProb(t)
+		cands = append(cands, cand{p: p, dist: math.Abs(p - 0.5), tok: t})
+	}
+	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
+	if len(cands) > f.opts.MaxTokens {
+		cands = cands[:f.opts.MaxTokens]
+	}
+	return bayesProduct(cands)
 }
 
 // BenchmarkScoreTokenStream measures the per-message stream scoring

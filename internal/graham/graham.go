@@ -30,27 +30,20 @@ package graham
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/mail"
 	"repro/internal/tokenize"
 )
 
-// Filter satisfies the backend-generic contract. It is not a
-// TokenLearner — Graham counts token occurrences with multiplicity,
-// which a distinct-token set cannot reconstruct — but it IS a
-// StreamLearner: a tokenize.TokenStream carries per-token occurrence
-// counts, exactly the information the occurrence walk used to re-read
-// from the raw message.
+// Filter satisfies the backend-generic contract. Graham counts token
+// occurrences with multiplicity, which a tokenize.TokenStream carries
+// per distinct token, so stream training recovers exactly what an
+// occurrence walk over the raw message would read.
 var (
-	_ engine.Classifier       = (*Filter)(nil)
-	_ engine.TokenClassifier  = (*Filter)(nil)
-	_ engine.StreamClassifier = (*Filter)(nil)
-	_ engine.StreamLearner    = (*Filter)(nil)
-	_ engine.Persistable      = (*Filter)(nil)
-	_ engine.Tokenizing       = (*Filter)(nil)
-	_ engine.Cloner           = (*Filter)(nil)
+	_ engine.Classifier  = (*Filter)(nil)
+	_ engine.Persistable = (*Filter)(nil)
+	_ engine.Cloner      = (*Filter)(nil)
 )
 
 func init() {
@@ -358,19 +351,9 @@ type cand struct {
 	tok  string
 }
 
-// candSlice sorts candidates by descending distance from 0.5, then
-// token text — a concrete sort.Interface so the per-message hot path
-// avoids sort.Slice's reflection allocations.
-type candSlice []cand
-
-func (s candSlice) Len() int           { return len(s) }
-func (s candSlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s candSlice) Less(i, j int) bool { return candLess(s[i], s[j]) }
-
-// candLess is the interestingness order shared by the sorting path
-// (combine) and the selection path (ScoreTokenStream): descending
-// distance from 0.5, ties broken by token text. Stream tokens are
-// distinct, so on the stream path the order is total.
+// candLess is the interestingness order of the selection path
+// (ScoreTokenStream): descending distance from 0.5, ties broken by
+// token text. Stream tokens are distinct, so the order is total.
 func candLess(a, b cand) bool {
 	if a.dist != b.dist {
 		return a.dist > b.dist
@@ -381,8 +364,8 @@ func candLess(a, b cand) bool {
 // insertCand inserts c into sel, kept in candLess order and capped at
 // k entries — a bounded insertion-sort selection. With k fixed at
 // MaxTokens the per-message cost is O(n·k) comparisons and zero
-// allocations, where the sort-then-truncate path built and sorted an
-// n-sized slice.
+// allocations, where sorting every candidate and truncating would
+// build and sort an n-sized slice.
 func insertCand(sel []cand, k int, c cand) []cand {
 	if len(sel) == k && !candLess(c, sel[k-1]) {
 		return sel
@@ -406,23 +389,9 @@ func (f *Filter) Score(m *mail.Message) float64 {
 	return f.ScoreTokenStream(f.tok.Stream(m))
 }
 
-// ScoreTokens computes the combined spam probability over a
-// distinct-token set.
-func (f *Filter) ScoreTokens(tokens []string) float64 {
-	if len(tokens) == 0 {
-		return f.opts.UnknownProb
-	}
-	cands := make(candSlice, 0, len(tokens))
-	for _, t := range tokens {
-		p := f.TokenProb(t)
-		cands = append(cands, cand{p: p, dist: math.Abs(p - 0.5), tok: t})
-	}
-	return f.combine(cands)
-}
-
 // maxTokensStack bounds the MaxTokens value the stream scoring path
 // can select into a stack buffer; larger configurations fall back to
-// one heap slice per message (still far below the old n-sized sort).
+// one heap slice per message (still far below sorting all n candidates).
 const maxTokensStack = 32
 
 // ScoreTokenStream computes the combined spam probability over a
@@ -460,17 +429,6 @@ func (f *Filter) streamTokenProb(tok tokenize.Token) float64 {
 	return f.prob(g, b)
 }
 
-// combine selects the MaxTokens most interesting candidates by sorting
-// and truncating — the []string scoring path, where candidates may
-// repeat and arrive unsorted — then takes the naive Bayes product.
-func (f *Filter) combine(cands candSlice) float64 {
-	sort.Sort(cands)
-	if len(cands) > f.opts.MaxTokens {
-		cands = cands[:f.opts.MaxTokens]
-	}
-	return bayesProduct(cands)
-}
-
 // bayesProduct takes the naive Bayes product of the selected
 // candidates in log space for stability: Πp / (Πp + Π(1−p)).
 func bayesProduct(cands []cand) float64 {
@@ -500,11 +458,6 @@ func (f *Filter) IsSpam(m *mail.Message) (bool, float64) {
 // rule is binary, so the verdict is never Unsure.
 func (f *Filter) Classify(m *mail.Message) (engine.Label, float64) {
 	return f.labelFor(f.Score(m))
-}
-
-// ClassifyTokens is Classify over a pre-tokenized message.
-func (f *Filter) ClassifyTokens(tokens []string) (engine.Label, float64) {
-	return f.labelFor(f.ScoreTokens(tokens))
 }
 
 // ClassifyTokenStream is Classify over a tokenized message.

@@ -67,22 +67,6 @@ func (f *Filter) Classify(m *mail.Message) (Label, float64) {
 	return f.opts.LabelFor(s), s
 }
 
-// ClassifyTokens is Classify over a pre-tokenized message.
-func (f *Filter) ClassifyTokens(tokens []string) (Label, float64) {
-	s := f.ScoreTokens(tokens)
-	return f.opts.LabelFor(s), s
-}
-
-// ScoreTokens computes I(E) over a distinct-token set.
-func (f *Filter) ScoreTokens(tokens []string) float64 {
-	sc := getClues()
-	defer putClues(sc)
-	for _, t := range tokens {
-		sc.c = f.appendClue(sc.c, t)
-	}
-	return f.combine(f.rank(sc.c))
-}
-
 // ScoreTokenStream computes I(E) over a tokenized message. Token
 // presence drives the score, so the stream's occurrence counts are
 // irrelevant here. This is the serving hot path: stream tokens resolve
@@ -103,20 +87,21 @@ func (f *Filter) ClassifyTokenStream(ts *tokenize.TokenStream) (Label, float64) 
 	return f.opts.LabelFor(s), s
 }
 
-// Explain returns every token's score and whether it entered δ(E),
-// in the message's token order.
+// Explain returns every distinct token's score and whether it entered
+// δ(E), in the message's token order.
 func (f *Filter) Explain(m *mail.Message) []Clue {
-	tokens := f.tok.TokenSet(m)
-	cands := make([]clue, 0, len(tokens))
-	for _, t := range tokens {
-		cands = f.appendClue(cands, t)
+	ts := f.tok.Stream(m)
+	cands := make([]clue, 0, ts.Len())
+	for i := 0; i < ts.Len(); i++ {
+		cands = f.appendClue(cands, string(ts.At(i)))
 	}
 	used := map[string]bool{}
 	for _, c := range f.rank(cands) {
 		used[c.token] = true
 	}
-	out := make([]Clue, len(tokens))
-	for i, t := range tokens {
+	out := make([]Clue, ts.Len())
+	for i := range out {
+		t := string(ts.At(i))
 		out[i] = Clue{Token: t, Score: f.TokenScore(t), Used: used[t]}
 	}
 	return out

@@ -29,9 +29,9 @@ func TestQuickScoreInRange(t *testing.T) {
 		r := stats.NewRNG(seed)
 		fl := NewDefault()
 		for i := 0; i < int(trainN%40); i++ {
-			fl.LearnTokens(randomTokens(r, 1+r.Intn(30)), r.Bernoulli(0.5), 1+r.Intn(3))
+			learnWords(fl, randomTokens(r, 1+r.Intn(30)), r.Bernoulli(0.5), 1+r.Intn(3))
 		}
-		s := fl.ScoreTokens(randomTokens(r, 1+int(msgN)%60))
+		s := scoreWords(fl, randomTokens(r, 1+int(msgN)%60))
 		return s >= 0 && s <= 1 && !math.IsNaN(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -45,19 +45,19 @@ func TestQuickLearnUnlearnIdentity(t *testing.T) {
 		r := stats.NewRNG(seed)
 		fl := NewDefault()
 		for i := 0; i < 10; i++ {
-			fl.LearnTokens(randomTokens(r, 1+r.Intn(20)), r.Bernoulli(0.5), 1)
+			learnWords(fl, randomTokens(r, 1+r.Intn(20)), r.Bernoulli(0.5), 1)
 		}
 		probe := randomTokens(r, 25)
-		before := fl.ScoreTokens(probe)
+		before := scoreWords(fl, probe)
 		beforeVocab := fl.VocabSize()
 		extra := randomTokens(r, 1+r.Intn(20))
 		isSpam := r.Bernoulli(0.5)
 		w := 1 + r.Intn(5)
-		fl.LearnTokens(extra, isSpam, w)
-		if err := fl.UnlearnTokens(extra, isSpam, w); err != nil {
+		learnWords(fl, extra, isSpam, w)
+		if err := unlearnWords(fl, extra, isSpam, w); err != nil {
 			return false
 		}
-		return fl.ScoreTokens(probe) == before && fl.VocabSize() == beforeVocab
+		return scoreWords(fl, probe) == before && fl.VocabSize() == beforeVocab
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -72,14 +72,14 @@ func TestQuickWeightedEquivalence(t *testing.T) {
 		tokens := randomTokens(r, 1+r.Intn(15))
 		a, b := NewDefault(), NewDefault()
 		background := randomTokens(r, 10)
-		a.LearnTokens(background, false, 2)
-		b.LearnTokens(background, false, 2)
+		learnWords(a, background, false, 2)
+		learnWords(b, background, false, 2)
 		for i := 0; i < w; i++ {
-			a.LearnTokens(tokens, true, 1)
+			learnWords(a, tokens, true, 1)
 		}
-		b.LearnTokens(tokens, true, w)
+		learnWords(b, tokens, true, w)
 		probe := randomTokens(r, 20)
-		return a.ScoreTokens(probe) == b.ScoreTokens(probe)
+		return scoreWords(a, probe) == scoreWords(b, probe)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -92,13 +92,13 @@ func TestQuickCloneIsolation(t *testing.T) {
 		r := stats.NewRNG(seed)
 		fl := NewDefault()
 		for i := 0; i < 5; i++ {
-			fl.LearnTokens(randomTokens(r, 10), r.Bernoulli(0.5), 1)
+			learnWords(fl, randomTokens(r, 10), r.Bernoulli(0.5), 1)
 		}
 		probe := randomTokens(r, 15)
-		before := fl.ScoreTokens(probe)
+		before := scoreWords(fl, probe)
 		c := fl.Clone()
-		c.LearnTokens(randomTokens(r, 10), true, 3)
-		return fl.ScoreTokens(probe) == before
+		learnWords(c, randomTokens(r, 10), true, 3)
+		return scoreWords(fl, probe) == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -112,13 +112,13 @@ func TestQuickSpamEvidenceMonotone(t *testing.T) {
 		r := stats.NewRNG(seed)
 		fl := NewDefault()
 		for i := 0; i < 8; i++ {
-			fl.LearnTokens(randomTokens(r, 12), r.Bernoulli(0.5), 1)
+			learnWords(fl, randomTokens(r, 12), r.Bernoulli(0.5), 1)
 		}
 		probe := randomTokens(r, 10)
-		before := fl.ScoreTokens(probe)
+		before := scoreWords(fl, probe)
 		// Poison: all probe tokens into one spam message.
-		fl.LearnTokens(probe, true, 1+r.Intn(10))
-		after := fl.ScoreTokens(probe)
+		learnWords(fl, probe, true, 1+r.Intn(10))
+		after := scoreWords(fl, probe)
 		return after >= before-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

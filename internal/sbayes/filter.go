@@ -13,12 +13,7 @@ import (
 // capability.
 var (
 	_ engine.Classifier       = (*Filter)(nil)
-	_ engine.TokenClassifier  = (*Filter)(nil)
-	_ engine.TokenLearner     = (*Filter)(nil)
-	_ engine.StreamClassifier = (*Filter)(nil)
-	_ engine.StreamLearner    = (*Filter)(nil)
 	_ engine.Persistable      = (*Filter)(nil)
-	_ engine.Tokenizing       = (*Filter)(nil)
 	_ engine.ValidationBinder = (*Filter)(nil)
 	_ engine.Cloner           = (*Filter)(nil)
 )
@@ -169,27 +164,6 @@ func (f *Filter) LearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight 
 	}
 }
 
-// LearnTokens trains directly on a token set (each distinct token must
-// appear once) with the given multiplicity. Legacy []string adapter
-// over the interned-ID path.
-func (f *Filter) LearnTokens(tokens []string, isSpam bool, weight int) {
-	if weight < 0 {
-		panic("sbayes: negative learn weight")
-	}
-	if weight == 0 {
-		return
-	}
-	w := int32(weight)
-	if isSpam {
-		f.nspam += w
-	} else {
-		f.nham += w
-	}
-	for _, t := range tokens {
-		f.addCounts(f.intern(t), isSpam, w)
-	}
-}
-
 // Unlearn removes one previously trained message from the database.
 // It returns an error (leaving the filter unchanged) if the message
 // was not counted with this label, as far as the counts can tell.
@@ -197,19 +171,10 @@ func (f *Filter) Unlearn(m *mail.Message, isSpam bool) error {
 	return f.UnlearnTokenStream(f.tok.Stream(m), isSpam, 1)
 }
 
-// UnlearnTokenStream is the inverse of LearnTokenStream.
+// UnlearnTokenStream is the inverse of LearnTokenStream. It validates
+// every count before mutating anything, so a failed unlearn leaves the
+// filter untouched.
 func (f *Filter) UnlearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) error {
-	return f.unlearn(ts.Len(), func(i int) string { return string(ts.At(i)) }, isSpam, weight)
-}
-
-// UnlearnTokens is the inverse of LearnTokens.
-func (f *Filter) UnlearnTokens(tokens []string, isSpam bool, weight int) error {
-	return f.unlearn(len(tokens), func(i int) string { return tokens[i] }, isSpam, weight)
-}
-
-// unlearn validates every count before mutating anything, so a failed
-// unlearn leaves the filter untouched.
-func (f *Filter) unlearn(n int, token func(i int) string, isSpam bool, weight int) error {
 	if weight < 0 {
 		panic("sbayes: negative unlearn weight")
 	}
@@ -223,13 +188,10 @@ func (f *Filter) unlearn(n int, token func(i int) string, isSpam bool, weight in
 	if !isSpam && f.nham < w {
 		return fmt.Errorf("sbayes: unlearn ham underflow (have %d, remove %d)", f.nham, w)
 	}
-	for i := 0; i < n; i++ {
-		r := f.recordFor(token(i))
-		if isSpam && r.spam < w {
-			return fmt.Errorf("sbayes: unlearn underflow on token %q", token(i))
-		}
-		if !isSpam && r.ham < w {
-			return fmt.Errorf("sbayes: unlearn underflow on token %q", token(i))
+	for i := 0; i < ts.Len(); i++ {
+		r := f.recordFor(string(ts.At(i)))
+		if isSpam && r.spam < w || !isSpam && r.ham < w {
+			return fmt.Errorf("sbayes: unlearn underflow on token %q", ts.At(i))
 		}
 	}
 	if isSpam {
@@ -237,9 +199,9 @@ func (f *Filter) unlearn(n int, token func(i int) string, isSpam bool, weight in
 	} else {
 		f.nham -= w
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < ts.Len(); i++ {
 		// Validation proved every token is interned with count ≥ w.
-		id, _ := f.syms.Lookup(token(i))
+		id, _ := f.syms.LookupToken(ts.At(i))
 		f.addCounts(id, isSpam, -w)
 	}
 	return nil

@@ -6,10 +6,29 @@ import (
 	"testing"
 
 	"repro/internal/mail"
+	"repro/internal/tokenize"
 )
 
 // mkMsg builds a bare-body message.
 func mkMsg(body string) *mail.Message { return &mail.Message{Body: body} }
+
+// learnWords, unlearnWords, scoreWords and classifyWords drive a
+// filter with a hand-made token list through the stream contract.
+func learnWords(f *Filter, words []string, isSpam bool, weight int) {
+	f.LearnTokenStream(tokenize.StreamFromTokens(words), isSpam, weight)
+}
+
+func unlearnWords(f *Filter, words []string, isSpam bool, weight int) error {
+	return f.UnlearnTokenStream(tokenize.StreamFromTokens(words), isSpam, weight)
+}
+
+func scoreWords(f *Filter, words []string) float64 {
+	return f.ScoreTokenStream(tokenize.StreamFromTokens(words))
+}
+
+func classifyWords(f *Filter, words []string) (Label, float64) {
+	return f.ClassifyTokenStream(tokenize.StreamFromTokens(words))
+}
 
 // trainBasic trains a small, clearly separated corpus.
 func trainBasic(f *Filter) {
@@ -100,10 +119,10 @@ func TestTokenScoreDirection(t *testing.T) {
 func TestTokenScoreEquationOne(t *testing.T) {
 	// Hand-check PS(w) and f(w): token in 3 of 4 spam, 1 of 6 ham.
 	f := NewDefault()
-	f.LearnTokens([]string{"w"}, true, 3)
-	f.LearnTokens([]string{"other"}, true, 1)
-	f.LearnTokens([]string{"w"}, false, 1)
-	f.LearnTokens([]string{"other"}, false, 5)
+	learnWords(f, []string{"w"}, true, 3)
+	learnWords(f, []string{"other"}, true, 1)
+	learnWords(f, []string{"w"}, false, 1)
+	learnWords(f, []string{"other"}, false, 5)
 	// PS = (6*3)/(6*3 + 4*1) = 18/22.
 	ps := 18.0 / 22.0
 	n := 4.0
@@ -183,16 +202,16 @@ func TestMaxDiscriminatorsCap(t *testing.T) {
 	spamTokens := []string{"sp0", "sp1", "sp2", "sp3", "sp4", "sp5", "sp6", "sp7", "sp8", "sp9"}
 	hamTokens := []string{"hm0", "hm1", "hm2", "hm3", "hm4", "hm5", "hm6", "hm7", "hm8", "hm9"}
 	for i := 0; i < 10; i++ {
-		f.LearnTokens(spamTokens, true, 1)
-		f.LearnTokens(hamTokens, false, 1)
+		learnWords(f, spamTokens, true, 1)
+		learnWords(f, hamTokens, false, 1)
 	}
 	// A message with 3 spammy and 10 hammy tokens: with a cap of 3 the
 	// strongest 3 tie between spam and ham by distance; determinism and
 	// boundedness are what we check here.
 	msg := append([]string{}, spamTokens[:3]...)
 	msg = append(msg, hamTokens...)
-	_, s1 := f.ClassifyTokens(msg)
-	_, s2 := f.ClassifyTokens(msg)
+	_, s1 := classifyWords(f, msg)
+	_, s2 := classifyWords(f, msg)
 	if s1 != s2 {
 		t.Errorf("capped classification not deterministic: %v vs %v", s1, s2)
 	}
@@ -340,7 +359,7 @@ func TestScoreMonotoneInSpamEvidence(t *testing.T) {
 	for w := 0; w <= 50; w += 5 {
 		f := NewDefault()
 		trainBasic(f)
-		f.LearnTokens([]string{"attacked"}, true, w)
+		learnWords(f, []string{"attacked"}, true, w)
 		s := f.Score(mkMsg("attacked budget meeting\n"))
 		if s < prev-1e-12 {
 			t.Fatalf("score decreased from %v to %v at weight %d", prev, s, w)

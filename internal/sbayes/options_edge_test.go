@@ -32,12 +32,12 @@ func TestMaxDiscriminatorsOne(t *testing.T) {
 	// With a single discriminator the strongest token decides alone;
 	// a message with one spammy and many hammy tokens follows the
 	// single furthest-from-0.5 score.
-	_, s := f.ClassifyTokens([]string{"viagra", "budget", "meeting", "report"})
+	_, s := classifyWords(f, []string{"viagra", "budget", "meeting", "report"})
 	if s <= 0 && s >= 1 {
 		t.Fatalf("degenerate score %v", s)
 	}
 	// Deterministic regardless of token order.
-	_, s2 := f.ClassifyTokens([]string{"report", "meeting", "budget", "viagra"})
+	_, s2 := classifyWords(f, []string{"report", "meeting", "budget", "viagra"})
 	if s != s2 {
 		t.Errorf("order-dependent with cap 1: %v vs %v", s, s2)
 	}
@@ -69,8 +69,8 @@ func TestZeroStrengthPrior(t *testing.T) {
 	opts := DefaultOptions()
 	opts.UnknownWordStrength = 0
 	f := New(opts, nil)
-	f.LearnTokens([]string{"w"}, true, 3)
-	f.LearnTokens([]string{"u"}, false, 3)
+	learnWords(f, []string{"w"}, true, 3)
+	learnWords(f, []string{"u"}, false, 3)
 	// PS(w) = (3·3)/(3·3 + 3·0) = 1.
 	if got := f.TokenScore("w"); got != 1 {
 		t.Errorf("unsmoothed spam-only score = %v, want 1", got)
@@ -79,7 +79,7 @@ func TestZeroStrengthPrior(t *testing.T) {
 		t.Errorf("unsmoothed ham-only score = %v, want 0", got)
 	}
 	// Combining with extreme scores must not produce NaN.
-	s := f.ScoreTokens([]string{"w", "u"})
+	s := scoreWords(f, []string{"w", "u"})
 	if math.IsNaN(s) {
 		t.Error("NaN score from extreme token scores")
 	}

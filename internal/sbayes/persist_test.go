@@ -35,7 +35,7 @@ func TestSaveDeterministic(t *testing.T) {
 	f := NewDefault()
 	r := stats.NewRNG(1)
 	for i := 0; i < 50; i++ {
-		f.LearnTokens(randomTokens(r, 20), r.Bernoulli(0.5), 1)
+		learnWords(f, randomTokens(r, 20), r.Bernoulli(0.5), 1)
 	}
 	var a, b bytes.Buffer
 	if err := f.Save(&a); err != nil {

@@ -309,10 +309,10 @@ func TestGeneratedMessagesTokenize(t *testing.T) {
 	r := stats.NewRNG(13)
 	tok := tokenize.Default()
 	for i := 0; i < 10; i++ {
-		ham := tok.TokenSet(g.HamMessage(r))
-		spam := tok.TokenSet(g.SpamMessage(r))
-		if len(ham) < 20 || len(spam) < 20 {
-			t.Fatalf("token sets too small: %d/%d", len(ham), len(spam))
+		ham := tok.Stream(g.HamMessage(r)).Len()
+		spam := tok.Stream(g.SpamMessage(r)).Len()
+		if ham < 20 || spam < 20 {
+			t.Fatalf("token sets too small: %d/%d", ham, spam)
 		}
 	}
 }

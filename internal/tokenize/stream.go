@@ -1,21 +1,16 @@
 package tokenize
 
-// The tokenize-once representation. Tokenize/TokenSet return freshly
-// allocated []string slices — fine for offline exhibits, but the
-// serving path pays that cost for every message at every layer
-// (BENCH_PR3: ~56KB / 46 allocs per message, and batch scoring flat
-// from 1→8 workers because every stage re-tokenized). Stream walks
-// the message once through pooled per-message scratch (a sync.Pool
-// arena for the lowered text, the token bytes, and the dedupe map)
-// and produces a TokenStream: each distinct token exactly once in
+// The tokenize-once representation. A freshly allocated []string per
+// message and per pipeline stage cost the serving path ~56KB and 46
+// allocs per message (BENCH_PR3), and batch scoring stayed flat from
+// 1→8 workers because every stage re-tokenized. Stream walks the
+// message once through pooled per-message scratch (a sync.Pool arena
+// for the lowered text, the token bytes, and the dedupe map) and
+// produces a TokenStream: each distinct token exactly once in
 // first-appearance order, with its occurrence count, all token text
 // sliced zero-copy out of one backing string. Engine, admission and
 // the learn path hand the same *TokenStream* around instead of
 // re-tokenizing.
-//
-// Stream and the legacy Tokenize walk are separate implementations of
-// the same rules; TestStreamMatchesTokenize and FuzzTokenStream pin
-// them token-for-token so they cannot drift.
 
 import (
 	"sync"
@@ -23,8 +18,7 @@ import (
 
 // Token is one tokenizer output. It is a distinct named type (not a
 // bare string) so the layer boundaries are visible to the type
-// checker and to the tokenizeonce analyzer, which fences conversions
-// back to []string to the packages that own tokenization.
+// checker.
 type Token string
 
 // TokenStream is one message tokenized exactly once: every distinct
@@ -63,23 +57,10 @@ func (ts *TokenStream) Tokens() []Token { return ts.tokens }
 // identically are the same training example.
 func (ts *TokenStream) Digest() uint64 { return ts.digest }
 
-// Strings materializes the distinct tokens as a fresh []string — the
-// legacy TokenSet shape. It exists for capability fallbacks and
-// tests; on the serving path it re-pays the allocation the stream
-// exists to avoid, so the tokenizeonce analyzer fences it exactly
-// like a tokenizer entry point.
-func (ts *TokenStream) Strings() []string {
-	out := make([]string, len(ts.tokens))
-	for i, t := range ts.tokens {
-		out[i] = string(t)
-	}
-	return out
-}
-
-// StreamFromTokens builds a TokenStream from a full token stream
-// (duplicates preserved, as Tokenizer.Tokenize returns), deduplicating
-// exactly like Stream. It is the bridge for callers holding legacy
-// []string token slices and for conformance tests.
+// StreamFromTokens builds a TokenStream from a full token sequence
+// (duplicates preserved), deduplicating exactly like Stream. It turns a
+// word list — an attack dictionary, a test's hand-made token set —
+// into the stream every classifier trains and scores on.
 func StreamFromTokens(stream []string) *TokenStream {
 	sc := getScratch()
 	for _, t := range stream {

@@ -9,13 +9,23 @@ import (
 	"repro/internal/textgen"
 )
 
-// streamEqualsLegacy fails unless Stream(m) matches the legacy
-// Tokenize walk token for token: same distinct tokens in the same
+// strs copies a stream's distinct tokens into a []string (nil when
+// there are none).
+func strs(ts *TokenStream) []string {
+	var out []string
+	for i := 0; i < ts.Len(); i++ {
+		out = append(out, string(ts.At(i)))
+	}
+	return out
+}
+
+// streamEqualsLegacy fails unless Stream(m) matches the legacy []string
+// walk token for token: same distinct tokens in the same
 // first-appearance order, occurrence counts matching the full stream,
 // and Total equal to the full stream length.
 func streamEqualsLegacy(t *testing.T, tok *Tokenizer, m *mail.Message) {
 	t.Helper()
-	full := tok.Tokenize(m)
+	full := tok.legacyTokens(m)
 	ts := tok.Stream(m)
 
 	if ts.Total() != len(full) {
@@ -30,7 +40,7 @@ func streamEqualsLegacy(t *testing.T, tok *Tokenizer, m *mail.Message) {
 		wantCount[w]++
 	}
 	if ts.Len() != len(wantOrder) {
-		t.Fatalf("Len = %d, want %d distinct (%v vs %v)", ts.Len(), len(wantOrder), ts.Strings(), wantOrder)
+		t.Fatalf("Len = %d, want %d distinct (%v vs %v)", ts.Len(), len(wantOrder), strs(ts), wantOrder)
 	}
 	for i := 0; i < ts.Len(); i++ {
 		got := string(ts.At(i))
@@ -117,7 +127,7 @@ func TestStreamScratchReuseIsClean(t *testing.T) {
 	// built them is reused by later messages.
 	tok := Default()
 	a := tok.Stream(&mail.Message{Body: "first message body words"})
-	aWant := a.Strings()
+	aWant := strs(a)
 	for i := 0; i < 64; i++ {
 		_ = tok.Stream(&mail.Message{Body: strings.Repeat("other content entirely ", i+1)})
 	}

@@ -18,7 +18,7 @@ func TestUnicodeBodySafe(t *testing.T) {
 		" nbsp separated words",
 	}
 	for _, in := range inputs {
-		got := tok.TokenizeText(in)
+		got := bodyTokens(tok, in)
 		for _, g := range got {
 			if g == "" {
 				t.Fatalf("empty token from %q", in)
@@ -28,7 +28,7 @@ func TestUnicodeBodySafe(t *testing.T) {
 }
 
 func TestUnicodeCaseFolding(t *testing.T) {
-	got := Default().TokenizeText("HÉLLO")
+	got := bodyTokens(Default(), "HÉLLO")
 	if len(got) != 1 || got[0] != strings.ToLower("HÉLLO") {
 		t.Errorf("got %v", got)
 	}
@@ -38,7 +38,7 @@ func TestInvalidUTF8DoesNotPanic(t *testing.T) {
 	tok := Default()
 	// Broken encodings must not crash the pipeline.
 	bad := string([]byte{0xff, 0xfe, 'a', 'b', 'c', ' ', 0x80, 0x81, 0x82, 0x83})
-	_ = tok.TokenizeText(bad)
+	_ = bodyTokens(tok, bad)
 }
 
 func TestLongUnicodeWordSkipToken(t *testing.T) {
@@ -47,14 +47,14 @@ func TestLongUnicodeWordSkipToken(t *testing.T) {
 	// for our purposes (byte-prefix identity is all the learner
 	// needs).
 	w := strings.Repeat("é", 20) // 40 bytes
-	got := Default().TokenizeText(w)
+	got := bodyTokens(Default(), w)
 	if len(got) != 1 || !strings.HasPrefix(got[0], "skip:") {
 		t.Errorf("got %v", got)
 	}
 }
 
 func TestNullBytesAndControls(t *testing.T) {
-	got := Default().TokenizeText("abc\x00def ghi\tjkl")
+	got := bodyTokens(Default(), "abc\x00def ghi\tjkl")
 	// Tab splits; NUL does not (not whitespace) — totality is what
 	// matters here.
 	if len(got) == 0 {

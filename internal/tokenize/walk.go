@@ -1,12 +1,12 @@
 package tokenize
 
 // The pooled streaming walk behind Stream and DistinctTokenCount. It
-// applies exactly the rules of the []string walk in tokenize.go, but
-// over byte slices lowered into reusable scratch buffers, emitting
-// token pieces straight into the scratch arena — no intermediate
-// slices, no per-token string concatenation. Equivalence with the
-// legacy walk is pinned by TestStreamMatchesTokenize and
-// FuzzTokenStream.
+// applies the SpamBayes rules of the package doc over byte slices
+// lowered into reusable scratch buffers, emitting token pieces
+// straight into the scratch arena — no intermediate slices, no
+// per-token string concatenation. TestStreamMatchesTokenize and
+// FuzzTokenStream hold it token for token to a plain []string
+// implementation of the same rules, kept in legacy_test.go.
 
 import (
 	"bytes"
@@ -54,7 +54,7 @@ func (t *Tokenizer) Stream(m *mail.Message) *TokenStream {
 	return ts
 }
 
-// DistinctTokenCount returns len(TokenSet(m)) without materializing
+// DistinctTokenCount returns Stream(m).Len() without materializing
 // any token slice: the walk runs through the pooled scratch and only
 // the dedupe map's size survives. It exists so consumers outside the
 // tokenization layer (the admission flood gate, notably) can ask for
@@ -70,7 +70,7 @@ func (t *Tokenizer) DistinctTokenCount(m *mail.Message) int {
 }
 
 // walkMessage emits the message's full token stream (headers first,
-// duplicates included) into the scratch, mirroring Tokenize.
+// duplicates included) into the scratch.
 func (t *Tokenizer) walkMessage(sc *scratch, m *mail.Message) {
 	if t.opts.Headers {
 		for i := range m.Header {
@@ -176,7 +176,7 @@ func eachField(b []byte, fn func(w []byte)) {
 }
 
 // walkText lowercases body text into the scratch and applies the word
-// rules (URL splitting included), mirroring appendTextTokens.
+// rules (URL splitting included).
 func (t *Tokenizer) walkText(sc *scratch, text string) {
 	if text == "" {
 		return
@@ -198,8 +198,7 @@ func (t *Tokenizer) walkText(sc *scratch, text string) {
 
 // walkWords lowercases a header value and emits each field, through
 // the word rules when rules is set (Subject) or verbatim with the
-// prefix when not (the word-list fields), mirroring
-// appendHeaderTokens.
+// prefix when not (the word-list fields).
 func (t *Tokenizer) walkWords(sc *scratch, prefix, v string, rules bool) {
 	sc.lower = lowerInto(sc.lower[:0], v)
 	eachField(sc.lower, func(w []byte) {
@@ -213,8 +212,11 @@ func (t *Tokenizer) walkWords(sc *scratch, prefix, v string, rules bool) {
 	})
 }
 
-// walkWord applies the SpamBayes word rules to one lowered word,
-// mirroring appendWord.
+// walkWord applies the SpamBayes word rules to one lowered word:
+// words shorter than MinWordLen are dropped, words up to MaxWordLen
+// kept, and longer ones become "email name:"/"email addr:" tokens when
+// they hold one '@' and a '.' (under 40 bytes), else, with SkipTokens,
+// a "skip:" token recording the first byte and a length bucket.
 func (t *Tokenizer) walkWord(sc *scratch, prefix string, w []byte) {
 	n := len(w)
 	switch {
@@ -247,7 +249,8 @@ func (t *Tokenizer) walkWord(sc *scratch, prefix string, w []byte) {
 	}
 }
 
-// splitURLBytes mirrors splitURL.
+// splitURLBytes reports whether w is a URL-ish word and returns the
+// remainder after the scheme plus the scheme name.
 func splitURLBytes(w []byte) (rest []byte, proto string, ok bool) {
 	switch {
 	case hasPrefix(w, "http://"):
@@ -261,7 +264,7 @@ func splitURLBytes(w []byte) (rest []byte, proto string, ok bool) {
 	}
 }
 
-// walkURL emits "url:" host-piece tokens, mirroring appendURLTokens.
+// walkURL emits "url:" host-piece tokens.
 func (sc *scratch) walkURL(rest []byte) {
 	host := rest
 	if i := bytes.IndexAny(host, "/?#"); i >= 0 {
@@ -277,8 +280,9 @@ func (sc *scratch) walkURL(rest []byte) {
 	})
 }
 
-// walkAddress mirrors appendAddressTokens: lowercase, trim, extract
-// the <...> bracket address if present, then name/domain tokens.
+// walkAddress tokenizes an address header value: lowercase, trim,
+// extract the <...> bracket address if present, then name/domain
+// tokens.
 func (sc *scratch) walkAddress(prefix, v string) {
 	sc.lower = lowerInto(sc.lower[:0], v)
 	b := bytes.TrimSpace(sc.lower)
@@ -311,7 +315,8 @@ func (sc *scratch) walkAddress(prefix, v string) {
 	})
 }
 
-// walkReceived mirrors appendReceivedTokens.
+// walkReceived mines hostnames and IPv4 octet prefixes out of a
+// Received line.
 func (sc *scratch) walkReceived(v string) {
 	// The received walk needs the lowered value to survive the field
 	// iteration, and no other walk runs concurrently on this scratch,
@@ -380,7 +385,8 @@ func hasPrefix(b []byte, p string) bool {
 	return true
 }
 
-// isIPv4ishBytes mirrors isIPv4ish.
+// isIPv4ishBytes reports whether w looks like a dotted-decimal IPv4
+// address.
 func isIPv4ishBytes(w []byte) bool {
 	parts := 1
 	plen := 0

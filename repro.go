@@ -152,28 +152,26 @@
 //
 // # Token pipeline
 //
-// Serving tokenizes each message exactly once. Tokenizer.Stream
-// builds a TokenStream — the message's distinct tokens in
-// first-appearance order with occurrence counts, a total, and a
-// length-prefixed digest — through a pooled per-message scratch
-// arena, so steady-state tokenization costs a handful of allocations
-// instead of a materialized []string per pipeline stage. Both stock
-// backends implement StreamClassifier and StreamLearner over interned
-// token IDs: each trained filter keeps a per-snapshot symbol table
-// that clones cheaply for snapshot swaps and persists sorted, so
-// stream-trained and string-trained filters save byte-identical
-// databases. Every serving stage then consumes the same stream:
-// Engine.Classify and the batch paths resolve the stream capability
-// once per batch; a Guarded engine's vetting tokenizes each training
-// candidate once and hands that one stream to the admitters
-// (TokenFloodGate reads the distinct-token count in O(1),
-// IncrementalRONI memoizes verdicts by stream digest and probes
-// without re-tokenizing), to the Quarantine (whose swap-time reviews
-// hand it back to the judge), and onward through LearnStream to the
-// learner. The tokenizeonce analyzer fences the tokenizer's
-// per-message entry points and TokenStream.Strings, so no stage can
-// quietly reintroduce a second tokenization or rematerialize the
-// slice.
+// Serving tokenizes each message exactly once. Tokenizer.Stream, the
+// tokenizer's one entry point, builds a TokenStream — the message's
+// distinct tokens in first-appearance order with occurrence counts, a
+// total, and a length-prefixed digest — through a pooled per-message
+// scratch arena, so steady-state tokenization costs a handful of
+// allocations instead of a materialized []string per pipeline stage.
+// The token stream is the Classifier contract: every backend exposes
+// its tokenizer and scores, learns and unlearns streams over interned
+// token IDs, each trained filter keeping a per-snapshot symbol table
+// that clones cheaply for snapshot swaps and persists sorted. Every
+// serving stage then consumes the same stream: Engine.Classify and the
+// batch paths tokenize at the batch boundary and score the stream; a
+// Guarded engine's vetting tokenizes each training candidate once and
+// hands that one stream to the admitters (TokenFloodGate reads the
+// distinct-token count in O(1), IncrementalRONI memoizes verdicts by
+// stream digest and probes without re-tokenizing), to the Quarantine
+// (whose swap-time reviews hand it back to the judge), and onward
+// through LearnStream to the learner. The tokenizeonce analyzer fences
+// Tokenizer.Stream, so no stage can quietly reintroduce a second
+// tokenization.
 //
 // # Observability
 //
@@ -295,7 +293,8 @@ import (
 
 // Classifier is the learner contract every backend implements:
 // incremental Learn/Unlearn, Classify into ham/unsure/spam, and raw
-// spam scores.
+// spam scores, over a message or over the TokenStream the backend's
+// own tokenizer makes of it.
 type Classifier = engine.Classifier
 
 // Persistable is the optional capability of saving and restoring a
@@ -307,31 +306,19 @@ type Persistable = engine.Persistable
 // Engine.RetrainIncremental requires it.
 type Cloner = engine.Cloner
 
-// TokenClassifier is the optional capability of scoring a
-// pre-tokenized message (a distinct-token set), so hot loops can
-// tokenize a corpus once and re-score it many times.
-type TokenClassifier = engine.TokenClassifier
-
-// TokenLearner is the optional capability of training directly on a
-// distinct-token set with a multiplicity; only backends whose
-// training is per-message token presence can offer it.
-type TokenLearner = engine.TokenLearner
-
-// StreamClassifier is the optional capability of scoring a
-// once-tokenized message (a TokenStream). The serving engine resolves
-// it once per batch so one tokenization feeds score, vet, and learn;
-// both stock backends have it.
+// StreamClassifier is the stream-scoring half of the Classifier
+// contract: scoring a once-tokenized message (a TokenStream), so one
+// tokenization feeds score, vet, and learn.
 type StreamClassifier = engine.StreamClassifier
 
-// StreamLearner is the optional capability of training on (and
-// unlearning) a TokenStream with a multiplicity; both stock backends
-// have it, and it subsumes TokenLearner for backends whose training
-// weighs occurrence counts.
+// StreamLearner is the stream-training half of the Classifier
+// contract: training on (and unlearning) a TokenStream with a
+// multiplicity.
 type StreamLearner = engine.StreamLearner
 
-// Tokenizing is the optional capability of exposing the tokenizer the
-// classifier trains and scores with, so callers can pre-tokenize
-// corpora consistently with the backend.
+// Tokenizing is the part of the Classifier contract that exposes the
+// tokenizer the classifier trains and scores with, so callers
+// tokenize messages and corpora exactly as the backend does.
 type Tokenizing = engine.Tokenizing
 
 // ValidationBinder is the optional capability of binding a fixed
@@ -941,9 +928,9 @@ type Symbols = tokenize.Symbols
 // NewSymbols returns an empty intern table.
 func NewSymbols() *Symbols { return tokenize.NewSymbols() }
 
-// StreamFromTokens builds a TokenStream from a raw token sequence —
-// the bridge from legacy []string token paths into the stream
-// pipeline.
+// StreamFromTokens builds a TokenStream from a raw token sequence
+// (duplicates allowed), so a word list — an attack dictionary — can be
+// trained and scored like a tokenized message.
 func StreamFromTokens(stream []string) *TokenStream { return tokenize.StreamFromTokens(stream) }
 
 // ---- Mail ----

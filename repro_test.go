@@ -106,9 +106,8 @@ func TestFacadeCorpusAndTokenizer(t *testing.T) {
 	if c.Len() != 2 || c.NumSpam() != 1 {
 		t.Fatalf("corpus %d/%d", c.Len(), c.NumSpam())
 	}
-	toks := DefaultTokenizer().TokenSet(ham[0])
-	if len(toks) != 3 {
-		t.Fatalf("tokens %v", toks)
+	if ts := DefaultTokenizer().Stream(ham[0]); ts.Len() != 3 || ts.At(0) != "meeting" {
+		t.Fatalf("tokens %v", ts.Tokens())
 	}
 	opts := DefaultTokenizerOptions()
 	opts.Headers = false
