@@ -29,9 +29,9 @@
 #                    cover.out + the per-function summary cover.txt
 #                    (CI uploads both)
 #   make bench       run all benchmarks (one per exhibit + micro-benchmarks)
-#   make bench-tokenize  just the tokenizer microbench (stream vs the
-#                    legacy []string path, MB/s and allocs/op) — the
-#                    fast loop for tokenize-once pipeline work
+#   make bench-tokenize  just the tokenizer microbench (the pooled
+#                    Stream walk, MB/s and allocs/op) — the fast loop
+#                    for tokenize-once pipeline work
 #   make bench-json  run the benchmarks (the root package's plus the
 #                    request decoder's BenchmarkWireDecode) and write
 #                    $(BENCH_JSON) as a machine-readable artifact (CI
@@ -44,6 +44,9 @@
 #                    server-side percentiles scraped from /metrics and
 #                    cross-checked against the client's view (a scrape
 #                    that fails to parse fails the target)
+#   make loc         print the non-test Go line count of the tracked
+#                    files outside benchmark/ and testdata fixtures —
+#                    the size figure simplicity changes report
 #   make check       build + vet + gofmt + lint + test + race (CI runs
 #                    the same pieces, but folds the plain test pass
 #                    into `make cover` and adds `make fuzz`)
@@ -57,7 +60,7 @@ SERVE_BENCH_ADDR     ?= 127.0.0.1:18525
 SERVE_BENCH_DURATION ?= 10s
 SERVE_BENCH_WORKERS  ?= 8
 
-.PHONY: build test race vet gofmt lint lint-vettool fuzz cover bench bench-tokenize bench-json serve-bench check
+.PHONY: build test race vet gofmt lint lint-vettool fuzz cover bench bench-tokenize bench-json serve-bench loc check
 
 build:
 	$(GO) build ./...
@@ -134,5 +137,10 @@ serve-bench:
 		> $(SERVE_BENCH_JSON:.json=.txt)
 	$(GO) run ./cmd/benchjson -out $(SERVE_BENCH_JSON) < $(SERVE_BENCH_JSON:.json=.txt)
 	rm -f $(CURDIR)/sbserved.bin $(CURDIR)/sbload.bin
+
+# Counts lines of every tracked .go file that is not a _test.go file,
+# not under benchmark/ and not a testdata fixture.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs cat | wc -l
 
 check: build vet gofmt lint test race

@@ -264,7 +264,8 @@ func (g *Guarded) Stats() ShardedStats { return g.fleet.Stats() }
 // the admitter and the quarantine sink. Callers already holding the
 // stream call VetStream instead.
 func (g *Guarded) Vet(ctx context.Context, m *mail.Message, spam bool) AdmitDecision {
-	return g.VetStream(ctx, m, g.tokFor()(m).Stream(m), spam)
+	tok := g.fleet.shards[g.fleet.ShardFor(m)].Classifier().Tokenizer()
+	return g.VetStream(ctx, m, tok.Stream(m), spam)
 }
 
 // VetStream is the single vetting chokepoint every guarded training
