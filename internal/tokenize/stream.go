@@ -2,8 +2,8 @@ package tokenize
 
 // The tokenize-once representation. A freshly allocated []string per
 // message and per pipeline stage cost the serving path ~56KB and 46
-// allocs per message (BENCH_PR3), and batch scoring stayed flat from
-// 1→8 workers because every stage re-tokenized. Stream walks the
+// allocs per message, and batch scoring stayed flat from 1→8 workers
+// because every stage re-tokenized. Stream walks the
 // message once through pooled per-message scratch (a sync.Pool arena
 // for the lowered text, the token bytes, and the dedupe map) and
 // produces a TokenStream: each distinct token exactly once in
