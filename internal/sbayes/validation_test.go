@@ -78,21 +78,23 @@ func checkBound(t *testing.T, f *Filter, v *validationSet, streams []*tokenize.T
 	}
 }
 
+// clueShapes are the option shapes that change which clues enter δ(E).
+var clueShapes = map[string]func(*Options){
+	"default":         func(*Options) {},
+	"truncated":       func(o *Options) { o.MaxDiscriminators = 7 },
+	"one clue":        func(o *Options) { o.MaxDiscriminators = 1 },
+	"every token":     func(o *Options) { o.MinProbStrength = 0 },
+	"no prior weight": func(o *Options) { o.UnknownWordStrength = 0 },
+	"skewed prior":    func(o *Options) { o.UnknownWordProb = 0.2; o.UnknownWordStrength = 3 },
+}
+
 // TestValidationSetMatchesLearnAndScore is the differential proof of
 // the bound path: for every option shape that changes which clues
 // enter δ(E), and for queries of either label that share all, some or
 // none of the set's tokens, a bound evaluation equals learning the
 // query, scoring each stream, and unlearning it — bit for bit.
 func TestValidationSetMatchesLearnAndScore(t *testing.T) {
-	shapes := map[string]func(*Options){
-		"default":         func(*Options) {},
-		"truncated":       func(o *Options) { o.MaxDiscriminators = 7 },
-		"one clue":        func(o *Options) { o.MaxDiscriminators = 1 },
-		"every token":     func(o *Options) { o.MinProbStrength = 0 },
-		"no prior weight": func(o *Options) { o.UnknownWordStrength = 0 },
-		"skewed prior":    func(o *Options) { o.UnknownWordProb = 0.2; o.UnknownWordStrength = 3 },
-	}
-	for name, shape := range shapes {
+	for name, shape := range clueShapes {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			shape(&opts)

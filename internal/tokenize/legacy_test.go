@@ -206,6 +206,24 @@ func isIPv4ish(w string) bool {
 	return true
 }
 
+// legacyDigest is the stream digest written out independently of the
+// walker: 64-bit FNV-1a over the full token list (duplicates
+// included), each token's length folded in ahead of its bytes.
+// Admission memo keys and saved admission state hold these digests, so
+// a walker change that moved one would fail here rather than silently
+// invalidate them.
+func legacyDigest(full []string) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, tok := range full {
+		h = (h ^ uint64(len(tok))) * prime
+		for i := 0; i < len(tok); i++ {
+			h = (h ^ uint64(tok[i])) * prime
+		}
+	}
+	return h
+}
+
 // itoa converts a small non-negative int to decimal without pulling in
 // strconv allocations on the hot path.
 func itoa(n int) string {

@@ -22,7 +22,8 @@ func strs(ts *TokenStream) []string {
 // streamEqualsLegacy fails unless Stream(m) matches the legacy []string
 // walk token for token: same distinct tokens in the same
 // first-appearance order, occurrence counts matching the full stream,
-// and Total equal to the full stream length.
+// Total equal to the full stream length, and the digest equal to the
+// legacy digest of the full stream.
 func streamEqualsLegacy(t *testing.T, tok *Tokenizer, m *mail.Message) {
 	t.Helper()
 	full := tok.legacyTokens(m)
@@ -50,6 +51,9 @@ func streamEqualsLegacy(t *testing.T, tok *Tokenizer, m *mail.Message) {
 		if ts.Count(i) != wantCount[got] {
 			t.Fatalf("count(%q) = %d, want %d", got, ts.Count(i), wantCount[got])
 		}
+	}
+	if want := legacyDigest(full); ts.Digest() != want {
+		t.Fatalf("Digest = %x, legacy digest %x", ts.Digest(), want)
 	}
 	// The []string bridge must build the identical stream, digest
 	// included — it is the conformance anchor between the two walks.
