@@ -3,9 +3,9 @@ package tokenize
 // The tokenize-once representation. A freshly allocated []string per
 // message and per pipeline stage cost the serving path ~56KB and 46
 // allocs per message, and batch scoring stayed flat from 1→8 workers
-// because every stage re-tokenized. Stream walks the
-// message once through pooled per-message scratch (a sync.Pool arena
-// for the lowered text, the token bytes, and the dedupe map) and
+// because every stage re-tokenized. Stream walks the message once
+// through pooled per-message scratch (a sync.Pool arena for the token
+// bytes, plus a word buffer and an open-addressed dedupe table) and
 // produces a TokenStream: each distinct token exactly once in
 // first-appearance order, with its occurrence count, all token text
 // sliced zero-copy out of one backing string. Engine, admission and
@@ -13,6 +13,7 @@ package tokenize
 // re-tokenizing.
 
 import (
+	"math/bits"
 	"sync"
 )
 
@@ -74,55 +75,74 @@ func StreamFromTokens(stream []string) *TokenStream {
 
 // ---- pooled per-message scratch ----
 
-// scratch is the reusable per-message tokenization state: the
-// lowercase buffer, the token-byte arena, the token boundaries, and
-// the dedupe map. One walk appends every emitted token (duplicates
-// included) into arena with boundaries in offs; finish converts the
-// arena to a single string, deduplicates through the pooled map, and
-// copies out exact-size token/count slices.
+// scratch is the reusable per-message tokenization state: the word
+// buffer, the token-byte arena, the token boundaries, and the dedupe
+// table. One walk appends every emitted token (duplicates included)
+// into arena with boundaries in offs; finish converts the arena to a
+// single string, deduplicates through the table, and copies out
+// exact-size token/count slices.
 type scratch struct {
 	lower  []byte
 	arena  []byte
 	offs   []int
-	seen   map[string]int32
+	table  []int32 // open-addressed dedupe table: 1 + index into toks, 0 empty
 	toks   []Token
 	counts []int32
 }
 
-// Pooled scratches larger than this are dropped rather than recycled,
-// so one pathological message cannot pin a huge arena forever.
+// Pooled scratches whose arena or word buffer exceeds this many bytes,
+// or whose dedupe table exceeds this many slots, are dropped rather
+// than recycled, so one pathological message cannot pin huge buffers
+// forever.
 const maxPooledArena = 1 << 20
 
-var scratchPool = sync.Pool{
-	New: func() any {
-		return &scratch{seen: make(map[string]int32, 256)}
-	},
+// minTableSlots is the dedupe table a new scratch starts with.
+const minTableSlots = 512
+
+func newScratch() *scratch {
+	return &scratch{offs: []int{0}, table: make([]int32, minTableSlots)}
 }
 
-func getScratch() *scratch {
-	sc := scratchPool.Get().(*scratch)
-	sc.offs = append(sc.offs, 0)
-	return sc
-}
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(sc *scratch) {
-	if cap(sc.arena) > maxPooledArena || cap(sc.lower) > maxPooledArena {
+	if cap(sc.arena) > maxPooledArena || cap(sc.lower) > maxPooledArena || len(sc.table) > maxPooledArena {
 		return
 	}
-	clear(sc.seen)
+	sc.reset()
+	scratchPool.Put(sc)
+}
+
+// reset readies the scratch for the next message. It clears only the
+// table slots this message's tokens could occupy, so its cost follows
+// this message, not the largest one the scratch has seen.
+func (sc *scratch) reset() {
+	clear(sc.table[:min(len(sc.table), tableSlots(len(sc.offs)-1))])
 	clear(sc.toks) // drop Token views so old arenas can be collected
 	sc.toks = sc.toks[:0]
 	sc.counts = sc.counts[:0]
 	sc.arena = sc.arena[:0]
-	sc.offs = sc.offs[:0]
+	sc.offs = append(sc.offs[:0], 0)
 	sc.lower = sc.lower[:0]
-	scratchPool.Put(sc)
+}
+
+// tableSlots is the dedupe table size for a message of n tokens: the
+// smallest power of two, at least minTableSlots, holding 2n, so the
+// table is at most half full.
+func tableSlots(n int) int {
+	size := minTableSlots
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
 }
 
 // str appends a token piece.
 func (sc *scratch) str(s string) { sc.arena = append(sc.arena, s...) }
 
-// bs appends a token piece from the lowered buffer.
+// bs appends a token piece from the word buffer.
 func (sc *scratch) bs(b []byte) { sc.arena = append(sc.arena, b...) }
 
 // num appends a non-negative integer piece in decimal.
@@ -150,47 +170,64 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
+// dedupe converts the arena to its backing string and fills toks and
+// counts plus the full-stream digest. One loop over the token bytes
+// advances both the digest (length-prefixed, across the whole stream)
+// and each token's own FNV-1a, which keys the dedupe table. Table
+// entries index toks, whose strings are substrings of the arena
+// string, so deduplicating allocates nothing beyond growing the table.
+func (sc *scratch) dedupe() (digest uint64) {
+	s := string(sc.arena)
+	size := tableSlots(len(sc.offs) - 1)
+	if len(sc.table) < size {
+		sc.table = make([]int32, size)
 	}
-	return h
-}
-
-// dedupe converts the arena to its backing string and fills
-// seen/toks/counts plus the full-stream digest. The map keys are
-// substrings of the returned string, so inserting them allocates
-// nothing beyond occasional bucket growth on a reused map.
-func (sc *scratch) dedupe() (s string, digest uint64) {
-	s = string(sc.arena)
+	table := sc.table[:size]
+	mask := uint64(size - 1)
+	shift := 64 - bits.TrailingZeros(uint(size))
+	toks, counts := sc.toks, sc.counts
 	h := uint64(fnvOffset)
-	n := len(sc.offs) - 1
-	for i := 0; i < n; i++ {
-		tok := s[sc.offs[i]:sc.offs[i+1]]
-		// Length-prefix the hash so token boundaries are unambiguous.
+	start := 0
+	for _, end := range sc.offs[1:] {
+		tok := s[start:end]
+		start = end
+		// Length-prefix the digest so token boundaries are unambiguous.
 		h = (h ^ uint64(len(tok))) * fnvPrime
-		h = fnvString(h, tok)
-		if j, ok := sc.seen[tok]; ok {
-			sc.counts[j]++
-			continue
+		th := uint64(fnvOffset)
+		for j := 0; j < len(tok); j++ {
+			c := uint64(tok[j])
+			h = (h ^ c) * fnvPrime
+			th = (th ^ c) * fnvPrime
 		}
-		sc.seen[tok] = int32(len(sc.toks))
-		sc.toks = append(sc.toks, Token(tok))
-		sc.counts = append(sc.counts, 1)
+		// Fibonacci hashing takes the slot from the high bits, which
+		// every byte of the token reaches.
+		for slot := (th * 0x9e3779b97f4a7c15) >> shift; ; slot = (slot + 1) & mask {
+			k := table[slot]
+			if k == 0 {
+				table[slot] = int32(len(toks) + 1)
+				toks = append(toks, Token(tok))
+				counts = append(counts, 1)
+				break
+			}
+			if toks[k-1] == Token(tok) {
+				counts[k-1]++
+				break
+			}
+		}
 	}
-	return s, h
+	sc.toks, sc.counts = toks, counts
+	return h
 }
 
 // finish deduplicates the walked tokens and copies them into an
 // immutable TokenStream (three exact-size allocations plus the
 // backing string).
 func (sc *scratch) finish() *TokenStream {
-	_, digest := sc.dedupe()
-	ts := &TokenStream{
+	digest := sc.dedupe()
+	return &TokenStream{
 		tokens: append(make([]Token, 0, len(sc.toks)), sc.toks...),
 		counts: append(make([]int32, 0, len(sc.counts)), sc.counts...),
 		total:  len(sc.offs) - 1,
 		digest: digest,
 	}
-	return ts
 }

@@ -1,8 +1,11 @@
 package tokenize
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mail"
 	"repro/internal/stats"
@@ -139,6 +142,48 @@ func TestStreamScratchReuseIsClean(t *testing.T) {
 		if string(a.At(i)) != w {
 			t.Fatalf("stream token %d corrupted by scratch reuse: %q != %q", i, a.At(i), w)
 		}
+	}
+}
+
+// TestLargeMessageLeavesScratchFast: one huge message must not slow
+// every later message tokenized on the same pooled scratch. A 720 KB
+// body of 80,000 distinct tokens (under the serving body cap) once
+// left a dedupe map that large, and clearing it cost its whole
+// capacity on every later reset: about ten times the walk of an
+// ordinary message. The scratch is driven directly, not through the
+// pool, so the check is deterministic under -race.
+func TestLargeMessageLeavesScratchFast(t *testing.T) {
+	tok := Default()
+	var big strings.Builder
+	for i := 0; i < 80000; i++ {
+		fmt.Fprintf(&big, "tok%05d ", i)
+	}
+	large := &mail.Message{Body: big.String()}
+	m := streamTestMessage()
+	walk := func(sc *scratch, m *mail.Message) {
+		tok.walkMessage(sc, m)
+		sc.finish()
+		sc.reset()
+	}
+	fresh, used := newScratch(), newScratch()
+	walk(used, large)
+	// The cheapest of several alternating trials on each scratch, so a
+	// scheduling hiccup in one trial cannot decide the comparison.
+	cost := func(sc *scratch) time.Duration {
+		start := time.Now()
+		for i := 0; i < 100; i++ {
+			walk(sc, m)
+		}
+		return time.Since(start)
+	}
+	freshCost, usedCost := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for trial := 0; trial < 7; trial++ {
+		freshCost = min(freshCost, cost(fresh))
+		usedCost = min(usedCost, cost(used))
+	}
+	if usedCost > 3*freshCost {
+		t.Fatalf("100 ordinary messages cost %v on a scratch that once held a %d-byte message, %v on a fresh one",
+			usedCost, len(large.Body), freshCost)
 	}
 }
 

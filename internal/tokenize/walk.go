@@ -1,15 +1,18 @@
 package tokenize
 
 // The pooled streaming walk behind Stream and DistinctTokenCount. It
-// applies the SpamBayes rules of the package doc over byte slices
-// lowered into reusable scratch buffers, emitting token pieces
-// straight into the scratch arena — no intermediate slices, no
-// per-token string concatenation. TestStreamMatchesTokenize and
-// FuzzTokenStream hold it token for token to a plain []string
+// applies the SpamBayes rules of the package doc in one pass over each
+// header value and the body: one field walker splits the raw bytes on
+// whitespace and lowers each field straight into the scratch arena, so
+// a word kept verbatim becomes a token where it lands — no lowered
+// copy of the text, no intermediate slices, no per-token string
+// concatenation. TestStreamMatchesTokenize and FuzzTokenStream hold it
+// token for token, and digest for digest, to a plain []string
 // implementation of the same rules, kept in legacy_test.go.
 
 import (
 	"bytes"
+	"slices"
 	"unicode"
 	"unicode/utf8"
 
@@ -56,15 +59,15 @@ func (t *Tokenizer) Stream(m *mail.Message) *TokenStream {
 
 // DistinctTokenCount returns Stream(m).Len() without materializing
 // any token slice: the walk runs through the pooled scratch and only
-// the dedupe map's size survives. It exists so consumers outside the
+// the number of distinct tokens survives. It exists so consumers outside the
 // tokenization layer (the admission flood gate, notably) can ask for
 // the one fact they need instead of calling a tokenization entry
 // point themselves.
 func (t *Tokenizer) DistinctTokenCount(m *mail.Message) int {
 	sc := getScratch()
 	t.walkMessage(sc, m)
-	_, _ = sc.dedupe()
-	n := len(sc.seen)
+	sc.dedupe()
+	n := len(sc.toks)
 	putScratch(sc)
 	return n
 }
@@ -75,7 +78,7 @@ func (t *Tokenizer) walkMessage(sc *scratch, m *mail.Message) {
 	if t.opts.Headers {
 		for i := range m.Header {
 			if mail.EqualFieldName(m.Header[i].Name, "Subject") {
-				t.walkWords(sc, "subject:", m.Header[i].Value, true)
+				t.walkFields(sc, subjectField, "subject:", m.Header[i].Value)
 			}
 		}
 		for fi, field := range addressFields {
@@ -90,19 +93,19 @@ func (t *Tokenizer) walkMessage(sc *scratch, m *mail.Message) {
 			prefix := wordPrefixes[fi]
 			for i := range m.Header {
 				if mail.EqualFieldName(m.Header[i].Name, field) {
-					t.walkWords(sc, prefix, m.Header[i].Value, false)
+					t.walkFields(sc, listField, prefix, m.Header[i].Value)
 				}
 			}
 		}
 		if t.opts.MineReceived {
 			for i := range m.Header {
 				if mail.EqualFieldName(m.Header[i].Name, "Received") {
-					sc.walkReceived(m.Header[i].Value)
+					t.walkFields(sc, receivedField, "", m.Header[i].Value)
 				}
 			}
 		}
 	}
-	t.walkText(sc, m.Body)
+	t.walkFields(sc, bodyField, "", m.Body)
 }
 
 // lowerInto appends the lowercase of s to dst, byte-for-byte equal to
@@ -125,106 +128,173 @@ func lowerInto(dst []byte, s string) []byte {
 	return dst
 }
 
-// isSpaceByte matches strings.Fields' ASCII space set.
-func isSpaceByte(c byte) bool {
-	switch c {
-	case ' ', '\t', '\n', '\v', '\f', '\r':
-		return true
+// lowerByte classifies a byte for the field walk: an ASCII byte that
+// is not a space maps to its lowercase, one of strings.Fields' ASCII
+// spaces to spaceByte, and every byte from utf8.RuneSelf up to
+// multiByte, which sends the walk through the unicode tables.
+var lowerByte [256]byte
+
+const (
+	spaceByte = utf8.RuneSelf
+	multiByte = 0xff
+)
+
+func init() {
+	for c := range lowerByte {
+		switch {
+		case c >= utf8.RuneSelf:
+			lowerByte[c] = multiByte
+		case c == ' ', c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			lowerByte[c] = spaceByte
+		case 'A' <= c && c <= 'Z':
+			lowerByte[c] = byte(c) + 'a' - 'A'
+		default:
+			lowerByte[c] = byte(c)
+		}
 	}
-	return false
 }
 
-// eachField iterates the whitespace-separated fields of b (the
-// unicode.IsSpace split strings.Fields performs), calling fn for each.
-func eachField(b []byte, fn func(w []byte)) {
-	i := 0
-	for i < len(b) {
-		// Skip leading space.
-		for i < len(b) {
-			if c := b[i]; c < utf8.RuneSelf {
-				if !isSpaceByte(c) {
-					break
-				}
-				i++
-				continue
-			}
-			r, size := utf8.DecodeRune(b[i:])
+// skipSpace returns the index of the first non-space rune of s at or
+// after i (len(s) if none), splitting as strings.Fields does.
+func skipSpace(s string, i int) int {
+	for i < len(s) {
+		switch lowerByte[s[i]] {
+		case spaceByte:
+			i++
+		case multiByte:
+			r, size := utf8.DecodeRuneInString(s[i:])
 			if !unicode.IsSpace(r) {
-				break
+				return i
 			}
 			i += size
+		default:
+			return i
 		}
-		start := i
-		for i < len(b) {
-			if c := b[i]; c < utf8.RuneSelf {
-				if isSpaceByte(c) {
-					break
-				}
-				i++
-				continue
-			}
-			r, size := utf8.DecodeRune(b[i:])
-			if unicode.IsSpace(r) {
+	}
+	return i
+}
+
+// lowerRunes appends the lowercase of s from i up to the next space
+// to dst, rune by rune, and returns the index of that space (len(s) if
+// none). It is the walk's path for a word holding a byte past
+// utf8.RuneSelf.
+func lowerRunes(dst []byte, s string, i int) ([]byte, int) {
+	for i < len(s) {
+		c := lowerByte[s[i]]
+		if c < utf8.RuneSelf {
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		if c == spaceByte {
+			break
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += size
+	}
+	return dst, i
+}
+
+// fieldKind selects the rules walkFields applies to each field.
+type fieldKind uint8
+
+const (
+	bodyField     fieldKind = iota // URL rules, then the word rules
+	subjectField                   // the word rules, prefixed
+	listField                      // every field verbatim, prefixed
+	receivedField                  // hostname and IPv4 mining
+)
+
+// walkFields is the one field walker behind the body, Subject,
+// word-list and Received walks. It lowers and splits v in one pass
+// over the raw bytes, consulting the unicode tables only past
+// utf8.RuneSelf: splitting the raw text equals splitting its lowercase
+// because unicode.ToLower never changes whether a rune is a space, and
+// invalid UTF-8 lowers to U+FFFD, as in strings.ToLower. Each field is
+// lowered straight into the arena behind the prefix, so a word the
+// rules keep verbatim is closed in place; URL, over-long and Received
+// fields are copied to the word buffer (sc.lower) and the arena rolled
+// back before their tokens are emitted from it.
+func (t *Tokenizer) walkFields(sc *scratch, kind fieldKind, prefix, v string) {
+	urls := kind == bodyField && t.opts.URLTokens
+	minLen, maxLen := t.opts.MinWordLen, t.opts.MaxWordLen
+	arena := sc.arena
+	for i := 0; ; {
+		for i < len(v) && lowerByte[v[i]] == spaceByte {
+			i++
+		}
+		if i < len(v) && lowerByte[v[i]] == multiByte {
+			i = skipSpace(v, i)
+		}
+		if i == len(v) {
+			break
+		}
+		mark := len(arena)
+		if prefix != "" {
+			arena = append(arena, prefix...)
+		}
+		start := len(arena)
+		// Lower the field's leading ASCII run straight into the arena,
+		// which has room for the rest of v, then any remainder that
+		// holds a multi-byte rune.
+		arena = slices.Grow(arena, len(v)-i)
+		buf, n := arena[:cap(arena)], len(arena)
+		for i < len(v) {
+			c := lowerByte[v[i]]
+			if c >= utf8.RuneSelf {
 				break
 			}
-			i += size
+			buf[n] = c
+			n++
+			i++
 		}
-		if i > start {
-			fn(b[start:i])
+		arena = buf[:n]
+		if i < len(v) && lowerByte[v[i]] == multiByte {
+			arena, i = lowerRunes(arena, v, i)
 		}
+		w := arena[start:]
+		url := urls && (w[0] == 'h' || w[0] == 'w') && isURL(w)
+		switch {
+		case kind == listField:
+			sc.offs = append(sc.offs, len(arena))
+			continue
+		case kind == receivedField, url, len(w) > maxLen:
+			// Emitted from the word buffer below.
+		case len(w) < minLen:
+			arena = arena[:mark]
+			continue
+		default:
+			sc.offs = append(sc.offs, len(arena))
+			continue
+		}
+		sc.lower = append(sc.lower[:0], w...)
+		sc.arena = arena[:mark]
+		switch {
+		case kind == receivedField:
+			sc.walkReceivedWord(sc.lower)
+		case url:
+			sc.walkURLWord(sc.lower)
+		default:
+			t.walkLongWord(sc, prefix, sc.lower)
+		}
+		arena = sc.arena
 	}
+	sc.arena = arena
 }
 
-// walkText lowercases body text into the scratch and applies the word
-// rules (URL splitting included).
-func (t *Tokenizer) walkText(sc *scratch, text string) {
-	if text == "" {
-		return
-	}
-	sc.lower = lowerInto(sc.lower[:0], text)
-	eachField(sc.lower, func(w []byte) {
-		if t.opts.URLTokens {
-			if rest, proto, ok := splitURLBytes(w); ok {
-				sc.str("proto:")
-				sc.str(proto)
-				sc.end()
-				sc.walkURL(rest)
-				return
-			}
-		}
-		t.walkWord(sc, "", w)
-	})
-}
-
-// walkWords lowercases a header value and emits each field, through
-// the word rules when rules is set (Subject) or verbatim with the
-// prefix when not (the word-list fields).
-func (t *Tokenizer) walkWords(sc *scratch, prefix, v string, rules bool) {
-	sc.lower = lowerInto(sc.lower[:0], v)
-	eachField(sc.lower, func(w []byte) {
-		if rules {
-			t.walkWord(sc, prefix, w)
-			return
-		}
-		sc.str(prefix)
-		sc.bs(w)
-		sc.end()
-	})
-}
-
-// walkWord applies the SpamBayes word rules to one lowered word:
-// words shorter than MinWordLen are dropped, words up to MaxWordLen
-// kept, and longer ones become "email name:"/"email addr:" tokens when
-// they hold one '@' and a '.' (under 40 bytes), else, with SkipTokens,
-// a "skip:" token recording the first byte and a length bucket.
-func (t *Tokenizer) walkWord(sc *scratch, prefix string, w []byte) {
+// walkLongWord applies the SpamBayes rules for a lowered word longer
+// than MaxWordLen: it becomes "email name:"/"email addr:" tokens when
+// it holds one '@' and a '.' (under 40 bytes), else, with SkipTokens,
+// a "skip:" token recording the first byte and a length bucket. Words
+// shorter than MinWordLen are dropped and the rest kept verbatim
+// before it is reached.
+func (t *Tokenizer) walkLongWord(sc *scratch, prefix string, w []byte) {
 	n := len(w)
 	switch {
-	case n < t.opts.MinWordLen:
-	case n <= t.opts.MaxWordLen:
-		sc.str(prefix)
-		sc.bs(w)
-		sc.end()
 	case n < 40 && countByte(w, '@') == 1 && bytes.IndexByte(w, '.') >= 0:
 		at := bytes.IndexByte(w, '@')
 		local, domain := w[:at], w[at+1:]
@@ -247,6 +317,22 @@ func (t *Tokenizer) walkWord(sc *scratch, prefix string, w []byte) {
 		sc.num(bucket)
 		sc.end()
 	}
+}
+
+// isURL reports whether a lowered word is URL-ish.
+func isURL(w []byte) bool {
+	_, _, ok := splitURLBytes(w)
+	return ok
+}
+
+// walkURLWord emits the "proto:" token of a URL-ish word and its
+// "url:" host-piece tokens.
+func (sc *scratch) walkURLWord(w []byte) {
+	rest, proto, _ := splitURLBytes(w)
+	sc.str("proto:")
+	sc.str(proto)
+	sc.end()
+	sc.walkURL(rest)
 }
 
 // splitURLBytes reports whether w is a URL-ish word and returns the
@@ -315,39 +401,33 @@ func (sc *scratch) walkAddress(prefix, v string) {
 	})
 }
 
-// walkReceived mines hostnames and IPv4 octet prefixes out of a
-// Received line.
-func (sc *scratch) walkReceived(v string) {
-	// The received walk needs the lowered value to survive the field
-	// iteration, and no other walk runs concurrently on this scratch,
-	// so reuse lower like the other walks do.
-	sc.lower = lowerInto(sc.lower[:0], v)
-	eachField(sc.lower, func(w []byte) {
-		w = bytes.Trim(w, "()[];,")
-		switch {
-		case len(w) == 0:
-		case isIPv4ishBytes(w):
-			// Leading octet prefixes generalize across one network.
-			for i := 0; i < len(w); i++ {
-				if w[i] == '.' {
-					sc.str("received:ip:")
-					sc.bs(w[:i])
-					sc.end()
-				}
+// walkReceivedWord mines hostnames and IPv4 octet prefixes out of
+// one lowered field of a Received line.
+func (sc *scratch) walkReceivedWord(w []byte) {
+	w = bytes.Trim(w, "()[];,")
+	switch {
+	case len(w) == 0:
+	case isIPv4ishBytes(w):
+		// Leading octet prefixes generalize across one network.
+		for i := 0; i < len(w); i++ {
+			if w[i] == '.' {
+				sc.str("received:ip:")
+				sc.bs(w[:i])
+				sc.end()
 			}
-			sc.str("received:ip:")
-			sc.bs(w)
-			sc.end()
-		case bytes.IndexByte(w, '.') >= 0:
-			eachDotPiece(w, func(piece []byte) {
-				if len(piece) >= 2 {
-					sc.str("received:")
-					sc.bs(piece)
-					sc.end()
-				}
-			})
 		}
-	})
+		sc.str("received:ip:")
+		sc.bs(w)
+		sc.end()
+	case bytes.IndexByte(w, '.') >= 0:
+		eachDotPiece(w, func(piece []byte) {
+			if len(piece) >= 2 {
+				sc.str("received:")
+				sc.bs(piece)
+				sc.end()
+			}
+		})
+	}
 }
 
 // eachDotPiece calls fn for every non-empty '.'-separated piece.
