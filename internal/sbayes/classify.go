@@ -70,15 +70,20 @@ func (f *Filter) Classify(m *mail.Message) (Label, float64) {
 // ScoreTokenStream computes I(E) over a tokenized message. Token
 // presence drives the score, so the stream's occurrence counts are
 // irrelevant here. This is the serving hot path: stream tokens resolve
-// through Symbols.LookupToken and the candidate clues are ranked in a
-// pooled buffer, so scoring allocates nothing per message.
+// through the symbol table, the clue scores are collected and sorted
+// as plain numbers in a pooled buffer, and δ(E) is read off both ends
+// of the sorted scores, so scoring allocates nothing per message.
 func (f *Filter) ScoreTokenStream(ts *tokenize.TokenStream) float64 {
-	sc := getClues()
-	defer putClues(sc)
+	sc := getScores()
+	defer putScores(sc)
 	for i := 0; i < ts.Len(); i++ {
-		sc.c = f.appendClue(sc.c, string(ts.At(i)))
+		s := f.scoreRecord(f.recordFor(string(ts.At(i))))
+		if math.Abs(s-0.5) >= f.opts.MinProbStrength {
+			sc.s = append(sc.s, s)
+		}
 	}
-	return f.combine(f.rank(sc.c))
+	slices.Sort(sc.s)
+	return f.combineSorted(sc.s)
 }
 
 // ClassifyTokenStream is Classify over a tokenized message.
@@ -91,33 +96,38 @@ func (f *Filter) ClassifyTokenStream(ts *tokenize.TokenStream) (Label, float64) 
 // δ(E), in the message's token order.
 func (f *Filter) Explain(m *mail.Message) []Clue {
 	ts := f.tok.Stream(m)
-	cands := make([]clue, 0, ts.Len())
-	for i := 0; i < ts.Len(); i++ {
-		cands = f.appendClue(cands, string(ts.At(i)))
-	}
-	used := map[string]bool{}
-	for _, c := range f.rank(cands) {
-		used[c.token] = true
-	}
 	out := make([]Clue, ts.Len())
+	var cands []clue
 	for i := range out {
 		t := string(ts.At(i))
-		out[i] = Clue{Token: t, Score: f.TokenScore(t), Used: used[t]}
+		s := f.TokenScore(t)
+		out[i] = Clue{Token: t, Score: s}
+		if d := math.Abs(s - 0.5); d >= f.opts.MinProbStrength {
+			cands = append(cands, clue{token: t, score: s, dist: d, at: i})
+		}
+	}
+	slices.SortFunc(cands, compareClues)
+	for _, c := range cands[:min(len(cands), f.opts.MaxDiscriminators)] {
+		out[c.at].Used = true
 	}
 	return out
 }
 
-// clue pairs a token with its score during discriminator selection.
+// clue pairs a token with its score during Explain's discriminator
+// selection.
 type clue struct {
 	token string
 	score float64
 	dist  float64
+	at    int // position in the message's token order
 }
 
 // compareClues orders clues by descending distance from 0.5, then
 // descending score, then token text. Stream tokens are distinct, so
-// the order is total and every correct sort yields the same sequence —
-// which matters, because combine sums logarithms in this order.
+// the order is total: Explain needs it to say which tokens entered
+// δ(E). The score alone needs only the numeric part of it, because
+// tokens with equal scores add equal logarithms whichever of them is
+// taken.
 func compareClues(a, b clue) int {
 	if c := compareStrength(a.dist, a.score, b.dist, b.score); c != 0 {
 		return c
@@ -142,39 +152,44 @@ func compareStrength(adist, ascore, bdist, bscore float64) int {
 	return 0
 }
 
-// appendClue scores one token and appends it if it clears the
-// MinProbStrength band around 0.5.
-func (f *Filter) appendClue(cands []clue, token string) []clue {
-	s := f.scoreRecord(f.recordFor(token))
-	d := math.Abs(s - 0.5)
-	if d >= f.opts.MinProbStrength {
-		cands = append(cands, clue{token: token, score: s, dist: d})
-	}
-	return cands
-}
-
-// rank computes δ(E) from the candidate clues: the at most
-// MaxDiscriminators tokens whose scores are furthest from 0.5, in
-// compareClues order, so the result is deterministic regardless of
-// input order.
-func (f *Filter) rank(cands []clue) []clue {
-	slices.SortFunc(cands, compareClues)
-	if len(cands) > f.opts.MaxDiscriminators {
-		cands = cands[:f.opts.MaxDiscriminators]
-	}
-	return cands
-}
-
-// combine applies Fisher's method to the selected clues (equations
-// 3–4, implemented as in SpamBayes' chi2_spamprob).
-func (f *Filter) combine(clues []clue) float64 {
+// combineSorted applies Fisher's method (equations 3–4, implemented
+// as in SpamBayes' chi2_spamprob) to δ(E) — the at most
+// MaxDiscriminators clues furthest from 0.5 — given every clue score
+// in ascending order. It sums the logarithms in compareClues order up
+// to swaps of equal scores, which leave the sums bit for bit
+// unchanged: a two-ended merge reads scores of 0.5 and above from the
+// top and scores below 0.5 from the bottom, taking the one further
+// from 0.5 and, at equal distance, the higher. Above 0.5 the distance
+// s − 0.5 is exact, so it falls strictly as the scores fall; below
+// 0.25 the distance 0.5 − s rounds, so distinct low scores can share
+// one, and such a run is taken in descending score.
+func (f *Filter) combineSorted(s []float64) float64 {
+	split, _ := slices.BinarySearch(s, 0.5)
+	lo, hi := 0, len(s)
 	var lnF, lnNotF float64
-	for _, c := range clues {
-		lf, lnf := clueLogs(c.score)
-		lnF += lf
-		lnNotF += lnf
+	n := 0
+	for n < f.opts.MaxDiscriminators && (lo < split || hi > split) {
+		if hi > split && (lo == split || s[hi-1]-0.5 >= 0.5-s[lo]) {
+			hi--
+			lf, lnf := clueLogs(s[hi])
+			lnF += lf
+			lnNotF += lnf
+			n++
+			continue
+		}
+		run := lo + 1
+		for run < split && 0.5-s[run] == 0.5-s[lo] {
+			run++
+		}
+		for k := run - 1; k >= lo && n < f.opts.MaxDiscriminators; k-- {
+			lf, lnf := clueLogs(s[k])
+			lnF += lf
+			lnNotF += lnf
+			n++
+		}
+		lo = run
 	}
-	return fisher(lnF, lnNotF, len(clues))
+	return fisher(lnF, lnNotF, n)
 }
 
 // clueLogs returns ln f(w) and ln(1 − f(w)) for one selected clue.
@@ -206,23 +221,22 @@ func fisher(lnF, lnNotF float64, n int) float64 {
 	return (1 + H - S) / 2
 }
 
-// clueScratch is a pooled candidate buffer, so ranking a message's
+// scoreScratch is a pooled clue-score buffer, so ranking a message's
 // clues allocates nothing once the pool is warm.
-type clueScratch struct{ c []clue }
+type scoreScratch struct{ s []float64 }
 
 // Pooled buffers larger than this are dropped rather than recycled, so
-// one huge message (a dictionary attack) cannot pin its clue buffer.
-const maxPooledClues = 1 << 14
+// one huge message (a dictionary attack) cannot pin its score buffer.
+const maxPooledScores = 1 << 14
 
-var cluePool = sync.Pool{New: func() any { return new(clueScratch) }}
+var scorePool = sync.Pool{New: func() any { return new(scoreScratch) }}
 
-func getClues() *clueScratch { return cluePool.Get().(*clueScratch) }
+func getScores() *scoreScratch { return scorePool.Get().(*scoreScratch) }
 
-func putClues(sc *clueScratch) {
-	if cap(sc.c) > maxPooledClues {
+func putScores(sc *scoreScratch) {
+	if cap(sc.s) > maxPooledScores {
 		return
 	}
-	clear(sc.c) // drop token views so old stream arenas can be collected
-	sc.c = sc.c[:0]
-	cluePool.Put(sc)
+	sc.s = sc.s[:0]
+	scorePool.Put(sc)
 }

@@ -153,6 +153,60 @@ func TestScoreTokenStreamMatchesOracleOnTies(t *testing.T) {
 	}
 }
 
+// oracleCombine is the reference summation over bare clue scores: δ(E)
+// in descending distance from 0.5, then descending score, cut at
+// maxDisc.
+func oracleCombine(maxDisc int, scores []float64) float64 {
+	s := slices.Clone(scores)
+	slices.SortFunc(s, func(a, b float64) int {
+		return compareStrength(math.Abs(a-0.5), a, math.Abs(b-0.5), b)
+	})
+	var lnF, lnNotF float64
+	for _, x := range s[:min(len(s), maxDisc)] {
+		lf, lnf := clueLogs(x)
+		lnF += lf
+		lnNotF += lnf
+	}
+	return fisher(lnF, lnNotF, min(len(s), maxDisc))
+}
+
+// TestCombineSortedMatchesOracleOnDistanceRuns covers scores that
+// token counts rarely produce: distinct scores at one distance from
+// 0.5. Below 0.25 the distance 0.5 − f(w) rounds, so neighbouring
+// floats there can share it, and such a run must be taken in
+// descending score; a score s in [0.25, 0.5) and 1 − s are exactly
+// as far from 0.5, and the higher goes first. MaxDiscriminators cuts
+// the merge at every position.
+func TestCombineSortedMatchesOracleOnDistanceRuns(t *testing.T) {
+	r := stats.NewRNG(1)
+	for trial := 0; trial < 5000; trial++ {
+		var scores []float64
+		for len(scores) < 2+r.Intn(20) {
+			s := 0.125 + 0.125*r.Float64()
+			if next := math.Nextafter(s, 1); 0.5-s == 0.5-next {
+				scores = append(scores, s, next)
+			}
+		}
+		for n := r.Intn(30); n > 0; n-- {
+			s := 0.5 * r.Float64()
+			scores = append(scores, s, 0.5+0.5*r.Float64())
+			if s >= 0.25 {
+				scores = append(scores, 1-s)
+			}
+		}
+		opts := DefaultOptions()
+		opts.MinProbStrength = 0
+		opts.MaxDiscriminators = 1 + r.Intn(len(scores))
+		f := New(opts, nil)
+		slices.Sort(scores)
+		got, want := f.combineSorted(scores), oracleCombine(opts.MaxDiscriminators, scores)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (%d scores, cut at %d): combineSorted %v, reference %v",
+				trial, len(scores), opts.MaxDiscriminators, got, want)
+		}
+	}
+}
+
 // TestScoreDigestGolden pins, for 200 messages of the serving daemon's
 // mail universe scored on a 300 ham + 300 spam filter, each message's
 // token-stream digest and the exact bits of its score.

@@ -21,12 +21,11 @@ import (
 // evaluation then scores every union token once and groups the clues
 // by score: a trial's counts are small, so its clues take few distinct
 // scores. Ranking the groups ranks every clue of every message at
-// once. Clue order breaks ties between equal scores by token text, but
-// tokens with equal scores add equal logarithms, so a message's sum
-// depends only on how many of its clues fall in each group: adding the
-// groups' logarithms that many times each, in rank order, is the
-// summation combine performs, and every score is bit-for-bit the one
-// ScoreTokenStream computes.
+// once. Tokens with equal scores add equal logarithms, so a message's
+// sum depends only on how many of its clues fall in each group: adding
+// the groups' logarithms that many times each, in rank order, is the
+// summation ScoreTokenStream performs over its sorted scores, and every
+// score is bit-for-bit the one ScoreTokenStream computes.
 
 // validationSet is a validation set bound to one filter.
 type validationSet struct {
