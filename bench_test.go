@@ -795,7 +795,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // zero-extra-allocation check, that a single engine served as a
 // one-shard fleet costs nothing a bare Engine does not: the guard's
 // Classify allocates exactly what Engine.Classify allocates on the
-// same filter, and no path through the one-shard fleet — classify,
+// same filter (checked outside -race builds), and no path through the one-shard fleet — classify,
 // batch scoring, vetting, retraining, swapping, streaming — ever calls
 // its routing key.
 func TestOneShardGuardMatchesEngine(t *testing.T) {
@@ -818,10 +818,14 @@ func TestOneShardGuardMatchesEngine(t *testing.T) {
 
 	bare.Classify(m)
 	guard.Classify(m)
-	base := testing.AllocsPerRun(200, func() { bare.Classify(m) })
-	one := testing.AllocsPerRun(200, func() { guard.Classify(m) })
-	if one != base {
-		t.Errorf("one-shard guard Classify allocates %.1f/op, Engine.Classify %.1f/op", one, base)
+	// Under -race sync.Pool drops Puts at random, so allocation counts
+	// vary run to run; the exact comparison holds in every other build.
+	if !raceEnabled {
+		base := testing.AllocsPerRun(200, func() { bare.Classify(m) })
+		one := testing.AllocsPerRun(200, func() { guard.Classify(m) })
+		if one != base {
+			t.Errorf("one-shard guard Classify allocates %.1f/op, Engine.Classify %.1f/op", one, base)
+		}
 	}
 
 	ctx := context.Background()
