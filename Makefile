@@ -19,8 +19,9 @@
 #   make lint-vettool  the same suite driven by `go vet -vettool=`,
 #                    exercising the unitchecker protocol and the
 #                    cross-package fact transport CI also runs
-#   make fuzz        short fuzz smoke over the persistence decoders,
-#                    the tokenizer and the HTTP request decoder
+#   make fuzz        short fuzz smoke over the persistence decoders
+#                    (the snapshot envelope included), the tokenizer
+#                    and the HTTP request decoder
 #                    ($(FUZZTIME) per target; CI runs it, so a format
 #                    regression that panics on garbage, or a request
 #                    decoder that stops agreeing with encoding/json,
@@ -29,9 +30,11 @@
 #                    cover.out + the per-function summary cover.txt
 #                    (CI uploads both)
 #   make bench       run all benchmarks (one per exhibit + micro-benchmarks)
-#   make bench-tokenize  just the tokenizer microbench (the pooled
-#                    Stream walk, MB/s and allocs/op) — the fast loop
-#                    for tokenize-once pipeline work
+#   make bench-tokenize  just the two per-message layer microbenches:
+#                    the pooled Stream walk (MB/s and allocs/op) and
+#                    sbayes scoring of a tokenized message (ns/op, 0
+#                    allocs/op) — the fast loop for tokenize and score
+#                    work
 #   make bench-json  run the benchmarks (the root package's plus the
 #                    request decoder's BenchmarkWireDecode) and write
 #                    $(BENCH_JSON) as a machine-readable artifact (CI
@@ -102,6 +105,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGrahamSaveLoad -fuzztime=$(FUZZTIME) ./internal/graham/
 	$(GO) test -run='^$$' -fuzz=FuzzTokenStream -fuzztime=$(FUZZTIME) ./internal/tokenize/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=$(FUZZTIME) ./internal/engine/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -112,7 +116,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 bench-tokenize:
-	$(GO) test -bench=BenchmarkTokenizeMessage -benchmem -run=^$$ .
+	$(GO) test -bench='BenchmarkTokenizeMessage|BenchmarkClassifyMessage' -benchmem -run=^$$ .
 
 # Two steps rather than a pipe: /bin/sh has no pipefail, and a piped
 # `go test` failure would otherwise exit 0 and archive a truncated
