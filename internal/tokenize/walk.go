@@ -59,10 +59,10 @@ func (t *Tokenizer) Stream(m *mail.Message) *TokenStream {
 
 // DistinctTokenCount returns Stream(m).Len() without materializing
 // any token slice: the walk runs through the pooled scratch and only
-// the number of distinct tokens survives. It exists so consumers outside the
-// tokenization layer (the admission flood gate, notably) can ask for
-// the one fact they need instead of calling a tokenization entry
-// point themselves.
+// the number of distinct tokens survives. It exists so consumers
+// outside the tokenization layer (the admission flood gate, notably)
+// can ask for the one fact they need instead of calling a
+// tokenization entry point themselves.
 func (t *Tokenizer) DistinctTokenCount(m *mail.Message) int {
 	sc := getScratch()
 	t.walkMessage(sc, m)
@@ -257,7 +257,10 @@ func (t *Tokenizer) walkFields(sc *scratch, kind fieldKind, prefix, v string) {
 			arena, i = lowerRunes(arena, v, i)
 		}
 		w := arena[start:]
-		url := urls && (w[0] == 'h' || w[0] == 'w') && isURL(w)
+		url := false
+		if urls && (w[0] == 'h' || w[0] == 'w') {
+			_, _, url = splitURLBytes(w)
+		}
 		switch {
 		case kind == listField:
 			sc.offs = append(sc.offs, len(arena))
@@ -277,7 +280,7 @@ func (t *Tokenizer) walkFields(sc *scratch, kind fieldKind, prefix, v string) {
 		case kind == receivedField:
 			sc.walkReceivedWord(sc.lower)
 		case url:
-			sc.walkURLWord(sc.lower)
+			sc.walkURL(sc.lower)
 		default:
 			t.walkLongWord(sc, prefix, sc.lower)
 		}
@@ -319,22 +322,6 @@ func (t *Tokenizer) walkLongWord(sc *scratch, prefix string, w []byte) {
 	}
 }
 
-// isURL reports whether a lowered word is URL-ish.
-func isURL(w []byte) bool {
-	_, _, ok := splitURLBytes(w)
-	return ok
-}
-
-// walkURLWord emits the "proto:" token of a URL-ish word and its
-// "url:" host-piece tokens.
-func (sc *scratch) walkURLWord(w []byte) {
-	rest, proto, _ := splitURLBytes(w)
-	sc.str("proto:")
-	sc.str(proto)
-	sc.end()
-	sc.walkURL(rest)
-}
-
 // splitURLBytes reports whether w is a URL-ish word and returns the
 // remainder after the scheme plus the scheme name.
 func splitURLBytes(w []byte) (rest []byte, proto string, ok bool) {
@@ -350,8 +337,13 @@ func splitURLBytes(w []byte) (rest []byte, proto string, ok bool) {
 	}
 }
 
-// walkURL emits "url:" host-piece tokens.
-func (sc *scratch) walkURL(rest []byte) {
+// walkURL emits the "proto:" token of a URL-ish word and its "url:"
+// host-piece tokens.
+func (sc *scratch) walkURL(w []byte) {
+	rest, proto, _ := splitURLBytes(w)
+	sc.str("proto:")
+	sc.str(proto)
+	sc.end()
 	host := rest
 	if i := bytes.IndexAny(host, "/?#"); i >= 0 {
 		host = host[:i]
