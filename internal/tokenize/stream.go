@@ -13,7 +13,7 @@ package tokenize
 // re-tokenizing.
 
 import (
-	"math/bits"
+	"hash/maphash"
 	"sync"
 )
 
@@ -170,12 +170,17 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// tableSeed seeds the dedupe table's slot hash. It is drawn afresh in
+// every process, so a sender cannot compute offline which words share
+// a home slot and fill a message with words that crowd one probe run.
+var tableSeed = maphash.MakeSeed()
+
 // dedupe converts the arena to its backing string and fills toks and
-// counts plus the full-stream digest. One loop over the token bytes
-// advances both the digest (length-prefixed, across the whole stream)
-// and each token's own FNV-1a, which keys the dedupe table. Table
-// entries index toks, whose strings are substrings of the arena
-// string, so deduplicating allocates nothing beyond growing the table.
+// counts plus the full-stream digest (length-prefixed FNV-1a across
+// the whole stream). Each token's slot in the table comes from a
+// seeded maphash of its bytes. Table entries index toks, whose strings
+// are substrings of the arena string, so deduplicating allocates
+// nothing beyond growing the table.
 func (sc *scratch) dedupe() (digest uint64) {
 	s := string(sc.arena)
 	size := tableSlots(len(sc.offs) - 1)
@@ -184,7 +189,6 @@ func (sc *scratch) dedupe() (digest uint64) {
 	}
 	table := sc.table[:size]
 	mask := uint64(size - 1)
-	shift := 64 - bits.TrailingZeros(uint(size))
 	toks, counts := sc.toks, sc.counts
 	h := uint64(fnvOffset)
 	start := 0
@@ -193,15 +197,10 @@ func (sc *scratch) dedupe() (digest uint64) {
 		start = end
 		// Length-prefix the digest so token boundaries are unambiguous.
 		h = (h ^ uint64(len(tok))) * fnvPrime
-		th := uint64(fnvOffset)
 		for j := 0; j < len(tok); j++ {
-			c := uint64(tok[j])
-			h = (h ^ c) * fnvPrime
-			th = (th ^ c) * fnvPrime
+			h = (h ^ uint64(tok[j])) * fnvPrime
 		}
-		// Fibonacci hashing takes the slot from the high bits, which
-		// every byte of the token reaches.
-		for slot := (th * 0x9e3779b97f4a7c15) >> shift; ; slot = (slot + 1) & mask {
+		for slot := maphash.String(tableSeed, tok) & mask; ; slot = (slot + 1) & mask {
 			k := table[slot]
 			if k == 0 {
 				table[slot] = int32(len(toks) + 1)

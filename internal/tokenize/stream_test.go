@@ -187,6 +187,63 @@ func TestLargeMessageLeavesScratchFast(t *testing.T) {
 	}
 }
 
+// TestCraftedTokensDoNotCrowdTable: a sender who can compute the
+// dedupe table's slot hash offline can pick words whose home slots all
+// fall in the table's first few slots, whatever its size. They then
+// form one probe run, the i-th insert probes about i slots, and a
+// message of n such words costs about n²/2 string compares. The
+// crafted words here do that to an unseeded FNV-1a slot hash with
+// Fibonacci mixing: the top ten bits of the mixed hash are zero, about
+// one eight-letter word in 1,024. Stream on them must cost about what
+// it costs on as many other eight-letter words.
+func TestCraftedTokensDoNotCrowdTable(t *testing.T) {
+	const n = 4000
+	// word spells x in base 26, eight lowercase letters.
+	word := func(x int) string {
+		var w [8]byte
+		for j := range w {
+			w[j] = 'a' + byte(x%26)
+			x /= 26
+		}
+		return string(w[:])
+	}
+	var crafted, plain strings.Builder
+	for x, found := 0, 0; found < n; x++ {
+		w := word(x)
+		h := uint64(fnvOffset)
+		for j := 0; j < len(w); j++ {
+			h = (h ^ uint64(w[j])) * fnvPrime
+		}
+		if (h*0x9e3779b97f4a7c15)>>54 == 0 {
+			crafted.WriteString(w + " ")
+			found++
+		}
+	}
+	r := stats.NewRNG(1)
+	for i := 0; i < n; i++ {
+		plain.WriteString(word(r.Intn(1<<31)) + " ")
+	}
+	tok := Default()
+	cost := func(body string) time.Duration {
+		m := &mail.Message{Body: body}
+		best := time.Duration(math.MaxInt64)
+		for trial := 0; trial < 5; trial++ {
+			start := time.Now()
+			if ts := tok.Stream(m); ts.Len() != n {
+				t.Fatalf("%d distinct tokens, want %d", ts.Len(), n)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	plainCost := cost(plain.String())
+	craftedCost := cost(crafted.String())
+	if craftedCost > 3*plainCost {
+		t.Fatalf("Stream costs %v on %d crafted words, %v on %d other words of the same length",
+			craftedCost, n, plainCost, n)
+	}
+}
+
 func TestSymbolsInternLookup(t *testing.T) {
 	s := NewSymbols()
 	a := s.Intern("alpha")
