@@ -174,15 +174,18 @@ func skipSpace(s string, i int) int {
 	return i
 }
 
-// lowerRunes appends the lowercase of s from i up to the next space
-// to dst, rune by rune, and returns the index of that space (len(s) if
-// none). It is the walk's path for a word holding a byte past
-// utf8.RuneSelf.
-func lowerRunes(dst []byte, s string, i int) ([]byte, int) {
+// lowerWord appends the lowercase of s from i up to the next space to
+// dst and returns the index of that space (len(s) if none). ASCII
+// goes through the byte table into room grown for the rest of s; utf8
+// and unicode run only from a byte past utf8.RuneSelf.
+func lowerWord(dst []byte, s string, i int) ([]byte, int) {
+	dst = slices.Grow(dst, len(s)-i)
+	buf, n := dst[:cap(dst)], len(dst)
 	for i < len(s) {
 		c := lowerByte[s[i]]
 		if c < utf8.RuneSelf {
-			dst = append(dst, c)
+			buf[n] = c
+			n++
 			i++
 			continue
 		}
@@ -193,10 +196,14 @@ func lowerRunes(dst []byte, s string, i int) ([]byte, int) {
 		if unicode.IsSpace(r) {
 			break
 		}
-		dst = utf8.AppendRune(dst, unicode.ToLower(r))
 		i += size
+		// A lowered rune can take more bytes than the raw one (Ⱥ grows
+		// from two to three, an invalid byte becomes a three-byte
+		// U+FFFD), so grow again for the rest of s.
+		dst = slices.Grow(utf8.AppendRune(buf[:n], unicode.ToLower(r)), len(s)-i)
+		buf, n = dst[:cap(dst)], len(dst)
 	}
-	return dst, i
+	return buf[:n], i
 }
 
 // fieldKind selects the rules walkFields applies to each field.
@@ -224,12 +231,7 @@ func (t *Tokenizer) walkFields(sc *scratch, kind fieldKind, prefix, v string) {
 	minLen, maxLen := t.opts.MinWordLen, t.opts.MaxWordLen
 	arena := sc.arena
 	for i := 0; ; {
-		for i < len(v) && lowerByte[v[i]] == spaceByte {
-			i++
-		}
-		if i < len(v) && lowerByte[v[i]] == multiByte {
-			i = skipSpace(v, i)
-		}
+		i = skipSpace(v, i)
 		if i == len(v) {
 			break
 		}
@@ -238,24 +240,7 @@ func (t *Tokenizer) walkFields(sc *scratch, kind fieldKind, prefix, v string) {
 			arena = append(arena, prefix...)
 		}
 		start := len(arena)
-		// Lower the field's leading ASCII run straight into the arena,
-		// which has room for the rest of v, then any remainder that
-		// holds a multi-byte rune.
-		arena = slices.Grow(arena, len(v)-i)
-		buf, n := arena[:cap(arena)], len(arena)
-		for i < len(v) {
-			c := lowerByte[v[i]]
-			if c >= utf8.RuneSelf {
-				break
-			}
-			buf[n] = c
-			n++
-			i++
-		}
-		arena = buf[:n]
-		if i < len(v) && lowerByte[v[i]] == multiByte {
-			arena, i = lowerRunes(arena, v, i)
-		}
+		arena, i = lowerWord(arena, v, i)
 		w := arena[start:]
 		url := false
 		if urls && (w[0] == 'h' || w[0] == 'w') {
