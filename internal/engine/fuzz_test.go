@@ -15,27 +15,32 @@ import (
 // envelope. And every envelope Encode accepts — a backend name of
 // 1–255 bytes, a generation of at least 1, any payload — survives
 // Encode followed by DecodeEnvelope; the fuzzer drives that leg by
-// reading the same input as an envelope's fields.
+// reading the same input as an envelope's fields, with nameLen picking
+// where the name ends.
 func FuzzDecodeEnvelope(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "envelope_v1.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(golden, uint64(42))
+	f.Add(golden, uint64(42), uint8(6))
 	for _, env := range []engine.Envelope{
 		{Backend: "sbayes", Generation: 1},
 		{Backend: "graham", Generation: 7, Payload: []byte("db bytes")},
 		{Backend: string(bytes.Repeat([]byte{'b'}, 255)), Generation: 1 << 63, Payload: bytes.Repeat([]byte{0xff}, 300)},
 	} {
-		f.Add(env.Encode(), env.Generation)
+		f.Add(env.Encode(), env.Generation, uint8(len(env.Backend)))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, gen uint64) {
+	// Fields read straight from the input: a short name, and a name
+	// whose length takes a two-byte uvarint, each with a payload.
+	f.Add([]byte("grahamdb bytes"), uint64(7), uint8(6))
+	f.Add(append(bytes.Repeat([]byte{'n'}, 200), "payload"...), uint64(3), uint8(200))
+	f.Fuzz(func(t *testing.T, data []byte, gen uint64, nameLen uint8) {
 		if env, err := engine.DecodeEnvelope(data); err == nil {
 			roundTrip(t, env)
 		}
-		// The same bytes as fields: the first up to 255 (at least one)
-		// name the backend, the rest are the payload.
-		n := min(len(data), 255)
+		// The same bytes as fields: the first nameLen (at least one,
+		// so 1–255) name the backend, the rest are the payload.
+		n := min(len(data), max(1, int(nameLen)))
 		if n == 0 || gen == 0 {
 			return
 		}
