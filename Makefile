@@ -5,7 +5,8 @@
 #   make race        run the concurrency-sensitive suites under -race
 #                    (admission vetting + quarantine, engine snapshot
 #                    swap + sharded fan-out + guarded training, eval
-#                    parallelism, scenario online serving, the HTTP
+#                    parallelism, the experiment drivers' parallel
+#                    exhibits, scenario online serving, the HTTP
 #                    front-end's shed/wedge tests, and the root
 #                    facade's end-to-end serving tests)
 #   make vet         static checks
@@ -72,7 +73,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race . ./internal/admission/ ./internal/engine/ ./internal/eval/ ./internal/scenario/ ./internal/serve/
+	$(GO) test -race . ./internal/admission/ ./internal/engine/ ./internal/eval/ ./internal/experiments/ ./internal/scenario/ ./internal/serve/
 
 vet:
 	$(GO) vet ./...

@@ -119,6 +119,7 @@ func RunFig5(env *Env) (*Fig5Result, error) {
 				theta0, theta1 := opts.HamCutoff, opts.SpamCutoff
 				if di > 0 {
 					d := core.DynamicThreshold{Utility: cfg.ThresholdUtilities[di-1]}
+					var err error
 					theta0, theta1, err = d.FitThresholds(hamScores, spamScores)
 					if err != nil {
 						panic(fmt.Sprintf("fig5: fitting thresholds: %v", err))
