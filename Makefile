@@ -21,8 +21,9 @@
 #                    exercising the unitchecker protocol and the
 #                    cross-package fact transport CI also runs
 #   make fuzz        short fuzz smoke over the persistence decoders
-#                    (the snapshot envelope included), the tokenizer
-#                    and the HTTP request decoder
+#                    (the snapshot envelope and the admission sidecar
+#                    and state payloads included), the tokenizer and
+#                    the HTTP request decoder
 #                    ($(FUZZTIME) per target; CI runs it, so a format
 #                    regression that panics on garbage, or a request
 #                    decoder that stops agreeing with encoding/json,
@@ -107,6 +108,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTokenStream -fuzztime=$(FUZZTIME) ./internal/tokenize/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=$(FUZZTIME) ./internal/engine/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeAdmissionState -fuzztime=$(FUZZTIME) ./internal/engine/
+	$(GO) test -run='^$$' -fuzz=FuzzAdmissionLoadState -fuzztime=$(FUZZTIME) ./internal/admission/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
