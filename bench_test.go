@@ -551,10 +551,10 @@ func BenchmarkClassifyBatch(b *testing.B) {
 // hash-by-recipient sharded layer at growing shard counts against the
 // single-engine baseline (shards=1), crossed with per-shard worker
 // counts. Contention at high parallelism is the quantity under test:
-// shards multiply throughput because each sub-batch runs against its
-// own snapshot pointer and worker pool, so shards=4/workers=1 should
-// score the batch at least twice as fast as shards=1/workers=1 on a
-// multi-core runner.
+// shards multiply throughput because each sub-batch runs on its own
+// worker pool against the one epoch the batch loaded, so
+// shards=4/workers=1 should score the batch at least twice as fast as
+// shards=1/workers=1 on a multi-core runner.
 func BenchmarkShardedClassifyBatch(b *testing.B) {
 	e := env(b)
 	r := e.RNG("micro-sharded")
@@ -574,7 +574,7 @@ func BenchmarkShardedClassifyBatch(b *testing.B) {
 			for i := range clfs {
 				clfs[i] = f
 			}
-			sh := engine.NewSharded(clfs, engine.ShardedConfig{Name: "bench", Workers: workers})
+			sh := engine.NewSharded(clfs, engine.Config{Name: "bench", Workers: workers})
 			b.Run("shards="+itoa(shards)+"/workers="+itoa(workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := sh.ClassifyBatch(ctx, msgs); err != nil {
@@ -720,6 +720,9 @@ func BenchmarkServeWhileRetraining(b *testing.B) {
 	})
 	b.Run("retraining", func(b *testing.B) {
 		eng := newEngine()
+		// The flood gate's bound admits every organic message, so the
+		// guard retrains on the whole store.
+		guard := engine.NewGuarded(eng, admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 1 << 20}), engine.GuardedConfig{})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -731,7 +734,7 @@ func BenchmarkServeWhileRetraining(b *testing.B) {
 					return
 				default:
 				}
-				if _, err := eng.Retrain(ctx, backend.New, store); err != nil {
+				if _, err := guard.Retrain(ctx, backend.New, store); err != nil {
 					b.Error(err)
 					return
 				}
@@ -812,8 +815,8 @@ func TestOneShardGuardMatchesEngine(t *testing.T) {
 	key := func(*Message) uint64 { keyCalls.Add(1); return 0 }
 	bare := engine.New(f, engine.Config{Name: "bare"})
 	gate := admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 1 << 20})
-	guard := engine.NewGuardedSharded(
-		engine.NewSharded([]engine.Classifier{f.Clone()}, engine.ShardedConfig{Name: "one", Key: key}),
+	guard := engine.NewGuarded(
+		engine.NewSharded([]engine.Classifier{f.Clone()}, engine.Config{Name: "one", Key: key}),
 		gate, engine.GuardedConfig{})
 
 	bare.Classify(m)
@@ -855,12 +858,12 @@ func TestOneShardGuardMatchesEngine(t *testing.T) {
 	if _, err := wait(); err != nil {
 		t.Fatal(err)
 	}
-	guard.Sharded().Partition(batch)
+	guard.Engine().Partition(batch)
 	if n := keyCalls.Load(); n != 0 {
 		t.Errorf("one-shard fleet called its routing key %d times", n)
 	}
 	if st := guard.Stats(); st.Name != "one" || st.Shards[0].Name != "one" || st.Admission.Vetted != 1+3*uint64(batch.Len()) {
-		t.Errorf("one-shard stats %+v", st.Stats)
+		t.Errorf("one-shard stats %+v", st)
 	}
 }
 

@@ -382,11 +382,12 @@ func cmdResume(args []string) error {
 	if err != nil {
 		return err
 	}
-	eng, env, err := engine.ResumeEngine(st, *name, engine.Config{Name: *name, Workers: *workers})
+	eng, env, err := engine.ResumeEngine(st, *name, 1, engine.Config{Name: *name, Workers: *workers})
 	if err != nil {
 		return err
 	}
-	ns, nh := eng.Classifier().Counts()
+	clf, _ := eng.Snapshot()
+	ns, nh := clf.Counts()
 	fmt.Printf("resumed %s generation %d (%d ham, %d spam trained)\n", env.Backend, env.Generation, nh, ns)
 	if fs.NArg() == 0 {
 		return nil

@@ -22,13 +22,16 @@
 // resumed through one path: a single engine is a one-shard fleet.
 //
 // With -snapshot-dir, the daemon resumes the newest persisted
-// snapshot at startup (falling back to a fresh bootstrap when none
-// exists), exposes POST /admin/save and /admin/resume, and saves on
-// graceful shutdown. Every save writes each shard's snapshot line —
-// the line -name itself for one engine, -name.shard<i> for a fleet —
-// plus one admission sidecar, -name.admission, so held mail and the
-// spent probe budget survive a restart or an in-place resume at any
-// shard count.
+// generation at startup, exposes POST /admin/save and /admin/resume,
+// and saves on graceful shutdown. Every save writes each shard's
+// snapshot line — the line -name itself for one engine,
+// -name.shard<i> for a fleet — at the one serving generation, plus one
+// admission sidecar, -name.admission, so held mail and the spent probe
+// budget survive a restart or an in-place resume at any shard count.
+// Start-up bootstraps fresh only when nothing at all is stored under
+// -name; a store holding another shard count's lines, or lines with no
+// loadable generation, fails start-up instead of bootstrapping over
+// (and later overwriting) the admission state it holds.
 //
 // Endpoints: POST /classify, /score (single JSON), /classify/batch,
 // /score/batch (NDJSON streams), /learn (202 or 503 shed),
@@ -47,6 +50,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -216,7 +220,7 @@ func run(cfg config) error {
 
 	shards := max(1, cfg.shards)
 	guarded, resumed, err := build(cfg, shards, b, gen, rng, chain, gcfg, store,
-		engine.ShardedConfig{Name: cfg.name, Obs: reg, Trace: tracer})
+		engine.Config{Name: cfg.name, Obs: reg, Trace: tracer})
 	if err != nil {
 		return err
 	}
@@ -247,28 +251,40 @@ func run(cfg config) error {
 		return err
 	}
 	if store != nil {
-		if gens, err := engine.SaveGuarded(store, cfg.name, cfg.backend, guarded); err != nil {
+		if gen, err := engine.SaveGuarded(store, cfg.name, cfg.backend, guarded); err != nil {
 			log.Printf("save on exit: %v", err)
 		} else {
-			log.Printf("saved generations %v", gens)
+			log.Printf("saved generation %d", gen)
 		}
 	}
 	return nil
 }
 
-// build resumes the guarded fleet from the store when its first
-// shard's snapshot line exists, else bootstraps fresh shards, each
-// trained on its own partition of the bootstrap corpus (one shard
-// trains on all of it).
-func build(cfg config, shards int, b engine.Backend, gen *textgen.Generator, rng *stats.RNG, chain *admission.Chain, gcfg engine.GuardedConfig, store engine.SnapshotStore, shcfg engine.ShardedConfig) (*engine.Guarded, bool, error) {
+// build resumes the guarded fleet from the store when the store holds
+// exactly this daemon's snapshot lines, and bootstraps fresh shards —
+// each trained on its own partition of the bootstrap corpus (one shard
+// trains on all of it) — only when nothing is stored under the name.
+// Anything in between is an error: bootstrapping over a store it
+// cannot resume would free held mail and refill the spent probe
+// budget, then overwrite the sidecar at the next save.
+func build(cfg config, shards int, b engine.Backend, gen *textgen.Generator, rng *stats.RNG, chain *admission.Chain, gcfg engine.GuardedConfig, store engine.SnapshotStore, ecfg engine.Config) (*engine.Guarded, bool, error) {
 	if store != nil {
-		if _, err := engine.LatestEnvelope(store, engine.ShardSnapshotName(cfg.name, 0, shards)); err == nil {
-			guarded, gens, err := engine.ResumeGuarded(store, shards, shcfg, chain, gcfg)
-			if err != nil {
-				return nil, false, err
+		lines, sidecar, err := storedLines(store, cfg.name, shards)
+		if err != nil {
+			return nil, false, err
+		}
+		if len(lines) > 0 || sidecar {
+			want := make([]string, shards)
+			for i := range want {
+				want[i] = engine.ShardSnapshotName(cfg.name, i, shards)
 			}
-			if stale := engine.StaleShards(gens); len(stale) > 0 {
-				log.Printf("warning: shards %v resumed stale (generations %v)", stale, gens)
+			if !slices.Equal(lines, want) {
+				return nil, false, fmt.Errorf("snapshot store holds lines %v (admission sidecar: %v) under -name %q, but %d shard(s) resume from %v: run with the store's shard count or another -name",
+					lines, sidecar, cfg.name, shards, want)
+			}
+			guarded, err := engine.ResumeGuarded(store, cfg.name, shards, ecfg, chain, gcfg)
+			if err != nil {
+				return nil, false, fmt.Errorf("snapshot store holds lines %v but does not resume: %w", lines, err)
 			}
 			return guarded, true, nil
 		}
@@ -279,7 +295,34 @@ func build(cfg config, shards int, b engine.Backend, gen *textgen.Generator, rng
 		clfs[i] = b.New()
 		trainBootstrap(clfs[i], parts[i])
 	}
-	return engine.NewGuardedSharded(engine.NewSharded(clfs, shcfg), chain, gcfg), false, nil
+	return engine.NewGuarded(engine.NewSharded(clfs, ecfg), chain, gcfg), false, nil
+}
+
+// storedLines lists the snapshot lines stored under name that either
+// shard layout writes — the one-shard line name, then the fleet lines
+// name.shard<i> up to one past this daemon's shard count, so a larger
+// fleet's store shows — and reports whether an admission sidecar is
+// stored.
+func storedLines(store engine.SnapshotStore, name string, shards int) ([]string, bool, error) {
+	candidates := []string{name}
+	for i := 0; i <= shards; i++ {
+		candidates = append(candidates, engine.ShardSnapshotName(name, i, shards+1))
+	}
+	var lines []string
+	for _, line := range candidates {
+		gens, err := store.Generations(line)
+		if err != nil {
+			return nil, false, err
+		}
+		if len(gens) > 0 {
+			lines = append(lines, line)
+		}
+	}
+	gens, err := store.Generations(engine.AdmissionSnapshotName(name))
+	if err != nil {
+		return nil, false, err
+	}
+	return lines, len(gens) > 0, nil
 }
 
 // trainBootstrap trains the operator-trusted bootstrap corpus into a

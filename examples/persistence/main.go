@@ -12,9 +12,11 @@
 //     instead of failing (or worse, loading it: every snapshot is
 //     checksummed).
 //
-//  2. A sharded fleet: every shard persists its own generation line;
-//     after a crash that lost some shards' latest checkpoints, the
-//     resumed fleet reports which shards are stale.
+//  2. A sharded fleet: every shard persists its own line, all at the
+//     fleet's one generation; when one shard line's newest file is
+//     corrupted, the whole fleet resumes at the newest generation every
+//     line holds and can load, so no shard serves a different
+//     generation than its peers.
 //
 //  3. The online deployment simulator in durable mode: checkpoint
 //     every retrain, crash mid-simulation, and verify users cannot
@@ -70,15 +72,17 @@ func main() {
 	}
 
 	probe := gen.Corpus(rng.Split("probe"), 30, 30)
-	before := repro.EvaluateBatch(eng.Classifier(), probe, 0)
+	served, _ := eng.Snapshot()
+	before := repro.EvaluateBatch(served, probe, 0)
 
 	// "Crash": drop the engine, resume from disk.
 	eng = nil
-	resumed, env, err := repro.ResumeEngine(st, "prod", repro.EngineConfig{Name: "prod"})
+	resumed, env, err := repro.ResumeEngine(st, "prod", 1, repro.EngineConfig{Name: "prod"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	after := repro.EvaluateBatch(resumed.Classifier(), probe, 0)
+	restored, _ := resumed.Snapshot()
+	after := repro.EvaluateBatch(restored, probe, 0)
 	fmt.Printf("restart resumed %s generation %d; probe confusion identical: %v\n",
 		env.Backend, env.Generation, before == after)
 
@@ -92,39 +96,51 @@ func main() {
 	if err := st.Write("prod", env.Generation, data); err != nil {
 		log.Fatal(err)
 	}
-	if _, fallback, err := repro.ResumeEngine(st, "prod", repro.EngineConfig{}); err != nil {
+	if _, fallback, err := repro.ResumeEngine(st, "prod", 1, repro.EngineConfig{}); err != nil {
 		log.Fatal(err)
 	} else {
 		fmt.Printf("newest snapshot corrupted on disk -> resume fell back to generation %d\n\n", fallback.Generation)
 	}
 
-	// ---- 2. A sharded fleet, each shard its own generation line. ----
+	// ---- 2. A sharded fleet: one generation, every shard's line. ----
 	base := repro.TrainFilter(week1, repro.DefaultFilterOptions(), nil)
-	clfs := make([]repro.Classifier, 4)
-	for i := range clfs {
-		clfs[i] = base.Clone()
+	clones := func() []repro.Classifier {
+		clfs := make([]repro.Classifier, 4)
+		for i := range clfs {
+			clfs[i] = base.Clone()
+		}
+		return clfs
 	}
-	fleet := repro.NewSharded(clfs, repro.ShardedConfig{Name: "fleet", Workers: 2})
-	if _, err := fleet.SaveAll(st, "sbayes"); err != nil {
+	fleet := repro.NewSharded(clones(), repro.EngineConfig{Name: "fleet", Workers: 2})
+	if _, err := repro.SaveEngine(st, "fleet", "sbayes", fleet); err != nil {
 		log.Fatal(err)
 	}
-	// Shards 1 and 3 retrain once more and checkpoint; 0 and 2 crash
-	// before their next checkpoint.
-	for _, i := range []int{1, 3} {
-		fleet.Shard(i).Swap(base.Clone()) //sbvet:unguarded example: checkpoint walkthrough publishes operator-built snapshots, no third-party training
-		name := repro.ShardSnapshotName("fleet", i, fleet.NumShards())
-		if _, err := repro.SaveEngine(st, name, "sbayes", fleet.Shard(i)); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fleet = nil
-	restored, gens, err := repro.ResumeSharded(st, 4, repro.ShardedConfig{Name: "fleet", Workers: 2})
+	// One fleet publish replaces every shard at once, and the next
+	// checkpoint writes every shard's line at the new generation.
+	fleet.Swap(clones()...) //sbvet:unguarded example: checkpoint walkthrough publishes operator-built snapshots, no third-party training
+	saved, err := repro.SaveEngine(st, "fleet", "sbayes", fleet)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fleet resumed at per-shard generations %v; stale shards: %v\n\n",
-		gens, repro.StaleShards(gens))
-	_ = restored
+	// Bit rot in shard 2's newest file: that line can no longer load
+	// the saved generation, so the whole fleet resumes one generation
+	// back rather than serving shard 2 older than its peers.
+	line := repro.ShardSnapshotName("fleet", 2, fleet.NumShards())
+	data, err = st.Read(line, saved)
+	if err != nil {
+		log.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := st.Write(line, saved, data); err != nil {
+		log.Fatal(err)
+	}
+	fleet = nil
+	restoredFleet, _, err := repro.ResumeEngine(st, "fleet", 4, repro.EngineConfig{Name: "fleet", Workers: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("fleet saved generation %d; %s corrupted -> all %d shards resumed at generation %d\n\n",
+		saved, line, restoredFleet.NumShards(), restoredFleet.Generation())
 
 	// ---- 3. The durable online deployment, crash included. ----
 	cfg := scenario.DefaultConfig()

@@ -153,8 +153,8 @@ func main() {
 		}
 		repro.TrainClassifier(shards[i], parts[i])
 	}
-	fleet := repro.NewGuardedSharded(
-		repro.NewSharded(shards, repro.ShardedConfig{Name: "fleet"}),
+	fleet := repro.NewGuarded(
+		repro.NewSharded(shards, repro.EngineConfig{Name: "fleet"}),
 		chain,
 		repro.GuardedConfig{Quarantine: repro.NewQuarantine(repro.QuarantineConfig{Capacity: 64})},
 	)

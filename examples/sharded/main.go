@@ -7,9 +7,9 @@
 // Two properties fall out, and this example shows both:
 //
 //  1. Throughput: a batch is grouped by shard, fanned out across the
-//     shards' independent snapshots and worker pools, and restitched
-//     in input order — no shared snapshot pointer, no cross-shard
-//     contention (BenchmarkShardedClassifyBatch measures the scaling).
+//     shards' worker pools, and restitched in input order, every
+//     shard's slice scored against the one epoch the batch loaded
+//     (BenchmarkShardedClassifyBatch measures the scaling).
 //  2. Blast radius: a poisoning attack addressed to one victim (the
 //     paper's §4.3 targeted setting) trains into only that user's
 //     shard. The other shards keep serving clean verdicts, and the
@@ -52,7 +52,7 @@ func main() {
 	for i := range clfs {
 		clfs[i] = base.Clone()
 	}
-	sh := repro.NewSharded(clfs, repro.ShardedConfig{Name: "walkthrough", Workers: 2})
+	sh := repro.NewSharded(clfs, repro.EngineConfig{Name: "walkthrough", Workers: 2})
 
 	batch := gen.Corpus(rng, 64, 64)
 	msgs := append(batch.Ham(), batch.Spam()...)
@@ -73,11 +73,11 @@ func main() {
 	fmt.Printf("scored %d messages across %d shards (%d flagged spam)\n",
 		st.Classified, len(st.Shards), spam)
 	for i, s := range st.Shards {
-		fmt.Printf("  shard %d: %d classified, generation %d\n", i, s.Classified, st.Generations[i])
+		fmt.Printf("  shard %d: %d classified, generation %d\n", i, s.Classified, s.Generation)
 	}
 
 	// The one-shard fleet against a plain engine over the same filter.
-	one := repro.NewSharded([]repro.Classifier{base}, repro.ShardedConfig{Name: "single"})
+	one := repro.NewSharded([]repro.Classifier{base}, repro.EngineConfig{Name: "single"})
 	single := repro.NewEngine(base, repro.EngineConfig{Name: "single"})
 	same := 0
 	for _, m := range msgs {
@@ -86,7 +86,7 @@ func main() {
 		}
 	}
 	fmt.Printf("one-shard fleet %q agrees with a single engine on %d/%d messages\n\n",
-		one.Shard(0).Name(), same, len(msgs))
+		one.Stats().Shards[0].Name, same, len(msgs))
 
 	// ---- 2. Targeted poison vs. spread poison, per-shard damage. ----
 	cfg := scenario.DefaultConfig()

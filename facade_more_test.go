@@ -46,7 +46,7 @@ func TestFacadeSharded(t *testing.T) {
 		TrainClassifier(clf, train)
 		clfs[i] = clf
 	}
-	sh := NewSharded(clfs, ShardedConfig{Name: "facade", Workers: 2})
+	sh := NewSharded(clfs, EngineConfig{Name: "facade", Workers: 2})
 	msgs := g.Corpus(rng, 30, 30)
 	results, err := sh.ClassifyBatch(context.Background(), msgs.Ham())
 	if err != nil {

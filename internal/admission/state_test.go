@@ -187,23 +187,19 @@ func TestCrashResumeKeepsHeldMailAndSpentBudget(t *testing.T) {
 			heldBefore := q.Len()
 			budgetBefore := roni.Stats()
 
-			gens, err := engine.SaveGuarded(store, "served", backend, guarded)
+			gen, err := engine.SaveGuarded(store, "served", backend, guarded)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(gens) != 1 || gens[0] != eng.Generation() {
-				t.Fatalf("saved generations %v, serving %d", gens, eng.Generation())
+			if gen != eng.Generation() {
+				t.Fatalf("saved generation %d, serving %d", gen, eng.Generation())
 			}
-			gen := gens[0]
 
 			// Crash: rebuild everything from the store.
 			chain2, roni2, q2 := build()
-			resumed, rgens, err := engine.ResumeGuarded(store, 1, engine.ShardedConfig{Name: "served"}, chain2, engine.GuardedConfig{Quarantine: q2})
+			resumed, err := engine.ResumeGuarded(store, "served", 1, engine.Config{Name: "served"}, chain2, engine.GuardedConfig{Quarantine: q2})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if len(rgens) != 1 || rgens[0] != gen {
-				t.Fatalf("resumed generations %v, want [%d]", rgens, gen)
 			}
 			if got := q2.Len(); got != heldBefore {
 				t.Fatalf("resume amnestied the quarantine: %d held, want %d", got, heldBefore)
@@ -254,12 +250,24 @@ func TestResumeWithoutSidecarLoadsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := admission.NewQuarantine(admission.QuarantineConfig{})
+	q.Hold(mkHeld("live", "held before the resume"), nil, true, "undecidable")
 	guard := engine.NewGuarded(eng, fixed{"a", admission.Decision{Verdict: admission.Accepted}}, engine.GuardedConfig{Quarantine: q})
-	loaded, err := engine.LoadAdmissionState(store, "plain", eng.Generation(), guard)
+	snap, _, loaded, err := guard.Resume(store, "plain")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded {
-		t.Fatal("LoadAdmissionState reported a sidecar that was never written")
+	if loaded || snap != 1 {
+		t.Fatalf("in-place resume reported snapshot %d, sidecar loaded %v; want 1 and no sidecar", snap, loaded)
+	}
+	if q.Len() != 1 {
+		t.Fatalf("a resume without a sidecar touched the quarantine: %d held, want 1", q.Len())
+	}
+	q2 := admission.NewQuarantine(admission.QuarantineConfig{})
+	if _, err := engine.ResumeGuarded(store, "plain", 1, engine.Config{Name: "plain"},
+		fixed{"a", admission.Decision{Verdict: admission.Accepted}}, engine.GuardedConfig{Quarantine: q2}); err != nil {
+		t.Fatal(err)
+	}
+	if q2.Len() != 0 {
+		t.Fatalf("start-up resume without a sidecar loaded %d held", q2.Len())
 	}
 }

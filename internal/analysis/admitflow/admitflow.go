@@ -13,7 +13,7 @@
 //
 //   - sinks are the engine-level training surface — methods named
 //     LearnStream / Retrain / RetrainIncremental / Swap on the engine
-//     package's Engine and Sharded types — and the backend-level
+//     package's Engine type — and the backend-level
 //     learners: any method shaped like Learn(x, bool),
 //     LearnWeighted(x, bool, int) or LearnTokenStream(x, bool, int),
 //     including the Classifier interface's own (so dispatch through
@@ -88,7 +88,7 @@ var Owners = []string{
 	"internal/eval",
 }
 
-// engineOwners is the subset whose Engine/Sharded types carry the
+// engineOwners is the subset whose Engine type carries the
 // serving-level sink methods.
 var engineOwners = []string{"internal/engine"}
 
@@ -222,7 +222,7 @@ func sinkName(fn *types.Func) string {
 	switch name := fn.Name(); {
 	case engineSinkNames[name]:
 		recv, pkg := recvNamed(sig)
-		if (recv == "Engine" || recv == "Sharded") && pkg != nil && matchesSuffix(pkg.Path(), engineOwners) {
+		if recv == "Engine" && pkg != nil && matchesSuffix(pkg.Path(), engineOwners) {
 			return fn.FullName()
 		}
 	case name == "Learn":

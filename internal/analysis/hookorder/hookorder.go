@@ -14,8 +14,8 @@
 // The analyzer works in two halves joined by facts:
 //
 //   - everywhere, it computes which functions (transitively) call the
-//     publish surface — Swap / publish / Retrain / RetrainIncremental
-//     on the engine package's Engine, Sharded, or Guarded — and
+//     publish surface — Swap / publish / Retrain / RetrainIncremental /
+//     Resume on the engine package's Engine or Guarded — and
 //     exports a publishesFact for each, so the reachability crosses
 //     package boundaries;
 //   - at every hook registration — a PrePublish/PostPublish field in a
@@ -68,12 +68,12 @@ var publishNames = map[string]bool{
 	"publish":            true,
 	"Retrain":            true,
 	"RetrainIncremental": true,
+	"Resume":             true,
 }
 
 // publishRecvs are the engine types carrying the publish surface.
 var publishRecvs = map[string]bool{
 	"Engine":  true,
-	"Sharded": true,
 	"Guarded": true,
 }
 

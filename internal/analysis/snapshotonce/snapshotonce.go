@@ -18,10 +18,11 @@
 //     the pointer they load, so eng.Classifier()+eng.Generation() in
 //     one body is recognized as two reads of one pointer.
 //
-// Reads inside a loop are flagged even on first occurrence, unless
-// the pointer expression depends on a loop variable (per-shard reads
-// in a fan-out are reads of N different pointers, which is fine).
-// Intentional re-reads carry a //sbvet:reload directive. _test.go
+// Reads inside a loop are flagged even on first occurrence — also
+// when the pointer hangs off a loop variable: per-item pointers read
+// one by one are N reads that a publish can straddle, the torn fleet
+// read one epoch pointer for every shard replaced. Intentional
+// re-reads carry a //sbvet:reload directive. _test.go
 // files are exempt: tests re-read pointers to assert that a publish
 // changed the generation.
 package snapshotonce
@@ -47,9 +48,6 @@ type event struct {
 	// key names the pointer being read, e.g. "e.cur" for a direct
 	// load or "g.eng.cur" for a read through an accessor method.
 	key string
-	// recv is the expression the pointer hangs off, for the loop-
-	// dependence test.
-	recv ast.Expr
 	// loop is the innermost enclosing for/range statement, nil if
 	// none.
 	loop ast.Node
@@ -87,7 +85,7 @@ func checkBody(pass *analysis.Pass, accessors map[*types.Func]string, body *ast.
 		if pass.IsTestFile(ev.pos) {
 			continue
 		}
-		if ev.loop != nil && !analysis.LoopDependent(pass.TypesInfo, ev.loop, ev.recv) {
+		if ev.loop != nil {
 			if !pass.ExemptedAt(ev.pos, "reload") {
 				pass.Reportf(ev.pos, "snapshot pointer %s is read inside a loop; an iteration running after a publish would mix generations — hoist one read above the loop or annotate //sbvet:reload", ev.key)
 			}
@@ -120,8 +118,8 @@ func collect(pass *analysis.Pass, accessors map[*types.Func]string, n ast.Node, 
 		return
 	case *ast.CallExpr:
 		if sel, ok := s.Fun.(*ast.SelectorExpr); ok {
-			if key, recv, ok := snapshotRead(pass, accessors, sel); ok {
-				*events = append(*events, event{pos: s.Lparen, key: key, recv: recv, loop: loop})
+			if key, ok := snapshotRead(pass, accessors, sel); ok {
+				*events = append(*events, event{pos: s.Lparen, key: key, loop: loop})
 			}
 		}
 	}
@@ -146,22 +144,22 @@ func collectChildren(pass *analysis.Pass, accessors map[*types.Func]string, n as
 }
 
 // snapshotRead classifies one selector call as a snapshot-pointer
-// read, returning the pointer key and the receiver expression.
-func snapshotRead(pass *analysis.Pass, accessors map[*types.Func]string, sel *ast.SelectorExpr) (string, ast.Expr, bool) {
+// read, returning the pointer key.
+func snapshotRead(pass *analysis.Pass, accessors map[*types.Func]string, sel *ast.SelectorExpr) (string, bool) {
 	// Direct load: x.field.Load() on an atomic.Pointer.
 	if sel.Sel.Name == "Load" {
 		if s, ok := pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.MethodVal && analysis.AtomicTypeName(s.Recv()) == "Pointer" {
-			return types.ExprString(sel.X), sel.X, true
+			return types.ExprString(sel.X), true
 		}
 	}
 	// Accessor load: a call to a same-package method whose body is a
 	// direct load of its receiver's pointer field.
 	if fn := analysis.MethodCallee(pass.TypesInfo, sel); fn != nil {
 		if field, ok := accessors[fn]; ok {
-			return types.ExprString(sel.X) + "." + field, sel.X, true
+			return types.ExprString(sel.X) + "." + field, true
 		}
 	}
-	return "", nil, false
+	return "", false
 }
 
 // findAccessors maps each method in this package that is a pure

@@ -101,30 +101,6 @@ func WalkSkipFuncLit(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// LoopDependent reports whether expr mentions any identifier whose
-// declaration lies inside loop — i.e. whether the expression can name
-// a different object on each iteration (a range variable, a loop-
-// local). Per-iteration reads of per-item state are legitimate; only
-// loop-invariant re-reads are torn-read bugs.
-func LoopDependent(info *types.Info, loop ast.Node, expr ast.Expr) bool {
-	dependent := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		if obj != nil && obj.Pos() >= loop.Pos() && obj.Pos() <= loop.End() {
-			dependent = true
-		}
-		return true
-	})
-	return dependent
-}
-
 // IsContextType reports whether t is context.Context.
 func IsContextType(t types.Type) bool {
 	named, ok := types.Unalias(t).(*types.Named)

@@ -370,7 +370,7 @@ func TestConformanceShardedClassifyBatch(t *testing.T) {
 		for i := range clfs {
 			clfs[i] = cloner.CloneClassifier()
 		}
-		sh := engine.NewSharded(clfs, engine.ShardedConfig{Name: backend + "-sharded", Workers: 2})
+		sh := engine.NewSharded(clfs, engine.Config{Name: backend + "-sharded", Workers: 2})
 		parallel, err := sh.ClassifyBatch(context.Background(), msgs)
 		if err != nil {
 			t.Fatal(err)
@@ -435,7 +435,7 @@ func TestConformancePersistenceRoundTrip(t *testing.T) {
 		if _, err := engine.SaveEngine(st, "conformance", backend, eng); err != nil {
 			t.Fatal(err)
 		}
-		resumed, env, err := engine.ResumeEngine(st, "conformance", engine.Config{Name: backend + "-resumed"})
+		resumed, env, err := engine.ResumeEngine(st, "conformance", 1, engine.Config{Name: backend + "-resumed"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,29 +22,32 @@
 //   - the Backend registry, keyed by name ("sbayes", "graham"), which
 //     backends join from their package init and callers query to pick
 //     a learner per deployment configuration;
-//   - Engine, a zero-downtime scoring service: worker-pool
-//     ClassifyBatch/ScoreBatch and single-message Classify read an
-//     atomically swappable immutable snapshot, Retrain builds the
-//     replacement off the serving path and publishes it in one
-//     atomic store (generation-counted in Stats), and a buffered
-//     LearnStream bulk-loads the initial snapshot;
-//   - Sharded, the scale-out layer: one logical filter partitioned
-//     across N Engines routed by a recipient-address hash (pluggable
-//     ShardKey), batches fanned out per shard and restitched in
-//     input order, all-shards Retrain/RetrainIncremental/Swap (one
-//     shard alone through Shard(i)), and Stats embedding the
-//     combined counters beside the per-shard breakdown;
-//   - Guarded, the one admission guard: it vets a fleet's training
-//     path once, at the gateway, counts each decision on the shard
-//     the example routes to, and runs the publish hooks — PrePublish
-//     on every replacement before any shard swaps, PostPublish once.
+//   - Engine, the one serving type: a zero-downtime scoring service
+//     over one logical filter partitioned across N >= 1 shards routed
+//     by a recipient-address hash (pluggable ShardKey). Every shard's
+//     classifier and the one generation they serve at sit behind a
+//     single atomically swappable epoch, so ClassifyBatch/ScoreBatch
+//     and single-message Classify read one load and every verdict
+//     comes from one published model; Swap builds the whole next epoch
+//     and stores it once; a buffered LearnStream bulk-loads the
+//     initial epoch; Stats carries the combined counters beside the
+//     per-shard breakdown;
+//   - Guarded, the one admission guard: it vets an engine's training
+//     path once, at the gateway, counts each decision on the shard the
+//     example routes to, and runs the publish hooks — PrePublish on
+//     every shard's replacement before anything publishes, PostPublish
+//     once per publish;
+//   - persistence: SaveEngine/ResumeEngine write and restore one line
+//     per shard at the epoch's generation, and SaveGuarded/
+//     ResumeGuarded (Guarded.Resume in place) add the admission
+//     sidecar.
 //
-// A single engine is a one-shard fleet. With N == 1 the routing key
-// is never called, the shard keeps the fleet's bare name as its stats
-// label and store key, and its trace events carry shard -1, so
-// NewGuarded over one Engine, the serving daemon, persistence
-// (SaveGuarded writes the line "name" plus "name.admission") and the
-// online simulator each have one code path for every shard count.
+// A single engine is the one-shard case. With N == 1 the routing key
+// is never called, the shard keeps the engine's bare name as its stats
+// label and store key, and its trace events carry shard -1, so the
+// guard, the serving daemon, persistence (SaveGuarded writes the line
+// "name" plus "name.admission") and the online simulator each have one
+// code path for every shard count.
 package engine
 
 import (
@@ -171,7 +174,7 @@ type ValidationSet interface {
 }
 
 // Cloner is the capability of deep-copying the trained state into an
-// independent classifier. The Engine's RetrainIncremental uses it to
+// independent classifier. Guarded.RetrainIncremental uses it to
 // branch the next serving snapshot off the current one and train only
 // the new examples into the branch; experiments use it to fork a
 // poisoned filter off a shared clean baseline. (Backends keep their

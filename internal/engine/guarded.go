@@ -123,27 +123,27 @@ func (s *AdmissionStats) add(o AdmissionStats) {
 	s.Rejected += o.Rejected
 }
 
-// recordAdmission tallies one decision against the engine's admission
+// recordAdmission tallies one decision against the shard's admission
 // counters. Guarded calls it on the destination shard of every vetted
 // candidate.
-func (e *Engine) recordAdmission(v AdmitVerdict) {
+func (sh *shard) recordAdmission(v AdmitVerdict) {
 	switch v {
 	case AdmitAccept:
-		e.admitted.Inc()
+		sh.admitted.Inc()
 	case AdmitReject:
-		e.admitRejected.Inc()
+		sh.admitRejected.Inc()
 	default:
-		e.quarantined.Inc()
+		sh.quarantined.Inc()
 	}
 }
 
 // admissionStats snapshots the counters, deriving Vetted from the
 // per-verdict loads so the total always equals their sum.
-func (e *Engine) admissionStats() AdmissionStats {
+func (sh *shard) admissionStats() AdmissionStats {
 	a := AdmissionStats{
-		Admitted:    e.admitted.Value(),
-		Quarantined: e.quarantined.Value(),
-		Rejected:    e.admitRejected.Value(),
+		Admitted:    sh.admitted.Value(),
+		Quarantined: sh.quarantined.Value(),
+		Rejected:    sh.admitRejected.Value(),
 	}
 	a.Vetted = a.Admitted + a.Quarantined + a.Rejected
 	return a
@@ -168,93 +168,70 @@ type GuardedConfig struct {
 	PostPublish []func()
 }
 
-// Guarded threads admission control through a fleet's training path:
-// LearnStream, Retrain, and RetrainIncremental vet every example
+// Guarded threads admission control through an engine's training
+// path: LearnStream, Retrain, and RetrainIncremental vet every example
 // through the Admitter before it is learned, quarantined examples are
 // routed to the configured sink, and every publish runs the
 // PrePublish/PostPublish hooks. Scoring (Classify, ClassifyBatch,
-// ScoreBatch) passes straight through to the shards and is never
+// ScoreBatch) passes straight through to the engine and is never
 // blocked by admission work — vetting happens on the training path
 // only.
 //
-// The fleet is a Sharded of N >= 1 shards; a single engine is the
-// one-shard fleet NewGuarded builds. Mail is vetted once, at the
-// gateway, upstream of the partition, and each decision is counted
+// The engine may have any number of shards. Mail is vetted once, at
+// the gateway, upstream of the partition, and each decision is counted
 // against the shard the example would train, so sum(per-shard
 // admission counters) == the combined view holds by the same
-// aggregation that keeps every other Sharded counter honest.
+// aggregation that keeps every other Stats counter honest. Every
+// publish replaces the whole epoch, so the engine serves one
+// generation across its shards.
 type Guarded struct {
-	fleet *Sharded
+	eng   *Engine
 	admit Admitter
 	cfg   GuardedConfig
 }
 
-// NewGuarded wraps e, as a one-shard fleet, with admission control.
-// The engine keeps its own name, generation line and instruments.
+// NewGuarded wraps e with admission control. The engine keeps its own
+// name, generation line and instruments.
 func NewGuarded(e *Engine, admit Admitter, cfg GuardedConfig) *Guarded {
 	if e == nil {
 		panic("engine: NewGuarded with nil engine")
 	}
-	return NewGuardedSharded(&Sharded{name: e.name, key: RecipientKey, shards: []*Engine{e}}, admit, cfg)
-}
-
-// NewGuardedSharded wraps the fleet s with admission control.
-func NewGuardedSharded(s *Sharded, admit Admitter, cfg GuardedConfig) *Guarded {
-	if s == nil {
-		panic("engine: NewGuardedSharded with nil sharded engine")
-	}
 	if admit == nil {
 		panic("engine: NewGuarded with nil admitter")
 	}
-	return &Guarded{fleet: s, admit: admit, cfg: cfg}
+	return &Guarded{eng: e, admit: admit, cfg: cfg}
 }
 
-// Engine returns the engine of a one-shard guard. It panics on a
-// fleet of several shards, whose engines Sharded().Shard(i) returns.
-func (g *Guarded) Engine() *Engine {
-	if n := g.fleet.NumShards(); n != 1 {
-		panic(fmt.Sprintf("engine: Engine() on a guard over %d shards", n))
-	}
-	return g.fleet.shards[0]
-}
-
-// Sharded returns the guarded fleet.
-func (g *Guarded) Sharded() *Sharded { return g.fleet }
+// Engine returns the guarded engine.
+func (g *Guarded) Engine() *Engine { return g.eng }
 
 // Admitter returns the vetting policy.
 func (g *Guarded) Admitter() Admitter { return g.admit }
 
-// Name returns the fleet's stats label.
-func (g *Guarded) Name() string { return g.fleet.Name() }
+// Name returns the engine's stats label.
+func (g *Guarded) Name() string { return g.eng.Name() }
 
-// Classify routes and scores one message against its shard's current
-// snapshot, unguarded — admission vets training, never scoring.
-func (g *Guarded) Classify(m *mail.Message) Result { return g.fleet.Classify(m) }
+// Classify routes and scores one message against the current epoch,
+// unguarded — admission vets training, never scoring.
+func (g *Guarded) Classify(m *mail.Message) Result { return g.eng.Classify(m) }
 
-// ClassifyBatch passes straight through to the fleet; admission work
+// ClassifyBatch passes straight through to the engine; admission work
 // never blocks it.
 func (g *Guarded) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Result, error) {
-	return g.fleet.ClassifyBatch(ctx, msgs)
+	return g.eng.ClassifyBatch(ctx, msgs)
 }
 
-// ScoreBatch passes straight through to the fleet.
+// ScoreBatch passes straight through to the engine.
 func (g *Guarded) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, error) {
-	return g.fleet.ScoreBatch(ctx, msgs)
+	return g.eng.ScoreBatch(ctx, msgs)
 }
 
-// Generation returns the newest serving generation across the shards
-// — for one shard, its serving snapshot's generation.
-func (g *Guarded) Generation() uint64 {
-	var gen uint64
-	for _, e := range g.fleet.shards {
-		gen = max(gen, e.Generation())
-	}
-	return gen
-}
+// Generation returns the serving epoch's generation.
+func (g *Guarded) Generation() uint64 { return g.eng.Generation() }
 
-// Stats returns the fleet's counters, including the admission tallies
+// Stats returns the engine's counters, including the admission tallies
 // this guard recorded on each shard.
-func (g *Guarded) Stats() ShardedStats { return g.fleet.Stats() }
+func (g *Guarded) Stats() Stats { return g.eng.Stats() }
 
 // Vet runs one candidate through the admitter, records the decision in
 // the admission counters of the shard the candidate routes to, and
@@ -264,8 +241,8 @@ func (g *Guarded) Stats() ShardedStats { return g.fleet.Stats() }
 // the admitter and the quarantine sink. Callers already holding the
 // stream call VetStream instead.
 func (g *Guarded) Vet(ctx context.Context, m *mail.Message, spam bool) AdmitDecision {
-	tok := g.fleet.shards[g.fleet.ShardFor(m)].Classifier().Tokenizer()
-	return g.VetStream(ctx, m, tok.Stream(m), spam)
+	clfs, _ := g.eng.Snapshots()
+	return g.VetStream(ctx, m, clfs[g.eng.ShardFor(m)].Tokenizer().Stream(m), spam)
 }
 
 // VetStream is the single vetting chokepoint every guarded training
@@ -277,14 +254,14 @@ func (g *Guarded) Vet(ctx context.Context, m *mail.Message, spam bool) AdmitDeci
 // simulator's background rebuilds) can still vet inline without
 // re-tokenizing.
 func (g *Guarded) VetStream(ctx context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) AdmitDecision {
-	counters := g.fleet.shards[g.fleet.ShardFor(m)]
+	sh := g.eng.shards[g.eng.ShardFor(m)]
 	d := g.admit.Admit(ctx, m, ts, spam)
-	counters.recordAdmission(d.Verdict)
+	sh.recordAdmission(d.Verdict)
 	if ts != nil {
-		if digest := ts.Digest(); counters.trace.Sampled(digest) {
-			counters.trace.Record(obs.TraceEvent{
-				Kind: obs.TraceAdmit, Digest: digest, Generation: counters.Generation(),
-				Shard: counters.shard, Verdict: d.Verdict.String(), Reason: d.Reason,
+		if digest := ts.Digest(); g.eng.trace.Sampled(digest) {
+			g.eng.trace.Record(obs.TraceEvent{
+				Kind: obs.TraceAdmit, Digest: digest, Generation: g.eng.Generation(),
+				Shard: sh.index, Verdict: d.Verdict.String(), Reason: d.Reason,
 			})
 		}
 	}
@@ -299,11 +276,8 @@ func (g *Guarded) VetStream(ctx context.Context, m *mail.Message, ts *tokenize.T
 // stream tokenize each candidate exactly once with the tokenizer of
 // the shard that would train it.
 func (g *Guarded) tokFor() func(*mail.Message) *tokenize.Tokenizer {
-	toks := make([]*tokenize.Tokenizer, g.fleet.NumShards())
-	for i, e := range g.fleet.shards {
-		toks[i] = e.Classifier().Tokenizer()
-	}
-	return func(m *mail.Message) *tokenize.Tokenizer { return toks[g.fleet.ShardFor(m)] }
+	toks := g.eng.cur.Load().tokenizers()
+	return func(m *mail.Message) *tokenize.Tokenizer { return toks[g.eng.ShardFor(m)] }
 }
 
 // VetCorpus vets every example of c in corpus order, returning the
@@ -325,12 +299,13 @@ func (g *Guarded) VetCorpus(ctx context.Context, c *corpus.Corpus) (*corpus.Corp
 	return kept, nil
 }
 
-// publish runs the PrePublish hooks on every replacement, swaps each
-// shard to its own, then runs the PostPublish hooks once. A PrePublish
-// error aborts before any shard swaps, reporting cur — the serving
-// generations the caller read once on entry (sbvet:snapshotonce — one
-// decision, one snapshot read).
-func (g *Guarded) publish(cur []uint64, next []Classifier) ([]uint64, error) {
+// publish runs the PrePublish hooks on every shard's replacement,
+// publishes the replacements as the next epoch, then runs the
+// PostPublish hooks once. A PrePublish error aborts before anything is
+// published, reporting cur — the serving generation the caller read
+// once on entry (sbvet:snapshotonce — one decision, one snapshot
+// read).
+func (g *Guarded) publish(cur uint64, next []Classifier) (uint64, error) {
 	for _, clf := range next {
 		for _, hook := range g.cfg.PrePublish {
 			if err := hook(clf); err != nil {
@@ -338,60 +313,51 @@ func (g *Guarded) publish(cur []uint64, next []Classifier) ([]uint64, error) {
 			}
 		}
 	}
-	gens := g.fleet.Swap(next...)
+	gen := g.eng.publish(next)
 	for _, hook := range g.cfg.PostPublish {
 		hook()
 	}
-	return gens, nil
-}
-
-// snapshots reads every shard's serving classifier and generation, one
-// Snapshot() each.
-func (g *Guarded) snapshots() ([]Classifier, []uint64) {
-	clfs := make([]Classifier, g.fleet.NumShards())
-	gens := make([]uint64, len(clfs))
-	for i, e := range g.fleet.shards {
-		clfs[i], gens[i] = e.Snapshot()
-	}
-	return clfs, gens
+	return gen, nil
 }
 
 // Swap vets nothing — the caller built the replacements, one per
 // shard — but still runs the publish hooks, so swap-time defenses fire
 // on externally built snapshots too (the scenario simulator's
 // background rebuilds publish through here). Unlike Engine.Swap it can
-// fail: a PrePublish hook error aborts the publish with no shard
-// swapped. It returns every shard's new generation.
-func (g *Guarded) Swap(clfs ...Classifier) ([]uint64, error) {
-	if len(clfs) != g.fleet.NumShards() {
-		panic(fmt.Sprintf("engine: Swap with %d classifiers for %d shards", len(clfs), g.fleet.NumShards()))
+// fail: a PrePublish hook error aborts the publish. It returns the new
+// epoch's generation.
+func (g *Guarded) Swap(clfs ...Classifier) (uint64, error) {
+	if len(clfs) != g.eng.NumShards() {
+		panic(fmt.Sprintf("engine: Swap with %d classifiers for %d shards", len(clfs), g.eng.NumShards()))
 	}
 	for _, clf := range clfs {
 		if clf == nil {
 			panic("engine: Swap with nil classifier")
 		}
 	}
-	_, cur := g.snapshots()
-	return g.publish(cur, clfs)
+	return g.publish(g.eng.Generation(), clfs)
 }
 
 // Retrain vets train at the gateway, partitions the admitted subset by
 // the routing key, rebuilds every shard from its own slice with a
-// fresh classifier from factory, and publishes the replacements
-// through the hooks. It returns every shard's new generation; on error
-// no shard has swapped. See Engine.Retrain for the snapshot semantics.
-func (g *Guarded) Retrain(ctx context.Context, factory Factory, train *corpus.Corpus) ([]uint64, error) {
+// fresh classifier from factory, concurrently, and publishes the
+// replacements through the hooks as one epoch. Scoring continues
+// against the previous epoch for the whole build and never observes
+// the half-trained replacements. It returns the new generation, or
+// the current one and the error (ctx.Err() if cancelled mid-build);
+// on error nothing is published.
+func (g *Guarded) Retrain(ctx context.Context, factory Factory, train *corpus.Corpus) (uint64, error) {
 	if factory == nil {
 		panic("engine: Retrain with nil factory")
 	}
-	_, cur := g.snapshots()
+	cur := g.eng.Generation()
 	kept, err := g.VetCorpus(ctx, train)
 	if err != nil {
 		return cur, err
 	}
-	parts := g.fleet.Partition(kept)
+	parts := g.eng.Partition(kept)
 	next := make([]Classifier, len(parts))
-	err = g.fleet.forEachShard(func(sh int) error {
+	err = g.eng.forEachShard(func(sh int) error {
 		next[sh] = factory()
 		return trainAll(ctx, next[sh], parts[sh])
 	})
@@ -403,16 +369,18 @@ func (g *Guarded) Retrain(ctx context.Context, factory Factory, train *corpus.Co
 
 // RetrainIncremental vets delta at the gateway, partitions the
 // admitted subset by the routing key, clones every shard's serving
-// snapshot, trains each shard's slice into its clone, and publishes
-// the clones through the hooks — the guarded live-learn path the
-// serving daemon's learn queue drains through. Every shard must serve
-// a Cloner; a fleet that does not fails before vetting anything. The
-// classifiers cloned and the generations reported on error come from
-// one Snapshot() read per shard, so a concurrent publish cannot pair a
-// clone with another generation's number (the torn-read class
-// sbvet:snapshotonce rejects at lint time).
-func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) ([]uint64, error) {
-	clfs, cur := g.snapshots()
+// classifier, trains each shard's slice into its clone, and publishes
+// the clones through the hooks as one epoch — the guarded live-learn
+// path the serving daemon's learn queue drains through, and the cheap
+// path when the new data is a small addition to what the epoch already
+// knows. Every shard must serve a Cloner; an engine that does not
+// fails before vetting anything. The classifiers cloned and the
+// generation reported on error come from one Snapshots() read, so a
+// concurrent publish cannot pair a clone with another generation's
+// number (the torn-read class sbvet:snapshotonce rejects at lint
+// time).
+func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) (uint64, error) {
+	clfs, cur := g.eng.Snapshots()
 	for _, clf := range clfs {
 		if _, ok := clf.(Cloner); !ok {
 			return cur, fmt.Errorf("engine: %T is not a Cloner; use Retrain", clf)
@@ -422,9 +390,9 @@ func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) 
 	if err != nil {
 		return cur, err
 	}
-	parts := g.fleet.Partition(kept)
+	parts := g.eng.Partition(kept)
 	next := make([]Classifier, len(parts))
-	err = g.fleet.forEachShard(func(sh int) error {
+	err = g.eng.forEachShard(func(sh int) error {
 		next[sh] = clfs[sh].(Cloner).CloneClassifier()
 		return trainAll(ctx, next[sh], parts[sh])
 	})
@@ -436,25 +404,29 @@ func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) 
 
 // LearnStream starts a guarded bulk-training stream: every example is
 // vetted (counted on its destination shard), admitted examples flow
-// into the fleet's own routing LearnStream, and the wait count is the
-// number actually learned. Each example is tokenized exactly once
-// (unless the producer already attached a stream): the same stream
-// feeds the admission decision and, on acceptance, rides the Labeled
-// into the inner stream so the learner never re-tokenizes. The
-// contract matches Engine.LearnStream — cancellation discards the
-// remainder but keeps draining until wait observes it, so a producer
-// blocked on a full buffer is always released, and producers must stop
-// sending before calling wait.
+// into the engine's own LearnStream, and the wait count is the number
+// actually learned. Each example is tokenized exactly once (unless the
+// producer already attached a stream): the same stream feeds the
+// admission decision and, on acceptance, rides the Labeled into the
+// inner stream so the learner never re-tokenizes. The contract matches
+// Engine.LearnStream — cancellation discards the remainder but keeps
+// draining until wait observes it, so a producer blocked on a full
+// buffer is always released, and producers must stop sending before
+// calling wait.
 func (g *Guarded) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, error)) {
-	inner, innerWait := g.fleet.LearnStream(ctx)
+	inner, innerWait := g.eng.LearnStream(ctx)
 	tokFor := g.tokFor()
-	in := make(chan Labeled, g.fleet.shards[0].learnBuf)
+	in := make(chan Labeled, g.eng.learnBuf)
 	stop := make(chan struct{})
 	vetDone := make(chan struct{})
 	var stopOnce sync.Once
-	// cancelled is written before vetDone closes and read after wait
-	// receives it, so the handoff is ordered (see the Sharded router
-	// for why the inner wait alone can swallow the cancellation).
+	// cancelled records that vetting shut down because of the context,
+	// not a producer close. It is written before vetDone closes and
+	// read after wait receives it, so the handoff is ordered. Without
+	// it the cancellation error can be swallowed: vetting's exit
+	// closes the inner stream, and an inner consumer that observes its
+	// closed channel before it happens to poll ctx.Done() finishes with
+	// a nil error like any clean shutdown.
 	var cancelled bool
 	go func() {
 		defer close(vetDone)

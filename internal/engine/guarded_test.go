@@ -27,6 +27,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/engine"
 	"repro/internal/mail"
+	"repro/internal/obs"
 	"repro/internal/tokenize"
 )
 
@@ -83,8 +84,7 @@ func forEachSize(t *testing.T, check func(t *testing.T, n int)) {
 }
 
 // newGuard guards n shards, shard i serving mk(i): one shard goes
-// through NewGuarded over a plain Engine, more through
-// NewGuardedSharded.
+// through New, more through NewSharded.
 func newGuard(n int, mk func(i int) engine.Classifier, learnBuf int, admit engine.Admitter, cfg engine.GuardedConfig) *engine.Guarded {
 	if n == 1 {
 		return engine.NewGuarded(engine.New(mk(0), engine.Config{LearnBuffer: learnBuf}), admit, cfg)
@@ -93,7 +93,7 @@ func newGuard(n int, mk func(i int) engine.Classifier, learnBuf int, admit engin
 	for i := range clfs {
 		clfs[i] = mk(i)
 	}
-	return engine.NewGuardedSharded(engine.NewSharded(clfs, engine.ShardedConfig{LearnBuffer: learnBuf}), admit, cfg)
+	return engine.NewGuarded(engine.NewSharded(clfs, engine.Config{LearnBuffer: learnBuf}), admit, cfg)
 }
 
 // userMsg is msg addressed to user u, so a fleet spreads a run of
@@ -105,7 +105,7 @@ func userMsg(body string, u int) *mail.Message {
 }
 
 // sumAdmission adds up the per-shard admission counters.
-func sumAdmission(st engine.ShardedStats) engine.AdmissionStats {
+func sumAdmission(st engine.Stats) engine.AdmissionStats {
 	var sum engine.AdmissionStats
 	for _, s := range st.Shards {
 		sum.Vetted += s.Admission.Vetted
@@ -119,8 +119,9 @@ func sumAdmission(st engine.ShardedStats) engine.AdmissionStats {
 // spamCounts sums the spam examples every shard's snapshot trained.
 func spamCounts(g *engine.Guarded) int {
 	total := 0
-	for i := 0; i < g.Sharded().NumShards(); i++ {
-		ns, _ := g.Sharded().Shard(i).Classifier().Counts()
+	clfs, _ := g.Engine().Snapshots()
+	for _, clf := range clfs {
+		ns, _ := clf.Counts()
 		total += ns
 	}
 	return total
@@ -262,17 +263,17 @@ func TestGuardedRetrainVetsAndRunsHooks(t *testing.T) {
 				train.Add(userMsg(fmt.Sprintf("clean spam words %d\n", i), i), true)
 			}
 			train.Add(userMsg("poison payload\n", 0), true)
-			gens, err := g.Retrain(context.Background(), b.New, train)
+			gen, err := g.Retrain(context.Background(), b.New, train)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, gen := range gens {
-				if gen != 2 {
-					t.Errorf("shard %d generation %d after first retrain", i, gen)
-				}
+			if gen != 2 {
+				t.Errorf("generation %d after first retrain, want 2", gen)
 			}
-			if len(gens) != n {
-				t.Fatalf("Retrain returned %d generations for %d shards", len(gens), n)
+			for i, sh := range g.Stats().Shards {
+				if sh.Generation != gen {
+					t.Errorf("shard %d serves generation %d after the retrain published %d", i, sh.Generation, gen)
+				}
 			}
 			if got := spamCounts(g); got != 8 {
 				t.Errorf("replacements trained on %d spam, want the 8 admitted", got)
@@ -303,32 +304,27 @@ func TestGuardedRetrainVetsAndRunsHooks(t *testing.T) {
 }
 
 func TestGuardedShardedRetrainAllVetsAtGateway(t *testing.T) {
-	// A fleet retrain built through NewGuardedSharded vets the whole
-	// corpus once at the gateway: every shard publishes a replacement
-	// and together they hold only the admitted spam.
+	// A fleet retrain vets the whole corpus once at the gateway: every
+	// shard gets a replacement in the one published epoch, and together
+	// they hold only the admitted spam.
 	b, err := engine.Lookup("sbayes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := engine.NewSharded([]engine.Classifier{b.New(), b.New()}, engine.ShardedConfig{})
-	g := engine.NewGuardedSharded(sh, markerAdmitter{}, engine.GuardedConfig{})
+	sh := engine.NewSharded([]engine.Classifier{b.New(), b.New()}, engine.Config{})
+	g := engine.NewGuarded(sh, markerAdmitter{}, engine.GuardedConfig{})
 	train := &corpus.Corpus{}
 	for i := 0; i < 10; i++ {
 		train.Add(userMsg(fmt.Sprintf("clean words %d\n", i), i%4), true)
 	}
 	train.Add(userMsg("poison payload\n", 0), true)
 
-	gens, err := g.Retrain(context.Background(), b.New, train)
+	gen, err := g.Retrain(context.Background(), b.New, train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gens) != sh.NumShards() {
-		t.Fatalf("Retrain returned %d generations for %d shards", len(gens), sh.NumShards())
-	}
-	for i, gen := range gens {
-		if gen != 2 {
-			t.Errorf("shard %d generation %d", i, gen)
-		}
+	if gen != 2 || sh.Generation() != 2 {
+		t.Errorf("retrain published generation %d, engine serves %d, want 2", gen, sh.Generation())
 	}
 	if got := spamCounts(g); got != 10 {
 		t.Errorf("shards trained on %d spam total, want the 10 admitted", got)
@@ -356,10 +352,8 @@ func TestGuardedPrePublishErrorAbortsPublish(t *testing.T) {
 		})
 		unswapped := func(what string) {
 			t.Helper()
-			for i := 0; i < n; i++ {
-				if got := g.Sharded().Shard(i).Generation(); got != 1 {
-					t.Errorf("%s: shard %d generation %d after an aborted publish", what, i, got)
-				}
+			if got := g.Generation(); got != 1 {
+				t.Errorf("%s: generation %d after an aborted publish", what, got)
 			}
 			if posts != 0 {
 				t.Errorf("%s: post-publish hook ran after an aborted publish", what)
@@ -369,12 +363,12 @@ func TestGuardedPrePublishErrorAbortsPublish(t *testing.T) {
 		for i := range next {
 			next[i] = b.New()
 		}
-		gens, err := g.Swap(next...)
+		gen, err := g.Swap(next...)
 		if !errors.Is(err, boom) {
 			t.Fatalf("Swap error %v, want the hook error", err)
 		}
-		if !reflect.DeepEqual(gens, ones(n)) {
-			t.Errorf("aborted Swap reported generations %v, want the serving ones", gens)
+		if gen != 1 {
+			t.Errorf("aborted Swap reported generation %d, want the serving one", gen)
 		}
 		unswapped("Swap")
 		delta := &corpus.Corpus{}
@@ -386,15 +380,6 @@ func TestGuardedPrePublishErrorAbortsPublish(t *testing.T) {
 		}
 		unswapped("RetrainIncremental")
 	})
-}
-
-// ones is n serving generations of a fresh fleet.
-func ones(n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
 }
 
 // plainClassifier hides its backend's Cloner capability.
@@ -460,7 +445,7 @@ func TestGuardedAdmissionCountersSumAcrossShards(t *testing.T) {
 			// Deterministic routing check: one decision, one shard.
 			for u := 0; u < 6; u++ {
 				m := userMsg("clean\n", u)
-				dest := g.Sharded().ShardFor(m)
+				dest := g.Engine().ShardFor(m)
 				before := g.Stats()
 				g.Vet(context.Background(), m, true)
 				after := g.Stats()
@@ -552,8 +537,8 @@ func (a *stateAdmitter) LoadState(r io.Reader) error {
 func TestSaveGuardedWritesShardLinesAndOneSidecar(t *testing.T) {
 	// One shard persists exactly as the single engine always did: the
 	// line "served" and its sidecar "served.admission", at the one
-	// serving generation. A fleet adds nothing but its shard lines, and
-	// its sidecar carries the newest shard generation.
+	// serving generation. A fleet adds nothing but its shard lines, all
+	// at that same generation.
 	forEachSize(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
 		st, err := engine.NewDirStore(dir)
@@ -565,34 +550,31 @@ func TestSaveGuardedWritesShardLinesAndOneSidecar(t *testing.T) {
 			t.Fatal(err)
 		}
 		admit := &stateAdmitter{state: "spent budget"}
-		var g *engine.Guarded
-		if n == 1 {
-			g = engine.NewGuarded(engine.New(b.New(), engine.Config{Name: "served"}), admit, engine.GuardedConfig{})
-		} else {
-			clfs := make([]engine.Classifier, n)
-			for i := range clfs {
-				clfs[i] = b.New()
-			}
-			g = engine.NewGuardedSharded(engine.NewSharded(clfs, engine.ShardedConfig{Name: "served"}), admit, engine.GuardedConfig{})
+		clfs := make([]engine.Classifier, n)
+		for i := range clfs {
+			clfs[i] = b.New()
 		}
-		// Publish twice on the last shard only, so the fleet's lines
-		// diverge and the sidecar must pick the newest.
-		last := g.Sharded().Shard(n - 1)
+		g := engine.NewGuarded(engine.NewSharded(clfs, engine.Config{Name: "served"}), admit, engine.GuardedConfig{})
+		// Two publishes that replace only the last shard still move the
+		// whole engine to generation 3.
 		for i := 0; i < 2; i++ {
-			last.Swap(b.New())
+			cur, _ := g.Engine().Snapshots()
+			next := append([]engine.Classifier(nil), cur...)
+			next[n-1] = b.New()
+			if _, err := g.Swap(next...); err != nil {
+				t.Fatal(err)
+			}
 		}
-		gens, err := engine.SaveGuarded(st, "served", "sbayes", g)
+		gen, err := engine.SaveGuarded(st, "served", "sbayes", g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ones(n)
-		want[n-1] = 3
-		if !reflect.DeepEqual(gens, want) {
-			t.Fatalf("SaveGuarded generations %v, want %v", gens, want)
+		if gen != 3 {
+			t.Fatalf("SaveGuarded generation %d, want 3", gen)
 		}
 		keys := map[string][]uint64{engine.AdmissionSnapshotName("served"): {3}}
 		for i := 0; i < n; i++ {
-			keys[engine.ShardSnapshotName("served", i, n)] = []uint64{want[i]}
+			keys[engine.ShardSnapshotName("served", i, n)] = []uint64{3}
 		}
 		if n == 1 {
 			if _, ok := keys["served"]; !ok || len(keys) != 2 {
@@ -618,18 +600,103 @@ func TestSaveGuardedWritesShardLinesAndOneSidecar(t *testing.T) {
 
 		// A restart brings the state back through the same keys.
 		admit2 := &stateAdmitter{}
-		resumed, rgens, err := engine.ResumeGuarded(st, n, engine.ShardedConfig{Name: "served"}, admit2, engine.GuardedConfig{})
+		resumed, err := engine.ResumeGuarded(st, "served", n, engine.Config{Name: "served"}, admit2, engine.GuardedConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rgens, want) || resumed.Generation() != 3 {
-			t.Errorf("resumed generations %v (newest %d), want %v", rgens, resumed.Generation(), want)
+		if resumed.Generation() != 3 || resumed.Stats().Generation != 3 {
+			t.Errorf("resumed at generation %d (stats %d), want 3", resumed.Generation(), resumed.Stats().Generation)
 		}
 		if admit2.state != "spent budget" {
 			t.Errorf("resumed admitter state %q, want the saved one", admit2.state)
 		}
-		if got := resumed.Sharded().Shard(0).Name(); n == 1 && got != "served" {
-			t.Errorf("one-shard resume labels its engine %q, want served", got)
+		if got := resumed.Stats().Shards[0].Name; n == 1 && got != "served" {
+			t.Errorf("one-shard resume labels its shard %q, want served", got)
 		}
+	})
+}
+
+// TestGenerationsAgreeAfterPublishAndResume: the engine serves one
+// generation across its shards, so after every publish — Swap,
+// Retrain, RetrainIncremental — and every resume, in place or at
+// start-up, the guard's Generation, Stats().Generation, every shard's
+// Stats entry and every shard's engine_generation gauge report the
+// same number, and Retrains is Generation-1 for any shard count.
+func TestGenerationsAgreeAfterPublishAndResume(t *testing.T) {
+	forEachSize(t, func(t *testing.T, n int) {
+		b, err := engine.Lookup("sbayes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := func() []engine.Classifier {
+			clfs := make([]engine.Classifier, n)
+			for i := range clfs {
+				clfs[i] = b.New()
+			}
+			return clfs
+		}
+		agree := func(what string, g *engine.Guarded, reg *obs.Registry, want uint64) {
+			t.Helper()
+			st := g.Stats()
+			if g.Generation() != want || st.Generation != want || st.Retrains != want-1 {
+				t.Errorf("%s: generation %d, stats generation %d, retrains %d, want %d and %d",
+					what, g.Generation(), st.Generation, st.Retrains, want, want-1)
+			}
+			var text strings.Builder
+			if err := reg.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			pm, err := obs.ParseText(strings.NewReader(text.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range st.Shards {
+				gauge, ok := pm.Value("engine_generation", obs.L("engine", sh.Name))
+				if sh.Generation != want || !ok || gauge != float64(want) {
+					t.Errorf("%s: shard %d (%s) stats generation %d, gauge %v (found %v), want %d",
+						what, i, sh.Name, sh.Generation, gauge, ok, want)
+				}
+			}
+		}
+		ctx := context.Background()
+		reg := obs.NewRegistry()
+		g := engine.NewGuarded(engine.NewSharded(fresh(), engine.Config{Name: "fleet", Obs: reg}), markerAdmitter{}, engine.GuardedConfig{})
+		agree("fresh", g, reg, 1)
+		if _, err := g.Swap(fresh()...); err != nil {
+			t.Fatal(err)
+		}
+		agree("Swap", g, reg, 2)
+		train := &corpus.Corpus{}
+		for i := 0; i < 8; i++ {
+			train.Add(userMsg(fmt.Sprintf("clean words %d\n", i), i), i%2 == 0)
+		}
+		if _, err := g.Retrain(ctx, b.New, train); err != nil {
+			t.Fatal(err)
+		}
+		agree("Retrain", g, reg, 3)
+		if _, err := g.RetrainIncremental(ctx, train); err != nil {
+			t.Fatal(err)
+		}
+		agree("RetrainIncremental", g, reg, 4)
+
+		st := engine.NewMemStore()
+		if gen, err := engine.SaveGuarded(st, "fleet", "sbayes", g); err != nil || gen != 4 {
+			t.Fatalf("SaveGuarded = (%d, %v), want generation 4", gen, err)
+		}
+		if _, err := g.Swap(fresh()...); err != nil {
+			t.Fatal(err)
+		}
+		snap, gen, _, err := g.Resume(st, "fleet")
+		if err != nil || snap != 4 || gen != 6 {
+			t.Fatalf("in-place Resume = (%d, %d, %v), want snapshot 4 published as 6", snap, gen, err)
+		}
+		agree("in-place Resume", g, reg, 6)
+
+		reg2 := obs.NewRegistry()
+		resumed, err := engine.ResumeGuarded(st, "fleet", n, engine.Config{Name: "fleet", Obs: reg2}, markerAdmitter{}, engine.GuardedConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree("ResumeGuarded", resumed, reg2, 4)
 	})
 }

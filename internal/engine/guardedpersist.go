@@ -1,20 +1,19 @@
 package engine
 
-// Guarded-engine persistence: the classifier snapshot plus the
-// admission state that guards it, saved and resumed together.
+// Guarded-engine persistence: the classifier snapshots plus the
+// admission state that guards them, saved and resumed together.
 //
 // SaveEngine alone is amnesty-prone for a guarded deployment: the
-// classifier survives the restart but the quarantine empties (a held
+// classifiers survive the restart but the quarantine empties (a held
 // attacker walks free) and the RONI probe budget refills (the
 // exhaustion an attacker caused is forgotten). SaveGuarded therefore
 // writes, next to the shard lines, one sidecar envelope under the
-// store key "<name>.admission" at the newest shard generation — for a
-// one-shard guard, the classifier snapshot's own generation — holding
-// whatever durable state the guard's admitter and quarantine sink
-// expose through AdmissionStatePersister:
+// store key "<name>.admission" at the saved epoch's generation,
+// holding whatever durable state the guard's admitter and quarantine
+// sink expose through AdmissionStatePersister:
 //
 //	magic    "ADMS" 0x01 (format version)
-//	uvarint  generation (the newest shard snapshot's stamp)
+//	uvarint  generation (the saved epoch's stamp)
 //	uvarint  section count
 //	per section:
 //	  uvarint len(label), label bytes   ("admitter" | "quarantine")
@@ -35,7 +34,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 )
 
 // AdmissionStatePersister is the capability of carrying admitter or
@@ -59,9 +57,9 @@ const (
 	admsSectionQuarantine = "quarantine"
 )
 
-// AdmissionSnapshotName is the store key of a guarded fleet's
-// admission sidecar: the shard lines of the fleet saved as name pair
-// with "name.admission" at their newest generation.
+// AdmissionSnapshotName is the store key of a guarded engine's
+// admission sidecar: the shard lines of the engine saved as name pair
+// with "name.admission" at their generation.
 func AdmissionSnapshotName(name string) string { return name + ".admission" }
 
 // admsSection is one labeled persister payload inside the sidecar.
@@ -207,80 +205,97 @@ func applySections(sections []admsSection, admit Admitter, sink QuarantineSink) 
 	return nil
 }
 
-// SaveGuarded persists every shard's serving snapshot of g under
-// ShardSnapshotName(name, i, N) — for one shard, exactly SaveEngine
-// under name — plus one admission sidecar carrying the admitter's and
-// quarantine sink's durable state, stamped with the newest of the
-// shard generations. It returns every shard's persisted generation.
-// Guards whose components expose no durable state write no sidecar.
-// The admission state is read after the classifier snapshots, so
-// decisions that land between the two reads are in the sidecar but
-// not a snapshot — the safe direction: a resume can re-vet, but can
-// never un-forget.
-func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) ([]uint64, error) {
-	gens, err := g.fleet.saveLines(st, name, backend)
+// SaveGuarded persists g's engine exactly as SaveEngine does — every
+// shard line under name, at the serving epoch's one generation — plus
+// one admission sidecar at that generation carrying the admitter's and
+// quarantine sink's durable state. It returns the persisted
+// generation. Guards whose components expose no durable state write
+// no sidecar. The admission state is read after the classifiers, so
+// decisions that land between the two reads are in the sidecar but not
+// a snapshot — the safe direction: a resume can re-vet, but can never
+// un-forget.
+func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) (uint64, error) {
+	gen, err := SaveEngine(st, name, backend, g.eng)
 	if err != nil {
-		return gens, err
+		return 0, err
 	}
 	sections, err := guardSections(g.admit, g.cfg.Quarantine)
 	if err != nil {
-		return gens, err
+		return 0, err
 	}
 	if len(sections) == 0 {
-		return gens, nil
+		return gen, nil
 	}
-	gen := slices.Max(gens)
 	if err := st.Write(AdmissionSnapshotName(name), gen, encodeAdmissionState(gen, sections)); err != nil {
-		return gens, fmt.Errorf("engine: writing admission sidecar: %w", err)
+		return 0, fmt.Errorf("engine: writing admission sidecar: %w", err)
 	}
-	return gens, nil
+	return gen, nil
 }
 
-// LoadAdmissionState restores g's admitter and quarantine sink from
-// name's admission sidecar at generation gen (for a fleet, the newest
-// shard generation). It returns false (and no error) when no sidecar
-// exists for that generation — snapshots saved through plain
-// SaveEngine or SaveAll, or from before the sidecar format — and an
-// error when a sidecar exists but cannot be applied in full.
-func LoadAdmissionState(st SnapshotStore, name string, gen uint64, g *Guarded) (bool, error) {
+// ResumeGuarded restores a guarded engine of shards shards from name's
+// lines at start-up: the engine resumes as ResumeEngine does (cfg
+// configures it; the store key is name), a fresh guard wraps it with
+// admit and gcfg, and the admission sidecar is loaded into the guard —
+// held mail stays held and the probe budget stays spent across the
+// restart. Callers construct admit and gcfg exactly as for NewGuarded
+// (the calibration pool, hooks, and sinks are wiring, not persisted
+// state). Guarded.Resume runs the same resume in place.
+func ResumeGuarded(st SnapshotStore, name string, shards int, cfg Config, admit Admitter, gcfg GuardedConfig) (*Guarded, error) {
+	clfs, env, newest, err := resumeEpoch(st, name, shards)
+	if err != nil {
+		return nil, err
+	}
+	g := NewGuarded(newEngine(clfs, env.Generation, cfg), admit, gcfg)
+	if _, err := g.loadAdmission(st, name, newest); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Resume restores name's persisted state into the running guard: the
+// classifiers ResumeGuarded would resume are published through the
+// hooks as the next epoch, then the admission sidecar is loaded — after
+// the publish, so a PostPublish grant never adds to the restored probe
+// budget. It returns the resumed snapshot generation, the new serving
+// generation, and whether a sidecar was loaded. A hook error aborts
+// before anything is published; a sidecar error leaves the published
+// classifiers serving.
+func (g *Guarded) Resume(st SnapshotStore, name string) (snapshot, gen uint64, loaded bool, err error) {
+	clfs, env, newest, err := resumeEpoch(st, name, g.eng.NumShards())
+	if err != nil {
+		return 0, 0, false, err
+	}
+	if gen, err = g.publish(g.eng.Generation(), clfs); err != nil {
+		return env.Generation, gen, false, err
+	}
+	loaded, err = g.loadAdmission(st, name, newest)
+	return env.Generation, gen, loaded, err
+}
+
+// loadAdmission restores the guard's admitter and quarantine sink from
+// name's admission sidecar at generation gen — the newest generation
+// any shard line can load, which for a store whose lines agree is the
+// resumed one. It returns false (and no error) when no sidecar exists
+// for that generation — snapshots saved through plain SaveEngine, or
+// from before the sidecar format — and an error when a sidecar exists
+// but cannot be applied in full.
+func (g *Guarded) loadAdmission(st SnapshotStore, name string, gen uint64) (bool, error) {
 	data, err := st.Read(AdmissionSnapshotName(name), gen)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return false, nil
 		}
-		return false, err
+		return false, fmt.Errorf("engine: resuming %q: %w", name, err)
 	}
 	sgen, sections, err := decodeAdmissionState(data)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("engine: resuming %q: %w", name, err)
 	}
 	if sgen != gen {
-		return false, fmt.Errorf("engine: admission sidecar stamped generation %d, want %d", sgen, gen)
+		return false, fmt.Errorf("engine: resuming %q: admission sidecar stamped generation %d, want %d", name, sgen, gen)
 	}
 	if err := applySections(sections, g.admit, g.cfg.Quarantine); err != nil {
-		return false, err
+		return false, fmt.Errorf("engine: resuming %q: %w", name, err)
 	}
 	return true, nil
-}
-
-// ResumeGuarded restores a guarded fleet of shards engines: the
-// shards resume exactly as ResumeAll (keys from cfg.Name; one shard
-// resumes the bare line cfg.Name, as ResumeEngine would), the fresh
-// guard wraps them with admit and gcfg, and any admission sidecar
-// saved at the newest resumed generation is loaded into the guard —
-// held mail stays held and the probe budget stays spent across the
-// restart. Callers construct admit and gcfg exactly as for
-// NewGuardedSharded (the calibration pool, hooks, and sinks are
-// wiring, not persisted state). The returned generations are each
-// shard's resumed generation.
-func ResumeGuarded(st SnapshotStore, shards int, cfg ShardedConfig, admit Admitter, gcfg GuardedConfig) (*Guarded, []uint64, error) {
-	fleet, gens, err := ResumeAll(st, shards, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	g := NewGuardedSharded(fleet, admit, gcfg)
-	if _, err := LoadAdmissionState(st, fleet.name, slices.Max(gens), g); err != nil {
-		return nil, nil, fmt.Errorf("engine: resuming %q: %w", fleet.name, err)
-	}
-	return g, gens, nil
 }

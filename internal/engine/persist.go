@@ -1,17 +1,20 @@
 package engine
 
 // Serving-layer persistence: generation-stamped snapshot durability
-// for Engine and Sharded.
+// for an Engine of any shard count.
 //
 // A deployment that retrains continuously must also survive restarts
 // without losing — or silently resurrecting — filter state: a
 // poisoned generation that was scrubbed, or a clean generation an
 // attacker would rather the restart forget, is exactly the provenance
 // the paper's threat model says to track. The unit of durability is
-// therefore the published snapshot: each save captures one (clf, gen)
-// pair read atomically from the serving pointer, and each resume
-// rebuilds an engine at that generation, so the generation line is
-// continuous across process lifetimes.
+// therefore the published epoch: each save captures every shard's
+// classifier and the one generation they serve at, read atomically
+// from the serving pointer, and each resume rebuilds an engine at that
+// generation, so the generation line is continuous across process
+// lifetimes. Shard i of an engine of N shards persists under its own
+// line, ShardSnapshotName(name, i, N) — the line name itself for one
+// shard — and every line of one save carries the same stamp.
 //
 // On-disk unit: a self-describing envelope around the backend's own
 // Persistable payload,
@@ -43,6 +46,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -363,32 +367,56 @@ func (s *MemStore) Remove(name string, gen uint64) error {
 	return nil
 }
 
-// SaveEngine persists e's current serving snapshot into st under
-// name: the classifier and generation are read in one consistent
-// atomic load, the classifier (which must be Persistable) serializes
-// itself, and the envelope is stamped with the backend registry name
-// resume will reconstruct it through. Concurrent scoring is never
-// blocked — published snapshots are immutable, so Save reads the same
+// SaveEngine persists e's serving epoch into st under name: every
+// shard's classifier under ShardSnapshotName(name, i, N) — for one
+// shard, the line name itself — each stamped with the epoch's one
+// generation and the backend registry name resume will reconstruct it
+// through. The classifiers and generation are read in one consistent
+// atomic load, and the classifiers (which must be Persistable)
+// serialize themselves concurrently. Concurrent scoring is never
+// blocked — published epochs are immutable, so Save reads the same
 // frozen state a racing ClassifyBatch does. It returns the persisted
-// generation.
+// generation; on error some lines may have saved (each write is
+// atomic, so no line is ever half-saved).
 func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, error) {
 	if _, err := Lookup(backend); err != nil {
 		return 0, err
 	}
-	clf, gen := e.Snapshot()
-	p, ok := clf.(Persistable)
-	if !ok {
-		return 0, fmt.Errorf("engine: %T is not Persistable", clf)
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		return 0, fmt.Errorf("engine: saving snapshot %s generation %d: %w", name, gen, err)
-	}
-	env := Envelope{Backend: backend, Generation: gen, Payload: buf.Bytes()}
-	if err := st.Write(name, gen, env.Encode()); err != nil {
+	clfs, gen := e.Snapshots()
+	err := e.forEachShard(func(i int) error {
+		line := ShardSnapshotName(name, i, len(clfs))
+		p, ok := clfs[i].(Persistable)
+		if !ok {
+			return fmt.Errorf("engine: %T is not Persistable", clfs[i])
+		}
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			return fmt.Errorf("engine: saving snapshot %s generation %d: %w", line, gen, err)
+		}
+		env := Envelope{Backend: backend, Generation: gen, Payload: buf.Bytes()}
+		return st.Write(line, gen, env.Encode())
+	})
+	if err != nil {
 		return 0, err
 	}
 	return gen, nil
+}
+
+// readEnvelope reads name's generation gen and decodes it, rejecting
+// an envelope stamped with another generation.
+func readEnvelope(st SnapshotStore, name string, gen uint64) (Envelope, error) {
+	data, err := st.Read(name, gen)
+	if err != nil {
+		return Envelope{}, err
+	}
+	env, err := DecodeEnvelope(data)
+	if err != nil {
+		return Envelope{}, err
+	}
+	if env.Generation != gen {
+		return Envelope{}, fmt.Errorf("envelope stamped %d", env.Generation)
+	}
+	return env, nil
 }
 
 // scanNewest walks name's generations newest to oldest and returns
@@ -412,18 +440,9 @@ func scanNewest(st SnapshotStore, name string, validate func(Envelope) error) (E
 		}
 	}
 	for i := len(gens) - 1; i >= 0; i-- {
-		data, err := st.Read(name, gens[i])
+		env, err := readEnvelope(st, name, gens[i])
 		if err != nil {
 			skip(gens[i], err)
-			continue
-		}
-		env, err := DecodeEnvelope(data)
-		if err != nil {
-			skip(gens[i], err)
-			continue
-		}
-		if env.Generation != gens[i] {
-			skip(gens[i], fmt.Errorf("envelope stamped %d", env.Generation))
 			continue
 		}
 		if validate != nil {
@@ -489,20 +508,113 @@ func NewFromEnvelope(env Envelope) (Classifier, error) {
 	return clf, nil
 }
 
-// ResumeEngine restores an Engine from name's latest valid generation
-// in st: the restored classifier serves at its persisted generation
-// (not 1), so the generation line — and every consumer watching it
-// for provenance — continues across the restart. The envelope of the
-// resumed generation is returned alongside the engine. It fails with
-// an error wrapping ErrNoSnapshot when no generation validates.
-func ResumeEngine(st SnapshotStore, name string, cfg Config) (*Engine, Envelope, error) {
-	env, clf, err := latestValid(st, name)
+// ResumeEngine restores an Engine of shards shards from name's lines:
+// the whole engine resumes at the newest generation every shard line
+// holds and can load, and serves at that persisted generation (not 1),
+// so the generation line — and every consumer watching it for
+// provenance — continues across the restart. Corrupt, truncated or
+// orphaned generations are skipped, so one bad file costs one
+// generation of history, not the deployment. It returns shard 0's
+// envelope of the resumed generation beside the engine (every line's
+// carries the same generation), and fails with an error wrapping
+// ErrNoSnapshot when no generation qualifies.
+func ResumeEngine(st SnapshotStore, name string, shards int, cfg Config) (*Engine, Envelope, error) {
+	clfs, env, _, err := resumeEpoch(st, name, shards)
 	if err != nil {
 		return nil, Envelope{}, err
 	}
-	// DecodeEnvelope rejects a zero generation stamp, so env.Generation
-	// is always a valid NewAt argument here (as in ResumeAll).
-	return NewAt(clf, env.Generation, cfg), env, nil
+	return newEngine(clfs, env.Generation, cfg), env, nil
+}
+
+// resumeEpoch loads the epoch a resume restores from name's shards
+// lines: the newest generation every line holds and can load. It also
+// returns shard 0's envelope of that generation and newest, the newest
+// generation any line can load — where a guard's admission sidecar is
+// read, so a store whose lines diverge never resumes with less
+// admission state than the newest save left. Each line's own newest
+// loadable generation is found first; when they agree (every save
+// writes all lines at one generation) that is the epoch, otherwise
+// the generations below them that every line holds are tried newest
+// first.
+func resumeEpoch(st SnapshotStore, name string, shards int) ([]Classifier, Envelope, uint64, error) {
+	if shards < 1 {
+		return nil, Envelope{}, 0, fmt.Errorf("engine: resuming %q with %d shards", name, shards)
+	}
+	lines := make([]string, shards)
+	envs := make([]Envelope, shards)
+	clfs := make([]Classifier, shards)
+	for i := range lines {
+		lines[i] = ShardSnapshotName(name, i, shards)
+		var err error
+		if envs[i], clfs[i], err = latestValid(st, lines[i]); err != nil {
+			if shards == 1 {
+				return nil, Envelope{}, 0, err
+			}
+			return nil, Envelope{}, 0, fmt.Errorf("engine: resuming shard %d of %q: %w", i, name, err)
+		}
+	}
+	newest, oldest := envs[0].Generation, envs[0].Generation
+	for _, env := range envs[1:] {
+		newest, oldest = max(newest, env.Generation), min(oldest, env.Generation)
+	}
+	if newest == oldest {
+		return clfs, envs[0], newest, nil
+	}
+	// The lines diverge: walk the generations at or below the oldest
+	// line's newest that every line holds, newest first.
+	held := make(map[uint64]int)
+	for _, line := range lines {
+		gens, err := st.Generations(line)
+		if err != nil {
+			return nil, Envelope{}, 0, err
+		}
+		for _, gen := range gens {
+			held[gen]++
+		}
+	}
+	var common []uint64
+	for gen, n := range held {
+		if n == shards && gen <= oldest {
+			common = append(common, gen)
+		}
+	}
+	slices.Sort(common)
+	for j := len(common) - 1; j >= 0; j-- {
+		if loaded, env, ok := loadEpoch(st, lines, common[j], envs, clfs); ok {
+			return loaded, env, newest, nil
+		}
+	}
+	newests := make([]uint64, shards)
+	for i, env := range envs {
+		newests[i] = env.Generation
+	}
+	return nil, Envelope{}, 0, fmt.Errorf("%w for %q: no generation held by all %d shard lines loads (newest per line %v)",
+		ErrNoSnapshot, name, shards, newests)
+}
+
+// loadEpoch loads every line at generation gen, reusing the
+// classifiers already loaded for lines whose newest loadable
+// generation is gen. It reports false if any line fails.
+func loadEpoch(st SnapshotStore, lines []string, gen uint64, newest []Envelope, loaded []Classifier) ([]Classifier, Envelope, bool) {
+	clfs := make([]Classifier, len(lines))
+	var first Envelope
+	for i, line := range lines {
+		env, clf := newest[i], loaded[i]
+		if env.Generation != gen {
+			var err error
+			if env, err = readEnvelope(st, line, gen); err != nil {
+				return nil, Envelope{}, false
+			}
+			if clf, err = NewFromEnvelope(env); err != nil {
+				return nil, Envelope{}, false
+			}
+		}
+		if i == 0 {
+			first = env
+		}
+		clfs[i] = clf
+	}
+	return clfs, first, true
 }
 
 // Prune removes all but the newest keep generations of name,
@@ -541,84 +653,14 @@ func Prune(st SnapshotStore, name string, keep int) ([]uint64, error) {
 	return removed, nil
 }
 
-// ShardSnapshotName is the store key of shard i's snapshot line in a
-// fleet of n shards named name: "name.shard<i>", except that the one
-// shard of a one-shard fleet persists under name itself, exactly as a
-// single engine does. (The Engine stats label "name/i" is not
-// filesystem-safe, so the store key scheme is its own.)
+// ShardSnapshotName is the store key of shard i's snapshot line in an
+// engine of shards shards saved as name: "name.shard<i>", except that
+// the shard of a one-shard engine persists under name itself. (The
+// shard stats label "name/i" is not filesystem-safe, so the store key
+// scheme is its own.)
 func ShardSnapshotName(name string, shard, shards int) string {
 	if shards == 1 {
 		return name
 	}
 	return fmt.Sprintf("%s.shard%d", name, shard)
-}
-
-// SaveAll persists every shard's current snapshot concurrently, each
-// under its own ShardSnapshotName and at its own generation — shards
-// retrain independently, so their generation lines diverge and must
-// persist independently. It returns the persisted generation of every
-// shard; on error some shards may have saved (each save is atomic,
-// so no shard is ever half-saved).
-func (s *Sharded) SaveAll(st SnapshotStore, backend string) ([]uint64, error) {
-	return s.saveLines(st, s.name, backend)
-}
-
-// saveLines is SaveAll with the lines keyed under name.
-func (s *Sharded) saveLines(st SnapshotStore, name, backend string) ([]uint64, error) {
-	gens := make([]uint64, len(s.shards))
-	err := s.forEachShard(func(sh int) error {
-		var err error
-		gens[sh], err = SaveEngine(st, ShardSnapshotName(name, sh, len(s.shards)), backend, s.shards[sh])
-		return err
-	})
-	return gens, err
-}
-
-// ResumeAll restores a Sharded of shards engines from st, each shard
-// from its own snapshot line's latest valid generation (keys from
-// cfg.Name, default "sharded"). Every shard must resume — a missing
-// shard means the partition is serving amnesia for those users, so it
-// is an error, not a silent fresh shard. The returned generations are
-// each shard's resumed generation; compare them with StaleShards to
-// see which shards lag the newest line.
-func ResumeAll(st SnapshotStore, shards int, cfg ShardedConfig) (*Sharded, []uint64, error) {
-	if shards < 1 {
-		return nil, nil, fmt.Errorf("engine: ResumeAll with %d shards", shards)
-	}
-	name := cfg.Name
-	if name == "" {
-		name = "sharded"
-	}
-	clfs := make([]Classifier, shards)
-	gens := make([]uint64, shards)
-	for i := 0; i < shards; i++ {
-		env, clf, err := latestValid(st, ShardSnapshotName(name, i, shards))
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: resuming shard %d of %q: %w", i, name, err)
-		}
-		clfs[i] = clf
-		gens[i] = env.Generation
-	}
-	return newShardedAt(clfs, gens, cfg), gens, nil
-}
-
-// StaleShards returns the indices of shards whose resumed generation
-// lags the newest generation across the partition — the shards whose
-// snapshot line missed recent publishes (a checkpoint that did not
-// cover them, a file lost to corruption) and is serving older state
-// than its peers.
-func StaleShards(gens []uint64) []int {
-	var max uint64
-	for _, g := range gens {
-		if g > max {
-			max = g
-		}
-	}
-	var stale []int
-	for i, g := range gens {
-		if g < max {
-			stale = append(stale, i)
-		}
-	}
-	return stale
 }

@@ -3,10 +3,10 @@ package engine_test
 // Persistence-subsystem tests: envelope framing and corruption
 // rejection, the SnapshotStore implementations (atomic filesystem
 // writes, listing, pruning), engine save/resume across generations,
-// and the crash-recovery contract of a Sharded partition — a resumed
-// shard serves its last published generation with byte-identical
-// re-saved state, and shards whose snapshot lines lag are detected as
-// stale.
+// and the crash-recovery contract of a sharded engine — the resumed
+// engine serves the newest generation every shard line holds and can
+// load, with byte-identical re-saved state, and a corrupt or missing
+// shard line costs the whole fleet that generation, never one shard.
 
 import (
 	"bytes"
@@ -210,7 +210,7 @@ func TestSaveResumeEngine(t *testing.T) {
 		want = append(want, eng.Classify(m))
 	}
 
-	resumed, env, err := engine.ResumeEngine(st, "prod", engine.Config{Name: "prod"})
+	resumed, env, err := engine.ResumeEngine(st, "prod", 1, engine.Config{Name: "prod"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSaveResumeEngine(t *testing.T) {
 	if err := st.Write("prod", 2, data); err != nil {
 		t.Fatal(err)
 	}
-	fallback, env, err := engine.ResumeEngine(st, "prod", engine.Config{})
+	fallback, env, err := engine.ResumeEngine(st, "prod", 1, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +306,14 @@ func TestLatestEnvelope(t *testing.T) {
 
 func TestResumeEngineErrors(t *testing.T) {
 	st := engine.NewMemStore()
-	if _, _, err := engine.ResumeEngine(st, "ghost", engine.Config{}); !errors.Is(err, engine.ErrNoSnapshot) {
+	if _, _, err := engine.ResumeEngine(st, "ghost", 1, engine.Config{}); !errors.Is(err, engine.ErrNoSnapshot) {
 		t.Fatalf("empty store: %v", err)
 	}
 	// A store holding only garbage is as empty as one holding nothing.
 	if err := st.Write("ghost", 1, []byte("not an envelope")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := engine.ResumeEngine(st, "ghost", engine.Config{}); !errors.Is(err, engine.ErrNoSnapshot) {
+	if _, _, err := engine.ResumeEngine(st, "ghost", 1, engine.Config{}); !errors.Is(err, engine.ErrNoSnapshot) {
 		t.Fatalf("corrupt-only store: %v", err)
 	}
 	// A snapshot naming an unregistered backend cannot resume.
@@ -321,7 +321,7 @@ func TestResumeEngineErrors(t *testing.T) {
 	if err := st.Write("alien", 1, env.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := engine.ResumeEngine(st, "alien", engine.Config{}); !errors.Is(err, engine.ErrNoSnapshot) {
+	if _, _, err := engine.ResumeEngine(st, "alien", 1, engine.Config{}); !errors.Is(err, engine.ErrNoSnapshot) {
 		t.Fatalf("unknown-backend store: %v", err)
 	}
 	// SaveEngine refuses an unregistered backend stamp up front.
@@ -331,14 +331,16 @@ func TestResumeEngineErrors(t *testing.T) {
 	}
 }
 
-// TestShardedCrashRecovery is the kill-and-resume contract of the
-// partitioned serving layer: persist all shards, publish (and
-// persist) further generations on a subset, then "crash" — discard
-// the Sharded — and resume from the store. Resumed shards must serve
-// their last published generation with verdicts identical to the
-// pre-crash snapshot and re-save to byte-identical snapshots, while
-// the shards whose lines missed the later publishes are detected as
-// stale.
+// TestShardedCrashRecovery is the kill-and-resume contract of a
+// sharded engine: persist every shard's line at each fleet publish,
+// then "crash" — discard the engine — and resume from the store. The
+// resumed engine must serve the last published generation on every
+// shard with verdicts identical to the pre-crash epoch and re-save to
+// byte-identical snapshots. When one shard line's newest file is
+// corrupt, the whole fleet resumes at the newest generation every line
+// holds and can load — never one shard behind its peers — and a store
+// with no such generation, or a shard line that was never saved, is
+// an error.
 func TestShardedCrashRecovery(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		st, err := engine.NewDirStore(t.TempDir())
@@ -352,78 +354,76 @@ func TestShardedCrashRecovery(t *testing.T) {
 		for i := range clfs {
 			clfs[i] = cloner.CloneClassifier()
 		}
-		sh := engine.NewSharded(clfs, engine.ShardedConfig{Name: "fleet", Workers: 2})
-
-		// Diverge every shard (generation 2 each), persist the fleet.
-		for i := 0; i < nsh; i++ {
-			next := cloner.CloneClassifier()
-			next.Learn(msg(fmt.Sprintf("shard%d distinctive vocabulary alpha\n", i)), true)
-			sh.Shard(i).Swap(next)
+		sh := engine.NewSharded(clfs, engine.Config{Name: "fleet", Workers: 2})
+		probes := heldOut()
+		for j, m := range probes {
+			m.Header.Set("To", fmt.Sprintf("user%d@corp.example", j))
 		}
-		if gens, err := sh.SaveAll(st, backend); err != nil {
-			t.Fatal(err)
-		} else if !reflect.DeepEqual(gens, []uint64{2, 2, 2, 2}) {
-			t.Fatalf("SaveAll gens = %v", gens)
-		}
-
-		// Shards 0 and 2 publish generation 3 and persist it; shards 1
-		// and 3 crash before their next checkpoint.
-		for _, i := range []int{0, 2} {
-			next := cloner.CloneClassifier()
-			next.Learn(msg(fmt.Sprintf("shard%d distinctive vocabulary beta\n", i)), true)
-			sh.Shard(i).Swap(next)
-			name := engine.ShardSnapshotName("fleet", i, nsh)
-			if gen, err := engine.SaveEngine(st, name, backend, sh.Shard(i)); err != nil || gen != 3 {
-				t.Fatalf("shard %d save = (%d, %v)", i, gen, err)
+		verdicts := func(e *engine.Engine) []engine.Result {
+			out := make([]engine.Result, len(probes))
+			for j, m := range probes {
+				out[j] = e.Classify(m)
 			}
+			return out
 		}
-		preCrash := make(map[int][]engine.Result)
-		for i := 0; i < nsh; i++ {
-			for _, m := range heldOut() {
-				preCrash[i] = append(preCrash[i], sh.Shard(i).Classify(m))
+		// Each fleet publish diverges every shard; each checkpoint
+		// saves every line at the fleet's generation.
+		publishAndSave := func(word string, want uint64) []engine.Result {
+			next := make([]engine.Classifier, nsh)
+			for i := range next {
+				next[i] = cloner.CloneClassifier()
+				next[i].Learn(msg(fmt.Sprintf("shard%d distinctive vocabulary %s\n", i, word)), true)
 			}
+			sh.Swap(next...)
+			if gen, err := engine.SaveEngine(st, "fleet", backend, sh); err != nil || gen != want {
+				t.Fatalf("save = (%d, %v), want generation %d", gen, err, want)
+			}
+			return verdicts(sh)
 		}
+		atTwo := publishAndSave("alpha", 2)
+		atThree := publishAndSave("beta", 3)
 		stored := make([][]byte, nsh)
-		wantGens := []uint64{3, 2, 3, 2}
-		for i := 0; i < nsh; i++ {
-			data, err := st.Read(engine.ShardSnapshotName("fleet", i, nsh), wantGens[i])
+		for i := range stored {
+			if stored[i], err = st.Read(engine.ShardSnapshotName("fleet", i, nsh), 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Crash: the engine is gone; resume the fleet from disk.
+		sh = nil
+		resume := func(want uint64, wantVerdicts []engine.Result) *engine.Engine {
+			t.Helper()
+			resumed, env, err := engine.ResumeEngine(st, "fleet", nsh, engine.Config{Name: "fleet", Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			stored[i] = data
-		}
-
-		// Crash: the Sharded is gone; resume the partition from disk.
-		sh = nil
-		resumed, gens, err := engine.ResumeAll(st, nsh, engine.ShardedConfig{Name: "fleet", Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gens, wantGens) {
-			t.Fatalf("resumed gens = %v, want %v", gens, wantGens)
-		}
-		if stale := engine.StaleShards(gens); !reflect.DeepEqual(stale, []int{1, 3}) {
-			t.Fatalf("StaleShards = %v, want [1 3]", stale)
-		}
-		for i := 0; i < nsh; i++ {
-			if got := resumed.Shard(i).Generation(); got != wantGens[i] {
-				t.Errorf("shard %d resumed at generation %d, want %d", i, got, wantGens[i])
+			st := resumed.Stats()
+			if env.Generation != want || resumed.Generation() != want || st.Generation != want {
+				t.Fatalf("resumed at generation %d (envelope %d, stats %d), want %d",
+					resumed.Generation(), env.Generation, st.Generation, want)
 			}
-			for j, m := range heldOut() {
-				if got := resumed.Shard(i).Classify(m); got != preCrash[i][j] {
-					t.Fatalf("shard %d probe %d: resumed %+v != pre-crash %+v", i, j, got, preCrash[i][j])
+			for i, s := range st.Shards {
+				if s.Generation != want {
+					t.Errorf("shard %d resumed at generation %d, want %d", i, s.Generation, want)
 				}
 			}
+			for j, got := range verdicts(resumed) {
+				if got != wantVerdicts[j] {
+					t.Fatalf("probe %d: resumed %+v != pre-crash %+v at generation %d", j, got, wantVerdicts[j], want)
+				}
+			}
+			return resumed
 		}
+		resumed := resume(3, atThree)
 
 		// Re-saving the resumed fleet reproduces the stored snapshots
 		// byte for byte — nothing drifted through the restart.
 		st2 := engine.NewMemStore()
-		if _, err := resumed.SaveAll(st2, backend); err != nil {
+		if _, err := engine.SaveEngine(st2, "fleet", backend, resumed); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < nsh; i++ {
-			data, err := st2.Read(engine.ShardSnapshotName("fleet", i, nsh), wantGens[i])
+			data, err := st2.Read(engine.ShardSnapshotName("fleet", i, nsh), 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -432,9 +432,28 @@ func TestShardedCrashRecovery(t *testing.T) {
 			}
 		}
 
+		// Bit rot in one shard line's newest file costs the whole fleet
+		// that generation: every shard resumes at 2.
+		line := engine.ShardSnapshotName("fleet", 2, nsh)
+		data := append([]byte(nil), stored[2]...)
+		data[len(data)/2] ^= 0x01
+		if err := st.Write(line, 3, data); err != nil {
+			t.Fatal(err)
+		}
+		resume(2, atTwo)
+
+		// With shard 0's generation 2 gone too, no generation is held
+		// and loadable by every line.
+		if err := st.Remove(engine.ShardSnapshotName("fleet", 0, nsh), 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := engine.ResumeEngine(st, "fleet", nsh, engine.Config{}); !errors.Is(err, engine.ErrNoSnapshot) {
+			t.Fatalf("resume with no common loadable generation: %v, want ErrNoSnapshot", err)
+		}
+
 		// A missing shard line is an error, not a silently fresh shard.
-		if _, _, err := engine.ResumeAll(st, nsh+1, engine.ShardedConfig{Name: "fleet"}); err == nil {
-			t.Fatal("ResumeAll resumed a shard that was never saved")
+		if _, _, err := engine.ResumeEngine(st2, "fleet", nsh+1, engine.Config{}); err == nil {
+			t.Fatal("ResumeEngine resumed a shard that was never saved")
 		}
 	})
 }

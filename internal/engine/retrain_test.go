@@ -1,9 +1,10 @@
 package engine
 
 // Snapshot-swap suite: the Engine must keep scoring at full speed
-// while Retrain builds a replacement, and no verdict may ever be
-// computed against a half-trained filter. Run under -race (make
-// race).
+// while a retrain builds a replacement, and no verdict may ever be
+// computed against a half-trained filter. The retrains publish
+// through Guarded (the engine's only retrain path), here over an
+// admitter that accepts everything. Run under -race (make race).
 
 import (
 	"context"
@@ -58,6 +59,24 @@ func (c *countingClassifier) CloneClassifier() Classifier {
 	return &countingClassifier{trained: c.trained}
 }
 
+// acceptAll admits every candidate, so a guard's retrains train
+// exactly what they are given.
+type acceptAll struct{}
+
+func (acceptAll) Name() string { return "accept-all" }
+func (acceptAll) Admit(context.Context, *mail.Message, *tokenize.TokenStream, bool) AdmitDecision {
+	return AdmitDecision{Verdict: AdmitAccept}
+}
+
+// guard wraps e with the accept-everything policy.
+func guard(e *Engine) *Guarded { return NewGuarded(e, acceptAll{}, GuardedConfig{}) }
+
+// served returns a one-shard engine's serving classifier.
+func served(e *Engine) Classifier {
+	clf, _ := e.Snapshot()
+	return clf
+}
+
 // trainCorpus builds an n-example corpus of dummy messages.
 func trainCorpus(n int) *corpus.Corpus {
 	c := &corpus.Corpus{}
@@ -72,7 +91,7 @@ func TestRetrainPublishesNewGeneration(t *testing.T) {
 	if g := e.Generation(); g != 1 {
 		t.Fatalf("initial generation %d, want 1", g)
 	}
-	gen, err := e.Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, trainCorpus(10))
+	gen, err := guard(e).Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, trainCorpus(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +115,14 @@ func TestRetrainCancelledKeepsServingSnapshot(t *testing.T) {
 	e := New(&countingClassifier{trained: 7}, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	gen, err := e.Retrain(ctx, func() Classifier { return &countingClassifier{} }, trainCorpus(10))
+	gen, err := guard(e).Retrain(ctx, func() Classifier { return &countingClassifier{} }, trainCorpus(10))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if gen != 1 || e.Generation() != 1 {
 		t.Fatalf("cancelled retrain moved the generation to %d", e.Generation())
 	}
-	if got := e.Classifier().Score(&mail.Message{Body: "x"}); got != 7 {
+	if got := served(e).Score(&mail.Message{Body: "x"}); got != 7 {
 		t.Fatalf("serving snapshot changed: score %v, want 7", got)
 	}
 }
@@ -111,14 +130,14 @@ func TestRetrainCancelledKeepsServingSnapshot(t *testing.T) {
 func TestRetrainIncrementalClonesServingSnapshot(t *testing.T) {
 	base := &countingClassifier{trained: 5}
 	e := New(base, Config{})
-	gen, err := e.RetrainIncremental(context.Background(), trainCorpus(3))
+	gen, err := guard(e).RetrainIncremental(context.Background(), trainCorpus(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen != 2 {
 		t.Fatalf("generation %d, want 2", gen)
 	}
-	if got := e.Classifier().Score(&mail.Message{Body: "x"}); got != 8 {
+	if got := served(e).Score(&mail.Message{Body: "x"}); got != 8 {
 		t.Fatalf("incremental snapshot scores %v, want 8 (5 cloned + 3 delta)", got)
 	}
 	// The previous snapshot was cloned, not mutated.
@@ -129,7 +148,7 @@ func TestRetrainIncrementalClonesServingSnapshot(t *testing.T) {
 
 func TestRetrainIncrementalRequiresCloner(t *testing.T) {
 	e := New(&stubClassifier{}, Config{})
-	if _, err := e.RetrainIncremental(context.Background(), trainCorpus(1)); err == nil {
+	if _, err := guard(e).RetrainIncremental(context.Background(), trainCorpus(1)); err == nil {
 		t.Fatal("RetrainIncremental accepted a non-Cloner classifier")
 	}
 	if g := e.Generation(); g != 1 {
@@ -143,7 +162,7 @@ func TestSwapPublishesExternalClassifier(t *testing.T) {
 	if gen := e.Swap(next); gen != 2 {
 		t.Fatalf("generation %d, want 2", gen)
 	}
-	if e.Classifier() != Classifier(next) {
+	if served(e) != Classifier(next) {
 		t.Fatal("Swap did not install the external classifier")
 	}
 }
@@ -161,7 +180,7 @@ func TestEngineClassifySingle(t *testing.T) {
 }
 
 // TestServeWhileRetrainNoTornReads hammers ClassifyBatch and Classify
-// concurrently with Retrain and RetrainIncremental swaps. Every score
+// concurrently with guarded Retrain and RetrainIncremental swaps. Every score
 // must be 0 (the initial empty snapshot) or a multiple of trainN (a
 // fully trained replacement); any other value means a verdict was
 // computed against a half-trained filter. The -race run additionally
@@ -170,6 +189,7 @@ func TestServeWhileRetrainNoTornReads(t *testing.T) {
 	const trainN = 400
 	train := trainCorpus(trainN)
 	e := New(&countingClassifier{}, Config{Workers: 4})
+	g := guard(e)
 	msgs := make([]*mail.Message, 64)
 	for i := range msgs {
 		msgs[i] = &mail.Message{Body: "probe"}
@@ -184,7 +204,7 @@ func TestServeWhileRetrainNoTornReads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for ctx.Err() == nil {
-			if _, err := e.Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, train); err != nil {
+			if _, err := g.Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, train); err != nil {
 				t.Errorf("Retrain: %v", err)
 				return
 			}
@@ -193,7 +213,7 @@ func TestServeWhileRetrainNoTornReads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for ctx.Err() == nil {
-			if _, err := e.RetrainIncremental(context.Background(), train); err != nil {
+			if _, err := g.RetrainIncremental(context.Background(), train); err != nil {
 				t.Errorf("RetrainIncremental: %v", err)
 				return
 			}

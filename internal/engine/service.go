@@ -16,69 +16,97 @@ import (
 
 // Config tunes an Engine.
 type Config struct {
-	// Name labels the engine in stats (defaults to "engine").
+	// Name labels the engine in stats (defaults to "engine"). Shard i
+	// of an engine of several shards is labeled "Name/i"; the shard of
+	// a one-shard engine carries Name itself.
 	Name string
-	// Workers is the batch-scoring parallelism (<= 0 selects
-	// GOMAXPROCS).
+	// Workers is the per-shard batch parallelism. <= 0 selects
+	// GOMAXPROCS divided across the shards (at least 1 each), so an
+	// engine of several shards does not oversubscribe the machine.
 	Workers int
 	// LearnBuffer is the LearnStream channel capacity (<= 0 selects
 	// 256).
 	LearnBuffer int
-	// Obs, when non-nil, registers the engine's instruments — the
-	// classify/batch/learn latency histograms, verdict and publish
-	// counters, and generation gauge, all labeled engine=Name — for
-	// /metrics exposition. Nil still instruments (the counters back
-	// Stats) but nothing is scraped.
+	// Key routes messages to shards (nil selects RecipientKey). A
+	// one-shard engine never calls it.
+	Key ShardKey
+	// Obs, when non-nil, registers every shard's instruments — the
+	// classify/batch/learn latency histograms, verdict, publish and
+	// admission counters, and generation gauge, each labeled with the
+	// shard's stats label — for /metrics exposition, so an operator
+	// can see one shard's latency or admission mix diverge. Nil still
+	// instruments (the counters back Stats) but nothing is scraped.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives sampled decision-trace events
-	// (classify verdicts, admission decisions, learns, publishes).
+	// (classify verdicts, admission decisions, learns, publishes),
+	// stamped with the shard index (-1 for a one-shard engine).
 	Trace *obs.Tracer
 }
 
-// snapshot is one published generation of the serving classifier.
-// Snapshots are immutable once published: retraining builds a fresh
-// classifier off to the side and installs it with one atomic pointer
-// store, so scoring never observes a half-trained filter.
-type snapshot struct {
-	clf Classifier
-	gen uint64
+// epoch is one published generation of the whole engine: every
+// shard's classifier and the one generation they serve at. Epochs are
+// immutable once published: a publish builds the whole next epoch off
+// to the side and installs it with one atomic pointer store, so
+// scoring never observes a half-trained filter, and a batch that reads
+// the epoch once answers every message from one generation.
+type epoch struct {
+	clfs []Classifier
+	gen  uint64
 }
 
-// Engine is a zero-downtime scoring service over a classifier: it
-// fans batches out across a worker pool, holds the classifier behind
-// an atomically swappable snapshot so Retrain can rebuild it while
-// batches keep flowing, funnels bulk training through a buffered
-// stream, and keeps verdict and latency counters.
+// Engine is a zero-downtime scoring service over one logical filter
+// partitioned across N >= 1 shards. Every message is routed to the
+// shard its Config.Key selects, so each shard serves — and is
+// retrained on — a fixed slice of the user population; a single
+// engine is the one-shard case, which never calls the key. Engine fans
+// batches out across a worker pool per shard, holds every shard's
+// classifier behind one atomically swappable epoch, funnels bulk
+// training through a buffered stream, and keeps per-shard verdict,
+// latency and admission counters.
 //
-// Scoring (Classify, ClassifyBatch, ScoreBatch) reads the current
-// snapshot once per call and uses it throughout, so a batch never
-// mixes generations. Publishing (Retrain, RetrainIncremental, Swap)
-// replaces the snapshot atomically; the classifier only needs to
-// tolerate concurrent read-only Classify/Score calls, which every
-// backend guarantees. The one in-place mutation path, LearnStream,
-// trains the snapshot current at stream start and is meant for bulk
-// loading before serving begins.
+// Scoring (Classify, ClassifyBatch, ScoreBatch) loads the epoch once
+// per call and uses it throughout, so a batch never mixes generations,
+// not even across shards. Publishing (Swap, and the guarded retrains
+// through Guarded) builds the whole next epoch and stores it once; the
+// classifiers only need to tolerate concurrent read-only
+// Classify/Score calls, which every backend guarantees. The one
+// in-place mutation path, LearnStream, trains the epoch current at
+// stream start and is meant for bulk loading before serving begins.
+//
+// Sharding buys two things one classifier cannot offer: batch scoring
+// that fans out across shards, and per-user blast-radius isolation —
+// poison trained into one shard degrades only the mailboxes routed
+// there, which the per-shard Stats and instruments make observable.
 type Engine struct {
 	name     string
+	key      ShardKey
 	workers  int
 	learnBuf int
-	// shard is this engine's index inside a Sharded fleet (-1 when
-	// standalone or the fleet's only shard); it stamps trace events so
-	// a replayed decision names the shard it landed on.
-	shard int32
-	trace *obs.Tracer
+	trace    *obs.Tracer
+	// shards holds each shard's stats label, trace index and
+	// instruments; the classifiers they serve live in the epoch.
+	shards []*shard
 
-	// cur is the serving snapshot. publishMu serializes publishers
-	// (retraining is single-writer); readers only Load.
-	cur       atomic.Pointer[snapshot]
+	// cur is the serving epoch. publishMu serializes publishers
+	// (publishing is single-writer); readers only Load.
+	cur       atomic.Pointer[epoch]
 	publishMu sync.Mutex
+}
 
-	// Instruments are obs-backed: the same objects feed Stats() and,
-	// when a registry was configured, the /metrics exposition — one
-	// counter, two readers, so the JSON stats and the scrape can never
-	// disagree. Latencies are histograms, not summed durations: the
-	// sum is still there (Stats derives its cumulative latency from
-	// it), and the buckets show the tail a sum hides.
+// shard is one partition's label, trace index and instruments.
+//
+// Instruments are obs-backed: the same objects feed Stats() and, when
+// a registry was configured, the /metrics exposition — one counter,
+// two readers, so the JSON stats and the scrape can never disagree.
+// Latencies are histograms, not summed durations: the sum is still
+// there (Stats derives its cumulative latency from it), and the
+// buckets show the tail a sum hides.
+type shard struct {
+	name string
+	// index stamps trace events so a replayed decision names the shard
+	// it landed on (-1 for the shard of a one-shard engine).
+	index int32
+
 	scored      *obs.Counter
 	learned     *obs.Counter
 	batches     *obs.Counter
@@ -89,26 +117,44 @@ type Engine struct {
 	publishes   *obs.Counter
 
 	// Admission-control tallies, recorded by the Guarded wrapper for
-	// the decisions that route to this engine; see guarded.go.
+	// the decisions that route to this shard; see guarded.go.
 	admitted      *obs.Counter
 	quarantined   *obs.Counter
 	admitRejected *obs.Counter
 }
 
-// New returns an Engine serving clf as generation 1.
+// New returns a one-shard Engine serving clf as generation 1.
 func New(clf Classifier, cfg Config) *Engine {
-	return NewAt(clf, 1, cfg)
+	return newEngine([]Classifier{clf}, 1, cfg)
 }
 
-// NewAt returns an Engine serving clf at generation gen — the resume
-// path: an engine restored from a persisted snapshot keeps the
-// snapshot's stamped generation, so the generation line is continuous
-// across restarts instead of restarting from 1. gen must be at least
-// 1 (Stats.Retrains reports Generation-1, the number of publishes
-// since the line began).
+// NewAt returns a one-shard Engine serving clf at generation gen — an
+// engine that continues a persisted generation line (gen >= 1;
+// Stats.Retrains reports Generation-1, the number of publishes since
+// the line began).
 func NewAt(clf Classifier, gen uint64, cfg Config) *Engine {
-	if clf == nil {
-		panic("engine: New with nil classifier")
+	return newEngine([]Classifier{clf}, gen, cfg)
+}
+
+// NewSharded returns an Engine of one shard per classifier in clfs,
+// serving them as generation 1. Callers that want identically trained
+// shards pass clones and diverge them later through publishes that
+// replace one shard's classifier and pass the others through.
+func NewSharded(clfs []Classifier, cfg Config) *Engine {
+	return newEngine(clfs, 1, cfg)
+}
+
+// newEngine is the one constructor: every shard serves its classifier
+// at generation gen — 1 for a fresh engine, the persisted stamp for a
+// resumed one.
+func newEngine(clfs []Classifier, gen uint64, cfg Config) *Engine {
+	if len(clfs) == 0 {
+		panic("engine: New with no classifiers")
+	}
+	for _, clf := range clfs {
+		if clf == nil {
+			panic("engine: New with nil classifier")
+		}
 	}
 	if gen < 1 {
 		panic("engine: NewAt with generation 0")
@@ -117,59 +163,86 @@ func NewAt(clf Classifier, gen uint64, cfg Config) *Engine {
 	if name == "" {
 		name = "engine"
 	}
+	key := cfg.Key
+	if key == nil {
+		key = RecipientKey
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = max(1, runtime.GOMAXPROCS(0)/len(clfs))
 	}
 	learnBuf := cfg.LearnBuffer
 	if learnBuf <= 0 {
 		learnBuf = 256
 	}
-	e := &Engine{name: name, workers: workers, learnBuf: learnBuf, shard: -1, trace: cfg.Trace}
-	e.cur.Store(&snapshot{clf: clf, gen: gen})
-
-	// Instrument registration happens once, here; the hot paths only
-	// touch the pre-built instruments. A nil registry hands back
-	// working unregistered instruments, so nothing below is
-	// conditional.
-	reg := cfg.Obs
-	el := obs.L("engine", name)
-	e.scored = reg.Counter("engine_scored_total", "messages scored without a verdict (ScoreBatch)", el)
-	e.learned = reg.Counter("engine_learned_total", "messages trained via LearnStream", el)
-	e.batches = reg.Counter("engine_batches_total", "completed batch calls (ClassifyBatch and ScoreBatch)", el)
-	for i := Ham; i <= Spam; i++ {
-		e.byLabel[i] = reg.Counter("engine_classified_total", "classification verdicts by label", el, obs.L("label", i.String()))
+	e := &Engine{name: name, key: key, workers: workers, learnBuf: learnBuf, trace: cfg.Trace,
+		shards: make([]*shard, len(clfs))}
+	for i := range clfs {
+		label, index := name, int32(-1)
+		if len(clfs) > 1 {
+			label, index = fmt.Sprintf("%s/%d", name, i), int32(i)
+		}
+		e.shards[i] = e.newShard(cfg.Obs, label, index)
 	}
-	e.batchLat = reg.Histogram("engine_batch_seconds", "batch call wall-clock latency", nil, el)
-	e.classifyLat = reg.Histogram("engine_classify_seconds", "single-message classify latency (the at-delivery hot path)", nil, el)
-	e.learnLat = reg.Histogram("engine_learn_seconds", "per-example LearnStream training latency", nil, el)
-	e.publishes = reg.Counter("engine_publishes_total", "snapshot publishes (Retrain, RetrainIncremental, Swap) by this process", el)
-	e.admitted = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitAccept.String()))
-	e.quarantined = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitQuarantine.String()))
-	e.admitRejected = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitReject.String()))
-	reg.GaugeFunc("engine_generation", "serving snapshot generation", func() float64 { return float64(e.Generation()) }, el)
+	e.cur.Store(&epoch{clfs: append([]Classifier(nil), clfs...), gen: gen})
 	return e
 }
 
-// Classifier returns the currently serving classifier.
-func (e *Engine) Classifier() Classifier { return e.cur.Load().clf }
-
-// Snapshot returns the currently serving classifier and its
-// generation number in one consistent read.
-func (e *Engine) Snapshot() (Classifier, uint64) {
-	s := e.cur.Load()
-	return s.clf, s.gen
+// newShard builds one shard's instruments. Registration happens once,
+// here; the hot paths only touch the pre-built instruments. A nil
+// registry hands back working unregistered instruments, so nothing
+// below is conditional.
+func (e *Engine) newShard(reg *obs.Registry, label string, index int32) *shard {
+	el := obs.L("engine", label)
+	sh := &shard{name: label, index: index}
+	sh.scored = reg.Counter("engine_scored_total", "messages scored without a verdict (ScoreBatch)", el)
+	sh.learned = reg.Counter("engine_learned_total", "messages trained via LearnStream", el)
+	sh.batches = reg.Counter("engine_batches_total", "completed batch calls (ClassifyBatch and ScoreBatch)", el)
+	for i := Ham; i <= Spam; i++ {
+		sh.byLabel[i] = reg.Counter("engine_classified_total", "classification verdicts by label", el, obs.L("label", i.String()))
+	}
+	sh.batchLat = reg.Histogram("engine_batch_seconds", "batch call wall-clock latency", nil, el)
+	sh.classifyLat = reg.Histogram("engine_classify_seconds", "single-message classify latency (the at-delivery hot path)", nil, el)
+	sh.learnLat = reg.Histogram("engine_learn_seconds", "per-example LearnStream training latency", nil, el)
+	sh.publishes = reg.Counter("engine_publishes_total", "snapshot publishes (Retrain, RetrainIncremental, Swap) by this process", el)
+	sh.admitted = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitAccept.String()))
+	sh.quarantined = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitQuarantine.String()))
+	sh.admitRejected = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitReject.String()))
+	reg.GaugeFunc("engine_generation", "serving snapshot generation", func() float64 { return float64(e.Generation()) }, el)
+	return sh
 }
 
-// Generation returns the serving snapshot's generation number. It
-// starts at 1 and increases by one per published replacement.
+// Snapshots returns every shard's serving classifier, indexed by
+// shard, and the generation they serve at, in one consistent read.
+// The slice is the published epoch's own: callers must not modify it.
+func (e *Engine) Snapshots() ([]Classifier, uint64) {
+	ep := e.cur.Load()
+	return ep.clfs, ep.gen
+}
+
+// Snapshot returns the serving classifier of a one-shard engine and
+// its generation in one consistent read. It panics on an engine of
+// several shards, whose classifiers Snapshots returns.
+func (e *Engine) Snapshot() (Classifier, uint64) {
+	clfs, gen := e.Snapshots()
+	if len(clfs) != 1 {
+		panic(fmt.Sprintf("engine: Snapshot on an engine of %d shards", len(clfs)))
+	}
+	return clfs[0], gen
+}
+
+// Generation returns the serving epoch's generation number — every
+// shard's. It starts at 1 and increases by one per publish.
 func (e *Engine) Generation() uint64 { return e.cur.Load().gen }
 
 // Name returns the engine's stats label.
 func (e *Engine) Name() string { return e.name }
 
-// Workers returns the effective batch parallelism.
+// Workers returns the effective per-shard batch parallelism.
 func (e *Engine) Workers() int { return e.workers }
+
+// NumShards returns the shard count.
+func (e *Engine) NumShards() int { return len(e.shards) }
 
 // Result is one message's verdict.
 type Result struct {
@@ -177,52 +250,51 @@ type Result struct {
 	Score float64
 }
 
-// Classify scores one message against the current snapshot — the
-// at-delivery verdict an online deployment hands the user while
-// retraining may be running in the background. Its wall-clock cost is
-// tracked in Stats.ClassifyLatency, so the online hot path is as
-// visible as batch scoring.
+// Classify routes one message to its shard and scores it against the
+// current epoch — the at-delivery verdict an online deployment hands
+// the user while retraining may be running in the background. Its
+// wall-clock cost is tracked in Stats.ClassifyLatency, so the online
+// hot path is as visible as batch scoring.
 func (e *Engine) Classify(m *mail.Message) Result {
 	start := time.Now()
-	s := e.cur.Load()
-	ts := s.clf.Tokenizer().Stream(m)
-	label, score := s.clf.ClassifyTokenStream(ts)
-	e.classifyLat.ObserveSince(start)
-	e.byLabel[labelIndex(label)].Inc()
-	e.traceClassify(s.gen, ts, label, score)
+	ep := e.cur.Load()
+	i := e.ShardFor(m)
+	sh, clf := e.shards[i], ep.clfs[i]
+	ts := clf.Tokenizer().Stream(m)
+	label, score := clf.ClassifyTokenStream(ts)
+	sh.classifyLat.ObserveSince(start)
+	sh.byLabel[labelIndex(label)].Inc()
+	e.traceClassify(sh, ep.gen, ts, label, score)
 	return Result{Label: label, Score: score}
 }
 
 // traceClassify records a sampled classify verdict.
-func (e *Engine) traceClassify(gen uint64, ts *tokenize.TokenStream, label Label, score float64) {
+func (e *Engine) traceClassify(sh *shard, gen uint64, ts *tokenize.TokenStream, label Label, score float64) {
 	if d := ts.Digest(); e.trace.Sampled(d) {
 		e.trace.Record(obs.TraceEvent{
 			Kind: obs.TraceClassify, Digest: d, Generation: gen,
-			Shard: e.shard, Verdict: label.String(), Score: score,
+			Shard: sh.index, Verdict: label.String(), Score: score,
 		})
 	}
 }
 
-// ClassifyBatch scores msgs across the worker pool and returns the
-// results in input order: out[i] is the verdict of msgs[i]. The whole
-// batch is scored against one snapshot, even if a retrain publishes
-// mid-batch. It stops early and returns ctx.Err() if the context is
-// cancelled.
+// ClassifyBatch scores msgs and returns the results in input order:
+// out[i] is the verdict of msgs[i]. The batch is grouped by shard and
+// each shard's slice is scored on its own worker pool, concurrently
+// with the others, against one epoch: every answer comes from one
+// generation even if a publish lands mid-batch. It stops early and
+// returns ctx.Err() if the context is cancelled.
 func (e *Engine) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Result, error) {
-	s := e.cur.Load()
-	tok := s.clf.Tokenizer()
+	ep := e.cur.Load()
 	out := make([]Result, len(msgs))
-	err := e.run(ctx, len(msgs), func(i int) {
+	err := e.fanOut(ctx, ep, msgs, func(sh *shard, clf Classifier, tok *tokenize.Tokenizer, i int) {
 		ts := tok.Stream(msgs[i])
-		label, score := s.clf.ClassifyTokenStream(ts)
-		e.traceClassify(s.gen, ts, label, score)
+		label, score := clf.ClassifyTokenStream(ts)
+		e.traceClassify(sh, ep.gen, ts, label, score)
 		out[i] = Result{Label: label, Score: score}
-	})
+	}, func(sh *shard, i int) { sh.byLabel[labelIndex(out[i].Label)].Inc() })
 	if err != nil {
 		return nil, err
-	}
-	for i := range out {
-		e.byLabel[labelIndex(out[i].Label)].Inc()
 	}
 	return out, nil
 }
@@ -232,105 +304,93 @@ func (e *Engine) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Res
 // it counts toward Stats.Scored, not Classified — keeping the
 // invariant sum(ByLabel) == Classified intact.
 func (e *Engine) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, error) {
-	clf := e.cur.Load().clf
-	tok := clf.Tokenizer()
+	ep := e.cur.Load()
 	out := make([]float64, len(msgs))
-	err := e.run(ctx, len(msgs), func(i int) {
+	err := e.fanOut(ctx, ep, msgs, func(_ *shard, clf Classifier, tok *tokenize.Tokenizer, i int) {
 		out[i] = clf.ScoreTokenStream(tok.Stream(msgs[i]))
-	})
+	}, func(sh *shard, _ int) { sh.scored.Inc() })
 	if err != nil {
 		return nil, err
 	}
-	e.scored.Add(uint64(len(msgs)))
 	return out, nil
 }
 
-// run executes fn(0..n-1) on the worker pool, counting batch calls
-// and latency; callers publish their own message counters (Classified
-// vs. Scored) once the batch completes.
-func (e *Engine) run(ctx context.Context, n int, fn func(i int)) error {
-	if n == 0 {
+// fanOut runs score(i) for every message against its shard's
+// classifier in ep: each shard's slice of the batch on a pool of
+// e.workers, the shards concurrently. A shard whose slice completes
+// counts one batch and its latency, then tally(i) for each of its
+// messages — counters publish only when a slice completes, so Stats
+// is consistent to within the in-flight batch. It returns the first
+// error (ctx.Err() on cancellation).
+func (e *Engine) fanOut(ctx context.Context, ep *epoch, msgs []*mail.Message,
+	score func(sh *shard, clf Classifier, tok *tokenize.Tokenizer, i int), tally func(sh *shard, i int)) error {
+	if len(msgs) == 0 {
 		return ctx.Err()
 	}
-	start := time.Now()
-	workers := e.workers
-	if workers > n {
-		workers = n
+	run := func(s int, n int, at func(j int) int) error {
+		start := time.Now()
+		sh, clf := e.shards[s], ep.clfs[s]
+		tok := clf.Tokenizer()
+		if err := ParallelFor(ctx, n, min(e.workers, n), func(j int) { score(sh, clf, tok, at(j)) }); err != nil {
+			return err
+		}
+		sh.batches.Inc()
+		sh.batchLat.ObserveSince(start)
+		for j := 0; j < n; j++ {
+			tally(sh, at(j))
+		}
+		return nil
 	}
-	if err := ParallelFor(ctx, n, workers, fn); err != nil {
-		return err
+	if len(e.shards) == 1 {
+		return run(0, len(msgs), func(j int) int { return j })
 	}
-	e.batches.Inc()
-	e.batchLat.ObserveSince(start)
-	return nil
+	idx := make([][]int, len(e.shards))
+	for i, m := range msgs {
+		s := e.ShardFor(m)
+		idx[s] = append(idx[s], i)
+	}
+	return e.forEachShard(func(s int) error {
+		if len(idx[s]) == 0 {
+			return nil
+		}
+		return run(s, len(idx[s]), func(j int) int { return idx[s][j] })
+	})
 }
 
-// Retrain builds a fresh classifier from factory, trains it on train,
-// and publishes it as the new serving snapshot in one atomic swap.
-// Scoring continues against the previous snapshot for the whole build
-// and never observes the half-trained replacement. Publishers are
-// serialized (retraining is single-writer); concurrent scoring is
-// never blocked. It returns the new snapshot's generation, or the
-// current generation and ctx.Err() if cancelled mid-build (the
-// serving snapshot is then left unchanged).
-func (e *Engine) Retrain(ctx context.Context, factory Factory, train *corpus.Corpus) (uint64, error) {
-	if factory == nil {
-		panic("engine: Retrain with nil factory")
+// Swap publishes externally built classifiers, clfs[i] for shard i, as
+// the next epoch and returns its generation. len(clfs) must equal
+// NumShards; a shard that should keep serving passes its current
+// classifier through (Snapshots). Callers that build replacements
+// themselves (a deployment simulator overlapping the build with next
+// week's deliveries, a process loading a database from disk) use it as
+// the raw publish primitive; the classifiers must not be mutated after
+// the call. Guarded.Swap is the same publish with the hooks.
+func (e *Engine) Swap(clfs ...Classifier) uint64 {
+	if len(clfs) != len(e.shards) {
+		panic(fmt.Sprintf("engine: Swap with %d classifiers for %d shards", len(clfs), len(e.shards)))
 	}
+	for _, clf := range clfs {
+		if clf == nil {
+			panic("engine: Swap with nil classifier")
+		}
+	}
+	return e.publish(clfs)
+}
+
+// publish installs clfs as the next epoch in one atomic store and
+// returns its generation. Publishers are serialized (publishing is
+// single-writer); concurrent scoring is never blocked. Publish events
+// always trace, one per shard (they are generation-scoped, not
+// message-scoped, so sampling does not apply).
+func (e *Engine) publish(clfs []Classifier) uint64 {
 	e.publishMu.Lock()
 	defer e.publishMu.Unlock()
-	replacement := factory()
-	if err := trainAll(ctx, replacement, train); err != nil {
-		return e.cur.Load().gen, err
-	}
-	return e.publishLocked(replacement), nil
-}
-
-// RetrainIncremental clones the serving snapshot, trains only delta
-// into the clone, and publishes the clone — the cheap path when the
-// new training data is a small addition to what the snapshot already
-// knows (a week's kept mail versus the whole store). It requires the
-// serving classifier to be a Cloner and returns an error naming the
-// type otherwise.
-func (e *Engine) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) (uint64, error) {
-	e.publishMu.Lock()
-	defer e.publishMu.Unlock()
-	cur := e.cur.Load()
-	cloner, ok := cur.clf.(Cloner)
-	if !ok {
-		return cur.gen, fmt.Errorf("engine: %T is not a Cloner; use Retrain", cur.clf)
-	}
-	replacement := cloner.CloneClassifier()
-	if err := trainAll(ctx, replacement, delta); err != nil {
-		return cur.gen, err
-	}
-	return e.publishLocked(replacement), nil
-}
-
-// Swap publishes an externally built classifier as the new serving
-// snapshot and returns its generation. Callers that build
-// replacements themselves (a deployment simulator overlapping the
-// build with next week's deliveries, a process loading a database
-// from disk) use it as the raw publish primitive under the same
-// single-writer serialization as Retrain. The classifier must not be
-// mutated after the call.
-func (e *Engine) Swap(clf Classifier) uint64 {
-	if clf == nil {
-		panic("engine: Swap with nil classifier")
-	}
-	e.publishMu.Lock()
-	defer e.publishMu.Unlock()
-	return e.publishLocked(clf)
-}
-
-// publishLocked installs clf as the next generation. Callers hold
-// publishMu. Publish events always trace (they are generation-scoped,
-// not message-scoped, so sampling does not apply).
-func (e *Engine) publishLocked(clf Classifier) uint64 {
 	gen := e.cur.Load().gen + 1
-	e.cur.Store(&snapshot{clf: clf, gen: gen})
-	e.publishes.Inc()
-	e.trace.Record(obs.TraceEvent{Kind: obs.TracePublish, Generation: gen, Shard: e.shard})
+	e.cur.Store(&epoch{clfs: append([]Classifier(nil), clfs...), gen: gen})
+	for _, sh := range e.shards {
+		sh.publishes.Inc()
+		e.trace.Record(obs.TraceEvent{Kind: obs.TracePublish, Generation: gen, Shard: sh.index})
+	}
 	return gen
 }
 
@@ -359,14 +419,15 @@ type Labeled struct {
 }
 
 // LearnStream starts a single-consumer bulk-training stream into the
-// snapshot current at stream start: send examples on the returned
+// epoch current at stream start: send examples on the returned
 // channel, close it, then call wait for the count of examples
-// learned. The channel is buffered (Config LearnBuffer) so producers
-// — an mbox reader, a corpus generator — run ahead of the learner.
-// Training mutates the snapshot's classifier in place (single-writer
-// on one goroutine), so the stream is for bulk loading before the
-// engine starts serving; a live deployment retrains through
-// Retrain's snapshot swap instead.
+// learned. The one consumer routes each example by the routing key and
+// learns it into its shard's classifier. The channel is buffered
+// (Config LearnBuffer) so producers — an mbox reader, a corpus
+// generator — run ahead of the learner. Training mutates the epoch's
+// classifiers in place (single-writer on one goroutine), so the stream
+// is for bulk loading before the engine starts serving; a live
+// deployment retrains through a publish instead.
 //
 // If ctx is cancelled, remaining examples are discarded and wait
 // returns ctx.Err(). The stream keeps draining until wait observes
@@ -376,10 +437,8 @@ type Labeled struct {
 // wait is called — a send racing wait's return can block forever,
 // exactly like a send racing a close.
 func (e *Engine) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, error)) {
-	cur := e.cur.Load()
-	clf := cur.clf
-	gen := cur.gen
-	tok := clf.Tokenizer()
+	ep := e.cur.Load()
+	toks := ep.tokenizers()
 	in := make(chan Labeled, e.learnBuf)
 	done := make(chan struct{})
 	stop := make(chan struct{})
@@ -403,16 +462,18 @@ func (e *Engine) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, 
 					return
 				}
 				start := time.Now()
+				i := e.ShardFor(ex.Msg)
+				sh := e.shards[i]
 				ts := ex.Stream
 				if ts == nil {
-					ts = tok.Stream(ex.Msg)
+					ts = toks[i].Stream(ex.Msg)
 				}
-				clf.LearnTokenStream(ts, ex.Spam, 1)
-				e.learnLat.ObserveSince(start)
-				e.learned.Inc()
+				ep.clfs[i].LearnTokenStream(ts, ex.Spam, 1)
+				sh.learnLat.ObserveSince(start)
+				sh.learned.Inc()
 				if d := ts.Digest(); e.trace.Sampled(d) {
 					e.trace.Record(obs.TraceEvent{
-						Kind: obs.TraceLearn, Digest: d, Generation: gen, Shard: e.shard,
+						Kind: obs.TraceLearn, Digest: d, Generation: ep.gen, Shard: sh.index,
 					})
 				}
 				n++
@@ -427,11 +488,20 @@ func (e *Engine) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, 
 	return in, wait
 }
 
+// tokenizers returns each shard's serving tokenizer, indexed by shard.
+func (ep *epoch) tokenizers() []*tokenize.Tokenizer {
+	toks := make([]*tokenize.Tokenizer, len(ep.clfs))
+	for i, clf := range ep.clfs {
+		toks[i] = clf.Tokenizer()
+	}
+	return toks
+}
+
 // drainUntil keeps receiving from a cancelled stream's channel so a
 // producer blocked on a full buffer can finish, stopping once stop is
 // closed (when the stream's wait observes the cancellation) instead
 // of leaking until an abandoned channel is closed. Shared by
-// Engine.LearnStream and the Sharded router, whose drain contract
+// Engine.LearnStream and Guarded.LearnStream, whose drain contract
 // must not drift apart.
 func drainUntil(in <-chan Labeled, stop <-chan struct{}) {
 	for {
@@ -458,17 +528,18 @@ func drainUntil(in <-chan Labeled, stop <-chan struct{}) {
 	}
 }
 
-// Stats is a point-in-time snapshot of an engine's counters.
+// Stats is a point-in-time snapshot of an engine's counters: the
+// combined view under the engine's name, beside the per-shard
+// breakdown.
 type Stats struct {
 	Name string
-	// Generation is the serving snapshot's generation (1 is the
-	// classifier the engine was constructed over).
+	// Generation is the serving epoch's generation (1 is the
+	// classifiers the engine was constructed over) — every shard's.
 	Generation uint64
-	// Retrains is the number of snapshot publishes (Retrain,
-	// RetrainIncremental, Swap) since the generation line began —
-	// always Generation - 1, reported for readability. An engine
-	// resumed from a persisted snapshot (NewAt) inherits the line, so
-	// pre-restart publishes count.
+	// Retrains is the number of publishes since the generation line
+	// began — always Generation - 1, reported for readability, for any
+	// shard count. An engine resumed from a persisted snapshot inherits
+	// the line, so pre-restart publishes count.
 	Retrains uint64
 	// Classified is the total number of messages given verdicts
 	// (Classify and ClassifyBatch). It is derived from ByLabel inside
@@ -483,14 +554,15 @@ type Stats struct {
 	// Learned is the total number of messages trained via LearnStream.
 	Learned uint64
 	// Batches is the number of completed batch calls (ClassifyBatch
-	// and ScoreBatch).
+	// and ScoreBatch), counted once per shard a batch reached.
 	Batches uint64
 	// ByLabel counts classification verdicts, indexed by Label.
 	ByLabel [3]uint64
-	// Publishes is the number of snapshot publishes performed by this
-	// process. Unlike Retrains it does not count pre-restart publishes
-	// an inherited generation line carries, so on a resumed engine
-	// Publishes < Retrains.
+	// Publishes is the number of publishes performed by this process.
+	// Every publish replaces every shard's classifier, so each shard's
+	// own count is the same number. Unlike Retrains it does not count
+	// pre-restart publishes an inherited generation line carries, so on
+	// a resumed engine Publishes < Retrains.
 	Publishes uint64
 	// BatchLatency is the cumulative wall-clock time spent in
 	// completed batch calls, derived from the batch latency histogram's
@@ -507,32 +579,60 @@ type Stats struct {
 	// derived from the per-verdict loads, so Vetted ==
 	// Admitted+Quarantined+Rejected holds by construction.
 	Admission AdmissionStats
+	// Shards is each shard's own counters under its stats label,
+	// indexed by shard. Every entry reports the engine's Generation
+	// and Retrains, and the combined counters above are their sums, so
+	// sum(Shards[i].Admission) == Admission holds even against
+	// concurrent vetting. An entry's own Shards is nil.
+	Shards []Stats
 }
 
 // Stats returns the current counters. Counters from a batch are
-// published only when the batch completes, so a snapshot is always
-// internally consistent to within the in-flight batch.
+// published only when each shard's slice completes, so a snapshot is
+// always internally consistent to within the in-flight batch.
 func (e *Engine) Stats() Stats {
 	gen := e.cur.Load().gen
+	st := Stats{Name: e.name, Generation: gen, Retrains: gen - 1, Shards: make([]Stats, len(e.shards))}
+	for i, sh := range e.shards {
+		s := sh.stats(gen)
+		st.Shards[i] = s
+		st.Classified += s.Classified
+		st.Scored += s.Scored
+		st.Learned += s.Learned
+		st.Batches += s.Batches
+		for l := range s.ByLabel {
+			st.ByLabel[l] += s.ByLabel[l]
+		}
+		st.BatchLatency += s.BatchLatency
+		st.ClassifyLatency += s.ClassifyLatency
+		st.LearnLatency += s.LearnLatency
+		st.Admission.add(s.Admission)
+	}
+	st.Publishes = st.Shards[0].Publishes
+	return st
+}
+
+// stats snapshots one shard's counters at generation gen.
+func (sh *shard) stats(gen uint64) Stats {
 	byLabel := [3]uint64{
-		e.byLabel[0].Value(),
-		e.byLabel[1].Value(),
-		e.byLabel[2].Value(),
+		sh.byLabel[0].Value(),
+		sh.byLabel[1].Value(),
+		sh.byLabel[2].Value(),
 	}
 	return Stats{
-		Name:            e.name,
+		Name:            sh.name,
 		Generation:      gen,
 		Retrains:        gen - 1,
 		Classified:      byLabel[0] + byLabel[1] + byLabel[2],
-		Scored:          e.scored.Value(),
-		Learned:         e.learned.Value(),
-		Batches:         e.batches.Value(),
+		Scored:          sh.scored.Value(),
+		Learned:         sh.learned.Value(),
+		Batches:         sh.batches.Value(),
 		ByLabel:         byLabel,
-		Publishes:       e.publishes.Value(),
-		BatchLatency:    e.batchLat.SumDuration(),
-		ClassifyLatency: e.classifyLat.SumDuration(),
-		LearnLatency:    e.learnLat.SumDuration(),
-		Admission:       e.admissionStats(),
+		Publishes:       sh.publishes.Value(),
+		BatchLatency:    sh.batchLat.SumDuration(),
+		ClassifyLatency: sh.classifyLat.SumDuration(),
+		LearnLatency:    sh.learnLat.SumDuration(),
+		Admission:       sh.admissionStats(),
 	}
 }
 

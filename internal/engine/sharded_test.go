@@ -1,10 +1,10 @@
 package engine
 
 // Sharded serving suite: routing fidelity, input-order restitching of
-// fanned-out batches, per-shard retraining isolation, stats
-// aggregation, and the -race torn-read property (a shard retrain
-// mid-batch must never mix generations within that shard's slice of
-// the batch). Run under -race (make race).
+// fanned-out batches, per-shard isolation of publishes, stats
+// aggregation, and the -race torn-read property (a publish mid-batch
+// must never mix generations in the batch). Run under -race (make
+// race).
 
 import (
 	"context"
@@ -36,12 +36,18 @@ func shardedMsgs(n, k int) []*mail.Message {
 	return msgs
 }
 
-func newStubSharded(n int, cfg ShardedConfig) *Sharded {
+func newStubSharded(n int, cfg Config) *Engine {
 	clfs := make([]Classifier, n)
 	for i := range clfs {
 		clfs[i] = &stubClassifier{}
 	}
 	return NewSharded(clfs, cfg)
+}
+
+// shardClassifier returns shard sh's serving classifier.
+func shardClassifier(e *Engine, sh int) Classifier {
+	clfs, _ := e.Snapshots()
+	return clfs[sh]
 }
 
 func TestAddressKeyCanonicalizes(t *testing.T) {
@@ -62,21 +68,22 @@ func TestAddressKeyCanonicalizes(t *testing.T) {
 }
 
 func TestShardedRoutesByRecipient(t *testing.T) {
-	s := newStubSharded(4, ShardedConfig{Name: "route"})
+	s := newStubSharded(4, Config{Name: "route"})
 	for i := 0; i < 32; i++ {
 		m := toMsg(fmt.Sprintf("user%d@corp.example", i), 0.5)
 		want := int(RecipientKey(m) % 4)
 		if got := s.ShardFor(m); got != want {
 			t.Fatalf("ShardFor(user%d) = %d, want %d", i, got, want)
 		}
+		before := s.Stats().Shards[want].Classified
 		s.Classify(m)
-		if got := s.Shard(want).Stats().Classified; got == 0 {
+		if got := s.Stats().Shards[want].Classified; got != before+1 {
 			t.Fatalf("message %d did not land on shard %d", i, want)
 		}
 	}
 	total := uint64(0)
-	for i := 0; i < s.NumShards(); i++ {
-		total += s.Shard(i).Stats().Classified
+	for _, sh := range s.Stats().Shards {
+		total += sh.Classified
 	}
 	if total != 32 {
 		t.Fatalf("shards classified %d messages in total, want 32", total)
@@ -84,7 +91,7 @@ func TestShardedRoutesByRecipient(t *testing.T) {
 }
 
 func TestShardedClassifyBatchOrderPreserved(t *testing.T) {
-	s := newStubSharded(3, ShardedConfig{Workers: 2})
+	s := newStubSharded(3, Config{Workers: 2})
 	msgs := shardedMsgs(120, 17)
 	out, err := s.ClassifyBatch(context.Background(), msgs)
 	if err != nil {
@@ -98,7 +105,7 @@ func TestShardedClassifyBatchOrderPreserved(t *testing.T) {
 }
 
 func TestShardedScoreBatch(t *testing.T) {
-	s := newStubSharded(2, ShardedConfig{})
+	s := newStubSharded(2, Config{})
 	msgs := shardedMsgs(40, 5)
 	out, err := s.ScoreBatch(context.Background(), msgs)
 	if err != nil {
@@ -120,7 +127,7 @@ func TestShardedBatchCancellation(t *testing.T) {
 		&stubClassifier{slow: time.Millisecond},
 		&stubClassifier{slow: time.Millisecond},
 	}
-	s := NewSharded(clfs, ShardedConfig{Workers: 1})
+	s := NewSharded(clfs, Config{Workers: 1})
 	msgs := shardedMsgs(10000, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -133,7 +140,7 @@ func TestShardedBatchCancellation(t *testing.T) {
 }
 
 func TestShardedPartitionMatchesRouting(t *testing.T) {
-	s := newStubSharded(3, ShardedConfig{})
+	s := newStubSharded(3, Config{})
 	c := &corpus.Corpus{}
 	msgs := shardedMsgs(60, 11)
 	for i, m := range msgs {
@@ -162,23 +169,23 @@ func TestShardedRetrainAllTrainsEachShardOnItsSlice(t *testing.T) {
 	for i := range clfs {
 		clfs[i] = &countingClassifier{}
 	}
-	s := NewSharded(clfs, ShardedConfig{})
+	s := NewSharded(clfs, Config{})
 	train := &corpus.Corpus{}
 	msgs := shardedMsgs(100, 13)
 	for i, m := range msgs {
 		train.Add(m, i%2 == 0)
 	}
-	gens, err := s.Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, train)
+	gen, err := guard(s).Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, train)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if gen != 2 || s.Generation() != 2 {
+		t.Fatalf("retrain published generation %d, engine serves %d, want 2", gen, s.Generation())
+	}
 	parts := s.Partition(train)
 	for sh := range clfs {
-		if gens[sh] != 2 {
-			t.Errorf("shard %d generation %d, want 2", sh, gens[sh])
-		}
 		probe := &mail.Message{}
-		if got := s.Shard(sh).Classifier().Score(probe); got != float64(parts[sh].Len()) {
+		if got := shardClassifier(s, sh).Score(probe); got != float64(parts[sh].Len()) {
 			t.Errorf("shard %d trained on %v examples, want its slice of %d", sh, got, parts[sh].Len())
 		}
 	}
@@ -189,18 +196,18 @@ func TestShardedRetrainIncrementalAll(t *testing.T) {
 	for i := range clfs {
 		clfs[i] = &countingClassifier{trained: 5}
 	}
-	s := NewSharded(clfs, ShardedConfig{})
+	s := NewSharded(clfs, Config{})
 	delta := &corpus.Corpus{}
 	for i, m := range shardedMsgs(20, 9) {
 		delta.Add(m, i%2 == 0)
 	}
-	if _, err := s.RetrainIncremental(context.Background(), delta); err != nil {
+	if _, err := guard(s).RetrainIncremental(context.Background(), delta); err != nil {
 		t.Fatal(err)
 	}
 	parts := s.Partition(delta)
 	for sh := 0; sh < s.NumShards(); sh++ {
 		want := float64(5 + parts[sh].Len())
-		if got := s.Shard(sh).Classifier().Score(&mail.Message{}); got != want {
+		if got := shardClassifier(s, sh).Score(&mail.Message{}); got != want {
 			t.Errorf("shard %d scores %v after incremental, want %v", sh, got, want)
 		}
 	}
@@ -212,38 +219,53 @@ func TestShardedRetrainIncrementalAll(t *testing.T) {
 	}
 }
 
+// TestShardedPerShardRetrainLeavesOthersUntouched replaces one shard's
+// classifier in a publish that passes the other shard's through: the
+// untouched shard keeps serving its very classifier, and the whole
+// engine moves to the next generation together.
 func TestShardedPerShardRetrainLeavesOthersUntouched(t *testing.T) {
 	clfs := []Classifier{&countingClassifier{trained: 1}, &countingClassifier{trained: 1}}
-	s := NewSharded(clfs, ShardedConfig{})
-	gen, err := s.Shard(1).Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, trainCorpus(9))
-	if err != nil {
-		t.Fatal(err)
+	s := NewSharded(clfs, Config{})
+	retrained := &countingClassifier{}
+	for _, ex := range trainCorpus(9).Examples {
+		retrained.Learn(ex.Msg, ex.Spam)
 	}
-	if gen != 2 {
-		t.Fatalf("shard 1 generation %d, want 2", gen)
+	cur, _ := s.Snapshots()
+	if gen := s.Swap(cur[0], retrained); gen != 2 {
+		t.Fatalf("publish generation %d, want 2", gen)
 	}
-	if g := s.Shard(0).Generation(); g != 1 {
-		t.Fatalf("shard 0 generation moved to %d by a shard-1 retrain", g)
+	if got := shardClassifier(s, 0); got != clfs[0] {
+		t.Fatal("shard 0's classifier was replaced by a shard-1 retrain")
 	}
-	if got := s.Shard(1).Classifier().Score(&mail.Message{}); got != 9 {
+	if got := shardClassifier(s, 1).Score(&mail.Message{}); got != 9 {
 		t.Fatalf("shard 1 scores %v, want 9", got)
 	}
-	if got := s.Shard(0).Classifier().Score(&mail.Message{}); got != 1 {
+	if got := shardClassifier(s, 0).Score(&mail.Message{}); got != 1 {
 		t.Fatalf("shard 0 snapshot changed: score %v, want 1", got)
+	}
+	for i, sh := range s.Stats().Shards {
+		if sh.Generation != 2 {
+			t.Errorf("shard %d reports generation %d, want 2", i, sh.Generation)
+		}
 	}
 }
 
 func TestShardedSwapAll(t *testing.T) {
-	s := newStubSharded(2, ShardedConfig{})
+	s := newStubSharded(2, Config{})
 	next := []Classifier{&countingClassifier{trained: 3}, &countingClassifier{trained: 4}}
-	gens := s.Swap(next...)
-	for i, g := range gens {
-		if g != 2 {
-			t.Errorf("shard %d generation %d, want 2", i, g)
-		}
-		if s.Shard(i).Classifier() != next[i] {
+	if gen := s.Swap(next...); gen != 2 {
+		t.Errorf("generation %d, want 2", gen)
+	}
+	for i := range next {
+		if shardClassifier(s, i) != next[i] {
 			t.Errorf("shard %d did not install its replacement", i)
 		}
+	}
+	// The epoch holds its own copy: reusing the argument slice cannot
+	// reach the serving classifiers.
+	next[0] = &countingClassifier{}
+	if shardClassifier(s, 0).(*countingClassifier).trained != 3 {
+		t.Error("the caller's slice aliases the published epoch")
 	}
 	defer func() {
 		if recover() == nil {
@@ -255,7 +277,7 @@ func TestShardedSwapAll(t *testing.T) {
 
 func TestShardedLearnStreamRoutesByKey(t *testing.T) {
 	clfs := []Classifier{&stubClassifier{}, &stubClassifier{}, &stubClassifier{}}
-	s := NewSharded(clfs, ShardedConfig{LearnBuffer: 4})
+	s := NewSharded(clfs, Config{LearnBuffer: 4})
 	in, wait := s.LearnStream(context.Background())
 	msgs := shardedMsgs(60, 12)
 	for i, m := range msgs {
@@ -275,11 +297,11 @@ func TestShardedLearnStreamRoutesByKey(t *testing.T) {
 		counts[s.ShardFor(m)]++
 	}
 	for sh, want := range counts {
-		ns, nh := s.Shard(sh).Classifier().Counts()
+		ns, nh := shardClassifier(s, sh).Counts()
 		if ns+nh != want {
 			t.Errorf("shard %d trained %d examples, want %d", sh, ns+nh, want)
 		}
-		if got := s.Shard(sh).Stats().Learned; got != uint64(want) {
+		if got := s.Stats().Shards[sh].Learned; got != uint64(want) {
 			t.Errorf("shard %d Stats.Learned = %d, want %d", sh, got, want)
 		}
 	}
@@ -290,7 +312,7 @@ func TestShardedLearnStreamRoutesByKey(t *testing.T) {
 
 func TestShardedLearnStreamCancellationUnblocksProducer(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := newStubSharded(2, ShardedConfig{LearnBuffer: 1})
+	s := newStubSharded(2, Config{LearnBuffer: 1})
 	in, wait := s.LearnStream(ctx)
 	cancel()
 	done := make(chan struct{})
@@ -311,15 +333,13 @@ func TestShardedLearnStreamCancellationUnblocksProducer(t *testing.T) {
 }
 
 func TestShardedLearnStreamAbandonedAfterCancelDoesNotLeak(t *testing.T) {
-	// Regression for the router forward race: an example in flight to
-	// a full shard stream at cancellation must not strand the router
-	// goroutine (wait lets the router exit before the shard drains
-	// shut down), and a producer that abandons the channel without
-	// closing it must not leak the drain.
+	// A fleet's stream is one consumer learning into every shard: a
+	// producer that abandons the channel without closing it after a
+	// cancellation must not leak the consumer or its drain.
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		s := newStubSharded(3, ShardedConfig{LearnBuffer: 1})
+		s := newStubSharded(3, Config{LearnBuffer: 1})
 		in, wait := s.LearnStream(ctx)
 		for j := 0; j < 3; j++ {
 			in <- Labeled{Msg: toMsg(fmt.Sprintf("u%d@x", j), 0.5), Spam: true}
@@ -345,7 +365,7 @@ func TestShardedLearnStreamAbandonedAfterCancelDoesNotLeak(t *testing.T) {
 }
 
 func TestShardedStatsAggregates(t *testing.T) {
-	s := newStubSharded(2, ShardedConfig{Name: "agg"})
+	s := newStubSharded(2, Config{Name: "agg"})
 	msgs := []*mail.Message{
 		toMsg("a@x", 0.05), toMsg("b@x", 0.5), toMsg("c@x", 0.95), toMsg("d@x", 0.99),
 	}
@@ -356,10 +376,11 @@ func TestShardedStatsAggregates(t *testing.T) {
 	if _, err := s.ScoreBatch(context.Background(), msgs); err != nil {
 		t.Fatal(err)
 	}
-	s.Shard(1).Swap(&stubClassifier{})
+	cur, _ := s.Snapshots()
+	s.Swap(cur[0], &stubClassifier{})
 
 	st := s.Stats()
-	if st.Name != "agg" || len(st.Shards) != 2 || len(st.Generations) != 2 {
+	if st.Name != "agg" || len(st.Shards) != 2 || st.Shards[0].Name != "agg/0" || st.Shards[1].Name != "agg/1" {
 		t.Fatalf("stats shape: %+v", st)
 	}
 	if st.Classified != 5 || st.Scored != 4 {
@@ -372,14 +393,15 @@ func TestShardedStatsAggregates(t *testing.T) {
 	if byLabel != st.Classified {
 		t.Errorf("combined sum(ByLabel) = %d != Classified %d", byLabel, st.Classified)
 	}
-	if st.Generations[0] != 1 || st.Generations[1] != 2 {
-		t.Errorf("generations %v, want [1 2]", st.Generations)
+	// One publish moves every shard: one generation, one retrain, one
+	// publish, for the engine and for each shard.
+	if st.Generation != 2 || st.Retrains != 1 || st.Publishes != 1 {
+		t.Errorf("combined generation/retrains/publishes %d/%d/%d, want 2/1/1", st.Generation, st.Retrains, st.Publishes)
 	}
-	if st.Generation != 1 {
-		t.Errorf("combined generation %d, want 1 (oldest shard)", st.Generation)
-	}
-	if st.Retrains != 1 {
-		t.Errorf("combined retrains %d, want 1", st.Retrains)
+	for i, sh := range st.Shards {
+		if sh.Generation != 2 || sh.Retrains != 1 || sh.Publishes != 1 {
+			t.Errorf("shard %d generation/retrains/publishes %d/%d/%d, want 2/1/1", i, sh.Generation, sh.Retrains, sh.Publishes)
+		}
 	}
 	// The per-shard breakdown accounts for every combined counter.
 	var cls, scr uint64
@@ -393,13 +415,14 @@ func TestShardedStatsAggregates(t *testing.T) {
 	}
 }
 
-// TestShardedServeWhileRetrainPerShardIsolation hammers ClassifyBatch
-// across shards while every shard is concurrently retrained. Within
-// one shard's slice of any batch, all scores must agree (one snapshot
-// per shard per batch) and be a legal whole-corpus multiple — a shard
-// retrain mid-batch must never mix generations inside that shard's
-// slice, and no verdict may come from a half-trained filter. The
-// -race run additionally proves the fan-out itself is race-free.
+// TestShardedServeWhileRetrainPerShardIsolation hammers ScoreBatch
+// across shards while each shard is concurrently retrained by publishes
+// that replace it alone and pass the others' classifiers through.
+// Within one shard's slice of any batch, all scores must agree and be
+// a legal whole-partition count — no publish mid-batch may mix
+// generations inside the batch, and no verdict may come from a
+// half-trained filter. The -race run additionally proves the fan-out
+// itself is race-free.
 func TestShardedServeWhileRetrainPerShardIsolation(t *testing.T) {
 	const trainN = 200
 	const shards = 3
@@ -407,7 +430,7 @@ func TestShardedServeWhileRetrainPerShardIsolation(t *testing.T) {
 	for i := range clfs {
 		clfs[i] = &countingClassifier{}
 	}
-	s := NewSharded(clfs, ShardedConfig{Workers: 2})
+	s := NewSharded(clfs, Config{Workers: 2})
 	// Probes spread across enough recipients that every shard sees a
 	// slice of every batch; every retrain of shard sh trains its whole
 	// partition, so the only legal scores are 0 (the initial snapshot)
@@ -429,17 +452,25 @@ func TestShardedServeWhileRetrainPerShardIsolation(t *testing.T) {
 	parts := s.Partition(train)
 
 	ctx, stop := context.WithCancel(context.Background())
+	var publishMu sync.Mutex
 	var wg sync.WaitGroup
 	for sh := 0; sh < shards; sh++ {
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				if _, err := s.Shard(sh).Retrain(context.Background(),
-					func() Classifier { return &countingClassifier{} }, parts[sh]); err != nil {
-					t.Errorf("shard %d Retrain: %v", sh, err)
-					return
+				retrained := &countingClassifier{}
+				for _, ex := range parts[sh].Examples {
+					retrained.Learn(ex.Msg, ex.Spam)
 				}
+				// Read-modify-publish under a lock, so one shard's
+				// publish never reverts another's.
+				publishMu.Lock()
+				cur, _ := s.Snapshots()
+				next := append([]Classifier(nil), cur...)
+				next[sh] = retrained
+				s.Swap(next...)
+				publishMu.Unlock()
 			}
 		}(sh)
 	}
@@ -480,5 +511,5 @@ func TestNewShardedValidation(t *testing.T) {
 			t.Error("NewSharded with no classifiers did not panic")
 		}
 	}()
-	NewSharded(nil, ShardedConfig{})
+	NewSharded(nil, Config{})
 }

@@ -176,8 +176,8 @@ func TestConformanceStreamUnlearnInverse(t *testing.T) {
 }
 
 // TestConformanceStreamClassifyDuringSwap keeps stream-path batch
-// classification in flight while RetrainIncremental clones the
-// serving classifier, trains the clone, and swaps snapshots — the
+// classification in flight while a guarded RetrainIncremental clones
+// the serving classifier, trains the clone, and swaps snapshots — the
 // clone/swap property the per-snapshot symbol tables must preserve
 // (run under -race via `make race`).
 func TestConformanceStreamClassifyDuringSwap(t *testing.T) {
@@ -187,6 +187,7 @@ func TestConformanceStreamClassifyDuringSwap(t *testing.T) {
 			t.Fatalf("backend %q is not a Cloner", backend)
 		}
 		eng := engine.New(clf, engine.Config{Name: backend, Workers: 4})
+		g := engine.NewGuarded(eng, markerAdmitter{}, engine.GuardedConfig{})
 
 		held := make([]*mail.Message, 40)
 		for i := range held {
@@ -219,7 +220,7 @@ func TestConformanceStreamClassifyDuringSwap(t *testing.T) {
 		}
 		gen0 := eng.Generation()
 		for i := 0; i < 3; i++ {
-			if _, err := eng.RetrainIncremental(context.Background(), delta); err != nil {
+			if _, err := g.RetrainIncremental(context.Background(), delta); err != nil {
 				t.Fatal(err)
 			}
 		}

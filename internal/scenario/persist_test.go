@@ -6,6 +6,7 @@ package scenario
 // sparse cadence resumes an older generation and the trace shows it.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,8 +151,8 @@ func TestOnlineSparseCheckpointLosesGenerations(t *testing.T) {
 }
 
 // TestOnlineShardedCrashRecoveryTransparent is the fleet version of
-// the transparency claim, and additionally pins that every shard
-// resumed its own generation line.
+// the transparency claim, and additionally pins that every shard's
+// line holds the fleet's generations and the lines resume together.
 func TestOnlineShardedCrashRecoveryTransparent(t *testing.T) {
 	g := testGen(t)
 	cfg := durableCfg()
@@ -175,8 +176,10 @@ func TestOnlineShardedCrashRecoveryTransparent(t *testing.T) {
 		t.Fatal("week 2 not marked resumed")
 	}
 
-	// Each shard's snapshot line is its own: the store holds one line
-	// per shard, resumable independently of the scenario.
+	// The store holds one line per shard, every line at the same
+	// generations, and the lines resume as one fleet outside the
+	// scenario.
+	var first []uint64
 	for i := 0; i < cfg.Shards; i++ {
 		name := engine.ShardSnapshotName(ShardedCheckpointName, i, cfg.Shards)
 		gens, err := store.Generations(name)
@@ -186,9 +189,18 @@ func TestOnlineShardedCrashRecoveryTransparent(t *testing.T) {
 		if len(gens) == 0 {
 			t.Fatalf("shard %d has no persisted generations", i)
 		}
-		if _, _, err := engine.ResumeEngine(store, name, engine.Config{}); err != nil {
-			t.Errorf("shard %d line does not resume standalone: %v", i, err)
+		if i == 0 {
+			first = gens
+		} else if !slices.Equal(gens, first) {
+			t.Errorf("shard %d line holds generations %v, shard 0 %v", i, gens, first)
 		}
+	}
+	resumed, _, err := engine.ResumeEngine(store, ShardedCheckpointName, cfg.Shards, engine.Config{})
+	if err != nil {
+		t.Fatalf("the shard lines do not resume outside the scenario: %v", err)
+	}
+	if got, want := resumed.Generation(), first[len(first)-1]; got != want {
+		t.Errorf("fleet resumed at generation %d, want the newest saved %d", got, want)
 	}
 }
 

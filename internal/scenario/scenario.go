@@ -14,7 +14,7 @@
 //     filter.
 //   - RunOnline measures what users actually experienced: every
 //     message (organic and attack) is scored one at a time through a
-//     serving engine.Sharded (one shard unless Config.Shards says
+//     serving engine.Engine (one shard unless Config.Shards says
 //     otherwise) as it arrives, the at-delivery verdicts accumulate
 //     into per-week confusions, and retraining happens in the
 //     background — the replacement snapshot is built concurrently with
@@ -30,7 +30,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -150,7 +149,7 @@ type Config struct {
 	RetrainLag int
 
 	// Shards, when > 1, serves RunOnline deliveries through a
-	// hash-by-recipient engine.Sharded of that many shards: the
+	// hash-by-recipient engine.Engine of that many shards: the
 	// generator's messages are stamped with recipients from a fixed
 	// user population, each shard serves — and is retrained on — only
 	// the mail routed to it, and per-shard Delivered confusions
@@ -174,9 +173,9 @@ type Config struct {
 	// store through the engine persistence layer (the bootstrap
 	// snapshot is saved up front, so a crash in week 1 still has a
 	// restart point). Single-engine mode persists under the name
-	// "scenario-online"; sharded mode saves every shard's own
-	// generation line under "scenario-sharded.shard<i>". RunOnline
-	// only.
+	// "scenario-online"; sharded mode saves every shard's own line
+	// under "scenario-sharded.shard<i>", all at the fleet's
+	// generation. RunOnline only.
 	Checkpoints engine.SnapshotStore
 	// CheckpointEvery saves every Nth publish (<= 0 selects 1, every
 	// publish). A value above 1 models a deployment that checkpoints
@@ -185,8 +184,8 @@ type Config struct {
 	CheckpointEvery int
 	// CrashAtWeek, if > 0, simulates a process crash at the end of
 	// that week: the serving engine (every shard, in sharded mode) is
-	// discarded and resumed from Checkpoints' latest valid
-	// generation, so the following weeks are served — and incremental
+	// discarded and resumed from Checkpoints' newest generation that
+	// every shard line holds and can load, so the following weeks are served — and incremental
 	// retrains are branched — from the restored snapshot. Requires
 	// Checkpoints. The crash point is fixed in simulated time, so the
 	// trace stays deterministic.
@@ -491,13 +490,9 @@ type OnlineWeekReport struct {
 	// targeted shard's damage from collateral damage elsewhere. Nil in
 	// single-engine mode.
 	ByShard []eval.Confusion
-	// ShardGenerations, in sharded mode, is each shard's serving
-	// generation at week's end (Generation then reports the oldest).
-	// Nil in single-engine mode.
-	ShardGenerations []uint64
 	// Checkpointed counts the snapshot saves performed this week
-	// (Config.Checkpoints; in sharded mode one fleet-wide SaveAll is
-	// one checkpoint).
+	// (Config.Checkpoints; in sharded mode one save of every shard's
+	// line is one checkpoint).
 	Checkpointed int
 	// Resumed is true when the simulated crash hit this week's end
 	// (Config.CrashAtWeek): the engine was discarded and restored
@@ -515,7 +510,8 @@ type OnlineResult struct {
 // Snapshot-store keys of the online deployment's checkpoint lines
 // (Config.Checkpoints): the single engine persists under
 // OnlineCheckpointName; sharded mode persists each shard under
-// engine.ShardSnapshotName(ShardedCheckpointName, i, Shards).
+// engine.ShardSnapshotName(ShardedCheckpointName, i, Shards), every
+// line at the one fleet generation.
 const (
 	OnlineCheckpointName  = "scenario-online"
 	ShardedCheckpointName = "scenario-sharded"
@@ -580,9 +576,10 @@ func (c *checkpointer) published() (bool, error) {
 // depend on wall-clock scheduling.
 //
 // The fleet is one engine, or with cfg.Shards > 1 a hash-by-recipient
-// engine.Sharded (see sharded.go): every shard serves — and is rebuilt
-// from — only its own slice of the kept mail, and reports carry
-// per-shard confusions and generations. The defenses vet mail at the
+// engine of that many shards (see sharded.go): every shard serves —
+// and is rebuilt from — only its own slice of the kept mail, the
+// shards publish together as one generation, and reports carry
+// per-shard confusions. The defenses vet mail at the
 // gateway, upstream of the shards: RONI scrubs against the
 // organization-wide trusted store, and inline admission counts each
 // decision against the shard the example routes to.
@@ -590,8 +587,8 @@ func (c *checkpointer) published() (bool, error) {
 // With cfg.Checkpoints set the deployment is durable: publishes are
 // persisted through the engine persistence layer on the
 // CheckpointEvery cadence, and cfg.CrashAtWeek simulates the restart
-// — the fleet is discarded at that week's end and every shard resumed
-// from its own line's latest valid generation, so the remaining weeks
+// — the fleet is discarded at that week's end and resumed at the newest
+// generation every shard line holds and can load, so the remaining weeks
 // measure what users experience after a recovery (including any
 // generations the checkpoint cadence lost).
 func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, error) {
@@ -626,7 +623,7 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 	eval.Parallel(nsh, nsh, func(i int) {
 		clfs[i] = eval.TrainBackend(backend.New, stores[i])
 	})
-	sh := engine.NewSharded(clfs, engine.ShardedConfig{Name: name})
+	sh := engine.NewSharded(clfs, engine.Config{Name: name})
 	res := &OnlineResult{Cfg: cfg}
 
 	// Inline admission control: the fleet gains a guard whose chain
@@ -640,17 +637,17 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 		if err != nil {
 			return nil, err
 		}
-		guard = engine.NewGuardedSharded(sh, adm.chain, adm.guardCfg)
+		guard = engine.NewGuarded(sh, adm.chain, adm.guardCfg)
 	}
 	ctx := context.Background()
 
 	// Durable mode: persist the bootstrap fleet up front, then
 	// checkpoint publishes on the configured cadence, every shard under
-	// its own line at its own generation. The save closure reads sh
+	// its own line at the fleet's generation. The save closure reads sh
 	// through the variable, so post-crash checkpoints persist the
 	// resumed fleet.
 	ckpt := newCheckpointer(cfg, func() error {
-		_, err := sh.SaveAll(cfg.Checkpoints, cfg.BackendName())
+		_, err := engine.SaveEngine(cfg.Checkpoints, name, cfg.BackendName(), sh)
 		return err
 	})
 	if err := ckpt.saveNow(); err != nil {
@@ -786,16 +783,15 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 			stores[i].Append(parts[i])
 		}
 		report.MailStoreSize = store.Len()
-		gens := sh.Stats().Generations
 
 		// Simulated crash: the process dies at this week's end, taking
 		// the in-memory fleet with it (the mail stores are the org's disk
-		// and survive). The restart resumes every shard from its own
-		// line's latest valid generation — if the cadence skipped recent
+		// and survive). The restart resumes the newest generation every
+		// shard line holds and can load — if the cadence skipped recent
 		// publishes, the resumed filter is older than the one that just
 		// served, and the trace shows it.
 		if week == cfg.CrashAtWeek {
-			sh, gens, err = engine.ResumeAll(cfg.Checkpoints, nsh, engine.ShardedConfig{Name: name})
+			sh, _, err = engine.ResumeEngine(cfg.Checkpoints, name, nsh, engine.Config{Name: name})
 			if err != nil {
 				return nil, fmt.Errorf("scenario week %d: resume after simulated crash: %w", week, err)
 			}
@@ -803,14 +799,11 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 				// Re-guard the restored fleet; the admission pipeline
 				// (chain, quarantine, budget) is org state and survives
 				// the process crash with the mail store.
-				guard = engine.NewGuardedSharded(sh, adm.chain, adm.guardCfg)
+				guard = engine.NewGuarded(sh, adm.chain, adm.guardCfg)
 			}
 			report.Resumed = true
 		}
-		report.Generation = slices.Min(gens)
-		if sharded {
-			report.ShardGenerations = gens
-		}
+		report.Generation = sh.Generation()
 
 		// Kick off the background rebuild of every shard from its own
 		// store (or its own delta); it publishes next week, so after the
@@ -824,8 +817,8 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 		switch cfg.Retraining {
 		case RetrainIncremental:
 			cloners := make([]engine.Cloner, nsh)
-			for i := range cloners {
-				cur := sh.Shard(i).Classifier()
+			curs, _ := sh.Snapshots()
+			for i, cur := range curs {
 				cloner, ok := cur.(engine.Cloner)
 				if !ok {
 					return nil, fmt.Errorf("scenario: backend %q (%T) cannot retrain incrementally", cfg.BackendName(), cur)

@@ -1,8 +1,8 @@
 package scenario
 
 // Sharded online deployment (Config.Shards > 1): the §2.1 organization
-// again, but served by one logical filter partitioned across
-// engine.Sharded shards routed by recipient hash. Every user's mail
+// again, but served by one logical filter partitioned across the
+// shards of one engine.Engine, routed by recipient hash. Every user's mail
 // lands on — and trains — one shard, so an attacker who stamps their
 // poison with a single victim's address (the sharded rendition of the
 // paper's §4.3 targeted setting) degrades only that shard, and the

@@ -63,9 +63,9 @@ func TestShardedOnlineCleanDeployment(t *testing.T) {
 		t.Fatalf("%d weeks", len(res.Weeks))
 	}
 	for _, w := range res.Weeks {
-		if len(w.ByShard) != cfg.Shards || len(w.ShardGenerations) != cfg.Shards {
-			t.Fatalf("week %d: per-shard breakdown has %d/%d entries, want %d",
-				w.Week, len(w.ByShard), len(w.ShardGenerations), cfg.Shards)
+		if len(w.ByShard) != cfg.Shards {
+			t.Fatalf("week %d: per-shard breakdown has %d entries, want %d",
+				w.Week, len(w.ByShard), cfg.Shards)
 		}
 		// The per-shard confusions partition the combined one.
 		var sum int
@@ -81,13 +81,8 @@ func TestShardedOnlineCleanDeployment(t *testing.T) {
 		if loss := w.Delivered.HamMisclassifiedRate(); loss > 0.1 {
 			t.Errorf("week %d: clean sharded deployment loses %v of ham at delivery", w.Week, loss)
 		}
-		// One swap per completed week on every shard, as in the
-		// single-engine deployment.
-		for sh, gen := range w.ShardGenerations {
-			if gen != uint64(w.Week) {
-				t.Errorf("week %d: shard %d generation %d, want %d", w.Week, sh, gen, w.Week)
-			}
-		}
+		// One fleet swap per completed week, as in the single-engine
+		// deployment.
 		if w.Generation != uint64(w.Week) {
 			t.Errorf("week %d: combined generation %d, want %d", w.Week, w.Generation, w.Week)
 		}

@@ -71,7 +71,7 @@ func newDaemonFleet(t *testing.T, shards int, reg *obs.Registry, tracer *obs.Tra
 			clfs[i].Learn(ex.Msg, ex.Spam)
 		}
 	}
-	return engine.NewGuardedSharded(engine.NewSharded(clfs, engine.ShardedConfig{Name: "served", Obs: reg, Trace: tracer}), chain, gcfg)
+	return engine.NewGuarded(engine.NewSharded(clfs, engine.Config{Name: "served", Obs: reg, Trace: tracer}), chain, gcfg)
 }
 
 func TestMetricsSurfaceGolden(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package serve is the guarded network front-end: an HTTP daemon over
 // a guarded fleet that scores on demand and learns only through
-// admission control. The fleet is one engine or N recipient-hashed
-// shards behind one engine.Guarded — a single engine is the one-shard
-// fleet — so every endpoint has one code path for both.
+// admission control. The fleet is one engine.Engine of N >= 1
+// recipient-hashed shards serving one generation behind one
+// engine.Guarded, so every endpoint has one code path for every shard
+// count.
 //
 // The paper's threat model is an attacker who reaches the filter
 // through its training path. A network front-end is where that path
@@ -55,7 +56,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -352,8 +352,7 @@ func (s *Server) soak(pending []learnReq) []learnReq {
 
 // publishPending vets and trains the pending batch through the
 // guard's incremental retrain, then resets pending. An empty batch
-// publishes nothing and reports the current generation; a fleet
-// reports its newest shard generation.
+// publishes nothing and reports the current generation.
 func (s *Server) publishPending(pending *[]learnReq) flushResult {
 	if len(*pending) == 0 {
 		return flushResult{gen: s.guarded.Generation()}
@@ -365,8 +364,7 @@ func (s *Server) publishPending(pending *[]learnReq) flushResult {
 	n := len(*pending)
 	*pending = (*pending)[:0]
 
-	gens, err := s.guarded.RetrainIncremental(s.ctx, delta)
-	gen := slices.Max(gens)
+	gen, err := s.guarded.RetrainIncremental(s.ctx, delta)
 	if err != nil {
 		s.publishErrs.Inc()
 		return flushResult{gen: gen, err: err}
@@ -593,70 +591,55 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSave persists the serving snapshot of every shard plus the
-// admission sidecar (SaveGuarded): for one shard, the line Name and
-// its sidecar at the one serving generation.
+// admission sidecar (SaveGuarded), all at the one serving generation:
+// for one shard, the line Name and its sidecar.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")
 		return
 	}
-	gens, err := engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
+	gen, err := engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	gens := make([]uint64, s.guarded.Engine().NumShards())
+	for i := range gens {
+		gens[i] = gen
+	}
 	writeJSON(w, http.StatusOK, SaveResponse{Generations: gens})
 }
 
-// handleResume restores the latest persisted snapshot of every shard
-// into the running daemon: the classifiers are published as one new
-// fleet generation through the guard's hooks, and any admission
-// sidecar saved with them is loaded back — held mail stays held,
-// spent probe budget stays spent. A fleet reports its newest snapshot
-// and serving generations. Its shards swap one after another, as in
-// every fleet publish, so a batch in flight may mix generations across
-// shards, never within one shard's slice.
+// handleResume restores the persisted state into the running daemon
+// through the same resume start-up runs (Guarded.Resume): the newest
+// generation every shard line holds and can load is published as one
+// new epoch through the guard's hooks, then the admission sidecar
+// saved with it is loaded back — held mail stays held, spent probe
+// budget stays spent. A store with nothing to resume answers 404.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")
 		return
 	}
-	n := s.guarded.Sharded().NumShards()
-	clfs := make([]engine.Classifier, n)
-	var snapGen uint64
-	for i := range clfs {
-		env, err := engine.LatestEnvelope(s.cfg.Store, engine.ShardSnapshotName(s.cfg.Name, i, n))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		if clfs[i], err = engine.NewFromEnvelope(env); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		snapGen = max(snapGen, env.Generation)
-	}
-	gens, err := s.guarded.Swap(clfs...)
+	snapGen, gen, loaded, err := s.guarded.Resume(s.cfg.Store, s.cfg.Name)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	loaded, err := engine.LoadAdmissionState(s.cfg.Store, s.cfg.Name, snapGen, s.guarded)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		status := http.StatusInternalServerError
+		if errors.Is(err, engine.ErrNoSnapshot) {
+			status = http.StatusNotFound
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, ResumeResponse{
 		SnapshotGeneration: snapGen,
-		Generation:         slices.Max(gens),
+		Generation:         gen,
 		AdmissionLoaded:    loaded,
 	})
 }
 
 // Stats is the front-end's point-in-time traffic counters.
 type Stats struct {
-	// Generation is the serving snapshot generation (the newest shard
-	// generation of a fleet).
+	// Generation is the serving snapshot generation (every shard's).
 	Generation uint64 `json:"generation"`
 	// Classified and Scored count messages answered by the verdict
 	// and score endpoints (single and batch).
@@ -698,8 +681,8 @@ func (s *Server) Stats() Stats {
 // fleet's own (verdict histogram, latency, admission tallies, and the
 // per-shard breakdown).
 type statsResponse struct {
-	Serve  Stats               `json:"serve"`
-	Engine engine.ShardedStats `json:"engine"`
+	Serve  Stats        `json:"serve"`
+	Engine engine.Stats `json:"engine"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

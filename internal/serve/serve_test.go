@@ -65,7 +65,7 @@ func newFleet(t *testing.T, backend string, shards int, admit engine.Admitter, g
 			clfs[i].Learn(ex.Msg, ex.Spam)
 		}
 	}
-	return engine.NewGuardedSharded(engine.NewSharded(clfs, engine.ShardedConfig{Name: "served"}), admit, gcfg)
+	return engine.NewGuarded(engine.NewSharded(clfs, engine.Config{Name: "served"}), admit, gcfg)
 }
 
 // newGuarded builds a bootstrapped one-engine guard over the given
@@ -334,12 +334,12 @@ func TestQuarantineSurvivesDaemonSaveResume(t *testing.T) {
 			// The restart sbserved performs: the guard is rebuilt from the
 			// store before the daemon starts serving.
 			chain3, roni3, q3 := wire(t)
-			resumed, gens, err := engine.ResumeGuarded(store, shards, engine.ShardedConfig{Name: "amnesty"}, chain3, engine.GuardedConfig{Quarantine: q3})
+			resumed, err := engine.ResumeGuarded(store, "amnesty", shards, engine.Config{Name: "amnesty"}, chain3, engine.GuardedConfig{Quarantine: q3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(gens, sv.Generations) || resumed.Sharded().NumShards() != shards {
-				t.Errorf("restart resumed generations %v over %d shards, saved %v", gens, resumed.Sharded().NumShards(), sv.Generations)
+			if resumed.Generation() != sv.Generations[0] || resumed.Engine().NumShards() != shards {
+				t.Errorf("restart resumed generation %d over %d shards, saved %v", resumed.Generation(), resumed.Engine().NumShards(), sv.Generations)
 			}
 			survived("restart", q3, roni3)
 		})
@@ -609,9 +609,9 @@ func TestShardedServeRoundTrip(t *testing.T) {
 		}
 		clfs[i] = clf
 	}
-	sh := engine.NewSharded(clfs, engine.ShardedConfig{Name: "fleet"})
+	sh := engine.NewSharded(clfs, engine.Config{Name: "fleet"})
 	chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 5000}))
-	gsh := engine.NewGuardedSharded(sh, chain, engine.GuardedConfig{})
+	gsh := engine.NewGuarded(sh, chain, engine.GuardedConfig{})
 	store := engine.NewMemStore()
 	srv := serve.New(gsh, serve.Config{Store: store, Name: "fleet", Backend: "sbayes"})
 	defer srv.Close()
@@ -640,6 +640,11 @@ func TestShardedServeRoundTrip(t *testing.T) {
 	if len(sv.Generations) != shards {
 		t.Fatalf("saved %d shard generations, want %d", len(sv.Generations), shards)
 	}
+	for i, gen := range sv.Generations {
+		if gen != fl.Generation {
+			t.Errorf("shard %d saved at generation %d, the fleet serves %d", i, gen, fl.Generation)
+		}
+	}
 	// A fleet resumes in place: every shard's line is published as one
 	// new fleet generation.
 	var rs serve.ResumeResponse
@@ -649,21 +654,78 @@ func TestShardedServeRoundTrip(t *testing.T) {
 	if rs.SnapshotGeneration != slices.Max(sv.Generations) || rs.Generation <= fl.Generation {
 		t.Fatalf("fleet resume %+v after save %v and flush %+v", rs, sv.Generations, fl)
 	}
-	for i := 0; i < shards; i++ {
-		if got, want := sh.Shard(i).Generation(), sv.Generations[i]+1; got != want {
+	for i, st := range sh.Stats().Shards {
+		if got, want := st.Generation, fl.Generation+1; got != want {
 			t.Errorf("shard %d serves generation %d after the resume, want %d", i, got, want)
 		}
 	}
 
 	// The persisted lines resume into a working fleet.
-	resumed, gens, err := engine.ResumeAll(store, shards, engine.ShardedConfig{Name: "fleet"})
+	resumed, _, err := engine.ResumeEngine(store, "fleet", shards, engine.Config{Name: "fleet"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(engine.StaleShards(gens)) == shards {
-		t.Fatalf("all resumed shards stale: %v", gens)
+	if resumed.Generation() != fl.Generation {
+		t.Fatalf("fleet resumed at generation %d, saved %d", resumed.Generation(), fl.Generation)
 	}
 	if got := resumed.Classify(g.HamMessage(rng)); got.Label.String() == "" {
 		t.Fatal("resumed fleet cannot classify")
+	}
+}
+
+// TestResumeFallsBackPastUnloadableShardLine pins that /admin/resume
+// runs the start-up resume: when one shard line's newest snapshot
+// decodes but its payload does not load, the fleet resumes in place at
+// the newest generation every line can load — 200, one generation on
+// every shard — instead of failing the request or serving that shard
+// older than its peers.
+func TestResumeFallsBackPastUnloadableShardLine(t *testing.T) {
+	const shards = 3
+	chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 5000}))
+	g := newFleet(t, "sbayes", shards, chain, engine.GuardedConfig{})
+	store := engine.NewMemStore()
+	srv := serve.New(g, serve.Config{Store: store, Name: "fleet", Backend: "sbayes"})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	gen := testGen(t)
+	rng := stats.NewRNG(13)
+
+	save := func() uint64 {
+		var sv serve.SaveResponse
+		if code := postJSON(t, client, ts.URL+"/admin/save", struct{}{}, &sv); code != http.StatusOK {
+			t.Fatalf("save: status %d", code)
+		}
+		return sv.Generations[0]
+	}
+	first := save()
+	if code := postJSON(t, client, ts.URL+"/learn", serve.LearnRequest{Message: wireMsg(gen.SpamMessage(rng)), Spam: true}, nil); code != http.StatusAccepted {
+		t.Fatal("learn not accepted")
+	}
+	if code := postJSON(t, client, ts.URL+"/admin/flush", struct{}{}, nil); code != http.StatusOK {
+		t.Fatalf("flush: status %d", code)
+	}
+	second := save()
+	if second <= first {
+		t.Fatalf("second save at generation %d after %d", second, first)
+	}
+	// A well-formed envelope whose payload the backend cannot load.
+	bad := engine.Envelope{Backend: "sbayes", Generation: second, Payload: []byte("not a database")}
+	if err := store.Write(engine.ShardSnapshotName("fleet", 1, shards), second, bad.Encode()); err != nil {
+		t.Fatal(err)
+	}
+
+	var rs serve.ResumeResponse
+	if code := postJSON(t, client, ts.URL+"/admin/resume", struct{}{}, &rs); code != http.StatusOK {
+		t.Fatalf("resume past an unloadable shard line: status %d", code)
+	}
+	if rs.SnapshotGeneration != first || !rs.AdmissionLoaded {
+		t.Errorf("resumed %+v, want snapshot generation %d with the admission sidecar", rs, first)
+	}
+	for i, sh := range g.Stats().Shards {
+		if sh.Generation != rs.Generation {
+			t.Errorf("shard %d serves generation %d after the resume, the fleet %d", i, sh.Generation, rs.Generation)
+		}
 	}
 }

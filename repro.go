@@ -11,10 +11,10 @@
 // Availability attacks exploit the statistical learning approach
 // rather than one filter implementation.
 //
-// The Engine is a zero-downtime serving layer: the classifier lives
-// behind an atomically swappable immutable snapshot, batches and
+// The Engine is a zero-downtime serving layer: the classifiers live
+// behind an atomically swappable immutable epoch, batches and
 // single-message verdicts always read one consistent generation, and
-// Retrain builds the replacement off the serving path and publishes
+// a retrain builds the replacement off the serving path and publishes
 // it with a single atomic store — scoring continues at full speed
 // throughout, and no verdict is ever computed against a half-trained
 // filter. Backends with the Cloner capability additionally support
@@ -25,33 +25,34 @@
 // the engine one at a time, recording the verdict each user actually
 // received while retrains swap in mid-week.
 //
-// Sharded scales that serving layer out: one logical filter
-// partitioned across N Engine shards routed by a recipient-address
+// NewSharded scales that serving layer out: one Engine whose logical
+// filter is partitioned across N shards routed by a recipient-address
 // hash, with the same surface (Classify, batch scoring with
-// input-order restitching, all-shards Retrain / RetrainIncremental /
-// Swap, a routed LearnStream) and Stats that embed the combined
-// counters alongside the per-shard breakdown; one shard alone is
-// reached through Shard(i). Because every user's mail lands on — and
-// trains — exactly one shard, batch throughput scales across shards,
-// and a poisoning attack addressed to a single victim (the §4.3
-// targeted setting) degrades only that user's shard;
-// DeploymentConfig.Shards runs the online simulation in this mode and
-// reports per-shard at-delivery confusions separating target damage
-// from collateral. A single engine is a one-shard fleet: with N == 1
-// the routing key is never called and the shard keeps the fleet's
-// name as its stats label and store key, so the guarded, serving,
-// persistence and simulation layers each have one code path for both.
+// input-order restitching, Swap, a routed LearnStream) and Stats that
+// carry the combined counters beside the per-shard breakdown. Every
+// shard's classifier and the one generation they serve at sit behind
+// one epoch pointer, so a batch that spans shards still reads one
+// generation and every publish replaces the whole epoch at once.
+// Because every user's mail lands on — and trains — exactly one
+// shard, batch throughput scales across shards, and a poisoning
+// attack addressed to a single victim (the §4.3 targeted setting)
+// degrades only that user's shard; DeploymentConfig.Shards runs the
+// online simulation in this mode and reports per-shard at-delivery
+// confusions separating target damage from collateral. A single
+// engine is the one-shard case: with N == 1 the routing key is never
+// called and the shard keeps the engine's name as its stats label and
+// store key, so the guarded, serving, persistence and simulation
+// layers each have one code path for every shard count.
 //
 // # Snapshot persistence
 //
 // The serving layer is durable: SaveEngine persists an engine's
-// current snapshot — the classifier and its generation, read in one
-// consistent atomic load — into a SnapshotStore, and ResumeEngine
-// restores an engine from the newest generation that validates, so a
-// restarted deployment resumes the generation line instead of
-// restarting it (Sharded.SaveAll / ResumeSharded do the same per
-// shard, each shard keeping its own independent line — a one-shard
-// fleet's line is its bare name, exactly as SaveEngine writes it). Every
+// serving epoch — every shard's classifier and their one generation,
+// read in one consistent atomic load — into a SnapshotStore, one line
+// per shard (a one-shard engine's line is its bare name), and
+// ResumeEngine restores the whole engine at the newest generation
+// every shard line holds and can load, so a restarted deployment
+// resumes the generation line instead of restarting it. Every
 // persisted snapshot is a self-describing envelope:
 //
 //	magic    "SNAP" 0x01 (format version)
@@ -98,13 +99,13 @@
 //   - AdmissionChain / SampledAdmitter compose admitters into a
 //     policy.
 //
-// A Guarded threads a policy through a fleet's LearnStream / Retrain /
-// RetrainIncremental — NewGuarded over one Engine, NewGuardedSharded
-// over a Sharded, one type either way. Candidates are vetted once, at
-// the gateway, and each decision is counted against the shard the
-// example routes to (the admission tallies in ShardedStats, summed and
-// per shard). Every publish runs the hooks: PrePublish on every
-// shard's replacement before any shard swaps — where the §5.2
+// A Guarded threads a policy through an engine's LearnStream /
+// Retrain / RetrainIncremental — NewGuarded over an Engine of any
+// shard count. Candidates are vetted once, at the gateway, and each
+// decision is counted against the shard the example routes to (the
+// admission tallies in EngineStats, summed and per shard). Every
+// publish runs the hooks: PrePublish on every shard's replacement
+// before anything publishes — where the §5.2
 // dynamic-threshold defense refits the replacement's cutoffs
 // (DynamicThreshold.Refit, via the ThresholdSetter capability) before
 // it goes live — and PostPublish once per publish. Scoring is never
@@ -140,8 +141,9 @@
 // and skip unknown keys; each body and each batch line is capped at
 // 1 MiB, and batches of any length stream full duplex, verdicts going
 // out while the request is still arriving. One constructor serves a
-// guard of any fleet size; a fleet saves every shard's line plus one
-// admission sidecar and resumes in place like a single engine.
+// guard of any fleet size; a fleet saves every shard's line at its one
+// generation plus one admission sidecar, and resumes in place through
+// the same resume start-up runs.
 // cmd/sbserved wires this into a runnable daemon (flood gate +
 // incremental RONI + quarantine, snapshot-dir persistence with
 // save-on-shutdown and resume-at-startup, -shards 0 or 1 for one
@@ -358,15 +360,17 @@ func NewClassifier(backend string) (Classifier, error) {
 	return b.New(), nil
 }
 
-// Engine is the zero-downtime scoring service over one classifier:
-// worker-pool ClassifyBatch/ScoreBatch and single-message Classify
-// against an atomically swappable snapshot, Retrain /
-// RetrainIncremental / Swap to publish replacements while scoring
-// continues, a buffered LearnStream for bulk loading, and
-// verdict/latency/generation counters.
+// Engine is the zero-downtime scoring service over one logical filter
+// of N >= 1 recipient-hashed shards: worker-pool
+// ClassifyBatch/ScoreBatch and single-message Classify against one
+// atomically swappable epoch, Swap to publish a whole replacement
+// epoch while scoring continues (Guarded adds the vetted retrains), a
+// buffered LearnStream for bulk loading, and verdict/latency/
+// generation counters, combined and per shard.
 type Engine = engine.Engine
 
-// EngineConfig tunes an Engine (name, workers, learn buffer).
+// EngineConfig tunes an Engine (name, per-shard workers, learn
+// buffer, routing key, instruments).
 type EngineConfig = engine.Config
 
 // ClassifyResult is one message's verdict within a batch.
@@ -376,10 +380,11 @@ type ClassifyResult = engine.Result
 // LearnStream.
 type LabeledMessage = engine.Labeled
 
-// EngineStats is a snapshot of an Engine's counters.
+// EngineStats is a snapshot of an Engine's counters: the combined view
+// beside the per-shard breakdown.
 type EngineStats = engine.Stats
 
-// NewEngine returns a scoring engine over any classifier.
+// NewEngine returns a one-shard scoring engine over any classifier.
 func NewEngine(c Classifier, cfg EngineConfig) *Engine { return engine.New(c, cfg) }
 
 // NewEngineAt returns a scoring engine serving at a prior generation,
@@ -388,28 +393,16 @@ func NewEngineAt(c Classifier, gen uint64, cfg EngineConfig) *Engine {
 	return engine.NewAt(c, gen, cfg)
 }
 
-// Sharded is one logical filter partitioned across N Engine shards
-// routed by a recipient hash: batches are grouped by shard, fanned
-// out concurrently, and restitched in input order; shards retrain
-// independently (one through Shard(i), or all at once on each shard's
-// own slice of the corpus), so poison trained into one user's shard
-// degrades only the mailboxes routed there.
-type Sharded = engine.Sharded
-
-// ShardedConfig tunes a Sharded engine (name, per-shard workers,
-// learn buffer, routing key).
-type ShardedConfig = engine.ShardedConfig
-
-// ShardedStats embeds the combined EngineStats of every shard
-// alongside the per-shard breakdown and per-shard generations.
-type ShardedStats = engine.ShardedStats
-
 // ShardKey routes a message to a shard.
 type ShardKey = engine.ShardKey
 
-// NewSharded partitions the serving layer across one Engine per
-// classifier (a nil cfg.Key routes by recipient address hash).
-func NewSharded(clfs []Classifier, cfg ShardedConfig) *Sharded { return engine.NewSharded(clfs, cfg) }
+// NewSharded returns an Engine partitioned into one shard per
+// classifier (a nil cfg.Key routes by recipient address hash):
+// batches are grouped by shard, fanned out concurrently, and
+// restitched in input order against one epoch, and each shard serves
+// — and is retrained on — only its own users' mail, so poison trained
+// into one user's shard degrades only the mailboxes routed there.
+func NewSharded(clfs []Classifier, cfg EngineConfig) *Engine { return engine.NewSharded(clfs, cfg) }
 
 // RecipientShardKey is the default ShardKey: an FNV-1a hash of the
 // message's canonicalized To address.
@@ -421,7 +414,7 @@ func RecipientShardKey(m *Message) uint64 { return engine.RecipientKey(m) }
 func AddressShardKey(addr string) uint64 { return engine.AddressKey(addr) }
 
 // PartitionByShardKey splits a corpus into n per-shard corpora with
-// the same routing a Sharded engine uses, so per-shard retraining
+// the same routing an engine of n shards uses, so per-shard retraining
 // trains each shard on exactly the mail it serves.
 func PartitionByShardKey(c *Corpus, n int, key ShardKey) []*Corpus {
 	return engine.PartitionByKey(c, n, key)
@@ -463,10 +456,9 @@ type AdmissionStats = engine.AdmissionStats
 // installs refit cutoffs through at each snapshot swap.
 type ThresholdSetter = engine.ThresholdSetter
 
-// Guarded threads an admission policy through a fleet's training path
-// (LearnStream, Retrain, RetrainIncremental, one generation per shard)
-// and runs publish hooks at every snapshot swap; scoring is never
-// blocked. A single engine is the one-shard fleet NewGuarded builds.
+// Guarded threads an admission policy through an engine's training
+// path (LearnStream, Retrain, RetrainIncremental) and runs publish
+// hooks at every epoch swap; scoring is never blocked.
 type Guarded = engine.Guarded
 
 // GuardedConfig wires the quarantine sink and the publish hooks.
@@ -476,17 +468,11 @@ type GuardedConfig = engine.GuardedConfig
 // *Quarantine is the stock implementation.
 type QuarantineSink = engine.QuarantineSink
 
-// NewGuarded wraps an Engine, as a one-shard fleet, with admission
-// control.
+// NewGuarded wraps an Engine of any shard count with admission
+// control: one policy vets at the gateway, each decision counted
+// against the destination shard.
 func NewGuarded(e *Engine, admit Admitter, cfg GuardedConfig) *Guarded {
 	return engine.NewGuarded(e, admit, cfg)
-}
-
-// NewGuardedSharded wraps a Sharded engine with admission control: one
-// policy vets at the gateway, each decision counted against the
-// destination shard.
-func NewGuardedSharded(s *Sharded, admit Admitter, cfg GuardedConfig) *Guarded {
-	return engine.NewGuardedSharded(s, admit, cfg)
 }
 
 // IncrementalRONI is the §5.1 defense run incrementally as messages
@@ -587,20 +573,21 @@ func NewDirSnapshotStore(dir string) (*DirSnapshotStore, error) { return engine.
 // NewMemSnapshotStore returns an empty in-memory store.
 func NewMemSnapshotStore() *MemSnapshotStore { return engine.NewMemStore() }
 
-// SaveEngine persists e's current serving snapshot (classifier +
-// generation, one consistent read) under name, stamped with the
-// backend registry name resume reconstructs it through. Concurrent
-// scoring is never blocked.
+// SaveEngine persists e's serving epoch (every shard's classifier and
+// their one generation, one consistent read) under name, one line per
+// shard, stamped with the backend registry name resume reconstructs
+// it through. Concurrent scoring is never blocked.
 func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, error) {
 	return engine.SaveEngine(st, name, backend, e)
 }
 
-// ResumeEngine restores an Engine from name's newest valid
-// generation, serving at that generation so the line continues
-// across the restart. Invalid (corrupt, truncated, unknown-backend)
-// generations are skipped; ErrNoSnapshot if none validates.
-func ResumeEngine(st SnapshotStore, name string, cfg EngineConfig) (*Engine, SnapshotEnvelope, error) {
-	return engine.ResumeEngine(st, name, cfg)
+// ResumeEngine restores an Engine of shards shards from name's lines
+// at the newest generation every line holds and can load, serving at
+// that generation so the line continues across the restart. Invalid
+// (corrupt, truncated, unknown-backend) generations are skipped;
+// ErrNoSnapshot if none qualifies. The envelope is shard 0's.
+func ResumeEngine(st SnapshotStore, name string, shards int, cfg EngineConfig) (*Engine, SnapshotEnvelope, error) {
+	return engine.ResumeEngine(st, name, shards, cfg)
 }
 
 // LatestSnapshotEnvelope decodes name's newest valid persisted
@@ -616,22 +603,9 @@ func NewClassifierFromEnvelope(env SnapshotEnvelope) (Classifier, error) {
 	return engine.NewFromEnvelope(env)
 }
 
-// ResumeSharded restores a Sharded of shards engines, each shard from
-// its own snapshot line's newest valid generation (see
-// Sharded.SaveAll). Every shard must resume; the returned slice is
-// each shard's resumed generation (compare with StaleShards).
-func ResumeSharded(st SnapshotStore, shards int, cfg ShardedConfig) (*Sharded, []uint64, error) {
-	return engine.ResumeAll(st, shards, cfg)
-}
-
-// StaleShards returns the shards whose resumed generation lags the
-// newest across the partition — the lines that missed recent
-// checkpoints.
-func StaleShards(gens []uint64) []int { return engine.StaleShards(gens) }
-
-// ShardSnapshotName is the store key of shard's snapshot line within a
-// fleet of shards named name ("name.shard<i>"; name itself for one
-// shard).
+// ShardSnapshotName is the store key of shard's snapshot line within
+// an engine of shards shards saved as name ("name.shard<i>"; name
+// itself for one shard).
 func ShardSnapshotName(name string, shard, shards int) string {
 	return engine.ShardSnapshotName(name, shard, shards)
 }
@@ -653,34 +627,25 @@ func DecodeSnapshotEnvelope(data []byte) (SnapshotEnvelope, error) {
 // sidecar envelope next to the classifier snapshot.
 type AdmissionStatePersister = engine.AdmissionStatePersister
 
-// SaveGuarded persists every shard's serving snapshot of g (for one
-// shard, the line name itself) plus one admission sidecar (quarantine
-// contents, probe budget, memoized verdicts) at the newest shard
-// generation, closing the crash-amnesty hole: a restart can no longer
-// free held mail or refill an exhausted probe bucket. It returns each
-// shard's saved generation.
-func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) ([]uint64, error) {
+// SaveGuarded persists g's engine as SaveEngine does (for one shard,
+// the line name itself) plus one admission sidecar (quarantine
+// contents, probe budget, memoized verdicts) at the same generation,
+// closing the crash-amnesty hole: a restart can no longer free held
+// mail or refill an exhausted probe bucket. It returns the saved
+// generation. Guarded.Resume restores both into a running guard.
+func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) (uint64, error) {
 	return engine.SaveGuarded(st, name, backend, g)
 }
 
-// ResumeGuarded restores a guarded fleet of shards engines from the
-// lines cfg.Name names, each shard at its newest valid generation,
-// loading any admission sidecar saved with them into the freshly wired
-// guard — held mail stays held, spent budget stays spent. It returns
-// each shard's resumed generation.
-func ResumeGuarded(st SnapshotStore, shards int, cfg ShardedConfig, admit Admitter, gcfg GuardedConfig) (*Guarded, []uint64, error) {
-	return engine.ResumeGuarded(st, shards, cfg, admit, gcfg)
+// ResumeGuarded restores a guarded engine of shards shards from name's
+// lines as ResumeEngine does, loading the admission sidecar saved with
+// them into the freshly wired guard — held mail stays held, spent
+// budget stays spent.
+func ResumeGuarded(st SnapshotStore, name string, shards int, cfg EngineConfig, admit Admitter, gcfg GuardedConfig) (*Guarded, error) {
+	return engine.ResumeGuarded(st, name, shards, cfg, admit, gcfg)
 }
 
-// LoadAdmissionState restores g's admitter and quarantine sink from
-// name's admission sidecar at generation gen (a fleet's newest shard
-// generation); false (and no error) when that generation has no
-// sidecar.
-func LoadAdmissionState(st SnapshotStore, name string, gen uint64, g *Guarded) (bool, error) {
-	return engine.LoadAdmissionState(st, name, gen, g)
-}
-
-// AdmissionSnapshotName is the store key of a guarded fleet's
+// AdmissionSnapshotName is the store key of a guarded engine's
 // admission sidecar line ("<name>.admission").
 func AdmissionSnapshotName(name string) string { return engine.AdmissionSnapshotName(name) }
 
