@@ -14,17 +14,16 @@
 //   - direct loads: x.field.Load() where field is an atomic.Pointer;
 //   - accessor loads: calls to same-package methods whose body is a
 //     direct load of their receiver's atomic.Pointer field (the
-//     engine's Classifier/Generation/Snapshot accessors), keyed by
-//     the pointer they load, so eng.Classifier()+eng.Generation() in
-//     one body is recognized as two reads of one pointer.
+//     engine's Generation/Snapshots accessors), keyed by the pointer
+//     they load, so eng.Snapshots()+eng.Generation() in one body is
+//     recognized as two reads of one pointer.
 //
-// Reads inside a loop are flagged even on first occurrence — also
-// when the pointer hangs off a loop variable: per-item pointers read
-// one by one are N reads that a publish can straddle, the torn fleet
-// read one epoch pointer for every shard replaced. Intentional
-// re-reads carry a //sbvet:reload directive. _test.go
-// files are exempt: tests re-read pointers to assert that a publish
-// changed the generation.
+// Reads inside a loop are flagged even on first occurrence, also when
+// the pointer hangs off a loop variable: reading one pointer per item
+// is N reads a publish can straddle — the torn fleet read that one
+// epoch pointer for every shard replaced. Intentional re-reads carry a
+// //sbvet:reload directive. _test.go files are exempt: tests re-read
+// pointers to assert that a publish changed the generation.
 package snapshotonce
 
 import (
@@ -166,7 +165,7 @@ func snapshotRead(pass *analysis.Pass, accessors map[*types.Func]string, sel *as
 // snapshot accessor to the atomic.Pointer field it loads. A pure
 // accessor's body makes exactly one call, and that call is a direct
 // recv.field.Load() of an atomic.Pointer field — the engine's
-// Classifier/Generation/Snapshot shape. Its whole result is derived
+// Generation/Snapshots shape. Its whole result is derived
 // from one load, so a call to it IS a pointer read at the call site.
 // Methods that merely use the snapshot internally (Classify loads
 // once, then scores) are not accessors: calling them twice is two

@@ -46,7 +46,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -560,27 +559,18 @@ func resumeEpoch(st SnapshotStore, name string, shards int) ([]Classifier, Envel
 	if newest == oldest {
 		return clfs, envs[0], newest, nil
 	}
-	// The lines diverge: walk the generations at or below the oldest
-	// line's newest that every line holds, newest first.
-	held := make(map[uint64]int)
-	for _, line := range lines {
-		gens, err := st.Generations(line)
-		if err != nil {
-			return nil, Envelope{}, 0, err
-		}
-		for _, gen := range gens {
-			held[gen]++
-		}
+	// The lines diverge: walk line 0's generations at or below the
+	// oldest line's newest, newest first. A generation another line
+	// does not hold fails to load there, like a corrupt one.
+	gens, err := st.Generations(lines[0])
+	if err != nil {
+		return nil, Envelope{}, 0, err
 	}
-	var common []uint64
-	for gen, n := range held {
-		if n == shards && gen <= oldest {
-			common = append(common, gen)
+	for j := len(gens) - 1; j >= 0; j-- {
+		if gens[j] > oldest {
+			continue
 		}
-	}
-	slices.Sort(common)
-	for j := len(common) - 1; j >= 0; j-- {
-		if loaded, env, ok := loadEpoch(st, lines, common[j], envs, clfs); ok {
+		if loaded, env, ok := loadEpoch(st, lines, gens[j], envs, clfs); ok {
 			return loaded, env, newest, nil
 		}
 	}
