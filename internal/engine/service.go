@@ -583,8 +583,9 @@ type Stats struct {
 	// indexed by shard. Every entry reports the engine's Generation
 	// and Retrains, and the combined counters above are their sums, so
 	// sum(Shards[i].Admission) == Admission holds even against
-	// concurrent vetting. An entry's own Shards is nil.
-	Shards []Stats
+	// concurrent vetting. An entry's own Shards is nil, and left out
+	// of its JSON.
+	Shards []Stats `json:",omitempty"`
 }
 
 // Stats returns the current counters. Counters from a batch are
