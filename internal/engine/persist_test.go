@@ -19,6 +19,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/mail"
 )
@@ -498,5 +499,32 @@ func TestSaveEngineConsistentUnderPublish(t *testing.T) {
 		if _, err := engine.NewFromEnvelope(env); err != nil {
 			t.Fatalf("generation %d does not load: %v", gen, err)
 		}
+	}
+}
+
+// TestResumeOneShardStoreFixture pins one-shard store compatibility:
+// testdata/store_v1 holds the line "served" and its sidecar
+// "served.admission" at generation 2, as a single guarded engine wrote
+// them before a fleet's shards shared one epoch. They must resume with
+// the classifier and the held mail they carry — a change that cannot
+// read them breaks the restart of every deployed single-engine daemon.
+func TestResumeOneShardStoreFixture(t *testing.T) {
+	st, err := engine.NewDirStore(filepath.Join("testdata", "store_v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 4})
+	chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 2000}))
+	g, err := engine.ResumeGuarded(st, "served", 1, engine.Config{Name: "served"}, chain, engine.GuardedConfig{Quarantine: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf, gen := g.Engine().Snapshot()
+	if ns, nh := clf.Counts(); gen != 2 || ns != 1 || nh != 2 {
+		t.Errorf("resumed generation %d with %d spam and %d ham trained, want 2, 1 and 2", gen, ns, nh)
+	}
+	held := q.Pending()
+	if len(held) != 1 || held[0].Msg.Body != "held until review\n" || !held[0].Spam || held[0].Reason != "probe budget exhausted" {
+		t.Errorf("resumed quarantine %+v, want the one held spam candidate", held)
 	}
 }
