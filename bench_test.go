@@ -234,8 +234,8 @@ func BenchmarkAblationWeightedLearn(b *testing.B) {
 
 // BenchmarkAblationRONIUnlearn compares the incremental RONI impact
 // measurement (sub-benchmark "unlearn": the probe against the standing
-// trial filters, bound validation sets for SpamBayes) against
-// retraining each trial filter from scratch.
+// trial filters' bound validation sets) against retraining each trial
+// filter from scratch.
 func BenchmarkAblationRONIUnlearn(b *testing.B) {
 	e := env(b)
 	r := e.RNG("roni-ablation")
@@ -263,16 +263,41 @@ func BenchmarkAblationRONIUnlearn(b *testing.B) {
 	})
 }
 
-// unboundFilter is a SpamBayes filter without engine.ValidationBinder.
-type unboundFilter struct{ engine.Classifier }
+// learnUnlearn is a SpamBayes filter whose validation sets bind the
+// direct way: a probe learns the query's stream into the filter,
+// classifies every bound stream and unlearns the query. It is the
+// reference the bound probe is measured against.
+type learnUnlearn struct{ engine.Classifier }
+
+func (f learnUnlearn) BindValidation(streams []*tokenize.TokenStream) engine.ValidationSet {
+	return learnUnlearnSet{f.Classifier, streams}
+}
+
+type learnUnlearnSet struct {
+	clf     engine.Classifier
+	streams []*tokenize.TokenStream
+}
+
+func (s learnUnlearnSet) ClassifyWith(q *tokenize.TokenStream, qSpam bool, out []engine.Label) {
+	if q != nil {
+		s.clf.LearnTokenStream(q, qSpam, 1)
+	}
+	for i, ts := range s.streams {
+		out[i], _ = s.clf.ClassifyTokenStream(ts)
+	}
+	if q != nil {
+		if err := s.clf.UnlearnTokenStream(q, qSpam, 1); err != nil {
+			panic(err)
+		}
+	}
+}
 
 // BenchmarkRONIProbe measures one RONI probe at the paper's parameters
 // (5 trials, |T| = 20, |V| = 50) on a pre-tokenized query, the way
 // IncrementalRONI calls it: "bound" scores each trial's bound
 // validation set as if the query were learned; "learn-unlearn" trains
 // the query into every trial filter, re-scores the set message by
-// message and unlearns it, as backends without ValidationBinder do.
-// Both report the same impacts.
+// message and unlearns it. Both report the same impacts.
 func BenchmarkRONIProbe(b *testing.B) {
 	e := env(b)
 	queries := make([]*tokenize.TokenStream, 32)
@@ -286,7 +311,7 @@ func BenchmarkRONIProbe(b *testing.B) {
 	}{
 		{"bound", func() engine.Classifier { return sbayes.New(sbayes.DefaultOptions(), e.Tok) }},
 		{"learn-unlearn", func() engine.Classifier {
-			return unboundFilter{sbayes.New(sbayes.DefaultOptions(), e.Tok)}
+			return learnUnlearn{sbayes.New(sbayes.DefaultOptions(), e.Tok)}
 		}},
 	} {
 		d, err := core.NewRONIBackend(core.DefaultRONIConfig(), e.Pool, c.new, e.RNG("roni-probe-pool"))

@@ -118,16 +118,12 @@ func loadDB(path, backend string) (engine.Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, ok := clf.(engine.Persistable)
-	if !ok {
-		return nil, fmt.Errorf("backend %q does not persist databases", backend)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if err := p.Load(f); err != nil {
+	if err := clf.Load(f); err != nil {
 		return nil, err
 	}
 	return clf, nil
@@ -154,24 +150,15 @@ func cmdTrain(args []string) error {
 	if *db == "" || *hamPath == "" || *spamPath == "" {
 		return fmt.Errorf("train needs -db, -ham and -spam")
 	}
-	// Fail fast, before the training pass: the backend must persist.
-	probe, err := newClassifier(*backend)
-	if err != nil {
-		return err
-	}
-	if _, ok := probe.(engine.Persistable); !ok {
-		return fmt.Errorf("backend %q does not persist databases", *backend)
-	}
 	clf, trained, err := trainFromMboxes(*backend, *hamPath, *spamPath)
 	if err != nil {
 		return err
 	}
-	p := clf.(engine.Persistable)
 	out, err := os.Create(*db)
 	if err != nil {
 		return err
 	}
-	if err := p.Save(out); err != nil {
+	if err := clf.Save(out); err != nil {
 		out.Close()
 		return err
 	}

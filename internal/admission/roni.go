@@ -237,10 +237,9 @@ func (a *IncrementalRONI) Refresh(pool *corpus.Corpus, r *stats.RNG) error {
 
 // Admit credits the bucket, serves memoized verdicts for free, probes
 // when the budget allows, and quarantines otherwise. The probe holds
-// the admitter's lock — the evaluator reuses per-trial scratch (and,
-// for backends that cannot bind validation sets, mutates its trial
-// filters) during measurement — so concurrent Admit calls serialize;
-// the per-call cost is what the budget is for.
+// the admitter's lock — the evaluator reuses per-trial scratch during
+// measurement — so concurrent Admit calls serialize; the per-call cost
+// is what the budget is for.
 func (a *IncrementalRONI) Admit(_ context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) Decision {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -142,12 +142,4 @@ func TestDynamicThresholdRefit(t *testing.T) {
 			}
 		})
 	}
-	// A classifier without the ThresholdSetter capability is refused.
-	if _, _, err := d.Refit(noThresholds{}, calib); err == nil {
-		t.Error("refit accepted a classifier with no threshold setter")
-	}
 }
-
-// noThresholds is a Classifier without the ThresholdSetter
-// capability; Refit refuses it before calling any of its methods.
-type noThresholds struct{ engine.Classifier }

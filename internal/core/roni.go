@@ -79,30 +79,22 @@ type Impact struct {
 	CorrectDelta float64
 }
 
-// roniTrial is one sampled (T, V) pair with its baseline counts. The
-// clf is any backend; whether it binds validation sets is resolved
-// once at construction so the per-query hot path pays no type
-// assertions.
+// roniTrial is one sampled (T, V) pair with its baseline counts: V is
+// bound to the trial's filter, so a probe labels V as if Q were
+// learned, in one pass, without touching the filter.
 type roniTrial struct {
-	clf engine.Classifier
-	// bound is the validation set bound to clf, when the backend binds
-	// them: a probe then labels V as if Q were learned, in one pass,
-	// without touching clf. nil: learn Q's stream, re-score valStreams,
-	// unlearn it.
 	bound       engine.ValidationSet
 	labels      []engine.Label // bound's output, reused per probe
 	val         []corpus.Example
-	valStreams  []*tokenize.TokenStream // nil when bound
 	baseHamHam  int
 	baseCorrect int
 }
 
 // RONI is a reusable impact evaluator over one message pool. It works
 // against any backend: trial filters are built clone-and-train style
-// from a fresh classifier per trial. Backends that bind validation sets
-// (engine.ValidationBinder) measure a tokenized query without mutating
-// the trial filters; any other Classifier is measured by learning the
-// query's stream, re-scoring and unlearning it. An evaluator is not
+// from a fresh classifier per trial, and each trial's validation set is
+// bound to its filter (engine.ValidationBinder), so a tokenized query
+// is measured without mutating the trial filters. An evaluator is not
 // safe for concurrent use.
 type RONI struct {
 	cfg RONIConfig
@@ -152,46 +144,30 @@ func newRONI(cfg RONIConfig, pool *corpus.Corpus, newClassifier engine.Factory, 
 			clf.Learn(e.Msg, e.Spam)
 		}
 		d.tok = clf.Tokenizer()
-		// Tokenize the validation set once, and bind it once when the
-		// backend can (the bound set no longer needs the streams).
-		trial := roniTrial{clf: clf, val: valSet}
+		// Tokenize the validation set once and bind it once.
 		streams := make([]*tokenize.TokenStream, len(valSet))
 		for i, e := range valSet {
 			streams[i] = d.tok.Stream(e.Msg)
 		}
-		if binder, ok := clf.(engine.ValidationBinder); ok {
-			trial.bound = binder.BindValidation(streams)
-			trial.labels = make([]engine.Label, len(valSet))
-		} else {
-			trial.valStreams = streams
-		}
+		trial := roniTrial{bound: clf.BindValidation(streams), labels: make([]engine.Label, len(valSet)), val: valSet}
 		trial.baseHamHam, trial.baseCorrect = trial.evaluate(nil, false)
 		d.trials = append(d.trials, trial)
 	}
 	return d, nil
 }
 
-// evaluate scores the validation set, returning ham-as-ham and total
-// correct counts. On the bound path the set is labeled as if q (nil:
-// nothing) had been learned with label qSpam; otherwise the caller has
-// already trained q into clf.
+// evaluate labels the validation set as if q (nil: nothing) had been
+// learned with label qSpam, returning ham-as-ham and total correct
+// counts.
 func (t *roniTrial) evaluate(q *tokenize.TokenStream, qSpam bool) (hamHam, correct int) {
-	if t.bound != nil {
-		t.bound.ClassifyWith(q, qSpam, t.labels)
-	}
+	t.bound.ClassifyWith(q, qSpam, t.labels)
 	for i, e := range t.val {
-		var label engine.Label
-		if t.bound != nil {
-			label = t.labels[i]
-		} else {
-			label, _ = t.clf.ClassifyTokenStream(t.valStreams[i])
-		}
 		if e.Spam {
-			if label == engine.Spam {
+			if t.labels[i] == engine.Spam {
 				correct++
 			}
 		} else {
-			if label == engine.Ham {
+			if t.labels[i] == engine.Ham {
 				hamHam++
 				correct++
 			}
@@ -222,28 +198,12 @@ func (d *RONI) MeasureImpactStream(q *mail.Message, ts *tokenize.TokenStream, qS
 	var hamHamDelta, correctDelta float64
 	for i := range d.trials {
 		t := &d.trials[i]
-		hh, corr := t.measure(ts, qSpam)
+		hh, corr := t.evaluate(ts, qSpam)
 		hamHamDelta += float64(hh - t.baseHamHam)
 		correctDelta += float64(corr - t.baseCorrect)
 	}
 	n := float64(len(d.trials))
 	return Impact{HamAsHamDelta: hamHamDelta / n, CorrectDelta: correctDelta / n}
-}
-
-// measure evaluates the trial with Q learned: in one bound pass when
-// the trial has a bound validation set, else by training Q's stream
-// into the trial filter and unlearning it afterwards.
-func (t *roniTrial) measure(ts *tokenize.TokenStream, qSpam bool) (hamHam, correct int) {
-	if t.bound != nil {
-		return t.evaluate(ts, qSpam)
-	}
-	t.clf.LearnTokenStream(ts, qSpam, 1)
-	hamHam, correct = t.evaluate(nil, false)
-	if err := t.clf.UnlearnTokenStream(ts, qSpam, 1); err != nil {
-		// Unlearning what was just learned cannot underflow.
-		panic(fmt.Sprintf("core: RONI unlearn: %v", err))
-	}
-	return hamHam, correct
 }
 
 // ShouldReject reports whether Q's impact is significantly negative:

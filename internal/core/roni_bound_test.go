@@ -1,103 +1,161 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/lexicon"
 	"repro/internal/mail"
-	"repro/internal/sbayes"
 	"repro/internal/stats"
 	"repro/internal/tokenize"
 )
 
-// unbound is a SpamBayes filter without ValidationBinder, so a RONI
-// over it measures queries the unbound way: learn the query's stream,
-// re-score the validation set, unlearn it.
-type unbound struct{ engine.Classifier }
+// reference binds validation sets the direct way, as the reference a
+// backend's own binder must match: learn the query's stream, classify
+// every bound stream, unlearn it.
+type reference struct{ engine.Classifier }
 
-func newUnbound() engine.Classifier { return unbound{sbayes.NewDefault()} }
+func (r reference) BindValidation(streams []*tokenize.TokenStream) engine.ValidationSet {
+	return referenceSet{r.Classifier, streams}
+}
 
-// TestRONIBoundMatchesLearnUnlearn proves the bound probe measures
-// exactly what learn-and-unlearn measures: two evaluators sampled
-// identically from one pool, one binding its validation sets and one
-// not, report identical impacts for organic mail of both labels and
-// for dictionary and focused attack mail.
-func TestRONIBoundMatchesLearnUnlearn(t *testing.T) {
-	g := testGenerator(t)
-	r := stats.NewRNG(21)
-	pool := g.Corpus(r, 200, 200)
-	bound, err := NewRONIBackend(DefaultRONIConfig(), pool, func() engine.Classifier { return sbayes.NewDefault() }, stats.NewRNG(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewRONIBackend(DefaultRONIConfig(), pool, newUnbound, stats.NewRNG(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bound.trials {
-		if bound.trials[i].bound == nil || plain.trials[i].bound != nil {
-			t.Fatalf("trial %d: bound=%v plain=%v, want only the first bound", i, bound.trials[i].bound != nil, plain.trials[i].bound != nil)
-		}
-		if a, b := bound.trials[i], plain.trials[i]; a.baseHamHam != b.baseHamHam || a.baseCorrect != b.baseCorrect {
-			t.Fatalf("trial %d baselines differ: %d/%d vs %d/%d", i, a.baseHamHam, a.baseCorrect, b.baseHamHam, b.baseCorrect)
-		}
-	}
+type referenceSet struct {
+	clf     engine.Classifier
+	streams []*tokenize.TokenStream
+}
 
-	var queries []*mail.Message
-	var labels []bool
-	for i := 0; i < 15; i++ {
-		queries = append(queries, g.SpamMessage(r), g.HamMessage(r))
-		labels = append(labels, true, false)
+func (s referenceSet) ClassifyWith(q *tokenize.TokenStream, qSpam bool, out []engine.Label) {
+	if q != nil {
+		s.clf.LearnTokenStream(q, qSpam, 1)
 	}
-	queries = append(queries, NewDictionaryAttack(lexicon.Optimal(g.Universe())).BuildAttack(r))
-	labels = append(labels, true)
-	focused, err := NewFocusedAttack(g.HamMessage(r), 0.5, nil)
-	if err != nil {
-		t.Fatal(err)
+	for i, ts := range s.streams {
+		out[i], _ = s.clf.ClassifyTokenStream(ts)
 	}
-	for i := 0; i < 3; i++ {
-		queries = append(queries, focused.BuildAttack(r))
-		labels = append(labels, true)
-	}
-	queries = append(queries, pool.Examples[0].Msg) // already in some trial's sets
-	labels = append(labels, pool.Examples[0].Spam)
-
-	tok := tokenize.Default()
-	for i, q := range queries {
-		ts := tok.Stream(q)
-		want := plain.MeasureImpactStream(q, ts, labels[i])
-		if got := bound.MeasureImpactStream(q, ts, labels[i]); got != want {
-			t.Fatalf("query %d: bound impact %+v, learn-unlearn impact %+v", i, got, want)
-		}
-		if got := bound.MeasureImpact(q, labels[i]); got != want {
-			t.Fatalf("query %d: MeasureImpact %+v, learn-unlearn impact %+v", i, got, want)
+	if q != nil {
+		if err := s.clf.UnlearnTokenStream(q, qSpam, 1); err != nil {
+			// Unlearning what was just learned cannot underflow.
+			panic(err)
 		}
 	}
 }
 
+// forEachBackend runs fn once per registered backend.
+func forEachBackend(t *testing.T, fn func(t *testing.T, b engine.Backend)) {
+	for _, name := range engine.Backends() {
+		b, err := engine.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { fn(t, b) })
+	}
+}
+
+// novelMessage is a message of n words no pool message contains, the
+// query shape that would grow a trial filter's symbol table if a probe
+// interned what it measures.
+func novelMessage(tag string, n int) *mail.Message {
+	words := make([]string, n)
+	for i := range words {
+		words[i] = fmt.Sprintf("novel%s%03d", tag, i)
+	}
+	return &mail.Message{Body: strings.Join(words, " ")}
+}
+
+// TestRONIBoundMatchesLearnUnlearn proves each backend's bound probe
+// measures exactly what learn-and-unlearn measures: two evaluators
+// sampled identically from one pool, one over the backend's binder and
+// one over the reference, report identical baselines and identical
+// impacts for organic mail of both labels, dictionary and focused
+// attack mail, pool members, novel words and an empty message.
+func TestRONIBoundMatchesLearnUnlearn(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b engine.Backend) {
+		g := testGenerator(t)
+		r := stats.NewRNG(21)
+		pool := g.Corpus(r, 200, 200)
+		bound, err := NewRONIBackend(DefaultRONIConfig(), pool, b.New, stats.NewRNG(22))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewRONIBackend(DefaultRONIConfig(), pool, func() engine.Classifier { return reference{b.New()} }, stats.NewRNG(22))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range bound.trials {
+			if a, b := bound.trials[i], ref.trials[i]; a.baseHamHam != b.baseHamHam || a.baseCorrect != b.baseCorrect {
+				t.Fatalf("trial %d baselines differ: %d/%d vs %d/%d", i, a.baseHamHam, a.baseCorrect, b.baseHamHam, b.baseCorrect)
+			}
+		}
+
+		var queries []*mail.Message
+		var labels []bool
+		add := func(m *mail.Message, spam bool) {
+			queries = append(queries, m)
+			labels = append(labels, spam)
+		}
+		for i := 0; i < 15; i++ {
+			add(g.SpamMessage(r), true)
+			add(g.HamMessage(r), false)
+		}
+		dict := NewDictionaryAttack(lexicon.Optimal(g.Universe())).BuildAttack(r)
+		add(dict, true)
+		add(dict, false)
+		focused, err := NewFocusedAttack(g.HamMessage(r), 0.5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			add(focused.BuildAttack(r), true)
+		}
+		for _, i := range []int{0, 1, 250, 399} { // in some trials' sets
+			add(pool.Examples[i].Msg, pool.Examples[i].Spam)
+			add(pool.Examples[i].Msg, !pool.Examples[i].Spam)
+		}
+		add(novelMessage("q", 50), true)
+		add(novelMessage("q", 50), false)
+		add(&mail.Message{}, true)
+		add(&mail.Message{}, false)
+
+		tok := b.New().Tokenizer()
+		for i, q := range queries {
+			ts := tok.Stream(q)
+			want := ref.MeasureImpactStream(q, ts, labels[i])
+			if got := bound.MeasureImpactStream(q, ts, labels[i]); got != want {
+				t.Fatalf("query %d: bound impact %+v, learn-unlearn impact %+v", i, got, want)
+			}
+			if got := bound.MeasureImpact(q, labels[i]); got != want {
+				t.Fatalf("query %d: MeasureImpact %+v, learn-unlearn impact %+v", i, got, want)
+			}
+		}
+	})
+}
+
 // TestRONIProbeAllocFree: with the query already tokenized, a probe
-// allocates nothing — in particular it interns none of a novel query's
-// tokens into the trial filters, which a long-running admitter would
-// otherwise accumulate probe after probe.
+// allocates nothing on any backend — in particular it interns none of
+// a novel query's tokens into the trial filters, which a long-running
+// admitter would otherwise accumulate probe after probe.
 func TestRONIProbeAllocFree(t *testing.T) {
-	g := testGenerator(t)
-	r := stats.NewRNG(23)
-	d, err := NewRONI(DefaultRONIConfig(), g.Corpus(r, 200, 200), sbayes.DefaultOptions(), nil, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok := tokenize.Default()
-	var streams []*tokenize.TokenStream
-	for i := 0; i < 8; i++ {
-		streams = append(streams, tok.Stream(g.SpamMessage(r)), tok.Stream(g.HamMessage(r)))
-	}
-	d.MeasureImpactStream(nil, streams[0], true) // warm the scratch maps
-	i := 0
-	if avg := testing.AllocsPerRun(50, func() {
-		d.MeasureImpactStream(nil, streams[i%len(streams)], i%2 == 0)
-		i++
-	}); avg != 0 {
-		t.Fatalf("a probe allocates %.1f times, want 0", avg)
-	}
+	forEachBackend(t, func(t *testing.T, b engine.Backend) {
+		g := testGenerator(t)
+		r := stats.NewRNG(23)
+		d, err := NewRONIBackend(DefaultRONIConfig(), g.Corpus(r, 200, 200), b.New, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tok := b.New().Tokenizer()
+		var streams []*tokenize.TokenStream
+		for i := 0; i < 8; i++ {
+			streams = append(streams, tok.Stream(g.SpamMessage(r)), tok.Stream(g.HamMessage(r)),
+				tok.Stream(novelMessage(fmt.Sprint(i), 50)))
+		}
+		d.MeasureImpactStream(nil, streams[0], true) // warm the scratch maps
+		i := 0
+		if avg := testing.AllocsPerRun(60, func() {
+			d.MeasureImpactStream(nil, streams[i%len(streams)], i%2 == 0)
+			i++
+		}); avg != 0 {
+			t.Fatalf("a probe allocates %.1f times, want 0", avg)
+		}
+	})
 }

@@ -186,18 +186,14 @@ func (d DynamicThreshold) Train(train *corpus.Corpus, opts sbayes.Options, tok *
 
 // Refit fits (θ0, θ1) to the score distribution a replacement
 // classifier produces on a calibration corpus and installs them
-// through the engine.ThresholdSetter capability — the swap-time
-// rendition of the defense: where Train runs the half-split procedure
-// as an offline batch step, Refit is called by a publish hook on every
-// new snapshot just before it goes live, so the serving cutoffs track
-// the live (possibly attack-shifted) score distribution generation by
+// through the classifier's SetThresholds — the swap-time rendition of
+// the defense: where Train runs the half-split procedure as an offline
+// batch step, Refit is called by a publish hook on every new snapshot
+// just before it goes live, so the serving cutoffs track the live
+// (possibly attack-shifted) score distribution generation by
 // generation. The calibration corpus is typically the most recent
 // admitted mail.
 func (d DynamicThreshold) Refit(clf engine.Classifier, calib *corpus.Corpus) (theta0, theta1 float64, err error) {
-	ts, ok := clf.(engine.ThresholdSetter)
-	if !ok {
-		return 0, 0, fmt.Errorf("core: %T cannot set thresholds", clf)
-	}
 	var hamScores, spamScores []float64
 	for _, e := range calib.Examples {
 		s := clf.Score(e.Msg)
@@ -211,7 +207,7 @@ func (d DynamicThreshold) Refit(clf engine.Classifier, calib *corpus.Corpus) (th
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := ts.SetThresholds(theta0, theta1); err != nil {
+	if err := clf.SetThresholds(theta0, theta1); err != nil {
 		return 0, 0, err
 	}
 	return theta0, theta1, nil

@@ -209,16 +209,12 @@ func TestConformanceLearnWeightedEquivalence(t *testing.T) {
 	})
 }
 
-// TestConformanceValidationBinderMatchesLearn: a backend that binds
-// validation sets must label them exactly as learning the query,
-// classifying each stream, and unlearning the query would.
+// TestConformanceValidationBinderMatchesLearn: every backend labels a
+// bound validation set exactly as learning the query, classifying each
+// stream, and unlearning the query would.
 func TestConformanceValidationBinderMatchesLearn(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		clf := trained(t, backend)
-		binder, ok := clf.(engine.ValidationBinder)
-		if !ok {
-			t.Skipf("%s does not bind validation sets", backend)
-		}
 		tok := clf.Tokenizer()
 		var streams []*tokenize.TokenStream
 		for _, body := range []string{
@@ -229,7 +225,7 @@ func TestConformanceValidationBinderMatchesLearn(t *testing.T) {
 		} {
 			streams = append(streams, tok.Stream(msg(body)))
 		}
-		set := binder.BindValidation(streams)
+		set := clf.BindValidation(streams)
 		got := make([]engine.Label, len(streams))
 		for _, q := range []struct {
 			body string
@@ -257,18 +253,14 @@ func TestConformanceValidationBinderMatchesLearn(t *testing.T) {
 func TestConformanceSaveLoadFidelity(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		clf := trained(t, backend)
-		p, ok := clf.(engine.Persistable)
-		if !ok {
-			t.Fatalf("backend %q is not Persistable", backend)
-		}
 		var buf bytes.Buffer
-		if err := p.Save(&buf); err != nil {
+		if err := clf.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 
 		b, _ := engine.Lookup(backend)
 		restored := b.New()
-		if err := restored.(engine.Persistable).Load(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		ns0, nh0 := clf.Counts()
@@ -290,7 +282,7 @@ func TestConformanceSaveLoadFidelity(t *testing.T) {
 		// Round-trip determinism: saving the restored filter yields
 		// identical bytes.
 		var buf2 bytes.Buffer
-		if err := restored.(engine.Persistable).Save(&buf2); err != nil {
+		if err := restored.Save(&buf2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -303,7 +295,7 @@ func TestConformanceSaveLoadFidelity(t *testing.T) {
 			other = "graham"
 		}
 		ob, _ := engine.Lookup(other)
-		if err := ob.New().(engine.Persistable).Load(bytes.NewReader(buf.Bytes())); err == nil {
+		if err := ob.New().Load(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Errorf("backend %q loaded a %q database", other, backend)
 		}
 	})
@@ -312,11 +304,7 @@ func TestConformanceSaveLoadFidelity(t *testing.T) {
 func TestConformanceCloneIndependence(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		clf := trained(t, backend)
-		cloner, ok := clf.(engine.Cloner)
-		if !ok {
-			t.Fatalf("backend %q is not a Cloner", backend)
-		}
-		clone := cloner.CloneClassifier()
+		clone := clf.CloneClassifier()
 		ns0, nh0 := clf.Counts()
 		if ns1, nh1 := clone.Counts(); ns1 != ns0 || nh1 != nh0 {
 			t.Fatalf("clone counts (%d, %d) != original (%d, %d)", ns1, nh1, ns0, nh0)
@@ -348,10 +336,6 @@ func TestConformanceCloneIndependence(t *testing.T) {
 func TestConformanceShardedClassifyBatch(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		clf := trained(t, backend)
-		cloner, ok := clf.(engine.Cloner)
-		if !ok {
-			t.Fatalf("backend %q is not a Cloner", backend)
-		}
 		msgs := make([]*mail.Message, 150)
 		for i := range msgs {
 			if i%2 == 0 {
@@ -368,7 +352,7 @@ func TestConformanceShardedClassifyBatch(t *testing.T) {
 		}
 		clfs := make([]engine.Classifier, 4)
 		for i := range clfs {
-			clfs[i] = cloner.CloneClassifier()
+			clfs[i] = clf.CloneClassifier()
 		}
 		sh := engine.NewSharded(clfs, engine.Config{Name: backend + "-sharded", Workers: 2})
 		parallel, err := sh.ClassifyBatch(context.Background(), msgs)

@@ -12,13 +12,13 @@
 //
 // The package has these layers:
 //
-//   - the contract: Classifier, which every backend implements over
-//     token streams (it embeds Tokenizing, StreamClassifier and
-//     StreamLearner, so the engine tokenizes each message once and
-//     scores, vets and learns that one stream), plus the optional
-//     capability interfaces (Persistable, ValidationBinder, Cloner)
-//     that persistence, RONI probes and incremental retraining
-//     discover with type assertions;
+//   - the contract: Classifier, which every backend implements in
+//     whole over token streams. It embeds Tokenizing, StreamClassifier
+//     and StreamLearner, so the engine tokenizes each message once and
+//     scores, vets and learns that one stream, and Persistable,
+//     Cloner, ValidationBinder and ThresholdSetter, so persistence,
+//     incremental retraining, RONI probes and the dynamic threshold
+//     call them on any classifier without a type assertion;
 //   - the Backend registry, keyed by name ("sbayes", "graham"), which
 //     backends join from their package init and callers query to pick
 //     a learner per deployment configuration;
@@ -88,19 +88,24 @@ func (l Label) String() string {
 
 // Classifier is the backend-generic learner contract: incremental
 // training and untraining plus scoring, over a message or over the
-// token stream the classifier's own tokenizer makes of it. The stream
-// methods are the contract the serving path uses — the engine
-// tokenizes each message exactly once at the batch boundary, and
-// scoring, admission vetting and learning all consume that one stream
-// — while the message methods are the convenience over them.
-// Implementations are not required to be safe for concurrent
-// mutation, but concurrent Classify/Score calls (message or stream)
-// without interleaved Learn calls must be safe — Engine relies on that
-// to parallelize batches.
+// token stream the classifier's own tokenizer makes of it, and the
+// save, clone, validation-binding and threshold-setting the serving
+// daemon and the defenses build on. The stream methods are the
+// contract the serving path uses — the engine tokenizes each message
+// exactly once at the batch boundary, and scoring, admission vetting
+// and learning all consume that one stream — while the message methods
+// are the convenience over them. Implementations are not required to
+// be safe for concurrent mutation, but concurrent Classify/Score calls
+// (message or stream) without interleaved Learn calls must be safe —
+// Engine relies on that to parallelize batches.
 type Classifier interface {
 	Tokenizing
 	StreamClassifier
 	StreamLearner
+	Persistable
+	Cloner
+	ValidationBinder
+	ThresholdSetter
 	// Learn trains on one message with the given label.
 	Learn(m *mail.Message, isSpam bool)
 	// LearnWeighted trains as if weight identical copies of the
@@ -135,9 +140,9 @@ type StreamLearner interface {
 	UnlearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) error
 }
 
-// Persistable is the capability of saving the trained database and
-// restoring it in place. Load replaces the receiver's entire trained
-// state with the stream's contents.
+// Persistable saves the trained database and restores it in place.
+// Load replaces the receiver's entire trained state with the stream's
+// contents. Classifier embeds it.
 type Persistable interface {
 	Save(w io.Writer) error
 	Load(r io.Reader) error
@@ -150,12 +155,12 @@ type Tokenizing interface {
 	Tokenizer() *tokenize.Tokenizer
 }
 
-// ValidationBinder is the capability of binding a fixed validation set
-// to the classifier once, so it can be labeled many times cheaply. The
-// RONI defense's clone-and-probe trials use it: each trial scores the
-// same validation messages once per probe, and binding resolves their
-// tokens to the classifier's interned ids a single time instead of on
-// every probe.
+// ValidationBinder binds a fixed validation set to the classifier
+// once, so it can be labeled many times cheaply. Classifier embeds it.
+// The RONI defense's clone-and-probe trials use it: each trial labels
+// the same validation messages once per probe, as if the probed
+// message were learned, and binding resolves their tokens to the
+// classifier's interned ids a single time instead of on every probe.
 type ValidationBinder interface {
 	BindValidation(streams []*tokenize.TokenStream) ValidationSet
 }
@@ -173,13 +178,22 @@ type ValidationSet interface {
 	ClassifyWith(q *tokenize.TokenStream, qSpam bool, out []Label)
 }
 
-// Cloner is the capability of deep-copying the trained state into an
-// independent classifier. Guarded.RetrainIncremental uses it to
-// branch the next serving snapshot off the current one and train only
-// the new examples into the branch; experiments use it to fork a
+// Cloner deep-copies the trained state into an independent
+// classifier. Classifier embeds it. Guarded.RetrainIncremental uses it
+// to branch the next serving snapshot off the current one and train
+// only the new examples into the branch; experiments use it to fork a
 // poisoned filter off a shared clean baseline. (Backends keep their
 // concrete-typed Clone for callers that need the full surface;
 // CloneClassifier is the interface-typed view of the same copy.)
 type Cloner interface {
 	CloneClassifier() Classifier
+}
+
+// ThresholdSetter replaces a classifier's decision thresholds after
+// training, as the §5.2 dynamic-threshold defense does when it refits
+// cutoffs to the live score distribution. Classifier embeds it.
+// SpamBayes sets (θ0, θ1); Graham's binary rule uses the spam cutoff
+// and ignores θ0.
+type ThresholdSetter interface {
+	SetThresholds(hamCutoff, spamCutoff float64) error
 }

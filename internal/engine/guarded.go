@@ -88,15 +88,6 @@ type QuarantineSink interface {
 	Hold(m *mail.Message, ts *tokenize.TokenStream, spam bool, reason string)
 }
 
-// ThresholdSetter is the capability of replacing a classifier's
-// decision thresholds after training, as the §5.2 dynamic-threshold
-// defense does when it refits cutoffs to the live score distribution.
-// SpamBayes sets (θ0, θ1); Graham's binary rule uses the spam cutoff
-// and ignores θ0.
-type ThresholdSetter interface {
-	SetThresholds(hamCutoff, spamCutoff float64) error
-}
-
 // AdmissionStats counts one engine's vetted training candidates.
 type AdmissionStats struct {
 	// Vetted is the total number of admission decisions recorded. It is
@@ -373,19 +364,12 @@ func (g *Guarded) Retrain(ctx context.Context, factory Factory, train *corpus.Co
 // the clones through the hooks as one epoch — the guarded live-learn
 // path the serving daemon's learn queue drains through, and the cheap
 // path when the new data is a small addition to what the epoch already
-// knows. Every shard must serve a Cloner; an engine that does not
-// fails before vetting anything. The classifiers cloned and the
-// generation reported on error come from one Snapshots() read, so a
-// concurrent publish cannot pair a clone with another generation's
-// number (the torn-read class sbvet:snapshotonce rejects at lint
-// time).
+// knows. The classifiers cloned and the generation reported on error
+// come from one Snapshots() read, so a concurrent publish cannot pair
+// a clone with another generation's number (the torn-read class
+// sbvet:snapshotonce rejects at lint time).
 func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) (uint64, error) {
 	clfs, cur := g.eng.Snapshots()
-	for _, clf := range clfs {
-		if _, ok := clf.(Cloner); !ok {
-			return cur, fmt.Errorf("engine: %T is not a Cloner; use Retrain", clf)
-		}
-	}
 	kept, err := g.VetCorpus(ctx, delta)
 	if err != nil {
 		return cur, err
@@ -393,7 +377,7 @@ func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) 
 	parts := g.eng.Partition(kept)
 	next := make([]Classifier, len(parts))
 	err = g.eng.forEachShard(func(sh int) error {
-		next[sh] = clfs[sh].(Cloner).CloneClassifier()
+		next[sh] = clfs[sh].CloneClassifier()
 		return trainAll(ctx, next[sh], parts[sh])
 	})
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -379,50 +378,6 @@ func TestGuardedPrePublishErrorAbortsPublish(t *testing.T) {
 			t.Fatalf("RetrainIncremental error %v, want the hook error", err)
 		}
 		unswapped("RetrainIncremental")
-	})
-}
-
-// plainClassifier hides its backend's Cloner capability.
-type plainClassifier struct{ engine.Classifier }
-
-// countingAdmitter accepts everything and counts its calls.
-type countingAdmitter struct{ calls atomic.Int64 }
-
-func (*countingAdmitter) Name() string { return "counting" }
-func (c *countingAdmitter) Admit(context.Context, *mail.Message, *tokenize.TokenStream, bool) engine.AdmitDecision {
-	c.calls.Add(1)
-	return engine.AdmitDecision{Verdict: engine.AdmitAccept}
-}
-
-func TestGuardedRetrainIncrementalRequiresClonerBeforeVetting(t *testing.T) {
-	// One non-Cloner shard is enough to refuse the incremental retrain,
-	// and the refusal comes before a single candidate is vetted — a
-	// failed publish must not spend probe budget or fill the quarantine.
-	forEachSize(t, func(t *testing.T, n int) {
-		b, err := engine.Lookup("sbayes")
-		if err != nil {
-			t.Fatal(err)
-		}
-		admit := &countingAdmitter{}
-		g := newGuard(n, func(i int) engine.Classifier {
-			if i == n-1 {
-				return plainClassifier{b.New()}
-			}
-			return b.New()
-		}, 0, admit, engine.GuardedConfig{})
-		delta := &corpus.Corpus{}
-		for i := 0; i < 6; i++ {
-			delta.Add(userMsg(fmt.Sprintf("clean %d\n", i), i), true)
-		}
-		if _, err := g.RetrainIncremental(context.Background(), delta); err == nil || !strings.Contains(err.Error(), "not a Cloner") {
-			t.Fatalf("RetrainIncremental error %v, want a not-a-Cloner refusal", err)
-		}
-		if calls := admit.calls.Load(); calls != 0 {
-			t.Errorf("admitter consulted %d times before the refusal", calls)
-		}
-		if v := g.Stats().Admission.Vetted; v != 0 {
-			t.Errorf("%d candidates vetted before the refusal", v)
-		}
 	})
 }
 

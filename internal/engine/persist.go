@@ -371,10 +371,10 @@ func (s *MemStore) Remove(name string, gen uint64) error {
 // shard, the line name itself — each stamped with the epoch's one
 // generation and the backend registry name resume will reconstruct it
 // through. The classifiers and generation are read in one consistent
-// atomic load, and the classifiers (which must be Persistable)
-// serialize themselves concurrently. Concurrent scoring is never
-// blocked — published epochs are immutable, so Save reads the same
-// frozen state a racing ClassifyBatch does. It returns the persisted
+// atomic load, and the classifiers serialize themselves concurrently.
+// Concurrent scoring is never blocked — published epochs are
+// immutable, so Save reads the same frozen state a racing
+// ClassifyBatch does. It returns the persisted
 // generation; on error some lines may have saved (each write is
 // atomic, so no line is ever half-saved).
 func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, error) {
@@ -384,12 +384,8 @@ func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, erro
 	clfs, gen := e.Snapshots()
 	err := e.forEachShard(func(i int) error {
 		line := ShardSnapshotName(name, i, len(clfs))
-		p, ok := clfs[i].(Persistable)
-		if !ok {
-			return fmt.Errorf("engine: %T is not Persistable", clfs[i])
-		}
 		var buf bytes.Buffer
-		if err := p.Save(&buf); err != nil {
+		if err := clfs[i].Save(&buf); err != nil {
 			return fmt.Errorf("engine: saving snapshot %s generation %d: %w", line, gen, err)
 		}
 		env := Envelope{Backend: backend, Generation: gen, Payload: buf.Bytes()}
@@ -497,11 +493,7 @@ func NewFromEnvelope(env Envelope) (Classifier, error) {
 		return nil, err
 	}
 	clf := b.New()
-	p, ok := clf.(Persistable)
-	if !ok {
-		return nil, fmt.Errorf("engine: backend %q is not Persistable", env.Backend)
-	}
-	if err := p.Load(bytes.NewReader(env.Payload)); err != nil {
+	if err := clf.Load(bytes.NewReader(env.Payload)); err != nil {
 		return nil, err
 	}
 	return clf, nil

@@ -199,7 +199,7 @@ func TestSaveResumeEngine(t *testing.T) {
 	}
 
 	// Publish generation 2 with extra training, save it too.
-	next := clf.(engine.Cloner).CloneClassifier()
+	next := clf.CloneClassifier()
 	next.Learn(msg("quarterly forecast spreadsheet review\n"), false)
 	eng.Swap(next)
 	if gen, err := engine.SaveEngine(st, "prod", "sbayes", eng); err != nil || gen != 2 {
@@ -349,11 +349,10 @@ func TestShardedCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := trained(t, backend)
-		cloner := base.(engine.Cloner)
 		const nsh = 4
 		clfs := make([]engine.Classifier, nsh)
 		for i := range clfs {
-			clfs[i] = cloner.CloneClassifier()
+			clfs[i] = base.CloneClassifier()
 		}
 		sh := engine.NewSharded(clfs, engine.Config{Name: "fleet", Workers: 2})
 		probes := heldOut()
@@ -372,7 +371,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 		publishAndSave := func(word string, want uint64) []engine.Result {
 			next := make([]engine.Classifier, nsh)
 			for i := range next {
-				next[i] = cloner.CloneClassifier()
+				next[i] = base.CloneClassifier()
 				next[i].Learn(msg(fmt.Sprintf("shard%d distinctive vocabulary %s\n", i, word)), true)
 			}
 			sh.Swap(next...)
@@ -469,9 +468,8 @@ func TestSaveEngineConsistentUnderPublish(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		cloner := clf.(engine.Cloner)
 		for i := 0; i < 50; i++ {
-			eng.Swap(cloner.CloneClassifier())
+			eng.Swap(clf.CloneClassifier())
 		}
 	}()
 	for i := 0; i < 20; i++ {

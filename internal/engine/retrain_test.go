@@ -23,6 +23,7 @@ import (
 // value observed by a scorer is a half-trained filter leaking through
 // the snapshot boundary.
 type countingClassifier struct {
+	stubRest
 	trained int
 }
 
@@ -143,16 +144,6 @@ func TestRetrainIncrementalClonesServingSnapshot(t *testing.T) {
 	// The previous snapshot was cloned, not mutated.
 	if base.trained != 5 {
 		t.Fatalf("incremental retraining mutated the old snapshot (trained = %d)", base.trained)
-	}
-}
-
-func TestRetrainIncrementalRequiresCloner(t *testing.T) {
-	e := New(&stubClassifier{}, Config{})
-	if _, err := guard(e).RetrainIncremental(context.Background(), trainCorpus(1)); err == nil {
-		t.Fatal("RetrainIncremental accepted a non-Cloner classifier")
-	}
-	if g := e.Generation(); g != 1 {
-		t.Fatalf("failed incremental retrain moved the generation to %d", g)
 	}
 }
 

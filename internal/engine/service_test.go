@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 // tests: the score is parsed from the message body, which stubTok
 // keeps whole as the stream's first token.
 type stubClassifier struct {
+	stubRest
 	nspam, nham int
 	slow        time.Duration
 	calls       atomic.Int64
@@ -24,6 +26,18 @@ type stubClassifier struct {
 
 // stubTok keeps every whitespace-separated body word verbatim.
 var stubTok = tokenize.New(tokenize.Options{MinWordLen: 1, MaxWordLen: 64})
+
+// stubRest completes the Classifier contract for the engine's fakes
+// with the parts a test does not serve: persistence, cloning,
+// validation binding and thresholds. Each panics if reached; a fake
+// that needs one defines it.
+type stubRest struct{}
+
+func (stubRest) Save(io.Writer) error                                 { panic("stub: Save") }
+func (stubRest) Load(io.Reader) error                                 { panic("stub: Load") }
+func (stubRest) CloneClassifier() Classifier                          { panic("stub: CloneClassifier") }
+func (stubRest) BindValidation([]*tokenize.TokenStream) ValidationSet { panic("stub: BindValidation") }
+func (stubRest) SetThresholds(float64, float64) error                 { panic("stub: SetThresholds") }
 
 func (s *stubClassifier) Tokenizer() *tokenize.Tokenizer { return stubTok }
 

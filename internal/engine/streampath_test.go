@@ -102,7 +102,7 @@ func TestConformanceStreamTrainingSnapshotEquivalence(t *testing.T) {
 
 		saved := func(clf engine.Classifier) []byte {
 			var buf bytes.Buffer
-			if err := clf.(engine.Persistable).Save(&buf); err != nil {
+			if err := clf.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -123,12 +123,12 @@ func TestConformanceStreamPersistenceRoundTrip(t *testing.T) {
 		tok := clf.Tokenizer()
 
 		var buf bytes.Buffer
-		if err := clf.(engine.Persistable).Save(&buf); err != nil {
+		if err := clf.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		b, _ := engine.Lookup(backend)
 		restored := b.New()
-		if err := restored.(engine.Persistable).Load(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		rtok := restored.Tokenizer()
@@ -183,9 +183,6 @@ func TestConformanceStreamUnlearnInverse(t *testing.T) {
 func TestConformanceStreamClassifyDuringSwap(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		clf := trained(t, backend)
-		if _, ok := clf.(engine.Cloner); !ok {
-			t.Fatalf("backend %q is not a Cloner", backend)
-		}
 		eng := engine.New(clf, engine.Config{Name: backend, Workers: 4})
 		g := engine.NewGuarded(eng, markerAdmitter{}, engine.GuardedConfig{})
 

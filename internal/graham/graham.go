@@ -40,11 +40,7 @@ import (
 // occurrences with multiplicity, which a tokenize.TokenStream carries
 // per distinct token, so stream training recovers exactly what an
 // occurrence walk over the raw message would read.
-var (
-	_ engine.Classifier  = (*Filter)(nil)
-	_ engine.Persistable = (*Filter)(nil)
-	_ engine.Cloner      = (*Filter)(nil)
-)
+var _ engine.Classifier = (*Filter)(nil)
 
 func init() {
 	engine.Register(engine.Backend{
@@ -206,13 +202,14 @@ func (f *Filter) Clone() *Filter {
 	}
 }
 
-// CloneClassifier is Clone behind the engine.Cloner capability, for
-// interface-typed callers such as Engine.RetrainIncremental.
+// CloneClassifier is Clone behind the engine.Cloner part of the
+// contract, for interface-typed callers such as
+// Guarded.RetrainIncremental.
 func (f *Filter) CloneClassifier() engine.Classifier { return f.Clone() }
 
-// SetThresholds replaces the binary decision cutoff, satisfying the
-// engine.ThresholdSetter capability the dynamic-threshold defense
-// refits through. Graham's rule has no unsure band, so only the spam
+// SetThresholds replaces the binary decision cutoff, the
+// engine.ThresholdSetter part of the contract the dynamic-threshold
+// defense refits through. Graham's rule has no unsure band, so only the spam
 // cutoff (θ1) is installed; hamCutoff is accepted for interface
 // uniformity and validated (it must not exceed spamCutoff) but
 // otherwise unused. The fit domain is the closed [0, 1]: a degenerate
@@ -267,12 +264,6 @@ func (f *Filter) Unlearn(m *mail.Message, isSpam bool) error {
 	return f.UnlearnTokenStream(f.tok.Stream(m), isSpam, 1)
 }
 
-// UnlearnWeighted is the inverse of LearnWeighted. It panics if
-// weight < 0.
-func (f *Filter) UnlearnWeighted(m *mail.Message, isSpam bool, weight int) error {
-	return f.UnlearnTokenStream(f.tok.Stream(m), isSpam, weight)
-}
-
 // UnlearnTokenStream is the inverse of LearnTokenStream. The stream's
 // deduped occurrence counts make the removal validation direct: every
 // distinct token's stored count must cover count×weight before
@@ -319,22 +310,22 @@ func (f *Filter) TokenProb(token string) float64 {
 	if id, ok := f.syms.Lookup(token); ok {
 		g, b = int(f.good[id]), int(f.bad[id])
 	}
-	return f.prob(g, b)
+	return f.prob(g, b, f.ngood, f.nbad)
 }
 
 // prob computes the clamped probability from raw good/bad occurrence
-// counts.
-func (f *Filter) prob(good, bad int) float64 {
+// counts and the trained message totals.
+func (f *Filter) prob(good, bad, ngood, nbad int) float64 {
 	g := f.opts.HamWeight * good
 	if g+bad < f.opts.MinOccurrences {
 		return f.opts.UnknownProb
 	}
 	var gRatio, bRatio float64
-	if f.ngood > 0 {
-		gRatio = math.Min(1, float64(g)/float64(f.ngood))
+	if ngood > 0 {
+		gRatio = math.Min(1, float64(g)/float64(ngood))
 	}
-	if f.nbad > 0 {
-		bRatio = math.Min(1, float64(bad)/float64(f.nbad))
+	if nbad > 0 {
+		bRatio = math.Min(1, float64(bad)/float64(nbad))
 	}
 	if gRatio+bRatio == 0 {
 		return f.opts.UnknownProb
@@ -426,7 +417,7 @@ func (f *Filter) streamTokenProb(tok tokenize.Token) float64 {
 	if id, ok := f.syms.LookupToken(tok); ok {
 		g, b = int(f.good[id]), int(f.bad[id])
 	}
-	return f.prob(g, b)
+	return f.prob(g, b, f.ngood, f.nbad)
 }
 
 // bayesProduct takes the naive Bayes product of the selected

@@ -9,14 +9,8 @@ import (
 	"repro/internal/tokenize"
 )
 
-// Filter satisfies the backend-generic contract plus every optional
-// capability.
-var (
-	_ engine.Classifier       = (*Filter)(nil)
-	_ engine.Persistable      = (*Filter)(nil)
-	_ engine.ValidationBinder = (*Filter)(nil)
-	_ engine.Cloner           = (*Filter)(nil)
-)
+// Filter satisfies the backend-generic contract.
+var _ engine.Classifier = (*Filter)(nil)
 
 func init() {
 	engine.Register(engine.Backend{
@@ -223,8 +217,9 @@ func (f *Filter) Clone() *Filter {
 	}
 }
 
-// CloneClassifier is Clone behind the engine.Cloner capability, for
-// interface-typed callers such as Engine.RetrainIncremental.
+// CloneClassifier is Clone behind the engine.Cloner part of the
+// contract, for interface-typed callers such as
+// Guarded.RetrainIncremental.
 func (f *Filter) CloneClassifier() engine.Classifier { return f.Clone() }
 
 // SetThresholds replaces θ0 and θ1, as the dynamic threshold defense

@@ -816,15 +816,7 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 		build := make(chan []engine.Classifier, 1)
 		switch cfg.Retraining {
 		case RetrainIncremental:
-			cloners := make([]engine.Cloner, nsh)
 			curs, _ := sh.Snapshots()
-			for i, cur := range curs {
-				cloner, ok := cur.(engine.Cloner)
-				if !ok {
-					return nil, fmt.Errorf("scenario: backend %q (%T) cannot retrain incrementally", cfg.BackendName(), cur)
-				}
-				cloners[i] = cloner
-			}
 			deltas := make([]*corpus.Corpus, nsh)
 			for i := range deltas {
 				deltas[i] = parts[i].Clone()
@@ -832,7 +824,7 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 			go func() {
 				next := make([]engine.Classifier, nsh)
 				eval.Parallel(nsh, nsh, func(i int) {
-					next[i] = cloners[i].CloneClassifier()
+					next[i] = curs[i].CloneClassifier()
 					eval.Train(next[i], deltas[i])
 				})
 				build <- next

@@ -17,13 +17,12 @@
 // a retrain builds the replacement off the serving path and publishes
 // it with a single atomic store — scoring continues at full speed
 // throughout, and no verdict is ever computed against a half-trained
-// filter. Backends with the Cloner capability additionally support
-// incremental retraining (clone the snapshot, train only the new
-// examples). The deployment simulator exposes both views of that
-// timeline: RunDeployment measures weekly test-set confusions after
-// each retrain, and RunOnlineDeployment feeds every message through
-// the engine one at a time, recording the verdict each user actually
-// received while retrains swap in mid-week.
+// filter. Every backend also supports incremental retraining (clone
+// the snapshot, train only the new examples). The deployment simulator
+// exposes both views of that timeline: RunDeployment measures weekly
+// test-set confusions after each retrain, and RunOnlineDeployment
+// feeds every message through the engine one at a time, recording the
+// verdict each user actually received while retrains swap in mid-week.
 //
 // NewSharded scales that serving layer out: one Engine whose logical
 // filter is partitioned across N shards routed by a recipient-address
@@ -105,11 +104,11 @@
 // decision is counted against the shard the example routes to (the
 // admission tallies in EngineStats, summed and per shard). Every
 // publish runs the hooks: PrePublish on every shard's replacement
-// before anything publishes — where the §5.2
-// dynamic-threshold defense refits the replacement's cutoffs
-// (DynamicThreshold.Refit, via the ThresholdSetter capability) before
-// it goes live — and PostPublish once per publish. Scoring is never
-// blocked: admission sits on the training path only.
+// before anything publishes — where the §5.2 dynamic-threshold
+// defense refits the replacement's cutoffs (DynamicThreshold.Refit,
+// through the classifier's SetThresholds) before it goes live — and
+// PostPublish once per publish. Scoring is never blocked: admission
+// sits on the training path only.
 // DeploymentConfig.Admission runs the online simulator in this mode,
 // reporting per-week admitted/quarantined/rejected splits (organic
 // vs. attack) and the probe bill against what one week-end batch pass
@@ -293,19 +292,20 @@ import (
 
 // ---- The backend-generic classifier API ----
 
-// Classifier is the learner contract every backend implements:
-// incremental Learn/Unlearn, Classify into ham/unsure/spam, and raw
-// spam scores, over a message or over the TokenStream the backend's
-// own tokenizer makes of it.
+// Classifier is the learner contract every backend implements in
+// whole: incremental Learn/Unlearn, Classify into ham/unsure/spam, and
+// raw spam scores, over a message or over the TokenStream the
+// backend's own tokenizer makes of it, plus saving, cloning, binding
+// validation sets and setting thresholds.
 type Classifier = engine.Classifier
 
-// Persistable is the optional capability of saving and restoring a
-// trained database; both stock backends have it.
+// Persistable is the part of the Classifier contract that saves and
+// restores a trained database.
 type Persistable = engine.Persistable
 
-// Cloner is the optional capability of deep-copying the trained state
-// into an independent classifier; both stock backends have it, and
-// Engine.RetrainIncremental requires it.
+// Cloner is the part of the Classifier contract that deep-copies the
+// trained state into an independent classifier, as
+// Guarded.RetrainIncremental does to branch the next snapshot.
 type Cloner = engine.Cloner
 
 // StreamClassifier is the stream-scoring half of the Classifier
@@ -323,10 +323,9 @@ type StreamLearner = engine.StreamLearner
 // tokenize messages and corpora exactly as the backend does.
 type Tokenizing = engine.Tokenizing
 
-// ValidationBinder is the optional capability of binding a fixed
-// validation set to a classifier once, so it can be labeled many times
-// cheaply; RONI's trials bind theirs when the backend can (SpamBayes
-// does).
+// ValidationBinder is the part of the Classifier contract that binds a
+// fixed validation set to a classifier once, so it can be labeled many
+// times cheaply; every RONI trial binds its validation set.
 type ValidationBinder = engine.ValidationBinder
 
 // ValidationSet is a validation set bound to one classifier: it labels
@@ -451,9 +450,10 @@ type AdmitDecision = engine.AdmitDecision
 // Rejected by construction).
 type AdmissionStats = engine.AdmissionStats
 
-// ThresholdSetter is the capability of replacing a classifier's
-// decision thresholds after training — what DynamicThreshold.Refit
-// installs refit cutoffs through at each snapshot swap.
+// ThresholdSetter is the part of the Classifier contract that replaces
+// a classifier's decision thresholds after training — what
+// DynamicThreshold.Refit installs refit cutoffs through at each
+// snapshot swap.
 type ThresholdSetter = engine.ThresholdSetter
 
 // Guarded threads an admission policy through an engine's training
@@ -1146,7 +1146,7 @@ const (
 	// RetrainPeriodic rebuilds from the full accumulated store.
 	RetrainPeriodic = scenario.RetrainPeriodic
 	// RetrainIncremental clones the serving snapshot and trains only
-	// the week's new mail (requires a Cloner backend).
+	// the week's new mail.
 	RetrainIncremental = scenario.RetrainIncremental
 )
 
