@@ -862,7 +862,7 @@ func TestOneShardGuardMatchesEngine(t *testing.T) {
 	if _, err := guard.ClassifyBatch(ctx, msgs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := guard.ScoreBatch(ctx, msgs); err != nil {
+	if _, _, err := guard.ScoreBatch(ctx, msgs); err != nil {
 		t.Fatal(err)
 	}
 	guard.Vet(ctx, m, false)

@@ -348,7 +348,7 @@ func TestConformanceShardedClassifyBatch(t *testing.T) {
 		serial := make([]engine.Result, len(msgs))
 		for i, m := range msgs {
 			label, score := clf.Classify(m)
-			serial[i] = engine.Result{Label: label, Score: score}
+			serial[i] = engine.Result{Label: label, Score: score, Generation: 1} // a new engine serves generation 1
 		}
 		clfs := make([]engine.Classifier, 4)
 		for i := range clfs {
@@ -461,7 +461,7 @@ func TestConformanceConcurrentClassifyBatch(t *testing.T) {
 		serial := make([]engine.Result, len(msgs))
 		for i, m := range msgs {
 			label, score := clf.Classify(m)
-			serial[i] = engine.Result{Label: label, Score: score}
+			serial[i] = engine.Result{Label: label, Score: score, Generation: 1} // a new engine serves generation 1
 		}
 		eng := engine.New(clf, engine.Config{Name: backend, Workers: 8})
 		parallel, err := eng.ClassifyBatch(context.Background(), msgs)

@@ -81,11 +81,11 @@ func TestFleetBatchesReadOneEpoch(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range res {
-					if res[i].Score != res[0].Score {
+					if res[i].Score != res[0].Score || res[i].Generation != res[0].Generation {
 						t.Fatalf("round %d: ClassifyBatch mixed generations (count %v and %v)", round, res[0].Score, res[i].Score)
 					}
 				}
-				scores, err := score(context.Background(), msgs)
+				scores, _, err := score(context.Background(), msgs)
 				if err != nil {
 					t.Fatal(err)
 				}

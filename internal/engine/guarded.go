@@ -213,7 +213,7 @@ func (g *Guarded) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Re
 }
 
 // ScoreBatch passes straight through to the engine.
-func (g *Guarded) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, error) {
+func (g *Guarded) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, uint64, error) {
 	return g.eng.ScoreBatch(ctx, msgs)
 }
 

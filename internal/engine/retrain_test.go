@@ -216,7 +216,7 @@ func TestServeWhileRetrainNoTornReads(t *testing.T) {
 		return float64(n) == score && n%trainN == 0 && n >= 0
 	}
 	for round := 0; round < 50; round++ {
-		out, err := e.ScoreBatch(context.Background(), msgs)
+		out, _, err := e.ScoreBatch(context.Background(), msgs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -244,10 +244,12 @@ func (e *Engine) Workers() int { return e.workers }
 // NumShards returns the shard count.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
-// Result is one message's verdict.
+// Result is one message's verdict and the generation of the epoch
+// that scored it.
 type Result struct {
-	Label Label
-	Score float64
+	Label      Label
+	Score      float64
+	Generation uint64
 }
 
 // Classify routes one message to its shard and scores it against the
@@ -265,7 +267,7 @@ func (e *Engine) Classify(m *mail.Message) Result {
 	sh.classifyLat.ObserveSince(start)
 	sh.byLabel[labelIndex(label)].Inc()
 	e.traceClassify(sh, ep.gen, ts, label, score)
-	return Result{Label: label, Score: score}
+	return Result{Label: label, Score: score, Generation: ep.gen}
 }
 
 // traceClassify records a sampled classify verdict.
@@ -282,8 +284,9 @@ func (e *Engine) traceClassify(sh *shard, gen uint64, ts *tokenize.TokenStream, 
 // out[i] is the verdict of msgs[i]. The batch is grouped by shard and
 // each shard's slice is scored on its own worker pool, concurrently
 // with the others, against one epoch: every answer comes from one
-// generation even if a publish lands mid-batch. It stops early and
-// returns ctx.Err() if the context is cancelled.
+// generation, which each Result carries, even if a publish lands
+// mid-batch. It stops early and returns ctx.Err() if the context is
+// cancelled.
 func (e *Engine) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Result, error) {
 	ep := e.cur.Load()
 	out := make([]Result, len(msgs))
@@ -291,7 +294,7 @@ func (e *Engine) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Res
 		ts := tok.Stream(msgs[i])
 		label, score := clf.ClassifyTokenStream(ts)
 		e.traceClassify(sh, ep.gen, ts, label, score)
-		out[i] = Result{Label: label, Score: score}
+		out[i] = Result{Label: label, Score: score, Generation: ep.gen}
 	}, func(sh *shard, i int) { sh.byLabel[labelIndex(out[i].Label)].Inc() })
 	if err != nil {
 		return nil, err
@@ -300,19 +303,20 @@ func (e *Engine) ClassifyBatch(ctx context.Context, msgs []*mail.Message) ([]Res
 }
 
 // ScoreBatch is ClassifyBatch without thresholding: out[i] is the
-// spam score of msgs[i]. Score-only traffic produces no verdicts, so
-// it counts toward Stats.Scored, not Classified — keeping the
-// invariant sum(ByLabel) == Classified intact.
-func (e *Engine) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, error) {
+// spam score of msgs[i], and gen the generation of the one epoch that
+// scored them all. Score-only traffic produces no verdicts, so it
+// counts toward Stats.Scored, not Classified — keeping the invariant
+// sum(ByLabel) == Classified intact.
+func (e *Engine) ScoreBatch(ctx context.Context, msgs []*mail.Message) ([]float64, uint64, error) {
 	ep := e.cur.Load()
 	out := make([]float64, len(msgs))
 	err := e.fanOut(ctx, ep, msgs, func(_ *shard, clf Classifier, tok *tokenize.Tokenizer, i int) {
 		out[i] = clf.ScoreTokenStream(tok.Stream(msgs[i]))
 	}, func(sh *shard, _ int) { sh.scored.Inc() })
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, ep.gen, nil
 }
 
 // fanOut runs score(i) for every message against its shard's

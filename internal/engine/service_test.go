@@ -134,7 +134,7 @@ func TestClassifyBatchOrderPreserved(t *testing.T) {
 func TestScoreBatch(t *testing.T) {
 	e := New(&stubClassifier{}, Config{Workers: 3})
 	msgs := []*mail.Message{scoreMsg(0.1), scoreMsg(0.5), scoreMsg(0.95)}
-	out, err := e.ScoreBatch(context.Background(), msgs)
+	out, _, err := e.ScoreBatch(context.Background(), msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +214,11 @@ func TestStatsInvariantMixedLoad(t *testing.T) {
 	if _, err := e.ClassifyBatch(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ScoreBatch(ctx, batch); err != nil {
+	if _, _, err := e.ScoreBatch(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	e.Classify(scoreMsg(0.01))
-	if _, err := e.ScoreBatch(ctx, batch[:2]); err != nil {
+	if _, _, err := e.ScoreBatch(ctx, batch[:2]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.ClassifyBatch(ctx, batch[:1]); err != nil {

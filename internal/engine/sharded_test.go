@@ -107,7 +107,7 @@ func TestShardedClassifyBatchOrderPreserved(t *testing.T) {
 func TestShardedScoreBatch(t *testing.T) {
 	s := newStubSharded(2, Config{})
 	msgs := shardedMsgs(40, 5)
-	out, err := s.ScoreBatch(context.Background(), msgs)
+	out, _, err := s.ScoreBatch(context.Background(), msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestShardedStatsAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Classify(toMsg("e@x", 0.01))
-	if _, err := s.ScoreBatch(context.Background(), msgs); err != nil {
+	if _, _, err := s.ScoreBatch(context.Background(), msgs); err != nil {
 		t.Fatal(err)
 	}
 	cur, _ := s.Snapshots()
@@ -480,7 +480,7 @@ func TestShardedServeWhileRetrainPerShardIsolation(t *testing.T) {
 		return float64(n) == score && n >= 0 && (n == 0 || n == parts[sh].Len())
 	}
 	for round := 0; round < 50; round++ {
-		out, err := s.ScoreBatch(context.Background(), msgs)
+		out, _, err := s.ScoreBatch(context.Background(), msgs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -264,25 +264,43 @@ func TestHealthzReadinessFlipsUnderSustainedShed(t *testing.T) {
 
 	// Saturate: the wedged admitter blocks the consumer on the first
 	// submission, the second fills the queue, and further submissions
-	// shed. Keep posting until a 503 proves a shed happened with the
-	// queue still full.
+	// shed. shed keeps posting until a 503 proves a shed happened with
+	// the queue still full, and returns when that request was sent —
+	// no later than the daemon recorded the shed.
 	g := testGen(t)
 	rng := stats.NewRNG(3)
 	req := func() serve.LearnRequest {
 		return serve.LearnRequest{Message: wireMsg(g.Message(rng, true)), Spam: true}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if status := postJSON(t, ts.Client(), ts.URL+"/learn", req(), nil); status == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("learn path never shed")
+	shed := func() time.Time {
+		for {
+			sent := time.Now()
+			if status := postJSON(t, ts.Client(), ts.URL+"/learn", req(), nil); status == http.StatusServiceUnavailable {
+				return sent
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("learn path never shed")
+			}
 		}
 	}
 
-	if status := getJSON(t, ts.Client(), ts.URL+"/healthz", &h); status != http.StatusServiceUnavailable {
-		t.Fatalf("saturated daemon /healthz status %d, want 503", status)
+	// A /healthz answered within the recency window of the last shed
+	// must report degraded. Under load the window can pass before the
+	// GET is answered; then that GET proves nothing, so shed again and
+	// retry until one lands inside it.
+	for {
+		sent := shed()
+		status := getJSON(t, ts.Client(), ts.URL+"/healthz", &h)
+		if time.Since(sent) <= 2*retryAfter {
+			if status != http.StatusServiceUnavailable {
+				t.Fatalf("saturated daemon /healthz status %d, want 503", status)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no /healthz answer landed within the recency window of a shed")
+		}
 	}
 	if h.Status != "degraded" || h.Reason == "" || h.LearnShed == 0 {
 		t.Fatalf("saturated daemon health = %+v", h)

@@ -150,7 +150,7 @@ type Server struct {
 	cfg     Config
 
 	learnCh  chan learnReq
-	flushCh  chan chan flushResult
+	adminCh  chan func(pending *[]learnReq)
 	inflight chan struct{}
 
 	ctx      context.Context
@@ -188,7 +188,7 @@ func New(g *engine.Guarded, cfg Config) *Server {
 	}
 	s := &Server{guarded: g, cfg: cfg.withDefaults()}
 	s.learnCh = make(chan learnReq, s.cfg.LearnQueue)
-	s.flushCh = make(chan chan flushResult)
+	s.adminCh = make(chan func(pending *[]learnReq))
 	s.inflight = make(chan struct{}, s.cfg.MaxInflight)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.loopDone = make(chan struct{})
@@ -310,12 +310,14 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// learnLoop is the single learn consumer: it drains queued
-// submissions in batches of at most LearnBatch and publishes each
-// batch through the guard's incremental retrain. Everything the
-// training path can do to stall — a slow probe, a wedged admitter —
-// stalls only this goroutine; the queue then fills and the handlers
-// shed, never block.
+// learnLoop is the single learn consumer and the daemon's one
+// publisher: it drains queued submissions in batches of at most
+// LearnBatch, publishes each batch through the guard's incremental
+// retrain, and runs the admin operations (flush, resume) between
+// batches, so a resume never lands under a batch that cloned the
+// epoch it replaces. Everything the training path can do to stall — a
+// slow probe, a wedged admitter — stalls only this goroutine; the
+// queue then fills and the handlers shed, never block.
 func (s *Server) learnLoop() {
 	defer close(s.loopDone)
 	var pending []learnReq
@@ -329,9 +331,8 @@ func (s *Server) learnLoop() {
 			if res.err != nil && s.ctx.Err() != nil {
 				return
 			}
-		case ack := <-s.flushCh:
-			pending = s.soak(pending)
-			ack <- s.publishPending(&pending)
+		case op := <-s.adminCh:
+			op(&pending)
 		}
 	}
 }
@@ -404,7 +405,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ClassifyResponse{
 		Label:      res.Label.String(),
 		Score:      res.Score,
-		Generation: s.guarded.Generation(),
+		Generation: res.Generation,
 	})
 }
 
@@ -413,13 +414,13 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	out, err := s.guarded.ScoreBatch(r.Context(), []*mail.Message{req.msg})
+	out, gen, err := s.guarded.ScoreBatch(r.Context(), []*mail.Message{req.msg})
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	s.scored.Inc()
-	writeJSON(w, http.StatusOK, ScoreResponse{Score: out[0], Generation: s.guarded.Generation()})
+	writeJSON(w, http.StatusOK, ScoreResponse{Score: out[0], Generation: gen})
 }
 
 // batchChunk is the number of NDJSON lines scored per engine batch
@@ -465,7 +466,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 		if len(chunk) == 0 {
 			return nil
 		}
-		gen := s.guarded.Generation()
 		if verdicts {
 			res, err := s.guarded.ClassifyBatch(r.Context(), chunk)
 			if err != nil {
@@ -473,12 +473,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, verdicts bo
 			}
 			s.classified.Add(uint64(len(res)))
 			for _, v := range res {
-				if err := enc.Encode(ClassifyResponse{Label: v.Label.String(), Score: v.Score, Generation: gen}); err != nil {
+				if err := enc.Encode(ClassifyResponse{Label: v.Label.String(), Score: v.Score, Generation: v.Generation}); err != nil {
 					return err
 				}
 			}
 		} else {
-			out, err := s.guarded.ScoreBatch(r.Context(), chunk)
+			out, gen, err := s.guarded.ScoreBatch(r.Context(), chunk)
 			if err != nil {
 				return err
 			}
@@ -567,26 +567,49 @@ func retryAfterSeconds(d time.Duration) int {
 // operators use. A wedged consumer makes this endpoint wait, bounded
 // by the request context; it never wedges the caller forever.
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	ack := make(chan flushResult, 1)
-	select {
-	case s.flushCh <- ack:
-	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "flush timed out: learn consumer busy")
-		return
-	case <-s.ctx.Done():
-		writeError(w, http.StatusServiceUnavailable, "server shutting down")
+	var res flushResult
+	if !s.onLearnLoop(w, r, "flush", func(pending *[]learnReq) {
+		*pending = s.soak(*pending)
+		res = s.publishPending(pending)
+	}) {
 		return
 	}
-	select {
-	case res := <-ack:
-		if res.err != nil {
-			writeError(w, http.StatusInternalServerError, res.err.Error())
-			return
+	if res.err != nil {
+		writeError(w, http.StatusInternalServerError, res.err.Error())
+		return
+	}
+	s.flushes.Inc()
+	writeJSON(w, http.StatusOK, FlushResponse{Flushed: res.trained, Generation: res.gen})
+}
+
+// onLearnLoop runs op on the learn loop between batches and waits for
+// it under the request context. It reports false, having answered 503,
+// when the consumer stays busy past the client's patience or the
+// server shuts down; an op whose client has gone by the time the loop
+// reaches it does not run.
+func (s *Server) onLearnLoop(w http.ResponseWriter, r *http.Request, what string, op func(pending *[]learnReq)) bool {
+	done := make(chan struct{})
+	run := func(pending *[]learnReq) {
+		if r.Context().Err() == nil {
+			op(pending)
+			close(done)
 		}
-		s.flushes.Inc()
-		writeJSON(w, http.StatusOK, FlushResponse{Flushed: res.trained, Generation: res.gen})
+	}
+	select {
+	case s.adminCh <- run:
 	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "flush timed out: learn consumer busy")
+		writeError(w, http.StatusServiceUnavailable, what+" timed out: learn consumer busy")
+		return false
+	case <-s.ctx.Done():
+		writeError(w, http.StatusServiceUnavailable, "server shutting down")
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	case <-r.Context().Done():
+		writeError(w, http.StatusServiceUnavailable, what+" timed out: learn consumer busy")
+		return false
 	}
 }
 
@@ -615,13 +638,23 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 // generation every shard line holds and can load is published as one
 // new epoch through the guard's hooks, then the admission sidecar
 // saved with it is loaded back — held mail stays held, spent probe
-// budget stays spent. A store with nothing to resume answers 404.
+// budget stays spent. It runs on the learn loop, after any batch in
+// flight has published, so no batch trained on the replaced epoch
+// publishes over the resumed one. A store with nothing to resume
+// answers 404.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")
 		return
 	}
-	snapGen, gen, loaded, err := s.guarded.Resume(s.cfg.Store, s.cfg.Name)
+	var snapGen, gen uint64
+	var loaded bool
+	var err error
+	if !s.onLearnLoop(w, r, "resume", func(*[]learnReq) {
+		snapGen, gen, loaded, err = s.guarded.Resume(s.cfg.Store, s.cfg.Name)
+	}) {
+		return
+	}
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, engine.ErrNoSnapshot) {

@@ -48,16 +48,16 @@ type ClassifyRequest struct {
 	Message WireMessage `json:"message"`
 }
 
-// ClassifyResponse is one verdict. Generation is the serving
-// snapshot generation the verdict was scored against (a fleet's
-// newest shard generation).
+// ClassifyResponse is one verdict. Generation is the generation of
+// the published epoch the verdict was scored against (every shard's).
 type ClassifyResponse struct {
 	Label      string  `json:"label"`
 	Score      float64 `json:"score"`
 	Generation uint64  `json:"generation"`
 }
 
-// ScoreResponse is one raw score, without thresholding.
+// ScoreResponse is one raw score, without thresholding, and the
+// generation of the epoch that scored it.
 type ScoreResponse struct {
 	Score      float64 `json:"score"`
 	Generation uint64  `json:"generation"`

@@ -372,7 +372,8 @@ type Engine = engine.Engine
 // buffer, routing key, instruments).
 type EngineConfig = engine.Config
 
-// ClassifyResult is one message's verdict within a batch.
+// ClassifyResult is one message's verdict and the generation of the
+// model that scored it.
 type ClassifyResult = engine.Result
 
 // LabeledMessage is one training example flowing through an Engine's
