@@ -22,12 +22,15 @@
 #                    cross-package fact transport CI also runs
 #   make fuzz        short fuzz smoke over the persistence decoders
 #                    (the snapshot envelope and the admission sidecar
-#                    and state payloads included), the tokenizer and
-#                    the HTTP request decoder
+#                    and state payloads included), the tokenizer, the
+#                    HTTP request decoder, the mail parser and mbox
+#                    reader (each with its writer's round trip) and the
+#                    metrics text parser (with WriteText's round trip)
 #                    ($(FUZZTIME) per target; CI runs it, so a format
-#                    regression that panics on garbage, or a request
-#                    decoder that stops agreeing with encoding/json,
-#                    cannot land)
+#                    regression that panics on garbage, a request
+#                    decoder that stops agreeing with encoding/json, or
+#                    a writer whose output stops reading back, cannot
+#                    land)
 #   make cover       run the test suite with coverage and write
 #                    cover.out + the per-function summary cover.txt
 #                    (CI uploads both)
@@ -110,6 +113,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=$(FUZZTIME) ./internal/engine/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAdmissionState -fuzztime=$(FUZZTIME) ./internal/engine/
 	$(GO) test -run='^$$' -fuzz=FuzzAdmissionLoadState -fuzztime=$(FUZZTIME) ./internal/admission/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/mail/
+	$(GO) test -run='^$$' -fuzz=FuzzMboxReader -fuzztime=$(FUZZTIME) ./internal/mail/
+	$(GO) test -run='^$$' -fuzz=FuzzParseText -fuzztime=$(FUZZTIME) ./internal/obs/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

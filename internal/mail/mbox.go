@@ -2,6 +2,7 @@ package mail
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -45,11 +46,12 @@ func (mw *MboxWriter) WriteMessage(m *Message) error {
 	if _, err := mw.w.WriteString(envelope + "\n"); err != nil {
 		return err
 	}
+	// The payload always ends in a newline. Lines split at '\n' alone,
+	// so a CR before it is payload and is written back as read.
 	payload := m.String()
-	sc := bufio.NewScanner(strings.NewReader(payload))
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
+	for payload != "" {
+		var line string
+		line, payload, _ = strings.Cut(payload, "\n")
 		if isQuotedFrom(line) {
 			if err := mw.w.WriteByte('>'); err != nil {
 				return err
@@ -61,9 +63,6 @@ func (mw *MboxWriter) WriteMessage(m *Message) error {
 		if err := mw.w.WriteByte('\n'); err != nil {
 			return err
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
 	}
 	mw.wrote = true
 	return nil
@@ -91,7 +90,10 @@ func sanitizeEnvelopeAddr(from string) string {
 		}
 	}
 	from = strings.TrimSpace(from)
-	if k := strings.IndexAny(from, " \t"); k >= 0 {
+	// A folded From value holds newlines; cutting at them too keeps
+	// the envelope one line, so no header value can inject lines (or a
+	// forged envelope) into the archive.
+	if k := strings.IndexAny(from, " \t\r\n"); k >= 0 {
 		from = from[:k]
 	}
 	if from == "" {
@@ -113,7 +115,20 @@ type MboxReader struct {
 func NewMboxReader(r io.Reader) *MboxReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	sc.Split(scanLF)
 	return &MboxReader{sc: sc}
+}
+
+// scanLF splits lines at '\n' alone: unlike bufio.ScanLines it keeps a
+// CR before the newline, so a payload reads back as MboxWriter wrote it.
+func scanLF(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // Next returns the next message in the archive, or io.EOF when the
@@ -149,22 +164,21 @@ func (mr *MboxReader) Next() (*Message, error) {
 	mr.pending = ""
 
 	var payload strings.Builder
-	sawAny := false
 	for mr.sc.Scan() {
 		line := mr.sc.Text()
 		if strings.HasPrefix(line, mboxSeparatorPrefix) {
 			mr.pending = line
-			return finishMboxMessage(payload.String())
+			// The writer emits one blank separator line between
+			// messages ("\r\n" in a CRLF archive); it is not part of
+			// the payload.
+			return finishMboxMessage(strings.TrimSuffix(strings.TrimSuffix(payload.String(), "\n"), "\r"))
 		}
 		// Unquote >From lines.
 		if len(line) > 0 && line[0] == '>' && isQuotedFrom(line[1:]) {
 			line = line[1:]
 		}
-		if sawAny {
-			payload.WriteByte('\n')
-		}
 		payload.WriteString(line)
-		sawAny = true
+		payload.WriteByte('\n')
 	}
 	mr.done = true
 	if err := mr.sc.Err(); err != nil {
@@ -188,16 +202,16 @@ func (mr *MboxReader) ReadAll() ([]*Message, error) {
 	}
 }
 
+// finishMboxMessage parses one message's payload: every line read
+// with its newline, the separator before the next envelope dropped, so
+// a body ending in blank lines keeps them.
 func finishMboxMessage(payload string) (*Message, error) {
-	// The writer emits a blank separator line between messages; strip
-	// one trailing empty line so archives round-trip.
-	payload = strings.TrimSuffix(payload, "\n")
 	m, err := ParseString(payload)
 	if err != nil {
 		return nil, fmt.Errorf("mail: parsing mbox message: %w", err)
 	}
-	// Bodies are stored newline-terminated on disk; normalize the
-	// parsed form the same way so write→read→write is a fixed point.
+	// The writer stores bodies newline-terminated; a message another
+	// writer cut off without its separator is normalized the same way.
 	if m.Body != "" && !strings.HasSuffix(m.Body, "\n") {
 		m.Body += "\n"
 	}
