@@ -263,10 +263,10 @@ func BenchmarkAblationRONIUnlearn(b *testing.B) {
 	})
 }
 
-// learnUnlearn is a SpamBayes filter whose validation sets bind the
-// direct way: a probe learns the query's stream into the filter,
-// classifies every bound stream and unlearns the query. It is the
-// reference the bound probe is measured against.
+// learnUnlearn is a classifier whose validation sets bind the direct
+// way: a probe learns the query's stream into the filter, classifies
+// every bound stream and unlearns the query. It is the reference the
+// bound probe is measured against.
 type learnUnlearn struct{ engine.Classifier }
 
 func (f learnUnlearn) BindValidation(streams []*tokenize.TokenStream) engine.ValidationSet {
@@ -297,7 +297,8 @@ func (s learnUnlearnSet) ClassifyWith(q *tokenize.TokenStream, qSpam bool, out [
 // IncrementalRONI calls it: "bound" scores each trial's bound
 // validation set as if the query were learned; "learn-unlearn" trains
 // the query into every trial filter, re-scores the set message by
-// message and unlearns it. Both report the same impacts.
+// message and unlearns it. Both report the same impacts. The sbayes
+// arms keep their names; the graham arms carry a prefix.
 func BenchmarkRONIProbe(b *testing.B) {
 	e := env(b)
 	queries := make([]*tokenize.TokenStream, 32)
@@ -312,6 +313,10 @@ func BenchmarkRONIProbe(b *testing.B) {
 		{"bound", func() engine.Classifier { return sbayes.New(sbayes.DefaultOptions(), e.Tok) }},
 		{"learn-unlearn", func() engine.Classifier {
 			return learnUnlearn{sbayes.New(sbayes.DefaultOptions(), e.Tok)}
+		}},
+		{"graham-bound", func() engine.Classifier { return graham.New(graham.DefaultOptions(), e.Tok) }},
+		{"graham-learn-unlearn", func() engine.Classifier {
+			return learnUnlearn{graham.New(graham.DefaultOptions(), e.Tok)}
 		}},
 	} {
 		d, err := core.NewRONIBackend(core.DefaultRONIConfig(), e.Pool, c.new, e.RNG("roni-probe-pool"))

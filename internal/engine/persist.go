@@ -374,9 +374,9 @@ func (s *MemStore) Remove(name string, gen uint64) error {
 // atomic load, and the classifiers serialize themselves concurrently.
 // Concurrent scoring is never blocked — published epochs are
 // immutable, so Save reads the same frozen state a racing
-// ClassifyBatch does. It returns the persisted
-// generation; on error some lines may have saved (each write is
-// atomic, so no line is ever half-saved).
+// ClassifyBatch does. It returns the persisted generation; on error
+// some lines may have saved (each write is atomic, so no line is ever
+// half-saved).
 func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, error) {
 	if _, err := Lookup(backend); err != nil {
 		return 0, err

@@ -209,10 +209,10 @@ func (f *Filter) CloneClassifier() engine.Classifier { return f.Clone() }
 
 // SetThresholds replaces the binary decision cutoff, the
 // engine.ThresholdSetter part of the contract the dynamic-threshold
-// defense refits through. Graham's rule has no unsure band, so only the spam
-// cutoff (θ1) is installed; hamCutoff is accepted for interface
-// uniformity and validated (it must not exceed spamCutoff) but
-// otherwise unused. The fit domain is the closed [0, 1]: a degenerate
+// defense refits through. Graham's rule has no unsure band, so only
+// the spam cutoff (θ1) is installed; hamCutoff is accepted for
+// interface uniformity and validated (it must not exceed spamCutoff)
+// but otherwise unused. The fit domain is the closed [0, 1]: a degenerate
 // calibration can legitimately fit θ1 = 1 ("never spam") or 0, and a
 // refit must be able to install it rather than abort the publish.
 func (f *Filter) SetThresholds(hamCutoff, spamCutoff float64) error {
