@@ -21,8 +21,10 @@
 #                    exercising the unitchecker protocol and the
 #                    cross-package fact transport CI also runs
 #   make fuzz        short fuzz smoke over the persistence decoders
-#                    (the snapshot envelope and the admission sidecar
-#                    and state payloads included), the tokenizer, the
+#                    (the one-record snapshot envelope, seeded with real
+#                    guarded saves, the version-1 admission sidecar
+#                    resume still reads, and the admission state
+#                    payloads included), the tokenizer, the
 #                    HTTP request decoder, the mail parser and mbox
 #                    reader (each with its writer's round trip) and the
 #                    metrics text parser (with WriteText's round trip)

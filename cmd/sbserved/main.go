@@ -23,14 +23,15 @@
 //
 // With -snapshot-dir, the daemon resumes the newest persisted
 // generation at startup, exposes POST /admin/save and /admin/resume,
-// and saves on graceful shutdown. Every save writes each shard's
-// snapshot line — the line -name itself for one engine,
-// -name.shard<i> for a fleet — at the one serving generation, plus one
-// admission sidecar, -name.admission, so held mail and the spent probe
-// budget survive a restart or an in-place resume at any shard count.
-// Start-up bootstraps fresh only when nothing at all is stored under
-// -name; a store holding another shard count's lines, or lines with no
-// loadable generation, fails start-up instead of bootstrapping over
+// and saves on graceful shutdown. Every save writes one record under
+// -name at the one serving generation, holding every shard's snapshot
+// and the admission state, so held mail and the spent probe budget
+// survive a restart or an in-place resume at any shard count, and a
+// save killed midway leaves the previous record whole. Start-up
+// bootstraps fresh only when nothing at all is stored under -name; a
+// record of another shard count than -shards, a store with no
+// loadable record, or a fleet store in the retired per-shard layout
+// (-name.shard<i> lines) fails start-up instead of bootstrapping over
 // (and later overwriting) the admission state it holds.
 //
 // Endpoints: POST /classify, /score (single JSON), /classify/batch,
@@ -44,13 +45,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"syscall"
 	"time"
 
@@ -73,7 +74,7 @@ func main() {
 		addr     = flag.String("addr", ":8525", "listen address")
 		backend  = flag.String("backend", "sbayes", fmt.Sprintf("classifier backend %v", engine.Backends()))
 		shards   = flag.Int("shards", 0, "shard the fleet N ways (0 or 1 = single engine)")
-		name     = flag.String("name", "served", "snapshot line name")
+		name     = flag.String("name", "served", "snapshot record name")
 		snapDir  = flag.String("snapshot-dir", "", "snapshot store directory (empty disables persistence)")
 		seed     = flag.Uint64("seed", 1, "deterministic seed for bootstrap and admission")
 		bootHam  = flag.Int("bootstrap-ham", 300, "bootstrap corpus ham count (fresh start only)")
@@ -260,33 +261,25 @@ func run(cfg config) error {
 	return nil
 }
 
-// build resumes the guarded fleet from the store when the store holds
-// exactly this daemon's snapshot lines, and bootstraps fresh shards —
-// each trained on its own partition of the bootstrap corpus (one shard
-// trains on all of it) — only when nothing is stored under the name.
-// Anything in between is an error: bootstrapping over a store it
-// cannot resume would free held mail and refill the spent probe
-// budget, then overwrite the sidecar at the next save.
+// build resumes the guarded fleet from the store's newest loadable
+// record under the name, which must hold -shards shards, and
+// bootstraps fresh shards — each trained on its own partition of the
+// bootstrap corpus (one shard trains on all of it) — only when nothing
+// is stored under the name. Anything else is an error: bootstrapping
+// over a store it cannot resume would free held mail and refill the
+// spent probe budget, then bury that state under the next save.
 func build(cfg config, shards int, b engine.Backend, gen *textgen.Generator, rng *stats.RNG, chain *admission.Chain, gcfg engine.GuardedConfig, store engine.SnapshotStore, ecfg engine.Config) (*engine.Guarded, bool, error) {
 	if store != nil {
-		lines, sidecar, err := storedLines(store, cfg.name, shards)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(lines) > 0 || sidecar {
-			want := make([]string, shards)
-			for i := range want {
-				want[i] = engine.ShardSnapshotName(cfg.name, i, shards)
-			}
-			if !slices.Equal(lines, want) {
-				return nil, false, fmt.Errorf("snapshot store holds lines %v (admission sidecar: %v) under -name %q, but %d shard(s) resume from %v: run with the store's shard count or another -name",
-					lines, sidecar, cfg.name, shards, want)
-			}
-			guarded, err := engine.ResumeGuarded(store, cfg.name, shards, ecfg, chain, gcfg)
-			if err != nil {
-				return nil, false, fmt.Errorf("snapshot store holds lines %v but does not resume: %w", lines, err)
-			}
+		guarded, err := engine.ResumeGuarded(store, cfg.name, shards, ecfg, chain, gcfg)
+		if err == nil {
 			return guarded, true, nil
+		}
+		stored, gerr := store.Generations(cfg.name)
+		if gerr != nil {
+			return nil, false, gerr
+		}
+		if len(stored) > 0 || !errors.Is(err, engine.ErrNoSnapshot) {
+			return nil, false, fmt.Errorf("snapshot store under -name %q does not resume with -shards %d: %w", cfg.name, shards, err)
 		}
 	}
 	parts := engine.PartitionByKey(gen.Corpus(rng.Split("boot"), cfg.bootHam, cfg.bootSpam), shards, engine.RecipientKey)
@@ -296,33 +289,6 @@ func build(cfg config, shards int, b engine.Backend, gen *textgen.Generator, rng
 		trainBootstrap(clfs[i], parts[i])
 	}
 	return engine.NewGuarded(engine.NewSharded(clfs, ecfg), chain, gcfg), false, nil
-}
-
-// storedLines lists the snapshot lines stored under name that either
-// shard layout writes — the one-shard line name, then the fleet lines
-// name.shard<i> up to one past this daemon's shard count, so a larger
-// fleet's store shows — and reports whether an admission sidecar is
-// stored.
-func storedLines(store engine.SnapshotStore, name string, shards int) ([]string, bool, error) {
-	candidates := []string{name}
-	for i := 0; i <= shards; i++ {
-		candidates = append(candidates, engine.ShardSnapshotName(name, i, shards+1))
-	}
-	var lines []string
-	for _, line := range candidates {
-		gens, err := store.Generations(line)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(gens) > 0 {
-			lines = append(lines, line)
-		}
-	}
-	gens, err := store.Generations(engine.AdmissionSnapshotName(name))
-	if err != nil {
-		return nil, false, err
-	}
-	return lines, len(gens) > 0, nil
 }
 
 // trainBootstrap trains the operator-trusted bootstrap corpus into a

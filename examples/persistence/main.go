@@ -12,11 +12,11 @@
 //     instead of failing (or worse, loading it: every snapshot is
 //     checksummed).
 //
-//  2. A sharded fleet: every shard persists its own line, all at the
-//     fleet's one generation; when one shard line's newest file is
-//     corrupted, the whole fleet resumes at the newest generation every
-//     line holds and can load, so no shard serves a different
-//     generation than its peers.
+//  2. A sharded fleet: each save is one record of every shard at the
+//     fleet's one generation, written in one store write; when the
+//     newest record is corrupted, the whole fleet resumes from the
+//     previous one, so no shard serves a different generation than its
+//     peers.
 //
 //  3. The online deployment simulator in durable mode: checkpoint
 //     every retrain, crash mid-simulation, and verify users cannot
@@ -102,7 +102,7 @@ func main() {
 		fmt.Printf("newest snapshot corrupted on disk -> resume fell back to generation %d\n\n", fallback.Generation)
 	}
 
-	// ---- 2. A sharded fleet: one generation, every shard's line. ----
+	// ---- 2. A sharded fleet: one generation, one record per save. ----
 	base := repro.TrainFilter(week1, repro.DefaultFilterOptions(), nil)
 	clones := func() []repro.Classifier {
 		clfs := make([]repro.Classifier, 4)
@@ -116,22 +116,22 @@ func main() {
 		log.Fatal(err)
 	}
 	// One fleet publish replaces every shard at once, and the next
-	// checkpoint writes every shard's line at the new generation.
+	// checkpoint writes one record of every shard at the new
+	// generation.
 	fleet.Swap(clones()...) //sbvet:unguarded example: checkpoint walkthrough publishes operator-built snapshots, no third-party training
 	saved, err := repro.SaveEngine(st, "fleet", "sbayes", fleet)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Bit rot in shard 2's newest file: that line can no longer load
-	// the saved generation, so the whole fleet resumes one generation
-	// back rather than serving shard 2 older than its peers.
-	line := repro.ShardSnapshotName("fleet", 2, fleet.NumShards())
-	data, err = st.Read(line, saved)
+	// Bit rot in the newest record: its checksum no longer matches, so
+	// the whole fleet resumes one generation back rather than serving
+	// any shard from a damaged save.
+	data, err = st.Read("fleet", saved)
 	if err != nil {
 		log.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x01
-	if err := st.Write(line, saved, data); err != nil {
+	if err := st.Write("fleet", saved, data); err != nil {
 		log.Fatal(err)
 	}
 	fleet = nil
@@ -139,8 +139,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fleet saved generation %d; %s corrupted -> all %d shards resumed at generation %d\n\n",
-		saved, line, restoredFleet.NumShards(), restoredFleet.Generation())
+	fmt.Printf("fleet saved generation %d as one record; record corrupted -> all %d shards resumed at generation %d\n\n",
+		saved, restoredFleet.NumShards(), restoredFleet.Generation())
 
 	// ---- 3. The durable online deployment, crash included. ----
 	cfg := scenario.DefaultConfig()

@@ -19,8 +19,8 @@
 //  5. save a snapshot, train past it, resume in place: serving rolls
 //     back to the saved state under a fresh generation;
 //  6. serve a three-shard fleet through the same constructor: a save
-//     writes every shard's line plus one admission sidecar, and the
-//     fleet resumes in place just as the single engine did.
+//     writes one record of every shard and the admission state, and
+//     the fleet resumes in place just as the single engine did.
 //
 // The learn path is bounded: a saturated queue (or a wedged admitter)
 // sheds submissions with 503 + Retry-After while classification
@@ -136,7 +136,7 @@ func main() {
 	post(client, ts.URL+"/admin/flush", struct{}{}, &flushed)
 	var resumed repro.ResumeResponse
 	post(client, ts.URL+"/admin/resume", struct{}{}, &resumed)
-	fmt.Printf("save/resume: snapshot generation %d restored, serving generation %d (admission sidecar loaded: %v)\n",
+	fmt.Printf("save/resume: snapshot generation %d restored, serving generation %d (admission state loaded: %v)\n",
 		resumed.SnapshotGeneration, resumed.Generation, resumed.AdmissionLoaded)
 
 	stats := srv.Stats()
@@ -164,7 +164,7 @@ func main() {
 	defer fts.Close()
 	post(fts.Client(), fts.URL+"/admin/save", struct{}{}, &saved)
 	post(fts.Client(), fts.URL+"/admin/resume", struct{}{}, &resumed)
-	fmt.Printf("fleet save/resume: shard generations %v saved, resumed in place at generation %d (admission sidecar loaded: %v)\n",
+	fmt.Printf("fleet save/resume: shard generations %v saved, resumed in place at generation %d (admission state loaded: %v)\n",
 		saved.Generations, resumed.Generation, resumed.AdmissionLoaded)
 }
 

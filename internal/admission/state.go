@@ -7,11 +7,12 @@ package admission
 // refilling exactly the probe budget the attacker had exhausted. The
 // admitters therefore expose versioned SaveState/LoadState
 // (engine.AdmissionStatePersister), and engine.SaveGuarded rides their
-// state in a sidecar envelope next to the classifier snapshot.
+// state as labeled sections of the same record as the classifier
+// snapshots, so one save lands or fails as a whole.
 //
 // Each payload is self-versioned (leading uvarint); integrity and
-// identification are the sidecar envelope's job (magic + CRC, see
-// engine/guardedpersist.go). What is persisted:
+// identification are the record's job (magic + CRC, see
+// engine/persist.go and engine/guardedpersist.go). What is persisted:
 //
 //   - Quarantine: the monotone counters and every held candidate —
 //     message (headers + body), label, reason, review count. Token

@@ -231,9 +231,9 @@ func TestCrashResumeKeepsHeldMailAndSpentBudget(t *testing.T) {
 	}
 }
 
-// TestResumeWithoutSidecarLoadsNothing pins backward compatibility: a
-// snapshot saved through plain SaveEngine (no sidecar) resumes with
-// loaded=false and an untouched guard.
+// TestResumeWithoutSidecarLoadsNothing pins that a record saved
+// through plain SaveEngine (no admission sections, and no sidecar
+// either) resumes with loaded=false and an untouched guard.
 func TestResumeWithoutSidecarLoadsNothing(t *testing.T) {
 	g := testGen(t)
 	store := engine.NewMemStore()
@@ -257,10 +257,10 @@ func TestResumeWithoutSidecarLoadsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded || snap != 1 {
-		t.Fatalf("in-place resume reported snapshot %d, sidecar loaded %v; want 1 and no sidecar", snap, loaded)
+		t.Fatalf("in-place resume reported snapshot %d, admission state loaded %v; want 1 and none", snap, loaded)
 	}
 	if q.Len() != 1 {
-		t.Fatalf("a resume without a sidecar touched the quarantine: %d held, want 1", q.Len())
+		t.Fatalf("a resume without admission state touched the quarantine: %d held, want 1", q.Len())
 	}
 	q2 := admission.NewQuarantine(admission.QuarantineConfig{})
 	if _, err := engine.ResumeGuarded(store, "plain", 1, engine.Config{Name: "plain"},
@@ -268,6 +268,6 @@ func TestResumeWithoutSidecarLoadsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if q2.Len() != 0 {
-		t.Fatalf("start-up resume without a sidecar loaded %d held", q2.Len())
+		t.Fatalf("start-up resume without admission state loaded %d held", q2.Len())
 	}
 }

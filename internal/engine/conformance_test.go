@@ -55,7 +55,7 @@ func trainingSet() (ham, spam []*mail.Message) {
 
 // trained returns a classifier of the named backend trained on the
 // standard set.
-func trained(t *testing.T, backend string) engine.Classifier {
+func trained(t testing.TB, backend string) engine.Classifier {
 	t.Helper()
 	b, err := engine.Lookup(backend)
 	if err != nil {

@@ -37,16 +37,17 @@
 //     example routes to, and runs the publish hooks — PrePublish on
 //     every shard's replacement before anything publishes, PostPublish
 //     once per publish;
-//   - persistence: SaveEngine/ResumeEngine write and restore one line
-//     per shard at the epoch's generation, and SaveGuarded/
-//     ResumeGuarded (Guarded.Resume in place) add the admission
-//     sidecar.
+//   - persistence: SaveEngine/ResumeEngine write and restore one
+//     checksummed record per save, holding every shard's classifier at
+//     the epoch's generation, and SaveGuarded/ResumeGuarded
+//     (Guarded.Resume in place) carry the guard's admission state in
+//     the same record.
 //
 // A single engine is the one-shard case. With N == 1 the routing key
 // is never called, the shard keeps the engine's bare name as its stats
-// label and store key, and its trace events carry shard -1, so the
-// guard, the serving daemon, persistence (SaveGuarded writes the line
-// "name" plus "name.admission") and the online simulator each have one
+// label, and its trace events carry shard -1, so the guard, the
+// serving daemon, persistence (SaveGuarded writes one record under
+// "name" for any shard count) and the online simulator each have one
 // code path for every shard count.
 package engine
 

@@ -489,11 +489,10 @@ func (a *stateAdmitter) LoadState(r io.Reader) error {
 	return err
 }
 
-func TestSaveGuardedWritesShardLinesAndOneSidecar(t *testing.T) {
-	// One shard persists exactly as the single engine always did: the
-	// line "served" and its sidecar "served.admission", at the one
-	// serving generation. A fleet adds nothing but its shard lines, all
-	// at that same generation.
+func TestSaveGuardedWritesOneRecord(t *testing.T) {
+	// Any shard count persists as one file: the record "served" at the
+	// one serving generation, holding every shard and the admission
+	// state.
 	forEachSize(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
 		st, err := engine.NewDirStore(dir)
@@ -527,33 +526,18 @@ func TestSaveGuardedWritesShardLinesAndOneSidecar(t *testing.T) {
 		if gen != 3 {
 			t.Fatalf("SaveGuarded generation %d, want 3", gen)
 		}
-		keys := map[string][]uint64{engine.AdmissionSnapshotName("served"): {3}}
-		for i := 0; i < n; i++ {
-			keys[engine.ShardSnapshotName("served", i, n)] = []uint64{3}
-		}
-		if n == 1 {
-			if _, ok := keys["served"]; !ok || len(keys) != 2 {
-				t.Fatalf("one-shard keys %v, want exactly served and served.admission", keys)
-			}
-		}
-		for key, wantGens := range keys {
-			got, err := st.Generations(key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, wantGens) {
-				t.Errorf("line %q holds generations %v, want %v", key, got, wantGens)
-			}
+		if got, err := st.Generations("served"); err != nil || !reflect.DeepEqual(got, []uint64{3}) {
+			t.Errorf("record \"served\" holds generations %v (%v), want [3]", got, err)
 		}
 		files, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(files) != len(keys) {
-			t.Errorf("store holds %d files, want %d (one per line)", len(files), len(keys))
+		if len(files) != 1 {
+			t.Errorf("store holds %d files, want the one record", len(files))
 		}
 
-		// A restart brings the state back through the same keys.
+		// A restart brings the state back from the same record.
 		admit2 := &stateAdmitter{}
 		resumed, err := engine.ResumeGuarded(st, "served", n, engine.Config{Name: "served"}, admit2, engine.GuardedConfig{})
 		if err != nil {

@@ -12,27 +12,41 @@ package engine
 // classifier and the one generation they serve at, read atomically
 // from the serving pointer, and each resume rebuilds an engine at that
 // generation, so the generation line is continuous across process
-// lifetimes. Shard i of an engine of N shards persists under its own
-// line, ShardSnapshotName(name, i, N) — the line name itself for one
-// shard — and every line of one save carries the same stamp.
+// lifetimes.
 //
-// On-disk unit: a self-describing envelope around the backend's own
-// Persistable payload,
+// On-disk unit: one record per save, stored under the engine's name
+// at its generation whatever the shard count — a self-describing
+// envelope around every shard's Persistable payload and, for a guarded
+// engine, the admission state that guards them:
 //
-//	magic    "SNAP" 0x01 (format version)
+//	magic    "SNAP" 0x02 (format version)
 //	uvarint  len(backend), backend registry name bytes
 //	uvarint  generation
-//	uvarint  len(payload), payload bytes (Persistable.Save output)
+//	uvarint  shard count (at least 1)
+//	per shard, in shard order:
+//	  uvarint len(payload), payload bytes (Persistable.Save output)
+//	uvarint  section count
+//	per section:
+//	  uvarint len(label), label bytes   ("admitter" | "quarantine")
+//	  uvarint len(payload), payload bytes (the persister's SaveState)
 //	uint32   big-endian CRC-32 (IEEE) of every preceding byte
 //
-// The backend name makes the file loadable with no out-of-band
+// The backend name makes the record loadable with no out-of-band
 // configuration (resume looks the backend up in the registry), the
-// stamped generation survives the round trip, and the trailing
-// checksum rejects truncation and bit rot before a partial database
-// can load. A format change must bump the version byte; the golden
-// envelope fixture pins the layout.
+// stamped generation survives the round trip, and the one trailing
+// checksum rejects truncation and bit rot anywhere in the save before
+// partial state can load: a save lands whole or not at all. A format
+// change must bump the version byte; the golden fixtures pin the
+// layout.
 //
-// Envelopes live in a SnapshotStore keyed by (name, generation). The
+// Version 1, the layout before one record per save, still decodes: it
+// held one shard's payload and no sections ("SNAP" 0x01, backend,
+// generation, one length-prefixed payload, CRC), with a guard's state
+// in a separate "<name>.admission" sidecar that resume reads for such
+// a record only. A fleet stored one version-1 line per shard
+// ("<name>.shard<i>"); that layout is refused, never resumed.
+//
+// Records live in a SnapshotStore keyed by (name, generation). The
 // filesystem implementation (DirStore) writes each generation to its
 // own file via temp-file + rename, so a crash mid-save can never
 // clobber the previous good generation, and keeps old generations
@@ -52,10 +66,10 @@ import (
 	"sync"
 )
 
-// snapMagic is the envelope magic plus format version byte. Bump the
-// version when the layout changes; DecodeEnvelope rejects unknown
-// versions rather than guessing.
-var snapMagic = [5]byte{'S', 'N', 'A', 'P', 1}
+// snapMagic is the envelope magic plus the format version byte Encode
+// writes. DecodeEnvelope also reads version 1 and rejects every other
+// version rather than guessing.
+var snapMagic = [5]byte{'S', 'N', 'A', 'P', 2}
 
 // maxBackendName bounds the backend-name field so a corrupt header
 // cannot demand an absurd read.
@@ -65,76 +79,85 @@ const maxBackendName = 255
 // generations (or none that survive validation) for the given name.
 var ErrNoSnapshot = errors.New("engine: no valid snapshot")
 
-// Envelope is the decoded form of one persisted snapshot: which
-// backend wrote the payload, the serving generation it was published
-// as, and the backend's own Save output.
+// Envelope is the decoded form of one persisted save: which backend
+// wrote the shard payloads, the serving generation they were published
+// as, every shard's Save output, and the guard's admission state.
 type Envelope struct {
-	// Backend is the engine registry name that can Load the payload.
+	// Backend is the engine registry name that can Load the payloads.
 	Backend string
 	// Generation is the serving generation the snapshot was saved at.
 	Generation uint64
-	// Payload is the backend's Persistable.Save output.
+	// Shards holds each shard's Persistable.Save output, in shard
+	// order. A record holds at least one.
+	Shards [][]byte
+	// Sections holds the guard's durable admission state, one labeled
+	// section per persisting component; a plain engine save has none.
+	Sections []Section
+	// v1 marks a record decoded from the version-1 layout, whose guard
+	// state, if any, is in the retired "<name>.admission" sidecar.
+	v1 bool
+}
+
+// Section is one labeled admission-state payload of a record: the
+// SaveState output of the guard's admitter ("admitter") or quarantine
+// sink ("quarantine").
+type Section struct {
+	Label   string
 	Payload []byte
 }
 
-// Encode serializes the envelope, including the trailing checksum.
+// Encode serializes the envelope in the current format, including the
+// trailing checksum.
 func (env Envelope) Encode() []byte {
+	size := len(snapMagic) + len(env.Backend) + 4
+	for _, p := range env.Shards {
+		size += len(p)
+	}
+	for _, s := range env.Sections {
+		size += len(s.Label) + len(s.Payload)
+	}
 	var b bytes.Buffer
-	b.Grow(len(snapMagic) + 2*binary.MaxVarintLen64 + len(env.Backend) + len(env.Payload) + 8)
+	b.Grow(size + (4+len(env.Shards)+2*len(env.Sections))*binary.MaxVarintLen64)
 	b.Write(snapMagic[:])
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) { b.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	put(uint64(len(env.Backend)))
-	b.WriteString(env.Backend)
+	field := func(p []byte) { put(uint64(len(p))); b.Write(p) }
+	field([]byte(env.Backend))
 	put(env.Generation)
-	put(uint64(len(env.Payload)))
-	b.Write(env.Payload)
+	put(uint64(len(env.Shards)))
+	for _, p := range env.Shards {
+		field(p)
+	}
+	put(uint64(len(env.Sections)))
+	for _, s := range env.Sections {
+		field([]byte(s.Label))
+		field(s.Payload)
+	}
 	var crc [4]byte
 	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b.Bytes()))
 	b.Write(crc[:])
 	return b.Bytes()
 }
 
-// DecodeEnvelope parses and validates an encoded envelope: magic and
-// version, checksum over the entire preceding content, bounded header
-// fields, and an exact-length payload (trailing bytes are corruption,
-// not padding). The returned payload aliases data.
+// DecodeEnvelope parses and validates an encoded envelope of either
+// version: magic and version, checksum over the entire preceding
+// content, bounded header fields, at least one shard, and exact
+// framing (trailing bytes are corruption, not padding). A version-1
+// envelope decodes as a one-shard record with no sections. The
+// returned payloads alias data.
 func DecodeEnvelope(data []byte) (Envelope, error) {
-	if len(data) < len(snapMagic)+4 {
-		return Envelope{}, fmt.Errorf("engine: snapshot truncated (%d bytes)", len(data))
-	}
-	if !bytes.Equal(data[:4], snapMagic[:4]) {
-		return Envelope{}, fmt.Errorf("engine: bad snapshot magic %q", data[:4])
-	}
-	if data[4] != snapMagic[4] {
-		return Envelope{}, fmt.Errorf("engine: snapshot format version %d, want %d", data[4], snapMagic[4])
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if sum := crc32.ChecksumIEEE(body); sum != binary.BigEndian.Uint32(tail) {
-		return Envelope{}, fmt.Errorf("engine: snapshot checksum mismatch (have %08x, stored %08x)",
-			sum, binary.BigEndian.Uint32(tail))
-	}
-	r := bytes.NewReader(body[len(snapMagic):])
-	read := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return 0, fmt.Errorf("engine: snapshot %s: %w", what, err)
-		}
-		return v, nil
-	}
-	blen, err := read("backend name length")
+	version, f, err := openRecord(data, "SNAP", "snapshot", snapMagic[4])
 	if err != nil {
 		return Envelope{}, err
 	}
-	if blen == 0 || blen > maxBackendName {
-		return Envelope{}, fmt.Errorf("engine: snapshot backend name length %d", blen)
+	name, err := f.field("backend name")
+	if err != nil {
+		return Envelope{}, err
 	}
-	if uint64(r.Len()) < blen {
-		return Envelope{}, fmt.Errorf("engine: snapshot truncated in backend name")
+	if len(name) == 0 || len(name) > maxBackendName {
+		return Envelope{}, fmt.Errorf("engine: snapshot backend name length %d", len(name))
 	}
-	name := make([]byte, blen)
-	r.Read(name)
-	gen, err := read("generation")
+	gen, err := f.uvarint("generation")
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -144,15 +167,129 @@ func DecodeEnvelope(data []byte) (Envelope, error) {
 		// no resume path can feed it to a constructor.
 		return Envelope{}, fmt.Errorf("engine: snapshot stamped generation 0")
 	}
-	plen, err := read("payload length")
-	if err != nil {
+	env := Envelope{Backend: string(name), Generation: gen, v1: version == 1}
+	if env.v1 {
+		payload, err := f.field("payload")
+		if err != nil {
+			return Envelope{}, err
+		}
+		env.Shards = [][]byte{payload}
+	} else {
+		n, err := f.count("shard count")
+		if err != nil {
+			return Envelope{}, err
+		}
+		if n == 0 {
+			return Envelope{}, fmt.Errorf("engine: snapshot holds no shards")
+		}
+		env.Shards = make([][]byte, n)
+		for i := range env.Shards {
+			if env.Shards[i], err = f.field("shard payload"); err != nil {
+				return Envelope{}, err
+			}
+		}
+		if env.Sections, err = f.sections(); err != nil {
+			return Envelope{}, err
+		}
+	}
+	if err := f.end(); err != nil {
 		return Envelope{}, err
 	}
-	if uint64(r.Len()) != plen {
-		return Envelope{}, fmt.Errorf("engine: snapshot payload length %d, have %d bytes", plen, r.Len())
+	return env, nil
+}
+
+// openRecord checks the framing every checksummed record shares — a
+// four-byte magic, a version byte from 1 to newest, and a trailing
+// big-endian CRC-32 (IEEE) of every preceding byte — and returns the
+// version and a reader over the fields between.
+func openRecord(data []byte, magic, what string, newest byte) (byte, *fields, error) {
+	if len(data) < len(magic)+1+4 {
+		return 0, nil, fmt.Errorf("engine: %s truncated (%d bytes)", what, len(data))
 	}
-	payload := body[len(body)-r.Len():]
-	return Envelope{Backend: string(name), Generation: gen, Payload: payload}, nil
+	if string(data[:4]) != magic {
+		return 0, nil, fmt.Errorf("engine: bad %s magic %q", what, data[:4])
+	}
+	if v := data[4]; v < 1 || v > newest {
+		return 0, nil, fmt.Errorf("engine: %s format version %d, want 1 to %d", what, v, newest)
+	}
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	if sum := crc32.ChecksumIEEE(body); sum != binary.BigEndian.Uint32(tail) {
+		return 0, nil, fmt.Errorf("engine: %s checksum mismatch (have %08x, stored %08x)",
+			what, sum, binary.BigEndian.Uint32(tail))
+	}
+	return data[4], &fields{rest: body[5:], what: what}, nil
+}
+
+// fields reads the uvarint-framed fields of a checksummed record.
+type fields struct {
+	rest []byte // the unread bytes
+	what string // the record kind, for errors
+}
+
+// uvarint reads one uvarint.
+func (f *fields) uvarint(field string) (uint64, error) {
+	v, n := binary.Uvarint(f.rest)
+	if n <= 0 {
+		return 0, fmt.Errorf("engine: %s %s: malformed or truncated uvarint", f.what, field)
+	}
+	f.rest = f.rest[n:]
+	return v, nil
+}
+
+// count reads the uvarint count of items that take at least one byte
+// each, so a corrupt count cannot demand more items than bytes remain.
+func (f *fields) count(field string) (int, error) {
+	n, err := f.uvarint(field)
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(f.rest)) {
+		return 0, fmt.Errorf("engine: %s %s %d with %d bytes left", f.what, field, n, len(f.rest))
+	}
+	return int(n), nil
+}
+
+// field reads one length-prefixed byte string, aliasing the record.
+func (f *fields) field(field string) ([]byte, error) {
+	n, err := f.uvarint(field + " length")
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(f.rest)) {
+		return nil, fmt.Errorf("engine: %s truncated in %s", f.what, field)
+	}
+	b := f.rest[:n:n]
+	f.rest = f.rest[n:]
+	return b, nil
+}
+
+// sections reads a section count and that many labeled payloads.
+func (f *fields) sections() ([]Section, error) {
+	n, err := f.count("section count")
+	if err != nil {
+		return nil, err
+	}
+	var out []Section
+	for range n {
+		label, err := f.field("section label")
+		if err != nil {
+			return nil, err
+		}
+		payload, err := f.field("section payload")
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Section{Label: string(label), Payload: payload})
+	}
+	return out, nil
+}
+
+// end fails unless every byte has been read.
+func (f *fields) end() error {
+	if len(f.rest) != 0 {
+		return fmt.Errorf("engine: %s has %d trailing bytes", f.what, len(f.rest))
+	}
+	return nil
 }
 
 // SnapshotStore holds encoded snapshot envelopes keyed by logical
@@ -366,32 +503,44 @@ func (s *MemStore) Remove(name string, gen uint64) error {
 	return nil
 }
 
-// SaveEngine persists e's serving epoch into st under name: every
-// shard's classifier under ShardSnapshotName(name, i, N) — for one
-// shard, the line name itself — each stamped with the epoch's one
-// generation and the backend registry name resume will reconstruct it
-// through. The classifiers and generation are read in one consistent
-// atomic load, and the classifiers serialize themselves concurrently.
+// SaveEngine persists e's serving epoch into st as one record under
+// name at the epoch's generation: every shard's classifier, stamped
+// with the backend registry name resume will reconstruct it through.
+// The classifiers and generation are read in one consistent atomic
+// load, and the classifiers serialize themselves concurrently.
 // Concurrent scoring is never blocked — published epochs are
 // immutable, so Save reads the same frozen state a racing
 // ClassifyBatch does. It returns the persisted generation; on error
-// some lines may have saved (each write is atomic, so no line is ever
-// half-saved).
+// nothing was stored.
 func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, error) {
+	return saveRecord(st, name, backend, e, nil, nil) // no guard, no sections
+}
+
+// saveRecord is the one writer of a save: e's serving epoch, then the
+// durable state of admit and sink (read after the classifiers; nil
+// components have none), encoded as one record and stored in one
+// Write.
+func saveRecord(st SnapshotStore, name, backend string, e *Engine, admit Admitter, sink QuarantineSink) (uint64, error) {
 	if _, err := Lookup(backend); err != nil {
 		return 0, err
 	}
 	clfs, gen := e.Snapshots()
+	env := Envelope{Backend: backend, Generation: gen, Shards: make([][]byte, len(clfs))}
 	err := e.forEachShard(func(i int) error {
-		line := ShardSnapshotName(name, i, len(clfs))
 		var buf bytes.Buffer
 		if err := clfs[i].Save(&buf); err != nil {
-			return fmt.Errorf("engine: saving snapshot %s generation %d: %w", line, gen, err)
+			return fmt.Errorf("engine: saving %s shard %d generation %d: %w", name, i, gen, err)
 		}
-		env := Envelope{Backend: backend, Generation: gen, Payload: buf.Bytes()}
-		return st.Write(line, gen, env.Encode())
+		env.Shards[i] = buf.Bytes()
+		return nil
 	})
 	if err != nil {
+		return 0, err
+	}
+	if env.Sections, err = guardSections(admit, sink); err != nil {
+		return 0, err
+	}
+	if err := st.Write(name, gen, env.Encode()); err != nil {
 		return 0, err
 	}
 	return gen, nil
@@ -418,12 +567,26 @@ func readEnvelope(st SnapshotStore, name string, gen uint64) (Envelope, error) {
 // the first envelope that decodes, matches its stamped generation,
 // and passes validate (nil accepts anything) — the one skip-corrupt
 // scan every resume-side reader shares, so their notions of "valid"
-// cannot drift. It fails with an error wrapping ErrNoSnapshot when
-// no generation survives.
-func scanNewest(st SnapshotStore, name string, validate func(Envelope) error) (Envelope, error) {
+// cannot drift. It fails with an error wrapping ErrNoSnapshot when no
+// generation survives, and with an error naming the retired layout
+// when name holds nothing but a fleet's per-shard lines do.
+func scanNewest(st SnapshotStore, name string, validate func(*Envelope) error) (Envelope, error) {
 	gens, err := st.Generations(name)
 	if err != nil {
 		return Envelope{}, err
+	}
+	if len(gens) == 0 {
+		// Before one record per save, a fleet stored one line per shard
+		// under "<name>.shard<i>". Reporting such a store as empty would
+		// let a daemon bootstrap over the admission state it holds.
+		line := name + ".shard0"
+		old, err := st.Generations(line)
+		if err != nil {
+			return Envelope{}, err
+		}
+		if len(old) > 0 {
+			return Envelope{}, fmt.Errorf("engine: %q holds no record, but %q holds generations %v: a fleet store in the retired per-shard layout, which does not resume", name, line, old)
+		}
 	}
 	// The reported failure is the newest generation's — the snapshot
 	// an operator expected to resume — not whichever older file
@@ -441,7 +604,7 @@ func scanNewest(st SnapshotStore, name string, validate func(Envelope) error) (E
 			continue
 		}
 		if validate != nil {
-			if err := validate(env); err != nil {
+			if err := validate(&env); err != nil {
 				skip(gens[i], err)
 				continue
 			}
@@ -454,155 +617,100 @@ func scanNewest(st SnapshotStore, name string, validate func(Envelope) error) (E
 	return Envelope{}, fmt.Errorf("%w for %q", ErrNoSnapshot, name)
 }
 
-// LatestEnvelope returns name's newest envelope that decodes —
-// backend, generation, payload — without reconstructing the
-// classifier: enough to inspect a snapshot line or continue it with
+// LatestEnvelope returns name's newest record that decodes — backend,
+// generation, payloads, sections — without reconstructing the
+// classifiers: enough to inspect a snapshot line or continue it with
 // the next generation number. Unlike the resume path it does not
-// prove the payload loads into its backend. It fails with an error
+// prove the payloads load into their backend. It fails with an error
 // wrapping ErrNoSnapshot when no generation decodes.
 func LatestEnvelope(st SnapshotStore, name string) (Envelope, error) {
 	return scanNewest(st, name, nil)
 }
 
-// latestValid is the resume-side scan: the newest snapshot that
-// decodes, names a registered backend, and loads — corrupt,
-// truncated, or orphaned generations are skipped, so one bad file
-// costs one generation of history, not the deployment.
-func latestValid(st SnapshotStore, name string) (Envelope, Classifier, error) {
-	var clf Classifier
-	env, err := scanNewest(st, name, func(env Envelope) error {
-		c, err := NewFromEnvelope(env)
-		if err != nil {
-			return err
+// loadRecord is the resume-side scan: name's newest record that
+// decodes, names a registered backend, and whose every shard loads.
+// Corrupt, truncated or unloadable generations are skipped, so one bad
+// save costs one generation of history — the admission state saved
+// with it included — not the deployment. A version-1 record takes its
+// sections from the retired sidecar at its generation.
+func loadRecord(st SnapshotStore, name string) (Envelope, []Classifier, error) {
+	var clfs []Classifier
+	env, err := scanNewest(st, name, func(env *Envelope) (err error) {
+		if env.v1 {
+			if env.Sections, err = readSidecar(st, name, env.Generation); err != nil {
+				return err
+			}
 		}
-		clf = c
-		return nil
+		clfs, err = env.classifiers()
+		return err
 	})
-	if err != nil {
-		return Envelope{}, nil, err
-	}
-	return env, clf, nil
+	return env, clfs, err
 }
 
-// NewFromEnvelope reconstructs the envelope's classifier: the backend
-// is looked up by its stamped registry name, constructed fresh, and
-// loaded from the payload.
-func NewFromEnvelope(env Envelope) (Classifier, error) {
+// resumeRecord is loadRecord for an engine of shards shards: the
+// newest loadable record must hold exactly that many. A record of
+// another shard count is an error, not a reason to fall back to an
+// older one.
+func resumeRecord(st SnapshotStore, name string, shards int) (Envelope, []Classifier, error) {
+	env, clfs, err := loadRecord(st, name)
+	if err == nil && len(clfs) != shards {
+		err = fmt.Errorf("engine: resuming %q: generation %d holds %d shard(s), want %d", name, env.Generation, len(clfs), shards)
+	}
+	return env, clfs, err
+}
+
+// classifiers reconstructs every shard's classifier: the backend is
+// looked up by its stamped registry name, constructed fresh per
+// shard, and loaded from that shard's payload.
+func (env Envelope) classifiers() ([]Classifier, error) {
 	b, err := Lookup(env.Backend)
 	if err != nil {
 		return nil, err
 	}
-	clf := b.New()
-	if err := clf.Load(bytes.NewReader(env.Payload)); err != nil {
-		return nil, err
+	clfs := make([]Classifier, len(env.Shards))
+	for i, payload := range env.Shards {
+		clfs[i] = b.New()
+		if err := clfs[i].Load(bytes.NewReader(payload)); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
 	}
-	return clf, nil
+	return clfs, nil
 }
 
-// ResumeEngine restores an Engine of shards shards from name's lines:
-// the whole engine resumes at the newest generation every shard line
-// holds and can load, and serves at that persisted generation (not 1),
-// so the generation line — and every consumer watching it for
+// NewFromEnvelope reconstructs the classifier of a one-shard record.
+func NewFromEnvelope(env Envelope) (Classifier, error) {
+	if len(env.Shards) != 1 {
+		return nil, fmt.Errorf("engine: a record of %d shards holds no single classifier", len(env.Shards))
+	}
+	clfs, err := env.classifiers()
+	if err != nil {
+		return nil, err
+	}
+	return clfs[0], nil
+}
+
+// ResumeEngine restores an Engine of shards shards from name's newest
+// record whose every shard loads, serving at that persisted generation
+// (not 1), so the generation line — and every consumer watching it for
 // provenance — continues across the restart. Corrupt, truncated or
-// orphaned generations are skipped, so one bad file costs one
-// generation of history, not the deployment. It returns shard 0's
-// envelope of the resumed generation beside the engine (every line's
-// carries the same generation), and fails with an error wrapping
-// ErrNoSnapshot when no generation qualifies.
+// unloadable generations are skipped, so one bad file costs one
+// generation of history, not the deployment. It returns the resumed
+// record beside the engine, fails when that record holds another
+// shard count, and fails with an error wrapping ErrNoSnapshot when no
+// generation loads.
 func ResumeEngine(st SnapshotStore, name string, shards int, cfg Config) (*Engine, Envelope, error) {
-	clfs, env, _, err := resumeEpoch(st, name, shards)
+	env, clfs, err := resumeRecord(st, name, shards)
 	if err != nil {
 		return nil, Envelope{}, err
 	}
 	return newEngine(clfs, env.Generation, cfg), env, nil
 }
 
-// resumeEpoch loads the epoch a resume restores from name's shards
-// lines: the newest generation every line holds and can load. It also
-// returns shard 0's envelope of that generation and newest, the newest
-// generation any line can load — where a guard's admission sidecar is
-// read, so a store whose lines diverge never resumes with less
-// admission state than the newest save left. Each line's own newest
-// loadable generation is found first; when they agree (every save
-// writes all lines at one generation) that is the epoch, otherwise
-// the generations below them that every line holds are tried newest
-// first.
-func resumeEpoch(st SnapshotStore, name string, shards int) ([]Classifier, Envelope, uint64, error) {
-	if shards < 1 {
-		return nil, Envelope{}, 0, fmt.Errorf("engine: resuming %q with %d shards", name, shards)
-	}
-	lines := make([]string, shards)
-	envs := make([]Envelope, shards)
-	clfs := make([]Classifier, shards)
-	for i := range lines {
-		lines[i] = ShardSnapshotName(name, i, shards)
-		var err error
-		if envs[i], clfs[i], err = latestValid(st, lines[i]); err != nil {
-			if shards == 1 {
-				return nil, Envelope{}, 0, err
-			}
-			return nil, Envelope{}, 0, fmt.Errorf("engine: resuming shard %d of %q: %w", i, name, err)
-		}
-	}
-	newest, oldest := envs[0].Generation, envs[0].Generation
-	for _, env := range envs[1:] {
-		newest, oldest = max(newest, env.Generation), min(oldest, env.Generation)
-	}
-	if newest == oldest {
-		return clfs, envs[0], newest, nil
-	}
-	// The lines diverge: walk line 0's generations at or below the
-	// oldest line's newest, newest first. A generation another line
-	// does not hold fails to load there, like a corrupt one.
-	gens, err := st.Generations(lines[0])
-	if err != nil {
-		return nil, Envelope{}, 0, err
-	}
-	for j := len(gens) - 1; j >= 0; j-- {
-		if gens[j] > oldest {
-			continue
-		}
-		if loaded, env, ok := loadEpoch(st, lines, gens[j], envs, clfs); ok {
-			return loaded, env, newest, nil
-		}
-	}
-	newests := make([]uint64, shards)
-	for i, env := range envs {
-		newests[i] = env.Generation
-	}
-	return nil, Envelope{}, 0, fmt.Errorf("%w for %q: no generation held by all %d shard lines loads (newest per line %v)",
-		ErrNoSnapshot, name, shards, newests)
-}
-
-// loadEpoch loads every line at generation gen, reusing the
-// classifiers already loaded for lines whose newest loadable
-// generation is gen. It reports false if any line fails.
-func loadEpoch(st SnapshotStore, lines []string, gen uint64, newest []Envelope, loaded []Classifier) ([]Classifier, Envelope, bool) {
-	clfs := make([]Classifier, len(lines))
-	var first Envelope
-	for i, line := range lines {
-		env, clf := newest[i], loaded[i]
-		if env.Generation != gen {
-			var err error
-			if env, err = readEnvelope(st, line, gen); err != nil {
-				return nil, Envelope{}, false
-			}
-			if clf, err = NewFromEnvelope(env); err != nil {
-				return nil, Envelope{}, false
-			}
-		}
-		if i == 0 {
-			first = env
-		}
-		clfs[i] = clf
-	}
-	return clfs, first, true
-}
-
 // Prune removes all but the newest keep generations of name,
-// returning the removed generations. keep must be at least 1, and
-// the newest generation that still decodes is never pruned even if
-// it falls outside the kept count — it is the restart path.
+// returning the removed generations. keep must be at least 1, and the
+// generation a resume would restart from — the newest whose every
+// shard loads — is never pruned even if it falls outside the kept
+// count.
 func Prune(st SnapshotStore, name string, keep int) ([]uint64, error) {
 	if keep < 1 {
 		return nil, fmt.Errorf("engine: Prune keep %d", keep)
@@ -614,12 +722,11 @@ func Prune(st SnapshotStore, name string, keep int) ([]uint64, error) {
 	if len(gens) <= keep {
 		return nil, nil
 	}
-	// The newest generation that still decodes is the restart path —
-	// if every newer file is corrupt, it must survive the prune even
-	// when the count alone would remove it, or pruning would convert
-	// one rotten file into an unrecoverable line.
+	// If every newer file is corrupt or unloadable, the restart path
+	// must survive the prune even when the count alone would remove it,
+	// or pruning would convert rotten files into an unrecoverable line.
 	restart := uint64(0)
-	if env, err := LatestEnvelope(st, name); err == nil {
+	if env, _, err := loadRecord(st, name); err == nil {
 		restart = env.Generation
 	}
 	var removed []uint64
@@ -633,16 +740,4 @@ func Prune(st SnapshotStore, name string, keep int) ([]uint64, error) {
 		removed = append(removed, gen)
 	}
 	return removed, nil
-}
-
-// ShardSnapshotName is the store key of shard i's snapshot line in an
-// engine of shards shards saved as name: "name.shard<i>", except that
-// the shard of a one-shard engine persists under name itself. (The
-// shard stats label "name/i" is not filesystem-safe, so the store key
-// scheme is its own.)
-func ShardSnapshotName(name string, shard, shards int) string {
-	if shards == 1 {
-		return name
-	}
-	return fmt.Sprintf("%s.shard%d", name, shard)
 }

@@ -3,10 +3,11 @@ package engine_test
 // Persistence-subsystem tests: envelope framing and corruption
 // rejection, the SnapshotStore implementations (atomic filesystem
 // writes, listing, pruning), engine save/resume across generations,
-// and the crash-recovery contract of a sharded engine — the resumed
-// engine serves the newest generation every shard line holds and can
-// load, with byte-identical re-saved state, and a corrupt or missing
-// shard line costs the whole fleet that generation, never one shard.
+// the crash-recovery contract of a sharded engine — the resumed
+// engine serves the newest record whose every shard loads, with
+// byte-identical re-saved state, and a corrupt record costs the whole
+// fleet that generation, never one shard — and the stores saved before
+// one record per save.
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/admission"
@@ -25,16 +27,20 @@ import (
 )
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	env := engine.Envelope{Backend: "sbayes", Generation: 7, Payload: []byte("db bytes")}
+	env := engine.Envelope{
+		Backend: "sbayes", Generation: 7,
+		Shards:   [][]byte{[]byte("db bytes"), []byte("shard 1 db")},
+		Sections: []engine.Section{{Label: "quarantine", Payload: []byte("held")}},
+	}
 	got, err := engine.DecodeEnvelope(env.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Backend != env.Backend || got.Generation != env.Generation || !bytes.Equal(got.Payload, env.Payload) {
+	if !reflect.DeepEqual(got, env) {
 		t.Fatalf("round trip = %+v", got)
 	}
 	// Empty payload is legal (an untrained filter persists too).
-	empty := engine.Envelope{Backend: "graham", Generation: 1}
+	empty := engine.Envelope{Backend: "graham", Generation: 1, Shards: [][]byte{nil}}
 	if _, err := engine.DecodeEnvelope(empty.Encode()); err != nil {
 		t.Fatalf("empty payload: %v", err)
 	}
@@ -49,7 +55,7 @@ func seal(body []byte) []byte {
 }
 
 func TestDecodeEnvelopeRejectsCorruption(t *testing.T) {
-	valid := engine.Envelope{Backend: "sbayes", Generation: 3, Payload: []byte("payload")}.Encode()
+	valid := engine.Envelope{Backend: "sbayes", Generation: 3, Shards: [][]byte{[]byte("payload")}}.Encode()
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x01
 	badVersion := append([]byte(nil), valid...)
@@ -62,10 +68,16 @@ func TestDecodeEnvelopeRejectsCorruption(t *testing.T) {
 		"flipped bit":      flipped,
 		"truncated":        valid[:len(valid)-6],
 		"trailing byte":    append(append([]byte(nil), valid...), 0x00),
-		"zero generation":  engine.Envelope{Backend: "sbayes", Payload: []byte("p")}.Encode(),
+		"zero generation":  engine.Envelope{Backend: "sbayes", Shards: [][]byte{[]byte("p")}}.Encode(),
 		"zero name length": seal(append(append([]byte(nil), "SNAP\x01"...), 0)),
 		"huge name length": seal(append(append([]byte(nil), "SNAP\x01"...), 0xff, 0xff, 0x03)),
 		"payload mismatch": seal(append(append([]byte(nil), "SNAP\x01"...), 6, 's', 'b', 'a', 'y', 'e', 's', 1, 9, 'x')),
+		"v1 trailing byte": seal(append(append([]byte(nil), "SNAP\x01"...), 6, 's', 'b', 'a', 'y', 'e', 's', 1, 1, 'x', 'y')),
+		"no shards":        engine.Envelope{Backend: "sbayes", Generation: 1}.Encode(),
+		"huge shard count": seal(append(append([]byte(nil), "SNAP\x02"...), 6, 's', 'b', 'a', 'y', 'e', 's', 1, 0xff, 0x01, 0)),
+		"shard mismatch":   seal(append(append([]byte(nil), "SNAP\x02"...), 6, 's', 'b', 'a', 'y', 'e', 's', 1, 1, 9, 'x', 0)),
+		"no section count": seal(append(append([]byte(nil), "SNAP\x02"...), 6, 's', 'b', 'a', 'y', 'e', 's', 1, 1, 1, 'x')),
+		"section mismatch": seal(append(append([]byte(nil), "SNAP\x02"...), 6, 's', 'b', 'a', 'y', 'e', 's', 1, 1, 1, 'x', 1, 1, 'q', 5, 'y')),
 	}
 	for name, data := range cases {
 		if _, err := engine.DecodeEnvelope(data); err == nil {
@@ -249,12 +261,16 @@ func TestSaveResumeEngine(t *testing.T) {
 
 // TestPruneKeepsNewestValid pins the prune/corruption interaction:
 // when the newest files have rotted, the newest generation that
-// still decodes is the restart path and survives the prune even
+// still loads is the restart path and survives the prune even
 // though the kept count alone would remove it.
 func TestPruneKeepsNewestValid(t *testing.T) {
 	st := engine.NewMemStore()
+	var db bytes.Buffer
+	if err := trained(t, "sbayes").Save(&db); err != nil {
+		t.Fatal(err)
+	}
 	for gen := uint64(1); gen <= 4; gen++ {
-		env := engine.Envelope{Backend: "sbayes", Generation: gen, Payload: []byte{byte(gen)}}
+		env := engine.Envelope{Backend: "sbayes", Generation: gen, Shards: [][]byte{db.Bytes()}}
 		if err := st.Write("line", gen, env.Encode()); err != nil {
 			t.Fatal(err)
 		}
@@ -279,13 +295,39 @@ func TestPruneKeepsNewestValid(t *testing.T) {
 	}
 }
 
+// TestPruneKeepsTheGenerationResumeLoads: a newest record that decodes
+// but whose payload does not load is no restart path. Prune must keep
+// the generation a resume restarts from, not merely the newest that
+// decodes, or it deletes the only loadable generation.
+func TestPruneKeepsTheGenerationResumeLoads(t *testing.T) {
+	st := engine.NewMemStore()
+	eng := engine.New(trained(t, "sbayes"), engine.Config{})
+	if _, err := engine.SaveEngine(st, "line", "sbayes", eng); err != nil {
+		t.Fatal(err)
+	}
+	bad := engine.Envelope{Backend: "sbayes", Generation: 2, Shards: [][]byte{[]byte("not a database")}}
+	if err := st.Write("line", 2, bad.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	removed, err := engine.Prune(st, "line", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(removed) != 0 {
+		t.Fatalf("pruned %v, want nothing: generation 1 is the only one that loads", removed)
+	}
+	if _, env, err := engine.ResumeEngine(st, "line", 1, engine.Config{}); err != nil || env.Generation != 1 {
+		t.Fatalf("resume after prune = (generation %d, %v), want generation 1", env.Generation, err)
+	}
+}
+
 func TestLatestEnvelope(t *testing.T) {
 	st := engine.NewMemStore()
 	if _, err := engine.LatestEnvelope(st, "line"); !errors.Is(err, engine.ErrNoSnapshot) {
 		t.Fatalf("empty store: %v", err)
 	}
 	for gen := uint64(1); gen <= 3; gen++ {
-		env := engine.Envelope{Backend: "sbayes", Generation: gen, Payload: []byte{byte(gen)}}
+		env := engine.Envelope{Backend: "sbayes", Generation: gen, Shards: [][]byte{{byte(gen)}}}
 		if err := st.Write("line", gen, env.Encode()); err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +360,7 @@ func TestResumeEngineErrors(t *testing.T) {
 		t.Fatalf("corrupt-only store: %v", err)
 	}
 	// A snapshot naming an unregistered backend cannot resume.
-	env := engine.Envelope{Backend: "nonesuch", Generation: 1, Payload: nil}
+	env := engine.Envelope{Backend: "nonesuch", Generation: 1, Shards: [][]byte{nil}}
 	if err := st.Write("alien", 1, env.Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -333,15 +375,14 @@ func TestResumeEngineErrors(t *testing.T) {
 }
 
 // TestShardedCrashRecovery is the kill-and-resume contract of a
-// sharded engine: persist every shard's line at each fleet publish,
+// sharded engine: persist the fleet's record at each fleet publish,
 // then "crash" — discard the engine — and resume from the store. The
 // resumed engine must serve the last published generation on every
 // shard with verdicts identical to the pre-crash epoch and re-save to
-// byte-identical snapshots. When one shard line's newest file is
-// corrupt, the whole fleet resumes at the newest generation every line
-// holds and can load — never one shard behind its peers — and a store
-// with no such generation, or a shard line that was never saved, is
-// an error.
+// a byte-identical record. When the newest record is corrupt, the
+// whole fleet resumes at the previous generation — never one shard
+// behind its peers — and a store with no loadable record, or a resume
+// of another shard count, is an error.
 func TestShardedCrashRecovery(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		st, err := engine.NewDirStore(t.TempDir())
@@ -367,7 +408,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 			return out
 		}
 		// Each fleet publish diverges every shard; each checkpoint
-		// saves every line at the fleet's generation.
+		// saves one record of every shard at the fleet's generation.
 		publishAndSave := func(word string, want uint64) []engine.Result {
 			next := make([]engine.Classifier, nsh)
 			for i := range next {
@@ -382,11 +423,9 @@ func TestShardedCrashRecovery(t *testing.T) {
 		}
 		atTwo := publishAndSave("alpha", 2)
 		atThree := publishAndSave("beta", 3)
-		stored := make([][]byte, nsh)
-		for i := range stored {
-			if stored[i], err = st.Read(engine.ShardSnapshotName("fleet", i, nsh), 3); err != nil {
-				t.Fatal(err)
-			}
+		stored, err := st.Read("fleet", 3)
+		if err != nil {
+			t.Fatal(err)
 		}
 
 		// Crash: the engine is gone; resume the fleet from disk.
@@ -416,42 +455,35 @@ func TestShardedCrashRecovery(t *testing.T) {
 		}
 		resumed := resume(3, atThree)
 
-		// Re-saving the resumed fleet reproduces the stored snapshots
-		// byte for byte — nothing drifted through the restart.
+		// Re-saving the resumed fleet reproduces the stored record byte
+		// for byte — nothing drifted through the restart.
 		st2 := engine.NewMemStore()
 		if _, err := engine.SaveEngine(st2, "fleet", backend, resumed); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < nsh; i++ {
-			data, err := st2.Read(engine.ShardSnapshotName("fleet", i, nsh), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, stored[i]) {
-				t.Errorf("shard %d re-saved snapshot differs from the stored one", i)
-			}
+		if data, err := st2.Read("fleet", 3); err != nil || !bytes.Equal(data, stored) {
+			t.Errorf("re-saved record differs from the stored one (%v)", err)
 		}
 
-		// Bit rot in one shard line's newest file costs the whole fleet
-		// that generation: every shard resumes at 2.
-		line := engine.ShardSnapshotName("fleet", 2, nsh)
-		data := append([]byte(nil), stored[2]...)
+		// Bit rot in the newest record costs the whole fleet that
+		// generation: every shard resumes at 2.
+		data := append([]byte(nil), stored...)
 		data[len(data)/2] ^= 0x01
-		if err := st.Write(line, 3, data); err != nil {
+		if err := st.Write("fleet", 3, data); err != nil {
 			t.Fatal(err)
 		}
 		resume(2, atTwo)
 
-		// With shard 0's generation 2 gone too, no generation is held
-		// and loadable by every line.
-		if err := st.Remove(engine.ShardSnapshotName("fleet", 0, nsh), 2); err != nil {
+		// With generation 2 gone too, no record loads.
+		if err := st.Remove("fleet", 2); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := engine.ResumeEngine(st, "fleet", nsh, engine.Config{}); !errors.Is(err, engine.ErrNoSnapshot) {
-			t.Fatalf("resume with no common loadable generation: %v, want ErrNoSnapshot", err)
+			t.Fatalf("resume with no loadable record: %v, want ErrNoSnapshot", err)
 		}
 
-		// A missing shard line is an error, not a silently fresh shard.
+		// A resume of another shard count is an error, not a silently
+		// fresh shard.
 		if _, _, err := engine.ResumeEngine(st2, "fleet", nsh+1, engine.Config{}); err == nil {
 			t.Fatal("ResumeEngine resumed a shard that was never saved")
 		}
@@ -525,4 +557,80 @@ func TestResumeOneShardStoreFixture(t *testing.T) {
 	if len(held) != 1 || held[0].Msg.Body != "held until review\n" || !held[0].Spam || held[0].Reason != "probe budget exhausted" {
 		t.Errorf("resumed quarantine %+v, want the one held spam candidate", held)
 	}
+}
+
+// v1Record is a version-1 snapshot of one payload, sealed as every
+// save wrote it before one record per save.
+func v1Record(backend string, gen uint64, payload []byte) []byte {
+	body := append([]byte("SNAP\x01"), byte(len(backend)))
+	body = append(body, backend...)
+	body = binary.AppendUvarint(body, gen)
+	body = binary.AppendUvarint(body, uint64(len(payload)))
+	return seal(append(body, payload...))
+}
+
+// TestResumeVersion1Record: a version-1 envelope, as a one-shard save
+// wrote it before one record per save, resumes as a one-shard record
+// with no admission state, and a save over it continues its line in
+// the current format.
+func TestResumeVersion1Record(t *testing.T) {
+	var db bytes.Buffer
+	if err := trained(t, "graham").Save(&db); err != nil {
+		t.Fatal(err)
+	}
+	st := engine.NewMemStore()
+	if err := st.Write("line", 5, v1Record("graham", 5, db.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	eng, env, err := engine.ResumeEngine(st, "line", 1, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Generation() != 5 || env.Backend != "graham" || len(env.Shards) != 1 || len(env.Sections) != 0 {
+		t.Fatalf("resumed generation %d of %s with %d shards and %d sections, want 5, graham, 1, 0",
+			eng.Generation(), env.Backend, len(env.Shards), len(env.Sections))
+	}
+	if _, _, err := engine.ResumeEngine(st, "line", 3, engine.Config{}); err == nil {
+		t.Fatal("a one-shard version-1 record resumed as three shards")
+	}
+	eng.Swap(trained(t, "graham"))
+	if gen, err := engine.SaveEngine(st, "line", "graham", eng); err != nil || gen != 6 {
+		t.Fatalf("save over a version-1 line = (%d, %v), want generation 6", gen, err)
+	}
+	if data, _ := st.Read("line", 6); len(data) < 5 || data[4] != 2 {
+		t.Fatalf("save over a version-1 line wrote format version %v, want 2", data[:min(5, len(data))])
+	}
+}
+
+// TestResumeRefusesRetiredFleetLayout: before one record per save, a
+// fleet stored one version-1 line per shard ("name.shard<i>") and an
+// admission sidecar. Every resume-side reader refuses such a store with
+// an error naming the retired layout — not ErrNoSnapshot, which a
+// daemon reads as an empty store to bootstrap over.
+func TestResumeRefusesRetiredFleetLayout(t *testing.T) {
+	var db bytes.Buffer
+	if err := trained(t, "sbayes").Save(&db); err != nil {
+		t.Fatal(err)
+	}
+	st := engine.NewMemStore()
+	for i := 0; i < 2; i++ {
+		if err := st.Write(fmt.Sprintf("fleet.shard%d", i), 4, v1Record("sbayes", 4, db.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Write("fleet.admission", 4, seal([]byte("ADMS\x01\x04\x00"))); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || errors.Is(err, engine.ErrNoSnapshot) || !strings.Contains(err.Error(), "retired per-shard layout") {
+			t.Errorf("%s over a per-shard fleet store: %v, want an error naming the retired layout", what, err)
+		}
+	}
+	_, _, err := engine.ResumeEngine(st, "fleet", 2, engine.Config{})
+	refused("ResumeEngine", err)
+	_, err = engine.ResumeGuarded(st, "fleet", 2, engine.Config{}, markerAdmitter{}, engine.GuardedConfig{})
+	refused("ResumeGuarded", err)
+	_, err = engine.LatestEnvelope(st, "fleet")
+	refused("LatestEnvelope", err)
 }

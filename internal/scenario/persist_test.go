@@ -6,7 +6,6 @@ package scenario
 // sparse cadence resumes an older generation and the trace shows it.
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -151,8 +150,8 @@ func TestOnlineSparseCheckpointLosesGenerations(t *testing.T) {
 }
 
 // TestOnlineShardedCrashRecoveryTransparent is the fleet version of
-// the transparency claim, and additionally pins that every shard's
-// line holds the fleet's generations and the lines resume together.
+// the transparency claim, and additionally pins that each checkpoint
+// is one record of every shard and the newest resumes the fleet.
 func TestOnlineShardedCrashRecoveryTransparent(t *testing.T) {
 	g := testGen(t)
 	cfg := durableCfg()
@@ -176,30 +175,27 @@ func TestOnlineShardedCrashRecoveryTransparent(t *testing.T) {
 		t.Fatal("week 2 not marked resumed")
 	}
 
-	// The store holds one line per shard, every line at the same
-	// generations, and the lines resume as one fleet outside the
-	// scenario.
-	var first []uint64
-	for i := 0; i < cfg.Shards; i++ {
-		name := engine.ShardSnapshotName(ShardedCheckpointName, i, cfg.Shards)
-		gens, err := store.Generations(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gens) == 0 {
-			t.Fatalf("shard %d has no persisted generations", i)
-		}
-		if i == 0 {
-			first = gens
-		} else if !slices.Equal(gens, first) {
-			t.Errorf("shard %d line holds generations %v, shard 0 %v", i, gens, first)
-		}
+	// The store holds one record per checkpoint, each of every shard,
+	// and the newest resumes as one fleet outside the scenario.
+	gens, err := store.Generations(ShardedCheckpointName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gens) == 0 {
+		t.Fatal("no persisted generations")
+	}
+	env, err := engine.LatestEnvelope(store, ShardedCheckpointName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(env.Shards) != cfg.Shards {
+		t.Errorf("newest record holds %d shards, want %d", len(env.Shards), cfg.Shards)
 	}
 	resumed, _, err := engine.ResumeEngine(store, ShardedCheckpointName, cfg.Shards, engine.Config{})
 	if err != nil {
-		t.Fatalf("the shard lines do not resume outside the scenario: %v", err)
+		t.Fatalf("the record does not resume outside the scenario: %v", err)
 	}
-	if got, want := resumed.Generation(), first[len(first)-1]; got != want {
+	if got, want := resumed.Generation(), gens[len(gens)-1]; got != want {
 		t.Errorf("fleet resumed at generation %d, want the newest saved %d", got, want)
 	}
 }

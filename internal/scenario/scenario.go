@@ -172,10 +172,10 @@ type Config struct {
 	// every CheckpointEvery-th snapshot publish is persisted into the
 	// store through the engine persistence layer (the bootstrap
 	// snapshot is saved up front, so a crash in week 1 still has a
-	// restart point). Single-engine mode persists under the name
-	// "scenario-online"; sharded mode saves every shard's own line
-	// under "scenario-sharded.shard<i>", all at the fleet's
-	// generation. RunOnline only.
+	// restart point). Each save is one record of every shard at the
+	// fleet's generation, under the name "scenario-online" in
+	// single-engine mode and "scenario-sharded" in sharded mode.
+	// RunOnline only.
 	Checkpoints engine.SnapshotStore
 	// CheckpointEvery saves every Nth publish (<= 0 selects 1, every
 	// publish). A value above 1 models a deployment that checkpoints
@@ -184,8 +184,8 @@ type Config struct {
 	CheckpointEvery int
 	// CrashAtWeek, if > 0, simulates a process crash at the end of
 	// that week: the serving engine (every shard, in sharded mode) is
-	// discarded and resumed from Checkpoints' newest generation that
-	// every shard line holds and can load, so the following weeks are served — and incremental
+	// discarded and resumed from Checkpoints' newest record whose every
+	// shard loads, so the following weeks are served — and incremental
 	// retrains are branched — from the restored snapshot. Requires
 	// Checkpoints. The crash point is fixed in simulated time, so the
 	// trace stays deterministic.
@@ -491,8 +491,8 @@ type OnlineWeekReport struct {
 	// single-engine mode.
 	ByShard []eval.Confusion
 	// Checkpointed counts the snapshot saves performed this week
-	// (Config.Checkpoints; in sharded mode one save of every shard's
-	// line is one checkpoint).
+	// (Config.Checkpoints; in sharded mode one record of every shard
+	// is one checkpoint).
 	Checkpointed int
 	// Resumed is true when the simulated crash hit this week's end
 	// (Config.CrashAtWeek): the engine was discarded and restored
@@ -507,11 +507,10 @@ type OnlineResult struct {
 	Weeks []OnlineWeekReport
 }
 
-// Snapshot-store keys of the online deployment's checkpoint lines
+// Snapshot-store keys of the online deployment's checkpoint records
 // (Config.Checkpoints): the single engine persists under
-// OnlineCheckpointName; sharded mode persists each shard under
-// engine.ShardSnapshotName(ShardedCheckpointName, i, Shards), every
-// line at the one fleet generation.
+// OnlineCheckpointName, sharded mode under ShardedCheckpointName, one
+// record of every shard per checkpoint.
 const (
 	OnlineCheckpointName  = "scenario-online"
 	ShardedCheckpointName = "scenario-sharded"
@@ -587,8 +586,8 @@ func (c *checkpointer) published() (bool, error) {
 // With cfg.Checkpoints set the deployment is durable: publishes are
 // persisted through the engine persistence layer on the
 // CheckpointEvery cadence, and cfg.CrashAtWeek simulates the restart
-// — the fleet is discarded at that week's end and resumed at the newest
-// generation every shard line holds and can load, so the remaining weeks
+// — the fleet is discarded at that week's end and resumed from the
+// newest record whose every shard loads, so the remaining weeks
 // measure what users experience after a recovery (including any
 // generations the checkpoint cadence lost).
 func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, error) {
@@ -642,8 +641,8 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 	ctx := context.Background()
 
 	// Durable mode: persist the bootstrap fleet up front, then
-	// checkpoint publishes on the configured cadence, every shard under
-	// its own line at the fleet's generation. The save closure reads sh
+	// checkpoint publishes on the configured cadence, one record of
+	// every shard at the fleet's generation. The save closure reads sh
 	// through the variable, so post-crash checkpoints persist the
 	// resumed fleet.
 	ckpt := newCheckpointer(cfg, func() error {
@@ -786,8 +785,8 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 
 		// Simulated crash: the process dies at this week's end, taking
 		// the in-memory fleet with it (the mail stores are the org's disk
-		// and survive). The restart resumes the newest generation every
-		// shard line holds and can load — if the cadence skipped recent
+		// and survive). The restart resumes the newest record whose every
+		// shard loads — if the cadence skipped recent
 		// publishes, the resumed filter is older than the one that just
 		// served, and the trace shows it.
 		if week == cfg.CrashAtWeek {

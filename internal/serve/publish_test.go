@@ -1,8 +1,9 @@
 package serve_test
 
 // The daemon's publishes against its answers: every verdict names the
-// generation that scored it, and an admin resume cannot be undone by a
-// learn batch that was already in flight.
+// generation that scored it, an admin resume cannot be undone by a
+// learn batch that was already in flight, and an admin save cannot
+// land while a publish's review has the held mail detached.
 
 import (
 	"bytes"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/mail"
 	"repro/internal/serve"
@@ -203,5 +205,100 @@ func TestResumeWaitsForInFlightLearnBatch(t *testing.T) {
 	}
 	if after.Score != saved.Score {
 		t.Errorf("marker scores %v after the resume, %v in the saved model: the in-flight batch undid the resume", after.Score, saved.Score)
+	}
+}
+
+// TestSaveWaitsForQuarantineReview: a publish's PostPublish review
+// takes the held mail out of the quarantine while it judges it. A save
+// that ran then would persist an empty quarantine while the live one
+// keeps the mail, and a restart would free it. /admin/save runs on the
+// learn loop, so it saves after the review has put the undecided mail
+// back.
+func TestSaveWaitsForQuarantineReview(t *testing.T) {
+	q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 8, MaxReviews: 10})
+	var block atomic.Bool
+	judging, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	judge := func(*mail.Message, *tokenize.TokenStream, bool) admission.Decision {
+		if block.Load() {
+			once.Do(func() { close(judging) })
+			<-release
+		}
+		return admission.Decision{Verdict: admission.Held, Reason: "undecided"}
+	}
+	gcfg := engine.GuardedConfig{Quarantine: q, PostPublish: []func(){func() { q.Review(judge) }}}
+	store := engine.NewMemStore()
+	srv := serve.New(newGuarded(t, "sbayes", holdAll{}, gcfg), serve.Config{Store: store, Name: "served", Backend: "sbayes"})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	g := testGen(t)
+	rng := stats.NewRNG(17)
+	learn := func() {
+		t.Helper()
+		if code := postJSON(t, client, ts.URL+"/learn", serve.LearnRequest{Message: wireMsg(g.SpamMessage(rng)), Spam: true}, nil); code != http.StatusAccepted {
+			t.Fatalf("learn: status %d", code)
+		}
+	}
+
+	// The first publish holds one candidate and reviews it undecided.
+	learn()
+	if code := postJSON(t, client, ts.URL+"/admin/flush", struct{}{}, nil); code != http.StatusOK {
+		t.Fatalf("flush: status %d", code)
+	}
+	// The next publish's review blocks in the judge.
+	block.Store(true)
+	learn()
+	flushed := make(chan int, 1)
+	go func() {
+		resp, err := client.Post(ts.URL+"/admin/flush", "application/json", nil)
+		if err != nil {
+			flushed <- 0
+			return
+		}
+		resp.Body.Close()
+		flushed <- resp.StatusCode
+	}()
+	select {
+	case <-judging:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the publish never reviewed the held mail")
+	}
+	saved := make(chan int, 1)
+	go func() {
+		resp, err := client.Post(ts.URL+"/admin/save", "application/json", nil)
+		if err != nil {
+			saved <- 0
+			return
+		}
+		resp.Body.Close()
+		saved <- resp.StatusCode
+	}()
+	// Give a save that does not wait for the review time to land, then
+	// let the review finish.
+	code, done := 0, false
+	select {
+	case code = <-saved:
+		done = true
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if fl := <-flushed; fl != http.StatusOK {
+		t.Fatalf("flush: status %d", fl)
+	}
+	if !done {
+		code = <-saved
+	}
+	if code != http.StatusOK {
+		t.Fatalf("save: status %d", code)
+	}
+
+	q2 := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 8})
+	if _, err := engine.ResumeGuarded(store, "served", 1, engine.Config{}, holdAll{}, engine.GuardedConfig{Quarantine: q2}); err != nil {
+		t.Fatal(err)
+	}
+	if q.Len() != 2 || q2.Len() != q.Len() {
+		t.Fatalf("the save persisted %d held while the live quarantine holds %d, want both 2", q2.Len(), q.Len())
 	}
 }

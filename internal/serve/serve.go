@@ -84,7 +84,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// Store, when non-nil, enables the save/resume admin endpoints.
 	Store engine.SnapshotStore
-	// Name is the snapshot line's store key (defaults to "served").
+	// Name is the store key of the saved records (defaults to "served").
 	Name string
 	// Backend is the backend name stamped into saved snapshots, so a
 	// resume can rebuild the right classifier.
@@ -313,11 +313,12 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // learnLoop is the single learn consumer and the daemon's one
 // publisher: it drains queued submissions in batches of at most
 // LearnBatch, publishes each batch through the guard's incremental
-// retrain, and runs the admin operations (flush, resume) between
+// retrain, and runs the admin operations (flush, save, resume) between
 // batches, so a resume never lands under a batch that cloned the
-// epoch it replaces. Everything the training path can do to stall — a
-// slow probe, a wedged admitter — stalls only this goroutine; the
-// queue then fills and the handlers shed, never block.
+// epoch it replaces and a save never runs mid-publish. Everything the
+// training path can do to stall — a slow probe, a wedged admitter —
+// stalls only this goroutine; the queue then fills and the handlers
+// shed, never block.
 func (s *Server) learnLoop() {
 	defer close(s.loopDone)
 	var pending []learnReq
@@ -613,15 +614,23 @@ func (s *Server) onLearnLoop(w http.ResponseWriter, r *http.Request, what string
 	}
 }
 
-// handleSave persists the serving snapshot of every shard plus the
-// admission sidecar (SaveGuarded), all at the one serving generation:
-// for one shard, the line Name and its sidecar.
+// handleSave persists the serving snapshot of every shard and the
+// admission state as one record under Name at the one serving
+// generation (SaveGuarded). It runs on the learn loop, between
+// publishes, so it never saves while a publish's quarantine review
+// has the held mail detached: what is held is in the record.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")
 		return
 	}
-	gen, err := engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
+	var gen uint64
+	var err error
+	if !s.onLearnLoop(w, r, "save", func(*[]learnReq) {
+		gen, err = engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
+	}) {
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -635,13 +644,12 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 
 // handleResume restores the persisted state into the running daemon
 // through the same resume start-up runs (Guarded.Resume): the newest
-// generation every shard line holds and can load is published as one
-// new epoch through the guard's hooks, then the admission sidecar
-// saved with it is loaded back — held mail stays held, spent probe
-// budget stays spent. It runs on the learn loop, after any batch in
-// flight has published, so no batch trained on the replaced epoch
-// publishes over the resumed one. A store with nothing to resume
-// answers 404.
+// record whose every shard loads is published as one new epoch
+// through the guard's hooks, then the admission state saved in it is
+// loaded back — held mail stays held, spent probe budget stays spent.
+// It runs on the learn loop, after any batch in flight has published,
+// so no batch trained on the replaced epoch publishes over the resumed
+// one. A store with nothing to resume answers 404.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")

@@ -324,7 +324,7 @@ func TestQuarantineSurvivesDaemonSaveResume(t *testing.T) {
 				t.Fatalf("resume: status %d (%+v)", code, rs)
 			}
 			if !rs.AdmissionLoaded {
-				t.Fatal("resume did not load the admission sidecar")
+				t.Fatal("resume did not load the saved admission state")
 			}
 			if rs.SnapshotGeneration != slices.Max(sv.Generations) {
 				t.Errorf("resumed snapshot generation %d, saved %v", rs.SnapshotGeneration, sv.Generations)
@@ -590,7 +590,7 @@ func TestLearnVetsThroughAdmission(t *testing.T) {
 
 // TestShardedServeRoundTrip drives the fleet mode: batch scoring
 // routes across shards, learns partition to their shards, and save
-// persists one snapshot line per shard.
+// persists one record of every shard.
 func TestShardedServeRoundTrip(t *testing.T) {
 	b, err := engine.Lookup("sbayes")
 	if err != nil {
@@ -645,8 +645,8 @@ func TestShardedServeRoundTrip(t *testing.T) {
 			t.Errorf("shard %d saved at generation %d, the fleet serves %d", i, gen, fl.Generation)
 		}
 	}
-	// A fleet resumes in place: every shard's line is published as one
-	// new fleet generation.
+	// A fleet resumes in place: every shard of the record is published
+	// as one new fleet generation.
 	var rs serve.ResumeResponse
 	if code := postJSON(t, client, ts.URL+"/admin/resume", struct{}{}, &rs); code != http.StatusOK {
 		t.Fatalf("fleet in-place resume: status %d", code)
@@ -660,7 +660,7 @@ func TestShardedServeRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The persisted lines resume into a working fleet.
+	// The persisted record resumes into a working fleet.
 	resumed, _, err := engine.ResumeEngine(store, "fleet", shards, engine.Config{Name: "fleet"})
 	if err != nil {
 		t.Fatal(err)
@@ -674,9 +674,9 @@ func TestShardedServeRoundTrip(t *testing.T) {
 }
 
 // TestResumeFallsBackPastUnloadableShardLine pins that /admin/resume
-// runs the start-up resume: when one shard line's newest snapshot
-// decodes but its payload does not load, the fleet resumes in place at
-// the newest generation every line can load — 200, one generation on
+// runs the start-up resume: when the newest record decodes but one
+// shard's payload does not load, the fleet resumes in place at the
+// previous record, admission state included — 200, one generation on
 // every shard — instead of failing the request or serving that shard
 // older than its peers.
 func TestResumeFallsBackPastUnloadableShardLine(t *testing.T) {
@@ -710,9 +710,13 @@ func TestResumeFallsBackPastUnloadableShardLine(t *testing.T) {
 	if second <= first {
 		t.Fatalf("second save at generation %d after %d", second, first)
 	}
-	// A well-formed envelope whose payload the backend cannot load.
-	bad := engine.Envelope{Backend: "sbayes", Generation: second, Payload: []byte("not a database")}
-	if err := store.Write(engine.ShardSnapshotName("fleet", 1, shards), second, bad.Encode()); err != nil {
+	// A well-formed record whose shard 1 the backend cannot load.
+	bad, err := engine.LatestEnvelope(store, "fleet")
+	if err != nil || bad.Generation != second {
+		t.Fatalf("newest record at generation %d (%v), want %d", bad.Generation, err, second)
+	}
+	bad.Shards[1] = []byte("not a database")
+	if err := store.Write("fleet", second, bad.Encode()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -721,7 +725,7 @@ func TestResumeFallsBackPastUnloadableShardLine(t *testing.T) {
 		t.Fatalf("resume past an unloadable shard line: status %d", code)
 	}
 	if rs.SnapshotGeneration != first || !rs.AdmissionLoaded {
-		t.Errorf("resumed %+v, want snapshot generation %d with the admission sidecar", rs, first)
+		t.Errorf("resumed %+v, want snapshot generation %d with its admission state", rs, first)
 	}
 	for i, sh := range g.Stats().Shards {
 		if sh.Generation != rs.Generation {

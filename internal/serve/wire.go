@@ -87,16 +87,16 @@ type FlushResponse struct {
 }
 
 // SaveResponse reports the snapshot generations a save persisted, one
-// per shard (one for a single engine); a save writes every shard at
-// the one serving generation.
+// per shard (one for a single engine); a save writes one record of
+// every shard at the one serving generation.
 type SaveResponse struct {
 	Generations []uint64 `json:"generations"`
 }
 
 // ResumeResponse reports an in-place resume: the snapshot generation
 // the classifiers were restored from, the new serving generation they
-// were published as, and whether an admission sidecar was loaded with
-// them.
+// were published as, and whether the record carried admission state
+// that was loaded with them.
 type ResumeResponse struct {
 	SnapshotGeneration uint64 `json:"snapshotGeneration"`
 	Generation         uint64 `json:"generation"`

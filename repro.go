@@ -39,25 +39,28 @@
 // online simulation in this mode and reports per-shard at-delivery
 // confusions separating target damage from collateral. A single
 // engine is the one-shard case: with N == 1 the routing key is never
-// called and the shard keeps the engine's name as its stats label and
-// store key, so the guarded, serving, persistence and simulation
-// layers each have one code path for every shard count.
+// called and the shard keeps the engine's name as its stats label,
+// and every save is one record under the engine's name, so the
+// guarded, serving, persistence and simulation layers each have one
+// code path for every shard count.
 //
 // # Snapshot persistence
 //
 // The serving layer is durable: SaveEngine persists an engine's
 // serving epoch — every shard's classifier and their one generation,
-// read in one consistent atomic load — into a SnapshotStore, one line
-// per shard (a one-shard engine's line is its bare name), and
-// ResumeEngine restores the whole engine at the newest generation
-// every shard line holds and can load, so a restarted deployment
-// resumes the generation line instead of restarting it. Every
-// persisted snapshot is a self-describing envelope:
+// read in one consistent atomic load — into a SnapshotStore as one
+// record under the engine's name, whatever its shard count, and
+// ResumeEngine restores the whole engine from the newest record whose
+// every shard loads, so a restarted deployment resumes the generation
+// line instead of restarting it. Every save is one self-describing
+// envelope, written in one store write:
 //
-//	magic    "SNAP" 0x01 (format version)
+//	magic    "SNAP" 0x02 (format version)
 //	uvarint  len(backend), backend registry name
 //	uvarint  generation
-//	uvarint  len(payload), payload (the backend's Save output)
+//	uvarint  shard count, then per shard uvarint len(payload), payload
+//	uvarint  section count, then per section a length-prefixed label
+//	         ("admitter" | "quarantine") and payload
 //	uint32   big-endian CRC-32 (IEEE) of every preceding byte
 //
 // The stamped backend name means resume needs no out-of-band
@@ -66,7 +69,9 @@
 // before partial state can load. Resume scans generations newest to
 // oldest and falls back past invalid ones, so one bad file costs one
 // generation of history, never the deployment; a store with no valid
-// generation fails with ErrNoSnapshot. The filesystem store writes
+// generation fails with ErrNoSnapshot. Version-1 envelopes (one
+// shard, no sections) still resume; a fleet stored in the retired
+// one-line-per-shard layout is refused. The filesystem store writes
 // via temp-file + rename (atomic against crashes mid-save) and keeps
 // old generations until PruneSnapshots removes them. Golden-file
 // tests pin the envelope and both backend database formats, and
@@ -124,8 +129,8 @@
 // submission through the admission guard — the admitflow analyzer
 // proves the daemon has no other training path — and admin endpoints
 // for deterministic flush, snapshot save, and in-place resume (which
-// restores the admission sidecar, so a resume cannot amnesty held
-// mail). The learn path is asynchronous and bounded: submissions
+// restores the admission state saved in the record, so a resume
+// cannot amnesty held mail). The learn path is asynchronous and bounded: submissions
 // enter a fixed-depth queue consumed by one publisher goroutine, and
 // when the queue is full — backlog, or an admitter wedged mid-probe —
 // the daemon sheds the submission with 503 + Retry-After and keeps
@@ -140,9 +145,9 @@
 // and skip unknown keys; each body and each batch line is capped at
 // 1 MiB, and batches of any length stream full duplex, verdicts going
 // out while the request is still arriving. One constructor serves a
-// guard of any fleet size; a fleet saves every shard's line at its one
-// generation plus one admission sidecar, and resumes in place through
-// the same resume start-up runs.
+// guard of any fleet size; a save writes one record of every shard at
+// the one generation plus the admission state, and a fleet resumes in
+// place through the same resume start-up runs.
 // cmd/sbserved wires this into a runnable daemon (flood gate +
 // incremental RONI + quarantine, snapshot-dir persistence with
 // save-on-shutdown and resume-at-startup, -shards 0 or 1 for one
@@ -551,9 +556,14 @@ func NewSampledAdmitter(inner Admitter, p float64, r *RNG) (*SampledAdmitter, er
 // name and generation; writes are atomic against crashes mid-save.
 type SnapshotStore = engine.SnapshotStore
 
-// SnapshotEnvelope is one decoded persisted snapshot: the backend
-// registry name, the stamped generation, and the backend's payload.
+// SnapshotEnvelope is one decoded persisted save: the backend
+// registry name, the stamped generation, every shard's payload, and
+// the guard's admission-state sections.
 type SnapshotEnvelope = engine.Envelope
+
+// SnapshotSection is one labeled admission-state payload of a save
+// ("admitter" or "quarantine").
+type SnapshotSection = engine.Section
 
 // DirSnapshotStore is the filesystem SnapshotStore: one file per
 // generation, written via temp-file + rename.
@@ -575,18 +585,18 @@ func NewDirSnapshotStore(dir string) (*DirSnapshotStore, error) { return engine.
 func NewMemSnapshotStore() *MemSnapshotStore { return engine.NewMemStore() }
 
 // SaveEngine persists e's serving epoch (every shard's classifier and
-// their one generation, one consistent read) under name, one line per
-// shard, stamped with the backend registry name resume reconstructs
-// it through. Concurrent scoring is never blocked.
+// their one generation, one consistent read) as one record under
+// name, stamped with the backend registry name resume reconstructs it
+// through. Concurrent scoring is never blocked.
 func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, error) {
 	return engine.SaveEngine(st, name, backend, e)
 }
 
-// ResumeEngine restores an Engine of shards shards from name's lines
-// at the newest generation every line holds and can load, serving at
-// that generation so the line continues across the restart. Invalid
-// (corrupt, truncated, unknown-backend) generations are skipped;
-// ErrNoSnapshot if none qualifies. The envelope is shard 0's.
+// ResumeEngine restores an Engine of shards shards from name's newest
+// record whose every shard loads, serving at that generation so the
+// line continues across the restart. Invalid (corrupt, truncated,
+// unknown-backend) generations are skipped; ErrNoSnapshot if none
+// qualifies, an error if that record holds another shard count.
 func ResumeEngine(st SnapshotStore, name string, shards int, cfg EngineConfig) (*Engine, SnapshotEnvelope, error) {
 	return engine.ResumeEngine(st, name, shards, cfg)
 }
@@ -599,19 +609,13 @@ func LatestSnapshotEnvelope(st SnapshotStore, name string) (SnapshotEnvelope, er
 }
 
 // NewClassifierFromEnvelope reconstructs the trained classifier a
-// persisted envelope carries, via the backend registry.
+// persisted one-shard record carries, via the backend registry.
 func NewClassifierFromEnvelope(env SnapshotEnvelope) (Classifier, error) {
 	return engine.NewFromEnvelope(env)
 }
 
-// ShardSnapshotName is the store key of shard's snapshot line within
-// an engine of shards shards saved as name ("name.shard<i>"; name
-// itself for one shard).
-func ShardSnapshotName(name string, shard, shards int) string {
-	return engine.ShardSnapshotName(name, shard, shards)
-}
-
-// PruneSnapshots removes all but the newest keep generations of name.
+// PruneSnapshots removes all but the newest keep generations of name,
+// never the generation a resume would restart from.
 func PruneSnapshots(st SnapshotStore, name string, keep int) ([]uint64, error) {
 	return engine.Prune(st, name, keep)
 }
@@ -624,31 +628,28 @@ func DecodeSnapshotEnvelope(data []byte) (SnapshotEnvelope, error) {
 
 // AdmissionStatePersister is the capability of carrying admitter or
 // quarantine state across a restart (Quarantine, IncrementalRONI, and
-// AdmissionChain implement it); SaveGuarded rides the state in a
-// sidecar envelope next to the classifier snapshot.
+// AdmissionChain implement it); SaveGuarded rides the state in the
+// same record as the classifier snapshots.
 type AdmissionStatePersister = engine.AdmissionStatePersister
 
-// SaveGuarded persists g's engine as SaveEngine does (for one shard,
-// the line name itself) plus one admission sidecar (quarantine
-// contents, probe budget, memoized verdicts) at the same generation,
-// closing the crash-amnesty hole: a restart can no longer free held
-// mail or refill an exhausted probe bucket. It returns the saved
-// generation. Guarded.Resume restores both into a running guard.
+// SaveGuarded persists g's engine as SaveEngine does, with the
+// admission state (quarantine contents, probe budget, memoized
+// verdicts) in the same record and under the same checksum, closing
+// the crash-amnesty hole: a restart can no longer free held mail or
+// refill an exhausted probe bucket, and a save lands whole or not at
+// all. It returns the saved generation. Guarded.Resume restores both
+// into a running guard.
 func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) (uint64, error) {
 	return engine.SaveGuarded(st, name, backend, g)
 }
 
 // ResumeGuarded restores a guarded engine of shards shards from name's
-// lines as ResumeEngine does, loading the admission sidecar saved with
-// them into the freshly wired guard — held mail stays held, spent
-// budget stays spent.
+// records as ResumeEngine does, loading the admission state saved in
+// the same record into the freshly wired guard — held mail stays
+// held, spent budget stays spent.
 func ResumeGuarded(st SnapshotStore, name string, shards int, cfg EngineConfig, admit Admitter, gcfg GuardedConfig) (*Guarded, error) {
 	return engine.ResumeGuarded(st, name, shards, cfg, admit, gcfg)
 }
-
-// AdmissionSnapshotName is the store key of a guarded engine's
-// admission sidecar line ("<name>.admission").
-func AdmissionSnapshotName(name string) string { return engine.AdmissionSnapshotName(name) }
 
 // ---- Serving (the guarded HTTP front-end) ----
 
