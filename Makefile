@@ -47,13 +47,6 @@
 #                    $(BENCH_JSON) as a machine-readable artifact (CI
 #                    uploads it, so the perf trajectory accumulates
 #                    across PRs)
-#   make serve-bench run cmd/sbload against a live cmd/sbserved daemon
-#                    and write $(SERVE_BENCH_JSON): end-to-end serving
-#                    throughput and latency percentiles, learn
-#                    accept/shed splits under an attacker mix, plus
-#                    server-side percentiles scraped from /metrics and
-#                    cross-checked against the client's view (a scrape
-#                    that fails to parse fails the target)
 #   make loc         print the non-test Go line count of the tracked
 #                    files outside benchmark/ and testdata fixtures —
 #                    the size figure simplicity changes report
@@ -65,12 +58,8 @@ GO ?= go
 BENCH_JSON ?= BENCH_PR8.json
 BENCHTIME  ?= 1s
 FUZZTIME   ?= 10s
-SERVE_BENCH_JSON     ?= BENCH_PR10.json
-SERVE_BENCH_ADDR     ?= 127.0.0.1:18525
-SERVE_BENCH_DURATION ?= 10s
-SERVE_BENCH_WORKERS  ?= 8
 
-.PHONY: build test race vet gofmt lint lint-vettool fuzz cover bench bench-tokenize bench-json serve-bench loc check
+.PHONY: build test race vet gofmt lint lint-vettool fuzz cover bench bench-tokenize bench-json loc check
 
 build:
 	$(GO) build ./...
@@ -137,22 +126,6 @@ bench-json:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -timeout=30m -run=^$$ . ./internal/serve/ \
 		> $(BENCH_JSON:.json=.txt)
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) < $(BENCH_JSON:.json=.txt)
-
-# End-to-end serving benchmark: a real daemon under closed-loop load.
-# The daemon runs in the recipe's own shell with a kill trap, so a
-# failed load run cannot leak the process; the benchjson conversion is
-# a separate step for the same no-pipefail reason as bench-json.
-serve-bench:
-	$(GO) build -o $(CURDIR)/sbserved.bin ./cmd/sbserved
-	$(GO) build -o $(CURDIR)/sbload.bin ./cmd/sbload
-	$(CURDIR)/sbserved.bin -addr $(SERVE_BENCH_ADDR) & \
-	SERVED_PID=$$!; \
-	trap 'kill $$SERVED_PID 2>/dev/null' EXIT; \
-	$(CURDIR)/sbload.bin -addr http://$(SERVE_BENCH_ADDR) \
-		-duration $(SERVE_BENCH_DURATION) -workers $(SERVE_BENCH_WORKERS) \
-		> $(SERVE_BENCH_JSON:.json=.txt)
-	$(GO) run ./cmd/benchjson -out $(SERVE_BENCH_JSON) < $(SERVE_BENCH_JSON:.json=.txt)
-	rm -f $(CURDIR)/sbserved.bin $(CURDIR)/sbload.bin
 
 # Counts lines of every tracked .go file that is not a _test.go file,
 # not under benchmark/ and not a testdata fixture.

@@ -616,57 +616,78 @@ func BenchmarkShardedClassifyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkGuardedLearnStream measures admission overhead on the
-// learn path: bulk training through a Guarded engine whose chain is
-// the scenario's stock pipeline (flood gate → budgeted incremental
-// RONI), against the unguarded LearnStream baseline. The guard's cost
-// per admitted example — gate tokenization plus the amortized probe
-// drip — is the quantity the perf trajectory tracks.
-func BenchmarkGuardedLearnStream(b *testing.B) {
+// BenchmarkGuardedRetrainIncremental measures the daemon's one learn
+// path: Guarded.RetrainIncremental over one 64-candidate batch
+// (sbserved's -learn-batch) of organic mail and attack payloads —
+// replicated dictionary copies and focused variants — through
+// sbserved's wiring at its defaults: flood gate → budgeted incremental
+// RONI → quarantine, with the publish hook granting review budget and
+// reviewing the held mail. Each op starts from a fresh guard over the
+// same trained model, built with the timer stopped, so every op vets,
+// trains and publishes the same batch from the same state.
+func BenchmarkGuardedRetrainIncremental(b *testing.B) {
 	e := env(b)
-	r := e.RNG("guarded-learn")
-	pool := e.Gen.Corpus(r, 200, 200)
-	stream := make([]engine.Labeled, 512)
-	for i := range stream {
-		stream[i] = engine.Labeled{Msg: e.Gen.Message(r, i%2 == 0), Spam: i%2 == 0}
+	r := e.RNG("guarded-retrain")
+	model := eval.TrainFilter(e.Gen.Corpus(r, 300, 300), sbayes.DefaultOptions(), e.Tok)
+	pool := e.Gen.Corpus(r, 100, 100)
+	target := e.Gen.HamMessage(r)
+	focused, err := core.NewFocusedAttack(target, 0.3, []*Message{e.Gen.HamMessage(r), e.Gen.HamMessage(r)})
+	if err != nil {
+		b.Fatal(err)
 	}
-	ctx := context.Background()
-	feed := func(b *testing.B, learn func() (chan<- engine.Labeled, func() (int, error))) {
-		for i := 0; i < b.N; i++ {
-			in, wait := learn()
-			for _, ex := range stream {
-				in <- ex
-			}
-			close(in)
-			if _, err := wait(); err != nil {
-				b.Fatal(err)
-			}
+	dictionary := core.NewDictionaryAttack(e.Usenet).BuildAttack(r)
+	batch := &Corpus{}
+	for i := 0; i < 64; i++ {
+		switch {
+		case i%8 == 3:
+			batch.Add(dictionary, true)
+		case i%8 == 6:
+			batch.Add(focused.BuildAttack(r), true)
+		default:
+			batch.Add(e.Gen.Message(r, i%2 == 0), i%2 == 0)
 		}
 	}
-	b.Run("unguarded", func(b *testing.B) {
-		eng := engine.New(sbayes.NewDefault(), engine.Config{Name: "bench"})
-		feed(b, func() (chan<- engine.Labeled, func() (int, error)) { return eng.LearnStream(ctx) })
-	})
-	b.Run("guarded", func(b *testing.B) {
-		roni, err := admission.NewIncrementalRONI(admission.IncrementalRONIConfig{
-			RONI: core.RONIConfig{TrainSize: 10, ValSize: 20, Trials: 2, SpamPrevalence: 0.5, Threshold: 5.5},
-		}, pool, func() engine.Classifier { return sbayes.NewDefault() }, e.RNG("guarded-learn-pool"))
+	newGuard := func(b *testing.B) *engine.Guarded {
+		roni, err := admission.NewIncrementalRONI(admission.IncrementalRONIConfig{BudgetPerMessage: 0.05, Burst: 4},
+			pool, func() engine.Classifier { return sbayes.NewDefault() }, e.RNG("guarded-retrain-roni"))
 		if err != nil {
 			b.Fatal(err)
 		}
-		chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{}), roni)
-		g := engine.NewGuarded(engine.New(sbayes.NewDefault(), engine.Config{Name: "bench"}), chain,
-			engine.GuardedConfig{Quarantine: admission.NewQuarantine(admission.QuarantineConfig{})})
-		feed(b, func() (chan<- engine.Labeled, func() (int, error)) { return g.LearnStream(ctx) })
-		s := g.Stats().Admission
-		b.ReportMetric(float64(s.Admitted)/float64(s.Vetted)*100, "admitted%")
-	})
+		chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 2000}), roni)
+		q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 256})
+		gcfg := engine.GuardedConfig{Quarantine: q}
+		gcfg.PostPublish = append(gcfg.PostPublish, func() {
+			roni.Grant(4)
+			q.Review(func(m *Message, ts *tokenize.TokenStream, spam bool) admission.Decision {
+				return chain.Admit(context.Background(), m, ts, spam)
+			})
+		})
+		return engine.NewGuarded(engine.New(model.Clone(), engine.Config{Name: "bench"}), chain, gcfg)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var g *engine.Guarded
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g = newGuard(b)
+		b.StartTimer()
+		if _, err := g.RetrainIncremental(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	s := g.Stats().Admission
+	b.ReportMetric(float64(s.Admitted), "admitted/op")
+	b.ReportMetric(float64(s.Quarantined), "held/op")
 }
 
-// BenchmarkIncrementalRONIAdmit measures the admitter alone: the
-// memoized replicated-payload fast path (one probe serves every
-// copy), the deferred path (bucket empty, quarantine verdict), and a
-// full probe per call (the cost the budget amortizes).
+// BenchmarkIncrementalRONIAdmit measures the admitter alone, on
+// candidates tokenized once up front as the guard tokenizes them: the
+// memoized replicated-payload fast path (one probe serves every copy,
+// through the digest-keyed memo the daemon uses), the deferred path
+// (bucket empty, quarantine verdict), and a full probe per call (the
+// cost the budget amortizes).
 func BenchmarkIncrementalRONIAdmit(b *testing.B) {
 	e := env(b)
 	pool := e.Gen.Corpus(e.RNG("roni-admit-pool"), 200, 200)
@@ -684,44 +705,52 @@ func BenchmarkIncrementalRONIAdmit(b *testing.B) {
 	}
 	ctx := context.Background()
 	payload := core.NewDictionaryAttack(e.Usenet).BuildAttack(e.RNG("roni-admit-atk"))
+	payloadStream := e.Tok.Stream(payload)
 	organic := make([]*Message, 128)
+	streams := make([]*tokenize.TokenStream, len(organic))
 	r := e.RNG("roni-admit-org")
 	for i := range organic {
 		organic[i] = e.Gen.Message(r, i%2 == 0)
+		streams[i] = e.Tok.Stream(organic[i])
 	}
 	b.Run("memoized", func(b *testing.B) {
 		a := newAdmitter(b, 1, 8)
-		a.Admit(ctx, payload, nil, true) // pay the one probe up front
+		a.Admit(ctx, payload, payloadStream, true) // pay the one probe up front
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			a.Admit(ctx, payload, nil, true)
+			a.Admit(ctx, payload, payloadStream, true)
 		}
 	})
 	b.Run("deferred", func(b *testing.B) {
 		a := newAdmitter(b, 0.0001, 0.5) // bucket never reaches a probe
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			a.Admit(ctx, organic[i%len(organic)], nil, i%2 == 0)
+			a.Admit(ctx, organic[i%len(organic)], streams[i%len(streams)], i%2 == 0)
 		}
 	})
 	b.Run("probe", func(b *testing.B) {
-		a := newAdmitter(b, 1, 1e12) // every distinct call probes
-		b.ResetTimer()
+		// Every call probes: each lap over the organic streams starts
+		// on a fresh admitter, built with the timer stopped, so the
+		// memo never hits.
+		var a *admission.IncrementalRONI
 		for i := 0; i < b.N; i++ {
-			// A fresh message each call: clone the rotation so the memo
-			// never hits.
-			m := &Message{Body: organic[i%len(organic)].Body}
-			a.Admit(ctx, m, nil, i%2 == 0)
+			if i%len(streams) == 0 {
+				b.StopTimer()
+				a = newAdmitter(b, 1, 1e12)
+				b.StartTimer()
+			}
+			a.Admit(ctx, organic[i%len(organic)], streams[i%len(streams)], i%2 == 0)
 		}
 	})
 }
 
 // BenchmarkServeWhileRetraining proves the snapshot-swap serving
 // layer: batch scoring throughput with a continuous background
-// Retrain loop publishing fresh snapshots, against the same engine
-// idle. The two ns/op figures should be close — scoring never blocks
-// on the rebuild — and the retraining run reports how many
-// generations were published while it scored.
+// RetrainIncremental loop publishing 64-message deltas (sbserved's
+// -learn-batch), against the same engine idle. The two ns/op figures
+// should be close — scoring never blocks on the rebuild — and the
+// retraining run reports how many generations were published while it
+// scored.
 func BenchmarkServeWhileRetraining(b *testing.B) {
 	e := env(b)
 	r := e.RNG("serve-retrain")
@@ -734,6 +763,7 @@ func BenchmarkServeWhileRetraining(b *testing.B) {
 	for i := range msgs {
 		msgs[i] = e.Gen.Message(r, i%2 == 0)
 	}
+	delta := e.Gen.Corpus(r, 32, 32)
 	ctx := context.Background()
 	newEngine := func() *engine.Engine {
 		return engine.New(eval.TrainBackend(backend.New, store), engine.Config{Name: "serve", Workers: 4})
@@ -751,7 +781,7 @@ func BenchmarkServeWhileRetraining(b *testing.B) {
 	b.Run("retraining", func(b *testing.B) {
 		eng := newEngine()
 		// The flood gate's bound admits every organic message, so the
-		// guard retrains on the whole store.
+		// guard trains every delta.
 		guard := engine.NewGuarded(eng, admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 1 << 20}), engine.GuardedConfig{})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -764,7 +794,7 @@ func BenchmarkServeWhileRetraining(b *testing.B) {
 					return
 				default:
 				}
-				if _, err := guard.Retrain(ctx, backend.New, store); err != nil {
+				if _, err := guard.RetrainIncremental(ctx, delta); err != nil {
 					b.Error(err)
 					return
 				}
@@ -828,18 +858,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 // zero-extra-allocation check, that a single engine served as a
 // one-shard fleet costs nothing a bare Engine does not: the guard's
 // Classify allocates exactly what Engine.Classify allocates on the
-// same filter (checked outside -race builds), and no path through the one-shard fleet — classify,
-// batch scoring, vetting, retraining, swapping, streaming — ever calls
-// its routing key.
+// same filter (checked outside -race builds), and no path through the
+// one-shard fleet — classify, batch scoring, vetting, retraining,
+// swapping — ever calls its routing key.
 func TestOneShardGuardMatchesEngine(t *testing.T) {
 	e := env(t)
 	r := e.RNG("one-shard")
 	f := eval.TrainFilter(e.Gen.Corpus(r, 300, 300), sbayes.DefaultOptions(), e.Tok)
 	m := e.Gen.HamMessage(r)
-	b, err := engine.Lookup("sbayes")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var keyCalls atomic.Int64
 	key := func(*Message) uint64 { keyCalls.Add(1); return 0 }
@@ -871,28 +897,24 @@ func TestOneShardGuardMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	guard.Vet(ctx, m, false)
+	kept, err := guard.VetCorpus(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 1 || len(kept[0]) != batch.Len() {
+		t.Errorf("VetCorpus kept %d shards' examples, want all %d on the one shard", len(kept), batch.Len())
+	}
 	if _, err := guard.RetrainIncremental(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := guard.Retrain(ctx, b.New, batch); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := guard.Swap(f.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	in, wait := guard.LearnStream(ctx)
-	for _, ex := range batch.Examples {
-		in <- engine.Labeled{Msg: ex.Msg, Spam: ex.Spam}
-	}
-	close(in)
-	if _, err := wait(); err != nil {
 		t.Fatal(err)
 	}
 	guard.Engine().Partition(batch)
 	if n := keyCalls.Load(); n != 0 {
 		t.Errorf("one-shard fleet called its routing key %d times", n)
 	}
-	if st := guard.Stats(); st.Name != "one" || st.Shards[0].Name != "one" || st.Admission.Vetted != 1+3*uint64(batch.Len()) {
+	if st := guard.Stats(); st.Name != "one" || st.Shards[0].Name != "one" || st.Admission.Vetted != 1+2*uint64(batch.Len()) {
 		t.Errorf("one-shard stats %+v", st)
 	}
 }

@@ -257,9 +257,9 @@ func cmdScore(args []string) error {
 	return nil
 }
 
-// trainFromMboxes builds a fresh backend classifier and bulk-trains
-// it through an engine LearnStream — the shared training path of
-// train and save.
+// trainFromMboxes builds a fresh backend classifier and trains it on
+// the operator's labeled mboxes, ham first, before anything serves it
+// — the shared training path of train and save.
 func trainFromMboxes(backend, hamPath, spamPath string) (engine.Classifier, int, error) {
 	clf, err := newClassifier(backend)
 	if err != nil {
@@ -273,20 +273,10 @@ func trainFromMboxes(backend, hamPath, spamPath string) (engine.Classifier, int,
 	if err != nil {
 		return nil, 0, err
 	}
-	eng := engine.New(clf, engine.Config{Name: backend})
-	in, wait := eng.LearnStream(context.Background()) //sbvet:unguarded operator-initiated bootstrap from local mboxes the operator labeled; admission vets third-party reports, not the operator
-	for _, m := range ham {
-		in <- engine.Labeled{Msg: m, Spam: false}
+	for i, m := range append(ham, spam...) {
+		clf.Learn(m, i >= len(ham)) //sbvet:unguarded operator-initiated bootstrap from local mboxes the operator labeled; admission vets third-party reports, not the operator
 	}
-	for _, m := range spam {
-		in <- engine.Labeled{Msg: m, Spam: true}
-	}
-	close(in)
-	trained, err := wait()
-	if err != nil {
-		return nil, 0, err
-	}
-	return clf, trained, nil
+	return clf, len(ham) + len(spam), nil
 }
 
 // cmdSave trains a filter on the given mboxes and publishes it as the

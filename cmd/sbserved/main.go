@@ -27,7 +27,9 @@
 // -name at the one serving generation, holding every shard's snapshot
 // and the admission state, so held mail and the spent probe budget
 // survive a restart or an in-place resume at any shard count, and a
-// save killed midway leaves the previous record whole. Start-up
+// save killed midway leaves the previous record whole. After every
+// save the directory is pruned to the two newest records (never
+// dropping the one a resume restarts from). Start-up
 // bootstraps fresh only when nothing at all is stored under -name; a
 // record of another shard count than -shards, a store with no
 // loadable record, or a fleet store in the retired per-shard layout
@@ -129,7 +131,7 @@ type config struct {
 
 // newGenerator builds the synthetic mail universe the daemon
 // bootstraps and calibrates from — the same population shape the
-// scenario simulator and the load generator use.
+// scenario simulator and the repo benchmark use.
 func newGenerator() *textgen.Generator {
 	u := textgen.MustUniverse(textgen.UniverseConfig{
 		CommonWords:     50,
@@ -252,7 +254,7 @@ func run(cfg config) error {
 		return err
 	}
 	if store != nil {
-		if gen, err := engine.SaveGuarded(store, cfg.name, cfg.backend, guarded); err != nil {
+		if gen, err := srv.Save(); err != nil {
 			log.Printf("save on exit: %v", err)
 		} else {
 			log.Printf("saved generation %d", gen)

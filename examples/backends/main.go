@@ -1,14 +1,12 @@
 // Backends: the interface-first API — construct learners by name
-// from the backend registry, train them through the engine's bulk
-// stream, score a corpus concurrently with ClassifyBatch, and watch
-// the same dictionary attack poison every backend (at very different
-// doses).
+// from the backend registry, train each before anything serves it,
+// score a corpus across a worker pool, and watch the same
+// dictionary attack poison every backend (at very different doses).
 //
 //	go run ./examples/backends
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -32,35 +30,29 @@ func main() {
 	attackMsg := attack.BuildAttack(rng)
 	doses := []float64{0.001, 0.005, 0.02}
 
-	// train builds a named backend and bulk-trains it through the
-	// engine's buffered stream.
-	train := func(name string) (repro.Classifier, *repro.Engine) {
+	// train builds a named backend and trains it on the inbox before
+	// anything serves it.
+	train := func(name string) repro.Classifier {
 		clf, err := repro.NewClassifier(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng := repro.NewEngine(clf, repro.EngineConfig{Name: name, Workers: 4})
-		in, wait := eng.LearnStream(context.Background()) //sbvet:unguarded example: bulk-loading an operator-labeled corpus, the pre-admission baseline
 		for _, ex := range inbox.Examples {
-			in <- repro.LabeledMessage{Msg: ex.Msg, Spam: ex.Spam}
+			clf.Learn(ex.Msg, ex.Spam) //sbvet:unguarded example: training an operator-labeled corpus, the pre-admission baseline
 		}
-		close(in)
-		if _, err := wait(); err != nil {
-			log.Fatal(err)
-		}
-		return clf, eng
+		return clf
 	}
 
 	for _, name := range repro.Backends() {
-		clf, eng := train(name)
+		clf := train(name)
 		baseline := repro.EvaluateBatch(clf, test, 4)
 		fmt.Printf("%s: trained %d messages, baseline ham misclassified %.1f%%\n",
-			name, eng.Stats().Learned, 100*baseline.HamMisclassifiedRate())
+			name, inbox.Len(), 100*baseline.HamMisclassifiedRate())
 
 		// The same Causative Availability attack at growing doses —
 		// a fresh filter per dose, whatever the learner.
 		for _, dose := range doses {
-			clf, _ := train(name)
+			clf := train(name)
 			clf.LearnWeighted(attackMsg, true, repro.AttackSize(dose, inbox.Len())) //sbvet:unguarded example: the dictionary attack being demonstrated
 			attacked := repro.EvaluateBatch(clf, test, 4)
 			fmt.Printf("  %4.1f%% dictionary attack -> %5.1f%% ham misclassified\n",

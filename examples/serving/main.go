@@ -24,8 +24,8 @@
 //
 // The learn path is bounded: a saturated queue (or a wedged admitter)
 // sheds submissions with 503 + Retry-After while classification
-// continues — run `make serve-bench` (cmd/sbload against a live
-// cmd/sbserved) to see the shed path under real load.
+// continues. The repo benchmark (`bash benchmark/run.sh`) drives a
+// live cmd/sbserved under real load.
 //
 //	go run ./examples/serving
 package main

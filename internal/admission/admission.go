@@ -16,18 +16,24 @@
 //     them;
 //   - IncrementalRONI runs the paper's clone-and-probe impact
 //     measurement under a per-message amortized compute budget,
-//     memoizing verdicts by payload identity (a replicated attack
-//     costs one probe, not one per copy) and quarantining what the
-//     budget cannot cover;
+//     memoizing verdicts by payload, the token stream's digest (a
+//     replicated attack costs one probe, not one per copy), and
+//     quarantining what the budget cannot cover;
 //   - Quarantine holds deferred candidates until the next snapshot
 //     swap, where they are re-vetted and released or dropped;
 //   - Chain and Sampled compose admitters into a policy.
 //
+// Every admitter judges the candidate's token stream, which is never
+// nil: the guard tokenizes each candidate once, and that stream is
+// what the chain judges, the quarantine holds and, once admitted,
+// RetrainIncremental trains. A hold resumed from a record is
+// tokenized once at resume (Quarantine.Restream).
+//
 // The contract types (Verdict, Decision, Admitter) are aliases of the
 // engine package's declarations, exactly as sbayes.Label aliases
 // engine.Label: engine.Guarded threads the pipeline through
-// LearnStream/Retrain/RetrainIncremental, so the interface lives where
-// the wrapper is, and this package supplies the policies.
+// RetrainIncremental, so the interface lives where the wrapper is, and
+// this package supplies the policies.
 package admission
 
 import (
@@ -91,8 +97,8 @@ func (c *Chain) Name() string {
 }
 
 // Admit runs the links in order; the first non-Accept decision wins.
-// The same token stream (possibly nil) is handed to every link — the
-// tokenize-once contract composes through the chain.
+// The same token stream is handed to every link — the tokenize-once
+// contract composes through the chain.
 func (c *Chain) Admit(ctx context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) Decision {
 	for _, a := range c.links {
 		if d := a.Admit(ctx, m, ts, spam); d.Verdict != Accepted {

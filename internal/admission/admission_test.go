@@ -3,10 +3,12 @@ package admission_test
 // Conformance suite for the training-data vetting pipeline: the
 // combinators compose, the flood gate is structural and label-blind,
 // the budgeted incremental RONI accounts monotonically and memoizes by
-// identity, the quarantine reviews deterministically, and — the
-// headline regression — a week-end batch RONI pass and the budgeted
-// incremental admitter reject the same dictionary-attack messages on a
-// fixed seed, for both backends.
+// payload identity (the token stream's digest), the quarantine reviews
+// deterministically, and — the headline regression — a week-end batch
+// RONI pass and the budgeted incremental admitter reject the same
+// dictionary-attack messages on a fixed seed, for both backends. Every
+// candidate carries a real token stream, as the guard hands one to
+// every admitter.
 
 import (
 	"context"
@@ -64,6 +66,10 @@ func backendFactory(t *testing.T, name string) engine.Factory {
 	return b.New
 }
 
+// stream tokenizes m as the stock backends' tokenizer does — the one
+// stream the guard would hand every admitter and the quarantine.
+func stream(m *mail.Message) *tokenize.TokenStream { return tokenize.Default().Stream(m) }
+
 // fixed is a stub admitter with a constant decision.
 type fixed struct {
 	name string
@@ -91,7 +97,7 @@ func TestChainFirstNonAcceptWins(t *testing.T) {
 		{admission.NewChain(accept, reject), admission.Rejected},
 	}
 	for i, c := range cases {
-		if got := c.chain.Admit(ctx, m, nil, true).Verdict; got != c.want {
+		if got := c.chain.Admit(ctx, m, stream(m), true).Verdict; got != c.want {
 			t.Errorf("case %d: verdict %v, want %v", i, got, c.want)
 		}
 	}
@@ -109,8 +115,9 @@ func TestSampledSkipsDeterministically(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []admission.Verdict
+		m := &mail.Message{Body: "x\n"}
 		for i := 0; i < 64; i++ {
-			out = append(out, s.Admit(ctx, &mail.Message{Body: "x\n"}, nil, true).Verdict)
+			out = append(out, s.Admit(ctx, m, stream(m), true).Verdict)
 		}
 		return out
 	}
@@ -142,28 +149,15 @@ func TestFloodGateIsStructuralAndLabelBlind(t *testing.T) {
 	// the gate reads structure, which is what catches pseudospam
 	// delivered under ham labels.
 	for _, spam := range []bool{true, false} {
-		if d := gate.Admit(ctx, attack, nil, spam); d.Verdict != admission.Rejected {
+		if d := gate.Admit(ctx, attack, stream(attack), spam); d.Verdict != admission.Rejected {
 			t.Errorf("dictionary payload (spam=%v) got %v (%s)", spam, d.Verdict, d.Reason)
 		}
 	}
-	if d := gate.Admit(ctx, organic, nil, false); d.Verdict != admission.Accepted {
+	if d := gate.Admit(ctx, organic, stream(organic), false); d.Verdict != admission.Accepted {
 		t.Errorf("organic ham got %v (%s)", d.Verdict, d.Reason)
 	}
 	if gate.Vetted() != 3 || gate.Flagged() != 2 {
 		t.Errorf("counters vetted=%d flagged=%d, want 3/2", gate.Vetted(), gate.Flagged())
-	}
-	// Repeat copies of a flagged payload are served from the identity
-	// memo — the same decision, without re-tokenizing the huge body —
-	// while a body-identical distinct message is measured afresh.
-	first := gate.Admit(ctx, attack, nil, true)
-	for i := 0; i < 10; i++ {
-		if d := gate.Admit(ctx, attack, nil, true); d != first {
-			t.Fatalf("memoized copy got %+v, want %+v", d, first)
-		}
-	}
-	clone := &mail.Message{Body: attack.Body}
-	if d := gate.Admit(ctx, clone, nil, true); d.Verdict != admission.Rejected {
-		t.Errorf("distinct flood payload got %v", d.Verdict)
 	}
 }
 
@@ -185,7 +179,8 @@ func TestIncrementalRONIBudgetAccountingIsMonotone(t *testing.T) {
 	r := stats.NewRNG(8)
 	deferred := false
 	for i := 0; i < 100; i++ {
-		a.Admit(ctx, g.Message(r, i%2 == 0), nil, i%2 == 0)
+		m := g.Message(r, i%2 == 0)
+		a.Admit(ctx, m, stream(m), i%2 == 0)
 		s := a.Stats()
 		if s.Arrivals < prev.Arrivals || s.Probes < prev.Probes || s.MemoHits < prev.MemoHits ||
 			s.Deferred < prev.Deferred || s.CreditsGranted < prev.CreditsGranted {
@@ -218,7 +213,8 @@ func TestIncrementalRONIBudgetAccountingIsMonotone(t *testing.T) {
 	// away — the swap-time review grant must outlive the review's own
 	// vetting (regression: the old clamp discarded it on first Admit).
 	granted := after.Bucket
-	a.Admit(ctx, g.Message(r, true), nil, true) // memo miss: costs one probe, no clamp
+	m := g.Message(r, true)
+	a.Admit(ctx, m, stream(m), true) // memo miss: costs one probe, no clamp
 	if got := a.Stats().Bucket; got < granted-1 {
 		t.Errorf("bucket %v after one probe from a granted %v — grant was clamped away", got, granted)
 	}
@@ -236,9 +232,10 @@ func TestIncrementalRONIMemoizesByIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := core.NewDictionaryAttack(lexicon.Optimal(g.Universe())).BuildAttack(stats.NewRNG(2))
-	first := a.Admit(ctx, payload, nil, true)
+	ts := stream(payload)
+	first := a.Admit(ctx, payload, ts, true)
 	for i := 0; i < 49; i++ {
-		if d := a.Admit(ctx, payload, nil, true); d != first {
+		if d := a.Admit(ctx, payload, ts, true); d != first {
 			t.Fatalf("copy %d got %+v, first copy got %+v", i, d, first)
 		}
 	}
@@ -249,23 +246,25 @@ func TestIncrementalRONIMemoizesByIdentity(t *testing.T) {
 	if s.MemoHits != 49 {
 		t.Errorf("memo hits %d, want 49", s.MemoHits)
 	}
-	// A body-identical but distinct message is judged separately (the
-	// identity key, not the body, is the cache key) — and so is the
-	// same payload under the other training label.
-	clone := &mail.Message{Body: payload.Body}
-	a.Admit(ctx, clone, nil, true)
-	a.Admit(ctx, payload, nil, false)
-	if s := a.Stats(); s.Probes != 3 {
-		t.Errorf("distinct identity and distinct label cost %d probes total, want 3", s.Probes)
+	// The payload's identity is its token stream: a distinct message
+	// with the same body is the same payload and memo-hits, while the
+	// same payload under the other training label is judged afresh.
+	clone := &mail.Message{Header: append(mail.Header(nil), payload.Header...), Body: payload.Body}
+	if d := a.Admit(ctx, clone, stream(clone), true); d != first {
+		t.Errorf("a distinct copy of the payload got %+v, the first copy %+v", d, first)
+	}
+	a.Admit(ctx, payload, ts, false)
+	if s := a.Stats(); s.Probes != 2 || s.MemoHits != 50 {
+		t.Errorf("a distinct copy and a distinct label cost %d probes total and %d memo hits, want 2 and 50", s.Probes, s.MemoHits)
 	}
 	// Refresh clears the memo: the old verdicts were measured against
 	// the old calibration pool.
 	if err := a.Refresh(pool(t, g, 200), stats.NewRNG(9)); err != nil {
 		t.Fatal(err)
 	}
-	a.Admit(ctx, payload, nil, true)
-	if s := a.Stats(); s.Probes != 4 || s.Refreshes != 1 {
-		t.Errorf("after refresh: probes %d refreshes %d, want 4 and 1", s.Probes, s.Refreshes)
+	a.Admit(ctx, payload, ts, true)
+	if s := a.Stats(); s.Probes != 3 || s.Refreshes != 1 {
+		t.Errorf("after refresh: probes %d refreshes %d, want 3 and 1", s.Probes, s.Refreshes)
 	}
 }
 
@@ -325,8 +324,9 @@ func TestIncrementalRONIMatchesBatchRONI(t *testing.T) {
 				rejectedBatch[e.Msg] = true
 			}
 			rejectedInc := map[*mail.Message]bool{}
+			tok := factory().Tokenizer()
 			for _, e := range candidates.Examples {
-				d := inc.Admit(ctx, e.Msg, nil, e.Spam)
+				d := inc.Admit(ctx, e.Msg, tok.Stream(e.Msg), e.Spam)
 				if d.Verdict == admission.Held {
 					t.Fatalf("budget covered every candidate yet %q was deferred", d.Reason)
 				}
@@ -362,7 +362,8 @@ func TestQuarantineReviewIsDeterministic(t *testing.T) {
 	build := func() *admission.Quarantine {
 		q := admission.NewQuarantine(admission.QuarantineConfig{MaxReviews: 2})
 		for i := 0; i < 20; i++ {
-			q.Hold(&mail.Message{Body: fmt.Sprintf("held %d\n", i)}, nil, i%2 == 0, "deferred")
+			m := &mail.Message{Body: fmt.Sprintf("held %d\n", i)}
+			q.Hold(m, stream(m), i%2 == 0, "deferred")
 		}
 		return q
 	}
@@ -392,7 +393,8 @@ func TestQuarantineReviewIsDeterministic(t *testing.T) {
 func TestQuarantineExpiryAndOverflow(t *testing.T) {
 	q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 2, MaxReviews: 2})
 	for i := 0; i < 5; i++ {
-		q.Hold(&mail.Message{Body: fmt.Sprintf("m%d\n", i)}, nil, true, "deferred")
+		m := &mail.Message{Body: fmt.Sprintf("m%d\n", i)}
+		q.Hold(m, stream(m), true, "deferred")
 	}
 	if s := q.Stats(); s.Pending != 2 || s.Overflow != 3 {
 		t.Fatalf("capacity 2: pending %d overflow %d", s.Pending, s.Overflow)
@@ -418,10 +420,13 @@ func TestQuarantineCapacityHoldsDuringReview(t *testing.T) {
 	// the capacity bound, so holds racing the review cannot balloon
 	// the buffer past it.
 	q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 2, MaxReviews: 5})
-	q.Hold(&mail.Message{Body: "a\n"}, nil, true, "deferred")
-	q.Hold(&mail.Message{Body: "b\n"}, nil, true, "deferred")
+	for _, body := range []string{"a\n", "b\n"} {
+		m := &mail.Message{Body: body}
+		q.Hold(m, stream(m), true, "deferred")
+	}
+	mid := &mail.Message{Body: "mid\n"}
 	q.Review(func(*mail.Message, *tokenize.TokenStream, bool) admission.Decision {
-		q.Hold(&mail.Message{Body: "mid\n"}, nil, true, "deferred")
+		q.Hold(mid, stream(mid), true, "deferred")
 		return admission.Decision{Verdict: admission.Held}
 	})
 	s := q.Stats()
@@ -436,12 +441,12 @@ func TestQuarantineCapacityHoldsDuringReview(t *testing.T) {
 func TestQuarantineHoldDuringReviewLandsInNextBatch(t *testing.T) {
 	q := admission.NewQuarantine(admission.QuarantineConfig{MaxReviews: 5})
 	first := &mail.Message{Body: "first\n"}
-	q.Hold(first, nil, true, "deferred")
+	q.Hold(first, stream(first), true, "deferred")
 	late := &mail.Message{Body: "late\n"}
 	judge := func(m *mail.Message, _ *tokenize.TokenStream, spam bool) admission.Decision {
 		// A candidate quarantined while the review runs must not be
 		// judged by this review.
-		q.Hold(late, nil, false, "deferred")
+		q.Hold(late, stream(late), false, "deferred")
 		if m == late {
 			t.Fatal("review judged a message held mid-review")
 		}

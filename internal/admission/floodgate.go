@@ -3,7 +3,6 @@ package admission
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mail"
@@ -19,10 +18,6 @@ type FloodGateConfig struct {
 	// the few hundred of the longest legitimate mail — so a generous
 	// cutoff separates the classes with no model at all.
 	MaxDistinct int
-	// Tokenizer tokenizes candidates (nil selects the default). Use the
-	// serving backend's tokenizer so the gate counts exactly the tokens
-	// the filter would learn.
-	Tokenizer *tokenize.Tokenizer
 }
 
 // TokenFloodGate is the cheap structural admitter: it rejects
@@ -33,25 +28,10 @@ type FloodGateConfig struct {
 // gate cannot judge.
 type TokenFloodGate struct {
 	max int
-	tok *tokenize.Tokenizer
-
-	// flaggedMemo caches reject decisions by payload identity: the
-	// paper's attacks replicate one enormous payload many times, and
-	// re-tokenizing ~90k tokens per copy is the one place the gate is
-	// not cheap. Only flagged messages are memoized (organic mail is
-	// cheap to re-tokenize and unbounded in population), and the memo
-	// is capped as a backstop against an adversary minting unlimited
-	// distinct flood payloads.
-	mu          sync.Mutex
-	flaggedMemo map[*mail.Message]Decision
 
 	vetted  atomic.Uint64
 	flagged atomic.Uint64
 }
-
-// flaggedMemoCap bounds the reject memo; past it, repeat copies of new
-// flood payloads just pay the tokenization again.
-const flaggedMemoCap = 4096
 
 // NewTokenFloodGate builds the gate.
 func NewTokenFloodGate(cfg FloodGateConfig) *TokenFloodGate {
@@ -59,11 +39,7 @@ func NewTokenFloodGate(cfg FloodGateConfig) *TokenFloodGate {
 	if max <= 0 {
 		max = 1024
 	}
-	tok := cfg.Tokenizer
-	if tok == nil {
-		tok = tokenize.Default()
-	}
-	return &TokenFloodGate{max: max, tok: tok, flaggedMemo: make(map[*mail.Message]Decision)}
+	return &TokenFloodGate{max: max}
 }
 
 // Name identifies the gate and its bound.
@@ -79,45 +55,18 @@ func (g *TokenFloodGate) Flagged() uint64 { return g.flagged.Load() }
 
 // Admit rejects wide-vocabulary candidates and accepts the rest. The
 // label is irrelevant: the gate is structural, which is exactly why it
-// still fires on pseudospam delivered under ham labels. When the
-// caller hands a token stream (the tokenize-once path), the distinct
-// count is read off it for free and no memo is needed; without one,
-// reject verdicts are memoized by payload identity, so the n-1 repeat
-// copies of a replicated flood payload skip the (large) tokenization
-// pass.
-func (g *TokenFloodGate) Admit(_ context.Context, m *mail.Message, ts *tokenize.TokenStream, _ bool) Decision {
+// still fires on pseudospam delivered under ham labels. The distinct
+// count is read off the candidate's token stream, so the gate costs
+// nothing beyond the one tokenization every candidate gets.
+func (g *TokenFloodGate) Admit(_ context.Context, _ *mail.Message, ts *tokenize.TokenStream, _ bool) Decision {
 	g.vetted.Add(1)
-	if ts != nil {
-		n := ts.Len()
-		if n >= g.max {
-			g.flagged.Add(1)
-			return Decision{
-				Verdict: Rejected,
-				Reason:  fmt.Sprintf("token flood: %d distinct tokens >= %d", n, g.max),
-			}
-		}
-		return Decision{Verdict: Accepted, Reason: fmt.Sprintf("%d distinct tokens", n)}
-	}
-	g.mu.Lock()
-	d, hit := g.flaggedMemo[m]
-	g.mu.Unlock()
-	if hit {
-		g.flagged.Add(1)
-		return d
-	}
-	n := g.tok.DistinctTokenCount(m)
+	n := ts.Len()
 	if n >= g.max {
 		g.flagged.Add(1)
-		d := Decision{
+		return Decision{
 			Verdict: Rejected,
 			Reason:  fmt.Sprintf("token flood: %d distinct tokens >= %d", n, g.max),
 		}
-		g.mu.Lock()
-		if len(g.flaggedMemo) < flaggedMemoCap {
-			g.flaggedMemo[m] = d
-		}
-		g.mu.Unlock()
-		return d
 	}
 	return Decision{Verdict: Accepted, Reason: fmt.Sprintf("%d distinct tokens", n)}
 }

@@ -29,9 +29,10 @@ type QuarantineConfig struct {
 // HeldMessage is one quarantined training candidate.
 type HeldMessage struct {
 	Msg *mail.Message
-	// Stream is the candidate tokenized once at vetting time (nil when
-	// the holder had none); reviews hand it back to the judge so a
-	// deferred candidate is never re-tokenized.
+	// Stream is the candidate tokenized once at vetting time — for a
+	// candidate restored from a record, once at resume (Restream) — and
+	// is never nil; reviews hand it back to the judge so a deferred
+	// candidate is judged on the stream it was vetted on.
 	Stream *tokenize.TokenStream
 	Spam   bool
 	// Reason is the admission decision that parked it here.
@@ -92,8 +93,8 @@ func NewQuarantine(cfg QuarantineConfig) *Quarantine {
 }
 
 // Hold buffers one candidate (engine.QuarantineSink). ts is the
-// candidate's token stream when the holder tokenized it (nil
-// otherwise); it is kept with the message for the swap-time review.
+// candidate's token stream, kept with the message for the swap-time
+// review.
 func (q *Quarantine) Hold(m *mail.Message, ts *tokenize.TokenStream, spam bool, reason string) {
 	q.mu.Lock()
 	if q.cfg.Capacity > 0 && len(q.held)+q.reviewing >= q.cfg.Capacity {
@@ -104,10 +105,22 @@ func (q *Quarantine) Hold(m *mail.Message, ts *tokenize.TokenStream, spam bool, 
 	q.totalHeld++
 	q.held = append(q.held, HeldMessage{Msg: m, Stream: ts, Spam: spam, Reason: reason, At: time.Now()})
 	q.mu.Unlock()
-	if ts != nil {
-		if d := ts.Digest(); q.cfg.Trace.Sampled(d) {
-			q.cfg.Trace.Record(obs.TraceEvent{Kind: obs.TraceHold, Digest: d, Shard: -1, Reason: reason})
-		}
+	if d := ts.Digest(); q.cfg.Trace.Sampled(d) {
+		q.cfg.Trace.Record(obs.TraceEvent{Kind: obs.TraceHold, Digest: d, Shard: -1, Reason: reason})
+	}
+}
+
+// Restream replaces every held candidate's stream with stream(m)
+// (engine.QuarantineSink). A resume calls it once, right after
+// LoadState, with the serving tokenizer of the shard each candidate
+// routes to: a record keeps the held messages but not their streams.
+// It holds the buffer's lock while it tokenizes, so stream must not
+// call back into the quarantine.
+func (q *Quarantine) Restream(stream func(*mail.Message) *tokenize.TokenStream) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := range q.held {
+		q.held[i].Stream = stream(q.held[i].Msg)
 	}
 }
 
@@ -191,10 +204,8 @@ func (q *Quarantine) Review(judge func(m *mail.Message, ts *tokenize.TokenStream
 		switch d := judge(h.Msg, h.Stream, h.Spam); d.Verdict {
 		case Accepted:
 			released = append(released, h)
-			if h.Stream != nil {
-				if dg := h.Stream.Digest(); q.cfg.Trace.Sampled(dg) {
-					q.cfg.Trace.Record(obs.TraceEvent{Kind: obs.TraceRelease, Digest: dg, Shard: -1, Reason: d.Reason})
-				}
+			if dg := h.Stream.Digest(); q.cfg.Trace.Sampled(dg) {
+				q.cfg.Trace.Record(obs.TraceEvent{Kind: obs.TraceRelease, Digest: dg, Shard: -1, Reason: d.Reason})
 			}
 		case Rejected:
 			dropped++

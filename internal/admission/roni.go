@@ -68,9 +68,11 @@ type IncrementalRONIStats struct {
 	// against a week-end batch pass, which spends one probe per
 	// distinct weekly candidate.
 	Probes uint64
-	// MemoHits counts verdicts served from the identity cache: a
-	// replicated attack payload is probed once and every further copy
-	// is free.
+	// MemoHits counts verdicts served from the memo, which is keyed by
+	// the candidate's token-stream digest and training label: a
+	// replicated attack payload is probed once and every further copy —
+	// a distinct message with the same tokens, or a copy resumed from a
+	// record — is free.
 	MemoHits uint64
 	// Deferred counts candidates quarantined because the bucket was
 	// empty when they arrived.
@@ -85,24 +87,14 @@ type IncrementalRONIStats struct {
 	Bucket float64
 }
 
-// admitKey memoizes verdicts by payload and training label. On the
-// tokenize-once path the payload is identified by the token stream's
-// digest, so two copies of a replicated attack memo-hit even when they
-// arrive as distinct *mail.Message values; without a stream the key
-// falls back to message identity (msg non-nil), which never collides
-// with a digest key.
+// admitKey memoizes verdicts by payload and training label. The
+// payload is identified by its token stream's digest, so two copies of
+// a replicated attack memo-hit even when they arrive as distinct
+// *mail.Message values — or when one of them was held across a
+// restart.
 type admitKey struct {
-	msg    *mail.Message
 	digest uint64
 	spam   bool
-}
-
-// keyFor builds the memo key for one candidate.
-func keyFor(m *mail.Message, ts *tokenize.TokenStream, spam bool) admitKey {
-	if ts != nil {
-		return admitKey{digest: ts.Digest(), spam: spam}
-	}
-	return admitKey{msg: m, spam: spam}
 }
 
 // IncrementalRONI is the §5.1 Reject On Negative Impact defense run
@@ -115,10 +107,10 @@ func keyFor(m *mail.Message, ts *tokenize.TokenStream, spam bool) admitKey {
 // swap, where the buffer is reviewed with fresh budget.
 //
 // Verdicts from actual probes are memoized by payload — the token
-// stream's digest on the tokenize-once path, message identity as the
-// fallback — so the paper's replicated attacks (n copies of one
+// stream's digest — so the paper's replicated attacks (n copies of one
 // dictionary email) cost one probe total; deferrals are not memoized,
-// so a later copy can be probed once budget accrues.
+// so a later copy can be probed once budget accrues, and a copy held
+// before it is then decided from the memo at review.
 type IncrementalRONI struct {
 	mu      sync.Mutex
 	cfg     IncrementalRONIConfig
@@ -254,7 +246,7 @@ func (a *IncrementalRONI) Admit(_ context.Context, m *mail.Message, ts *tokenize
 			a.bucket = a.cfg.Burst
 		}
 	}
-	key := keyFor(m, ts, spam)
+	key := admitKey{digest: ts.Digest(), spam: spam}
 	if d, ok := a.memo[key]; ok {
 		a.memoHits++
 		return d

@@ -16,17 +16,17 @@ package admission
 //
 //   - Quarantine: the monotone counters and every held candidate —
 //     message (headers + body), label, reason, review count. Token
-//     streams are NOT persisted: every consumer (flood gate, RONI
-//     probe, swap-time review) tolerates a nil stream and re-tokenizes
-//     from the message, so a resumed candidate costs one extra
-//     tokenization instead of a new wire format.
+//     streams are NOT persisted: the resume that loads the state
+//     re-tokenizes each held candidate once (Quarantine.Restream, with
+//     the serving tokenizer of the shard it routes to), so a resumed
+//     hold carries a stream like a live one, and no consumer ever sees
+//     a nil stream.
 //   - IncrementalRONI: the budget accounting (bucket level, credits,
-//     counters) and the digest-keyed memo verdicts. Identity-keyed
-//     memo entries (candidates that arrived without a stream) are
-//     dropped — their key is a live pointer, meaningless across
-//     processes. The calibration pool is not persisted; deployments
-//     Refresh it from the trusted store at the next swap, exactly as
-//     they already must after every publish.
+//     counters) and every memo verdict, keyed by stream digest and
+//     label, so a held copy of a probed payload is decided from the
+//     memo after a restart as it would have been before. The
+//     calibration pool is not persisted: a restart re-samples it from
+//     the deployment's trusted store, and a Refresh clears the memo.
 //   - Chain: one sub-section per link, in link order, empty for links
 //     that have no durable state.
 //
@@ -238,8 +238,9 @@ func (q *Quarantine) SaveState(w io.Writer) error {
 
 // LoadState replaces the buffer's contents and counters with a
 // previously saved state. Held candidates come back without their
-// token streams (see the package-persistence comment above); the next
-// review re-tokenizes them. Capacity is the live configuration's:
+// token streams (see the package-persistence comment above): the
+// resume that loads them calls Restream before anything reviews them.
+// Capacity is the live configuration's:
 // state saved under a larger capacity loads intact even if it now
 // exceeds the bound — the overflow policy applies to new holds, not
 // to survivors.
@@ -284,9 +285,7 @@ func (q *Quarantine) LoadState(r io.Reader) error {
 }
 
 // SaveState serializes the budget accounting and the digest-keyed
-// memo (engine.AdmissionStatePersister). Identity-keyed memo entries
-// are skipped: their key is a message pointer that does not survive
-// the process.
+// memo (engine.AdmissionStatePersister).
 func (a *IncrementalRONI) SaveState(w io.Writer) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -301,9 +300,7 @@ func (a *IncrementalRONI) SaveState(w io.Writer) error {
 	sw.f64(a.bucket)
 	keys := make([]admitKey, 0, len(a.memo))
 	for k := range a.memo {
-		if k.msg == nil {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].digest != keys[j].digest {

@@ -1,16 +1,17 @@
-// Package ctxdrain enforces the LearnStream drain contract: inside a
-// function that receives a context.Context, a for-range over a
-// channel is a cancellation bug waiting to happen — the loop blocks
-// in the receive and never observes ctx.Done(), so a cancelled caller
-// is ignored until the channel happens to close (exactly the PR 4
-// Sharded.LearnStream bug, which -race reruns only caught by luck).
+// Package ctxdrain enforces the drain contract of context-aware
+// channel consumers: inside a function that receives a
+// context.Context, a for-range over a channel is a cancellation bug
+// waiting to happen — the loop blocks in the receive and never
+// observes ctx.Done(), so a cancelled caller is ignored until the
+// channel happens to close (the bug class of the engine's retired
+// bulk-training stream, which -race reruns only caught by luck).
 //
 // The analyzer flags such loops, including loops in goroutine
 // closures nested inside a context-aware function (where the original
 // bug lived), unless the loop body itself selects on ctx.Done()
 // between receives, or the loop carries a //sbvet:drain directive
 // declaring it an intentional drain-to-close that must ignore
-// cancellation (the engine's drainUntil is the canonical example).
+// cancellation.
 package ctxdrain
 
 import (

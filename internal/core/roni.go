@@ -98,8 +98,8 @@ type roniTrial struct {
 // safe for concurrent use.
 type RONI struct {
 	cfg RONIConfig
-	// tok tokenizes queries that arrive without a stream. A factory
-	// hands every trial an identically configured tokenizer, so one
+	// tok tokenizes the query of a MeasureImpact call. A factory hands
+	// every trial an identically configured tokenizer, so one
 	// tokenization of the query serves all trials.
 	tok    *tokenize.Tokenizer
 	trials []roniTrial
@@ -185,16 +185,13 @@ func (d *RONI) Config() RONIConfig { return d.cfg }
 // Q's token stream should use MeasureImpactStream instead, so Q is
 // tokenized at most once across the whole serving path.
 func (d *RONI) MeasureImpact(q *mail.Message, qSpam bool) Impact {
-	return d.MeasureImpactStream(q, nil, qSpam)
+	return d.MeasureImpactStream(q, d.tok.Stream(q), qSpam)
 }
 
 // MeasureImpactStream is MeasureImpact for a query already tokenized
-// once by the caller. ts may be nil, in which case the evaluator
-// tokenizes Q itself, once for every trial.
+// once by the caller: ts, never nil, is q's token stream, and it is
+// all the measurement reads.
 func (d *RONI) MeasureImpactStream(q *mail.Message, ts *tokenize.TokenStream, qSpam bool) Impact {
-	if ts == nil {
-		ts = d.tok.Stream(q)
-	}
 	var hamHamDelta, correctDelta float64
 	for i := range d.trials {
 		t := &d.trials[i]

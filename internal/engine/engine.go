@@ -29,14 +29,19 @@
 //     single atomically swappable epoch, so ClassifyBatch/ScoreBatch
 //     and single-message Classify read one load and every verdict
 //     comes from one published model; Swap builds the whole next epoch
-//     and stores it once; a buffered LearnStream bulk-loads the
-//     initial epoch; Stats carries the combined counters beside the
-//     per-shard breakdown;
-//   - Guarded, the one admission guard: it vets an engine's training
-//     path once, at the gateway, counts each decision on the shard the
-//     example routes to, and runs the publish hooks — PrePublish on
-//     every shard's replacement before anything publishes, PostPublish
-//     once per publish;
+//     and stores it once, and a published epoch is never trained in
+//     place; Stats carries the combined counters beside the per-shard
+//     breakdown;
+//   - Guarded, the one admission guard and the one training path: it
+//     vets an engine's training candidates once, at the gateway,
+//     counts each decision on the shard the example routes to, trains
+//     exactly the token streams it vetted (RetrainIncremental), and
+//     runs the publish hooks — PrePublish on every shard's replacement
+//     before anything publishes, PostPublish once per publish. The
+//     token stream is the one training contract: a candidate is
+//     tokenized once, and that stream — never nil — is what the
+//     admitter judges, the quarantine holds (a resumed hold is
+//     tokenized once at resume) and the learner trains;
 //   - persistence: SaveEngine/ResumeEngine write and restore one
 //     checksummed record per save, holding every shard's classifier at
 //     the epoch's generation, and SaveGuarded/ResumeGuarded

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/engine"
+	"repro/internal/tokenize"
 )
 
 // FuzzDecodeEnvelope holds the snapshot envelope decoder to three
@@ -41,8 +42,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(append(bytes.Repeat([]byte{'n'}, 200), "payload"...), uint64(3), uint8(200))
 	for _, n := range []int{1, 3} {
 		q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 4})
-		q.Hold(msg("held until review\n"), nil, true, "probe budget exhausted")
-		g := newGuard(n, func(int) engine.Classifier { return trained(f, "sbayes") }, 0,
+		held := msg("held until review\n")
+		q.Hold(held, tokenize.Default().Stream(held), true, "probe budget exhausted")
+		g := newGuard(n, func(int) engine.Classifier { return trained(f, "sbayes") },
 			&stateAdmitter{state: "spent budget"}, engine.GuardedConfig{Quarantine: q})
 		st := engine.NewMemStore()
 		gen, err := engine.SaveGuarded(st, "served", "sbayes", g)

@@ -17,7 +17,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/corpus"
 	"repro/internal/mail"
@@ -63,29 +62,34 @@ type AdmitDecision struct {
 
 // Admitter vets candidate training examples before they can influence
 // a serving snapshot. Implementations must tolerate concurrent Admit
-// calls — the guarded LearnStream is single-consumer, but batch
-// vetting and tests exercise admitters from multiple goroutines.
+// calls — the daemon vets on one learn loop, but batch vetting and
+// tests exercise admitters from multiple goroutines.
 type Admitter interface {
 	// Name identifies the admitter in traces.
 	Name() string
 	// Admit decides one candidate's fate. spam is the label the example
 	// would be trained under (the contamination assumption labels
-	// attack mail spam; the pseudospam variant labels it ham). ts, when
-	// non-nil, is m tokenized once by the caller with the tokenizer the
-	// filter would learn it under — admitters consume it instead of
-	// re-tokenizing (the tokenize-once contract). A nil ts means the
-	// caller holds no stream (a quarantine hold resumed from saved
-	// admission state carries none); admitters that need tokens then
-	// tokenize m themselves.
+	// attack mail spam; the pseudospam variant labels it ham). ts is m
+	// tokenized once by the caller with the tokenizer the filter would
+	// learn it under, and is never nil: admitters read it and never
+	// tokenize m themselves (the tokenize-once contract). The stream
+	// they judge is the stream that trains.
 	Admit(ctx context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) AdmitDecision
 }
 
 // QuarantineSink receives examples an Admitter quarantined. The
 // concrete buffer (admission.Quarantine) holds them for re-scoring at
-// the next snapshot swap; ts (possibly nil) is the candidate's token
-// stream, kept alongside so the swap-time review does not re-tokenize.
+// the next snapshot swap; ts, never nil, is the candidate's token
+// stream, kept alongside so the swap-time review judges the stream
+// the candidate was vetted on and never re-tokenizes.
 type QuarantineSink interface {
 	Hold(m *mail.Message, ts *tokenize.TokenStream, spam bool, reason string)
+	// Restream replaces every held candidate's stream with stream(m).
+	// A resume calls it once, right after loading the sink's section
+	// of a record — which keeps held messages, not their streams — with
+	// the serving tokenizer of the shard each candidate routes to, so
+	// a resumed hold carries a stream exactly as a live one does.
+	Restream(stream func(*mail.Message) *tokenize.TokenStream)
 }
 
 // AdmissionStats counts one engine's vetted training candidates.
@@ -160,10 +164,10 @@ type GuardedConfig struct {
 }
 
 // Guarded threads admission control through an engine's training
-// path: LearnStream, Retrain, and RetrainIncremental vet every example
-// through the Admitter before it is learned, quarantined examples are
-// routed to the configured sink, and every publish runs the
-// PrePublish/PostPublish hooks. Scoring (Classify, ClassifyBatch,
+// path: RetrainIncremental vets every example through the Admitter
+// before it is learned and trains the stream it vetted, quarantined
+// examples are routed to the configured sink, and every publish runs
+// the PrePublish/PostPublish hooks. Scoring (Classify, ClassifyBatch,
 // ScoreBatch) passes straight through to the engine and is never
 // blocked by admission work — vetting happens on the training path
 // only.
@@ -237,8 +241,8 @@ func (g *Guarded) Vet(ctx context.Context, m *mail.Message, spam bool) AdmitDeci
 }
 
 // VetStream is the single vetting chokepoint every guarded training
-// path shares: it runs one candidate (tokenized once upstream; ts may
-// be nil) through the admitter, records the decision against the
+// path shares: it runs one candidate, tokenized once upstream (ts is
+// never nil), through the admitter, records the decision against the
 // shard the candidate routes to, and routes a quarantine verdict —
 // stream and all — to the configured sink. It is exported so a
 // deployment that trains through its own machinery (the scenario
@@ -248,13 +252,11 @@ func (g *Guarded) VetStream(ctx context.Context, m *mail.Message, ts *tokenize.T
 	sh := g.eng.shards[g.eng.ShardFor(m)]
 	d := g.admit.Admit(ctx, m, ts, spam)
 	sh.recordAdmission(d.Verdict)
-	if ts != nil {
-		if digest := ts.Digest(); g.eng.trace.Sampled(digest) {
-			g.eng.trace.Record(obs.TraceEvent{
-				Kind: obs.TraceAdmit, Digest: digest, Generation: g.eng.Generation(),
-				Shard: sh.index, Verdict: d.Verdict.String(), Reason: d.Reason,
-			})
-		}
+	if digest := ts.Digest(); g.eng.trace.Sampled(digest) {
+		g.eng.trace.Record(obs.TraceEvent{
+			Kind: obs.TraceAdmit, Digest: digest, Generation: g.eng.Generation(),
+			Shard: sh.index, Verdict: d.Verdict.String(), Reason: d.Reason,
+		})
 	}
 	if d.Verdict == AdmitQuarantine && g.cfg.Quarantine != nil {
 		g.cfg.Quarantine.Hold(m, ts, spam, d.Reason)
@@ -262,29 +264,42 @@ func (g *Guarded) VetStream(ctx context.Context, m *mail.Message, ts *tokenize.T
 	return d
 }
 
-// tokFor resolves each shard's serving tokenizer once and returns the
-// per-message routing view of them, so batch vetting and the guarded
-// stream tokenize each candidate exactly once with the tokenizer of
-// the shard that would train it.
-func (g *Guarded) tokFor() func(*mail.Message) *tokenize.Tokenizer {
-	toks := g.eng.cur.Load().tokenizers()
-	return func(m *mail.Message) *tokenize.Tokenizer { return toks[g.eng.ShardFor(m)] }
+// Labeled is one admitted training example and the token stream it
+// was vetted on — the one shape the training path trains. Stream is
+// never nil: Guarded.VetCorpus tokenizes each candidate once, with the
+// serving tokenizer of the shard it routes to, and the same stream
+// feeds the admitter, the quarantine sink and, once admitted, the
+// learner's LearnTokenStream (RetrainIncremental).
+type Labeled struct {
+	Msg    *mail.Message
+	Stream *tokenize.TokenStream
+	Spam   bool
 }
 
-// VetCorpus vets every example of c in corpus order, returning the
-// admitted subset (unpartitioned — the training paths route it).
-// Quarantined examples go to the sink; rejected ones are dropped. Each
-// example is tokenized exactly once, for the vetting decision and the
-// sink together. It checks ctx between examples.
-func (g *Guarded) VetCorpus(ctx context.Context, c *corpus.Corpus) (*corpus.Corpus, error) {
-	tokFor := g.tokFor()
-	kept := &corpus.Corpus{}
+// VetCorpus vets every example of c in corpus order and returns each
+// shard's admitted examples, indexed by shard, with the streams they
+// were vetted on. Each candidate is tokenized once, with the serving
+// tokenizer of the shard it routes to, and that one stream feeds the
+// admitter, the quarantine sink (for a quarantined example) and the
+// returned Labeled (for an admitted one); rejected examples are
+// dropped. It checks ctx between examples.
+func (g *Guarded) VetCorpus(ctx context.Context, c *corpus.Corpus) ([][]Labeled, error) {
+	clfs, _ := g.eng.Snapshots()
+	return g.vetCorpus(ctx, clfs, c)
+}
+
+// vetCorpus is VetCorpus tokenizing with clfs, the epoch the caller
+// read once.
+func (g *Guarded) vetCorpus(ctx context.Context, clfs []Classifier, c *corpus.Corpus) ([][]Labeled, error) {
+	kept := make([][]Labeled, len(clfs))
 	for _, ex := range c.Examples {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if g.VetStream(ctx, ex.Msg, tokFor(ex.Msg).Stream(ex.Msg), ex.Spam).Verdict == AdmitAccept {
-			kept.Add(ex.Msg, ex.Spam)
+		i := g.eng.ShardFor(ex.Msg)
+		ts := clfs[i].Tokenizer().Stream(ex.Msg)
+		if g.VetStream(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
+			kept[i] = append(kept[i], Labeled{Msg: ex.Msg, Stream: ts, Spam: ex.Spam})
 		}
 	}
 	return kept, nil
@@ -329,127 +344,39 @@ func (g *Guarded) Swap(clfs ...Classifier) (uint64, error) {
 	return g.publish(g.eng.Generation(), clfs)
 }
 
-// Retrain vets train at the gateway, partitions the admitted subset by
-// the routing key, rebuilds every shard from its own slice with a
-// fresh classifier from factory, concurrently, and publishes the
-// replacements through the hooks as one epoch. Scoring continues
-// against the previous epoch for the whole build and never observes
-// the half-trained replacements. It returns the new generation, or
-// the current one and the error (ctx.Err() if cancelled mid-build);
-// on error nothing is published.
-func (g *Guarded) Retrain(ctx context.Context, factory Factory, train *corpus.Corpus) (uint64, error) {
-	if factory == nil {
-		panic("engine: Retrain with nil factory")
-	}
-	cur := g.eng.Generation()
-	kept, err := g.VetCorpus(ctx, train)
-	if err != nil {
-		return cur, err
-	}
-	parts := g.eng.Partition(kept)
-	next := make([]Classifier, len(parts))
-	err = g.eng.forEachShard(func(sh int) error {
-		next[sh] = factory()
-		return trainAll(ctx, next[sh], parts[sh])
-	})
-	if err != nil {
-		return cur, err
-	}
-	return g.publish(cur, next)
-}
-
-// RetrainIncremental vets delta at the gateway, partitions the
-// admitted subset by the routing key, clones every shard's serving
-// classifier, trains each shard's slice into its clone, and publishes
-// the clones through the hooks as one epoch — the guarded live-learn
-// path the serving daemon's learn queue drains through, and the cheap
-// path when the new data is a small addition to what the epoch already
-// knows. The classifiers cloned and the generation reported on error
-// come from one Snapshots() read, so a concurrent publish cannot pair
-// a clone with another generation's number (the torn-read class
-// sbvet:snapshotonce rejects at lint time).
+// RetrainIncremental vets delta at the gateway, clones every shard's
+// serving classifier, trains each shard's admitted examples into its
+// clone, and publishes the clones through the hooks as one epoch — the
+// guarded live-learn path the serving daemon's learn queue drains
+// through. What trains is exactly what was vetted: each clone learns
+// the stream VetCorpus handed the admitter (LearnTokenStream), so no
+// admitted message is tokenized a second time. Scoring continues
+// against the previous epoch for the whole build and never observes a
+// half-trained clone. The classifiers cloned, the tokenizers vetting
+// uses and the generation reported on error come from one Snapshots()
+// read, so a concurrent publish cannot pair a clone with another
+// generation's number (the torn-read class sbvet:snapshotonce rejects
+// at lint time). It returns the new generation, or the current one and
+// the error (ctx.Err() if cancelled); on error nothing is published.
 func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) (uint64, error) {
 	clfs, cur := g.eng.Snapshots()
-	kept, err := g.VetCorpus(ctx, delta)
+	kept, err := g.vetCorpus(ctx, clfs, delta)
 	if err != nil {
 		return cur, err
 	}
-	parts := g.eng.Partition(kept)
-	next := make([]Classifier, len(parts))
+	next := make([]Classifier, len(kept))
 	err = g.eng.forEachShard(func(sh int) error {
 		next[sh] = clfs[sh].CloneClassifier()
-		return trainAll(ctx, next[sh], parts[sh])
+		for _, ex := range kept[sh] {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			next[sh].LearnTokenStream(ex.Stream, ex.Spam, 1)
+		}
+		return nil
 	})
 	if err != nil {
 		return cur, err
 	}
 	return g.publish(cur, next)
-}
-
-// LearnStream starts a guarded bulk-training stream: every example is
-// vetted (counted on its destination shard), admitted examples flow
-// into the engine's own LearnStream, and the wait count is the number
-// actually learned. Each example is tokenized exactly once (unless the
-// producer already attached a stream): the same stream feeds the
-// admission decision and, on acceptance, rides the Labeled into the
-// inner stream so the learner never re-tokenizes. The contract matches
-// Engine.LearnStream — cancellation discards the remainder but keeps
-// draining until wait observes it, so a producer blocked on a full
-// buffer is always released, and producers must stop sending before
-// calling wait.
-func (g *Guarded) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, error)) {
-	inner, innerWait := g.eng.LearnStream(ctx)
-	tokFor := g.tokFor()
-	in := make(chan Labeled, g.eng.learnBuf)
-	stop := make(chan struct{})
-	vetDone := make(chan struct{})
-	var stopOnce sync.Once
-	// cancelled records that vetting shut down because of the context,
-	// not a producer close. It is written before vetDone closes and
-	// read after wait receives it, so the handoff is ordered. Without
-	// it the cancellation error can be swallowed: vetting's exit
-	// closes the inner stream, and an inner consumer that observes its
-	// closed channel before it happens to poll ctx.Done() finishes with
-	// a nil error like any clean shutdown.
-	var cancelled bool
-	go func() {
-		defer close(vetDone)
-		// The inner stream closes (and its consumer finishes) exactly
-		// when vetting is done forwarding.
-		defer close(inner)
-		for {
-			select {
-			case <-ctx.Done():
-				cancelled = true
-				go drainUntil(in, stop)
-				return
-			case ex, ok := <-in:
-				if !ok {
-					return
-				}
-				ts := ex.Stream
-				if ts == nil {
-					ts = tokFor(ex.Msg).Stream(ex.Msg)
-				}
-				if g.VetStream(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
-					// On cancellation the inner consumer drains its own
-					// stream until its wait observes it, and wait below
-					// does not call innerWait until vetting has exited,
-					// so this forward is always released.
-					ex.Stream = ts
-					inner <- ex
-				}
-			}
-		}
-	}()
-	wait := func() (int, error) {
-		<-vetDone
-		n, err := innerWait()
-		if err == nil && cancelled {
-			err = ctx.Err()
-		}
-		stopOnce.Do(func() { close(stop) })
-		return n, err
-	}
-	return in, wait
 }

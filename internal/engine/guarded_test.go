@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"reflect"
 	"strings"
@@ -60,15 +61,26 @@ func (b *blockingAdmitter) Admit(context.Context, *mail.Message, *tokenize.Token
 	return engine.AdmitDecision{Verdict: engine.AdmitAccept}
 }
 
-// heldSink records quarantined messages.
+// heldSink records quarantined messages and the streams they were
+// held with.
 type heldSink struct {
-	mu   sync.Mutex
-	held []*mail.Message
+	mu      sync.Mutex
+	held    []*mail.Message
+	streams []*tokenize.TokenStream
 }
 
-func (s *heldSink) Hold(m *mail.Message, _ *tokenize.TokenStream, _ bool, _ string) {
+func (s *heldSink) Hold(m *mail.Message, ts *tokenize.TokenStream, _ bool, _ string) {
 	s.mu.Lock()
 	s.held = append(s.held, m)
+	s.streams = append(s.streams, ts)
+	s.mu.Unlock()
+}
+
+func (s *heldSink) Restream(stream func(*mail.Message) *tokenize.TokenStream) {
+	s.mu.Lock()
+	for i, m := range s.held {
+		s.streams[i] = stream(m)
+	}
 	s.mu.Unlock()
 }
 
@@ -84,15 +96,15 @@ func forEachSize(t *testing.T, check func(t *testing.T, n int)) {
 
 // newGuard guards n shards, shard i serving mk(i): one shard goes
 // through New, more through NewSharded.
-func newGuard(n int, mk func(i int) engine.Classifier, learnBuf int, admit engine.Admitter, cfg engine.GuardedConfig) *engine.Guarded {
+func newGuard(n int, mk func(i int) engine.Classifier, admit engine.Admitter, cfg engine.GuardedConfig) *engine.Guarded {
 	if n == 1 {
-		return engine.NewGuarded(engine.New(mk(0), engine.Config{LearnBuffer: learnBuf}), admit, cfg)
+		return engine.NewGuarded(engine.New(mk(0), engine.Config{}), admit, cfg)
 	}
 	clfs := make([]engine.Classifier, n)
 	for i := range clfs {
 		clfs[i] = mk(i)
 	}
-	return engine.NewGuarded(engine.NewSharded(clfs, engine.Config{LearnBuffer: learnBuf}), admit, cfg)
+	return engine.NewGuarded(engine.NewSharded(clfs, engine.Config{}), admit, cfg)
 }
 
 // userMsg is msg addressed to user u, so a fleet spreads a run of
@@ -126,62 +138,21 @@ func spamCounts(g *engine.Guarded) int {
 	return total
 }
 
-func TestGuardedLearnStreamVetsAndCounts(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend string) {
-		forEachSize(t, func(t *testing.T, n int) {
-			sink := &heldSink{}
-			g := newGuard(n, func(int) engine.Classifier { return trained(t, backend) }, 0,
-				markerAdmitter{}, engine.GuardedConfig{Quarantine: sink})
-			in, wait := g.LearnStream(context.Background())
-			for i := 0; i < 30; i++ {
-				body := fmt.Sprintf("clean message %d\n", i)
-				switch i % 3 {
-				case 1:
-					body = fmt.Sprintf("poison message %d\n", i)
-				case 2:
-					body = fmt.Sprintf("odd message %d\n", i)
-				}
-				in <- engine.Labeled{Msg: userMsg(body, i%8), Spam: true}
-			}
-			close(in)
-			learned, err := wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if learned != 10 {
-				t.Errorf("learned %d, want the 10 accepted", learned)
-			}
-			st := g.Stats()
-			a := st.Admission
-			if a.Admitted != 10 || a.Rejected != 10 || a.Quarantined != 10 {
-				t.Errorf("admission counters %+v, want 10/10/10", a)
-			}
-			if a.Vetted != a.Admitted+a.Quarantined+a.Rejected {
-				t.Errorf("Vetted %d != sum of verdict counters (%+v)", a.Vetted, a)
-			}
-			if sum := sumAdmission(st); sum != a {
-				t.Errorf("sum(per-shard) %+v != combined %+v", sum, a)
-			}
-			if st.Learned != 10 {
-				t.Errorf("shards learned %d, want 10", st.Learned)
-			}
-			if len(sink.held) != 10 {
-				t.Errorf("sink holds %d, want 10", len(sink.held))
-			}
-		})
-	})
-}
-
 func TestGuardedNeverBlocksClassifyBatch(t *testing.T) {
 	// A wedged admitter (stuck mid-probe, say) must not stall scoring:
 	// the admission pipeline sits on the training path only.
 	forEachSize(t, func(t *testing.T, n int) {
 		block := &blockingAdmitter{release: make(chan struct{}), entered: make(chan struct{})}
-		g := newGuard(n, func(int) engine.Classifier { return trained(t, "sbayes") }, 0, block, engine.GuardedConfig{})
+		g := newGuard(n, func(int) engine.Classifier { return trained(t, "sbayes") }, block, engine.GuardedConfig{})
 
-		in, wait := g.LearnStream(context.Background())
-		in <- engine.Labeled{Msg: msg("stuck example\n"), Spam: true}
-		<-block.entered // the vetting goroutine is now wedged inside Admit
+		delta := &corpus.Corpus{}
+		delta.Add(msg("stuck example\n"), true)
+		retrained := make(chan error, 1)
+		go func() {
+			_, err := g.RetrainIncremental(context.Background(), delta)
+			retrained <- err
+		}()
+		<-block.entered // the retrain is now wedged inside Admit
 
 		batch := []*mail.Message{
 			userMsg("winner lottery prize claim urgent millions\n", 0),
@@ -204,37 +175,8 @@ func TestGuardedNeverBlocksClassifyBatch(t *testing.T) {
 			t.Fatal("ClassifyBatch blocked behind a wedged admitter")
 		}
 		close(block.release)
-		close(in)
-		if _, err := wait(); err != nil {
+		if err := <-retrained; err != nil {
 			t.Fatal(err)
-		}
-	})
-}
-
-func TestGuardedLearnStreamCancellation(t *testing.T) {
-	// A cancelled stream keeps draining: a producer that goes on
-	// sending into the one-slot buffer is released rather than wedged,
-	// and wait reports the cancellation.
-	forEachSize(t, func(t *testing.T, n int) {
-		ctx, cancel := context.WithCancel(context.Background())
-		g := newGuard(n, func(int) engine.Classifier { return trained(t, "sbayes") }, 1, markerAdmitter{}, engine.GuardedConfig{})
-		in, wait := g.LearnStream(ctx)
-		in <- engine.Labeled{Msg: msg("clean a\n"), Spam: true}
-		cancel()
-		sent := make(chan struct{})
-		go func() {
-			defer close(sent)
-			for i := 0; i < 20; i++ {
-				in <- engine.Labeled{Msg: userMsg(fmt.Sprintf("clean after cancel %d\n", i), i), Spam: true}
-			}
-		}()
-		select {
-		case <-sent:
-		case <-time.After(5 * time.Second):
-			t.Fatal("producer blocked after cancellation: the guarded stream stopped draining")
-		}
-		if _, err := wait(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("wait returned %v, want context.Canceled", err)
 		}
 	})
 }
@@ -254,7 +196,7 @@ func TestGuardedRetrainVetsAndRunsHooks(t *testing.T) {
 				PrePublish:  []func(engine.Classifier) error{func(engine.Classifier) error { order = append(order, "pre"); return nil }},
 				PostPublish: []func(){func() { order = append(order, "post") }},
 			}
-			g := newGuard(n, func(int) engine.Classifier { return b.New() }, 0, markerAdmitter{}, cfg)
+			g := newGuard(n, func(int) engine.Classifier { return b.New() }, markerAdmitter{}, cfg)
 			wantOrder := strings.Repeat("pre,", n) + "post"
 
 			train := &corpus.Corpus{}
@@ -262,7 +204,7 @@ func TestGuardedRetrainVetsAndRunsHooks(t *testing.T) {
 				train.Add(userMsg(fmt.Sprintf("clean spam words %d\n", i), i), true)
 			}
 			train.Add(userMsg("poison payload\n", 0), true)
-			gen, err := g.Retrain(context.Background(), b.New, train)
+			gen, err := g.RetrainIncremental(context.Background(), train)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +222,7 @@ func TestGuardedRetrainVetsAndRunsHooks(t *testing.T) {
 			if got := strings.Join(order, ","); got != wantOrder {
 				t.Errorf("hook order %v, want %v", got, wantOrder)
 			}
-			// RetrainIncremental vets too and the clones extend the
+			// A second retrain vets too and the clones extend the
 			// admitted state only.
 			order = nil
 			delta := &corpus.Corpus{}
@@ -318,7 +260,7 @@ func TestGuardedShardedRetrainAllVetsAtGateway(t *testing.T) {
 	}
 	train.Add(userMsg("poison payload\n", 0), true)
 
-	gen, err := g.Retrain(context.Background(), b.New, train)
+	gen, err := g.RetrainIncremental(context.Background(), train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +270,139 @@ func TestGuardedShardedRetrainAllVetsAtGateway(t *testing.T) {
 	if got := spamCounts(g); got != 10 {
 		t.Errorf("shards trained on %d spam total, want the 10 admitted", got)
 	}
+}
+
+// streamLog is a set of token-stream pointers, safe for the shards a
+// retrain trains concurrently.
+type streamLog struct {
+	mu      sync.Mutex
+	streams map[*tokenize.TokenStream]bool
+}
+
+func (l *streamLog) add(ts *tokenize.TokenStream) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.streams == nil {
+		l.streams = map[*tokenize.TokenStream]bool{}
+	}
+	l.streams[ts] = true
+}
+
+func (l *streamLog) set() map[*tokenize.TokenStream]bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return maps.Clone(l.streams)
+}
+
+// streamOnly is a backend classifier whose message methods fail the
+// test: the engine must train the streams it vetted. Every stream
+// LearnTokenStream trains lands in learned, which its clones share.
+type streamOnly struct {
+	engine.Classifier
+	t       *testing.T
+	learned *streamLog
+}
+
+func (c *streamOnly) fail(method string) {
+	c.t.Errorf("the engine called the message method %s", method)
+}
+
+func (c *streamOnly) Learn(*mail.Message, bool)              { c.fail("Learn") }
+func (c *streamOnly) LearnWeighted(*mail.Message, bool, int) { c.fail("LearnWeighted") }
+func (c *streamOnly) Unlearn(*mail.Message, bool) error      { c.fail("Unlearn"); return nil }
+func (c *streamOnly) Score(*mail.Message) float64            { c.fail("Score"); return 0 }
+func (c *streamOnly) Classify(*mail.Message) (engine.Label, float64) {
+	c.fail("Classify")
+	return engine.Unsure, 0
+}
+
+func (c *streamOnly) LearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) {
+	c.learned.add(ts)
+	c.Classifier.LearnTokenStream(ts, isSpam, weight)
+}
+
+func (c *streamOnly) CloneClassifier() engine.Classifier {
+	return &streamOnly{Classifier: c.Classifier.CloneClassifier(), t: c.t, learned: c.learned}
+}
+
+// streamAdmitter is markerAdmitter recording the stream it judged,
+// by verdict.
+type streamAdmitter struct {
+	markerAdmitter
+	accepted, held streamLog
+}
+
+func (a *streamAdmitter) Admit(ctx context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) engine.AdmitDecision {
+	d := a.markerAdmitter.Admit(ctx, m, ts, spam)
+	switch d.Verdict {
+	case engine.AdmitAccept:
+		a.accepted.add(ts)
+	case engine.AdmitQuarantine:
+		a.held.add(ts)
+	}
+	return d
+}
+
+// TestRetrainIncrementalTrainsTheVettedStreams: what trains is what
+// was vetted. Every shard's classifier fails the test if a message
+// method is called, so RetrainIncremental must train through
+// LearnTokenStream, on exactly the stream pointers the admitter
+// accepted — each candidate tokenized once — while every quarantined
+// candidate reaches the sink with the stream it was judged on.
+func TestRetrainIncrementalTrainsTheVettedStreams(t *testing.T) {
+	forEachSize(t, func(t *testing.T, n int) {
+		learned := &streamLog{}
+		admit := &streamAdmitter{}
+		sink := &heldSink{}
+		g := newGuard(n, func(int) engine.Classifier {
+			return &streamOnly{Classifier: trained(t, "sbayes"), t: t, learned: learned}
+		}, admit, engine.GuardedConfig{Quarantine: sink})
+		delta := &corpus.Corpus{}
+		for i := 0; i < 12; i++ {
+			body := fmt.Sprintf("clean message %d\n", i)
+			switch i % 3 {
+			case 1:
+				body = fmt.Sprintf("poison message %d\n", i)
+			case 2:
+				body = fmt.Sprintf("odd message %d\n", i)
+			}
+			delta.Add(userMsg(body, i), i%2 == 0)
+		}
+		before := spamCounts(g)
+		if _, err := g.RetrainIncremental(context.Background(), delta); err != nil {
+			t.Fatal(err)
+		}
+		accepted, held := admit.accepted.set(), admit.held.set()
+		if len(accepted) != 4 || len(held) != 4 {
+			t.Fatalf("the admitter accepted %d and held %d streams, want 4 and 4", len(accepted), len(held))
+		}
+		if got := learned.set(); !maps.Equal(got, accepted) {
+			t.Errorf("the clones trained %d streams, %d of them the ones the admitter accepted; want exactly the 4 accepted",
+				len(got), countIn(got, accepted))
+		}
+		sinkStreams := map[*tokenize.TokenStream]bool{}
+		for _, ts := range sink.streams {
+			sinkStreams[ts] = true
+		}
+		if !maps.Equal(sinkStreams, held) {
+			t.Errorf("the sink holds %d streams, %d of them the ones the admitter held; want exactly the 4 held",
+				len(sinkStreams), countIn(sinkStreams, held))
+		}
+		if got := spamCounts(g); got != before+2 {
+			t.Errorf("the shards hold %d spam, want the %d trained before plus the 2 admitted", got, before)
+		}
+	})
+}
+
+// countIn counts the members of got that are also in want.
+func countIn(got, want map[*tokenize.TokenStream]bool) int {
+	n := 0
+	for ts := range got {
+		if want[ts] {
+			n++
+		}
+	}
+	return n
 }
 
 func TestGuardedPrePublishErrorAbortsPublish(t *testing.T) {
@@ -340,7 +415,7 @@ func TestGuardedPrePublishErrorAbortsPublish(t *testing.T) {
 		}
 		boom := errors.New("refit failed")
 		var pres, posts int
-		g := newGuard(n, func(int) engine.Classifier { return b.New() }, 0, markerAdmitter{}, engine.GuardedConfig{
+		g := newGuard(n, func(int) engine.Classifier { return b.New() }, markerAdmitter{}, engine.GuardedConfig{
 			PrePublish: []func(engine.Classifier) error{func(engine.Classifier) error {
 				if pres++; pres%n == 0 {
 					return boom
@@ -394,7 +469,7 @@ func TestGuardedAdmissionCountersSumAcrossShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := newGuard(n, func(int) engine.Classifier { return b.New() }, 0,
+			g := newGuard(n, func(int) engine.Classifier { return b.New() },
 				markerAdmitter{}, engine.GuardedConfig{Quarantine: &heldSink{}})
 
 			// Deterministic routing check: one decision, one shard.
@@ -557,7 +632,7 @@ func TestSaveGuardedWritesOneRecord(t *testing.T) {
 
 // TestGenerationsAgreeAfterPublishAndResume: the engine serves one
 // generation across its shards, so after every publish — Swap,
-// Retrain, RetrainIncremental — and every resume, in place or at
+// RetrainIncremental — and every resume, in place or at
 // start-up, the guard's Generation, Stats().Generation, every shard's
 // Stats entry and every shard's engine_generation gauge report the
 // same number, and Retrains is Generation-1 for any shard count.
@@ -609,14 +684,14 @@ func TestGenerationsAgreeAfterPublishAndResume(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			train.Add(userMsg(fmt.Sprintf("clean words %d\n", i), i), i%2 == 0)
 		}
-		if _, err := g.Retrain(ctx, b.New, train); err != nil {
-			t.Fatal(err)
-		}
-		agree("Retrain", g, reg, 3)
 		if _, err := g.RetrainIncremental(ctx, train); err != nil {
 			t.Fatal(err)
 		}
-		agree("RetrainIncremental", g, reg, 4)
+		agree("RetrainIncremental", g, reg, 3)
+		if _, err := g.RetrainIncremental(ctx, train); err != nil {
+			t.Fatal(err)
+		}
+		agree("second RetrainIncremental", g, reg, 4)
 
 		st := engine.NewMemStore()
 		if gen, err := engine.SaveGuarded(st, "fleet", "sbayes", g); err != nil || gen != 4 {

@@ -37,6 +37,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/mail"
+	"repro/internal/tokenize"
 )
 
 // AdmissionStatePersister is the capability of carrying admitter or
@@ -83,8 +86,10 @@ func guardSections(admit Admitter, sink QuarantineSink) ([]Section, error) {
 }
 
 // applySections loads each section into its live component; a section
-// whose target cannot load is an error, not a skip.
-func applySections(sections []Section, admit Admitter, sink QuarantineSink) error {
+// whose target cannot load is an error, not a skip. A record keeps held
+// messages but not their streams, so once the sink's section loads,
+// every held candidate is tokenized once with stream.
+func applySections(sections []Section, admit Admitter, sink QuarantineSink, stream func(*mail.Message) *tokenize.TokenStream) error {
 	for _, s := range sections {
 		var target AdmissionStatePersister
 		var ok bool
@@ -107,8 +112,18 @@ func applySections(sections []Section, admit Admitter, sink QuarantineSink) erro
 		if err := target.LoadState(bytes.NewReader(s.Payload)); err != nil {
 			return fmt.Errorf("engine: loading %s state: %w", s.Label, err)
 		}
+		if s.Label == sectionQuarantine {
+			sink.Restream(stream)
+		}
 	}
 	return nil
+}
+
+// streamer tokenizes a message once with the tokenizer of the shard it
+// routes to among clfs, an epoch indexed by shard — the stream a live
+// vetting would have made of it.
+func (e *Engine) streamer(clfs []Classifier) func(*mail.Message) *tokenize.TokenStream {
+	return func(m *mail.Message) *tokenize.TokenStream { return clfs[e.ShardFor(m)].Tokenizer().Stream(m) }
 }
 
 // SaveGuarded persists g's engine as SaveEngine does — one record
@@ -129,7 +144,10 @@ func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) (uint64, er
 // configures it; the store key is name), a fresh guard wraps it with
 // admit and gcfg, and the record's admission sections are loaded into
 // the guard — held mail stays held and the probe budget stays spent
-// across the restart. Callers construct admit and gcfg exactly as for
+// across the restart. Each resumed hold is tokenized once, with the
+// resumed tokenizer of the shard it routes to, so a review judges it —
+// and the RONI memo recognizes it — as it would have before the
+// restart. Callers construct admit and gcfg exactly as for
 // NewGuarded (the calibration pool, hooks, and sinks are wiring, not
 // persisted state). Guarded.Resume runs the same resume in place.
 func ResumeGuarded(st SnapshotStore, name string, shards int, cfg Config, admit Admitter, gcfg GuardedConfig) (*Guarded, error) {
@@ -138,7 +156,7 @@ func ResumeGuarded(st SnapshotStore, name string, shards int, cfg Config, admit 
 		return nil, err
 	}
 	g := NewGuarded(newEngine(clfs, env.Generation, cfg), admit, gcfg)
-	if err := applySections(env.Sections, g.admit, g.cfg.Quarantine); err != nil {
+	if err := applySections(env.Sections, g.admit, g.cfg.Quarantine, g.eng.streamer(clfs)); err != nil {
 		return nil, fmt.Errorf("engine: resuming %q: %w", name, err)
 	}
 	return g, nil
@@ -148,10 +166,12 @@ func ResumeGuarded(st SnapshotStore, name string, shards int, cfg Config, admit 
 // classifiers ResumeGuarded would resume are published through the
 // hooks as the next epoch, then the admission sections saved with them
 // are loaded — after the publish, so a PostPublish grant never adds to
-// the restored probe budget. It returns the resumed snapshot
-// generation, the new serving generation, and whether admission state
-// was loaded. A hook error aborts before anything is published; a
-// section error leaves the published classifiers serving.
+// the restored probe budget — and each resumed hold is tokenized once
+// with the published tokenizer of the shard it routes to. It returns
+// the resumed snapshot generation, the new serving generation, and
+// whether admission state was loaded. A hook error aborts before
+// anything is published; a section error leaves the published
+// classifiers serving.
 func (g *Guarded) Resume(st SnapshotStore, name string) (snapshot, gen uint64, loaded bool, err error) {
 	env, clfs, err := resumeRecord(st, name, g.eng.NumShards())
 	if err != nil {
@@ -160,7 +180,7 @@ func (g *Guarded) Resume(st SnapshotStore, name string) (snapshot, gen uint64, l
 	if gen, err = g.publish(g.eng.Generation(), clfs); err != nil {
 		return env.Generation, gen, false, err
 	}
-	if err := applySections(env.Sections, g.admit, g.cfg.Quarantine); err != nil {
+	if err := applySections(env.Sections, g.admit, g.cfg.Quarantine, g.eng.streamer(clfs)); err != nil {
 		return env.Generation, gen, false, fmt.Errorf("engine: resuming %q: %w", name, err)
 	}
 	return env.Generation, gen, len(env.Sections) > 0, nil

@@ -710,7 +710,9 @@ func ResumeEngine(st SnapshotStore, name string, shards int, cfg Config) (*Engin
 // returning the removed generations. keep must be at least 1, and the
 // generation a resume would restart from — the newest whose every
 // shard loads — is never pruned even if it falls outside the kept
-// count.
+// count. Prune also removes every version-1 "<name>.admission" sidecar
+// that no kept version-1 record needs: one beside a pruned record, and
+// one whose generation has since been saved again as a current record.
 func Prune(st SnapshotStore, name string, keep int) ([]uint64, error) {
 	if keep < 1 {
 		return nil, fmt.Errorf("engine: Prune keep %d", keep)
@@ -719,25 +721,41 @@ func Prune(st SnapshotStore, name string, keep int) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(gens) <= keep {
-		return nil, nil
-	}
 	// If every newer file is corrupt or unloadable, the restart path
 	// must survive the prune even when the count alone would remove it,
 	// or pruning would convert rotten files into an unrecoverable line.
 	restart := uint64(0)
-	if env, _, err := loadRecord(st, name); err == nil {
-		restart = env.Generation
+	if len(gens) > keep {
+		if env, _, err := loadRecord(st, name); err == nil {
+			restart = env.Generation
+		}
 	}
+	kept := make(map[uint64]bool, keep+1)
 	var removed []uint64
-	for _, gen := range gens[:len(gens)-keep] {
-		if gen == restart {
+	for i, gen := range gens {
+		if i >= len(gens)-keep || gen == restart {
+			kept[gen] = true
 			continue
 		}
 		if err := st.Remove(name, gen); err != nil {
 			return removed, err
 		}
 		removed = append(removed, gen)
+	}
+	sidecar := name + ".admission"
+	sides, err := st.Generations(sidecar)
+	if err != nil {
+		return removed, err
+	}
+	for _, gen := range sides {
+		if kept[gen] {
+			if env, err := readEnvelope(st, name, gen); err != nil || env.v1 {
+				continue
+			}
+		}
+		if err := st.Remove(sidecar, gen); err != nil {
+			return removed, err
+		}
 	}
 	return removed, nil
 }

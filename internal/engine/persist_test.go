@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -318,6 +319,58 @@ func TestPruneKeepsTheGenerationResumeLoads(t *testing.T) {
 	}
 	if _, env, err := engine.ResumeEngine(st, "line", 1, engine.Config{}); err != nil || env.Generation != 1 {
 		t.Fatalf("resume after prune = (generation %d, %v), want generation 1", env.Generation, err)
+	}
+}
+
+// TestPruneDropsSidecarsNoKeptRecordNeeds: a version-1 record's
+// admission state lives in a "<name>.admission" sidecar at its
+// generation. Prune keeps a sidecar exactly as long as a kept
+// version-1 record needs it: not once its record is pruned, and not
+// once its generation has been saved again as a current record.
+func TestPruneDropsSidecarsNoKeptRecordNeeds(t *testing.T) {
+	var db bytes.Buffer
+	if err := trained(t, "sbayes").Save(&db); err != nil {
+		t.Fatal(err)
+	}
+	st := engine.NewMemStore()
+	for _, gen := range []uint64{2, 3} {
+		if err := st.Write("line", gen, v1Record("sbayes", gen, db.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Write("line.admission", gen, seal(append([]byte("ADMS\x01"), byte(gen), 0))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sidecars := func(want ...uint64) {
+		t.Helper()
+		if got, err := st.Generations("line.admission"); err != nil || !slices.Equal(got, want) {
+			t.Errorf("sidecars at %v (%v), want %v", got, err, want)
+		}
+	}
+	prune := func() {
+		t.Helper()
+		if _, err := engine.Prune(st, "line", 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prune()
+	sidecars(2, 3)
+
+	eng := engine.NewAt(trained(t, "sbayes"), 3, engine.Config{})
+	if _, err := engine.SaveEngine(st, "line", "sbayes", eng); err != nil {
+		t.Fatal(err)
+	}
+	prune()
+	sidecars(2)
+
+	eng.Swap(trained(t, "sbayes"))
+	if _, err := engine.SaveEngine(st, "line", "sbayes", eng); err != nil {
+		t.Fatal(err)
+	}
+	prune()
+	sidecars()
+	if got, err := st.Generations("line"); err != nil || !slices.Equal(got, []uint64{3, 4}) {
+		t.Errorf("records at %v (%v), want [3 4]", got, err)
 	}
 }
 

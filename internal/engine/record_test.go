@@ -17,8 +17,10 @@ import (
 	"repro/internal/admission"
 	"repro/internal/corpus"
 	"repro/internal/engine"
+	"repro/internal/mail"
 	"repro/internal/stats"
 	"repro/internal/textgen"
+	"repro/internal/tokenize"
 )
 
 // errCrashed is the failure of every write a crashStore refuses.
@@ -48,7 +50,7 @@ func TestEverySaveIsOneWrite(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		forEachSize(t, func(t *testing.T, n int) {
 			q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 4})
-			g := newGuard(n, func(int) engine.Classifier { return trained(t, backend) }, 0,
+			g := newGuard(n, func(int) engine.Classifier { return trained(t, backend) },
 				&stateAdmitter{state: "spent budget"}, engine.GuardedConfig{Quarantine: q})
 			st := &crashStore{SnapshotStore: engine.NewMemStore()}
 			for _, save := range []struct {
@@ -158,7 +160,7 @@ func vet(g *engine.Guarded, first, count int) {
 func (r crashRig) saveThenAdvance(t *testing.T) (*engine.MemStore, *engine.Guarded, savedState) {
 	t.Helper()
 	chain, roni, q := r.wire(t)
-	g := newGuard(r.n, func(int) engine.Classifier { return trained(t, r.backend) }, 0, chain, engine.GuardedConfig{Quarantine: q})
+	g := newGuard(r.n, func(int) engine.Classifier { return trained(t, r.backend) }, chain, engine.GuardedConfig{Quarantine: q})
 	vet(g, 0, 4)
 	st := engine.NewMemStore()
 	gen, err := engine.SaveGuarded(st, "served", r.backend, g)
@@ -250,6 +252,100 @@ func TestGuardedSaveSurvivesCrashAtAnyWrite(t *testing.T) {
 				}
 				r.resumesTo(t, st, want, fmt.Sprintf("bit flipped at byte %d of %d", at, len(record)))
 			}
+		})
+	})
+}
+
+// TestResumedHoldsReuseThePersistedMemo: a held copy of a payload
+// whose RONI verdict is in the memo is decided from the memo after a
+// restart, as it is in the live process. One copy is held on an empty
+// probe bucket, a later copy is probed, and the guard is saved. A
+// review with no new budget must then decide the held copy with no
+// probe — live, after a resume at start-up, and after a resume in
+// place. A record keeps held messages, not their streams; a resumed
+// hold left without one missed the digest-keyed memo and was deferred
+// again.
+func TestResumedHoldsReuseThePersistedMemo(t *testing.T) {
+	gen := textgen.MustNew(textgen.MustUniverse(textgen.UniverseConfig{
+		CommonWords: 50, StandardWords: 700, FormalWords: 250,
+		ColloquialWords: 290, SpamWords: 120, PersonalWords: 400,
+	}), textgen.DefaultConfig())
+	calib := gen.Corpus(stats.NewRNG(3), 40, 40)
+	// payload builds one more copy of the same message: a distinct
+	// *mail.Message with the same tokens.
+	payload := func() *mail.Message {
+		m := gen.SpamMessage(stats.NewRNG(5))
+		m.Header.Set("To", "victim@corp.example")
+		return m
+	}
+	ctx := context.Background()
+	forEachBackend(t, func(t *testing.T, backend string) {
+		forEachSize(t, func(t *testing.T, n int) {
+			b, err := engine.Lookup(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// wire builds the admission a process start builds: the
+			// flood gate, then a RONI link whose bucket starts below one
+			// probe.
+			wire := func() (*admission.Chain, *admission.IncrementalRONI, *admission.Quarantine) {
+				roni, err := admission.NewIncrementalRONI(admission.IncrementalRONIConfig{BudgetPerMessage: 0.001, Burst: 0.5},
+					calib, b.New, stats.NewRNG(9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gate := admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 2000})
+				return admission.NewChain(gate, roni), roni, admission.NewQuarantine(admission.QuarantineConfig{Capacity: 16})
+			}
+			chain, roni, q := wire()
+			g := newGuard(n, func(int) engine.Classifier { return trained(t, backend) }, chain, engine.GuardedConfig{Quarantine: q})
+			if d := g.Vet(ctx, payload(), true); d.Verdict != engine.AdmitQuarantine {
+				t.Fatalf("first copy on an empty bucket: %v (%s), want it held", d.Verdict, d.Reason)
+			}
+			roni.Grant(1)
+			probed := g.Vet(ctx, payload(), true)
+			if probed.Verdict == engine.AdmitQuarantine || roni.Stats().Probes != 1 {
+				t.Fatalf("second copy after a grant: %v (%s) after %d probes, want one probe's verdict",
+					probed.Verdict, probed.Reason, roni.Stats().Probes)
+			}
+			st := engine.NewMemStore()
+			if _, err := engine.SaveGuarded(st, "served", backend, g); err != nil {
+				t.Fatal(err)
+			}
+
+			review := func(what string, chain *admission.Chain, roni *admission.IncrementalRONI, q *admission.Quarantine) {
+				t.Helper()
+				before := roni.Stats()
+				released, dropped := q.Review(func(m *mail.Message, ts *tokenize.TokenStream, spam bool) admission.Decision {
+					return chain.Admit(ctx, m, ts, spam)
+				})
+				after := roni.Stats()
+				wantReleased := 0
+				if probed.Verdict == engine.AdmitAccept {
+					wantReleased = 1
+				}
+				if len(released) != wantReleased || len(released)+dropped != 1 || after.Probes != before.Probes ||
+					after.MemoHits != before.MemoHits+1 || after.Deferred != before.Deferred {
+					t.Errorf("%s: the review released %d and dropped %d (probes %d→%d, memo hits %d→%d, deferred %d→%d); "+
+						"want the held copy decided (%v) from the memo with no probe",
+						what, len(released), dropped, before.Probes, after.Probes, before.MemoHits, after.MemoHits,
+						before.Deferred, after.Deferred, probed.Verdict)
+				}
+			}
+			review("live", chain, roni, q)
+
+			chain2, roni2, q2 := wire()
+			if _, err := engine.ResumeGuarded(st, "served", n, engine.Config{Name: "served"}, chain2, engine.GuardedConfig{Quarantine: q2}); err != nil {
+				t.Fatal(err)
+			}
+			review("resumed at start-up", chain2, roni2, q2)
+
+			chain3, roni3, q3 := wire()
+			g3 := newGuard(n, func(int) engine.Classifier { return b.New() }, chain3, engine.GuardedConfig{Quarantine: q3})
+			if _, _, _, err := g3.Resume(st, "served"); err != nil {
+				t.Fatal(err)
+			}
+			review("resumed in place", chain3, roni3, q3)
 		})
 	})
 }

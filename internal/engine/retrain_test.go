@@ -3,8 +3,9 @@ package engine
 // Snapshot-swap suite: the Engine must keep scoring at full speed
 // while a retrain builds a replacement, and no verdict may ever be
 // computed against a half-trained filter. The retrains publish
-// through Guarded (the engine's only retrain path), here over an
-// admitter that accepts everything. Run under -race (make race).
+// through Guarded.RetrainIncremental (the engine's only retrain path),
+// here over an admitter that accepts everything. Run under -race (make
+// race).
 
 import (
 	"context"
@@ -21,7 +22,8 @@ import (
 // trained on: Score returns float64(trained). A fully built
 // replacement therefore scores len(train); any other non-initial
 // value observed by a scorer is a half-trained filter leaking through
-// the snapshot boundary.
+// the snapshot boundary. It counts LearnTokenStream only: the engine
+// trains the streams it vetted, so its message learners panic.
 type countingClassifier struct {
 	stubRest
 	trained int
@@ -44,14 +46,12 @@ func (c *countingClassifier) ScoreTokenStream(*tokenize.TokenStream) float64 {
 func (c *countingClassifier) ClassifyTokenStream(*tokenize.TokenStream) (Label, float64) {
 	return Unsure, float64(c.trained)
 }
-func (c *countingClassifier) Learn(m *mail.Message, isSpam bool) { c.trained++ }
-func (c *countingClassifier) LearnWeighted(m *mail.Message, isSpam bool, weight int) {
-	c.trained += weight
+func (c *countingClassifier) Learn(*mail.Message, bool) { panic("counting: Learn") }
+func (c *countingClassifier) LearnWeighted(*mail.Message, bool, int) {
+	panic("counting: LearnWeighted")
 }
-func (c *countingClassifier) Unlearn(m *mail.Message, isSpam bool) error {
-	return c.UnlearnTokenStream(nil, isSpam, 1)
-}
-func (c *countingClassifier) Score(m *mail.Message) float64 { return float64(c.trained) }
+func (c *countingClassifier) Unlearn(*mail.Message, bool) error { panic("counting: Unlearn") }
+func (c *countingClassifier) Score(m *mail.Message) float64     { return float64(c.trained) }
 func (c *countingClassifier) Classify(m *mail.Message) (Label, float64) {
 	return Unsure, float64(c.trained)
 }
@@ -92,7 +92,7 @@ func TestRetrainPublishesNewGeneration(t *testing.T) {
 	if g := e.Generation(); g != 1 {
 		t.Fatalf("initial generation %d, want 1", g)
 	}
-	gen, err := guard(e).Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, trainCorpus(10))
+	gen, err := guard(e).RetrainIncremental(context.Background(), trainCorpus(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRetrainPublishesNewGeneration(t *testing.T) {
 	}
 	clf, g := e.Snapshot()
 	if g != gen {
-		t.Fatalf("Snapshot generation %d != Retrain result %d", g, gen)
+		t.Fatalf("Snapshot generation %d != RetrainIncremental result %d", g, gen)
 	}
 	if got := clf.Score(&mail.Message{Body: "x"}); got != 10 {
 		t.Fatalf("retrained snapshot scores %v, want 10 (fully trained)", got)
@@ -116,7 +116,7 @@ func TestRetrainCancelledKeepsServingSnapshot(t *testing.T) {
 	e := New(&countingClassifier{trained: 7}, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	gen, err := guard(e).Retrain(ctx, func() Classifier { return &countingClassifier{} }, trainCorpus(10))
+	gen, err := guard(e).RetrainIncremental(ctx, trainCorpus(10))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -171,7 +171,7 @@ func TestEngineClassifySingle(t *testing.T) {
 }
 
 // TestServeWhileRetrainNoTornReads hammers ClassifyBatch and Classify
-// concurrently with guarded Retrain and RetrainIncremental swaps. Every score
+// concurrently with two guarded RetrainIncremental loops. Every score
 // must be 0 (the initial empty snapshot) or a multiple of trainN (a
 // fully trained replacement); any other value means a verdict was
 // computed against a half-trained filter. The -race run additionally
@@ -188,28 +188,20 @@ func TestServeWhileRetrainNoTornReads(t *testing.T) {
 
 	ctx, stop := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	// One full retrainer and one incremental retrainer publish
-	// concurrently with scoring. Incremental deltas are whole corpora
-	// too, so legal scores stay multiples of trainN.
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for ctx.Err() == nil {
-			if _, err := g.Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, train); err != nil {
-				t.Errorf("Retrain: %v", err)
-				return
+	// Two retrainers publish concurrently with scoring. Every delta is
+	// the whole corpus, so legal scores stay multiples of trainN.
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				if _, err := g.RetrainIncremental(context.Background(), train); err != nil {
+					t.Errorf("RetrainIncremental: %v", err)
+					return
+				}
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for ctx.Err() == nil {
-			if _, err := g.RetrainIncremental(context.Background(), train); err != nil {
-				t.Errorf("RetrainIncremental: %v", err)
-				return
-			}
-		}
-	}()
+		}()
+	}
 
 	legal := func(score float64) bool {
 		n := int(score)

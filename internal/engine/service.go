@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/mail"
 	"repro/internal/obs"
 	"repro/internal/tokenize"
@@ -24,21 +23,18 @@ type Config struct {
 	// GOMAXPROCS divided across the shards (at least 1 each), so an
 	// engine of several shards does not oversubscribe the machine.
 	Workers int
-	// LearnBuffer is the LearnStream channel capacity (<= 0 selects
-	// 256).
-	LearnBuffer int
 	// Key routes messages to shards (nil selects RecipientKey). A
 	// one-shard engine never calls it.
 	Key ShardKey
 	// Obs, when non-nil, registers every shard's instruments — the
-	// classify/batch/learn latency histograms, verdict, publish and
+	// classify and batch latency histograms, verdict, publish and
 	// admission counters, and generation gauge, each labeled with the
 	// shard's stats label — for /metrics exposition, so an operator
 	// can see one shard's latency or admission mix diverge. Nil still
 	// instruments (the counters back Stats) but nothing is scraped.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives sampled decision-trace events
-	// (classify verdicts, admission decisions, learns, publishes),
+	// (classify verdicts, admission decisions, publishes),
 	// stamped with the shard index (-1 for a one-shard engine).
 	Trace *obs.Tracer
 }
@@ -60,29 +56,27 @@ type epoch struct {
 // retrained on — a fixed slice of the user population; a single
 // engine is the one-shard case, which never calls the key. Engine fans
 // batches out across a worker pool per shard, holds every shard's
-// classifier behind one atomically swappable epoch, funnels bulk
-// training through a buffered stream, and keeps per-shard verdict,
-// latency and admission counters.
+// classifier behind one atomically swappable epoch, and keeps
+// per-shard verdict, latency and admission counters.
 //
 // Scoring (Classify, ClassifyBatch, ScoreBatch) loads the epoch once
 // per call and uses it throughout, so a batch never mixes generations,
-// not even across shards. Publishing (Swap, and the guarded retrains
+// not even across shards. Publishing (Swap, and the guarded retrain
 // through Guarded) builds the whole next epoch and stores it once; the
 // classifiers only need to tolerate concurrent read-only
-// Classify/Score calls, which every backend guarantees. The one
-// in-place mutation path, LearnStream, trains the epoch current at
-// stream start and is meant for bulk loading before serving begins.
+// Classify/Score calls, which every backend guarantees. A published
+// epoch is never mutated: classifiers are trained before they are
+// published.
 //
 // Sharding buys two things one classifier cannot offer: batch scoring
 // that fans out across shards, and per-user blast-radius isolation —
 // poison trained into one shard degrades only the mailboxes routed
 // there, which the per-shard Stats and instruments make observable.
 type Engine struct {
-	name     string
-	key      ShardKey
-	workers  int
-	learnBuf int
-	trace    *obs.Tracer
+	name    string
+	key     ShardKey
+	workers int
+	trace   *obs.Tracer
 	// shards holds each shard's stats label, trace index and
 	// instruments; the classifiers they serve live in the epoch.
 	shards []*shard
@@ -108,12 +102,10 @@ type shard struct {
 	index int32
 
 	scored      *obs.Counter
-	learned     *obs.Counter
 	batches     *obs.Counter
 	byLabel     [3]*obs.Counter
 	batchLat    *obs.Histogram
 	classifyLat *obs.Histogram
-	learnLat    *obs.Histogram
 	publishes   *obs.Counter
 
 	// Admission-control tallies, recorded by the Guarded wrapper for
@@ -171,11 +163,7 @@ func newEngine(clfs []Classifier, gen uint64, cfg Config) *Engine {
 	if workers <= 0 {
 		workers = max(1, runtime.GOMAXPROCS(0)/len(clfs))
 	}
-	learnBuf := cfg.LearnBuffer
-	if learnBuf <= 0 {
-		learnBuf = 256
-	}
-	e := &Engine{name: name, key: key, workers: workers, learnBuf: learnBuf, trace: cfg.Trace,
+	e := &Engine{name: name, key: key, workers: workers, trace: cfg.Trace,
 		shards: make([]*shard, len(clfs))}
 	for i := range clfs {
 		label, index := name, int32(-1)
@@ -196,14 +184,12 @@ func (e *Engine) newShard(reg *obs.Registry, label string, index int32) *shard {
 	el := obs.L("engine", label)
 	sh := &shard{name: label, index: index}
 	sh.scored = reg.Counter("engine_scored_total", "messages scored without a verdict (ScoreBatch)", el)
-	sh.learned = reg.Counter("engine_learned_total", "messages trained via LearnStream", el)
 	sh.batches = reg.Counter("engine_batches_total", "completed batch calls (ClassifyBatch and ScoreBatch)", el)
 	for i := Ham; i <= Spam; i++ {
 		sh.byLabel[i] = reg.Counter("engine_classified_total", "classification verdicts by label", el, obs.L("label", i.String()))
 	}
 	sh.batchLat = reg.Histogram("engine_batch_seconds", "batch call wall-clock latency", nil, el)
 	sh.classifyLat = reg.Histogram("engine_classify_seconds", "single-message classify latency (the at-delivery hot path)", nil, el)
-	sh.learnLat = reg.Histogram("engine_learn_seconds", "per-example LearnStream training latency", nil, el)
 	sh.publishes = reg.Counter("engine_publishes_total", "snapshot publishes (Retrain, RetrainIncremental, Swap) by this process", el)
 	sh.admitted = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitAccept.String()))
 	sh.quarantined = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitQuarantine.String()))
@@ -398,140 +384,6 @@ func (e *Engine) publish(clfs []Classifier) uint64 {
 	return gen
 }
 
-// trainAll trains every example of c into clf, checking ctx between
-// examples.
-func trainAll(ctx context.Context, clf Classifier, c *corpus.Corpus) error {
-	for _, ex := range c.Examples {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		clf.Learn(ex.Msg, ex.Spam)
-	}
-	return nil
-}
-
-// Labeled is one training example flowing through LearnStream. Stream,
-// when non-nil, is Msg tokenized once upstream (a guarded stream's
-// vetting stage tokenizes each candidate exactly once and forwards the
-// stream here), and the learner trains on it instead of re-tokenizing
-// Msg. Producers without a stream leave it nil and the learner
-// tokenizes Msg itself.
-type Labeled struct {
-	Msg    *mail.Message
-	Stream *tokenize.TokenStream
-	Spam   bool
-}
-
-// LearnStream starts a single-consumer bulk-training stream into the
-// epoch current at stream start: send examples on the returned
-// channel, close it, then call wait for the count of examples
-// learned. The one consumer routes each example by the routing key and
-// learns it into its shard's classifier. The channel is buffered
-// (Config LearnBuffer) so producers — an mbox reader, a corpus
-// generator — run ahead of the learner. Training mutates the epoch's
-// classifiers in place (single-writer on one goroutine), so the stream
-// is for bulk loading before the engine starts serving; a live
-// deployment retrains through a publish instead.
-//
-// If ctx is cancelled, remaining examples are discarded and wait
-// returns ctx.Err(). The stream keeps draining until wait observes
-// the cancellation, so a producer blocked on a full buffer is
-// released without having to close the channel. Producers running in
-// other goroutines must stop sending (or close the channel) before
-// wait is called — a send racing wait's return can block forever,
-// exactly like a send racing a close.
-func (e *Engine) LearnStream(ctx context.Context) (chan<- Labeled, func() (int, error)) {
-	ep := e.cur.Load()
-	toks := ep.tokenizers()
-	in := make(chan Labeled, e.learnBuf)
-	done := make(chan struct{})
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var n int
-	var err error
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				err = ctx.Err()
-				// Keep draining so a producer blocked on a full
-				// buffer can finish; the drain stops once wait
-				// observes the cancellation instead of leaking until
-				// an abandoned channel is closed.
-				go drainUntil(in, stop)
-				return
-			case ex, ok := <-in:
-				if !ok {
-					return
-				}
-				start := time.Now()
-				i := e.ShardFor(ex.Msg)
-				sh := e.shards[i]
-				ts := ex.Stream
-				if ts == nil {
-					ts = toks[i].Stream(ex.Msg)
-				}
-				ep.clfs[i].LearnTokenStream(ts, ex.Spam, 1)
-				sh.learnLat.ObserveSince(start)
-				sh.learned.Inc()
-				if d := ts.Digest(); e.trace.Sampled(d) {
-					e.trace.Record(obs.TraceEvent{
-						Kind: obs.TraceLearn, Digest: d, Generation: ep.gen, Shard: sh.index,
-					})
-				}
-				n++
-			}
-		}
-	}()
-	wait := func() (int, error) {
-		<-done
-		stopOnce.Do(func() { close(stop) })
-		return n, err
-	}
-	return in, wait
-}
-
-// tokenizers returns each shard's serving tokenizer, indexed by shard.
-func (ep *epoch) tokenizers() []*tokenize.Tokenizer {
-	toks := make([]*tokenize.Tokenizer, len(ep.clfs))
-	for i, clf := range ep.clfs {
-		toks[i] = clf.Tokenizer()
-	}
-	return toks
-}
-
-// drainUntil keeps receiving from a cancelled stream's channel so a
-// producer blocked on a full buffer can finish, stopping once stop is
-// closed (when the stream's wait observes the cancellation) instead
-// of leaking until an abandoned channel is closed. Shared by
-// Engine.LearnStream and Guarded.LearnStream, whose drain contract
-// must not drift apart.
-func drainUntil(in <-chan Labeled, stop <-chan struct{}) {
-	for {
-		select {
-		case _, ok := <-in:
-			if !ok {
-				return
-			}
-		case <-stop:
-			// Release any sender blocked right now, then quit. A
-			// closed channel is always receivable, so check ok or the
-			// flush would spin forever.
-			for {
-				select {
-				case _, ok := <-in:
-					if !ok {
-						return
-					}
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
 // Stats is a point-in-time snapshot of an engine's counters: the
 // combined view under the engine's name, beside the per-shard
 // breakdown.
@@ -555,8 +407,6 @@ type Stats struct {
 	// (ScoreBatch) — counted apart from Classified so score-only
 	// traffic cannot break the ByLabel invariant.
 	Scored uint64
-	// Learned is the total number of messages trained via LearnStream.
-	Learned uint64
 	// Batches is the number of completed batch calls (ClassifyBatch
 	// and ScoreBatch), counted once per shard a batch reached.
 	Batches uint64
@@ -575,9 +425,6 @@ type Stats struct {
 	// ClassifyLatency is the cumulative wall-clock time spent in
 	// single-message Classify calls — the online at-delivery hot path.
 	ClassifyLatency time.Duration
-	// LearnLatency is the cumulative wall-clock time spent training
-	// examples in LearnStream.
-	LearnLatency time.Duration
 	// Admission counts training candidates vetted through a Guarded
 	// wrapper (zero on an unguarded engine). Its Vetted total is
 	// derived from the per-verdict loads, so Vetted ==
@@ -603,14 +450,12 @@ func (e *Engine) Stats() Stats {
 		st.Shards[i] = s
 		st.Classified += s.Classified
 		st.Scored += s.Scored
-		st.Learned += s.Learned
 		st.Batches += s.Batches
 		for l := range s.ByLabel {
 			st.ByLabel[l] += s.ByLabel[l]
 		}
 		st.BatchLatency += s.BatchLatency
 		st.ClassifyLatency += s.ClassifyLatency
-		st.LearnLatency += s.LearnLatency
 		st.Admission.add(s.Admission)
 	}
 	st.Publishes = st.Shards[0].Publishes
@@ -630,13 +475,11 @@ func (sh *shard) stats(gen uint64) Stats {
 		Retrains:        gen - 1,
 		Classified:      byLabel[0] + byLabel[1] + byLabel[2],
 		Scored:          sh.scored.Value(),
-		Learned:         sh.learned.Value(),
 		Batches:         sh.batches.Value(),
 		ByLabel:         byLabel,
 		Publishes:       sh.publishes.Value(),
 		BatchLatency:    sh.batchLat.SumDuration(),
 		ClassifyLatency: sh.classifyLat.SumDuration(),
-		LearnLatency:    sh.learnLat.SumDuration(),
 		Admission:       sh.admissionStats(),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -265,132 +264,6 @@ func TestClassifyLatencyRecorded(t *testing.T) {
 	}
 	if got := e.Stats(); got.BatchLatency == 0 {
 		t.Error("batch call recorded no BatchLatency")
-	}
-}
-
-func TestLearnStream(t *testing.T) {
-	clf := &stubClassifier{}
-	e := New(clf, Config{LearnBuffer: 4})
-	in, wait := e.LearnStream(context.Background())
-	for i := 0; i < 25; i++ {
-		in <- Labeled{Msg: scoreMsg(0.5), Spam: i%5 == 0}
-	}
-	close(in)
-	n, err := wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 25 {
-		t.Fatalf("learned %d, want 25", n)
-	}
-	ns, nh := clf.Counts()
-	if ns != 5 || nh != 20 {
-		t.Fatalf("counts (%d, %d), want (5, 20)", ns, nh)
-	}
-	if s := e.Stats(); s.Learned != 25 {
-		t.Errorf("stats.Learned = %d", s.Learned)
-	}
-}
-
-func TestLearnStreamCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	e := New(&stubClassifier{}, Config{})
-	in, wait := e.LearnStream(ctx)
-	in <- Labeled{Msg: scoreMsg(0.5), Spam: true}
-	cancel()
-	if _, err := wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestLearnStreamCancellationUnblocksProducer(t *testing.T) {
-	// After cancellation the stream keeps draining until wait observes
-	// it, so a producer pushing far past the buffer capacity finishes
-	// without having to close the channel. The producer signals
-	// completion before wait is called (the documented contract: no
-	// sends may race wait's return).
-	ctx, cancel := context.WithCancel(context.Background())
-	e := New(&stubClassifier{}, Config{LearnBuffer: 1})
-	in, wait := e.LearnStream(ctx)
-	cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			in <- Labeled{Msg: scoreMsg(0.5)}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("producer still blocked after cancellation")
-	}
-	if _, err := wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestLearnStreamCancelledThenClosedDoesNotSpin(t *testing.T) {
-	// Regression for the drain's post-stop flush: a closed channel is
-	// always receivable, so the flush must exit on !ok instead of
-	// spinning at 100% CPU forever. The close-then-wait pattern is the
-	// one cmd/sbfilter and examples/backends use.
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		e := New(&stubClassifier{}, Config{LearnBuffer: 1})
-		in, wait := e.LearnStream(ctx)
-		cancel()
-		in <- Labeled{Msg: scoreMsg(0.5)}
-		close(in)
-		// The consumer may drain the item and observe the close before
-		// it observes the cancellation, so err is either nil or
-		// Canceled; the property under test is that wait returns and
-		// every goroutine exits.
-		if _, err := wait(); err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("iteration %d: err = %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drain goroutines did not exit: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestLearnStreamAbandonedAfterCancelDoesNotLeak(t *testing.T) {
-	// Regression: a producer that abandons the channel after
-	// cancellation (without closing it) used to leave the drain
-	// goroutine blocked on a receive forever. The drain now stops once
-	// wait observes the cancellation.
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		e := New(&stubClassifier{}, Config{LearnBuffer: 2})
-		in, wait := e.LearnStream(ctx)
-		in <- Labeled{Msg: scoreMsg(0.5), Spam: true}
-		cancel()
-		if _, err := wait(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("iteration %d: err = %v, want context.Canceled", i, err)
-		}
-		// The channel is deliberately never closed.
-		_ = in
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after 20 abandoned streams",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

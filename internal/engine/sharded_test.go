@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -175,7 +174,7 @@ func TestShardedRetrainAllTrainsEachShardOnItsSlice(t *testing.T) {
 	for i, m := range msgs {
 		train.Add(m, i%2 == 0)
 	}
-	gen, err := guard(s).Retrain(context.Background(), func() Classifier { return &countingClassifier{} }, train)
+	gen, err := guard(s).RetrainIncremental(context.Background(), train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +227,7 @@ func TestShardedPerShardRetrainLeavesOthersUntouched(t *testing.T) {
 	s := NewSharded(clfs, Config{})
 	retrained := &countingClassifier{}
 	for _, ex := range trainCorpus(9).Examples {
-		retrained.Learn(ex.Msg, ex.Spam)
+		retrained.LearnTokenStream(stubTok.Stream(ex.Msg), ex.Spam, 1)
 	}
 	cur, _ := s.Snapshots()
 	if gen := s.Swap(cur[0], retrained); gen != 2 {
@@ -273,95 +272,6 @@ func TestShardedSwapAll(t *testing.T) {
 		}
 	}()
 	s.Swap(next[:1]...)
-}
-
-func TestShardedLearnStreamRoutesByKey(t *testing.T) {
-	clfs := []Classifier{&stubClassifier{}, &stubClassifier{}, &stubClassifier{}}
-	s := NewSharded(clfs, Config{LearnBuffer: 4})
-	in, wait := s.LearnStream(context.Background())
-	msgs := shardedMsgs(60, 12)
-	for i, m := range msgs {
-		in <- Labeled{Msg: m, Spam: i%3 == 0}
-	}
-	close(in)
-	n, err := wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 60 {
-		t.Fatalf("learned %d, want 60", n)
-	}
-	// Every example landed on the shard its key selects.
-	counts := make(map[int]int)
-	for _, m := range msgs {
-		counts[s.ShardFor(m)]++
-	}
-	for sh, want := range counts {
-		ns, nh := shardClassifier(s, sh).Counts()
-		if ns+nh != want {
-			t.Errorf("shard %d trained %d examples, want %d", sh, ns+nh, want)
-		}
-		if got := s.Stats().Shards[sh].Learned; got != uint64(want) {
-			t.Errorf("shard %d Stats.Learned = %d, want %d", sh, got, want)
-		}
-	}
-	if st := s.Stats(); st.Learned != 60 {
-		t.Errorf("combined Learned = %d", st.Learned)
-	}
-}
-
-func TestShardedLearnStreamCancellationUnblocksProducer(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s := newStubSharded(2, Config{LearnBuffer: 1})
-	in, wait := s.LearnStream(ctx)
-	cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			in <- Labeled{Msg: toMsg("u@x", 0.5)}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("producer still blocked after cancellation")
-	}
-	if _, err := wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestShardedLearnStreamAbandonedAfterCancelDoesNotLeak(t *testing.T) {
-	// A fleet's stream is one consumer learning into every shard: a
-	// producer that abandons the channel without closing it after a
-	// cancellation must not leak the consumer or its drain.
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		s := newStubSharded(3, Config{LearnBuffer: 1})
-		in, wait := s.LearnStream(ctx)
-		for j := 0; j < 3; j++ {
-			in <- Labeled{Msg: toMsg(fmt.Sprintf("u%d@x", j), 0.5), Spam: true}
-		}
-		cancel()
-		if _, err := wait(); err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("iteration %d: err = %v", i, err)
-		}
-		// The channel is deliberately never closed.
-		_ = in
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after 20 abandoned sharded streams",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 func TestShardedStatsAggregates(t *testing.T) {
@@ -461,7 +371,7 @@ func TestShardedServeWhileRetrainPerShardIsolation(t *testing.T) {
 			for ctx.Err() == nil {
 				retrained := &countingClassifier{}
 				for _, ex := range parts[sh].Examples {
-					retrained.Learn(ex.Msg, ex.Spam)
+					retrained.LearnTokenStream(stubTok.Stream(ex.Msg), ex.Spam, 1)
 				}
 				// Read-modify-publish under a lock, so one shard's
 				// publish never reverts another's.

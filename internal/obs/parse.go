@@ -12,9 +12,9 @@ import (
 
 // ParsedMetrics is a decoded Prometheus text scrape: sample values
 // keyed by canonical name+labels, plus the TYPE of each family. It is
-// the read side of WriteText — cmd/sbload scrapes /metrics before and
-// after a run and cross-checks its client-side percentiles against
-// the server-side histograms, and the race tests use it to assert the
+// the read side of WriteText — the repo benchmark (benchmark/) scrapes
+// /metrics before and after a run and reads the daemon's side of each
+// layer from the histograms, and the race tests use it to assert the
 // exposition stays parseable and internally consistent under load.
 type ParsedMetrics struct {
 	samples map[string]float64

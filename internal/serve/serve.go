@@ -83,6 +83,7 @@ type Config struct {
 	// submission (<= 0 selects 1s).
 	RetryAfter time.Duration
 	// Store, when non-nil, enables the save/resume admin endpoints.
+	// Every save prunes it to the newest two records under Name.
 	Store engine.SnapshotStore
 	// Name is the store key of the saved records (defaults to "served").
 	Name string
@@ -221,6 +222,29 @@ func (s *Server) Close() error {
 	s.cancel()
 	<-s.loopDone
 	return nil
+}
+
+// keepRecords is how many of the newest records a save leaves under
+// Name; Prune also keeps the record a resume would restart from, and
+// drops the version-1 admission sidecars no kept record needs.
+const keepRecords = 2
+
+// Save persists the serving snapshot of every shard and the admission
+// state as one record under Name at the one serving generation
+// (SaveGuarded), then prunes the store to the newest keepRecords
+// records. It returns the saved generation; a prune error comes with
+// the generation that did land. Save must not overlap a publish, whose
+// quarantine review detaches the held mail: POST /admin/save runs it
+// on the learn loop, and a daemon's exit save runs it after Close.
+func (s *Server) Save() (uint64, error) {
+	gen, err := engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := engine.Prune(s.cfg.Store, s.cfg.Name, keepRecords); err != nil {
+		return gen, fmt.Errorf("saved generation %d, then pruning %q: %w", gen, s.cfg.Name, err)
+	}
+	return gen, nil
 }
 
 // ServeHTTP dispatches to the daemon's routes.
@@ -614,11 +638,9 @@ func (s *Server) onLearnLoop(w http.ResponseWriter, r *http.Request, what string
 	}
 }
 
-// handleSave persists the serving snapshot of every shard and the
-// admission state as one record under Name at the one serving
-// generation (SaveGuarded). It runs on the learn loop, between
-// publishes, so it never saves while a publish's quarantine review
-// has the held mail detached: what is held is in the record.
+// handleSave saves and prunes (Save). It runs on the learn loop,
+// between publishes, so it never saves while a publish's quarantine
+// review has the held mail detached: what is held is in the record.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
 		writeError(w, http.StatusNotImplemented, "no snapshot store configured")
@@ -627,7 +649,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	var gen uint64
 	var err error
 	if !s.onLearnLoop(w, r, "save", func(*[]learnReq) {
-		gen, err = engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
+		gen, err = s.Save()
 	}) {
 		return
 	}

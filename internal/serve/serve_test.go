@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -344,6 +346,109 @@ func TestQuarantineSurvivesDaemonSaveResume(t *testing.T) {
 			survived("restart", q3, roni3)
 		})
 	}
+}
+
+// TestSavePrunesToTheTwoNewestRecords: every POST /admin/save prunes
+// the store to its two newest records, and a store resumed from the
+// version-1 layout loses the admission sidecars no kept record needs
+// while it still resumes, held mail included.
+func TestSavePrunesToTheTwoNewestRecords(t *testing.T) {
+	gen := testGen(t)
+	rng := stats.NewRNG(17)
+	// saveAfterPublish trains one message through the learn loop (a
+	// new generation), then saves over HTTP.
+	saveAfterPublish := func(t *testing.T, url string, client *http.Client) uint64 {
+		t.Helper()
+		if code := postJSON(t, client, url+"/learn", serve.LearnRequest{Message: wireMsg(gen.HamMessage(rng))}, nil); code != http.StatusAccepted {
+			t.Fatalf("learn: status %d", code)
+		}
+		if code := postJSON(t, client, url+"/admin/flush", struct{}{}, nil); code != http.StatusOK {
+			t.Fatalf("flush: status %d", code)
+		}
+		var sv serve.SaveResponse
+		if code := postJSON(t, client, url+"/admin/save", struct{}{}, &sv); code != http.StatusOK {
+			t.Fatalf("save: status %d", code)
+		}
+		return sv.Generations[0]
+	}
+	chain := func() *admission.Chain {
+		return admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 2000}))
+	}
+
+	t.Run("four saves", func(t *testing.T) {
+		store, err := engine.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := serve.New(newGuarded(t, "sbayes", chain(), engine.GuardedConfig{}), serve.Config{Store: store, Name: "served", Backend: "sbayes"})
+		defer srv.Close()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		var saved []uint64
+		for i := 0; i < 4; i++ {
+			saved = append(saved, saveAfterPublish(t, ts.URL, ts.Client()))
+		}
+		if got, err := store.Generations("served"); err != nil || !slices.Equal(got, saved[2:]) {
+			t.Errorf("after saves at %v the store holds %v (%v), want the newest two", saved, got, err)
+		}
+	})
+
+	t.Run("store_v1 fixture", func(t *testing.T) {
+		dir := t.TempDir()
+		fixture := filepath.Join("..", "engine", "testdata", "store_v1")
+		entries, err := os.ReadDir(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store, err := engine.NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume := func() (*engine.Guarded, *admission.Quarantine) {
+			t.Helper()
+			q := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 4})
+			g, err := engine.ResumeGuarded(store, "served", 1, engine.Config{Name: "served"}, chain(), engine.GuardedConfig{Quarantine: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g, q
+		}
+		g, _ := resume()
+		srv := serve.New(g, serve.Config{Store: store, Name: "served", Backend: "sbayes"})
+		ts := httptest.NewServer(srv)
+		for i := 0; i < 2; i++ {
+			saveAfterPublish(t, ts.URL, ts.Client())
+		}
+		ts.Close()
+		srv.Close()
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name())
+			if strings.HasPrefix(f.Name(), "served.admission.") {
+				t.Errorf("two saves over the version-1 store left the sidecar %s", f.Name())
+			}
+		}
+		if len(names) != 2 {
+			t.Errorf("the store holds %v, want the two records", names)
+		}
+		resumed, q := resume()
+		if held := q.Pending(); resumed.Generation() != 4 || len(held) != 1 || held[0].Msg.Body != "held until review\n" {
+			t.Errorf("resumed generation %d holding %d candidates, want generation 4 still holding the fixture's one", resumed.Generation(), len(held))
+		}
+	})
 }
 
 // heldSubjects lists the quarantine's pending subjects, sorted.

@@ -1,8 +1,8 @@
 package serve
 
 // The daemon's wire format: JSON over HTTP, NDJSON for batches. The
-// types live apart from the handlers because the load generator
-// (cmd/sbload) and the httptest suite build requests from these
+// types live apart from the handlers because the repo benchmark
+// (benchmark/) and the httptest suite build requests from these
 // structs. The handlers decode requests with the decoder in decode.go,
 // which FuzzWireDecode holds to encoding/json on these same types —
 // one schema, no drift.

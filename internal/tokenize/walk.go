@@ -1,12 +1,11 @@
 package tokenize
 
-// The pooled streaming walk behind Stream and DistinctTokenCount. It
-// applies the SpamBayes rules of the package doc in one pass over each
-// header value and the body: one field walker splits the raw bytes on
-// whitespace and lowers each field straight into the scratch arena, so
-// a word kept verbatim becomes a token where it lands — no lowered
-// copy of the text, no intermediate slices, no per-token string
-// concatenation. TestStreamMatchesTokenize and FuzzTokenStream hold it
+// The pooled streaming walk behind Stream. It applies the SpamBayes
+// rules of the package doc in one pass over each header value and the
+// body: one field walker splits the raw bytes on whitespace and lowers
+// each field straight into the scratch arena, so a word kept verbatim
+// becomes a token where it lands — no lowered copy of the text, no
+// intermediate slices, no per-token string concatenation. TestStreamMatchesTokenize and FuzzTokenStream hold it
 // token for token, and digest for digest, to a plain []string
 // implementation of the same rules, kept in legacy_test.go.
 
@@ -55,21 +54,6 @@ func (t *Tokenizer) Stream(m *mail.Message) *TokenStream {
 	ts := sc.finish()
 	putScratch(sc)
 	return ts
-}
-
-// DistinctTokenCount returns Stream(m).Len() without materializing
-// any token slice: the walk runs through the pooled scratch and only
-// the number of distinct tokens survives. It exists so consumers
-// outside the tokenization layer (the admission flood gate, notably)
-// can ask for the one fact they need instead of calling a
-// tokenization entry point themselves.
-func (t *Tokenizer) DistinctTokenCount(m *mail.Message) int {
-	sc := getScratch()
-	t.walkMessage(sc, m)
-	sc.dedupe()
-	n := len(sc.toks)
-	putScratch(sc)
-	return n
 }
 
 // walkMessage emits the message's full token stream (headers first,

@@ -27,8 +27,8 @@
 // NewSharded scales that serving layer out: one Engine whose logical
 // filter is partitioned across N shards routed by a recipient-address
 // hash, with the same surface (Classify, batch scoring with
-// input-order restitching, Swap, a routed LearnStream) and Stats that
-// carry the combined counters beside the per-shard breakdown. Every
+// input-order restitching, Swap) and Stats that carry the combined
+// counters beside the per-shard breakdown. Every
 // shard's classifier and the one generation they serve at sit behind
 // one epoch pointer, so a batch that spans shards still reads one
 // generation and every publish replaces the whole epoch at once.
@@ -103,17 +103,18 @@
 //   - AdmissionChain / SampledAdmitter compose admitters into a
 //     policy.
 //
-// A Guarded threads a policy through an engine's LearnStream /
-// Retrain / RetrainIncremental — NewGuarded over an Engine of any
-// shard count. Candidates are vetted once, at the gateway, and each
-// decision is counted against the shard the example routes to (the
-// admission tallies in EngineStats, summed and per shard). Every
-// publish runs the hooks: PrePublish on every shard's replacement
-// before anything publishes — where the §5.2 dynamic-threshold
-// defense refits the replacement's cutoffs (DynamicThreshold.Refit,
-// through the classifier's SetThresholds) before it goes live — and
-// PostPublish once per publish. Scoring is never blocked: admission
-// sits on the training path only.
+// A Guarded threads a policy through an engine's one training path,
+// RetrainIncremental — NewGuarded over an Engine of any shard count.
+// Candidates are vetted once, at the gateway, the stream each was
+// vetted on is the stream that trains, and each decision is counted
+// against the shard the example routes to (the admission tallies in
+// EngineStats, summed and per shard). Every publish runs the hooks:
+// PrePublish on every shard's replacement before anything publishes —
+// where the §5.2 dynamic-threshold defense refits the replacement's
+// cutoffs (DynamicThreshold.Refit, through the classifier's
+// SetThresholds) before it goes live — and PostPublish once per
+// publish. Scoring is never blocked: admission sits on the training
+// path only.
 // DeploymentConfig.Admission runs the online simulator in this mode,
 // reporting per-week admitted/quarantined/rejected splits (organic
 // vs. attack) and the probe bill against what one week-end batch pass
@@ -151,10 +152,9 @@
 // cmd/sbserved wires this into a runnable daemon (flood gate +
 // incremental RONI + quarantine, snapshot-dir persistence with
 // save-on-shutdown and resume-at-startup, -shards 0 or 1 for one
-// engine, N for a fleet); cmd/sbload drives it with a
-// deterministic closed-loop mix of organic traffic and
-// dictionary/focused attack submissions, reporting throughput and
-// latency percentiles in benchmark format.
+// engine, N for a fleet); the repo benchmark (bash benchmark/run.sh)
+// drives it with organic traffic and dictionary/focused attack
+// submissions and checks every verdict it gets back.
 //
 // # Token pipeline
 //
@@ -174,10 +174,11 @@
 // hands that one stream to the admitters (TokenFloodGate reads the
 // distinct-token count in O(1), IncrementalRONI memoizes verdicts by
 // stream digest and probes without re-tokenizing), to the Quarantine
-// (whose swap-time reviews hand it back to the judge), and onward
-// through LearnStream to the learner. The tokenizeonce analyzer fences
-// Tokenizer.Stream, so no stage can quietly reintroduce a second
-// tokenization.
+// (whose swap-time reviews hand it back to the judge), and, once
+// admitted, to the learner, which RetrainIncremental trains on that
+// same stream (LabeledMessage carries it). The tokenizeonce analyzer
+// fences Tokenizer.Stream, so no stage can quietly reintroduce a
+// second tokenization.
 //
 // # Observability
 //
@@ -187,22 +188,23 @@
 // scrape-time sampled instruments for values that live under other
 // structs' locks (the RONI probe budget, quarantine depth) — rendered
 // in Prometheus text exposition format (v0.0.4). One registry is
-// shared across the layers: the engine registers classify/batch/learn
+// shared across the layers: the engine registers classify and batch
 // latency histograms, per-label verdict counters, and a generation
 // gauge (per-shard labels on a fleet of several shards; one engine
 // keeps the fleet's name); the admitters register their budget, memo,
 // and quarantine accounting; the HTTP front-end registers per-route
 // request counters, status classes, latency histograms, and
-// learn-queue depth — and serves the whole registry at GET /metrics. ParseMetricsText parses the exposition back (the load
-// generator scrapes before and after a run and cross-checks its
-// client-observed percentiles against the server's own histograms via
-// HistogramSnapshot.Sub and Quantile). DecisionTracer is the second
-// surface: a bounded ring of sampled per-message lifecycle events —
-// classify verdict, admission decision, quarantine hold and release,
-// learn, snapshot publish — each stamped with the serving generation
-// and a monotonic timestamp, sampled deterministically by token-stream
-// digest so one message's whole lifecycle samples coherently across
-// layers; GET /trace replays the ring as NDJSON. The statscomplete
+// learn-queue depth — and serves the whole registry at GET /metrics.
+// ParseMetricsText parses the exposition back (the repo benchmark
+// scrapes before and after a run and reads the daemon's side of each
+// layer from it; HistogramSnapshot.Sub and Quantile delta and
+// summarize one histogram). DecisionTracer is the second surface: a
+// bounded ring of sampled per-message lifecycle events — classify
+// verdict, admission decision, quarantine hold and release, snapshot
+// publish — each stamped with the serving generation and a monotonic
+// timestamp, sampled deterministically by token-stream digest so one
+// message's whole lifecycle samples coherently across layers; GET
+// /trace replays the ring as NDJSON. The statscomplete
 // analyzer extends to these instruments: a registered metric field a
 // Stats/Snapshot method never reads is a lint error, so /stats and
 // /metrics cannot silently disagree. Instrumentation adds zero
@@ -368,21 +370,20 @@ func NewClassifier(backend string) (Classifier, error) {
 // of N >= 1 recipient-hashed shards: worker-pool
 // ClassifyBatch/ScoreBatch and single-message Classify against one
 // atomically swappable epoch, Swap to publish a whole replacement
-// epoch while scoring continues (Guarded adds the vetted retrains), a
-// buffered LearnStream for bulk loading, and verdict/latency/
-// generation counters, combined and per shard.
+// epoch while scoring continues (Guarded adds the vetted retrain), and
+// verdict/latency/generation counters, combined and per shard.
 type Engine = engine.Engine
 
-// EngineConfig tunes an Engine (name, per-shard workers, learn
-// buffer, routing key, instruments).
+// EngineConfig tunes an Engine (name, per-shard workers, routing key,
+// instruments).
 type EngineConfig = engine.Config
 
 // ClassifyResult is one message's verdict and the generation of the
 // model that scored it.
 type ClassifyResult = engine.Result
 
-// LabeledMessage is one training example flowing through an Engine's
-// LearnStream.
+// LabeledMessage is one admitted training example and the token
+// stream it was vetted on, as Guarded.VetCorpus returns it per shard.
 type LabeledMessage = engine.Labeled
 
 // EngineStats is a snapshot of an Engine's counters: the combined view
@@ -463,8 +464,8 @@ type AdmissionStats = engine.AdmissionStats
 type ThresholdSetter = engine.ThresholdSetter
 
 // Guarded threads an admission policy through an engine's training
-// path (LearnStream, Retrain, RetrainIncremental) and runs publish
-// hooks at every epoch swap; scoring is never blocked.
+// path (RetrainIncremental, which trains the streams it vetted) and
+// runs publish hooks at every epoch swap; scoring is never blocked.
 type Guarded = engine.Guarded
 
 // GuardedConfig wires the quarantine sink and the publish hooks.
