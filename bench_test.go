@@ -522,15 +522,39 @@ func BenchmarkTokenizeMessage(b *testing.B) {
 	})
 }
 
+// The learner micro-benchmarks measure sbayes under their historical
+// names; each has a graham arm, BenchmarkGraham<name>, on the same
+// inputs. Both learners train, clone and save through the one token
+// database (internal/tokendb), so each pair measures the two
+// backends on the same database code.
+
+// sbayesOn and grahamOn build each learner's default filter over tok.
+func sbayesOn(tok *tokenize.Tokenizer) engine.Classifier {
+	return sbayes.New(sbayes.DefaultOptions(), tok)
+}
+
+func grahamOn(tok *tokenize.Tokenizer) engine.Classifier {
+	return graham.New(graham.DefaultOptions(), tok)
+}
+
+// trainedOn is a filter built by newClf over the environment's
+// tokenizer, trained on 300 ham and 300 spam drawn from stream name.
+func trainedOn(e *experiments.Env, name string, newClf func(*tokenize.Tokenizer) engine.Classifier) engine.Classifier {
+	return eval.TrainBackend(func() engine.Classifier { return newClf(e.Tok) }, e.Gen.Corpus(e.RNG(name), 300, 300))
+}
+
 // BenchmarkLearnMessage measures training throughput.
-func BenchmarkLearnMessage(b *testing.B) {
+func BenchmarkLearnMessage(b *testing.B)       { benchLearnMessage(b, sbayesOn) }
+func BenchmarkGrahamLearnMessage(b *testing.B) { benchLearnMessage(b, grahamOn) }
+
+func benchLearnMessage(b *testing.B, newClf func(*tokenize.Tokenizer) engine.Classifier) {
 	e := env(b)
 	r := e.RNG("micro-learn")
 	msgs := make([]*tokenize.TokenStream, 200)
 	for i := range msgs {
 		msgs[i] = e.Tok.Stream(e.Gen.Message(r, i%2 == 0))
 	}
-	f := sbayes.NewDefault()
+	f := newClf(e.Tok)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.LearnTokenStream(msgs[i%len(msgs)], i%2 == 0, 1)
@@ -539,10 +563,13 @@ func BenchmarkLearnMessage(b *testing.B) {
 
 // BenchmarkClassifyMessage measures classification throughput on a
 // trained filter.
-func BenchmarkClassifyMessage(b *testing.B) {
+func BenchmarkClassifyMessage(b *testing.B)       { benchClassifyMessage(b, sbayesOn) }
+func BenchmarkGrahamClassifyMessage(b *testing.B) { benchClassifyMessage(b, grahamOn) }
+
+func benchClassifyMessage(b *testing.B, newClf func(*tokenize.Tokenizer) engine.Classifier) {
 	e := env(b)
 	r := e.RNG("micro-classify")
-	f := eval.TrainFilter(e.Gen.Corpus(r, 300, 300), sbayes.DefaultOptions(), e.Tok)
+	f := eval.TrainBackend(func() engine.Classifier { return newClf(e.Tok) }, e.Gen.Corpus(r, 300, 300))
 	probes := make([]*tokenize.TokenStream, 100)
 	for i := range probes {
 		probes[i] = e.Tok.Stream(e.Gen.Message(r, i%2 == 0))
@@ -921,19 +948,23 @@ func TestOneShardGuardMatchesEngine(t *testing.T) {
 
 // BenchmarkCloneFilter measures the cost of branching a poisoned
 // filter off a clean baseline.
-func BenchmarkCloneFilter(b *testing.B) {
-	e := env(b)
-	f := eval.TrainFilter(e.Gen.Corpus(e.RNG("micro-clone"), 300, 300), sbayes.DefaultOptions(), e.Tok)
+func BenchmarkCloneFilter(b *testing.B)       { benchCloneFilter(b, sbayesOn) }
+func BenchmarkGrahamCloneFilter(b *testing.B) { benchCloneFilter(b, grahamOn) }
+
+func benchCloneFilter(b *testing.B, newClf func(*tokenize.Tokenizer) engine.Classifier) {
+	f := trainedOn(env(b), "micro-clone", newClf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Clone()
+		f.CloneClassifier()
 	}
 }
 
 // BenchmarkFilterPersist measures database serialization.
-func BenchmarkFilterPersist(b *testing.B) {
-	e := env(b)
-	f := eval.TrainFilter(e.Gen.Corpus(e.RNG("micro-persist"), 300, 300), sbayes.DefaultOptions(), e.Tok)
+func BenchmarkFilterPersist(b *testing.B)       { benchFilterPersist(b, sbayesOn) }
+func BenchmarkGrahamFilterPersist(b *testing.B) { benchFilterPersist(b, grahamOn) }
+
+func benchFilterPersist(b *testing.B, newClf func(*tokenize.Tokenizer) engine.Classifier) {
+	f := trainedOn(env(b), "micro-persist", newClf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := f.Save(io.Discard); err != nil {

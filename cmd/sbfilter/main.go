@@ -388,8 +388,6 @@ func cmdInfo(args []string) error {
 	ns, nh := clf.Counts()
 	fmt.Printf("backend:  %s\n", *backend)
 	fmt.Printf("messages: %d ham, %d spam\n", nh, ns)
-	if v, ok := clf.(interface{ VocabSize() int }); ok {
-		fmt.Printf("tokens:   %d\n", v.VocabSize())
-	}
+	fmt.Printf("tokens:   %d\n", clf.VocabSize())
 	return nil
 }

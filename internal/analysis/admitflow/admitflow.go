@@ -11,10 +11,11 @@
 // intraprocedural and cannot see a sink two calls away. This analyzer
 // walks the call graph:
 //
-//   - sinks are the engine-level training surface — methods named
-//     LearnStream / Retrain / RetrainIncremental / Swap on the engine
-//     package's Engine type — and the backend-level
-//     learners: any method shaped like Learn(x, bool),
+//   - sinks are the engine-level training surface — Swap, the one raw
+//     publish on the engine package's Engine type (training a
+//     replacement off to the side and swapping it in bypasses the
+//     guard's vetting) — and the backend-level learners: any method
+//     shaped like Learn(x, bool),
 //     LearnWeighted(x, bool, int) or LearnTokenStream(x, bool, int),
 //     including the Classifier interface's own (so dispatch through
 //     the declared interface is caught, not just concrete calls);
@@ -33,11 +34,12 @@
 //     the concrete sink.
 //
 // Within the owner packages — internal/engine and internal/admission
-// (the guard itself), internal/sbayes and internal/graham (the
-// backends ARE the learners), internal/core and internal/eval (the
-// clone-and-probe measurement layer and the sanctioned corpus-training
-// primitives, which train throwaway classifiers off the serving path)
-// — training is the package's job and nothing is reported or tainted.
+// (the guard itself), internal/tokendb (the token-count database both
+// backends embed: the learners live there), internal/core and
+// internal/eval (the clone-and-probe measurement layer and the
+// sanctioned corpus-training primitives, which train throwaway
+// classifiers off the serving path) — training is the package's job
+// and nothing is reported or tainted.
 // Everywhere else a diagnostic fires at every call site on an unvetted
 // path: the direct sink call and each hop above it, so the report
 // points at both the hole and the door to it.
@@ -82,8 +84,7 @@ func (*trainsFact) AFact() {}
 var Owners = []string{
 	"internal/engine",
 	"internal/admission",
-	"internal/sbayes",
-	"internal/graham",
+	"internal/tokendb",
 	"internal/core",
 	"internal/eval",
 }
@@ -92,12 +93,11 @@ var Owners = []string{
 // serving-level sink methods.
 var engineOwners = []string{"internal/engine"}
 
-// engineSinkNames is the serving engine's training surface.
+// engineSinkNames is the serving engine's training surface: its one
+// raw publish. Guarded's RetrainIncremental, the one learn path, is a
+// guard.
 var engineSinkNames = map[string]bool{
-	"LearnStream":        true,
-	"Retrain":            true,
-	"RetrainIncremental": true,
-	"Swap":               true,
+	"Swap": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -193,7 +193,7 @@ func calleeSink(pass *analysis.Pass, tainted map[*types.Func]string, callee *typ
 		for _, impl := range pass.Graph.Implementations(callee) {
 			// The implementation may itself BE a sink — a locally declared
 			// interface over the engine's training surface (a serving
-			// front-end abstracting "something I can Swap/LearnStream")
+			// front-end abstracting "something I can Swap")
 			// resolves here, so wrapping the engine in an interface cannot
 			// launder an unvetted training path.
 			if sink := sinkName(impl); sink != "" {

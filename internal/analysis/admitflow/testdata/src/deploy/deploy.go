@@ -1,6 +1,6 @@
 // Package deploy is the checked surface: a deployment that must route
 // all training through the admission guard. The fixture proves the
-// acceptance case — an unguarded Retrain two hops from the entry point
+// acceptance case — an unguarded Swap two hops from the entry point
 // is flagged at every hop, while the Guarded-routed twin is clean —
 // plus the backend-level sinks, interface dispatch, inline vetting,
 // and the //sbvet:unguarded waiver.
@@ -12,15 +12,15 @@ import (
 	"deployutil"
 )
 
-// entry is two hops above the sink: entry -> helper -> Engine.Retrain.
+// entry is two hops above the sink: entry -> helper -> Engine.Swap.
 // The call below never mentions training, but the path reaches it.
-func entry(e *engine.Engine, train []*engine.Message) {
-	helper(e, train) // want `unvetted training path: call to deploy\.helper reaches \(\*internal/engine\.Engine\)\.Retrain`
+func entry(e *engine.Engine, clf engine.Classifier) {
+	helper(e, clf) // want `unvetted training path: call to deploy\.helper reaches \(\*internal/engine\.Engine\)\.Swap`
 }
 
 // helper is one hop above the sink.
-func helper(e *engine.Engine, train []*engine.Message) {
-	e.Retrain(train) // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.Retrain`
+func helper(e *engine.Engine, clf engine.Classifier) {
+	e.Swap(clf) // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.Swap`
 }
 
 // entryGuarded is the twin routed through Guarded: clean at every hop.
@@ -30,50 +30,48 @@ func entryGuarded(g *engine.Guarded, train []*engine.Message) {
 
 // helperGuarded trains through the guard.
 func helperGuarded(g *engine.Guarded, train []*engine.Message) {
-	g.Retrain(train)
+	g.RetrainIncremental(train)
 }
 
 // crossPackage inherits deployutil.Rebuild's taint through its
 // exported fact; the guarded twin does not.
-func crossPackage(e *engine.Engine, g *engine.Guarded, train []*engine.Message) {
-	deployutil.Rebuild(e, train) // want `unvetted training path: call to deployutil\.Rebuild reaches \(\*internal/engine\.Engine\)\.Retrain`
+func crossPackage(e *engine.Engine, g *engine.Guarded, clf engine.Classifier, train []*engine.Message) {
+	deployutil.Rebuild(e, clf) // want `unvetted training path: call to deployutil\.Rebuild reaches \(\*internal/engine\.Engine\)\.Swap`
 	deployutil.RebuildVetted(g, train)
 	deployutil.InjectAnnotated(nil, nil)
 }
 
-// backendDirect hits the backend-level sinks: the interface methods,
-// token-stream training through the Classifier contract, and a
-// stream.
+// backendDirect hits the backend-level sinks — the interface methods
+// and token-stream training through the Classifier contract — and
+// publishes the result raw.
 func backendDirect(e *engine.Engine, clf engine.Classifier, m *engine.Message, ts *engine.TokenStream) {
 	clf.Learn(m, true)                 // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.Learn`
 	clf.LearnWeighted(m, true, 10)     // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.LearnWeighted`
 	clf.LearnTokenStream(ts, false, 1) // want `unvetted training path: direct call to \(internal/engine\.Classifier\)\.LearnTokenStream`
-	in := e.LearnStream()              // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.LearnStream`
-	in <- m
+	e.Swap(clf)                        // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.Swap`
 }
 
 // vetsInline calls the Admitter itself before training: a guard, so
-// its training call is sanctioned.
-func vetsInline(e *engine.Engine, admit engine.Admitter, train []*engine.Message) {
-	var kept []*engine.Message
+// its training and publishing calls are sanctioned.
+func vetsInline(e *engine.Engine, admit engine.Admitter, clf engine.Classifier, train []*engine.Message) {
 	for _, m := range train {
 		if admit.Admit(m, true).Accept {
-			kept = append(kept, m)
+			clf.Learn(m, true)
 		}
 	}
-	e.Retrain(kept)
+	e.Swap(clf)
 }
 
-// waived trains unguarded on purpose and says so; the directive also
-// sanitizes it for waivedCaller below.
-func waived(e *engine.Engine, train []*engine.Message) {
-	e.Retrain(train) //sbvet:unguarded fixture: the deliberately unguarded baseline arm
+// waived publishes unguarded on purpose and says so; the directive
+// also sanitizes it for waivedCaller below.
+func waived(e *engine.Engine, clf engine.Classifier) {
+	e.Swap(clf) //sbvet:unguarded fixture: the deliberately unguarded baseline arm
 }
 
 // waivedCaller is clean: the annotated site does not taint its
 // function.
-func waivedCaller(e *engine.Engine, train []*engine.Message) {
-	waived(e, train)
+func waivedCaller(e *engine.Engine, clf engine.Classifier) {
+	waived(e, clf)
 }
 
 // trainer is a deploy-declared abstraction over "something that can
@@ -98,10 +96,10 @@ func launderedEntry(tr trainer, clf engine.Classifier) {
 	launderedSwap(tr, clf) // want `unvetted training path: call to deploy\.launderedSwap reaches \(\*internal/engine\.Engine\)\.Swap`
 }
 
-// closureBuilder trains inside a function literal; the call is
+// closureBuilder publishes inside a function literal; the call is
 // attributed to this function, so the site is still flagged.
-func closureBuilder(e *engine.Engine, train []*engine.Message) {
+func closureBuilder(e *engine.Engine, clf engine.Classifier) {
 	go func() {
-		e.Retrain(train) // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.Retrain`
+		e.Swap(clf) // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.Swap`
 	}()
 }

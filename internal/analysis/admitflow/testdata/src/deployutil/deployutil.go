@@ -1,21 +1,21 @@
 // Package deployutil is a non-owner helper package: its exported
-// Rebuild trains an Engine directly, so it both gets a diagnostic at
-// the sink call and exports a trainsFact that flags its callers in
-// other packages — the cross-package leg of the fixture.
+// Rebuild publishes a classifier it trained itself, so it both gets a
+// diagnostic at the sink call and exports a trainsFact that flags its
+// callers in other packages — the cross-package leg of the fixture.
 package deployutil
 
 import "internal/engine"
 
-// Rebuild trains the serving engine with no admission guard; callers
-// anywhere inherit the taint.
-func Rebuild(e *engine.Engine, train []*engine.Message) {
-	e.Retrain(train) // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.Retrain`
+// Rebuild swaps a replacement into the serving engine with no
+// admission guard; callers anywhere inherit the taint.
+func Rebuild(e *engine.Engine, clf engine.Classifier) {
+	e.Swap(clf) // want `unvetted training path: direct call to \(\*internal/engine\.Engine\)\.Swap`
 }
 
 // RebuildVetted is the guarded twin: it routes through Guarded, so
 // neither this call nor its callers are flagged.
 func RebuildVetted(g *engine.Guarded, train []*engine.Message) {
-	g.Retrain(train)
+	g.RetrainIncremental(train)
 }
 
 // InjectAnnotated trains deliberately — the demonstration-attack

@@ -27,27 +27,15 @@ type Classifier interface {
 	LearnTokenStream(ts *TokenStream, spam bool, weight int)
 }
 
-// Engine serves a classifier; its training methods are the
-// engine-level sinks.
+// Engine serves a classifier; Swap, its one raw publish, is the
+// engine-level sink.
 type Engine struct{ clf Classifier }
-
-// Retrain rebuilds the serving classifier. Owner package: not
-// diagnosed here.
-func (e *Engine) Retrain(train []*Message) uint64 {
-	for _, m := range train {
-		e.clf.Learn(m, true)
-	}
-	return 1
-}
 
 // Swap publishes a replacement.
 func (e *Engine) Swap(clf Classifier) uint64 {
 	e.clf = clf
 	return 1
 }
-
-// LearnStream opens a bulk-training stream.
-func (e *Engine) LearnStream() chan<- *Message { return make(chan *Message) }
 
 // Guarded wraps an Engine with admission control; its methods are
 // guards — calling them is the sanctioned training path.
@@ -64,15 +52,15 @@ func NewGuarded(e *Engine, admit Admitter) *Guarded {
 // Vet runs one candidate through the admitter.
 func (g *Guarded) Vet(m *Message, spam bool) Decision { return g.admit.Admit(m, spam) }
 
-// Retrain vets then trains.
-func (g *Guarded) Retrain(train []*Message) uint64 {
-	var kept []*Message
+// RetrainIncremental vets, trains what it admitted and publishes.
+// Owner package: not diagnosed here.
+func (g *Guarded) RetrainIncremental(train []*Message) uint64 {
 	for _, m := range train {
 		if g.admit.Admit(m, true).Accept {
-			kept = append(kept, m)
+			g.eng.clf.Learn(m, true)
 		}
 	}
-	return g.eng.Retrain(kept)
+	return g.eng.Swap(g.eng.clf)
 }
 
 // Swap publishes through the hooks.

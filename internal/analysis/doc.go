@@ -34,17 +34,17 @@
 // can show:
 //
 //   - admitflow (internal/analysis/admitflow): outside the packages
-//     that own training, no call path may reach the engine's training
-//     surface (LearnStream / Retrain* / Swap*) or a backend's raw
+//     that own training, no call path may reach the engine's raw
+//     publish (Engine.Swap) or a learner's raw
 //     Learn/LearnWeighted/LearnTokenStream without passing through
 //     Guarded/Admitter —
 //     the guarded-training invariant the PR 5 admission layer exists
 //     to enforce, closed against future call sites.
 //   - hookorder (internal/analysis/hookorder): a PrePublish or
 //     PostPublish hook, or anything it transitively calls, must not
-//     call Swap / publish / Retrain* — a hook runs inside publish, so
-//     re-entering the publish path is a deadlock shipping in a config
-//     struct.
+//     call Swap / publish / RetrainIncremental / Resume — a hook runs
+//     inside publish, so re-entering the publish path is a recursive
+//     publish shipping in a config struct.
 //   - facadeexport (internal/analysis/facadeexport): every exported
 //     capability of internal/engine and internal/admission must be
 //     surfaced by the repro facade (same name, or referenced by a

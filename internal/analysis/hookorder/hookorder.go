@@ -3,19 +3,19 @@
 // must not re-enter the publish path.
 //
 // Guarded.publish (internal/engine/guarded.go) runs the PrePublish
-// hooks, installs the replacement, then runs the PostPublish hooks,
-// all under the guard's swap lock. A hook that calls Swap, Retrain, or
-// publish itself therefore deadlocks on the lock it is already inside
-// of — or, on the unlocked Engine surface, publishes a snapshot out
-// from under the very publish that invoked it. Nothing at the type
-// level prevents registering such a hook; the failure only appears at
-// the first swap, in production.
+// hooks, installs the replacement, then runs the PostPublish hooks. A
+// hook that calls Swap, RetrainIncremental, Resume or publish re-enters
+// that sequence from inside it: it publishes a snapshot out from under
+// the very publish that invoked it and runs the hooks again from
+// within themselves. Nothing at the type level prevents registering
+// such a hook; the failure only appears at the first swap, in
+// production.
 //
 // The analyzer works in two halves joined by facts:
 //
 //   - everywhere, it computes which functions (transitively) call the
-//     publish surface — Swap / publish / Retrain / RetrainIncremental /
-//     Resume on the engine package's Engine or Guarded — and
+//     publish surface — Swap / publish on the engine package's Engine
+//     or Guarded, and RetrainIncremental / Resume on Guarded — and
 //     exports a publishesFact for each, so the reachability crosses
 //     package boundaries;
 //   - at every hook registration — a PrePublish/PostPublish field in a
@@ -41,7 +41,7 @@ import (
 // Analyzer is the hookorder check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "hookorder",
-	Doc:       "flag PrePublish/PostPublish hooks that re-enter the publish path (Swap/publish/Retrain*)",
+	Doc:       "flag PrePublish/PostPublish hooks that re-enter the publish path (Swap/publish/RetrainIncremental/Resume)",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*publishesFact)(nil)},
 }
@@ -66,7 +66,6 @@ var hookFields = map[string]bool{
 var publishNames = map[string]bool{
 	"Swap":               true,
 	"publish":            true,
-	"Retrain":            true,
 	"RetrainIncremental": true,
 	"Resume":             true,
 }

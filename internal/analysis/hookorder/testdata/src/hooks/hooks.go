@@ -33,7 +33,7 @@ func setupLiteral(e *engine.Engine) *engine.Guarded {
 // refresh retrains through the guard; fine as a function, fatal as a
 // hook.
 func refresh() {
-	gg.Retrain(nil)
+	gg.RetrainIncremental(nil)
 }
 
 // audit is publish-free.
@@ -42,7 +42,7 @@ func audit() {
 }
 
 // wrapper publishes two hops away: wrapper -> pubutil.RebuildAndPublish
-// -> Guarded.Retrain, joined by the exported publishesFact.
+// -> Guarded.RetrainIncremental, joined by the exported publishesFact.
 func wrapper() {
 	pubutil.RebuildAndPublish(gg, nil)
 }
@@ -50,9 +50,9 @@ func wrapper() {
 // setupNamed registers named hooks: the publishing ones are flagged at
 // the registration site, the clean one is not.
 func setupNamed(cfg *engine.Config) {
-	cfg.PostPublish = append(cfg.PostPublish, refresh) // want `publish hook re-enters the publish path: hooks\.refresh reaches \(\*internal/engine\.Guarded\)\.Retrain`
+	cfg.PostPublish = append(cfg.PostPublish, refresh) // want `publish hook re-enters the publish path: hooks\.refresh reaches \(\*internal/engine\.Guarded\)\.RetrainIncremental`
 	cfg.PostPublish = append(cfg.PostPublish, audit)
-	cfg.PostPublish = append(cfg.PostPublish, wrapper) // want `publish hook re-enters the publish path: hooks\.wrapper reaches \(\*internal/engine\.Guarded\)\.Retrain`
+	cfg.PostPublish = append(cfg.PostPublish, wrapper) // want `publish hook re-enters the publish path: hooks\.wrapper reaches \(\*internal/engine\.Guarded\)\.RetrainIncremental`
 }
 
 // setupWaived registers a deliberately re-entrant hook and says so;

@@ -57,8 +57,9 @@ func (g *Guarded) publish(clf Classifier) (uint64, error) {
 // Swap publishes through the hooks.
 func (g *Guarded) Swap(clf Classifier) (uint64, error) { return g.publish(clf) }
 
-// Retrain rebuilds and publishes through the hooks.
-func (g *Guarded) Retrain(train []*Message) (uint64, error) {
+// RetrainIncremental trains the new examples and publishes through the
+// hooks.
+func (g *Guarded) RetrainIncremental(train []*Message) (uint64, error) {
 	for _, m := range train {
 		g.eng.clf.Learn(m, true)
 	}

@@ -9,7 +9,7 @@ import "internal/engine"
 // publishesFact, so registering any caller of it as a hook is flagged
 // from another package.
 func RebuildAndPublish(g *engine.Guarded, train []*engine.Message) error {
-	_, err := g.Retrain(train)
+	_, err := g.RetrainIncremental(train)
 	return err
 }
 

@@ -10,9 +10,11 @@
 // legitimately own tokenization:
 //
 //   - internal/tokenize itself;
-//   - internal/sbayes and internal/graham, the backends whose
-//     Learn/Classify/Score are the single sanctioned
-//     message->tokens boundary;
+//   - internal/tokendb, the token-count database both backends embed,
+//     whose Learn/LearnWeighted/Unlearn are the one message->tokens
+//     boundary for training;
+//   - internal/sbayes and internal/graham, whose Classify/Score (and
+//     sbayes's Explain) are the same boundary for scoring;
 //   - internal/engine, which tokenizes once at the batch boundary
 //     and hands the same stream to Classify, Admit, and the learn
 //     path;
@@ -51,6 +53,7 @@ var Analyzer = &analysis.Analyzer{
 // equals an entry or ends in "/"+entry.
 var Allow = []string{
 	"internal/tokenize",
+	"internal/tokendb",
 	"internal/sbayes",
 	"internal/graham",
 	"internal/engine",

@@ -187,6 +187,46 @@ func TestConformanceUnlearnNeverLearnedErrors(t *testing.T) {
 	})
 }
 
+// TestConformanceVocabSize: learning a message raises every backend's
+// VocabSize by the message's distinct tokens, a token already counted
+// on the other side does not count again, and unlearning returns it
+// to 0.
+func TestConformanceVocabSize(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		b, err := engine.Lookup(backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clf := b.New()
+		first := msg("alpha beta gamma alpha beta delta\n")
+		second := msg("gamma delta epsilon zeta\n")
+		n1 := clf.Tokenizer().Stream(first).Len()
+		clf.Learn(first, true)
+		if got := clf.VocabSize(); got != n1 {
+			t.Fatalf("VocabSize after one message = %d, want its %d distinct tokens", got, n1)
+		}
+		union := map[tokenize.Token]bool{}
+		for _, m := range []*mail.Message{first, second} {
+			for _, tok := range clf.Tokenizer().Stream(m).Tokens() {
+				union[tok] = true
+			}
+		}
+		clf.Learn(second, false)
+		if got := clf.VocabSize(); got != len(union) {
+			t.Fatalf("VocabSize after two messages = %d, want the union's %d tokens", got, len(union))
+		}
+		if err := clf.Unlearn(first, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := clf.Unlearn(second, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := clf.VocabSize(); got != 0 {
+			t.Fatalf("VocabSize after unlearning everything = %d, want 0", got)
+		}
+	})
+}
+
 func TestConformanceLearnWeightedEquivalence(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		b, err := engine.Lookup(backend)
@@ -297,6 +337,45 @@ func TestConformanceSaveLoadFidelity(t *testing.T) {
 		ob, _ := engine.Lookup(other)
 		if err := ob.New().Load(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Errorf("backend %q loaded a %q database", other, backend)
+		}
+	})
+}
+
+// TestConformanceLoadRejectsTrailingBytes: bytes after a database are
+// corruption, not noise to ignore. A saved database with a byte
+// appended, and two saved databases back to back, fail to load on
+// every backend, and the failed Load leaves the receiver
+// byte-identical.
+func TestConformanceLoadRejectsTrailingBytes(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		b, err := engine.Lookup(backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		save := func(clf engine.Classifier) []byte {
+			var buf bytes.Buffer
+			if err := clf.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		hamDB, spamDB := b.New(), b.New()
+		hamDB.Learn(msg("meeting agenda report\n"), false)
+		spamDB.Learn(msg("winner lottery prize\n"), true)
+		first, second := save(hamDB), save(spamDB)
+		for name, data := range map[string][]byte{
+			"appended byte": append(append([]byte(nil), first...), 0x01),
+			"two databases": append(append([]byte(nil), first...), second...),
+		} {
+			clf := trained(t, backend)
+			before := save(clf)
+			if err := clf.Load(bytes.NewReader(data)); err == nil {
+				ns, nh := clf.Counts()
+				t.Errorf("%s: Load succeeded with (%d spam, %d ham)", name, ns, nh)
+			}
+			if !bytes.Equal(save(clf), before) {
+				t.Errorf("%s: the failed Load changed the receiver", name)
+			}
 		}
 	})
 }

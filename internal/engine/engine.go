@@ -18,7 +18,10 @@
 //     scores, vets and learns that one stream, and Persistable,
 //     Cloner, ValidationBinder and ThresholdSetter, so persistence,
 //     incremental retraining, RONI probes and the dynamic threshold
-//     call them on any classifier without a type assertion;
+//     call them on any classifier without a type assertion. The two
+//     stock backends differ only in their scoring rules: both embed one
+//     token-count database (internal/tokendb), so the message and
+//     stream learners, Counts and VocabSize have one implementation;
 //   - the Backend registry, keyed by name ("sbayes", "graham"), which
 //     backends join from their package init and callers query to pick
 //     a learner per deployment configuration;
@@ -100,10 +103,13 @@ func (l Label) String() string {
 // contract the serving path uses — the engine tokenizes each message
 // exactly once at the batch boundary, and scoring, admission vetting
 // and learning all consume that one stream — while the message methods
-// are the convenience over them. Implementations are not required to
-// be safe for concurrent mutation, but concurrent Classify/Score calls
-// (message or stream) without interleaved Learn calls must be safe —
-// Engine relies on that to parallelize batches.
+// are the convenience over them. The stock backends take every learner
+// and the counts from the one token-count database they embed
+// (internal/tokendb) and implement only scoring, validation binding,
+// thresholds and their database format. Implementations are not
+// required to be safe for concurrent mutation, but concurrent
+// Classify/Score calls (message or stream) without interleaved Learn
+// calls must be safe — Engine relies on that to parallelize batches.
 type Classifier interface {
 	Tokenizing
 	StreamClassifier
@@ -127,6 +133,9 @@ type Classifier interface {
 	Score(m *mail.Message) float64
 	// Counts returns the number of spam and ham messages trained.
 	Counts() (nspam, nham int)
+	// VocabSize returns the number of distinct tokens with a nonzero
+	// count.
+	VocabSize() int
 }
 
 // StreamClassifier scores a tokenized message (a tokenize.TokenStream)

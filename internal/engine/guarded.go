@@ -310,8 +310,10 @@ func (g *Guarded) vetCorpus(ctx context.Context, clfs []Classifier, c *corpus.Co
 // PostPublish hooks once. A PrePublish error aborts before anything is
 // published, reporting cur — the serving generation the caller read
 // once on entry (sbvet:snapshotonce — one decision, one snapshot
-// read).
-func (g *Guarded) publish(cur uint64, next []Classifier) (uint64, error) {
+// read). learned, nil unless the guard trained the replacements
+// itself, is what each shard's replacement learned, for the learn
+// trace events the publish records.
+func (g *Guarded) publish(cur uint64, next []Classifier, learned [][]Labeled) (uint64, error) {
 	for _, clf := range next {
 		for _, hook := range g.cfg.PrePublish {
 			if err := hook(clf); err != nil {
@@ -319,7 +321,7 @@ func (g *Guarded) publish(cur uint64, next []Classifier) (uint64, error) {
 			}
 		}
 	}
-	gen := g.eng.publish(next)
+	gen := g.eng.publish(next, learned)
 	for _, hook := range g.cfg.PostPublish {
 		hook()
 	}
@@ -341,7 +343,7 @@ func (g *Guarded) Swap(clfs ...Classifier) (uint64, error) {
 			panic("engine: Swap with nil classifier")
 		}
 	}
-	return g.publish(g.eng.Generation(), clfs)
+	return g.publish(g.eng.Generation(), clfs, nil)
 }
 
 // RetrainIncremental vets delta at the gateway, clones every shard's
@@ -356,8 +358,11 @@ func (g *Guarded) Swap(clfs ...Classifier) (uint64, error) {
 // uses and the generation reported on error come from one Snapshots()
 // read, so a concurrent publish cannot pair a clone with another
 // generation's number (the torn-read class sbvet:snapshotonce rejects
-// at lint time). It returns the new generation, or the current one and
-// the error (ctx.Err() if cancelled); on error nothing is published.
+// at lint time). When the publish lands, each sampled stream it trained
+// records a learn trace event on its shard, stamped with the generation
+// the publish created. It returns the new generation, or the current
+// one and the error (ctx.Err() if cancelled); on error nothing is
+// published and no learn event is recorded.
 func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) (uint64, error) {
 	clfs, cur := g.eng.Snapshots()
 	kept, err := g.vetCorpus(ctx, clfs, delta)
@@ -378,5 +383,5 @@ func (g *Guarded) RetrainIncremental(ctx context.Context, delta *corpus.Corpus) 
 	if err != nil {
 		return cur, err
 	}
-	return g.publish(cur, next)
+	return g.publish(cur, next, kept)
 }

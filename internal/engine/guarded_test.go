@@ -394,6 +394,105 @@ func TestRetrainIncrementalTrainsTheVettedStreams(t *testing.T) {
 	})
 }
 
+// TestRetrainIncrementalTracesWhatItTrained: with every message
+// sampled, each admitted stream RetrainIncremental trains records one
+// learn event, stamped with the generation its publish created and the
+// index of the shard it trained on, after the stream's admit event and
+// before that shard's publish event. Rejected and held candidates
+// record none, and neither does a publish a PrePublish hook aborts.
+func TestRetrainIncrementalTracesWhatItTrained(t *testing.T) {
+	forEachSize(t, func(t *testing.T, n int) {
+		tr := obs.NewTracer(4096, 1)
+		clfs := make([]engine.Classifier, n)
+		for i := range clfs {
+			clfs[i] = trained(t, "sbayes")
+		}
+		var eng *engine.Engine
+		if n == 1 {
+			eng = engine.New(clfs[0], engine.Config{Trace: tr})
+		} else {
+			eng = engine.NewSharded(clfs, engine.Config{Trace: tr})
+		}
+		abort := false
+		g := engine.NewGuarded(eng, markerAdmitter{}, engine.GuardedConfig{
+			PrePublish: []func(engine.Classifier) error{func(engine.Classifier) error {
+				if abort {
+					return errors.New("refit failed")
+				}
+				return nil
+			}},
+		})
+		delta := &corpus.Corpus{}
+		shardOf := map[uint64]int32{} // admitted digest → its shard's trace index
+		for i := 0; i < 12; i++ {
+			body := fmt.Sprintf("clean message %d\n", i)
+			switch i % 3 {
+			case 1:
+				body = fmt.Sprintf("poison message %d\n", i)
+			case 2:
+				body = fmt.Sprintf("odd message %d\n", i)
+			}
+			m := userMsg(body, i)
+			delta.Add(m, i%2 == 0)
+			if i%3 == 0 {
+				idx := int32(-1)
+				if n > 1 {
+					idx = int32(eng.ShardFor(m))
+				}
+				shardOf[clfs[0].Tokenizer().Stream(m).Digest()] = idx
+			}
+		}
+		gen, err := g.RetrainIncremental(context.Background(), delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted := map[uint64]uint64{} // digest → seq of its admit event
+		published := map[int32]uint64{} // shard index → seq of its publish at gen
+		learned := map[uint64]obs.TraceEvent{}
+		for _, ev := range tr.Last(0) {
+			switch ev.Kind {
+			case obs.TraceAdmit:
+				admitted[ev.Digest] = ev.Seq
+			case obs.TracePublish:
+				if ev.Generation == gen {
+					published[ev.Shard] = ev.Seq
+				}
+			case obs.TraceLearn:
+				if _, dup := learned[ev.Digest]; dup {
+					t.Errorf("digest %x recorded two learn events", ev.Digest)
+				}
+				learned[ev.Digest] = ev
+			}
+		}
+		if len(learned) != len(shardOf) {
+			t.Fatalf("%d learn events, want one for each of the %d admitted streams", len(learned), len(shardOf))
+		}
+		for digest, shard := range shardOf {
+			ev, ok := learned[digest]
+			switch {
+			case !ok:
+				t.Errorf("admitted stream %x recorded no learn event", digest)
+			case ev.Generation != gen || ev.Shard != shard:
+				t.Errorf("learn event of %x at generation %d on shard %d, want %d on %d", digest, ev.Generation, ev.Shard, gen, shard)
+			case !(admitted[digest] < ev.Seq && ev.Seq < published[shard]):
+				t.Errorf("learn event of %x at seq %d, want between its admit (%d) and its shard's publish (%d)",
+					digest, ev.Seq, admitted[digest], published[shard])
+			}
+		}
+
+		abort = true
+		recorded := tr.Recorded()
+		if _, err := g.RetrainIncremental(context.Background(), delta); err == nil {
+			t.Fatal("the aborting hook did not fail the publish")
+		}
+		for _, ev := range tr.Last(int(tr.Recorded() - recorded)) {
+			if ev.Kind == obs.TraceLearn {
+				t.Errorf("an aborted publish recorded a learn event for %x", ev.Digest)
+			}
+		}
+	})
+}
+
 // countIn counts the members of got that are also in want.
 func countIn(got, want map[*tokenize.TokenStream]bool) int {
 	n := 0

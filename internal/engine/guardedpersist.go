@@ -177,7 +177,7 @@ func (g *Guarded) Resume(st SnapshotStore, name string) (snapshot, gen uint64, l
 	if err != nil {
 		return 0, 0, false, err
 	}
-	if gen, err = g.publish(g.eng.Generation(), clfs); err != nil {
+	if gen, err = g.publish(g.eng.Generation(), clfs, nil); err != nil {
 		return env.Generation, gen, false, err
 	}
 	if err := applySections(env.Sections, g.admit, g.cfg.Quarantine, g.eng.streamer(clfs)); err != nil {

@@ -190,7 +190,7 @@ func (e *Engine) newShard(reg *obs.Registry, label string, index int32) *shard {
 	}
 	sh.batchLat = reg.Histogram("engine_batch_seconds", "batch call wall-clock latency", nil, el)
 	sh.classifyLat = reg.Histogram("engine_classify_seconds", "single-message classify latency (the at-delivery hot path)", nil, el)
-	sh.publishes = reg.Counter("engine_publishes_total", "snapshot publishes (Retrain, RetrainIncremental, Swap) by this process", el)
+	sh.publishes = reg.Counter("engine_publishes_total", "snapshot publishes (RetrainIncremental, Swap, Resume) by this process", el)
 	sh.admitted = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitAccept.String()))
 	sh.quarantined = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitQuarantine.String()))
 	sh.admitRejected = reg.Counter("engine_admission_total", "admission decisions on training candidates, by verdict", el, obs.L("verdict", AdmitReject.String()))
@@ -364,20 +364,35 @@ func (e *Engine) Swap(clfs ...Classifier) uint64 {
 			panic("engine: Swap with nil classifier")
 		}
 	}
-	return e.publish(clfs)
+	return e.publish(clfs, nil)
 }
 
 // publish installs clfs as the next epoch in one atomic store and
 // returns its generation. Publishers are serialized (publishing is
 // single-writer); concurrent scoring is never blocked. Publish events
 // always trace, one per shard (they are generation-scoped, not
-// message-scoped, so sampling does not apply).
-func (e *Engine) publish(clfs []Classifier) uint64 {
+// message-scoped, so sampling does not apply). learned, when not nil,
+// holds the examples trained into each shard's classifier: each
+// sampled one records a learn event at the new generation just before
+// its shard's publish event, so a trace reads admit → learn → publish
+// and only a publish that landed records what it trained.
+func (e *Engine) publish(clfs []Classifier, learned [][]Labeled) uint64 {
 	e.publishMu.Lock()
 	defer e.publishMu.Unlock()
 	gen := e.cur.Load().gen + 1
 	e.cur.Store(&epoch{clfs: append([]Classifier(nil), clfs...), gen: gen})
-	for _, sh := range e.shards {
+	for i, sh := range e.shards {
+		if learned != nil {
+			for _, ex := range learned[i] {
+				if digest := ex.Stream.Digest(); e.trace.Sampled(digest) {
+					label := Ham
+					if ex.Spam {
+						label = Spam
+					}
+					e.trace.Record(obs.TraceEvent{Kind: obs.TraceLearn, Digest: digest, Generation: gen, Shard: sh.index, Verdict: label.String()})
+				}
+			}
+		}
 		sh.publishes.Inc()
 		e.trace.Record(obs.TraceEvent{Kind: obs.TracePublish, Generation: gen, Shard: sh.index})
 	}

@@ -28,8 +28,8 @@ var stubTok = tokenize.New(tokenize.Options{MinWordLen: 1, MaxWordLen: 64})
 
 // stubRest completes the Classifier contract for the engine's fakes
 // with the parts a test does not serve: persistence, cloning,
-// validation binding and thresholds. Each panics if reached; a fake
-// that needs one defines it.
+// validation binding, thresholds and the vocabulary size. Each panics
+// if reached; a fake that needs one defines it.
 type stubRest struct{}
 
 func (stubRest) Save(io.Writer) error                                 { panic("stub: Save") }
@@ -37,6 +37,7 @@ func (stubRest) Load(io.Reader) error                                 { panic("s
 func (stubRest) CloneClassifier() Classifier                          { panic("stub: CloneClassifier") }
 func (stubRest) BindValidation([]*tokenize.TokenStream) ValidationSet { panic("stub: BindValidation") }
 func (stubRest) SetThresholds(float64, float64) error                 { panic("stub: SetThresholds") }
+func (stubRest) VocabSize() int                                       { panic("stub: VocabSize") }
 
 func (s *stubClassifier) Tokenizer() *tokenize.Tokenizer { return stubTok }
 

@@ -7,7 +7,10 @@
 // is a property of the statistical approach, not of one combining
 // rule.
 //
-// Differences from the SpamBayes learner, per Graham's essay:
+// Both learners embed one token-count database (internal/tokendb), so
+// training, unlearning, cloning and the shared codec are the same code;
+// this package adds the scoring rule, its validation sets and the GRDB
+// format. Differences from the SpamBayes learner, per Graham's essay:
 //
 //   - token occurrences count with multiplicity, and ham counts are
 //     doubled ("to bias the probabilities slightly against false
@@ -33,6 +36,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mail"
+	"repro/internal/tokendb"
 	"repro/internal/tokenize"
 )
 
@@ -101,19 +105,15 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Filter is the Graham classifier. Like the sbayes filter, statistics
-// are keyed by interned token IDs: one symbol table maps token text
-// to a dense tokenize.Sym, and the good/bad occurrence counts live in
-// flat slices indexed by it, cloned with two memcpys.
+// Filter is the Graham classifier: the token-count database both
+// learners share, counting every occurrence of a token (with
+// multiplicity, where SpamBayes counts presence per message), plus the
+// scoring rule. The database supplies the learners, Counts, VocabSize,
+// TokenCounts and Tokens; a record's Ham and Spam are Graham's good
+// and bad occurrence counts.
 type Filter struct {
-	opts  Options
-	tok   *tokenize.Tokenizer
-	ngood int
-	nbad  int
-	syms  *tokenize.Symbols
-	good  []int32 // ham occurrences (with multiplicity), indexed by Sym
-	bad   []int32 // spam occurrences, indexed by Sym
-	vocab int     // ids with a nonzero count on either side
+	tokendb.DB
+	opts Options
 }
 
 // New returns an empty filter (nil tokenizer selects the default).
@@ -122,14 +122,7 @@ func New(opts Options, tok *tokenize.Tokenizer) *Filter {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	if tok == nil {
-		tok = tokenize.Default()
-	}
-	return &Filter{
-		opts: opts,
-		tok:  tok,
-		syms: tokenize.NewSymbols(),
-	}
+	return &Filter{DB: tokendb.New("graham", tok, tokendb.Occurrences), opts: opts}
 }
 
 // NewDefault returns an empty filter with essay defaults.
@@ -138,68 +131,11 @@ func NewDefault() *Filter { return New(DefaultOptions(), nil) }
 // Options returns the filter's options.
 func (f *Filter) Options() Options { return f.opts }
 
-// Tokenizer returns the filter's tokenizer.
-func (f *Filter) Tokenizer() *tokenize.Tokenizer { return f.tok }
-
-// Counts returns the trained message counts (spam, ham).
-func (f *Filter) Counts() (nbad, ngood int) { return f.nbad, f.ngood }
-
-// VocabSize returns the number of distinct tokens in the database
-// (union of both sides). Maintained on zero↔nonzero transitions, so
-// it is O(1).
-func (f *Filter) VocabSize() int { return f.vocab }
-
-// TokenCounts returns the raw occurrence counts of a token.
-func (f *Filter) TokenCounts(token string) (bad, good int) {
-	if id, ok := f.syms.Lookup(token); ok {
-		return int(f.bad[id]), int(f.good[id])
-	}
-	return 0, 0
-}
-
-// intern assigns (or finds) the token's dense ID, keeping both count
-// slices in step with the symbol table.
-func (f *Filter) intern(token string) tokenize.Sym {
-	id := f.syms.Intern(token)
-	if int(id) == len(f.good) {
-		f.good = append(f.good, 0)
-		f.bad = append(f.bad, 0)
-	}
-	return id
-}
-
-// addCount adjusts one side's occurrence count by a signed delta,
-// maintaining the vocab counter across zero↔nonzero transitions of
-// the union.
-func (f *Filter) addCount(id tokenize.Sym, isSpam bool, n int32) {
-	wasZero := f.good[id] == 0 && f.bad[id] == 0
-	if isSpam {
-		f.bad[id] += n
-	} else {
-		f.good[id] += n
-	}
-	isZero := f.good[id] == 0 && f.bad[id] == 0
-	if wasZero && !isZero {
-		f.vocab++
-	} else if !wasZero && isZero {
-		f.vocab--
-	}
-}
-
 // Clone returns an independent deep copy of the filter: the symbol
-// table clones copy-on-write (O(1)) and the count slices copy with
-// memcpys.
+// table clones copy-on-write (O(1)) and the record slice copies with
+// one memcpy.
 func (f *Filter) Clone() *Filter {
-	return &Filter{
-		opts:  f.opts,
-		tok:   f.tok,
-		ngood: f.ngood,
-		nbad:  f.nbad,
-		syms:  f.syms.Clone(),
-		good:  append(make([]int32, 0, len(f.good)), f.good...),
-		bad:   append(make([]int32, 0, len(f.bad)), f.bad...),
-		vocab: f.vocab,
-	}
+	return &Filter{DB: f.DB.Clone(), opts: f.opts}
 }
 
 // CloneClassifier is Clone behind the engine.Cloner part of the
@@ -226,91 +162,11 @@ func (f *Filter) SetThresholds(hamCutoff, spamCutoff float64) error {
 	return nil
 }
 
-// Learn trains on one message. Unlike SpamBayes, occurrences count
-// with multiplicity.
-func (f *Filter) Learn(m *mail.Message, isSpam bool) {
-	f.LearnTokenStream(f.tok.Stream(m), isSpam, 1)
-}
-
-// LearnWeighted trains as if weight identical copies were learned
-// (all counts are linear, so this is exact).
-func (f *Filter) LearnWeighted(m *mail.Message, isSpam bool, weight int) {
-	f.LearnTokenStream(f.tok.Stream(m), isSpam, weight)
-}
-
-// LearnTokenStream trains directly on a tokenized message: each
-// distinct token contributes its occurrence count times weight.
-func (f *Filter) LearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) {
-	if weight < 0 {
-		panic("graham: negative learn weight")
-	}
-	if weight == 0 {
-		return
-	}
-	if isSpam {
-		f.nbad += weight
-	} else {
-		f.ngood += weight
-	}
-	for i := 0; i < ts.Len(); i++ {
-		f.addCount(f.intern(string(ts.At(i))), isSpam, int32(ts.Count(i)*weight))
-	}
-}
-
-// Unlearn removes one previously trained message from the database.
-// It returns an error (leaving the filter unchanged) if the message
-// was not counted with this label, as far as the counts can tell.
-func (f *Filter) Unlearn(m *mail.Message, isSpam bool) error {
-	return f.UnlearnTokenStream(f.tok.Stream(m), isSpam, 1)
-}
-
-// UnlearnTokenStream is the inverse of LearnTokenStream. The stream's
-// deduped occurrence counts make the removal validation direct: every
-// distinct token's stored count must cover count×weight before
-// anything mutates.
-func (f *Filter) UnlearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) error {
-	if weight < 0 {
-		panic("graham: negative unlearn weight")
-	}
-	if weight == 0 {
-		return nil
-	}
-	total := f.ngood
-	counts := f.good
-	if isSpam {
-		total = f.nbad
-		counts = f.bad
-	}
-	if total < weight {
-		return fmt.Errorf("graham: unlearn message underflow (have %d, remove %d)", total, weight)
-	}
-	for i := 0; i < ts.Len(); i++ {
-		n := int32(ts.Count(i) * weight)
-		id, ok := f.syms.LookupToken(ts.At(i))
-		if !ok || counts[id] < n {
-			return fmt.Errorf("graham: unlearn underflow on token %q", ts.At(i))
-		}
-	}
-	if isSpam {
-		f.nbad -= weight
-	} else {
-		f.ngood -= weight
-	}
-	for i := 0; i < ts.Len(); i++ {
-		// Validation proved every token is interned with enough count.
-		id, _ := f.syms.LookupToken(ts.At(i))
-		f.addCount(id, isSpam, -int32(ts.Count(i)*weight))
-	}
-	return nil
-}
-
 // TokenProb returns Graham's per-token spam probability.
 func (f *Filter) TokenProb(token string) float64 {
-	var g, b int
-	if id, ok := f.syms.Lookup(token); ok {
-		g, b = int(f.good[id]), int(f.bad[id])
-	}
-	return f.prob(g, b, f.ngood, f.nbad)
+	nbad, ngood := f.Counts()
+	r := f.Lookup(token)
+	return f.prob(int(r.Ham), int(r.Spam), ngood, nbad)
 }
 
 // prob computes the clamped probability from raw good/bad occurrence
@@ -377,7 +233,7 @@ func insertCand(sel []cand, k int, c cand) []cand {
 
 // Score returns the combined spam probability of a message.
 func (f *Filter) Score(m *mail.Message) float64 {
-	return f.ScoreTokenStream(f.tok.Stream(m))
+	return f.ScoreTokenStream(f.Tokenizer().Stream(m))
 }
 
 // maxTokensStack bounds the MaxTokens value the stream scoring path
@@ -402,22 +258,16 @@ func (f *Filter) ScoreTokenStream(ts *tokenize.TokenStream) float64 {
 	if k > maxTokensStack {
 		sel = make([]cand, 0, k)
 	}
+	nbad, ngood := f.Counts()
 	for i := 0; i < n; i++ {
-		tok := ts.At(i)
-		p := f.streamTokenProb(tok)
-		sel = insertCand(sel, k, cand{p: p, dist: math.Abs(p - 0.5), tok: string(tok)})
+		// A stream Token is a string type, so the lookup builds no
+		// per-token heap string.
+		tok := string(ts.At(i))
+		r := f.Lookup(tok)
+		p := f.prob(int(r.Ham), int(r.Spam), ngood, nbad)
+		sel = insertCand(sel, k, cand{p: p, dist: math.Abs(p - 0.5), tok: tok})
 	}
 	return bayesProduct(sel)
-}
-
-// streamTokenProb is TokenProb keyed by a stream token, resolved
-// through Symbols.LookupToken so no per-token heap string is built.
-func (f *Filter) streamTokenProb(tok tokenize.Token) float64 {
-	var g, b int
-	if id, ok := f.syms.LookupToken(tok); ok {
-		g, b = int(f.good[id]), int(f.bad[id])
-	}
-	return f.prob(g, b, f.ngood, f.nbad)
 }
 
 // bayesProduct takes the naive Bayes product of the selected

@@ -1,6 +1,7 @@
 package graham
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -284,15 +285,23 @@ func TestScoreBounds(t *testing.T) {
 
 func TestSetThresholds(t *testing.T) {
 	f := NewDefault()
+	var db bytes.Buffer
+	if err := NewDefault().Save(&db); err != nil {
+		t.Fatal(err)
+	}
 	// The refit fit domain is the closed [0, 1]: a degenerate
 	// calibration legitimately fits 1 ("never spam") or 0, and the
-	// setter must install it rather than abort the publish.
+	// setter must install it rather than abort the publish. Load
+	// replaces the counts and keeps whatever cutoff is installed.
 	for _, spam := range []float64{0, 0.5, 1} {
 		if err := f.SetThresholds(0, spam); err != nil {
 			t.Errorf("SetThresholds(0, %v): %v", spam, err)
 		}
 		if f.Options().SpamCutoff != spam {
 			t.Errorf("cutoff %v not installed", spam)
+		}
+		if err := f.Load(bytes.NewReader(db.Bytes())); err != nil || f.Options().SpamCutoff != spam {
+			t.Errorf("Load after SetThresholds(0, %v): error %v, cutoff %v", spam, err, f.Options().SpamCutoff)
 		}
 	}
 	if err := f.SetThresholds(0, 1.5); err == nil {

@@ -1,12 +1,9 @@
 package graham
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
-	"sort"
 
+	"repro/internal/tokendb"
 	"repro/internal/tokenize"
 )
 
@@ -27,266 +24,84 @@ import (
 // decreasing ids and duplicate symbols are rejected
 // (FuzzGrahamSaveLoad exercises exactly that surface). Version 1
 // ("GRDB\x01": ngood, nbad, then per side ntokens × {token, count})
-// remains loadable; Save always writes v2. Options and tokenizer
-// configuration are the caller's to manage (they are code, not data).
-
-const (
-	persistV1 = 1
-	persistV2 = 2
-)
-
-var persistMagic = [5]byte{'G', 'R', 'D', 'B', persistV2}
+// remains loadable; Save always writes v2. The varint, token,
+// symbol-table and bounds handling is the codec both backends share
+// (internal/tokendb). Options and tokenizer configuration are the
+// caller's to manage (they are code, not data).
 
 // Save writes the token database to w (format version 2).
 func (f *Filter) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(persistMagic[:]); err != nil {
-		return err
+	e := tokendb.NewEncoder(w, "GRDB\x02")
+	nbad, ngood := f.Counts()
+	e.Uvarint(uint64(ngood))
+	e.Uvarint(uint64(nbad))
+	toks := f.Tokens()
+	e.Symbols(toks)
+	// One record section per side, ham (good) first, keyed by
+	// canonical (sorted-order) id.
+	sides := [2][]int32{make([]int32, len(toks)), make([]int32, len(toks))}
+	for i, t := range toks {
+		r := f.Lookup(t)
+		sides[0][i], sides[1][i] = r.Ham, r.Spam
 	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := writeUvarint(uint64(f.ngood)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(f.nbad)); err != nil {
-		return err
-	}
-	// Canonical symbol table: the union of nonzero tokens, sorted.
-	toks := make([]string, 0, f.vocab)
-	for id := range f.good {
-		if f.good[id] != 0 || f.bad[id] != 0 {
-			toks = append(toks, f.syms.Name(tokenize.Sym(id)))
-		}
-	}
-	sort.Strings(toks)
-	if err := writeUvarint(uint64(len(toks))); err != nil {
-		return err
-	}
-	for _, t := range toks {
-		if err := writeUvarint(uint64(len(t))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(t); err != nil {
-			return err
-		}
-	}
-	// Record sections keyed by canonical (sorted-order) id.
-	for side := 0; side < 2; side++ {
-		counts := f.good
-		if side == 1 {
-			counts = f.bad
-		}
+	for _, counts := range sides {
 		nrecs := 0
-		for _, t := range toks {
-			if id, ok := f.syms.Lookup(t); ok && counts[id] != 0 {
+		for _, n := range counts {
+			if n != 0 {
 				nrecs++
 			}
 		}
-		if err := writeUvarint(uint64(nrecs)); err != nil {
-			return err
-		}
-		for i, t := range toks {
-			id, _ := f.syms.Lookup(t)
-			if counts[id] == 0 {
-				continue
-			}
-			if err := writeUvarint(uint64(i)); err != nil {
-				return err
-			}
-			if err := writeUvarint(uint64(counts[id])); err != nil {
-				return err
+		e.Uvarint(uint64(nrecs))
+		for i, n := range counts {
+			if n != 0 {
+				e.Uvarint(uint64(i))
+				e.Uvarint(uint64(n))
 			}
 		}
 	}
-	return bw.Flush()
+	return e.Flush()
 }
 
 // Load replaces the filter's trained state with a database written by
-// Save, keeping its options and tokenizer. On error the filter is
-// left unchanged.
+// Save, keeping its options and tokenizer. On error, trailing bytes
+// included, the filter is left unchanged.
 func (f *Filter) Load(r io.Reader) error {
-	loaded, err := Load(r, f.opts, f.tok)
-	if err != nil {
-		return err
-	}
-	f.ngood, f.nbad = loaded.ngood, loaded.nbad
-	f.syms, f.good, f.bad, f.vocab = loaded.syms, loaded.good, loaded.bad, loaded.vocab
-	return nil
+	return f.Decode(r, "GRDB", loadV1, loadV2)
 }
-
-// One below 1<<31 so the counts stay positive even in an int32.
-const maxReasonable = 1<<31 - 1
 
 // Load reads a token database written by Save (format version 1 or
 // 2), returning a filter with the given options and tokenizer (nil
 // selects defaults).
 func Load(r io.Reader, opts Options, tok *tokenize.Tokenizer) (*Filter, error) {
-	br := bufio.NewReader(r)
-	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graham: reading magic: %w", err)
-	}
-	if magic[0] != 'G' || magic[1] != 'R' || magic[2] != 'D' || magic[3] != 'B' {
-		return nil, fmt.Errorf("graham: bad magic %q", magic[:])
-	}
 	f := New(opts, tok)
-	switch magic[4] {
-	case persistV1:
-		if err := loadV1(br, f); err != nil {
-			return nil, err
-		}
-	case persistV2:
-		if err := loadV2(br, f); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("graham: unsupported format version %d", magic[4])
+	if err := f.Load(r); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-func readUvarint(br *bufio.Reader, what string) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("graham: reading %s: %w", what, err)
+// loadV1 decodes the version-1 body: ngood, nbad, then per side, ham
+// first, ntokens × {token, count}.
+func loadV1(d *tokendb.Decoder) {
+	ngood, nbad := d.Count("ngood"), d.Count("nbad")
+	d.SetCounts(nbad, ngood)
+	for _, isSpam := range []bool{false, true} {
+		n := d.Count("token count")
+		for i := int32(0); i < n && d.Err() == nil; i++ {
+			d.Add(d.Token(), isSpam, d.Count("occurrence count"))
+		}
 	}
-	return v, nil
 }
 
-// readToken reads one length-prefixed token into buf, enforcing the
-// length bound.
-func readToken(br *bufio.Reader, buf []byte) ([]byte, error) {
-	tlen, err := readUvarint(br, "token length")
-	if err != nil {
-		return nil, err
+// loadV2 decodes the version-2 body: ngood, nbad, the shared symbol
+// table, then one record section per side, ham first, of {id, count}.
+func loadV2(d *tokendb.Decoder) {
+	ngood, nbad := d.Count("ngood"), d.Count("nbad")
+	d.SetCounts(nbad, ngood)
+	nsyms := d.Symbols()
+	for _, isSpam := range []bool{false, true} {
+		d.Records(nsyms, func(id tokenize.Sym) {
+			d.Add(id, isSpam, d.Count("occurrence count"))
+		})
 	}
-	if tlen > 1<<20 {
-		return nil, fmt.Errorf("graham: implausible token length %d", tlen)
-	}
-	if uint64(cap(buf)) < tlen {
-		buf = make([]byte, tlen)
-	}
-	buf = buf[:tlen]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("graham: reading token: %w", err)
-	}
-	return buf, nil
-}
-
-// loadV1 parses the version-1 body: per side, ntokens × {token,
-// count}.
-func loadV1(br *bufio.Reader, f *Filter) error {
-	ngood, err := readUvarint(br, "ngood")
-	if err != nil {
-		return err
-	}
-	nbad, err := readUvarint(br, "nbad")
-	if err != nil {
-		return err
-	}
-	if ngood > maxReasonable || nbad > maxReasonable {
-		return fmt.Errorf("graham: implausible database header (%d, %d)", ngood, nbad)
-	}
-	f.ngood, f.nbad = int(ngood), int(nbad)
-	tokenBuf := make([]byte, 0, 64)
-	for side := 0; side < 2; side++ {
-		isSpam := side == 1
-		ntokens, err := readUvarint(br, "token count")
-		if err != nil {
-			return err
-		}
-		if ntokens > maxReasonable {
-			return fmt.Errorf("graham: implausible token count %d", ntokens)
-		}
-		for i := uint64(0); i < ntokens; i++ {
-			tokenBuf, err = readToken(br, tokenBuf)
-			if err != nil {
-				return err
-			}
-			n, err := readUvarint(br, "occurrence count")
-			if err != nil {
-				return err
-			}
-			if n > maxReasonable {
-				return fmt.Errorf("graham: implausible counts for %q", tokenBuf)
-			}
-			f.addCount(f.intern(string(tokenBuf)), isSpam, int32(n))
-		}
-	}
-	return nil
-}
-
-// loadV2 parses the version-2 body: the shared symbol table, then one
-// record section per side. Ids come from untrusted input: they must
-// be strictly increasing and in bounds per section, and the symbol
-// table must not repeat a token.
-func loadV2(br *bufio.Reader, f *Filter) error {
-	ngood, err := readUvarint(br, "ngood")
-	if err != nil {
-		return err
-	}
-	nbad, err := readUvarint(br, "nbad")
-	if err != nil {
-		return err
-	}
-	if ngood > maxReasonable || nbad > maxReasonable {
-		return fmt.Errorf("graham: implausible database header (%d, %d)", ngood, nbad)
-	}
-	f.ngood, f.nbad = int(ngood), int(nbad)
-	nsyms, err := readUvarint(br, "nsyms")
-	if err != nil {
-		return err
-	}
-	if nsyms > maxReasonable {
-		return fmt.Errorf("graham: implausible symbol count %d", nsyms)
-	}
-	tokenBuf := make([]byte, 0, 64)
-	for i := uint64(0); i < nsyms; i++ {
-		tokenBuf, err = readToken(br, tokenBuf)
-		if err != nil {
-			return err
-		}
-		// Interning a fresh token assigns exactly id i; anything else
-		// means the table repeats a token.
-		if id := f.intern(string(tokenBuf)); uint64(id) != i {
-			return fmt.Errorf("graham: duplicate symbol %q", tokenBuf)
-		}
-	}
-	for side := 0; side < 2; side++ {
-		isSpam := side == 1
-		nrecs, err := readUvarint(br, "record count")
-		if err != nil {
-			return err
-		}
-		if nrecs > nsyms {
-			return fmt.Errorf("graham: more records (%d) than symbols (%d)", nrecs, nsyms)
-		}
-		prev := int64(-1)
-		for i := uint64(0); i < nrecs; i++ {
-			id, err := readUvarint(br, "record id")
-			if err != nil {
-				return err
-			}
-			if id >= nsyms {
-				return fmt.Errorf("graham: record id %d out of bounds (nsyms %d)", id, nsyms)
-			}
-			if int64(id) <= prev {
-				return fmt.Errorf("graham: record ids not strictly increasing (%d after %d)", id, prev)
-			}
-			prev = int64(id)
-			n, err := readUvarint(br, "occurrence count")
-			if err != nil {
-				return err
-			}
-			if n > maxReasonable {
-				return fmt.Errorf("graham: implausible counts for record %d", id)
-			}
-			f.addCount(tokenize.Sym(id), isSpam, int32(n))
-		}
-	}
-	return nil
 }

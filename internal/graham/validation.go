@@ -30,14 +30,9 @@ type validationSet struct {
 // table: BindValidation follows the same single-writer discipline as
 // Learn. Streams must come from the filter's tokenizer.
 func (f *Filter) BindValidation(streams []*tokenize.TokenStream) engine.ValidationSet {
-	v := &validationSet{f: f, syms: f.syms, offs: make([]int, 1, len(streams)+1), sel: make([]cand, 0, f.opts.MaxTokens)}
-	for _, ts := range streams {
-		for i := 0; i < ts.Len(); i++ {
-			v.ids = append(v.ids, f.intern(string(ts.At(i))))
-		}
-		v.offs = append(v.offs, len(v.ids))
-	}
-	v.add = make([]int32, f.syms.Len())
+	v := &validationSet{f: f, syms: f.Symbols(), sel: make([]cand, 0, f.opts.MaxTokens)}
+	v.ids, v.offs = f.InternStreams(streams)
+	v.add = make([]int32, v.syms.Len())
 	return v
 }
 
@@ -45,10 +40,10 @@ func (f *Filter) BindValidation(streams []*tokenize.TokenStream) engine.Validati
 // learning q with label qSpam (nil q: as it stands).
 func (v *validationSet) ClassifyWith(q *tokenize.TokenStream, qSpam bool, out []engine.Label) {
 	f := v.f
-	if f.syms != v.syms {
+	if f.Symbols() != v.syms {
 		panic("graham: validation set used after Load replaced the filter's symbol table")
 	}
-	ngood, nbad := f.ngood, f.nbad
+	nbad, ngood := f.Counts()
 	if q != nil {
 		if qSpam {
 			nbad++
@@ -63,7 +58,8 @@ func (v *validationSet) ClassifyWith(q *tokenize.TokenStream, qSpam bool, out []
 		if ids := v.ids[v.offs[i]:v.offs[i+1]]; len(ids) > 0 {
 			sel := v.sel[:0]
 			for _, id := range ids {
-				good, bad := f.good[id], f.bad[id]
+				r := f.At(id)
+				good, bad := r.Ham, r.Spam
 				if qSpam {
 					bad += v.add[id]
 				} else {

@@ -25,7 +25,9 @@ const (
 	// back toward training; a review that drops instead records
 	// TraceAdmit with the rejecting verdict.
 	TraceRelease
-	// TraceLearn is one example actually trained into a classifier.
+	// TraceLearn is one example actually trained into a classifier,
+	// recorded when the publish carrying it lands and stamped with the
+	// generation that publish created (Guarded.RetrainIncremental).
 	TraceLearn
 	// TracePublish is a snapshot publish: a new generation went live.
 	TracePublish

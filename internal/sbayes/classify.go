@@ -8,28 +8,31 @@ import (
 
 	"repro/internal/mail"
 	"repro/internal/stats"
+	"repro/internal/tokendb"
 	"repro/internal/tokenize"
 )
 
 // TokenScore returns f(w), the Robinson-smoothed spam score of a
 // token (equations 1–2). Unseen tokens score exactly the prior x.
 func (f *Filter) TokenScore(token string) float64 {
-	return f.scoreRecord(f.recordFor(token))
+	nspam, nham := f.totals()
+	return f.scoreCounts(f.Lookup(token), nspam, nham)
 }
 
-// scoreRecord computes f(w) from raw counts.
-func (f *Filter) scoreRecord(r record) float64 {
-	return f.scoreCounts(r, f.nspam, f.nham)
+// totals returns the trained-message counts at a record's int32 width.
+func (f *Filter) totals() (nspam, nham int32) {
+	ns, nh := f.Counts()
+	return int32(ns), int32(nh)
 }
 
 // scoreCounts computes f(w) from raw counts against the given
 // trained-message totals, so a bound validation set can score as if
 // one more message had been learned without mutating the filter.
-func (f *Filter) scoreCounts(r record, nspam, nham int32) float64 {
+func (f *Filter) scoreCounts(r tokendb.Record, nspam, nham int32) float64 {
 	// Clamp counts to the totals, as SpamBayes does, so a corrupt
 	// database cannot yield ratios above 1.
-	spamcount := min(r.spam, nspam)
-	hamcount := min(r.ham, nham)
+	spamcount := min(r.Spam, nspam)
+	hamcount := min(r.Ham, nham)
 	var spamratio, hamratio float64
 	if nspam > 0 {
 		spamratio = float64(spamcount) / float64(nspam)
@@ -58,7 +61,7 @@ type Clue struct {
 
 // Score returns the message score I(E) ∈ [0, 1] (equation 3).
 func (f *Filter) Score(m *mail.Message) float64 {
-	return f.ScoreTokenStream(f.tok.Stream(m))
+	return f.ScoreTokenStream(f.Tokenizer().Stream(m))
 }
 
 // Classify returns the verdict and score for a message.
@@ -76,8 +79,9 @@ func (f *Filter) Classify(m *mail.Message) (Label, float64) {
 func (f *Filter) ScoreTokenStream(ts *tokenize.TokenStream) float64 {
 	sc := getScores()
 	defer putScores(sc)
+	nspam, nham := f.totals()
 	for i := 0; i < ts.Len(); i++ {
-		s := f.scoreRecord(f.recordFor(string(ts.At(i))))
+		s := f.scoreCounts(f.Lookup(string(ts.At(i))), nspam, nham)
 		if math.Abs(s-0.5) >= f.opts.MinProbStrength {
 			sc.s = append(sc.s, s)
 		}
@@ -95,7 +99,7 @@ func (f *Filter) ClassifyTokenStream(ts *tokenize.TokenStream) (Label, float64) 
 // Explain returns every distinct token's score and whether it entered
 // δ(E), in the message's token order.
 func (f *Filter) Explain(m *mail.Message) []Clue {
-	ts := f.tok.Stream(m)
+	ts := f.Tokenizer().Stream(m)
 	out := make([]Clue, ts.Len())
 	var cands []clue
 	for i := range out {

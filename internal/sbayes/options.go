@@ -16,7 +16,11 @@
 //
 // The learner supports incremental Learn/Unlearn and weighted learning
 // (training n identical messages in one pass), which the attack
-// experiments and the RONI defense rely on.
+// experiments and the RONI defense rely on. Those learners, the token
+// counts and the shared parts of the database codec live in the
+// token-count database both backends embed (internal/tokendb); this
+// package adds the scoring rule, its validation sets and the SBDB
+// format.
 package sbayes
 
 import (

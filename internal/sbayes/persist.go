@@ -1,11 +1,9 @@
 package sbayes
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 
+	"repro/internal/tokendb"
 	"repro/internal/tokenize"
 )
 
@@ -23,249 +21,68 @@ import (
 // accepts any subset with increasing in-bounds ids, and treats the id
 // bounds as untrusted input (FuzzSBayesSaveLoad exercises exactly
 // that surface). Version 1 ("SBDB\x01": nspam, nham, ntokens ×
-// {token, spam, ham}) remains loadable; Save always writes v2.
-// Options and tokenizer configuration are the caller's to manage
-// (they are code, not data).
-
-const (
-	persistV1 = 1
-	persistV2 = 2
-)
-
-var persistMagic = [5]byte{'S', 'B', 'D', 'B', persistV2}
+// {token, spam, ham}) remains loadable; Save always writes v2. The
+// varint, token, symbol-table and bounds handling is the codec both
+// backends share (internal/tokendb). Options and tokenizer
+// configuration are the caller's to manage (they are code, not data).
 
 // Save writes the token database to w (format version 2).
 func (f *Filter) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(persistMagic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := writeUvarint(uint64(f.nspam)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(f.nham)); err != nil {
-		return err
-	}
-	// Canonical symbol table: nonzero tokens in sorted order.
+	e := tokendb.NewEncoder(w, "SBDB\x02")
+	nspam, nham := f.Counts()
+	e.Uvarint(uint64(nspam))
+	e.Uvarint(uint64(nham))
+	// Every canonical symbol has nonzero counts, so nrecs == nsyms and
+	// id == index.
 	toks := f.Tokens()
-	if err := writeUvarint(uint64(len(toks))); err != nil {
-		return err
-	}
-	for _, t := range toks {
-		if err := writeUvarint(uint64(len(t))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(t); err != nil {
-			return err
-		}
-	}
-	// Records keyed by canonical (sorted-order) id. Every canonical
-	// symbol has nonzero counts, so nrecs == nsyms and id == index.
-	if err := writeUvarint(uint64(len(toks))); err != nil {
-		return err
-	}
+	e.Symbols(toks)
+	e.Uvarint(uint64(len(toks)))
 	for i, t := range toks {
-		r := f.recordFor(t)
-		if err := writeUvarint(uint64(i)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(r.spam)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(r.ham)); err != nil {
-			return err
-		}
+		r := f.Lookup(t)
+		e.Uvarint(uint64(i))
+		e.Uvarint(uint64(r.Spam))
+		e.Uvarint(uint64(r.Ham))
 	}
-	return bw.Flush()
+	return e.Flush()
 }
 
 // Load replaces the filter's trained state with a database written by
-// Save, keeping its options and tokenizer. On error the filter is
-// left unchanged. It is the engine.Persistable counterpart of the
-// package-level Load.
+// Save, keeping its options and tokenizer. On error, trailing bytes
+// included, the filter is left unchanged. It is the engine.Persistable
+// counterpart of the package-level Load.
 func (f *Filter) Load(r io.Reader) error {
-	loaded, err := Load(r, f.opts, f.tok)
-	if err != nil {
-		return err
-	}
-	f.nspam, f.nham = loaded.nspam, loaded.nham
-	f.syms, f.recs, f.vocab = loaded.syms, loaded.recs, loaded.vocab
-	return nil
+	return f.Decode(r, "SBDB", loadV1, loadV2)
 }
-
-// One below 1<<31: counts land in int32 fields, and a count of
-// exactly 1<<31 would wrap negative.
-const maxReasonable = 1<<31 - 1
 
 // Load reads a token database written by Save (format version 1 or
 // 2), returning a filter with the given options and tokenizer (nil
 // selects defaults).
 func Load(r io.Reader, opts Options, tok *tokenize.Tokenizer) (*Filter, error) {
-	br := bufio.NewReader(r)
-	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("sbayes: reading magic: %w", err)
-	}
-	if magic[0] != 'S' || magic[1] != 'B' || magic[2] != 'D' || magic[3] != 'B' {
-		return nil, fmt.Errorf("sbayes: bad magic %q", magic[:])
-	}
 	f := New(opts, tok)
-	switch magic[4] {
-	case persistV1:
-		if err := loadV1(br, f); err != nil {
-			return nil, err
-		}
-	case persistV2:
-		if err := loadV2(br, f); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("sbayes: unsupported format version %d", magic[4])
+	if err := f.Load(r); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-func readUvarint(br *bufio.Reader, what string) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("sbayes: reading %s: %w", what, err)
+// loadV1 decodes the version-1 body: nspam, nham, then ntokens ×
+// {token, spam, ham}.
+func loadV1(d *tokendb.Decoder) {
+	d.SetCounts(d.Count("nspam"), d.Count("nham"))
+	n := d.Count("ntokens")
+	for i := int32(0); i < n && d.Err() == nil; i++ {
+		id := d.Token()
+		d.Add(id, true, d.Count("spam count"))
+		d.Add(id, false, d.Count("ham count"))
 	}
-	return v, nil
 }
 
-// readToken reads one length-prefixed token into buf, enforcing the
-// length bound.
-func readToken(br *bufio.Reader, buf []byte) ([]byte, error) {
-	tlen, err := readUvarint(br, "token length")
-	if err != nil {
-		return nil, err
-	}
-	if tlen > 1<<20 {
-		return nil, fmt.Errorf("sbayes: implausible token length %d", tlen)
-	}
-	if uint64(cap(buf)) < tlen {
-		buf = make([]byte, tlen)
-	}
-	buf = buf[:tlen]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("sbayes: reading token: %w", err)
-	}
-	return buf, nil
-}
-
-// loadV1 parses the version-1 body: ntokens × {token, spam, ham}.
-func loadV1(br *bufio.Reader, f *Filter) error {
-	nspam, err := readUvarint(br, "nspam")
-	if err != nil {
-		return err
-	}
-	nham, err := readUvarint(br, "nham")
-	if err != nil {
-		return err
-	}
-	ntokens, err := readUvarint(br, "ntokens")
-	if err != nil {
-		return err
-	}
-	if nspam > maxReasonable || nham > maxReasonable || ntokens > maxReasonable {
-		return fmt.Errorf("sbayes: implausible database header (%d, %d, %d)", nspam, nham, ntokens)
-	}
-	f.nspam, f.nham = int32(nspam), int32(nham)
-	tokenBuf := make([]byte, 0, 64)
-	for i := uint64(0); i < ntokens; i++ {
-		tokenBuf, err = readToken(br, tokenBuf)
-		if err != nil {
-			return err
-		}
-		spam, err := readUvarint(br, "spam count")
-		if err != nil {
-			return err
-		}
-		ham, err := readUvarint(br, "ham count")
-		if err != nil {
-			return err
-		}
-		if spam > maxReasonable || ham > maxReasonable {
-			return fmt.Errorf("sbayes: implausible counts for %q", tokenBuf)
-		}
-		f.addCounts(f.intern(string(tokenBuf)), true, int32(spam))
-		f.addCounts(f.intern(string(tokenBuf)), false, int32(ham))
-	}
-	return nil
-}
-
-// loadV2 parses the version-2 body: the symbol table, then records
-// keyed by symbol id. Ids come from untrusted input: they must be
-// strictly increasing and in bounds, and the symbol table must not
-// repeat a token.
-func loadV2(br *bufio.Reader, f *Filter) error {
-	nspam, err := readUvarint(br, "nspam")
-	if err != nil {
-		return err
-	}
-	nham, err := readUvarint(br, "nham")
-	if err != nil {
-		return err
-	}
-	nsyms, err := readUvarint(br, "nsyms")
-	if err != nil {
-		return err
-	}
-	if nspam > maxReasonable || nham > maxReasonable || nsyms > maxReasonable {
-		return fmt.Errorf("sbayes: implausible database header (%d, %d, %d)", nspam, nham, nsyms)
-	}
-	f.nspam, f.nham = int32(nspam), int32(nham)
-	tokenBuf := make([]byte, 0, 64)
-	for i := uint64(0); i < nsyms; i++ {
-		tokenBuf, err = readToken(br, tokenBuf)
-		if err != nil {
-			return err
-		}
-		// Interning a fresh token assigns exactly id i; anything else
-		// means the table repeats a token.
-		if id := f.intern(string(tokenBuf)); uint64(id) != i {
-			return fmt.Errorf("sbayes: duplicate symbol %q", tokenBuf)
-		}
-	}
-	nrecs, err := readUvarint(br, "nrecs")
-	if err != nil {
-		return err
-	}
-	if nrecs > nsyms {
-		return fmt.Errorf("sbayes: more records (%d) than symbols (%d)", nrecs, nsyms)
-	}
-	prev := int64(-1)
-	for i := uint64(0); i < nrecs; i++ {
-		id, err := readUvarint(br, "record id")
-		if err != nil {
-			return err
-		}
-		if id >= nsyms {
-			return fmt.Errorf("sbayes: record id %d out of bounds (nsyms %d)", id, nsyms)
-		}
-		if int64(id) <= prev {
-			return fmt.Errorf("sbayes: record ids not strictly increasing (%d after %d)", id, prev)
-		}
-		prev = int64(id)
-		spam, err := readUvarint(br, "spam count")
-		if err != nil {
-			return err
-		}
-		ham, err := readUvarint(br, "ham count")
-		if err != nil {
-			return err
-		}
-		if spam > maxReasonable || ham > maxReasonable {
-			return fmt.Errorf("sbayes: implausible counts for record %d", id)
-		}
-		f.addCounts(tokenize.Sym(id), true, int32(spam))
-		f.addCounts(tokenize.Sym(id), false, int32(ham))
-	}
-	return nil
+// loadV2 decodes the version-2 body: nspam, nham, the symbol table,
+// then one section of {spam, ham} records keyed by symbol id.
+func loadV2(d *tokendb.Decoder) {
+	d.SetCounts(d.Count("nspam"), d.Count("nham"))
+	d.Records(d.Symbols(), func(id tokenize.Sym) {
+		d.Add(id, true, d.Count("spam count"))
+		d.Add(id, false, d.Count("ham count"))
+	})
 }

@@ -66,16 +66,9 @@ type clueGroup struct {
 // symbol table: BindValidation follows the same single-writer
 // discipline as Learn. Streams must come from the filter's tokenizer.
 func (f *Filter) BindValidation(streams []*tokenize.TokenStream) engine.ValidationSet {
-	v := &validationSet{f: f, offs: make([]int, 1, len(streams)+1)}
-	var ids []tokenize.Sym
-	for _, ts := range streams {
-		for i := 0; i < ts.Len(); i++ {
-			ids = append(ids, f.intern(string(ts.At(i))))
-		}
-		v.offs = append(v.offs, len(ids))
-	}
-	v.syms = f.syms
-	v.local = make([]int32, f.syms.Len())
+	ids, offs := f.InternStreams(streams)
+	v := &validationSet{f: f, syms: f.Symbols(), offs: offs}
+	v.local = make([]int32, v.syms.Len())
 	for i := range v.local {
 		v.local[i] = -1
 	}
@@ -114,13 +107,13 @@ func (v *validationSet) ClassifyWith(q *tokenize.TokenStream, qSpam bool, out []
 // counts plus q's.
 func (v *validationSet) score(q *tokenize.TokenStream, qSpam bool) {
 	f := v.f
-	if f.syms != v.syms {
+	if f.Symbols() != v.syms {
 		panic("sbayes: validation set used after Load replaced the filter's symbol table")
 	}
 	// What learning q would change: one more message in its class, and
 	// one more count on each of its tokens. Tokens outside the set
 	// cannot move any bound score.
-	nspam, nham := f.nspam, f.nham
+	nspam, nham := f.totals()
 	if q != nil {
 		if qSpam {
 			nspam++
@@ -128,7 +121,7 @@ func (v *validationSet) score(q *tokenize.TokenStream, qSpam bool) {
 			nham++
 		}
 		for i := 0; i < q.Len(); i++ {
-			if id, ok := f.syms.LookupToken(q.At(i)); ok && int(id) < len(v.local) && v.local[id] >= 0 {
+			if id, ok := v.syms.LookupToken(q.At(i)); ok && int(id) < len(v.local) && v.local[id] >= 0 {
 				v.hit[v.local[id]] = true
 			}
 		}
@@ -138,13 +131,13 @@ func (v *validationSet) score(q *tokenize.TokenStream, qSpam bool) {
 	v.groups = v.groups[:0]
 	clear(v.groupOf)
 	for u, id := range v.vocab {
-		r := f.recs[id]
+		r := f.At(id)
 		if v.hit[u] {
 			v.hit[u] = false
 			if qSpam {
-				r.spam++
+				r.Spam++
 			} else {
-				r.ham++
+				r.Ham++
 			}
 		}
 		s := f.scoreCounts(r, nspam, nham)

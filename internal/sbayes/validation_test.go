@@ -148,7 +148,7 @@ func TestValidationSetLeavesFilterUnchanged(t *testing.T) {
 	v := f.BindValidation(streams)
 	before := referenceScores(t, f, streams, nil, false)
 	nspam, nham := f.Counts()
-	vocab, syms := f.VocabSize(), f.syms.Len()
+	vocab, syms := f.VocabSize(), f.Symbols().Len()
 	labels := make([]engine.Label, len(streams))
 	for i := 0; i < 10; i++ {
 		v.ClassifyWith(randomStream(r, 150, 5000), i%2 == 0, labels)
@@ -156,8 +156,8 @@ func TestValidationSetLeavesFilterUnchanged(t *testing.T) {
 	if s, h := f.Counts(); s != nspam || h != nham {
 		t.Fatalf("counts (%d, %d) -> (%d, %d)", nspam, nham, s, h)
 	}
-	if f.VocabSize() != vocab || f.syms.Len() != syms {
-		t.Fatalf("vocabulary %d/%d symbols -> %d/%d", vocab, syms, f.VocabSize(), f.syms.Len())
+	if f.VocabSize() != vocab || f.Symbols().Len() != syms {
+		t.Fatalf("vocabulary %d/%d symbols -> %d/%d", vocab, syms, f.VocabSize(), f.Symbols().Len())
 	}
 	for i, s := range referenceScores(t, f, streams, nil, false) {
 		if s != before[i] {
