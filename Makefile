@@ -21,10 +21,12 @@
 #                    exercising the unitchecker protocol and the
 #                    cross-package fact transport CI also runs
 #   make fuzz        short fuzz smoke over the persistence decoders
-#                    (the one-record snapshot envelope, seeded with real
-#                    guarded saves, the version-1 admission sidecar
-#                    resume still reads, and the admission state
-#                    payloads included), the tokenizer, the
+#                    (the one binary codec they all share, internal/
+#                    binfmt, with its writer's round trip; both token
+#                    databases; the one-record snapshot envelope,
+#                    seeded with real guarded saves; the version-1
+#                    admission sidecar resume still reads; and the
+#                    admission state payloads), the tokenizer, the
 #                    HTTP request decoder, the mail parser and mbox
 #                    reader (each with its writer's round trip) and the
 #                    metrics text parser (with WriteText's round trip)
@@ -97,6 +99,7 @@ lint-vettool:
 # `go test -fuzz` takes one target per invocation, so one line per
 # fuzz target. Each also replays its committed seed corpus first.
 fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzCodec -fuzztime=$(FUZZTIME) ./internal/binfmt/
 	$(GO) test -run='^$$' -fuzz=FuzzSBayesSaveLoad -fuzztime=$(FUZZTIME) ./internal/sbayes/
 	$(GO) test -run='^$$' -fuzz=FuzzGrahamSaveLoad -fuzztime=$(FUZZTIME) ./internal/graham/
 	$(GO) test -run='^$$' -fuzz=FuzzTokenStream -fuzztime=$(FUZZTIME) ./internal/tokenize/

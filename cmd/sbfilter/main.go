@@ -327,7 +327,7 @@ func cmdSave(args []string) error {
 		return err
 	}
 	eng := engine.NewAt(clf, next, engine.Config{Name: *name})
-	gen, err := engine.SaveEngine(st, *name, *backend, eng)
+	gen, err := engine.SaveEngine(st, *name, eng)
 	if err != nil {
 		return err
 	}

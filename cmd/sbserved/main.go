@@ -31,10 +31,11 @@
 // save the directory is pruned to the two newest records (never
 // dropping the one a resume restarts from). Start-up
 // bootstraps fresh only when nothing at all is stored under -name; a
-// record of another shard count than -shards, a store with no
-// loadable record, or a fleet store in the retired per-shard layout
-// (-name.shard<i> lines) fails start-up instead of bootstrapping over
-// (and later overwriting) the admission state it holds.
+// record of another shard count than -shards or of another backend
+// than -backend, a store with no loadable record, or a fleet store in
+// the retired per-shard layout (-name.shard<i> lines) fails start-up
+// instead of serving or bootstrapping over (and later overwriting) the
+// admission state it holds.
 //
 // Endpoints: POST /classify, /score (single JSON), /classify/batch,
 // /score/batch (NDJSON streams), /learn (202 or 503 shed),
@@ -215,7 +216,6 @@ func run(cfg config) error {
 		RetryAfter:  cfg.retryAfter,
 		Store:       store,
 		Name:        cfg.name,
-		Backend:     cfg.backend,
 		Obs:         reg,
 		Trace:       tracer,
 		EnablePprof: cfg.pprofOn,
@@ -264,16 +264,22 @@ func run(cfg config) error {
 }
 
 // build resumes the guarded fleet from the store's newest loadable
-// record under the name, which must hold -shards shards, and
-// bootstraps fresh shards — each trained on its own partition of the
-// bootstrap corpus (one shard trains on all of it) — only when nothing
-// is stored under the name. Anything else is an error: bootstrapping
-// over a store it cannot resume would free held mail and refill the
-// spent probe budget, then bury that state under the next save.
+// record under the name, which must hold -shards shards of -backend,
+// and bootstraps fresh shards — each trained on its own partition of
+// the bootstrap corpus (one shard trains on all of it) — only when
+// nothing is stored under the name. Anything else is an error:
+// bootstrapping over a store it cannot resume would free held mail and
+// refill the spent probe budget, then bury that state under the next
+// save, and serving a record of another backend would vet with trial
+// filters of the wrong backend.
 func build(cfg config, shards int, b engine.Backend, gen *textgen.Generator, rng *stats.RNG, chain *admission.Chain, gcfg engine.GuardedConfig, store engine.SnapshotStore, ecfg engine.Config) (*engine.Guarded, bool, error) {
 	if store != nil {
 		guarded, err := engine.ResumeGuarded(store, cfg.name, shards, ecfg, chain, gcfg)
 		if err == nil {
+			clfs, gen := guarded.Engine().Snapshots()
+			if got := clfs[0].BackendName(); got != b.Name {
+				return nil, false, fmt.Errorf("snapshot store under -name %q holds %s at generation %d, not -backend %s", cfg.name, got, gen, b.Name)
+			}
 			return guarded, true, nil
 		}
 		stored, gerr := store.Generations(cfg.name)

@@ -14,11 +14,18 @@ import (
 	"repro/internal/stats"
 )
 
-// buildOver runs the daemon's start-up build over store with a small
-// bootstrap corpus and a persisting admission chain.
+// buildOver runs the daemon's start-up build of the default backend
+// over store with a small bootstrap corpus and a persisting admission
+// chain.
 func buildOver(t *testing.T, store engine.SnapshotStore, shards int) (*engine.Guarded, bool, error) {
 	t.Helper()
-	b, err := engine.Lookup("sbayes")
+	return buildBackend(t, store, shards, "sbayes")
+}
+
+// buildBackend is buildOver with -backend backend.
+func buildBackend(t *testing.T, store engine.SnapshotStore, shards int, backend string) (*engine.Guarded, bool, error) {
+	t.Helper()
+	b, err := engine.Lookup(backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +60,10 @@ func retired(magic string, body ...byte) []byte {
 }
 
 // TestBuildRefusesStoreItCannotResume pins that start-up bootstraps
-// fresh only over an empty store. A record of another shard count, a
-// store whose record does not load, or a fleet store in the retired
-// per-shard layout fails start-up with an error naming what it holds,
+// fresh only over an empty store. A record of another shard count or
+// another backend, a store whose record does not load, or a fleet
+// store in the retired per-shard layout fails start-up with an error
+// naming what it holds,
 // and leaves every stored file as it was — bootstrapping over it would
 // free held mail, refill the spent probe budget, and bury that state
 // under the next save.
@@ -69,7 +77,7 @@ func TestBuildRefusesStoreItCannotResume(t *testing.T) {
 	if err != nil || resumed {
 		t.Fatalf("empty store: resumed=%v err=%v, want a fresh bootstrap", resumed, err)
 	}
-	gen, err := engine.SaveGuarded(store, "served", "sbayes", g)
+	gen, err := engine.SaveGuarded(store, "served", g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +92,29 @@ func TestBuildRefusesStoreItCannotResume(t *testing.T) {
 			t.Fatalf("2 shards over a one-shard store: err=%v, want an error naming the stored and the wanted shard counts", err)
 		}
 		if got := storeFiles(t, dir); !reflect.DeepEqual(got, saved) {
+			t.Fatal("the refused start-up changed the store")
+		}
+	})
+
+	t.Run("other backend", func(t *testing.T) {
+		dir := t.TempDir()
+		store, err := engine.NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := buildBackend(t, store, 1, "graham")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.SaveGuarded(store, "served", g); err != nil {
+			t.Fatal(err)
+		}
+		before := storeFiles(t, dir)
+		_, _, err = buildOver(t, store, 1)
+		if err == nil || !strings.Contains(err.Error(), "holds graham at generation 1, not -backend sbayes") {
+			t.Fatalf("-backend sbayes over a graham store: err=%v, want an error naming both backends", err)
+		}
+		if got := storeFiles(t, dir); !reflect.DeepEqual(got, before) {
 			t.Fatal("the refused start-up changed the store")
 		}
 	})

@@ -55,7 +55,7 @@ func main() {
 	// ---- 1. One engine's generation line, across a restart. ----
 	week1 := gen.Corpus(rng, 400, 400)
 	eng := repro.NewEngine(repro.TrainFilter(week1, repro.DefaultFilterOptions(), nil), repro.EngineConfig{Name: "prod"})
-	if _, err := repro.SaveEngine(st, "prod", "sbayes", eng); err != nil {
+	if _, err := repro.SaveEngine(st, "prod", eng); err != nil {
 		log.Fatal(err)
 	}
 	// Two more weekly retrains, each published and persisted.
@@ -64,7 +64,7 @@ func main() {
 		store.Append(gen.Corpus(rng, 200, 200))
 		next := repro.TrainFilter(store, repro.DefaultFilterOptions(), nil)
 		eng.Swap(next) //sbvet:unguarded example: checkpoint walkthrough publishes operator-built snapshots, no third-party training
-		g, err := repro.SaveEngine(st, "prod", "sbayes", eng)
+		g, err := repro.SaveEngine(st, "prod", eng)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -112,14 +112,14 @@ func main() {
 		return clfs
 	}
 	fleet := repro.NewSharded(clones(), repro.EngineConfig{Name: "fleet", Workers: 2})
-	if _, err := repro.SaveEngine(st, "fleet", "sbayes", fleet); err != nil {
+	if _, err := repro.SaveEngine(st, "fleet", fleet); err != nil {
 		log.Fatal(err)
 	}
 	// One fleet publish replaces every shard at once, and the next
 	// checkpoint writes one record of every shard at the new
 	// generation.
 	fleet.Swap(clones()...) //sbvet:unguarded example: checkpoint walkthrough publishes operator-built snapshots, no third-party training
-	saved, err := repro.SaveEngine(st, "fleet", "sbayes", fleet)
+	saved, err := repro.SaveEngine(st, "fleet", fleet)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func main() {
 
 	store := repro.NewMemSnapshotStore()
 	srv := repro.NewHTTPServer(guarded, repro.HTTPServerConfig{
-		Store: store, Name: "walkthrough", Backend: "sbayes",
+		Store: store, Name: "walkthrough",
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -158,7 +158,7 @@ func main() {
 		chain,
 		repro.GuardedConfig{Quarantine: repro.NewQuarantine(repro.QuarantineConfig{Capacity: 64})},
 	)
-	fsrv := repro.NewHTTPServer(fleet, repro.HTTPServerConfig{Store: store, Name: "fleet", Backend: "sbayes"})
+	fsrv := repro.NewHTTPServer(fleet, repro.HTTPServerConfig{Store: store, Name: "fleet"})
 	defer fsrv.Close()
 	fts := httptest.NewServer(fsrv)
 	defer fts.Close()

@@ -21,7 +21,7 @@
 //     quarantining what the budget cannot cover;
 //   - Quarantine holds deferred candidates until the next snapshot
 //     swap, where they are re-vetted and released or dropped;
-//   - Chain and Sampled compose admitters into a policy.
+//   - Chain composes admitters into a policy.
 //
 // Every admitter judges the candidate's token stream, which is never
 // nil: the guard tokenizes each candidate once, and that stream is
@@ -38,14 +38,10 @@ package admission
 
 import (
 	"context"
-	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/mail"
-	"repro/internal/stats"
 	"repro/internal/tokenize"
 )
 
@@ -106,55 +102,4 @@ func (c *Chain) Admit(ctx context.Context, m *mail.Message, ts *tokenize.TokenSt
 		}
 	}
 	return Decision{Verdict: Accepted, Reason: "all links clear"}
-}
-
-// Sampled consults its inner admitter for a deterministic pseudorandom
-// fraction of candidates and waves the rest through — the coarsest
-// budget knob, for deployments whose vetting cost must scale below
-// even an amortized per-message probe. (IncrementalRONI's token bucket
-// is usually the better throttle because it concentrates probes where
-// the flood gate points; Sampled exists for policies without a
-// budgeted link.)
-type Sampled struct {
-	inner Admitter
-	p     float64
-
-	mu      sync.Mutex
-	rng     *stats.RNG
-	skipped atomic.Uint64
-}
-
-// NewSampled wraps inner, consulting it with probability p per
-// candidate. Randomness comes from r, so a seeded policy is
-// reproducible.
-func NewSampled(inner Admitter, p float64, r *stats.RNG) (*Sampled, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("admission: Sampled needs an inner admitter")
-	}
-	if p <= 0 || p > 1 {
-		return nil, fmt.Errorf("admission: sample probability %v outside (0,1]", p)
-	}
-	if r == nil {
-		return nil, fmt.Errorf("admission: Sampled needs an RNG")
-	}
-	return &Sampled{inner: inner, p: p, rng: r}, nil
-}
-
-// Name identifies the wrapper and its rate.
-func (s *Sampled) Name() string { return fmt.Sprintf("sampled-%.2f(%s)", s.p, s.inner.Name()) }
-
-// Skipped returns the monotone count of candidates waved through
-// without consulting the inner admitter.
-func (s *Sampled) Skipped() uint64 { return s.skipped.Load() }
-
-// Admit consults the inner admitter for a p-fraction of candidates.
-func (s *Sampled) Admit(ctx context.Context, m *mail.Message, ts *tokenize.TokenStream, spam bool) Decision {
-	s.mu.Lock()
-	consult := s.rng.Bernoulli(s.p)
-	s.mu.Unlock()
-	if !consult {
-		s.skipped.Add(1)
-		return Decision{Verdict: Accepted, Reason: "sampled out"}
-	}
-	return s.inner.Admit(ctx, m, ts, spam)
 }

@@ -107,38 +107,6 @@ func TestChainFirstNonAcceptWins(t *testing.T) {
 	}
 }
 
-func TestSampledSkipsDeterministically(t *testing.T) {
-	reject := fixed{"r", admission.Decision{Verdict: admission.Rejected, Reason: "no"}}
-	run := func(seed uint64) []admission.Verdict {
-		s, err := admission.NewSampled(reject, 0.5, stats.NewRNG(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []admission.Verdict
-		m := &mail.Message{Body: "x\n"}
-		for i := 0; i < 64; i++ {
-			out = append(out, s.Admit(ctx, m, stream(m), true).Verdict)
-		}
-		return out
-	}
-	a, b := run(5), run(5)
-	rejected := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("index %d differs across identical seeds", i)
-		}
-		if a[i] == admission.Rejected {
-			rejected++
-		}
-	}
-	if rejected == 0 || rejected == 64 {
-		t.Errorf("sampling at 0.5 consulted the inner admitter %d/64 times", rejected)
-	}
-	if _, err := admission.NewSampled(reject, 1.5, stats.NewRNG(1)); err == nil {
-		t.Error("sample probability above 1 accepted")
-	}
-}
-
 func TestFloodGateIsStructuralAndLabelBlind(t *testing.T) {
 	g := testGen(t)
 	gate := admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 300})

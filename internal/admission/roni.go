@@ -77,8 +77,9 @@ type IncrementalRONIStats struct {
 	// Deferred counts candidates quarantined because the bucket was
 	// empty when they arrived.
 	Deferred uint64
-	// Refreshes counts calibration-pool rebuilds (one per snapshot
-	// swap in the standard wiring).
+	// Refreshes counts calibration-pool rebuilds. The online simulator
+	// refreshes at every publish; the serving daemon does not yet, so
+	// its count stays 0.
 	Refreshes uint64
 	// CreditsGranted is the total budget ever credited (per-arrival
 	// drip plus explicit Grant calls).

@@ -8,6 +8,9 @@ package admission_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,12 +36,12 @@ func TestQuarantineStateRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := q.SaveState(&buf); err != nil {
+	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := admission.NewQuarantine(admission.QuarantineConfig{Capacity: 8, MaxReviews: 3})
-	if err := fresh.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := fresh.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,7 +77,7 @@ func TestQuarantineLoadRejectsCorruptState(t *testing.T) {
 	m := mkHeld("x", "y")
 	q.Hold(m, tokenize.Default().Stream(m), true, "r")
 	var buf bytes.Buffer
-	if err := q.SaveState(&buf); err != nil {
+	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -82,9 +85,13 @@ func TestQuarantineLoadRejectsCorruptState(t *testing.T) {
 		data[:len(data)-1],                    // truncated
 		append(data[:len(data):len(data)], 0), // trailing byte
 		{0xff},                                // bad version varint boundary
+		// The held message's review count (its last field, 0) as 1<<63,
+		// which an int holds only as a negative number: a hold that
+		// never expires.
+		binary.AppendUvarint(slices.Clip(data[:len(data)-1]), 1<<63),
 	} {
 		fresh := admission.NewQuarantine(admission.QuarantineConfig{})
-		if err := fresh.LoadState(bytes.NewReader(tc)); err == nil {
+		if err := fresh.Load(bytes.NewReader(tc)); err == nil {
 			t.Fatalf("corrupt state (%d bytes) loaded without error", len(tc))
 		}
 	}
@@ -114,14 +121,14 @@ func TestIncrementalRONIStateRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := a.SaveState(&buf); err != nil {
+	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := admission.NewIncrementalRONI(cfg, pool(t, g, 200), backendFactory(t, "sbayes"), stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := fresh.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if got := fresh.Stats(); got != before {
@@ -137,6 +144,60 @@ func TestIncrementalRONIStateRoundTrip(t *testing.T) {
 	}
 	if after.Probes != before.Probes {
 		t.Fatalf("restart re-probed a memoized payload: %+v", after)
+	}
+}
+
+// TestIncrementalRONILoadRejectsABudgetItCannotHonour pins that a RONI
+// state whose bucket or credits are NaN, infinite or negative does not
+// load. Such a state round-trips bit for bit, but a NaN or +Inf bucket
+// gets past both of Admit's budget comparisons, so a resumed admitter
+// would probe every arrival — past Probes <= Burst + CreditsGranted,
+// the budget the record exists to carry across a restart.
+func TestIncrementalRONILoadRejectsABudgetItCannotHonour(t *testing.T) {
+	g := testGen(t)
+	calib := pool(t, g, 200)
+	cfg := admission.IncrementalRONIConfig{BudgetPerMessage: 0.05, Burst: 4}
+	newRONI := func() *admission.IncrementalRONI {
+		a, err := admission.NewIncrementalRONI(cfg, calib, backendFactory(t, "sbayes"), stats.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	var buf bytes.Buffer
+	if err := newRONI().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	// A fresh admitter's state ends with credits, bucket (two
+	// big-endian float64 words) and a one-byte empty memo count.
+	credits, bucket := len(saved)-17, len(saved)-9
+	r := stats.NewRNG(5)
+	for _, tc := range []struct {
+		name  string
+		field int
+		v     float64
+	}{
+		{"NaN bucket", bucket, math.NaN()},
+		{"+Inf bucket", bucket, math.Inf(1)},
+		{"-Inf bucket", bucket, math.Inf(-1)},
+		{"negative bucket", bucket, -1},
+		{"NaN credits", credits, math.NaN()},
+		{"+Inf credits", credits, math.Inf(1)},
+		{"negative credits", credits, -0.5},
+	} {
+		data := slices.Clone(saved)
+		binary.BigEndian.PutUint64(data[tc.field:], math.Float64bits(tc.v))
+		a := newRONI()
+		if err := a.Load(bytes.NewReader(data)); err == nil {
+			for range 50 {
+				m := g.SpamMessage(r)
+				a.Admit(ctx, m, stream(m), true)
+			}
+			s := a.Stats()
+			t.Errorf("%s loaded; the admitter then probed %d of 50 arrivals on %v credits and a burst of %v",
+				tc.name, s.Probes, s.CreditsGranted, cfg.Burst)
+		}
 	}
 }
 
@@ -195,7 +256,7 @@ func TestCrashResumeKeepsHeldMailAndSpentBudget(t *testing.T) {
 			heldBefore := q.Len()
 			budgetBefore := roni.Stats()
 
-			gen, err := engine.SaveGuarded(store, "served", backend, guarded)
+			gen, err := engine.SaveGuarded(store, "served", guarded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +315,7 @@ func TestResumeWithoutSidecarLoadsNothing(t *testing.T) {
 		base.Learn(ex.Msg, ex.Spam) //sbvet:unguarded test fixture bootstrap from the trusted calibration pool
 	}
 	eng := engine.New(base, engine.Config{Name: "plain"})
-	if _, err := engine.SaveEngine(store, "plain", "sbayes", eng); err != nil {
+	if _, err := engine.SaveEngine(store, "plain", eng); err != nil {
 		t.Fatal(err)
 	}
 	q := admission.NewQuarantine(admission.QuarantineConfig{})

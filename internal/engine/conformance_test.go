@@ -495,7 +495,7 @@ func TestConformancePersistenceRoundTrip(t *testing.T) {
 		}()
 
 		st := engine.NewMemStore()
-		if _, err := engine.SaveEngine(st, "conformance", backend, eng); err != nil {
+		if _, err := engine.SaveEngine(st, "conformance", eng); err != nil {
 			t.Fatal(err)
 		}
 		resumed, env, err := engine.ResumeEngine(st, "conformance", 1, engine.Config{Name: backend + "-resumed"})

@@ -136,6 +136,10 @@ type Classifier interface {
 	// VocabSize returns the number of distinct tokens with a nonzero
 	// count.
 	VocabSize() int
+	// BackendName returns the registry name of the classifier's
+	// backend, which a save stamps its record with so resume can
+	// rebuild it.
+	BackendName() string
 }
 
 // StreamClassifier scores a tokenized message (a tokenize.TokenStream)
@@ -155,9 +159,13 @@ type StreamLearner interface {
 	UnlearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int) error
 }
 
-// Persistable saves the trained database and restores it in place.
-// Load replaces the receiver's entire trained state with the stream's
-// contents. Classifier embeds it.
+// Persistable saves durable state and restores it in place: a
+// classifier's trained database (Classifier embeds it), and the
+// admission state of a guard's admitter and quarantine sink, which
+// SaveGuarded saves beside the classifiers when they implement it.
+// Load replaces the receiver's entire state with the stream's
+// contents; the stock implementations leave the receiver unchanged when
+// the stream does not decode.
 type Persistable interface {
 	Save(w io.Writer) error
 	Load(r io.Reader) error

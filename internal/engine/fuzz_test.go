@@ -47,7 +47,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		g := newGuard(n, func(int) engine.Classifier { return trained(f, "sbayes") },
 			&stateAdmitter{state: "spent budget"}, engine.GuardedConfig{Quarantine: q})
 		st := engine.NewMemStore()
-		gen, err := engine.SaveGuarded(st, "served", "sbayes", g)
+		gen, err := engine.SaveGuarded(st, "served", g)
 		if err != nil {
 			f.Fatal(err)
 		}

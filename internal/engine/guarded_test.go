@@ -652,12 +652,12 @@ type stateAdmitter struct {
 	state string
 }
 
-func (a *stateAdmitter) SaveState(w io.Writer) error {
+func (a *stateAdmitter) Save(w io.Writer) error {
 	_, err := io.WriteString(w, a.state)
 	return err
 }
 
-func (a *stateAdmitter) LoadState(r io.Reader) error {
+func (a *stateAdmitter) Load(r io.Reader) error {
 	b, err := io.ReadAll(r)
 	a.state = string(b)
 	return err
@@ -693,7 +693,7 @@ func TestSaveGuardedWritesOneRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		gen, err := engine.SaveGuarded(st, "served", "sbayes", g)
+		gen, err := engine.SaveGuarded(st, "served", g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -793,7 +793,7 @@ func TestGenerationsAgreeAfterPublishAndResume(t *testing.T) {
 		agree("second RetrainIncremental", g, reg, 4)
 
 		st := engine.NewMemStore()
-		if gen, err := engine.SaveGuarded(st, "fleet", "sbayes", g); err != nil || gen != 4 {
+		if gen, err := engine.SaveGuarded(st, "fleet", g); err != nil || gen != 4 {
 			t.Fatalf("SaveGuarded = (%d, %v), want generation 4", gen, err)
 		}
 		if _, err := g.Swap(fresh()...); err != nil {

@@ -8,8 +8,9 @@ package engine
 // attacker walks free) and the RONI probe budget refills (the
 // exhaustion an attacker caused is forgotten). SaveGuarded therefore
 // writes the same one record with the guard's durable state in its
-// sections — whatever the admitter and quarantine sink expose through
-// AdmissionStatePersister — under the record's one checksum. A save
+// sections — the Save output of the admitter and quarantine sink, when
+// they are Persistable like the classifiers whose payloads are the
+// record's shards — under the record's one checksum. A save
 // that lands carries both; a save that does not land leaves the
 // previous record, its admission state included, as the one a resume
 // restarts from.
@@ -29,30 +30,19 @@ package engine
 //	uint32   big-endian CRC-32 (IEEE) of every preceding byte
 //
 // Resume still reads that sidecar for a version-1 record. Nothing
-// writes it.
+// writes it. Like the record, it is framed and read through
+// internal/binfmt, the one codec under every saved format.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
+	"repro/internal/binfmt"
 	"repro/internal/mail"
 	"repro/internal/tokenize"
 )
-
-// AdmissionStatePersister is the capability of carrying admitter or
-// quarantine state across a restart. Implementations serialize their
-// own versioned payload; the record (integrity, identification,
-// generation stamp) is the engine's job.
-type AdmissionStatePersister interface {
-	// SaveState writes the component's durable state.
-	SaveState(w io.Writer) error
-	// LoadState replaces the component's state with a previously saved
-	// payload.
-	LoadState(r io.Reader) error
-}
 
 // Section labels.
 const (
@@ -61,26 +51,22 @@ const (
 )
 
 // guardSections collects the durable state of a guard's components;
-// components that are nil or do not persist contribute no section.
+// components that are nil or not Persistable contribute no section.
 func guardSections(admit Admitter, sink QuarantineSink) ([]Section, error) {
 	var sections []Section
-	add := func(label string, p AdmissionStatePersister) error {
-		var buf bytes.Buffer
-		if err := p.SaveState(&buf); err != nil {
-			return fmt.Errorf("engine: saving %s state: %w", label, err)
+	for _, c := range []struct {
+		label     string
+		component any
+	}{{sectionAdmitter, admit}, {sectionQuarantine, sink}} {
+		p, ok := c.component.(Persistable)
+		if !ok {
+			continue
 		}
-		sections = append(sections, Section{Label: label, Payload: buf.Bytes()})
-		return nil
-	}
-	if p, ok := admit.(AdmissionStatePersister); ok {
-		if err := add(sectionAdmitter, p); err != nil {
-			return nil, err
+		payload, err := saved(p)
+		if err != nil {
+			return nil, fmt.Errorf("engine: saving %s state: %w", c.label, err)
 		}
-	}
-	if p, ok := sink.(AdmissionStatePersister); ok {
-		if err := add(sectionQuarantine, p); err != nil {
-			return nil, err
-		}
+		sections = append(sections, Section{Label: c.label, Payload: payload})
 	}
 	return sections, nil
 }
@@ -91,16 +77,16 @@ func guardSections(admit Admitter, sink QuarantineSink) ([]Section, error) {
 // every held candidate is tokenized once with stream.
 func applySections(sections []Section, admit Admitter, sink QuarantineSink, stream func(*mail.Message) *tokenize.TokenStream) error {
 	for _, s := range sections {
-		var target AdmissionStatePersister
+		var target Persistable
 		var ok bool
 		switch s.Label {
 		case sectionAdmitter:
-			target, ok = admit.(AdmissionStatePersister)
+			target, ok = admit.(Persistable)
 			if !ok {
 				return fmt.Errorf("engine: admitter %T cannot load persisted admission state", admit)
 			}
 		case sectionQuarantine:
-			target, ok = sink.(AdmissionStatePersister)
+			target, ok = sink.(Persistable)
 			if !ok {
 				return fmt.Errorf("engine: quarantine sink %T cannot load persisted quarantine state", sink)
 			}
@@ -109,7 +95,7 @@ func applySections(sections []Section, admit Admitter, sink QuarantineSink, stre
 			// dropped section is forgotten state — the amnesty again.
 			return fmt.Errorf("engine: snapshot has unknown admission section %q", s.Label)
 		}
-		if err := target.LoadState(bytes.NewReader(s.Payload)); err != nil {
+		if err := target.Load(bytes.NewReader(s.Payload)); err != nil {
 			return fmt.Errorf("engine: loading %s state: %w", s.Label, err)
 		}
 		if s.Label == sectionQuarantine {
@@ -135,8 +121,8 @@ func (e *Engine) streamer(clfs []Classifier) func(*mail.Message) *tokenize.Token
 // direction: a resume can re-vet, but can never un-forget. Save at a
 // quiescent point (no review in progress): a candidate a review has
 // detached is in neither.
-func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) (uint64, error) {
-	return saveRecord(st, name, backend, g.eng, g.admit, g.cfg.Quarantine)
+func SaveGuarded(st SnapshotStore, name string, g *Guarded) (uint64, error) {
+	return saveRecord(st, name, g.eng, g.admit, g.cfg.Quarantine)
 }
 
 // ResumeGuarded restores a guarded engine of shards shards from name's
@@ -211,17 +197,11 @@ func readSidecar(st SnapshotStore, name string, gen uint64) ([]Section, error) {
 // decodeSidecar parses and validates a version-1 admission sidecar.
 // The returned payloads alias data.
 func decodeSidecar(data []byte) (uint64, []Section, error) {
-	_, f, err := openRecord(data, "ADMS", "admission sidecar", 1)
+	_, r, err := binfmt.Open(data, "ADMS", 1, "engine: admission sidecar")
 	if err != nil {
 		return 0, nil, err
 	}
-	gen, err := f.uvarint("generation")
-	if err != nil {
-		return 0, nil, err
-	}
-	sections, err := f.sections()
-	if err != nil {
-		return 0, nil, err
-	}
-	return gen, sections, f.end()
+	gen := r.Uvarint("generation")
+	sections := readSections(r)
+	return gen, sections, r.End()
 }

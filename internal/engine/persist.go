@@ -28,7 +28,7 @@ package engine
 //	uvarint  section count
 //	per section:
 //	  uvarint len(label), label bytes   ("admitter" | "quarantine")
-//	  uvarint len(payload), payload bytes (the persister's SaveState)
+//	  uvarint len(payload), payload bytes (the component's Save output)
 //	uint32   big-endian CRC-32 (IEEE) of every preceding byte
 //
 // The backend name makes the record loadable with no out-of-band
@@ -37,7 +37,11 @@ package engine
 // checksum rejects truncation and bit rot anywhere in the save before
 // partial state can load: a save lands whole or not at all. A format
 // change must bump the version byte; the golden fixtures pin the
-// layout.
+// layout. The record is written and read through internal/binfmt, the
+// one codec under every saved format — the payloads inside it too —
+// which bounds every untrusted length and rejects trailing bytes.
+// The stamped backend is the one the classifiers report
+// (Classifier.BackendName); shards of different backends do not save.
 //
 // Version 1, the layout before one record per save, still decodes: it
 // held one shard's payload and no sections ("SNAP" 0x01, backend,
@@ -54,22 +58,22 @@ package engine
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/binfmt"
 )
 
 // snapMagic is the envelope magic plus the format version byte Encode
 // writes. DecodeEnvelope also reads version 1 and rejects every other
 // version rather than guessing.
-var snapMagic = [5]byte{'S', 'N', 'A', 'P', 2}
+const snapMagic = "SNAP\x02"
 
 // maxBackendName bounds the backend-name field so a corrupt header
 // cannot demand an absurd read.
@@ -98,9 +102,9 @@ type Envelope struct {
 	v1 bool
 }
 
-// Section is one labeled admission-state payload of a record: the
-// SaveState output of the guard's admitter ("admitter") or quarantine
-// sink ("quarantine").
+// Section is one labeled admission-state payload of a record: the Save
+// output of the guard's admitter ("admitter") or quarantine sink
+// ("quarantine").
 type Section struct {
 	Label   string
 	Payload []byte
@@ -109,34 +113,26 @@ type Section struct {
 // Encode serializes the envelope in the current format, including the
 // trailing checksum.
 func (env Envelope) Encode() []byte {
-	size := len(snapMagic) + len(env.Backend) + 4
+	size := len(env.Backend) + 4 + (3+len(env.Shards)+2*len(env.Sections))*binfmt.MaxUvarintLen
 	for _, p := range env.Shards {
 		size += len(p)
 	}
 	for _, s := range env.Sections {
 		size += len(s.Label) + len(s.Payload)
 	}
-	var b bytes.Buffer
-	b.Grow(size + (4+len(env.Shards)+2*len(env.Sections))*binary.MaxVarintLen64)
-	b.Write(snapMagic[:])
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { b.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	field := func(p []byte) { put(uint64(len(p))); b.Write(p) }
-	field([]byte(env.Backend))
-	put(env.Generation)
-	put(uint64(len(env.Shards)))
+	w := binfmt.NewWriter(snapMagic, size)
+	w.String(env.Backend)
+	w.Uvarint(env.Generation)
+	w.Uvarint(uint64(len(env.Shards)))
 	for _, p := range env.Shards {
-		field(p)
+		w.Bytes(p)
 	}
-	put(uint64(len(env.Sections)))
+	w.Uvarint(uint64(len(env.Sections)))
 	for _, s := range env.Sections {
-		field([]byte(s.Label))
-		field(s.Payload)
+		w.String(s.Label)
+		w.Bytes(s.Payload)
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b.Bytes()))
-	b.Write(crc[:])
-	return b.Bytes()
+	return w.Seal()
 }
 
 // DecodeEnvelope parses and validates an encoded envelope of either
@@ -146,150 +142,54 @@ func (env Envelope) Encode() []byte {
 // envelope decodes as a one-shard record with no sections. The
 // returned payloads alias data.
 func DecodeEnvelope(data []byte) (Envelope, error) {
-	version, f, err := openRecord(data, "SNAP", "snapshot", snapMagic[4])
+	version, r, err := binfmt.Open(data, snapMagic[:4], snapMagic[4], "engine: snapshot")
 	if err != nil {
 		return Envelope{}, err
 	}
-	name, err := f.field("backend name")
-	if err != nil {
-		return Envelope{}, err
+	env := Envelope{v1: version == 1}
+	name := r.Bytes("backend name")
+	if r.Err() == nil && (len(name) == 0 || len(name) > maxBackendName) {
+		r.Fail("backend name length %d", len(name))
 	}
-	if len(name) == 0 || len(name) > maxBackendName {
-		return Envelope{}, fmt.Errorf("engine: snapshot backend name length %d", len(name))
+	env.Backend = string(name)
+	// Generations start at 1 (NewAt enforces it), so a zero stamp is
+	// corruption no save path can produce — reject it here so no resume
+	// path can feed it to a constructor.
+	if env.Generation = r.Uvarint("generation"); r.Err() == nil && env.Generation < 1 {
+		r.Fail("stamped generation 0")
 	}
-	gen, err := f.uvarint("generation")
-	if err != nil {
-		return Envelope{}, err
-	}
-	if gen < 1 {
-		// Generations start at 1 (NewAt enforces it), so a zero stamp
-		// is corruption no save path can produce — reject it here so
-		// no resume path can feed it to a constructor.
-		return Envelope{}, fmt.Errorf("engine: snapshot stamped generation 0")
-	}
-	env := Envelope{Backend: string(name), Generation: gen, v1: version == 1}
 	if env.v1 {
-		payload, err := f.field("payload")
-		if err != nil {
-			return Envelope{}, err
-		}
-		env.Shards = [][]byte{payload}
+		env.Shards = [][]byte{r.Bytes("payload")}
 	} else {
-		n, err := f.count("shard count")
-		if err != nil {
-			return Envelope{}, err
-		}
-		if n == 0 {
-			return Envelope{}, fmt.Errorf("engine: snapshot holds no shards")
+		n := r.Count("shard count", 1)
+		if r.Err() == nil && n == 0 {
+			r.Fail("holds no shards")
 		}
 		env.Shards = make([][]byte, n)
 		for i := range env.Shards {
-			if env.Shards[i], err = f.field("shard payload"); err != nil {
-				return Envelope{}, err
-			}
+			env.Shards[i] = r.Bytes("shard payload")
 		}
-		if env.Sections, err = f.sections(); err != nil {
-			return Envelope{}, err
-		}
+		env.Sections = readSections(r)
 	}
-	if err := f.end(); err != nil {
+	if err := r.End(); err != nil {
 		return Envelope{}, err
 	}
 	return env, nil
 }
 
-// openRecord checks the framing every checksummed record shares — a
-// four-byte magic, a version byte from 1 to newest, and a trailing
-// big-endian CRC-32 (IEEE) of every preceding byte — and returns the
-// version and a reader over the fields between.
-func openRecord(data []byte, magic, what string, newest byte) (byte, *fields, error) {
-	if len(data) < len(magic)+1+4 {
-		return 0, nil, fmt.Errorf("engine: %s truncated (%d bytes)", what, len(data))
-	}
-	if string(data[:4]) != magic {
-		return 0, nil, fmt.Errorf("engine: bad %s magic %q", what, data[:4])
-	}
-	if v := data[4]; v < 1 || v > newest {
-		return 0, nil, fmt.Errorf("engine: %s format version %d, want 1 to %d", what, v, newest)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if sum := crc32.ChecksumIEEE(body); sum != binary.BigEndian.Uint32(tail) {
-		return 0, nil, fmt.Errorf("engine: %s checksum mismatch (have %08x, stored %08x)",
-			what, sum, binary.BigEndian.Uint32(tail))
-	}
-	return data[4], &fields{rest: body[5:], what: what}, nil
-}
-
-// fields reads the uvarint-framed fields of a checksummed record.
-type fields struct {
-	rest []byte // the unread bytes
-	what string // the record kind, for errors
-}
-
-// uvarint reads one uvarint.
-func (f *fields) uvarint(field string) (uint64, error) {
-	v, n := binary.Uvarint(f.rest)
-	if n <= 0 {
-		return 0, fmt.Errorf("engine: %s %s: malformed or truncated uvarint", f.what, field)
-	}
-	f.rest = f.rest[n:]
-	return v, nil
-}
-
-// count reads the uvarint count of items that take at least one byte
-// each, so a corrupt count cannot demand more items than bytes remain.
-func (f *fields) count(field string) (int, error) {
-	n, err := f.uvarint(field)
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(f.rest)) {
-		return 0, fmt.Errorf("engine: %s %s %d with %d bytes left", f.what, field, n, len(f.rest))
-	}
-	return int(n), nil
-}
-
-// field reads one length-prefixed byte string, aliasing the record.
-func (f *fields) field(field string) ([]byte, error) {
-	n, err := f.uvarint(field + " length")
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(f.rest)) {
-		return nil, fmt.Errorf("engine: %s truncated in %s", f.what, field)
-	}
-	b := f.rest[:n:n]
-	f.rest = f.rest[n:]
-	return b, nil
-}
-
-// sections reads a section count and that many labeled payloads.
-func (f *fields) sections() ([]Section, error) {
-	n, err := f.count("section count")
-	if err != nil {
-		return nil, err
-	}
+// readSections reads a section count and that many labeled payloads,
+// the part of a record the version-1 admission sidecar shares.
+func readSections(r *binfmt.Reader) []Section {
 	var out []Section
-	for range n {
-		label, err := f.field("section label")
-		if err != nil {
-			return nil, err
+	for range r.Count("section count", 1) {
+		label := r.String("section label")
+		payload := r.Bytes("section payload")
+		if r.Err() != nil {
+			return nil
 		}
-		payload, err := f.field("section payload")
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Section{Label: string(label), Payload: payload})
+		out = append(out, Section{Label: label, Payload: payload})
 	}
-	return out, nil
-}
-
-// end fails unless every byte has been read.
-func (f *fields) end() error {
-	if len(f.rest) != 0 {
-		return fmt.Errorf("engine: %s has %d trailing bytes", f.what, len(f.rest))
-	}
-	return nil
+	return out
 }
 
 // SnapshotStore holds encoded snapshot envelopes keyed by logical
@@ -505,33 +405,38 @@ func (s *MemStore) Remove(name string, gen uint64) error {
 
 // SaveEngine persists e's serving epoch into st as one record under
 // name at the epoch's generation: every shard's classifier, stamped
-// with the backend registry name resume will reconstruct it through.
-// The classifiers and generation are read in one consistent atomic
-// load, and the classifiers serialize themselves concurrently.
-// Concurrent scoring is never blocked — published epochs are
-// immutable, so Save reads the same frozen state a racing
-// ClassifyBatch does. It returns the persisted generation; on error
-// nothing was stored.
-func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, error) {
-	return saveRecord(st, name, backend, e, nil, nil) // no guard, no sections
+// with the backend registry name the classifiers report, which resume
+// reconstructs them through. The classifiers and generation are read
+// in one consistent atomic load, and the classifiers serialize
+// themselves concurrently. Concurrent scoring is never blocked —
+// published epochs are immutable, so Save reads the same frozen state a
+// racing ClassifyBatch does. It returns the persisted generation; on
+// error nothing was stored.
+func SaveEngine(st SnapshotStore, name string, e *Engine) (uint64, error) {
+	return saveRecord(st, name, e, nil, nil) // no guard, no sections
 }
 
-// saveRecord is the one writer of a save: e's serving epoch, then the
-// durable state of admit and sink (read after the classifiers; nil
-// components have none), encoded as one record and stored in one
-// Write.
-func saveRecord(st SnapshotStore, name, backend string, e *Engine, admit Admitter, sink QuarantineSink) (uint64, error) {
+// saveRecord is the one writer of a save: e's serving epoch, stamped
+// with the backend its shards report (shards of different backends are
+// an error), then the durable state of admit and sink (read after the
+// classifiers; components that are nil or not Persistable have none),
+// encoded as one record and stored in one Write.
+func saveRecord(st SnapshotStore, name string, e *Engine, admit Admitter, sink QuarantineSink) (uint64, error) {
+	clfs, gen := e.Snapshots()
+	backend := clfs[0].BackendName()
+	for i, c := range clfs {
+		if got := c.BackendName(); got != backend {
+			return 0, fmt.Errorf("engine: saving %s: shard %d is %s, shard 0 is %s", name, i, got, backend)
+		}
+	}
 	if _, err := Lookup(backend); err != nil {
 		return 0, err
 	}
-	clfs, gen := e.Snapshots()
 	env := Envelope{Backend: backend, Generation: gen, Shards: make([][]byte, len(clfs))}
-	err := e.forEachShard(func(i int) error {
-		var buf bytes.Buffer
-		if err := clfs[i].Save(&buf); err != nil {
+	err := e.forEachShard(func(i int) (err error) {
+		if env.Shards[i], err = saved(clfs[i]); err != nil {
 			return fmt.Errorf("engine: saving %s shard %d generation %d: %w", name, i, gen, err)
 		}
-		env.Shards[i] = buf.Bytes()
 		return nil
 	})
 	if err != nil {
@@ -544,6 +449,13 @@ func saveRecord(st SnapshotStore, name, backend string, e *Engine, admit Admitte
 		return 0, err
 	}
 	return gen, nil
+}
+
+// saved returns what p saves: a shard's payload or a section's.
+func saved(p Persistable) ([]byte, error) {
+	var buf bytes.Buffer
+	err := p.Save(&buf)
+	return buf.Bytes(), err
 }
 
 // readEnvelope reads name's generation gen and decodes it, rejecting

@@ -207,7 +207,7 @@ func TestSaveResumeEngine(t *testing.T) {
 	}
 	clf := trained(t, "sbayes")
 	eng := engine.New(clf, engine.Config{Name: "prod"})
-	if gen, err := engine.SaveEngine(st, "prod", "sbayes", eng); err != nil || gen != 1 {
+	if gen, err := engine.SaveEngine(st, "prod", eng); err != nil || gen != 1 {
 		t.Fatalf("save gen 1 = (%d, %v)", gen, err)
 	}
 
@@ -215,7 +215,7 @@ func TestSaveResumeEngine(t *testing.T) {
 	next := clf.CloneClassifier()
 	next.Learn(msg("quarterly forecast spreadsheet review\n"), false)
 	eng.Swap(next)
-	if gen, err := engine.SaveEngine(st, "prod", "sbayes", eng); err != nil || gen != 2 {
+	if gen, err := engine.SaveEngine(st, "prod", eng); err != nil || gen != 2 {
 		t.Fatalf("save gen 2 = (%d, %v)", gen, err)
 	}
 
@@ -303,7 +303,7 @@ func TestPruneKeepsNewestValid(t *testing.T) {
 func TestPruneKeepsTheGenerationResumeLoads(t *testing.T) {
 	st := engine.NewMemStore()
 	eng := engine.New(trained(t, "sbayes"), engine.Config{})
-	if _, err := engine.SaveEngine(st, "line", "sbayes", eng); err != nil {
+	if _, err := engine.SaveEngine(st, "line", eng); err != nil {
 		t.Fatal(err)
 	}
 	bad := engine.Envelope{Backend: "sbayes", Generation: 2, Shards: [][]byte{[]byte("not a database")}}
@@ -357,14 +357,14 @@ func TestPruneDropsSidecarsNoKeptRecordNeeds(t *testing.T) {
 	sidecars(2, 3)
 
 	eng := engine.NewAt(trained(t, "sbayes"), 3, engine.Config{})
-	if _, err := engine.SaveEngine(st, "line", "sbayes", eng); err != nil {
+	if _, err := engine.SaveEngine(st, "line", eng); err != nil {
 		t.Fatal(err)
 	}
 	prune()
 	sidecars(2)
 
 	eng.Swap(trained(t, "sbayes"))
-	if _, err := engine.SaveEngine(st, "line", "sbayes", eng); err != nil {
+	if _, err := engine.SaveEngine(st, "line", eng); err != nil {
 		t.Fatal(err)
 	}
 	prune()
@@ -421,9 +421,41 @@ func TestResumeEngineErrors(t *testing.T) {
 		t.Fatalf("unknown-backend store: %v", err)
 	}
 	// SaveEngine refuses an unregistered backend stamp up front.
-	eng := engine.New(trained(t, "sbayes"), engine.Config{})
-	if _, err := engine.SaveEngine(st, "prod", "nonesuch", eng); err == nil {
+	eng := engine.New(alien{trained(t, "sbayes")}, engine.Config{})
+	if _, err := engine.SaveEngine(st, "prod", eng); err == nil {
 		t.Fatal("SaveEngine accepted an unregistered backend name")
+	}
+}
+
+// alien is a classifier that reports a backend no registry entry has.
+type alien struct{ engine.Classifier }
+
+func (alien) BackendName() string { return "nonesuch" }
+
+// TestSaveStampsTheBackendItsShardsAre: a record names the backend its
+// classifiers report, whatever the caller has in mind, and a fleet
+// whose shards are of different backends does not save.
+func TestSaveStampsTheBackendItsShardsAre(t *testing.T) {
+	for _, backend := range []string{"sbayes", "graham"} {
+		st := engine.NewMemStore()
+		if _, err := engine.SaveEngine(st, "line", engine.New(trained(t, backend), engine.Config{})); err != nil {
+			t.Fatal(err)
+		}
+		env, err := engine.LatestEnvelope(st, "line")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Backend != backend {
+			t.Errorf("a %s engine's record names %q", backend, env.Backend)
+		}
+	}
+	mixed := engine.NewSharded([]engine.Classifier{trained(t, "sbayes"), trained(t, "graham")}, engine.Config{})
+	st := engine.NewMemStore()
+	if _, err := engine.SaveEngine(st, "mixed", mixed); err == nil {
+		t.Fatal("a fleet of sbayes and graham shards saved")
+	}
+	if gens, _ := st.Generations("mixed"); len(gens) != 0 {
+		t.Fatalf("a refused save stored generations %v", gens)
 	}
 }
 
@@ -469,7 +501,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 				next[i].Learn(msg(fmt.Sprintf("shard%d distinctive vocabulary %s\n", i, word)), true)
 			}
 			sh.Swap(next...)
-			if gen, err := engine.SaveEngine(st, "fleet", backend, sh); err != nil || gen != want {
+			if gen, err := engine.SaveEngine(st, "fleet", sh); err != nil || gen != want {
 				t.Fatalf("save = (%d, %v), want generation %d", gen, err, want)
 			}
 			return verdicts(sh)
@@ -511,7 +543,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 		// Re-saving the resumed fleet reproduces the stored record byte
 		// for byte — nothing drifted through the restart.
 		st2 := engine.NewMemStore()
-		if _, err := engine.SaveEngine(st2, "fleet", backend, resumed); err != nil {
+		if _, err := engine.SaveEngine(st2, "fleet", resumed); err != nil {
 			t.Fatal(err)
 		}
 		if data, err := st2.Read("fleet", 3); err != nil || !bytes.Equal(data, stored) {
@@ -558,7 +590,7 @@ func TestSaveEngineConsistentUnderPublish(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if _, err := engine.SaveEngine(st, "prod", "sbayes", eng); err != nil {
+		if _, err := engine.SaveEngine(st, "prod", eng); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -647,7 +679,7 @@ func TestResumeVersion1Record(t *testing.T) {
 		t.Fatal("a one-shard version-1 record resumed as three shards")
 	}
 	eng.Swap(trained(t, "graham"))
-	if gen, err := engine.SaveEngine(st, "line", "graham", eng); err != nil || gen != 6 {
+	if gen, err := engine.SaveEngine(st, "line", eng); err != nil || gen != 6 {
 		t.Fatalf("save over a version-1 line = (%d, %v), want generation 6", gen, err)
 	}
 	if data, _ := st.Read("line", 6); len(data) < 5 || data[4] != 2 {

@@ -58,8 +58,8 @@ func TestEverySaveIsOneWrite(t *testing.T) {
 				save     func() (uint64, error)
 				sections []string
 			}{
-				{"plain", func() (uint64, error) { return engine.SaveEngine(st, "plain", backend, g.Engine()) }, nil},
-				{"served", func() (uint64, error) { return engine.SaveGuarded(st, "served", backend, g) }, []string{"admitter", "quarantine"}},
+				{"plain", func() (uint64, error) { return engine.SaveEngine(st, "plain", g.Engine()) }, nil},
+				{"served", func() (uint64, error) { return engine.SaveGuarded(st, "served", g) }, []string{"admitter", "quarantine"}},
 			} {
 				before := st.writes
 				gen, err := save.save()
@@ -163,7 +163,7 @@ func (r crashRig) saveThenAdvance(t *testing.T) (*engine.MemStore, *engine.Guard
 	g := newGuard(r.n, func(int) engine.Classifier { return trained(t, r.backend) }, chain, engine.GuardedConfig{Quarantine: q})
 	vet(g, 0, 4)
 	st := engine.NewMemStore()
-	gen, err := engine.SaveGuarded(st, "served", r.backend, g)
+	gen, err := engine.SaveGuarded(st, "served", g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestGuardedSaveSurvivesCrashAtAnyWrite(t *testing.T) {
 			for k := 1; ; k++ {
 				st, g, want := r.saveThenAdvance(t)
 				crash := &crashStore{SnapshotStore: st, failAt: k}
-				_, err := engine.SaveGuarded(crash, "served", backend, g)
+				_, err := engine.SaveGuarded(crash, "served", g)
 				if err == nil {
 					break // the save made fewer than k writes
 				}
@@ -236,7 +236,7 @@ func TestGuardedSaveSurvivesCrashAtAnyWrite(t *testing.T) {
 			}
 
 			st, g, want := r.saveThenAdvance(t)
-			gen, err := engine.SaveGuarded(st, "served", backend, g)
+			gen, err := engine.SaveGuarded(st, "served", g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +309,7 @@ func TestResumedHoldsReuseThePersistedMemo(t *testing.T) {
 					probed.Verdict, probed.Reason, roni.Stats().Probes)
 			}
 			st := engine.NewMemStore()
-			if _, err := engine.SaveGuarded(st, "served", backend, g); err != nil {
+			if _, err := engine.SaveGuarded(st, "served", g); err != nil {
 				t.Fatal(err)
 			}
 

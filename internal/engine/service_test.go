@@ -38,6 +38,7 @@ func (stubRest) CloneClassifier() Classifier                          { panic("s
 func (stubRest) BindValidation([]*tokenize.TokenStream) ValidationSet { panic("stub: BindValidation") }
 func (stubRest) SetThresholds(float64, float64) error                 { panic("stub: SetThresholds") }
 func (stubRest) VocabSize() int                                       { panic("stub: VocabSize") }
+func (stubRest) BackendName() string                                  { panic("stub: BackendName") }
 
 func (s *stubClassifier) Tokenizer() *tokenize.Tokenizer { return stubTok }
 

@@ -150,7 +150,7 @@ func admissionCases(t *testing.T) []decoderCase {
 	var cases []decoderCase
 	for _, c := range []struct {
 		name          string
-		saved, target engine.AdmissionStatePersister
+		saved, target engine.Persistable
 	}{
 		{"quarantine state", held(3), held(1)},
 		{"RONI state", probed(4), probed(1)},
@@ -158,19 +158,19 @@ func admissionCases(t *testing.T) []decoderCase {
 	} {
 		state := func() []byte {
 			var buf bytes.Buffer
-			if err := c.target.SaveState(&buf); err != nil {
+			if err := c.target.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
 		}
 		var data bytes.Buffer
-		if err := c.saved.SaveState(&data); err != nil {
+		if err := c.saved.Save(&data); err != nil {
 			t.Fatal(err)
 		}
 		cases = append(cases, decoderCase{
 			name:  c.name,
 			data:  data.Bytes(),
-			load:  func(data []byte) error { return c.target.LoadState(bytes.NewReader(data)) },
+			load:  func(data []byte) error { return c.target.Load(bytes.NewReader(data)) },
 			state: state,
 		})
 	}

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 
 	"repro/internal/corpus"
 	"repro/internal/engine"
@@ -253,4 +254,62 @@ func TrainFilter(train *corpus.Corpus, opts sbayes.Options, tok *tokenize.Tokeni
 // small per-item work.
 func Parallel(n, workers int, fn func(i int)) {
 	engine.ParallelFor(context.Background(), n, workers, fn)
+}
+
+// Table accumulates aligned rows for textual rendering: the one
+// renderer behind every experiment and simulator report.
+type Table struct {
+	header []string
+	rows   [][]string
+}
+
+// NewTable starts a table with the given column headers.
+func NewTable(header ...string) *Table { return &Table{header: header} }
+
+// AddRow appends one row of cells.
+func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
+
+// AddRowf appends one row formatted from format, its cells separated
+// by tabs.
+func (t *Table) AddRowf(format string, args ...any) {
+	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
+}
+
+// String renders with column alignment and a separator line.
+func (t *Table) String() string {
+	widths := make([]int, len(t.header))
+	for i, h := range t.header {
+		widths[i] = len(h)
+	}
+	for _, row := range t.rows {
+		for i, c := range row {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	var b strings.Builder
+	writeRow := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			b.WriteString(c)
+			if i < len(widths) && i < len(cells)-1 {
+				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			}
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(t.header)
+	total := 0
+	for _, w := range widths {
+		total += w + 2
+	}
+	b.WriteString(strings.Repeat("-", total))
+	b.WriteByte('\n')
+	for _, row := range t.rows {
+		writeRow(row)
+	}
+	return b.String()
 }

@@ -132,7 +132,7 @@ func (r *InformedResult) Render() string {
 	for _, s := range r.Sources {
 		header = append(header, s+" s+u", s+" cover")
 	}
-	t := newTable(header...)
+	t := eval.NewTable(header...)
 	for _, c := range r.Cells {
 		row := []string{fmt.Sprintf("%d", c.Budget)}
 		for i := range r.Sources {
@@ -140,7 +140,7 @@ func (r *InformedResult) Render() string {
 				pct(c.Confusions[i].HamMisclassifiedRate()),
 				pct(c.Coverages[i]))
 		}
-		t.addRow(row...)
+		t.AddRow(row...)
 	}
 	b.WriteString(t.String())
 	b.WriteString("an informed attacker matches the full dictionary attacks with a far smaller dictionary\n")

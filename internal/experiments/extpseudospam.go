@@ -119,13 +119,13 @@ func (r *PseudospamResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXTENSION — pseudospam (ham-labeled) attack, §2.2 remark.\n")
 	fmt.Fprintf(&b, "%d-message inbox; %d future spam messages to deliver.\n", r.InboxSize, r.Targets)
-	t := newTable("atk%", "#atk", "spam delivered", "spam not blocked", "ham as ham")
-	t.addRow("0.0", "0",
+	t := eval.NewTable("atk%", "#atk", "spam delivered", "spam not blocked", "ham as ham")
+	t.AddRow("0.0", "0",
 		pct(r.Baseline.DeliveredRate()),
 		pct(r.Baseline.NotBlockedRate()),
 		pct(1-r.Baseline.HamConfusion.HamMisclassifiedRate()))
 	for _, p := range r.Points {
-		t.addRow(
+		t.AddRow(
 			fmt.Sprintf("%.1f", 100*p.Fraction),
 			fmt.Sprintf("%d", p.NumAttack),
 			pct(p.DeliveredRate()),

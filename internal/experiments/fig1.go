@@ -124,7 +124,7 @@ func (r *Fig1Result) Render() string {
 	for _, s := range r.Series {
 		header = append(header, s.Attack+" spam", s.Attack+" s+u")
 	}
-	t := newTable(header...)
+	t := eval.NewTable(header...)
 	for pi := range r.Series[0].Points {
 		row := []string{
 			fmt.Sprintf("%.1f", 100*r.Series[0].Points[pi].Fraction),
@@ -135,7 +135,7 @@ func (r *Fig1Result) Render() string {
 				pct(s.Points[pi].Confusion.HamAsSpamRate()),
 				pct(s.Points[pi].Confusion.HamMisclassifiedRate()))
 		}
-		t.addRow(row...)
+		t.AddRow(row...)
 	}
 	b.WriteString(t.String())
 	return b.String()

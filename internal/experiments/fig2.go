@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/sbayes"
 )
 
@@ -81,10 +82,10 @@ func (r *Fig2Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2: focused attack vs. probability of guessing target tokens\n")
 	fmt.Fprintf(&b, "(%d attack emails, %d-message initial inbox, 50%% spam).\n", r.AttackCount, r.InboxSize)
-	t := newTable("guess p", "ham", "unsure", "spam", "% changed")
+	t := eval.NewTable("guess p", "ham", "unsure", "spam", "% changed")
 	for _, c := range r.Cells {
 		tot := float64(c.Total())
-		t.addRow(
+		t.AddRow(
 			fmt.Sprintf("%.1f", c.GuessProb),
 			pct(float64(c.Ham)/tot),
 			pct(float64(c.Unsure)/tot),

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/sbayes"
 )
 
@@ -100,9 +101,9 @@ func (r *Fig3Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 3: focused attack vs. number of attack emails (guess p=%.1f,\n", r.GuessProb)
 	fmt.Fprintf(&b, "%d-message initial inbox, 50%% spam).\n", r.InboxSize)
-	t := newTable("atk%", "#atk", "target as spam", "target as spam+unsure")
+	t := eval.NewTable("atk%", "#atk", "target as spam", "target as spam+unsure")
 	for _, p := range r.Points {
-		t.addRow(
+		t.AddRow(
 			fmt.Sprintf("%.1f", 100*p.Fraction),
 			fmt.Sprintf("%d", p.NumAttack),
 			pct(p.SpamRate()),

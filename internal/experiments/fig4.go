@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/sbayes"
 	"repro/internal/stats"
 )
@@ -163,19 +164,19 @@ func (r *Fig4Result) Render() string {
 			}
 			return shifts[i].Token < shifts[j].Token
 		})
-		t := newTable("token", "before", "after", "included")
+		t := eval.NewTable("token", "before", "after", "included")
 		show := 8
 		if len(shifts) < 2*show {
 			show = len(shifts) / 2
 		}
 		for _, s := range shifts[:show] {
-			t.addRow(s.Token, fmt.Sprintf("%.3f", s.Before), fmt.Sprintf("%.3f", s.After), fmt.Sprintf("%v", s.Included))
+			t.AddRow(s.Token, fmt.Sprintf("%.3f", s.Before), fmt.Sprintf("%.3f", s.After), fmt.Sprintf("%v", s.Included))
 		}
 		if len(shifts) > 2*show {
-			t.addRow("...", "", "", "")
+			t.AddRow("...", "", "", "")
 		}
 		for _, s := range shifts[len(shifts)-show:] {
-			t.addRow(s.Token, fmt.Sprintf("%.3f", s.Before), fmt.Sprintf("%.3f", s.After), fmt.Sprintf("%v", s.Included))
+			t.AddRow(s.Token, fmt.Sprintf("%.3f", s.Before), fmt.Sprintf("%.3f", s.After), fmt.Sprintf("%v", s.Included))
 		}
 		b.WriteString(t.String())
 

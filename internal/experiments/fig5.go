@@ -178,7 +178,7 @@ func (r *Fig5Result) Render() string {
 	for _, s := range r.Series {
 		header = append(header, s.Defense+" spam", s.Defense+" s+u", s.Defense+" spam→u")
 	}
-	t := newTable(header...)
+	t := eval.NewTable(header...)
 	for ci := range r.Series[0].Cells {
 		row := []string{fmt.Sprintf("%.1f", 100*r.Series[0].Cells[ci].Fraction)}
 		for _, s := range r.Series {
@@ -188,7 +188,7 @@ func (r *Fig5Result) Render() string {
 				pct(c.Confusion.HamMisclassifiedRate()),
 				pct(c.Confusion.SpamAsUnsureRate()))
 		}
-		t.addRow(row...)
+		t.AddRow(row...)
 	}
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "mean fitted thresholds at the largest attack: ")

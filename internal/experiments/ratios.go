@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 )
 
 // TokenRatioRow is one attack's token-volume arithmetic at a given
@@ -76,9 +77,9 @@ func (r *TokenRatioResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Token-volume check (§4.2): mean %.0f tokens/message, %d-message training set.\n",
 		r.MeanBodyTokens, r.TrainSize)
-	t := newTable("attack", "atk%", "#atk", "attack tokens", "corpus tokens", "ratio")
+	t := eval.NewTable("attack", "atk%", "#atk", "attack tokens", "corpus tokens", "ratio")
 	for _, row := range r.Rows {
-		t.addRow(row.Attack,
+		t.AddRow(row.Attack,
 			fmt.Sprintf("%.0f", 100*row.Fraction),
 			fmt.Sprintf("%d", row.NumAttack),
 			fmt.Sprintf("%d", row.AttackTokens),

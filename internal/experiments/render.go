@@ -1,63 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-)
-
-// table accumulates aligned rows for textual rendering. It is a small
-// helper shared by all experiment Render methods.
-type table struct {
-	header []string
-	rows   [][]string
-}
-
-func newTable(header ...string) *table { return &table{header: header} }
-
-func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) addRowf(format string, args ...any) {
-	t.addRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
-}
-
-// String renders with column alignment and a separator line.
-func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(widths) && i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	total := 0
-	for _, w := range widths {
-		total += w + 2
-	}
-	b.WriteString(strings.Repeat("-", total))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
+import "fmt"
 
 // pct formats a fraction as a percentage with one decimal.
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }

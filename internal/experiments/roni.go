@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/lexicon"
 	"repro/internal/mail"
 	"repro/internal/sbayes"
@@ -199,23 +200,23 @@ func (r *RONIResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "RONI defense (§5.1): train=%d, validation=%d, %d trials, threshold=%.1f ham-as-ham.\n",
 		r.Config.TrainSize, r.Config.ValSize, r.Config.Trials, r.Config.Threshold)
-	t := newTable("candidate", "reps", "mean Δham-as-ham", "min", "max", "rejected")
+	t := eval.NewTable("candidate", "reps", "mean Δham-as-ham", "min", "max", "rejected")
 	for _, v := range r.Variants {
 		s := v.Summary()
-		t.addRow(v.Variant, fmt.Sprintf("%d", s.N),
+		t.AddRow(v.Variant, fmt.Sprintf("%d", s.N),
 			fmt.Sprintf("%+.2f", s.Mean), fmt.Sprintf("%+.2f", s.Min), fmt.Sprintf("%+.2f", s.Max),
 			fmt.Sprintf("%d/%d (%s)", v.Rejected, s.N, pct(v.DetectionRate())))
 	}
 	ss := stats.Summarize(r.NonAttackSpamDeltas)
-	t.addRow("non-attack spam", fmt.Sprintf("%d", ss.N),
+	t.AddRow("non-attack spam", fmt.Sprintf("%d", ss.N),
 		fmt.Sprintf("%+.2f", ss.Mean), fmt.Sprintf("%+.2f", ss.Min), fmt.Sprintf("%+.2f", ss.Max),
 		fmt.Sprintf("%d/%d", r.NonAttackSpamRejected, ss.N))
 	hs := stats.Summarize(r.NonAttackHamDeltas)
-	t.addRow("non-attack ham", fmt.Sprintf("%d", hs.N),
+	t.AddRow("non-attack ham", fmt.Sprintf("%d", hs.N),
 		fmt.Sprintf("%+.2f", hs.Mean), fmt.Sprintf("%+.2f", hs.Min), fmt.Sprintf("%+.2f", hs.Max),
 		fmt.Sprintf("%d/%d", r.NonAttackHamRejected, hs.N))
 	fs := stats.Summarize(r.FocusedDeltas)
-	t.addRow("focused attack", fmt.Sprintf("%d", fs.N),
+	t.AddRow("focused attack", fmt.Sprintf("%d", fs.N),
 		fmt.Sprintf("%+.2f", fs.Mean), fmt.Sprintf("%+.2f", fs.Min), fmt.Sprintf("%+.2f", fs.Max),
 		fmt.Sprintf("%d/%d", r.FocusedRejected, fs.N))
 	b.WriteString(t.String())

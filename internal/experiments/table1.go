@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/eval"
 )
 
 // Table1 renders the experimental parameter matrix (the paper's
@@ -16,34 +18,34 @@ func Table1(cfg Config) string {
 		}
 		return strings.Join(parts, ", ")
 	}
-	t := newTable("Parameter", "Dictionary Attack", "Focused Attack", "RONI Defense", "Threshold Defense")
-	t.addRow("Training set size",
+	t := eval.NewTable("Parameter", "Dictionary Attack", "Focused Attack", "RONI Defense", "Threshold Defense")
+	t.AddRow("Training set size",
 		fmt.Sprintf("%d", cfg.TrainSize),
 		fmt.Sprintf("%d", cfg.FocusedInbox),
 		fmt.Sprintf("%d", cfg.RONI.TrainSize),
 		fmt.Sprintf("%d", cfg.TrainSize))
-	t.addRow("Test set size",
+	t.AddRow("Test set size",
 		fmt.Sprintf("%d", cfg.InboxSize()-cfg.TrainSize),
 		"N/A",
 		fmt.Sprintf("%d", cfg.RONI.ValSize),
 		fmt.Sprintf("%d", cfg.InboxSize()-cfg.TrainSize))
-	t.addRow("Spam prevalence",
+	t.AddRow("Spam prevalence",
 		fmt.Sprintf("%.2f", cfg.SpamPrevalence),
 		fmt.Sprintf("%.2f", cfg.SpamPrevalence),
 		fmt.Sprintf("%.2f", cfg.RONI.SpamPrevalence),
 		fmt.Sprintf("%.2f", cfg.SpamPrevalence))
-	t.addRow("Attack fraction",
+	t.AddRow("Attack fraction",
 		joinF(cfg.Fractions, "%.3f"),
 		fmt.Sprintf("%.3f to %.3f (%d steps)",
 			cfg.VolumeSteps[0], cfg.VolumeSteps[len(cfg.VolumeSteps)-1], len(cfg.VolumeSteps)),
 		"per-message",
 		joinF(cfg.ThresholdFractions, "%.3f"))
-	t.addRow("Folds of validation",
+	t.AddRow("Folds of validation",
 		fmt.Sprintf("%d", cfg.Folds),
 		fmt.Sprintf("%d repetitions", cfg.FocusedReps),
 		fmt.Sprintf("%d repetitions", cfg.RONI.Trials),
 		fmt.Sprintf("%d", cfg.ThresholdFolds))
-	t.addRow("Target emails",
+	t.AddRow("Target emails",
 		"N/A",
 		fmt.Sprintf("%d", cfg.FocusedTargets),
 		"N/A",

@@ -206,9 +206,9 @@ func (r *BackendTransferResult) Render() string {
 	fmt.Fprintf(&b, "EXTENSION — attack transfer across learner backends (the attack poisons\n")
 	fmt.Fprintf(&b, "token statistics, so it applies to any learner built on them). %s attack,\n", r.Attack)
 	fmt.Fprintf(&b, "%.1f%% control (%d emails), train %d.\n", 100*r.Fraction, r.NumAttack, r.TrainSize)
-	t := newTable("backend", "base acc", "base ham lost", "attacked ham spam", "attacked ham lost")
+	t := eval.NewTable("backend", "base acc", "base ham lost", "attacked ham spam", "attacked ham lost")
 	for _, row := range r.Rows {
-		t.addRow(row.Backend,
+		t.AddRow(row.Backend,
 			pct(row.Baseline.Accuracy()),
 			pct(row.Baseline.HamMisclassifiedRate()),
 			pct(row.Attacked.HamAsSpamRate()),
@@ -228,9 +228,9 @@ func (r *TransferResult) Render() string {
 	fmt.Fprintf(&b, "\"our attacks should also apply to BogoFilter and the Bayesian component\n")
 	fmt.Fprintf(&b, "of SpamAssassin\"). %s attack, %.1f%% control (%d emails), train %d.\n",
 		r.Attack, 100*r.Fraction, r.NumAttack, r.TrainSize)
-	t := newTable("profile", "base acc", "base ham lost", "attacked ham spam", "attacked ham lost")
+	t := eval.NewTable("profile", "base acc", "base ham lost", "attacked ham spam", "attacked ham lost")
 	for _, row := range r.Rows {
-		t.addRow(row.Profile.Name,
+		t.AddRow(row.Profile.Name,
 			pct(row.Baseline.Accuracy()),
 			pct(row.Baseline.HamMisclassifiedRate()),
 			pct(row.Attacked.HamAsSpamRate()),

@@ -24,10 +24,11 @@ import (
 // decreasing ids and duplicate symbols are rejected
 // (FuzzGrahamSaveLoad exercises exactly that surface). Version 1
 // ("GRDB\x01": ngood, nbad, then per side ntokens × {token, count})
-// remains loadable; Save always writes v2. The varint, token,
-// symbol-table and bounds handling is the codec both backends share
-// (internal/tokendb). Options and tokenizer configuration are the
-// caller's to manage (they are code, not data).
+// remains loadable; Save always writes v2. The symbol table, record
+// sections and count bounds are the part both backends share
+// (internal/tokendb), over the one binary codec under every saved
+// format (internal/binfmt). Options and tokenizer configuration are
+// the caller's to manage (they are code, not data).
 
 // Save writes the token database to w (format version 2).
 func (f *Filter) Save(w io.Writer) error {

@@ -22,8 +22,9 @@ import (
 // bounds as untrusted input (FuzzSBayesSaveLoad exercises exactly
 // that surface). Version 1 ("SBDB\x01": nspam, nham, ntokens ×
 // {token, spam, ham}) remains loadable; Save always writes v2. The
-// varint, token, symbol-table and bounds handling is the codec both
-// backends share (internal/tokendb). Options and tokenizer
+// symbol table, record sections and count bounds are the part both
+// backends share (internal/tokendb), over the one binary codec under
+// every saved format (internal/binfmt). Options and tokenizer
 // configuration are the caller's to manage (they are code, not data).
 
 // Save writes the token database to w (format version 2).

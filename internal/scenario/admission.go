@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/engine"
+	"repro/internal/eval"
 	"repro/internal/mail"
 	"repro/internal/stats"
 	"repro/internal/tokenize"
@@ -336,7 +337,7 @@ func observeAttackFeedback(cfg Config, arrived, rejectedOrHeld int) {
 // renderAdmissionTable appends the per-week inline-vetting trace to an
 // online render.
 func renderAdmissionTable(b *strings.Builder, r *OnlineResult) {
-	t := newTable("week", "adm o/a", "quar o/a", "rej o/a", "probes", "batch-eq", "rel", "drop", "θ0", "θ1")
+	t := eval.NewTable("week", "adm o/a", "quar o/a", "rej o/a", "probes", "batch-eq", "rel", "drop", "θ0", "θ1")
 	totalProbes, maxBatch := 0, 0
 	for _, w := range r.Weeks {
 		a := w.Admission
@@ -347,7 +348,7 @@ func renderAdmissionTable(b *strings.Builder, r *OnlineResult) {
 		if a.BatchProbeEquivalent > maxBatch {
 			maxBatch = a.BatchProbeEquivalent
 		}
-		t.addRow(
+		t.AddRow(
 			fmt.Sprintf("%d", w.Week),
 			fmt.Sprintf("%d/%d", a.OrganicAdmitted, a.AttackAdmitted),
 			fmt.Sprintf("%d/%d", a.OrganicQuarantined, a.AttackQuarantined),

@@ -646,7 +646,7 @@ func RunOnline(g *textgen.Generator, cfg Config, r *stats.RNG) (*OnlineResult, e
 	// through the variable, so post-crash checkpoints persist the
 	// resumed fleet.
 	ckpt := newCheckpointer(cfg, func() error {
-		_, err := engine.SaveEngine(cfg.Checkpoints, name, cfg.BackendName(), sh)
+		_, err := engine.SaveEngine(cfg.Checkpoints, name, sh)
 		return err
 	})
 	if err := ckpt.saveNow(); err != nil {
@@ -903,9 +903,9 @@ func (r *Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Deployment simulation (§2.1): %s backend, weekly retraining, %s, %s.\n",
 		r.Cfg.BackendName(), describeAttack(r.Cfg), describeDefense(r.Cfg))
-	t := newTable("week", "store", "atk in", "atk rej", "org rej", "ham lost", "spam caught")
+	t := eval.NewTable("week", "store", "atk in", "atk rej", "org rej", "ham lost", "spam caught")
 	for _, w := range r.Weeks {
-		t.addRow(
+		t.AddRow(
 			fmt.Sprintf("%d", w.Week),
 			fmt.Sprintf("%d", w.MailStoreSize),
 			fmt.Sprintf("%d", w.AttackArrived),
@@ -930,7 +930,7 @@ func (r *OnlineResult) Render() string {
 	fmt.Fprintf(&b, "Online deployment (§2.1, at-delivery verdicts): %s backend, %s, %s retraining (lag %d), %s, %s.\n",
 		r.Cfg.BackendName(), serving, r.Cfg.Retraining, r.Cfg.RetrainLag,
 		describeAttack(r.Cfg), describeDefense(r.Cfg))
-	t := newTable("week", "store", "gen", "atk in", "atk rej", "org rej", "ham lost", "spam caught")
+	t := eval.NewTable("week", "store", "gen", "atk in", "atk rej", "org rej", "ham lost", "spam caught")
 	crashed := false
 	for _, w := range r.Weeks {
 		gen := fmt.Sprintf("%d", w.Generation)
@@ -938,7 +938,7 @@ func (r *OnlineResult) Render() string {
 			gen += "*"
 			crashed = true
 		}
-		t.addRow(
+		t.AddRow(
 			fmt.Sprintf("%d", w.Week),
 			fmt.Sprintf("%d", w.MailStoreSize),
 			gen,
@@ -959,55 +959,6 @@ func (r *OnlineResult) Render() string {
 	if len(r.Weeks) > 0 && r.Weeks[0].ByShard != nil {
 		b.WriteByte('\n')
 		renderShardTable(&b, r)
-	}
-	return b.String()
-}
-
-// table is a minimal aligned-column renderer (duplicated from the
-// experiments package to keep scenario free of that dependency).
-type table struct {
-	header []string
-	rows   [][]string
-}
-
-func newTable(header ...string) *table { return &table{header: header} }
-
-func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(widths) && i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	total := 0
-	for _, w := range widths {
-		total += w + 2
-	}
-	b.WriteString(strings.Repeat("-", total))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		writeRow(row)
 	}
 	return b.String()
 }

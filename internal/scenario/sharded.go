@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/engine"
+	"repro/internal/eval"
 	"repro/internal/mail"
 	"repro/internal/stats"
 )
@@ -100,14 +101,14 @@ func renderShardTable(b *strings.Builder, r *OnlineResult) {
 		}
 		header = append(header, label+" ham lost")
 	}
-	t := newTable(header...)
+	t := eval.NewTable(header...)
 	for _, w := range r.Weeks {
 		row := make([]string, 0, nsh+1)
 		row = append(row, fmt.Sprintf("%d", w.Week))
 		for _, conf := range w.ByShard {
 			row = append(row, fmt.Sprintf("%.1f%%", 100*conf.HamMisclassifiedRate()))
 		}
-		t.addRow(row...)
+		t.AddRow(row...)
 	}
 	fmt.Fprintf(b, "per-shard at-delivery ham loss (recipient-hash, %d shards", nsh)
 	if target >= 0 {

@@ -80,7 +80,7 @@ func TestMetricsSurfaceGolden(t *testing.T) {
 			reg := obs.NewRegistry()
 			tracer := obs.NewTracer(64, 1)
 			srv := serve.New(newDaemonFleet(t, shards, reg, tracer), serve.Config{
-				Store: engine.NewMemStore(), Name: "served", Backend: "sbayes", Obs: reg, Trace: tracer,
+				Store: engine.NewMemStore(), Name: "served", Obs: reg, Trace: tracer,
 			})
 			defer srv.Close()
 			ts := httptest.NewServer(srv)

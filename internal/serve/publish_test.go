@@ -135,7 +135,7 @@ func TestVerdictsCarryTheGenerationThatScoredThem(t *testing.T) {
 func TestResumeWaitsForInFlightLearnBatch(t *testing.T) {
 	w := newWedge()
 	store := engine.NewMemStore()
-	srv := serve.New(newGuarded(t, "sbayes", w, engine.GuardedConfig{}), serve.Config{Store: store, Backend: "sbayes"})
+	srv := serve.New(newGuarded(t, "sbayes", w, engine.GuardedConfig{}), serve.Config{Store: store})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -228,7 +228,7 @@ func TestSaveWaitsForQuarantineReview(t *testing.T) {
 	}
 	gcfg := engine.GuardedConfig{Quarantine: q, PostPublish: []func(){func() { q.Review(judge) }}}
 	store := engine.NewMemStore()
-	srv := serve.New(newGuarded(t, "sbayes", holdAll{}, gcfg), serve.Config{Store: store, Name: "served", Backend: "sbayes"})
+	srv := serve.New(newGuarded(t, "sbayes", holdAll{}, gcfg), serve.Config{Store: store, Name: "served"})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -87,9 +87,6 @@ type Config struct {
 	Store engine.SnapshotStore
 	// Name is the store key of the saved records (defaults to "served").
 	Name string
-	// Backend is the backend name stamped into saved snapshots, so a
-	// resume can rebuild the right classifier.
-	Backend string
 	// Obs, when non-nil, registers the front-end's instruments
 	// (per-route request counters and latency histograms, learn-queue
 	// depth and shed counters) and enables GET /metrics, which renders
@@ -237,7 +234,7 @@ const keepRecords = 2
 // quarantine review detaches the held mail: POST /admin/save runs it
 // on the learn loop, and a daemon's exit save runs it after Close.
 func (s *Server) Save() (uint64, error) {
-	gen, err := engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.cfg.Backend, s.guarded)
+	gen, err := engine.SaveGuarded(s.cfg.Store, s.cfg.Name, s.guarded)
 	if err != nil {
 		return 0, err
 	}

@@ -151,7 +151,7 @@ func TestServeRoundTrip(t *testing.T) {
 			chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 5000}))
 			guarded := newGuarded(t, backend, chain, engine.GuardedConfig{})
 			srv := serve.New(guarded, serve.Config{
-				Store: store, Name: "e2e", Backend: backend,
+				Store: store, Name: "e2e",
 			})
 			defer srv.Close()
 			ts := httptest.NewServer(srv)
@@ -269,7 +269,7 @@ func TestQuarantineSurvivesDaemonSaveResume(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			store := engine.NewMemStore()
-			scfg := serve.Config{Store: store, Name: "amnesty", Backend: "sbayes"}
+			scfg := serve.Config{Store: store, Name: "amnesty"}
 			chain, roni, q := wire(t)
 			srv := serve.New(newFleet(t, "sbayes", shards, chain, engine.GuardedConfig{Quarantine: q}), scfg)
 			ts := httptest.NewServer(srv)
@@ -380,7 +380,7 @@ func TestSavePrunesToTheTwoNewestRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := serve.New(newGuarded(t, "sbayes", chain(), engine.GuardedConfig{}), serve.Config{Store: store, Name: "served", Backend: "sbayes"})
+		srv := serve.New(newGuarded(t, "sbayes", chain(), engine.GuardedConfig{}), serve.Config{Store: store, Name: "served"})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
@@ -423,7 +423,7 @@ func TestSavePrunesToTheTwoNewestRecords(t *testing.T) {
 			return g, q
 		}
 		g, _ := resume()
-		srv := serve.New(g, serve.Config{Store: store, Name: "served", Backend: "sbayes"})
+		srv := serve.New(g, serve.Config{Store: store, Name: "served"})
 		ts := httptest.NewServer(srv)
 		for i := 0; i < 2; i++ {
 			saveAfterPublish(t, ts.URL, ts.Client())
@@ -718,7 +718,7 @@ func TestShardedServeRoundTrip(t *testing.T) {
 	chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 5000}))
 	gsh := engine.NewGuarded(sh, chain, engine.GuardedConfig{})
 	store := engine.NewMemStore()
-	srv := serve.New(gsh, serve.Config{Store: store, Name: "fleet", Backend: "sbayes"})
+	srv := serve.New(gsh, serve.Config{Store: store, Name: "fleet"})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -789,7 +789,7 @@ func TestResumeFallsBackPastUnloadableShardLine(t *testing.T) {
 	chain := admission.NewChain(admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: 5000}))
 	g := newFleet(t, "sbayes", shards, chain, engine.GuardedConfig{})
 	store := engine.NewMemStore()
-	srv := serve.New(g, serve.Config{Store: store, Name: "fleet", Backend: "sbayes"})
+	srv := serve.New(g, serve.Config{Store: store, Name: "fleet"})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -12,8 +12,9 @@
 // clones with one memcpy (the symbol table clones copy-on-write) and a
 // scorer resolves a stream token to its counts with one map lookup. It
 // owns the message and stream learners, validate-then-mutate
-// unlearning, the vocabulary counter, and the parts of the on-disk
-// format both backends share (codec.go).
+// unlearning, the vocabulary counter, the registry name a save stamps
+// (BackendName), and the parts of the on-disk format both backends
+// share (codec.go) on top of the one binary codec (internal/binfmt).
 //
 // A DB is not safe for concurrent mutation; concurrent reads without
 // interleaved learning are safe.
@@ -57,14 +58,19 @@ type DB struct {
 	vocab       int      // records with a nonzero count
 }
 
-// New returns an empty database. name (the backend's) prefixes its
-// errors; a nil tokenizer selects tokenize.Default().
+// New returns an empty database. name, the backend's registry name,
+// prefixes its errors and is what BackendName reports; a nil tokenizer
+// selects tokenize.Default().
 func New(name string, tok *tokenize.Tokenizer, counting Counting) DB {
 	if tok == nil {
 		tok = tokenize.Default()
 	}
 	return DB{name: name, counting: counting, tok: tok, syms: tokenize.NewSymbols()}
 }
+
+// BackendName returns the registry name of the backend that embeds the
+// database, the name a save stamps its record with.
+func (db *DB) BackendName() string { return db.name }
 
 // Tokenizer returns the tokenizer the database learns with.
 func (db *DB) Tokenizer() *tokenize.Tokenizer { return db.tok }

@@ -100,8 +100,7 @@
 //   - Quarantine holds deferred candidates until the next snapshot
 //     swap, where they are re-vetted with freshly granted budget and
 //     released into training or dropped;
-//   - AdmissionChain / SampledAdmitter compose admitters into a
-//     policy.
+//   - AdmissionChain composes admitters into a policy.
 //
 // A Guarded threads a policy through an engine's one training path,
 // RetrainIncremental — NewGuarded over an Engine of any shard count.
@@ -306,8 +305,11 @@ import (
 // validation sets and setting thresholds.
 type Classifier = engine.Classifier
 
-// Persistable is the part of the Classifier contract that saves and
-// restores a trained database.
+// Persistable saves durable state and restores it in place: the part
+// of the Classifier contract that saves a trained database, and the
+// capability of carrying admission state across a restart (Quarantine,
+// IncrementalRONI and AdmissionChain implement it), which SaveGuarded
+// rides in the same record as the classifier snapshots.
 type Persistable = engine.Persistable
 
 // Cloner is the part of the Classifier contract that deep-copies the
@@ -542,15 +544,6 @@ type AdmissionChain = admission.Chain
 // NewAdmissionChain composes the links in vetting order.
 func NewAdmissionChain(links ...Admitter) *AdmissionChain { return admission.NewChain(links...) }
 
-// SampledAdmitter consults its inner admitter for a deterministic
-// fraction of candidates.
-type SampledAdmitter = admission.Sampled
-
-// NewSampledAdmitter wraps inner, consulting it with probability p.
-func NewSampledAdmitter(inner Admitter, p float64, r *RNG) (*SampledAdmitter, error) {
-	return admission.NewSampled(inner, p, r)
-}
-
 // ---- Snapshot persistence (the durable serving layer) ----
 
 // SnapshotStore holds persisted snapshot envelopes keyed by logical
@@ -587,10 +580,11 @@ func NewMemSnapshotStore() *MemSnapshotStore { return engine.NewMemStore() }
 
 // SaveEngine persists e's serving epoch (every shard's classifier and
 // their one generation, one consistent read) as one record under
-// name, stamped with the backend registry name resume reconstructs it
-// through. Concurrent scoring is never blocked.
-func SaveEngine(st SnapshotStore, name, backend string, e *Engine) (uint64, error) {
-	return engine.SaveEngine(st, name, backend, e)
+// name, stamped with the backend registry name the classifiers report,
+// which resume reconstructs them through. Concurrent scoring is never
+// blocked.
+func SaveEngine(st SnapshotStore, name string, e *Engine) (uint64, error) {
+	return engine.SaveEngine(st, name, e)
 }
 
 // ResumeEngine restores an Engine of shards shards from name's newest
@@ -627,12 +621,6 @@ func DecodeSnapshotEnvelope(data []byte) (SnapshotEnvelope, error) {
 	return engine.DecodeEnvelope(data)
 }
 
-// AdmissionStatePersister is the capability of carrying admitter or
-// quarantine state across a restart (Quarantine, IncrementalRONI, and
-// AdmissionChain implement it); SaveGuarded rides the state in the
-// same record as the classifier snapshots.
-type AdmissionStatePersister = engine.AdmissionStatePersister
-
 // SaveGuarded persists g's engine as SaveEngine does, with the
 // admission state (quarantine contents, probe budget, memoized
 // verdicts) in the same record and under the same checksum, closing
@@ -640,8 +628,8 @@ type AdmissionStatePersister = engine.AdmissionStatePersister
 // refill an exhausted probe bucket, and a save lands whole or not at
 // all. It returns the saved generation. Guarded.Resume restores both
 // into a running guard.
-func SaveGuarded(st SnapshotStore, name, backend string, g *Guarded) (uint64, error) {
-	return engine.SaveGuarded(st, name, backend, g)
+func SaveGuarded(st SnapshotStore, name string, g *Guarded) (uint64, error) {
+	return engine.SaveGuarded(st, name, g)
 }
 
 // ResumeGuarded restores a guarded engine of shards shards from name's
