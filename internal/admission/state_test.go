@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -198,6 +199,37 @@ func TestIncrementalRONILoadRejectsABudgetItCannotHonour(t *testing.T) {
 			t.Errorf("%s loaded; the admitter then probed %d of 50 arrivals on %v credits and a burst of %v",
 				tc.name, s.Probes, s.CreditsGranted, cfg.Burst)
 		}
+	}
+}
+
+// TestIncrementalRONILoadBoundsTheMemoCount pins that a memo count the
+// bytes left cannot hold fails before anything is sized by it: a state
+// claiming 1<<20 memo entries over no bytes errors without allocating
+// a map for them (at 1<<34, such a map exhausts memory).
+func TestIncrementalRONILoadBoundsTheMemoCount(t *testing.T) {
+	newRONI := func() *admission.IncrementalRONI {
+		a, err := admission.NewIncrementalRONI(admission.IncrementalRONIConfig{}, pool(t, testGen(t), 100), backendFactory(t, "sbayes"), stats.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	a := newRONI()
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh admitter's state ends with its one-byte empty memo count.
+	data := binary.AppendUvarint(slices.Clip(buf.Bytes()[:buf.Len()-1]), 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := a.Load(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a memo count of 1<<20 over no bytes loaded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("rejecting a memo count of 1<<20 over no bytes allocated %d bytes", alloc)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // MaxUvarintLen is the longest encoding of one uvarint, for callers
@@ -35,6 +36,10 @@ type Writer struct {
 func NewWriter(prefix string, size int) *Writer {
 	return &Writer{buf: append(make([]byte, 0, len(prefix)+size), prefix...)}
 }
+
+// Grow makes room for n more bytes, so a writer that learns its size
+// late appends them without reallocating.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Uvarint appends v as an unsigned varint.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }

@@ -113,7 +113,7 @@ type Section struct {
 // Encode serializes the envelope in the current format, including the
 // trailing checksum.
 func (env Envelope) Encode() []byte {
-	size := len(env.Backend) + 4 + (3+len(env.Shards)+2*len(env.Sections))*binfmt.MaxUvarintLen
+	size := len(env.Backend) + 4 + (4+len(env.Shards)+2*len(env.Sections))*binfmt.MaxUvarintLen
 	for _, p := range env.Shards {
 		size += len(p)
 	}

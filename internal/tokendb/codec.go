@@ -42,8 +42,15 @@ func NewEncoder(w io.Writer, magic string) *Encoder {
 
 // Symbols writes the symbol table: len(toks), then each token. toks is
 // the sorted Tokens list, so a record's id is its token's position in
-// it.
+// it. It first makes room for the table and the records keyed by it:
+// the token bytes plus about eight bytes a token for its length, id
+// and counts.
 func (e *Encoder) Symbols(toks []string) {
+	size := 0
+	for _, t := range toks {
+		size += len(t) + 8
+	}
+	e.Grow(size)
 	e.Uvarint(uint64(len(toks)))
 	for _, t := range toks {
 		e.String(t)
