@@ -118,13 +118,17 @@ func (r *Reader) End() error {
 }
 
 // Uvarint reads one unsigned varint.
-func (r *Reader) Uvarint(field string) uint64 {
+func (r *Reader) Uvarint(field string) uint64 { return r.uvarint(field, "") }
+
+// uvarint reads one unsigned varint; an error names field then suffix,
+// kept apart so that a read that succeeds builds no string.
+func (r *Reader) uvarint(field, suffix string) uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.rest)
 	if n <= 0 {
-		r.Fail("%s: malformed or truncated uvarint", field)
+		r.Fail("%s%s: malformed or truncated uvarint", field, suffix)
 		return 0
 	}
 	r.rest = r.rest[n:]
@@ -146,7 +150,7 @@ func (r *Reader) Count(field string, size int) int {
 // Bytes reads one length-prefixed byte string. It aliases the input,
 // with its capacity capped so an append cannot overwrite what follows.
 func (r *Reader) Bytes(field string) []byte {
-	n := r.Uvarint(field + " length")
+	n := r.uvarint(field, " length")
 	if r.err != nil {
 		return nil
 	}
