@@ -16,10 +16,8 @@
 #                    snapshotonce, statscomplete, ctxdrain,
 #                    tokenizeonce, plus the interprocedural admitflow,
 #                    hookorder, facadeexport, atomicfield — see
-#                    internal/analysis); any finding fails the build
-#   make lint-vettool  the same suite driven by `go vet -vettool=`,
-#                    exercising the unitchecker protocol and the
-#                    cross-package fact transport CI also runs
+#                    internal/analysis) over every package and its
+#                    _test.go files; any finding fails the build
 #   make fuzz        short fuzz smoke over the persistence decoders
 #                    (the one binary codec they all share, internal/
 #                    binfmt, with its writer's round trip; both token
@@ -61,7 +59,7 @@ BENCH_JSON ?= BENCH_PR8.json
 BENCHTIME  ?= 1s
 FUZZTIME   ?= 10s
 
-.PHONY: build test race vet gofmt lint lint-vettool fuzz cover bench bench-tokenize bench-json loc check
+.PHONY: build test race vet gofmt lint fuzz cover bench bench-tokenize bench-json loc check
 
 build:
 	$(GO) build ./...
@@ -84,17 +82,9 @@ gofmt:
 # The project-specific invariants (snapshot-once serving, complete
 # Stats accounting, ctx-aware channel drains, fenced tokenization,
 # guarded training paths, hook ordering, facade completeness, atomic
-# field discipline).
+# field discipline), checked over test files too.
 lint:
 	$(GO) run ./cmd/sbvet ./...
-
-# The same suite as a vet backend: go vet drives sbvet per package via
-# the unitchecker protocol, with analyzer facts flowing between
-# packages through .vetx files.
-lint-vettool:
-	$(GO) build -o $(CURDIR)/sbvet.bin ./cmd/sbvet
-	$(GO) vet -vettool=$(CURDIR)/sbvet.bin ./...
-	rm -f $(CURDIR)/sbvet.bin
 
 # `go test -fuzz` takes one target per invocation, so one line per
 # fuzz target. Each also replays its committed seed corpus first.

@@ -40,10 +40,7 @@ func main() {
 
 	ucfg := textgen.DefaultUniverseConfig()
 	if *small {
-		ucfg = textgen.UniverseConfig{
-			CommonWords: 50, StandardWords: 700, FormalWords: 250,
-			ColloquialWords: 290, SpamWords: 120, PersonalWords: 400,
-		}
+		ucfg = textgen.SmallUniverseConfig()
 	}
 	start := time.Now()
 	u, err := textgen.NewUniverse(ucfg)

@@ -134,14 +134,7 @@ type config struct {
 // bootstraps and calibrates from — the same population shape the
 // scenario simulator and the repo benchmark use.
 func newGenerator() *textgen.Generator {
-	u := textgen.MustUniverse(textgen.UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	})
+	u := textgen.MustUniverse(textgen.SmallUniverseConfig())
 	return textgen.MustNew(u, textgen.DefaultConfig())
 }
 

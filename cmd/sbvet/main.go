@@ -1,87 +1,33 @@
-// Command sbvet runs the repo's invariant analyzers (snapshotonce,
-// statscomplete, ctxdrain, tokenizeonce — see internal/analysis).
+// Command sbvet runs the repo's invariant analyzers (the suite in
+// internal/analysis/suite) over the module surrounding the working
+// directory:
 //
-// It speaks two dialects:
+//	go run ./cmd/sbvet ./...
 //
-//   - Standalone, the way make lint uses it:
-//
-//     go run ./cmd/sbvet ./...
-//
-//     loads the module surrounding the working directory from source
-//     and prints findings in go vet's file:line:col format, exiting 2
-//     if there are any.
-//
-//   - As a go vet tool backend:
-//
-//     go vet -vettool=$(which sbvet) ./...
-//
-//     cmd/go probes the tool with -V=full and -flags, then invokes it
-//     once per package with a vet config (*.cfg) naming the Go files
-//     and the export data of every dependency. This is the
-//     unitchecker protocol; diagnostics go to stderr and a non-zero
-//     exit tells go vet the package failed.
+// It loads the matched packages and their _test.go files from source
+// and prints findings in go vet's file:line:col format, exiting 2 if
+// there are any.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/suite"
 )
 
-// version is what -V=full reports. cmd/go only requires the reply to
-// have the shape "<name> version <something...>" so it can stamp
-// build IDs; the value matters only for cache invalidation.
-const version = "sbvet version v1.0.0"
-
 func main() {
-	fs := flag.NewFlagSet("sbvet", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sbvet [packages]  |  sbvet <config>.cfg (go vet backend)\n")
-		fs.PrintDefaults()
+	flag.Usage = func() {
+		fmt.Fprintf(os.Stderr, "usage: sbvet [packages]\n")
 	}
-	printVersion := fs.String("V", "", "print version and exit (go vet probe)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags as JSON and exit (go vet probe)")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON instead of text")
-	fs.Int("c", -1, "display offending line plus this many lines of context (accepted for go vet compatibility; ignored)")
-	fs.Parse(os.Args[1:])
-
-	switch {
-	case *printVersion != "":
-		// go vet sends -V=full and expects at least "name version ...".
-		fmt.Println(version)
-		return
-	case *printFlags:
-		// The suite exposes no tool-specific flags.
-		fmt.Println("[]")
-		return
-	}
-
-	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0], *jsonOut))
-	}
-	os.Exit(standalone(args, *jsonOut))
+	flag.Parse()
+	os.Exit(run(flag.Args()))
 }
 
-// standalone loads the module containing the working directory from
-// source and checks the packages matching the patterns (default
-// "./...").
-func standalone(patterns []string, jsonOut bool) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
+// run checks the packages matching the patterns (default "./...").
+func run(patterns []string) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sbvet: %v\n", err)
@@ -96,10 +42,6 @@ func standalone(patterns []string, jsonOut bool) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sbvet: %v\n", err)
 		return 1
-	}
-	if jsonOut {
-		emitJSON("command-line-arguments", groupByCategory(findings))
-		return 0
 	}
 	for _, f := range findings {
 		fmt.Fprintln(os.Stderr, f)
@@ -123,189 +65,3 @@ func findModuleRoot(dir string) (string, error) {
 		dir = parent
 	}
 }
-
-// vetConfig mirrors the JSON config cmd/go writes for each package
-// when driving a vet tool (the unitchecker protocol).
-type vetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
-	ImportMap    map[string]string
-	PackageFile  map[string]string
-	Standard     map[string]bool
-	PackageVetx  map[string]string
-	VetxOnly     bool
-	VetxOutput   string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes the single package described by cfgPath using
-// the compiler export data go vet hands us, so no source re-loading
-// of dependencies is needed.
-func unitcheck(cfgPath string, jsonOut bool) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbvet: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "sbvet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbvet: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compilerImporter.Import(path)
-	})
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	var typeErrs []error
-	tc := &types.Config{
-		Importer: imp,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, _ := tc.Check(cfg.ImportPath, fset, files, info)
-	if len(typeErrs) > 0 && cfg.SucceedOnTypecheckFailure {
-		// cmd/go sets this when the compiler is expected to fail the
-		// package anyway; vet shouldn't duplicate the errors.
-		return 0
-	}
-
-	pkg := &analysis.Package{
-		PkgPath:    cfg.ImportPath,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		TypesInfo:  info,
-		TypeErrors: typeErrs,
-	}
-
-	// The interprocedural analyzers exchange facts through the vetx
-	// files cmd/go threads between per-package runs: the dependencies'
-	// facts seed the store, this package's accumulated facts (its own
-	// plus the imported ones, so transport is transitive) are written
-	// to VetxOutput for dependents. A facts-only run (VetxOnly: cmd/go
-	// scheduling a dependency) does the same analysis but reports
-	// nothing.
-	checker := analysis.NewChecker(suite.Analyzers)
-	find := func(path string) *types.Package {
-		if path == cfg.ImportPath {
-			return tpkg
-		}
-		if _, ok := cfg.PackageFile[path]; !ok {
-			return nil
-		}
-		dep, err := compilerImporter.Import(path)
-		if err != nil {
-			return nil
-		}
-		return dep
-	}
-	for _, vetxFile := range cfg.PackageVetx {
-		vetx, err := os.ReadFile(vetxFile)
-		if err != nil {
-			continue // a missing dep vetx costs its facts, not the run
-		}
-		if err := analysis.DecodeFacts(checker.Facts, vetx, find); err != nil {
-			fmt.Fprintf(os.Stderr, "sbvet: %v\n", err)
-			return 1
-		}
-	}
-	checker.AddPackage(pkg)
-	findings := checker.RunPackage(pkg)
-	if cfg.VetxOutput != "" {
-		vetx, err := analysis.EncodeFacts(checker.Facts, suite.Analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbvet: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, vetx, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "sbvet: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	if jsonOut {
-		emitJSON(cfg.ID, groupByCategory(findings))
-		return 0
-	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", f.Position, f.Message)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// jsonDiagnostic is the per-finding shape of go vet's -json output.
-type jsonDiagnostic struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
-}
-
-// groupByCategory buckets findings per analyzer name for -json.
-func groupByCategory(findings []analysis.Finding) map[string][]jsonDiagnostic {
-	out := make(map[string][]jsonDiagnostic)
-	for _, f := range findings {
-		cat := f.Category
-		if cat == "" {
-			cat = "sbvet"
-		}
-		out[cat] = append(out[cat], jsonDiagnostic{Posn: f.Position.String(), Message: f.Message})
-	}
-	return out
-}
-
-// emitJSON prints {pkgID: {analyzer: [diagnostics]}} to stdout, the
-// framing go vet -json expects from a tool backend.
-func emitJSON(pkgID string, diags map[string][]jsonDiagnostic) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "\t")
-	enc.Encode(map[string]map[string][]jsonDiagnostic{pkgID: diags})
-}
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

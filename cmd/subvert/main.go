@@ -157,11 +157,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-// runDeploy simulates the §2.1 deployment three ways: clean, under
-// the dictionary attack, and with RONI scrubbing the pipeline.
-func runDeploy(e *experiments.Env) error {
+// smallScale reports whether e is the small-scale environment.
+func smallScale(e *experiments.Env) bool { return e.Cfg.TrainSize < 2000 }
+
+// deployment returns the simulator's default deployment, shrunk at
+// small scale to four 200-message weeks with the attack from week 2.
+func deployment(e *experiments.Env) scenario.Config {
 	cfg := scenario.DefaultConfig()
-	if e.Cfg.TrainSize < 2000 { // small scale
+	if smallScale(e) {
 		cfg.Weeks = 4
 		cfg.InitialMailStore = 400
 		cfg.MessagesPerWeek = 200
@@ -169,6 +172,13 @@ func runDeploy(e *experiments.Env) error {
 		cfg.AttackFraction = 0.05
 		cfg.AttackStartWeek = 2
 	}
+	return cfg
+}
+
+// runDeploy simulates the §2.1 deployment three ways: clean, under
+// the dictionary attack, and with RONI scrubbing the pipeline.
+func runDeploy(e *experiments.Env) error {
+	cfg := deployment(e)
 	attack := core.NewDictionaryAttack(e.Usenet)
 	variants := []struct {
 		name   string
@@ -196,15 +206,7 @@ func runDeploy(e *experiments.Env) error {
 // and each week's retrain is built in the background and swapped in
 // a third of the way into the next week.
 func runOnline(e *experiments.Env) error {
-	cfg := scenario.DefaultConfig()
-	if e.Cfg.TrainSize < 2000 { // small scale
-		cfg.Weeks = 4
-		cfg.InitialMailStore = 400
-		cfg.MessagesPerWeek = 200
-		cfg.TestSize = 100
-		cfg.AttackFraction = 0.05
-		cfg.AttackStartWeek = 2
-	}
+	cfg := deployment(e)
 	cfg.RetrainLag = cfg.MessagesPerWeek / 3
 	attack := core.NewDictionaryAttack(e.Usenet)
 	variants := []struct {
@@ -238,15 +240,7 @@ func runOnline(e *experiments.Env) error {
 // The per-shard ham-loss table separates target damage from
 // collateral, the observable the single-engine mode cannot produce.
 func runSharded(e *experiments.Env) error {
-	cfg := scenario.DefaultConfig()
-	if e.Cfg.TrainSize < 2000 { // small scale
-		cfg.Weeks = 4
-		cfg.InitialMailStore = 400
-		cfg.MessagesPerWeek = 200
-		cfg.TestSize = 100
-		cfg.AttackFraction = 0.05
-		cfg.AttackStartWeek = 2
-	}
+	cfg := deployment(e)
 	cfg.Shards = 4
 	cfg.Recipients = 8
 	cfg.RetrainLag = cfg.MessagesPerWeek / 3
@@ -300,15 +294,9 @@ func runSharded(e *experiments.Env) error {
 // honest limit: a narrow-vocabulary targeted payload passes the gate
 // and mostly evades the probes, exactly as §5.1 predicts for RONI.
 func runAdmission(e *experiments.Env) error {
-	cfg := scenario.DefaultConfig()
+	cfg := deployment(e)
 	admit := scenario.AdmissionConfig{}
-	if e.Cfg.TrainSize < 2000 { // small scale
-		cfg.Weeks = 4
-		cfg.InitialMailStore = 400
-		cfg.MessagesPerWeek = 200
-		cfg.TestSize = 100
-		cfg.AttackFraction = 0.05
-		cfg.AttackStartWeek = 2
+	if smallScale(e) {
 		// The small-scale Usenet lexicon is only 1k words, so the flood
 		// gate's bound scales down with it (organic mail stays far
 		// below; the full-scale default is 1024 against a 90k payload).

@@ -37,14 +37,7 @@ var ctx = context.Background()
 // package's test universe).
 func testGen(t testing.TB) *textgen.Generator {
 	t.Helper()
-	u := textgen.MustUniverse(textgen.UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	})
+	u := textgen.MustUniverse(textgen.SmallUniverseConfig())
 	return textgen.MustNew(u, textgen.DefaultConfig())
 }
 
@@ -123,9 +116,6 @@ func TestFloodGateIsStructuralAndLabelBlind(t *testing.T) {
 	}
 	if d := gate.Admit(ctx, organic, stream(organic), false); d.Verdict != admission.Accepted {
 		t.Errorf("organic ham got %v (%s)", d.Verdict, d.Reason)
-	}
-	if gate.Vetted() != 3 || gate.Flagged() != 2 {
-		t.Errorf("counters vetted=%d flagged=%d, want 3/2", gate.Vetted(), gate.Flagged())
 	}
 }
 

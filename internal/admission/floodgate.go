@@ -3,7 +3,6 @@ package admission
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mail"
 	"repro/internal/tokenize"
@@ -28,9 +27,6 @@ type FloodGateConfig struct {
 // gate cannot judge.
 type TokenFloodGate struct {
 	max int
-
-	vetted  atomic.Uint64
-	flagged atomic.Uint64
 }
 
 // NewTokenFloodGate builds the gate.
@@ -45,24 +41,14 @@ func NewTokenFloodGate(cfg FloodGateConfig) *TokenFloodGate {
 // Name identifies the gate and its bound.
 func (g *TokenFloodGate) Name() string { return fmt.Sprintf("floodgate-%d", g.max) }
 
-// MaxDistinct returns the reject bound.
-func (g *TokenFloodGate) MaxDistinct() int { return g.max }
-
-// Vetted and Flagged are monotone counters of candidates seen and
-// rejected.
-func (g *TokenFloodGate) Vetted() uint64  { return g.vetted.Load() }
-func (g *TokenFloodGate) Flagged() uint64 { return g.flagged.Load() }
-
 // Admit rejects wide-vocabulary candidates and accepts the rest. The
 // label is irrelevant: the gate is structural, which is exactly why it
 // still fires on pseudospam delivered under ham labels. The distinct
 // count is read off the candidate's token stream, so the gate costs
 // nothing beyond the one tokenization every candidate gets.
 func (g *TokenFloodGate) Admit(_ context.Context, _ *mail.Message, ts *tokenize.TokenStream, _ bool) Decision {
-	g.vetted.Add(1)
 	n := ts.Len()
 	if n >= g.max {
-		g.flagged.Add(1)
 		return Decision{
 			Verdict: Rejected,
 			Reason:  fmt.Sprintf("token flood: %d distinct tokens >= %d", n, g.max),

@@ -40,6 +40,7 @@ package admission
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -302,9 +303,10 @@ func (c *Chain) Save(w io.Writer) error {
 // Load restores each link from its sub-payload. The live chain must be
 // shaped like the one that saved: same link count, and every link
 // whose slot holds state must be able to load it — dropping a link's
-// state silently would re-open the amnesty this format closes. A
-// payload that does not decode changes no link; a link whose own
-// sub-payload fails to load leaves the links before it loaded.
+// state silently would re-open the amnesty this format closes. On any
+// error no link changes: each link's own state is saved before it
+// loads, and a link whose sub-payload fails to load puts the links
+// before it back.
 func (c *Chain) Load(r io.Reader) error {
 	br, err := readState(r, "chain", chainStateVersion)
 	if err != nil {
@@ -321,14 +323,28 @@ func (c *Chain) Load(r io.Reader) error {
 		return err
 	}
 	for i, sub := range subs {
+		if _, ok := c.links[i].(engine.Persistable); len(sub) > 0 && !ok {
+			return fmt.Errorf("admission: chain link %d (%s) cannot load persisted state", i, c.links[i].Name())
+		}
+	}
+	saved := make([][]byte, len(subs))
+	for i, sub := range subs {
 		if len(sub) == 0 {
 			continue
 		}
-		p, ok := c.links[i].(engine.Persistable)
-		if !ok {
-			return fmt.Errorf("admission: chain link %d (%s) cannot load persisted state", i, c.links[i].Name())
+		p := c.links[i].(engine.Persistable)
+		var before bytes.Buffer
+		err := p.Save(&before)
+		if err == nil {
+			saved[i] = before.Bytes()
+			err = p.Load(bytes.NewReader(sub))
 		}
-		if err := p.Load(bytes.NewReader(sub)); err != nil {
+		if err != nil {
+			for j := i - 1; j >= 0; j-- {
+				if saved[j] != nil {
+					err = errors.Join(err, c.links[j].(engine.Persistable).Load(bytes.NewReader(saved[j])))
+				}
+			}
 			return fmt.Errorf("admission: chain link %d (%s): %w", i, c.links[i].Name(), err)
 		}
 	}

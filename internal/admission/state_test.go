@@ -8,7 +8,9 @@ package admission_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -371,5 +373,51 @@ func TestResumeWithoutSidecarLoadsNothing(t *testing.T) {
 	}
 	if q2.Len() != 0 {
 		t.Fatalf("start-up resume without admission state loaded %d held", q2.Len())
+	}
+}
+
+// futureState is a chain link whose saved state is at version 9, which
+// no admitter of this build reads.
+type futureState struct{}
+
+func (futureState) Name() string { return "future" }
+func (futureState) Admit(context.Context, *mail.Message, *tokenize.TokenStream, bool) admission.Decision {
+	return admission.Decision{Verdict: admission.Accepted}
+}
+func (futureState) Save(w io.Writer) error { _, err := w.Write([]byte{9}); return err }
+func (futureState) Load(io.Reader) error   { return nil }
+
+// TestChainLoadFailureChangesNoLink pins that Chain.Load is all or
+// nothing across links: when the second link's sub-payload fails to
+// load, the first link, which loaded its own cleanly, is put back.
+func TestChainLoadFailureChangesNoLink(t *testing.T) {
+	g := testGen(t)
+	calib := pool(t, g, 100)
+	newRONI := func() *admission.IncrementalRONI {
+		a, err := admission.NewIncrementalRONI(admission.IncrementalRONIConfig{}, calib, backendFactory(t, "sbayes"), stats.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	saving := newRONI()
+	r := stats.NewRNG(3)
+	for range 3 {
+		m := g.SpamMessage(r)
+		saving.Admit(ctx, m, stream(m), true)
+	}
+	var buf bytes.Buffer
+	if err := admission.NewChain(saving, futureState{}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	first := newRONI()
+	want := first.Stats()
+	err := admission.NewChain(first, newRONI()).Load(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "version 9") {
+		t.Fatalf("loading a version-9 second link returned %v, want its version error", err)
+	}
+	if got := first.Stats(); got != want {
+		t.Errorf("after the failed load link 0 has %+v, want its own %+v", got, want)
 	}
 }

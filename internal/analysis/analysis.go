@@ -15,14 +15,14 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and directives.
 	Name string
-	// Doc is the one-paragraph description printed by sbvet -help.
+	// Doc is the one-paragraph description of the check.
 	Doc string
 	// Run performs the analysis over one package.
 	Run func(*Pass) error
 	// FactTypes lists the fact types this analyzer exports and
-	// imports, one zero value per concrete type (mirroring x/tools:
-	// declaring them here is what registers them for driver
-	// serialization in go vet's unitchecker mode).
+	// imports, one zero value per concrete type. The in-memory checker
+	// does not read it; x/tools' drivers do, to serialize facts, so
+	// the suite declares them for the migration doc.go describes.
 	FactTypes []Fact
 }
 
@@ -36,11 +36,8 @@ type Pass struct {
 	// Report delivers one diagnostic. The checker installs it.
 	Report func(Diagnostic)
 
-	// Graph is the call graph available to this pass: module-wide in
-	// the standalone checker (every package of the load closure is
-	// indexed before any analyzer runs), package-local in go vet's
-	// per-package unitchecker mode — there, cross-package reachability
-	// arrives through imported facts instead.
+	// Graph is the module-wide call graph: every package of the load
+	// closure is indexed before any analyzer runs.
 	Graph *CallGraph
 
 	// The fact accessors, installed by the checker (func-valued
@@ -79,13 +76,12 @@ func (p *Pass) FileAt(pos token.Pos) *ast.File {
 	return nil
 }
 
-// IsTestFile reports whether pos lies in a _test.go file. The
-// serving-path analyzers (snapshotonce, tokenizeonce) skip test
-// files: tests tokenize messages to build expectations and read
-// snapshot pointers repeatedly to assert generation changes, which is
-// exactly their job. Drivers that feed test files (go vet's
-// unitchecker mode does; the standalone loader does not) stay
-// consistent with drivers that don't.
+// IsTestFile reports whether pos lies in a _test.go file. The checker
+// analyzes test packages too, and the serving-path analyzers
+// (snapshotonce, tokenizeonce) skip test files: tests tokenize
+// messages to build expectations and read snapshot pointers
+// repeatedly to assert generation changes, which is exactly their
+// job.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }

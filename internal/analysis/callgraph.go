@@ -17,9 +17,8 @@ type CallSite struct {
 	Callee *types.Func
 }
 
-// CallGraph is a static call graph over one or more loaded packages —
-// module-wide in the standalone checker, package-local (complemented
-// by imported facts) in go vet's per-package unitchecker mode.
+// CallGraph is a static call graph over one or more loaded packages;
+// the checker builds one over the whole module.
 //
 // Nodes are *types.Func. Edges come from two sources:
 //

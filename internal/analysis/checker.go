@@ -20,9 +20,8 @@ func (f Finding) String() string {
 }
 
 // SortFindings orders findings deterministically — file, line, column,
-// analyzer name, message — so CI diffs, -json output, and self-check
-// failure dumps are stable across runs regardless of analyzer
-// scheduling.
+// analyzer name, message — so CI diffs and self-check failure dumps
+// are stable across runs regardless of analyzer scheduling.
 func SortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -45,9 +44,7 @@ func SortFindings(findings []Finding) {
 // Checker runs a fixed analyzer list over a sequence of packages with
 // shared interprocedural state: one call graph accumulating every
 // package added, and one fact store carrying analyzer facts from
-// dependency passes to dependent passes. The standalone driver feeds
-// it the whole module; the unitchecker driver feeds it one package
-// with the fact store pre-populated from the dependencies' vetx files.
+// dependency passes to dependent passes.
 type Checker struct {
 	analyzers []*Analyzer
 	// Graph is the shared call graph. Add every package of the load
@@ -58,10 +55,8 @@ type Checker struct {
 	Facts *FactStore
 }
 
-// NewChecker returns a checker for the analyzer list. Fact types
-// declared by the analyzers are registered for driver serialization.
+// NewChecker returns a checker for the analyzer list.
 func NewChecker(analyzers []*Analyzer) *Checker {
-	RegisterFactTypes(analyzers)
 	return &Checker{
 		analyzers: analyzers,
 		Graph:     NewCallGraph(),
@@ -79,9 +74,12 @@ func (c *Checker) AddPackage(pkg *Package) { c.Graph.AddPackage(pkg) }
 // imports before importers — with unmatched internal dependencies
 // analyzed facts-only (their findings are discarded), so a pattern
 // like ./internal/... still sees facts from the module root's other
-// packages it imports. A package that fails to load or type-check
-// yields one finding per error under the "sbvet" category — the suite
-// never reports a broken build as clean.
+// packages it imports. Each matched package's test packages (see
+// Loader.Tests) are analyzed after that, over the same call graph and
+// fact store; of their findings only those in _test.go files are
+// kept, since the rest were reported once already. A package that
+// fails to load or type-check yields one finding per error under the
+// "sbvet" category — the suite never reports a broken build as clean.
 func Check(l *Loader, analyzers []*Analyzer, patterns ...string) ([]Finding, error) {
 	paths, err := l.Packages(patterns...)
 	if err != nil {
@@ -135,6 +133,25 @@ func Check(l *Loader, analyzers []*Analyzer, patterns ...string) ([]Finding, err
 	for _, pkg := range loaded {
 		run(pkg)
 	}
+
+	var tests []*Package
+	for _, pkg := range loaded {
+		pkgs, err := l.Tests(pkg.PkgPath)
+		if err != nil {
+			findings = append(findings, Finding{Category: "sbvet", Message: err.Error()})
+		}
+		tests = append(tests, pkgs...)
+	}
+	for _, pkg := range tests {
+		c.AddPackage(pkg)
+	}
+	for _, pkg := range tests {
+		for _, f := range c.RunPackage(pkg) {
+			if f.Position.Filename == "" || strings.HasSuffix(f.Position.Filename, "_test.go") {
+				findings = append(findings, f)
+			}
+		}
+	}
 	SortFindings(findings)
 	return findings, nil
 }
@@ -184,16 +201,6 @@ func (c *Checker) RunPackage(pkg *Package) []Finding {
 	}
 	SortFindings(findings)
 	return findings
-}
-
-// CheckPackage runs the analyzers over one loaded package in
-// isolation: a fresh checker whose call graph holds only this package
-// and whose fact store starts empty. Multi-package analysis goes
-// through Check or an explicit Checker.
-func CheckPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	c := NewChecker(analyzers)
-	c.AddPackage(pkg)
-	return c.RunPackage(pkg)
 }
 
 // directiveNames returns the known directive names, sorted.

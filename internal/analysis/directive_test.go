@@ -178,7 +178,7 @@ func f() {
 		PkgPath: "p", Fset: fset, Files: []*ast.File{f},
 		Types: tpkg, TypesInfo: info,
 	}
-	findings := CheckPackage(pkg, nil)
+	findings := NewChecker(nil).RunPackage(pkg)
 	if len(findings) != 1 {
 		t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
 	}

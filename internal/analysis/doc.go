@@ -46,20 +46,22 @@
 //     inside publish, so re-entering the publish path is a recursive
 //     publish shipping in a config struct.
 //   - facadeexport (internal/analysis/facadeexport): every exported
-//     capability of internal/engine and internal/admission must be
-//     surfaced by the repro facade (same name, or referenced by a
-//     renamed alias or wrapper) — with internal/ packages, an
-//     unexported capability does not exist for users.
+//     capability of internal/engine, internal/admission,
+//     internal/serve and internal/obs must be surfaced by the repro
+//     facade (same name, or referenced by a renamed alias or wrapper)
+//     — with internal/ packages, an unexported capability does not
+//     exist for users.
 //   - atomicfield (internal/analysis/atomicfield): a struct field
 //     accessed through sync/atomic anywhere must never be plainly
 //     read or written — one plain read of a hot counter is a data
 //     race the race detector only catches if a test wins the
 //     interleaving.
 //
-// cmd/sbvet aggregates the suite into one binary that runs standalone
-// (go run ./cmd/sbvet ./...) or as a go vet tool
-// (go vet -vettool=$(which sbvet) ./...). Findings are reported in a
-// deterministic order (file, line, column, analyzer) in both modes.
+// cmd/sbvet runs the suite through Check (go run ./cmd/sbvet ./...,
+// which is make lint): it loads the module from source, analyzes the
+// matched packages and then their test packages, _test.go files
+// included, over one call graph and one fact store, and reports
+// findings in a deterministic order (file, line, column, analyzer).
 //
 // # Facts and the x/tools correspondence
 //
@@ -70,14 +72,10 @@
 // here port to the real driver mechanically once a module proxy is
 // reachable. Facts are how interprocedural results cross package
 // boundaries: an analyzer running on package P may attach a fact
-// (a serializable struct with an AFact method, registered via
-// FactTypes) to P's own objects; when a dependent package is analyzed
-// later, ImportObjectFact retrieves it. In-process the checker keeps
-// facts in a FactStore; under go vet's unitchecker protocol each
-// package's facts are gob-encoded into a .vetx file (factsio.go) and
-// transported to dependent compilations, exactly as x/tools does.
-// Dependency order is guaranteed in both modes: the checker analyzes
-// a package only after all its imports.
+// (a struct with an AFact method, declared in FactTypes) to P's own
+// objects; when a dependent package is analyzed later,
+// ImportObjectFact retrieves it. The checker keeps facts in memory in
+// a FactStore and analyzes a package only after all its imports.
 //
 // # Directives
 //

@@ -1,7 +1,7 @@
 // Package facadeexport proves the facade-completeness invariant:
 // every exported capability of the API packages — internal/engine,
-// internal/admission and internal/serve — must be re-exported by the
-// repro facade.
+// internal/admission, internal/serve and internal/obs — must be
+// re-exported by the repro facade.
 //
 // The module's internal/ layout makes the facade the only public
 // surface: a symbol exported from internal/engine but not aliased in

@@ -11,9 +11,8 @@ import (
 // package so downstream packages can query it — the interprocedural
 // layer's currency. The interface deliberately mirrors
 // golang.org/x/tools/go/analysis.Fact (a marker method, pointer
-// receivers, gob-serializable for driver transport) so the planned
-// mechanical migration to the real framework carries the fact types
-// over unchanged.
+// receivers) so the planned mechanical migration to the real
+// framework carries the fact types over unchanged.
 //
 // Each fact type belongs to exactly one analyzer, declared in its
 // FactTypes list; the store namespaces facts by (analyzer, fact type),
@@ -54,10 +53,8 @@ type pkgFactKey struct {
 
 // FactStore holds every fact one checker run accumulates, across all
 // packages, keyed by canonical types.Object identity (all packages in
-// a run share one Loader, so objects are canonical). The unitchecker
-// driver populates it from the vetx files of the package's
-// dependencies and serializes the run's facts back out; the standalone
-// driver simply keeps it in memory across the dependency-ordered walk.
+// a run share one Loader, so objects are canonical), in memory across
+// the dependency-ordered walk.
 type FactStore struct {
 	objFacts map[factKey]Fact
 	pkgFacts map[pkgFactKey]Fact
@@ -71,8 +68,8 @@ func NewFactStore() *FactStore {
 	}
 }
 
-// validFact panics unless fact is a pointer — the shape both gob and
-// ImportObjectFact's copy-out contract require (and what x/tools
+// validFact panics unless fact is a pointer — the shape
+// ImportObjectFact's copy-out contract requires (and what x/tools
 // enforces).
 func validFact(fact Fact) reflect.Type {
 	t := reflect.TypeOf(fact)

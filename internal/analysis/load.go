@@ -18,6 +18,8 @@ import (
 // Package is one loaded, parsed, type-checked package — the unit a
 // Pass analyzes.
 type Package struct {
+	// PkgPath is the import path; a test package carries the go
+	// command's bracketed suffix, as in "p [p.test]".
 	PkgPath   string
 	Fset      *token.FileSet
 	Files     []*ast.File
@@ -147,18 +149,35 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
 	}
+	files, err := l.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
+	}
+	pkg := l.check(path, path, files, l)
+	l.pkgs[path] = pkg
+	l.order = append(l.order, pkg)
+	return pkg, nil
+}
+
+// parse parses the named files of dir.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
-	for _, name := range bp.GoFiles {
+	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
-	}
+	return files, nil
+}
 
+// check type-checks files as the package path, resolving imports
+// through imp; id names the result (its PkgPath).
+func (l *Loader) check(id, path string, files []*ast.File, imp types.Importer) *Package {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -167,19 +186,111 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	pkg := &Package{PkgPath: path, Fset: l.fset, TypesInfo: info}
+	pkg := &Package{PkgPath: id, Fset: l.fset, Files: files, TypesInfo: info}
 	cfg := types.Config{
-		Importer: l,
+		Importer: imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	// Check returns the (possibly incomplete) package even on error;
 	// the collected TypeErrors carry the failure.
-	tpkg, _ := cfg.Check(path, l.fset, files, info)
-	pkg.Types = tpkg
-	pkg.Files = files
-	l.pkgs[path] = pkg
-	l.order = append(l.order, pkg)
-	return pkg, nil
+	pkg.Types, _ = cfg.Check(path, l.fset, files, info)
+	return pkg
+}
+
+// Tests loads the test packages of the package at path the way the go
+// command builds them, dependencies first: the package type-checked
+// again with its in-package _test.go files (a variant no importer of
+// the plain package sees), every module package the external test
+// imports that reaches path, type-checked again over that variant,
+// and the external _test package. A package without test files has
+// none.
+func (l *Loader) Tests(path string) ([]*Package, error) {
+	base, err := l.LoadImport(path)
+	if err != nil {
+		return nil, err
+	}
+	dir := l.dirFor(path)
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
+	}
+	suffix := " [" + path + ".test]"
+	var out []*Package
+	imp := &testImporter{l: l, under: base, reach: make(map[string]bool), pkgs: make(map[string]*Package)}
+	if len(bp.TestGoFiles) > 0 {
+		files, err := l.parse(dir, bp.TestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		imp.variant = l.check(path+suffix, path, append(base.Files[:len(base.Files):len(base.Files)], files...), l)
+		out = append(out, imp.variant)
+	}
+	if len(bp.XTestGoFiles) > 0 {
+		files, err := l.parse(dir, bp.XTestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		xtest := l.check(path+"_test"+suffix, path+"_test", files, imp)
+		out = append(append(out, imp.order...), xtest)
+	}
+	return out, nil
+}
+
+// testImporter resolves an external test's imports: the package under
+// test to its test variant, and every module package that imports it,
+// directly or not, to a copy type-checked over that variant — without
+// the copies the variant's types would meet the plain package's in one
+// program. Everything else resolves as the loader resolves it.
+type testImporter struct {
+	l     *Loader
+	under *Package
+	// variant is under with its in-package tests, nil if it has none;
+	// then the plain package serves and nothing is recompiled.
+	variant *Package
+	// reach memoizes whether a module package reaches under.
+	reach map[string]bool
+	pkgs  map[string]*Package
+	// order records the recompiled packages, dependencies first.
+	order []*Package
+}
+
+func (t *testImporter) Import(path string) (*types.Package, error) {
+	if t.variant == nil || t.l.dirFor(path) == "" {
+		return t.l.Import(path)
+	}
+	if path == t.under.PkgPath {
+		return t.variant.Types, nil
+	}
+	if pkg := t.pkgs[path]; pkg != nil {
+		return pkg.Types, nil
+	}
+	base, err := t.l.LoadImport(path)
+	if err != nil {
+		return nil, err
+	}
+	if !t.reaches(base.Types) {
+		return base.Types, nil
+	}
+	pkg := t.l.check(path+" ["+t.under.PkgPath+".test]", path, base.Files, t)
+	t.pkgs[path] = pkg
+	t.order = append(t.order, pkg)
+	return pkg.Types, nil
+}
+
+// reaches reports whether the module package pkg imports the package
+// under test, directly or through other module packages.
+func (t *testImporter) reaches(pkg *types.Package) bool {
+	r, ok := t.reach[pkg.Path()]
+	if !ok {
+		for _, imp := range pkg.Imports() {
+			if imp == t.under.Types || (t.l.Loaded(imp.Path()) != nil && t.reaches(imp)) {
+				r = true
+				break
+			}
+		}
+		t.reach[pkg.Path()] = r
+	}
+	return r
 }
 
 // Loaded returns the already-loaded package for an import path, or

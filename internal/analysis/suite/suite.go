@@ -40,8 +40,8 @@ func ByName(name string) *analysis.Analyzer {
 }
 
 // CheckModule runs the whole suite over the module rooted at root —
-// the exact code path cmd/sbvet's standalone mode executes, exported
-// so the self-check test and the binary cannot drift.
+// the exact code path cmd/sbvet executes, exported so the self-check
+// test and the binary cannot drift.
 func CheckModule(root string, patterns ...string) ([]analysis.Finding, error) {
 	l, err := analysis.NewModuleLoader(root)
 	if err != nil {

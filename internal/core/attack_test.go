@@ -14,14 +14,7 @@ import (
 
 // testUniverse builds the scaled-down universe shared by core tests.
 func testUniverse() *textgen.Universe {
-	return textgen.MustUniverse(textgen.UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	})
+	return textgen.MustUniverse(textgen.SmallUniverseConfig())
 }
 
 func testGenerator(t testing.TB) *textgen.Generator {

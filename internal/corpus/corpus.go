@@ -8,7 +8,6 @@ package corpus
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -227,15 +226,4 @@ func LoadMboxPair(dir string) (*Corpus, error) {
 		return nil, err
 	}
 	return FromMessages(ham, spam), nil
-}
-
-// WriteMbox writes all messages (both labels) to a single mbox stream.
-func (c *Corpus) WriteMbox(w io.Writer) error {
-	mw := mail.NewMboxWriter(w)
-	for _, e := range c.Examples {
-		if err := mw.WriteMessage(e.Msg); err != nil {
-			return err
-		}
-	}
-	return mw.Flush()
 }

@@ -264,34 +264,27 @@ func (g *Guarded) VetStream(ctx context.Context, m *mail.Message, ts *tokenize.T
 	return d
 }
 
-// Labeled is one admitted training example and the token stream it
+// labeled is one admitted training example and the token stream it
 // was vetted on — the one shape the training path trains. Stream is
-// never nil: Guarded.VetCorpus tokenizes each candidate once, with the
-// serving tokenizer of the shard it routes to, and the same stream
-// feeds the admitter, the quarantine sink and, once admitted, the
-// learner's LearnTokenStream (RetrainIncremental).
-type Labeled struct {
+// never nil: vetCorpus tokenizes each candidate once, with the serving
+// tokenizer of the shard it routes to, and the same stream feeds the
+// admitter, the quarantine sink and, once admitted, the learner's
+// LearnTokenStream (RetrainIncremental).
+type labeled struct {
 	Msg    *mail.Message
 	Stream *tokenize.TokenStream
 	Spam   bool
 }
 
-// VetCorpus vets every example of c in corpus order and returns each
+// vetCorpus vets every example of c in corpus order and returns each
 // shard's admitted examples, indexed by shard, with the streams they
-// were vetted on. Each candidate is tokenized once, with the serving
-// tokenizer of the shard it routes to, and that one stream feeds the
-// admitter, the quarantine sink (for a quarantined example) and the
-// returned Labeled (for an admitted one); rejected examples are
-// dropped. It checks ctx between examples.
-func (g *Guarded) VetCorpus(ctx context.Context, c *corpus.Corpus) ([][]Labeled, error) {
-	clfs, _ := g.eng.Snapshots()
-	return g.vetCorpus(ctx, clfs, c)
-}
-
-// vetCorpus is VetCorpus tokenizing with clfs, the epoch the caller
-// read once.
-func (g *Guarded) vetCorpus(ctx context.Context, clfs []Classifier, c *corpus.Corpus) ([][]Labeled, error) {
-	kept := make([][]Labeled, len(clfs))
+// were vetted on. Each candidate is tokenized once, with the tokenizer
+// of the shard it routes to in clfs, the epoch the caller read once,
+// and that one stream feeds the admitter, the quarantine sink (for a
+// quarantined example) and the returned labeled (for an admitted one);
+// rejected examples are dropped. It checks ctx between examples.
+func (g *Guarded) vetCorpus(ctx context.Context, clfs []Classifier, c *corpus.Corpus) ([][]labeled, error) {
+	kept := make([][]labeled, len(clfs))
 	for _, ex := range c.Examples {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -299,7 +292,7 @@ func (g *Guarded) vetCorpus(ctx context.Context, clfs []Classifier, c *corpus.Co
 		i := g.eng.ShardFor(ex.Msg)
 		ts := clfs[i].Tokenizer().Stream(ex.Msg)
 		if g.VetStream(ctx, ex.Msg, ts, ex.Spam).Verdict == AdmitAccept {
-			kept[i] = append(kept[i], Labeled{Msg: ex.Msg, Stream: ts, Spam: ex.Spam})
+			kept[i] = append(kept[i], labeled{Msg: ex.Msg, Stream: ts, Spam: ex.Spam})
 		}
 	}
 	return kept, nil
@@ -313,7 +306,7 @@ func (g *Guarded) vetCorpus(ctx context.Context, clfs []Classifier, c *corpus.Co
 // read). learned, nil unless the guard trained the replacements
 // itself, is what each shard's replacement learned, for the learn
 // trace events the publish records.
-func (g *Guarded) publish(cur uint64, next []Classifier, learned [][]Labeled) (uint64, error) {
+func (g *Guarded) publish(cur uint64, next []Classifier, learned [][]labeled) (uint64, error) {
 	for _, clf := range next {
 		for _, hook := range g.cfg.PrePublish {
 			if err := hook(clf); err != nil {
@@ -351,7 +344,7 @@ func (g *Guarded) Swap(clfs ...Classifier) (uint64, error) {
 // clone, and publishes the clones through the hooks as one epoch — the
 // guarded live-learn path the serving daemon's learn queue drains
 // through. What trains is exactly what was vetted: each clone learns
-// the stream VetCorpus handed the admitter (LearnTokenStream), so no
+// the stream vetCorpus handed the admitter (LearnTokenStream), so no
 // admitted message is tokenized a second time. Scoring continues
 // against the previous epoch for the whole build and never observes a
 // half-trained clone. The classifiers cloned, the tokenizers vetting

@@ -17,8 +17,10 @@ package engine
 //
 // Resume is strict about sections: a section whose target cannot load
 // it is an error — silently dropping persisted quarantine state would
-// re-open the exact amnesty this closes. A record with no sections (a
-// plain SaveEngine save) loads nothing into the guard.
+// re-open the exact amnesty this closes — and loads none of them: the
+// guard's admission state is restored whole or left as it was. A
+// record with no sections (a plain SaveEngine save) loads nothing into
+// the guard.
 //
 // A version-1 record carried no sections: a guarded one-shard engine
 // wrote its state beside it, in a sidecar under the store key
@@ -72,22 +74,22 @@ func guardSections(admit Admitter, sink QuarantineSink) ([]Section, error) {
 }
 
 // applySections loads each section into its live component; a section
-// whose target cannot load is an error, not a skip. A record keeps held
-// messages but not their streams, so once the sink's section loads,
+// whose target cannot load is an error, not a skip, and loads nothing:
+// each target's own state is saved before it loads, and a section that
+// fails to load puts the targets before it back. A record keeps held
+// messages but not their streams, so once the sink's state loads,
 // every held candidate is tokenized once with stream.
 func applySections(sections []Section, admit Admitter, sink QuarantineSink, stream func(*mail.Message) *tokenize.TokenStream) error {
-	for _, s := range sections {
-		var target Persistable
+	targets := make([]Persistable, len(sections))
+	for i, s := range sections {
 		var ok bool
 		switch s.Label {
 		case sectionAdmitter:
-			target, ok = admit.(Persistable)
-			if !ok {
+			if targets[i], ok = admit.(Persistable); !ok {
 				return fmt.Errorf("engine: admitter %T cannot load persisted admission state", admit)
 			}
 		case sectionQuarantine:
-			target, ok = sink.(Persistable)
-			if !ok {
+			if targets[i], ok = sink.(Persistable); !ok {
 				return fmt.Errorf("engine: quarantine sink %T cannot load persisted quarantine state", sink)
 			}
 		default:
@@ -95,12 +97,30 @@ func applySections(sections []Section, admit Admitter, sink QuarantineSink, stre
 			// dropped section is forgotten state — the amnesty again.
 			return fmt.Errorf("engine: snapshot has unknown admission section %q", s.Label)
 		}
-		if err := target.Load(bytes.NewReader(s.Payload)); err != nil {
-			return fmt.Errorf("engine: loading %s state: %w", s.Label, err)
+	}
+	load := func(i int, payload []byte) error {
+		if err := targets[i].Load(bytes.NewReader(payload)); err != nil {
+			return err
 		}
-		if s.Label == sectionQuarantine {
+		if sections[i].Label == sectionQuarantine {
 			sink.Restream(stream)
 		}
+		return nil
+	}
+	saved := make([][]byte, 0, len(sections))
+	for i, s := range sections {
+		var before bytes.Buffer
+		err := targets[i].Save(&before)
+		if err == nil {
+			err = load(i, s.Payload)
+		}
+		if err != nil {
+			for j := len(saved) - 1; j >= 0; j-- {
+				err = errors.Join(err, load(j, saved[j]))
+			}
+			return fmt.Errorf("engine: loading %s state: %w", s.Label, err)
+		}
+		saved = append(saved, before.Bytes())
 	}
 	return nil
 }
@@ -157,7 +177,7 @@ func ResumeGuarded(st SnapshotStore, name string, shards int, cfg Config, admit 
 // the resumed snapshot generation, the new serving generation, and
 // whether admission state was loaded. A hook error aborts before
 // anything is published; a section error leaves the published
-// classifiers serving.
+// classifiers serving and the guard's admission state as it was.
 func (g *Guarded) Resume(st SnapshotStore, name string) (snapshot, gen uint64, loaded bool, err error) {
 	env, clfs, err := resumeRecord(st, name, g.eng.NumShards())
 	if err != nil {

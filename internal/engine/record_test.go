@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/admission"
@@ -215,10 +216,7 @@ func (r crashRig) resumesTo(t *testing.T, st engine.SnapshotStore, want savedSta
 // newest record. Every time, a restart must resume the previous save
 // whole: its classifiers, its held mail and its spent probe budget.
 func TestGuardedSaveSurvivesCrashAtAnyWrite(t *testing.T) {
-	calib := textgen.MustNew(textgen.MustUniverse(textgen.UniverseConfig{
-		CommonWords: 50, StandardWords: 700, FormalWords: 250,
-		ColloquialWords: 290, SpamWords: 120, PersonalWords: 400,
-	}), textgen.DefaultConfig()).Corpus(stats.NewRNG(3), 40, 40)
+	calib := textgen.MustNew(textgen.MustUniverse(textgen.SmallUniverseConfig()), textgen.DefaultConfig()).Corpus(stats.NewRNG(3), 40, 40)
 	forEachBackend(t, func(t *testing.T, backend string) {
 		forEachSize(t, func(t *testing.T, n int) {
 			r := crashRig{backend: backend, n: n, calib: calib}
@@ -266,10 +264,7 @@ func TestGuardedSaveSurvivesCrashAtAnyWrite(t *testing.T) {
 // hold left without one missed the digest-keyed memo and was deferred
 // again.
 func TestResumedHoldsReuseThePersistedMemo(t *testing.T) {
-	gen := textgen.MustNew(textgen.MustUniverse(textgen.UniverseConfig{
-		CommonWords: 50, StandardWords: 700, FormalWords: 250,
-		ColloquialWords: 290, SpamWords: 120, PersonalWords: 400,
-	}), textgen.DefaultConfig())
+	gen := textgen.MustNew(textgen.MustUniverse(textgen.SmallUniverseConfig()), textgen.DefaultConfig())
 	calib := gen.Corpus(stats.NewRNG(3), 40, 40)
 	// payload builds one more copy of the same message: a distinct
 	// *mail.Message with the same tokens.
@@ -348,4 +343,61 @@ func TestResumedHoldsReuseThePersistedMemo(t *testing.T) {
 			review("resumed in place", chain3, roni3, q3)
 		})
 	})
+}
+
+// TestFailedResumeInPlaceKeepsTheGuardsState pins that a resume loads
+// a record's sections all or nothing: when a section at version 9
+// follows one that loads, Resume errors and the running guard keeps
+// its own probe budget and held mail, each hold with a stream, not
+// half of the record's.
+func TestFailedResumeInPlaceKeepsTheGuardsState(t *testing.T) {
+	calib := textgen.MustNew(textgen.MustUniverse(textgen.SmallUniverseConfig()), textgen.DefaultConfig()).Corpus(stats.NewRNG(3), 40, 40)
+	r := crashRig{backend: "sbayes", n: 1, calib: calib}
+	mk := func(int) engine.Classifier { return trained(t, r.backend) }
+
+	// The record's state: a RONI link that has seen three candidates
+	// and the mail they left held.
+	donor, _, donorQ := r.wire(t)
+	vet(newGuard(1, mk, donor, engine.GuardedConfig{Quarantine: donorQ}), 0, 3)
+	var admitter, quarantine bytes.Buffer
+	if err := donor.Save(&admitter); err != nil {
+		t.Fatal(err)
+	}
+	if err := donorQ.Save(&quarantine); err != nil {
+		t.Fatal(err)
+	}
+	future := []byte{9}
+
+	for _, sections := range [][]engine.Section{
+		{{Label: "admitter", Payload: admitter.Bytes()}, {Label: "quarantine", Payload: future}},
+		{{Label: "quarantine", Payload: quarantine.Bytes()}, {Label: "admitter", Payload: future}},
+	} {
+		chain, roni, q := r.wire(t)
+		g := newGuard(1, mk, chain, engine.GuardedConfig{Quarantine: q})
+		vet(g, 10, 2)
+		budget, held := roni.Stats(), pendingSubjects(q)
+		if len(held) == 0 {
+			t.Fatal("the running guard holds no mail")
+		}
+		st := engine.NewMemStore()
+		env := engine.Envelope{Backend: r.backend, Generation: 7, Shards: shardBytes(t, g.Engine()), Sections: sections}
+		if err := st.Write("served", env.Generation, env.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		what := sections[1].Label + " section at version 9"
+		if _, _, _, err := g.Resume(st, "served"); err == nil || !strings.Contains(err.Error(), "version 9") {
+			t.Fatalf("%s: resume returned %v, want its version error", what, err)
+		}
+		if got := roni.Stats(); got != budget {
+			t.Errorf("%s: after the failed resume the probe budget is %+v, want the running guard's %+v", what, got, budget)
+		}
+		if got := pendingSubjects(q); !slices.Equal(got, held) {
+			t.Errorf("%s: after the failed resume the quarantine holds %v, want %v", what, got, held)
+		}
+		for _, h := range q.Pending() {
+			if h.Stream == nil {
+				t.Errorf("%s: hold %q has no stream after the failed resume", what, h.Msg.Subject())
+			}
+		}
+	}
 }

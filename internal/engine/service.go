@@ -376,7 +376,7 @@ func (e *Engine) Swap(clfs ...Classifier) uint64 {
 // sampled one records a learn event at the new generation just before
 // its shard's publish event, so a trace reads admit → learn → publish
 // and only a publish that landed records what it trained.
-func (e *Engine) publish(clfs []Classifier, learned [][]Labeled) uint64 {
+func (e *Engine) publish(clfs []Classifier, learned [][]labeled) uint64 {
 	e.publishMu.Lock()
 	defer e.publishMu.Unlock()
 	gen := e.cur.Load().gen + 1

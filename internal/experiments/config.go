@@ -135,14 +135,7 @@ func volumeSteps() []float64 {
 // unit tests and benchmarks (runs in seconds).
 func SmallScale() Config {
 	cfg := FullScale()
-	cfg.Universe = textgen.UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	}
+	cfg.Universe = textgen.SmallUniverseConfig()
 	cfg.PoolHam, cfg.PoolSpam = 500, 500
 	cfg.UsenetStreamTokens = 300_000
 	cfg.UsenetK = 900

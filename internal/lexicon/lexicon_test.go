@@ -9,14 +9,7 @@ import (
 )
 
 func smallUniverse() *textgen.Universe {
-	return textgen.MustUniverse(textgen.UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	})
+	return textgen.MustUniverse(textgen.SmallUniverseConfig())
 }
 
 func TestNewDeduplicates(t *testing.T) {

@@ -25,7 +25,7 @@ func FuzzParseText(f *testing.F) {
 
 		reg := NewRegistry()
 		reg.Counter("fuzz_total", "counter", L("v", value)).Add(7)
-		reg.Gauge("fuzz_gauge", "gauge", L("v", value), L("k", value+"2")).Set(-1.5)
+		reg.GaugeFunc("fuzz_gauge", "gauge", func() float64 { return -1.5 }, L("v", value), L("k", value+"2"))
 		h := reg.Histogram("fuzz_seconds", "histogram", []float64{0.1, 1}, L("v", value))
 		h.Observe(0.25)
 		h.Observe(4)

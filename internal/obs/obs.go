@@ -1,5 +1,6 @@
 // Package obs is the observability substrate: a stdlib-only metrics
-// registry (atomic counters, gauges, fixed-bucket histograms) with
+// registry (atomic counters, scrape-time sampled gauges and counters,
+// fixed-bucket histograms) with
 // Prometheus text exposition, and a bounded decision-trace ring that
 // replays per-message lifecycle decisions.
 //
@@ -16,10 +17,10 @@
 //
 // Design constraints, in order:
 //
-//   - The scoring hot path must not allocate: Counter.Add,
-//     Gauge.Set, and Histogram.Observe are single atomic operations
-//     on pre-built instruments (instrument construction — the only
-//     allocating step — happens once at registration).
+//   - The scoring hot path must not allocate: Counter.Add and
+//     Histogram.Observe are single atomic operations on pre-built
+//     instruments (instrument construction — the only allocating
+//     step — happens once at registration).
 //   - Scrapes never stop the world: instruments are read with atomic
 //     loads; a scrape racing a batch sees a value at most one
 //     in-flight update stale, the same consistency Stats() offers.
@@ -72,29 +73,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value. Stored as float64 bits in
-// one atomic word; Set and Add are lock-free.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta via a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefLatencyBuckets is the default histogram layout for request and
 // scoring latencies: exponential from 100µs to 10s, in seconds. The
@@ -296,7 +274,6 @@ type series struct {
 	labelStr string // pre-rendered {k="v",...} or ""
 
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() float64
 	gaugeFn   func() float64
@@ -388,25 +365,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.counter
 }
 
-// Gauge returns the gauge registered under name+labels, creating it
-// on first use. On a nil registry it returns a fresh unregistered
-// gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.get(name, help, gaugeKind, nil, labels)
-	if s.gauge == nil && s.gaugeFn == nil {
-		s.gauge = &Gauge{}
-	}
-	if s.gauge == nil {
-		panic(fmt.Sprintf("obs: gauge %q%s already registered as a function", name, renderLabels(labels)))
-	}
-	return s.gauge
-}
-
 // Histogram returns the histogram registered under name+labels,
 // creating it on first use with the bucket bounds (nil selects
 // DefLatencyBuckets; every series of one family shares the layout).
@@ -425,21 +383,17 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 }
 
 // GaugeFunc registers a gauge sampled at scrape time — queue depths,
-// buffer ages, budget levels: values some other structure already
-// maintains under its own synchronization, where mirroring them into
-// a stored gauge on every update would just duplicate state. fn must
-// be safe to call from any goroutine. No-op on a nil registry.
+// buffer ages, budget levels, generations: values some other
+// structure already maintains under its own synchronization, which is
+// every gauge this system has. fn must be safe to call from any
+// goroutine. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.get(name, help, gaugeKind, nil, labels)
-	if s.gauge != nil {
-		panic(fmt.Sprintf("obs: gauge %q%s already registered as stored", name, renderLabels(labels)))
-	}
-	s.gaugeFn = fn
+	r.get(name, help, gaugeKind, nil, labels).gaugeFn = fn
 }
 
 // CounterFunc registers a counter sampled at scrape time, for
@@ -495,8 +449,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labelStr, formatValue(float64(s.counter.Value())))
 			case s.counterFn != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labelStr, formatValue(s.counterFn()))
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labelStr, formatValue(s.gauge.Value()))
 			case s.gaugeFn != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labelStr, formatValue(s.gaugeFn()))
 			case s.hist != nil:

@@ -5,22 +5,17 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	var c Counter
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
-	}
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %g, want 1.5", got)
 	}
 }
 
@@ -108,7 +103,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("req_total", "requests", L("route", "classify")).Add(7)
 	r.Counter("req_total", "requests", L("route", "learn")).Add(3)
-	r.Gauge("queue_depth", "depth").Set(12)
+	r.GaugeFunc("queue_depth", "depth", func() float64 { return 12 })
 	r.GaugeFunc("budget", "probe budget", func() float64 { return 0.75 })
 	r.CounterFunc("probes_total", "probes", func() float64 { return 42 })
 	h := r.Histogram("latency_seconds", "latency", []float64{0.01, 0.1, 1}, L("route", "classify"))
@@ -196,13 +191,12 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("registering counter name as gauge did not panic")
 		}
 	}()
-	r.Gauge("m", "")
+	r.GaugeFunc("m", "", func() float64 { return 0 })
 }
 
 func TestNilRegistryAndTracerAreSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("a", "").Inc()
-	r.Gauge("b", "").Set(1)
 	r.Histogram("c", "", nil).Observe(1)
 	r.GaugeFunc("d", "", func() float64 { return 0 })
 	if err := r.WriteText(&strings.Builder{}); err != nil {
@@ -282,7 +276,8 @@ func TestConcurrentScrapeConsistency(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer(64, 2)
 	c := r.Counter("ops_total", "")
-	g := r.Gauge("level", "")
+	var level atomic.Int64
+	r.GaugeFunc("level", "", func() float64 { return float64(level.Load()) })
 	h := r.Histogram("lat", "", []float64{0.001, 0.01, 0.1})
 
 	stop := make(chan struct{})
@@ -298,7 +293,7 @@ func TestConcurrentScrapeConsistency(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Set(float64(i))
+				level.Store(int64(i))
 				h.Observe(float64(i%100) / 500)
 				if d := uint64(i); tr.Sampled(d) {
 					tr.Record(TraceEvent{Kind: TraceClassify, Digest: d, Shard: int32(w)})
@@ -345,13 +340,11 @@ func TestConcurrentScrapeConsistency(t *testing.T) {
 func TestInstrumentsAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a_total", "")
-	g := r.Gauge("b", "")
 	h := r.Histogram("c", "", nil)
 	tr := NewTracer(16, 1)
 	ev := TraceEvent{Kind: TraceLearn, Digest: 1}
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
-		g.Set(1)
 		h.Observe(0.01)
 		tr.Record(ev)
 	}); n != 0 {

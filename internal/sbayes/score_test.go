@@ -211,10 +211,7 @@ func TestCombineSortedMatchesOracleOnDistanceRuns(t *testing.T) {
 // mail universe scored on a 300 ham + 300 spam filter, each message's
 // token-stream digest and the exact bits of its score.
 func TestScoreDigestGolden(t *testing.T) {
-	u, err := textgen.NewUniverse(textgen.UniverseConfig{
-		CommonWords: 50, StandardWords: 700, FormalWords: 250,
-		ColloquialWords: 290, SpamWords: 120, PersonalWords: 400,
-	})
+	u, err := textgen.NewUniverse(textgen.SmallUniverseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

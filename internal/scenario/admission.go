@@ -25,90 +25,36 @@ import (
 	"repro/internal/tokenize"
 )
 
-// AdmissionConfig parameterizes RunOnline's inline vetting pipeline.
-// The zero value of every field selects a sensible default, so
-// &AdmissionConfig{} is a complete policy.
+// AdmissionConfig parameterizes RunOnline's inline vetting pipeline;
+// &AdmissionConfig{} is a complete policy. The admitters run at the
+// admission package's defaults (the paper's §5.1 RONI numbers, a
+// twentieth of a probe per arrival with a burst of 8, an unbounded
+// quarantine that drops a candidate still undecided after two
+// reviews), and every publish grants the quarantine review 4 probes
+// and refits the dynamic thresholds (§5.2) at a utility of 0.10 on a
+// 200-message sample of the trusted store.
 type AdmissionConfig struct {
-	// RONI is the impact-probe parameterization (zero selects the
-	// paper's §5.1 numbers via core.DefaultRONIConfig).
-	RONI core.RONIConfig
-	// BudgetPerMessage credits the probe bucket per arrival (<= 0
-	// selects 0.05 — one probe per twenty messages, amortized).
-	BudgetPerMessage float64
-	// ProbeBurst caps unspent budget and seeds the bucket (<= 0
-	// selects 8).
-	ProbeBurst float64
-	// SwapGrant credits extra probe budget at each snapshot swap so
-	// the quarantine review has probes to spend (< 0 disables; 0
-	// selects 4).
-	SwapGrant float64
 	// FloodGateMaxDistinct is the structural pre-filter's
 	// distinct-token reject bound (<= 0 selects 1024).
 	FloodGateMaxDistinct int
-	// QuarantineCapacity bounds the deferred buffer (0 is unbounded).
-	QuarantineCapacity int
-	// QuarantineMaxReviews drops a candidate still undecided after
-	// this many swap reviews (<= 0 selects 2).
-	QuarantineMaxReviews int
-	// RefitUtility is the dynamic-threshold g-target refit at every
-	// publish (§5.2). Zero selects 0.10; a negative value disables the
-	// refit entirely.
-	RefitUtility float64
-	// RefitSample is the calibration-sample size drawn from the
-	// trusted store at each refit (<= 0 selects 200).
-	RefitSample int
 }
 
-// swapGrant resolves the SwapGrant default (0 selects 4, negative
-// disables).
-func (c AdmissionConfig) swapGrant() float64 {
-	if c.SwapGrant < 0 {
-		return 0
-	}
-	if c.SwapGrant == 0 {
-		return 4
-	}
-	return c.SwapGrant
-}
-
-// refitUtility resolves the RefitUtility default (0 selects 0.10,
-// negative disables).
-func (c AdmissionConfig) refitUtility() float64 {
-	if c.RefitUtility < 0 {
-		return 0
-	}
-	if c.RefitUtility == 0 {
-		return 0.10
-	}
-	return c.RefitUtility
-}
-
-// refitSample resolves the RefitSample default.
-func (c AdmissionConfig) refitSample() int {
-	if c.RefitSample <= 0 {
-		return 200
-	}
-	return c.RefitSample
-}
+// The swap-time defenses' constants.
+const (
+	// swapGrant is the probe budget granted at each snapshot swap, so
+	// the quarantine review has probes to spend.
+	swapGrant = 4
+	// refitUtility is the dynamic-threshold g-target refit at every
+	// publish (§5.2).
+	refitUtility = 0.10
+	// refitSample is the calibration-sample size drawn from the trusted
+	// store at each refit.
+	refitSample = 200
+)
 
 // Validate checks the configuration.
 func (c AdmissionConfig) Validate() error {
-	roni := c.RONI
-	if roni == (core.RONIConfig{}) {
-		roni = core.DefaultRONIConfig()
-	}
-	if err := roni.Validate(); err != nil {
-		return err
-	}
-	if u := c.refitUtility(); u > 0 {
-		if err := (core.DynamicThreshold{Utility: u}).Validate(); err != nil {
-			return err
-		}
-	}
-	switch {
-	case c.QuarantineCapacity < 0:
-		return fmt.Errorf("scenario: QuarantineCapacity %d", c.QuarantineCapacity)
-	case c.FloodGateMaxDistinct < 0:
+	if c.FloodGateMaxDistinct < 0 {
 		return fmt.Errorf("scenario: FloodGateMaxDistinct %d", c.FloodGateMaxDistinct)
 	}
 	return nil
@@ -138,8 +84,7 @@ type AdmissionWeek struct {
 	Released int
 	Dropped  int
 	// Theta0 and Theta1 are the serving cutoffs after this week's last
-	// dynamic-threshold refit (zero before the first refit or when the
-	// refit is disabled).
+	// dynamic-threshold refit (zero before the first refit).
 	Theta0 float64
 	Theta1 float64
 }
@@ -149,7 +94,6 @@ type AdmissionWeek struct {
 // mutable swap-time state those hooks feed back into the weekly
 // reports.
 type onlineAdmission struct {
-	cfg      AdmissionConfig
 	roni     *admission.IncrementalRONI
 	gate     *admission.TokenFloodGate
 	chain    *admission.Chain
@@ -177,22 +121,16 @@ type onlineAdmission struct {
 // from ar, so the trace stays deterministic: hooks fire at fixed
 // points in simulated time.
 func newOnlineAdmission(cfg AdmissionConfig, backend engine.Backend, store *corpus.Corpus, spamPrevalence float64, ar *stats.RNG) (*onlineAdmission, error) {
-	roniCfg := admission.IncrementalRONIConfig{
-		RONI:             cfg.RONI,
-		BudgetPerMessage: cfg.BudgetPerMessage,
-		Burst:            cfg.ProbeBurst,
-	}
-	roni, err := admission.NewIncrementalRONI(roniCfg, store, backend.New, ar.Split("pool-0"))
+	roni, err := admission.NewIncrementalRONI(admission.IncrementalRONIConfig{}, store, backend.New, ar.Split("pool-0"))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: admission: %w", err)
 	}
 	gate := admission.NewTokenFloodGate(admission.FloodGateConfig{MaxDistinct: cfg.FloodGateMaxDistinct})
 	a := &onlineAdmission{
-		cfg:      cfg,
 		roni:     roni,
 		gate:     gate,
 		chain:    admission.NewChain(gate, roni),
-		buffer:   admission.NewQuarantine(admission.QuarantineConfig{Capacity: cfg.QuarantineCapacity, MaxReviews: cfg.QuarantineMaxReviews}),
+		buffer:   admission.NewQuarantine(admission.QuarantineConfig{}),
 		released: &corpus.Corpus{},
 	}
 
@@ -201,28 +139,22 @@ func newOnlineAdmission(cfg AdmissionConfig, backend engine.Backend, store *corp
 	// the calibration pool from the grown store, grants the review
 	// budget, and re-vets the quarantine.
 	var refits, reviews int
-	if u := cfg.refitUtility(); u > 0 {
-		d := core.DynamicThreshold{Utility: u}
-		a.guardCfg.PrePublish = append(a.guardCfg.PrePublish, func(next engine.Classifier) error {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			n := cfg.refitSample()
-			if n > store.Len() {
-				n = store.Len()
-			}
-			calib, err := store.SampleInbox(ar.Split(fmt.Sprintf("refit-%d", refits)), n, spamPrevalence)
-			if err != nil {
-				return err
-			}
-			refits++
-			t0, t1, err := d.Refit(next, calib)
-			if err != nil {
-				return err
-			}
-			a.theta0, a.theta1 = t0, t1
-			return nil
-		})
-	}
+	d := core.DynamicThreshold{Utility: refitUtility}
+	a.guardCfg.PrePublish = append(a.guardCfg.PrePublish, func(next engine.Classifier) error {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		calib, err := store.SampleInbox(ar.Split(fmt.Sprintf("refit-%d", refits)), min(refitSample, store.Len()), spamPrevalence)
+		if err != nil {
+			return err
+		}
+		refits++
+		t0, t1, err := d.Refit(next, calib)
+		if err != nil {
+			return err
+		}
+		a.theta0, a.theta1 = t0, t1
+		return nil
+	})
 	a.guardCfg.PostPublish = append(a.guardCfg.PostPublish, func() {
 		a.mu.Lock()
 		defer a.mu.Unlock()
@@ -231,7 +163,7 @@ func newOnlineAdmission(cfg AdmissionConfig, backend engine.Backend, store *corp
 		// store only grows, so the sample that built it stays valid.
 		_ = a.roni.Refresh(store, ar.Split(fmt.Sprintf("pool-%d", reviews+1)))
 		reviews++
-		a.roni.Grant(a.cfg.swapGrant())
+		a.roni.Grant(swapGrant)
 		released, dropped := a.buffer.Review(func(m *mail.Message, ts *tokenize.TokenStream, spam bool) admission.Decision {
 			return a.chain.Admit(context.Background(), m, ts, spam)
 		})

@@ -299,14 +299,9 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 
 	cfg = smallCfg()
-	cfg.Admission = &AdmissionConfig{RONI: core.RONIConfig{TrainSize: 1}}
+	cfg.Admission = &AdmissionConfig{FloodGateMaxDistinct: -1}
 	if err := cfg.Validate(); err == nil {
-		t.Error("invalid admission RONI config validated")
-	}
-	cfg = smallCfg()
-	cfg.Admission = &AdmissionConfig{QuarantineCapacity: -1}
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative quarantine capacity validated")
+		t.Error("negative flood-gate bound validated")
 	}
 
 	// The batch simulator refuses the online-only defenses instead of

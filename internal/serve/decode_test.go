@@ -22,14 +22,7 @@ import (
 
 // wireGen is the textgen generator the benchmark's traffic comes from.
 func wireGen() *textgen.Generator {
-	u := textgen.MustUniverse(textgen.UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	})
+	u := textgen.MustUniverse(textgen.SmallUniverseConfig())
 	return textgen.MustNew(u, textgen.DefaultConfig())
 }
 

@@ -38,14 +38,7 @@ var backends = []string{"sbayes", "graham"}
 
 func testGen(t testing.TB) *textgen.Generator {
 	t.Helper()
-	u := textgen.MustUniverse(textgen.UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	})
+	u := textgen.MustUniverse(textgen.SmallUniverseConfig())
 	return textgen.MustNew(u, textgen.DefaultConfig())
 }
 

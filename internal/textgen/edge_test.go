@@ -83,7 +83,7 @@ func TestPunctDistribution(t *testing.T) {
 }
 
 func TestGeneratorRejectsBadConfig(t *testing.T) {
-	u := MustUniverse(smallUniverseConfig())
+	u := MustUniverse(SmallUniverseConfig())
 	bad := DefaultConfig()
 	bad.SentenceMin = 0
 	if _, err := New(u, bad); err == nil {
@@ -99,7 +99,7 @@ func TestMustNewPanics(t *testing.T) {
 	}()
 	bad := DefaultConfig()
 	bad.WordsPerLine = 0
-	MustNew(MustUniverse(smallUniverseConfig()), bad)
+	MustNew(MustUniverse(SmallUniverseConfig()), bad)
 }
 
 func TestBodyLineWrapping(t *testing.T) {

@@ -10,12 +10,12 @@ import (
 
 func smallGenerator(t testing.TB) *Generator {
 	t.Helper()
-	u := MustUniverse(smallUniverseConfig())
+	u := MustUniverse(SmallUniverseConfig())
 	return MustNew(u, DefaultConfig())
 }
 
 func TestMixtureValidate(t *testing.T) {
-	u := MustUniverse(smallUniverseConfig())
+	u := MustUniverse(SmallUniverseConfig())
 	good := HamMixture(u)
 	if err := good.Validate(u); err != nil {
 		t.Fatalf("ham mixture invalid: %v", err)
@@ -42,7 +42,7 @@ func TestMixtureValidate(t *testing.T) {
 }
 
 func TestModelSamplesFromDeclaredSegments(t *testing.T) {
-	u := MustUniverse(smallUniverseConfig())
+	u := MustUniverse(SmallUniverseConfig())
 	m := MustCompile(u, Mixture{
 		{Segment: SegSpam, Weight: 0.5, ZipfS: 1.1},
 		{Segment: SegPersonal, Weight: 0.5},
@@ -58,7 +58,7 @@ func TestModelSamplesFromDeclaredSegments(t *testing.T) {
 }
 
 func TestModelRankCap(t *testing.T) {
-	u := MustUniverse(smallUniverseConfig())
+	u := MustUniverse(SmallUniverseConfig())
 	m := MustCompile(u, Mixture{{Segment: SegStandard, Weight: 1, Ranks: 10, ZipfS: 1.0}})
 	allowed := map[string]bool{}
 	for _, w := range u.Words(SegStandard)[:10] {

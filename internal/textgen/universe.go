@@ -106,6 +106,20 @@ func DefaultUniverseConfig() UniverseConfig {
 	}
 }
 
+// SmallUniverseConfig returns the scaled-down sizes, 1,810 words in
+// all, of the small-scale experiments, the serving daemon and the
+// tests: a universe that builds in milliseconds.
+func SmallUniverseConfig() UniverseConfig {
+	return UniverseConfig{
+		CommonWords:     50,
+		StandardWords:   700,
+		FormalWords:     250,
+		ColloquialWords: 290,
+		SpamWords:       120,
+		PersonalWords:   400,
+	}
+}
+
 // Validate checks the configuration.
 func (c UniverseConfig) Validate() error {
 	sizes := []int{c.CommonWords, c.StandardWords, c.FormalWords, c.ColloquialWords, c.SpamWords, c.PersonalWords}

@@ -6,18 +6,6 @@ import (
 	"testing/quick"
 )
 
-// smallUniverseConfig is a scaled-down universe for fast tests.
-func smallUniverseConfig() UniverseConfig {
-	return UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	}
-}
-
 func TestDefaultUniverseConfigSizes(t *testing.T) {
 	cfg := DefaultUniverseConfig()
 	if err := cfg.Validate(); err != nil {
@@ -35,12 +23,12 @@ func TestDefaultUniverseConfigSizes(t *testing.T) {
 }
 
 func TestUniverseConfigValidate(t *testing.T) {
-	bad := smallUniverseConfig()
+	bad := SmallUniverseConfig()
 	bad.SpamWords = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero segment size validated")
 	}
-	huge := smallUniverseConfig()
+	huge := SmallUniverseConfig()
 	huge.PersonalWords = maxUniverseWords
 	if err := huge.Validate(); err == nil {
 		t.Error("oversized universe validated")
@@ -91,8 +79,8 @@ func TestWordForIndexPanics(t *testing.T) {
 }
 
 func TestUniverseSegments(t *testing.T) {
-	u := MustUniverse(smallUniverseConfig())
-	cfg := smallUniverseConfig()
+	u := MustUniverse(SmallUniverseConfig())
+	cfg := SmallUniverseConfig()
 	wantSizes := map[Segment]int{
 		SegCommon:     cfg.CommonWords,
 		SegStandard:   cfg.StandardWords,
@@ -125,7 +113,7 @@ func TestUniverseSegments(t *testing.T) {
 }
 
 func TestSegmentOf(t *testing.T) {
-	u := MustUniverse(smallUniverseConfig())
+	u := MustUniverse(SmallUniverseConfig())
 	for _, seg := range Segments() {
 		words := u.Words(seg)
 		for _, w := range []string{words[0], words[len(words)-1]} {
@@ -160,8 +148,8 @@ func TestSegmentString(t *testing.T) {
 }
 
 func TestUniverseDeterministic(t *testing.T) {
-	a := MustUniverse(smallUniverseConfig())
-	b := MustUniverse(smallUniverseConfig())
+	a := MustUniverse(SmallUniverseConfig())
+	b := MustUniverse(SmallUniverseConfig())
 	for i := range a.All() {
 		if a.All()[i] != b.All()[i] {
 			t.Fatal("universes differ between constructions")

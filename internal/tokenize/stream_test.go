@@ -318,10 +318,7 @@ func FuzzTokenStream(f *testing.F) {
 		"sender: <s@relay.example.net>\nReply-TO: r@r.example\nx-mailer: Mutt/1.5\n"+
 		"content-TYPE: text/html; charset=utf-8\nreceived: from mx.example.com ([10.1.2.3])\n\tby relay.example.net",
 		"body words https://www.example.com/x", uint8(2))
-	u, err := textgen.NewUniverse(textgen.UniverseConfig{
-		CommonWords: 50, StandardWords: 700, FormalWords: 250,
-		ColloquialWords: 290, SpamWords: 120, PersonalWords: 400,
-	})
+	u, err := textgen.NewUniverse(textgen.SmallUniverseConfig())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -175,16 +175,15 @@
 // stream digest and probes without re-tokenizing), to the Quarantine
 // (whose swap-time reviews hand it back to the judge), and, once
 // admitted, to the learner, which RetrainIncremental trains on that
-// same stream (LabeledMessage carries it). The tokenizeonce analyzer
-// fences Tokenizer.Stream, so no stage can quietly reintroduce a
-// second tokenization.
+// same stream. The tokenizeonce analyzer fences Tokenizer.Stream, so
+// no stage can quietly reintroduce a second tokenization.
 //
 // # Observability
 //
 // The daemon is inspectable in production without touching its hot
 // paths. MetricsRegistry is a stdlib-only metrics registry — lock-free
-// atomic counters, gauges, and fixed-bucket histograms, plus
-// scrape-time sampled instruments for values that live under other
+// atomic counters and fixed-bucket histograms, plus scrape-time
+// sampled gauges and counters for values that live under other
 // structs' locks (the RONI probe budget, quarantine depth) — rendered
 // in Prometheus text exposition format (v0.0.4). One registry is
 // shared across the layers: the engine registers classify and batch
@@ -196,8 +195,9 @@
 // learn-queue depth — and serves the whole registry at GET /metrics.
 // ParseMetricsText parses the exposition back (the repo benchmark
 // scrapes before and after a run and reads the daemon's side of each
-// layer from it; HistogramSnapshot.Sub and Quantile delta and
-// summarize one histogram). DecisionTracer is the second surface: a
+// layer from it). HistogramSnapshot.Sub and Quantile, which delta and
+// summarize one histogram, stay for the per-stage latency histograms
+// the roadmap plans. DecisionTracer is the second surface: a
 // bounded ring of sampled per-message lifecycle events — classify
 // verdict, admission decision, quarantine hold and release, snapshot
 // publish — each stamped with the serving generation and a monotonic
@@ -228,17 +228,16 @@
 // raw learners without passing through Guarded/Admitter), hookorder
 // (a PrePublish/PostPublish hook never re-enters the publish path —
 // Swap, publish, or Retrain* — which would deadlock inside the swap),
-// facadeexport (every exported internal/engine and internal/admission
-// capability is surfaced by this facade) and atomicfield (a field
-// accessed with sync/atomic is never plainly read or written). The
-// cmd/sbvet binary runs them standalone (go run ./cmd/sbvet ./...,
-// which is make lint) or as a go vet backend
-// (go vet -vettool=$(which sbvet) ./..., which is make lint-vettool),
-// and CI fails on any finding. Intentional exceptions are annotated
-// in the source with //sbvet:NAME directives (reload, nostat, drain,
-// retokenize, unguarded, reentrant, nofacade, unatomic), each
-// carrying a reason — for example the experiment layer's deliberate
-// poison injection reads
+// facadeexport (every exported internal/engine, internal/admission,
+// internal/serve and internal/obs capability is surfaced by this
+// facade) and atomicfield (a field accessed with sync/atomic is never
+// plainly read or written). The cmd/sbvet binary runs them over every
+// package and its _test.go files (go run ./cmd/sbvet ./..., which is
+// make lint), and CI fails on any finding. Intentional exceptions are
+// annotated in the source with //sbvet:NAME directives (reload,
+// nostat, drain, retokenize, unguarded, reentrant, nofacade,
+// unatomic), each carrying a reason — for example the experiment
+// layer's deliberate poison injection reads
 //
 //	f.LearnWeighted(attackMsg, true, n) //sbvet:unguarded the attack injection being measured
 //
@@ -383,10 +382,6 @@ type EngineConfig = engine.Config
 // ClassifyResult is one message's verdict and the generation of the
 // model that scored it.
 type ClassifyResult = engine.Result
-
-// LabeledMessage is one admitted training example and the token
-// stream it was vetted on, as Guarded.VetCorpus returns it per shard.
-type LabeledMessage = engine.Labeled
 
 // EngineStats is a snapshot of an Engine's counters: the combined view
 // beside the per-shard breakdown.
@@ -725,9 +720,6 @@ func NewMetricLabel(key, value string) MetricLabel { return obs.L(key, value) }
 
 // MetricCounter is a lock-free monotone counter.
 type MetricCounter = obs.Counter
-
-// MetricGauge is a lock-free instantaneous value.
-type MetricGauge = obs.Gauge
 
 // MetricHistogram is a fixed-bucket cumulative histogram: lock-free
 // atomic buckets, with the count derived from the buckets so the

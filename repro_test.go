@@ -4,19 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/textgen"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README
 // quickstart does: generate data, train, classify, attack, defend.
 func TestFacadeEndToEnd(t *testing.T) {
-	g, err := NewGeneratorWith(UniverseConfig{
-		CommonWords:     50,
-		StandardWords:   700,
-		FormalWords:     250,
-		ColloquialWords: 290,
-		SpamWords:       120,
-		PersonalWords:   400,
-	}, defaultGenCfg())
+	g, err := NewGeneratorWith(textgen.SmallUniverseConfig(), defaultGenCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
