@@ -47,6 +47,14 @@
 #                    $(BENCH_JSON) as a machine-readable artifact (CI
 #                    uploads it, so the perf trajectory accumulates
 #                    across PRs)
+#   make ab PARENT=<rev> [SEED=1] [WORKLOAD=<name>]
+#                    the repo benchmark's before/after (cmd/benchab):
+#                    checks PARENT out with git worktree under
+#                    .bench_build/, runs every BENCHMARK.json workload
+#                    (or WORKLOAD) 10 times on each side, alternating,
+#                    and prints each end-to-end metric's medians and
+#                    quartiles, wins out of pairs and verdict (gain,
+#                    within bound, worse, unresolved) against its bound
 #   make loc         print the non-test Go line count of the tracked
 #                    files outside benchmark/ and testdata fixtures —
 #                    the size figure simplicity changes report
@@ -58,8 +66,9 @@ GO ?= go
 BENCH_JSON ?= BENCH_PR8.json
 BENCHTIME  ?= 1s
 FUZZTIME   ?= 10s
+SEED       ?= 1
 
-.PHONY: build test race vet gofmt lint fuzz cover bench bench-tokenize bench-json loc check
+.PHONY: build test race vet gofmt lint fuzz cover bench bench-tokenize bench-json ab loc check
 
 build:
 	$(GO) build ./...
@@ -119,6 +128,11 @@ bench-json:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -timeout=30m -run=^$$ . ./internal/serve/ \
 		> $(BENCH_JSON:.json=.txt)
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) < $(BENCH_JSON:.json=.txt)
+
+# The change side is the working tree; the parent's worktree is
+# removed when the pairs finish.
+ab:
+	$(GO) run ./cmd/benchab -parent '$(PARENT)' -seed '$(SEED)' -workload '$(WORKLOAD)'
 
 # Counts lines of every tracked .go file that is not a _test.go file,
 # not under benchmark/ and not a testdata fixture.

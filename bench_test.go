@@ -298,7 +298,11 @@ func (s learnUnlearnSet) ClassifyWith(q *tokenize.TokenStream, qSpam bool, out [
 // validation set as if the query were learned; "learn-unlearn" trains
 // the query into every trial filter, re-scores the set message by
 // message and unlearns it. Both report the same impacts. The sbayes
-// arms keep their names; the graham arms carry a prefix.
+// arms keep their names; the graham arms carry a prefix. "bind" builds
+// the sbayes evaluator the way sbserved does at start-up:
+// admission.NewIncrementalRONI over a calibration pool of 200, which
+// trains the trial filters, binds each validation set and scores its
+// baseline.
 func BenchmarkRONIProbe(b *testing.B) {
 	e := env(b)
 	queries := make([]*tokenize.TokenStream, 32)
@@ -330,6 +334,16 @@ func BenchmarkRONIProbe(b *testing.B) {
 			}
 		})
 	}
+	pool := e.Gen.Corpus(e.RNG("roni-bind-pool"), 100, 100)
+	newSBayes := func() engine.Classifier { return sbayes.New(sbayes.DefaultOptions(), e.Tok) }
+	b.Run("bind", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := admission.NewIncrementalRONI(admission.IncrementalRONIConfig{}, pool, newSBayes, e.RNG("roni-bind")); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkBaselineGrahamVsSpamBayes measures the same dictionary

@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -27,21 +29,36 @@ import (
 	"repro/internal/scenario"
 )
 
-func main() {
-	scale := flag.String("scale", "full", "experiment scale: full or small")
-	seed := flag.Uint64("seed", 0, "override the experiment seed (0 keeps the default)")
-	workers := flag.Int("workers", 0, "bound fold-level parallelism (0 = one goroutine per fold)")
-	prevalence := flag.Float64("prevalence", 0, "override training spam prevalence (Table 1 also lists 0.75)")
-	train := flag.Int("train", 0, "override the dictionary-attack training set size (Table 1 also lists 2000)")
-	csvDir := flag.String("csv", "", "also write each exhibit's series as CSV into this directory")
-	flag.Usage = usage
-	flag.Parse()
-	csvOut = *csvDir
-	if flag.NArg() != 1 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it prints the exhibits to stdout and progress
+// to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("subvert", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "full", "experiment scale: full or small")
+	seed := fs.Uint64("seed", 0, "override the experiment seed (0 keeps the default)")
+	workers := fs.Int("workers", 0, "bound fold-level parallelism (0 = one goroutine per fold)")
+	prevalence := fs.Float64("prevalence", 0, "override training spam prevalence (Table 1 also lists 0.75)")
+	train := fs.Int("train", 0, "override the dictionary-attack training set size (Table 1 also lists 2000)")
+	csvDir := fs.String("csv", "", "also write each exhibit's series as CSV into this directory")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	exhibit := flag.Arg(0)
+	if fs.NArg() != 1 {
+		usage(fs)
+		return 2
+	}
+	exhibit := fs.Arg(0)
+	p := printer{out: stdout, log: stderr, csvDir: *csvDir}
+	fatal := func(err error) int {
+		fmt.Fprintf(stderr, "subvert: %v\n", err)
+		return 1
+	}
 
 	var cfg experiments.Config
 	switch *scale {
@@ -50,8 +67,8 @@ func main() {
 	case "small":
 		cfg = experiments.SmallScale()
 	default:
-		fmt.Fprintf(os.Stderr, "subvert: unknown scale %q\n", *scale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "subvert: unknown scale %q\n", *scale)
+		return 2
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -64,97 +81,98 @@ func main() {
 	}
 	cfg.Workers = *workers
 	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	if exhibit == "table1" {
 		// Table 1 needs no environment.
-		fmt.Print(experiments.Table1(cfg))
-		return
+		fmt.Fprint(stdout, experiments.Table1(cfg))
+		return 0
 	}
 
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "building environment (scale=%s, seed=%d)...\n", *scale, cfg.Seed)
+	fmt.Fprintf(stderr, "building environment (scale=%s, seed=%d)...\n", *scale, cfg.Seed)
 	env, err := experiments.NewEnv(cfg)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "environment ready in %v: %s\n\n", time.Since(start).Round(time.Millisecond), env.Describe())
+	fmt.Fprintf(stderr, "environment ready in %v: %s\n\n", time.Since(start).Round(time.Millisecond), env.Describe())
 
-	run := map[string]func(*experiments.Env) error{
+	exhibits := map[string]func(*experiments.Env) error{
 		"fig1": func(e *experiments.Env) error {
 			res, err := experiments.RunFig1(e)
-			return render("fig1", res, err)
+			return render(p, "fig1", res, err)
 		},
 		"fig2": func(e *experiments.Env) error {
 			res, err := experiments.RunFig2(e)
-			return render("fig2", res, err)
+			return render(p, "fig2", res, err)
 		},
 		"fig3": func(e *experiments.Env) error {
 			res, err := experiments.RunFig3(e)
-			return render("fig3", res, err)
+			return render(p, "fig3", res, err)
 		},
 		"fig4": func(e *experiments.Env) error {
 			res, err := experiments.RunFig4(e)
-			return render("fig4", res, err)
+			return render(p, "fig4", res, err)
 		},
 		"fig5": func(e *experiments.Env) error {
 			res, err := experiments.RunFig5(e)
-			return render("fig5", res, err)
+			return render(p, "fig5", res, err)
 		},
 		"roni": func(e *experiments.Env) error {
 			res, err := experiments.RunRONI(e)
-			return render("roni", res, err)
+			return render(p, "roni", res, err)
 		},
 		"ratios": func(e *experiments.Env) error {
 			res, err := experiments.RunTokenRatio(e)
-			return render("ratios", res, err)
+			return render(p, "ratios", res, err)
 		},
 		"informed": func(e *experiments.Env) error {
 			res, err := experiments.RunInformed(e)
-			return render("informed", res, err)
+			return render(p, "informed", res, err)
 		},
 		"pseudospam": func(e *experiments.Env) error {
 			res, err := experiments.RunPseudospam(e)
-			return render("pseudospam", res, err)
+			return render(p, "pseudospam", res, err)
 		},
 		"transfer": func(e *experiments.Env) error {
 			res, err := experiments.RunTransfer(e)
-			return render("transfer", res, err)
+			return render(p, "transfer", res, err)
 		},
 		"backends": func(e *experiments.Env) error {
 			res, err := experiments.RunBackendTransfer(e)
-			return render("backends", res, err)
+			return render(p, "backends", res, err)
 		},
-		"deploy":    runDeploy,
-		"online":    runOnline,
-		"sharded":   runSharded,
-		"admission": runAdmission,
+		"deploy":    func(e *experiments.Env) error { return runDeploy(stdout, e) },
+		"online":    func(e *experiments.Env) error { return runOnline(stdout, e) },
+		"sharded":   func(e *experiments.Env) error { return runSharded(stdout, e) },
+		"admission": func(e *experiments.Env) error { return runAdmission(stdout, e) },
 	}
 
 	switch exhibit {
 	case "all":
-		fmt.Print(experiments.Table1(cfg))
-		fmt.Println()
+		fmt.Fprint(stdout, experiments.Table1(cfg))
+		fmt.Fprintln(stdout)
 		for _, name := range []string{"ratios", "fig1", "fig2", "fig3", "fig4", "fig5", "roni", "informed", "pseudospam", "transfer", "backends"} {
 			stepStart := time.Now()
-			if err := run[name](env); err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
+			if err := exhibits[name](env); err != nil {
+				return fatal(fmt.Errorf("%s: %w", name, err))
 			}
-			fmt.Fprintf(os.Stderr, "[%s finished in %v]\n\n", name, time.Since(stepStart).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[%s finished in %v]\n\n", name, time.Since(stepStart).Round(time.Millisecond))
 		}
 	default:
-		fn, ok := run[exhibit]
+		fn, ok := exhibits[exhibit]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "subvert: unknown exhibit %q\n", exhibit)
-			usage()
-			os.Exit(2)
+			fmt.Fprintf(stderr, "subvert: unknown exhibit %q\n", exhibit)
+			usage(fs)
+			return 2
 		}
 		if err := fn(env); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }
 
 // smallScale reports whether e is the small-scale environment.
@@ -177,7 +195,7 @@ func deployment(e *experiments.Env) scenario.Config {
 
 // runDeploy simulates the §2.1 deployment three ways: clean, under
 // the dictionary attack, and with RONI scrubbing the pipeline.
-func runDeploy(e *experiments.Env) error {
+func runDeploy(w io.Writer, e *experiments.Env) error {
 	cfg := deployment(e)
 	attack := core.NewDictionaryAttack(e.Usenet)
 	variants := []struct {
@@ -196,7 +214,7 @@ func runDeploy(e *experiments.Env) error {
 		if err != nil {
 			return fmt.Errorf("deploy %s: %w", v.name, err)
 		}
-		fmt.Printf("== %s ==\n%s\n", v.name, res.Render())
+		fmt.Fprintf(w, "== %s ==\n%s\n", v.name, res.Render())
 	}
 	return nil
 }
@@ -205,7 +223,7 @@ func runDeploy(e *experiments.Env) error {
 // serving engine: every verdict is the one the user saw at delivery,
 // and each week's retrain is built in the background and swapped in
 // a third of the way into the next week.
-func runOnline(e *experiments.Env) error {
+func runOnline(w io.Writer, e *experiments.Env) error {
 	cfg := deployment(e)
 	cfg.RetrainLag = cfg.MessagesPerWeek / 3
 	attack := core.NewDictionaryAttack(e.Usenet)
@@ -229,7 +247,7 @@ func runOnline(e *experiments.Env) error {
 		if err != nil {
 			return fmt.Errorf("online %s: %w", v.name, err)
 		}
-		fmt.Printf("== %s ==\n%s\n", v.name, res.Render())
+		fmt.Fprintf(w, "== %s ==\n%s\n", v.name, res.Render())
 	}
 	return nil
 }
@@ -239,7 +257,7 @@ func runOnline(e *experiments.Env) error {
 // so an attack addressed to a single victim poisons only that shard.
 // The per-shard ham-loss table separates target damage from
 // collateral, the observable the single-engine mode cannot produce.
-func runSharded(e *experiments.Env) error {
+func runSharded(w io.Writer, e *experiments.Env) error {
 	cfg := deployment(e)
 	cfg.Shards = 4
 	cfg.Recipients = 8
@@ -268,15 +286,15 @@ func runSharded(e *experiments.Env) error {
 		c := cfg
 		v.mutate(&c)
 		if c.AttackRecipient != "" {
-			fmt.Printf("== %s (routes to shard %d) ==\n", v.name, c.TargetShard())
+			fmt.Fprintf(w, "== %s (routes to shard %d) ==\n", v.name, c.TargetShard())
 		} else {
-			fmt.Printf("== %s ==\n", v.name)
+			fmt.Fprintf(w, "== %s ==\n", v.name)
 		}
 		res, err := scenario.RunOnline(e.Gen, c, e.RNG("sharded-"+v.name))
 		if err != nil {
 			return fmt.Errorf("sharded %s: %w", v.name, err)
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(w, res.Render())
 	}
 	return nil
 }
@@ -293,7 +311,7 @@ func runSharded(e *experiments.Env) error {
 // defense waves through, and the focused attack shows the pipeline's
 // honest limit: a narrow-vocabulary targeted payload passes the gate
 // and mostly evades the probes, exactly as §5.1 predicts for RONI.
-func runAdmission(e *experiments.Env) error {
+func runAdmission(w io.Writer, e *experiments.Env) error {
 	cfg := deployment(e)
 	admit := scenario.AdmissionConfig{}
 	if smallScale(e) {
@@ -312,7 +330,7 @@ func runAdmission(e *experiments.Env) error {
 		if err != nil {
 			return nil, fmt.Errorf("admission %s: %w", name, err)
 		}
-		fmt.Printf("== %s ==\n%s\n", name, res.Render())
+		fmt.Fprintf(w, "== %s ==\n%s\n", name, res.Render())
 		return res, nil
 	}
 
@@ -337,9 +355,9 @@ func runAdmission(e *experiments.Env) error {
 			maxBatch = w.Admission.BatchProbeEquivalent
 		}
 	}
-	fmt.Printf("headline: final at-delivery ham loss %.1f%% guarded vs %.1f%% unguarded at equal dose;\n",
+	fmt.Fprintf(w, "headline: final at-delivery ham loss %.1f%% guarded vs %.1f%% unguarded at equal dose;\n",
 		100*guarded.FinalHamLoss(), 100*unguarded.FinalHamLoss())
-	fmt.Printf("incremental probe budget: %d probes across %d weeks vs %d for ONE week-end batch RONI pass\n\n",
+	fmt.Fprintf(w, "incremental probe budget: %d probes across %d weeks vs %d for ONE week-end batch RONI pass\n\n",
 		totalProbes, len(guarded.Weeks), maxBatch)
 
 	adaptive := func() core.Attacker {
@@ -390,27 +408,31 @@ func runAdmission(e *experiments.Env) error {
 // renderable is any experiment result.
 type renderable interface{ Render() string }
 
-// csvOut, when non-empty, receives one CSV file per exhibit.
-var csvOut string
+// printer is where exhibits go: their renders to out and, when csvDir
+// is set, their series as CSV into it, each file named on log.
+type printer struct {
+	out, log io.Writer
+	csvDir   string
+}
 
 // render prints a result, optionally exports it as CSV, and
 // propagates the driver error.
-func render[T renderable](name string, res T, err error) error {
+func render[T renderable](p printer, name string, res T, err error) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(res.Render())
-	if csvOut == "" {
+	fmt.Fprintln(p.out, res.Render())
+	if p.csvDir == "" {
 		return nil
 	}
 	cw, ok := any(res).(experiments.CSVWriter)
 	if !ok {
 		return nil
 	}
-	if err := os.MkdirAll(csvOut, 0o755); err != nil {
+	if err := os.MkdirAll(p.csvDir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(csvOut, name+".csv")
+	path := filepath.Join(p.csvDir, name+".csv")
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -422,12 +444,12 @@ func render[T renderable](name string, res T, err error) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	fmt.Fprintf(p.log, "wrote %s\n", path)
 	return nil
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: subvert [flags] <exhibit>
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(), `usage: subvert [flags] <exhibit>
 
 Exhibits (each regenerates one table/figure of the paper):
   table1   experimental parameter matrix
@@ -462,10 +484,5 @@ Extensions (features the paper sketches but does not evaluate):
 
 Flags:
 `)
-	flag.PrintDefaults()
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "subvert: %v\n", err)
-	os.Exit(1)
+	fs.PrintDefaults()
 }

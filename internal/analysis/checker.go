@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -76,10 +78,12 @@ func (c *Checker) AddPackage(pkg *Package) { c.Graph.AddPackage(pkg) }
 // like ./internal/... still sees facts from the module root's other
 // packages it imports. Each matched package's test packages (see
 // Loader.Tests) are analyzed after that, over the same call graph and
-// fact store; of their findings only those in _test.go files are
-// kept, since the rest were reported once already. A package that
+// fact store; of their analyzer findings only those in _test.go files
+// are kept, since the rest were reported once already. A package that
 // fails to load or type-check yields one finding per error under the
-// "sbvet" category — the suite never reports a broken build as clean.
+// "sbvet" category — the suite never reports a broken build as clean —
+// at the error's position when it has one, and a test variant's type
+// errors are reported unless the same error was already.
 func Check(l *Loader, analyzers []*Analyzer, patterns ...string) ([]Finding, error) {
 	paths, err := l.Packages(patterns...)
 	if err != nil {
@@ -89,6 +93,15 @@ func Check(l *Loader, analyzers []*Analyzer, patterns ...string) ([]Finding, err
 		return nil, fmt.Errorf("analysis: no packages match %v", patterns)
 	}
 	var findings []Finding
+	reported := make(map[Finding]bool)
+	typeErrors := func(pkg *Package) {
+		for _, err := range pkg.TypeErrors {
+			if f := typeError(pkg, err); !reported[f] {
+				reported[f] = true
+				findings = append(findings, f)
+			}
+		}
+	}
 	matched := make(map[string]bool)
 	var loaded []*Package
 	for _, path := range paths {
@@ -127,6 +140,7 @@ func Check(l *Loader, analyzers []*Analyzer, patterns ...string) ([]Finding, err
 		}
 		fs := c.RunPackage(pkg)
 		if matched[pkg.PkgPath] {
+			typeErrors(pkg)
 			findings = append(findings, fs...)
 		}
 	}
@@ -146,6 +160,7 @@ func Check(l *Loader, analyzers []*Analyzer, patterns ...string) ([]Finding, err
 		c.AddPackage(pkg)
 	}
 	for _, pkg := range tests {
+		typeErrors(pkg)
 		for _, f := range c.RunPackage(pkg) {
 			if f.Position.Filename == "" || strings.HasSuffix(f.Position.Filename, "_test.go") {
 				findings = append(findings, f)
@@ -156,9 +171,20 @@ func Check(l *Loader, analyzers []*Analyzer, patterns ...string) ([]Finding, err
 	return findings, nil
 }
 
+// typeError is the finding for one of pkg's type errors: at its
+// position when go/types reports one, and otherwise, as for a failed
+// import, positionless and naming the package.
+func typeError(pkg *Package, err error) Finding {
+	var te types.Error
+	if errors.As(err, &te) {
+		return Finding{Position: te.Fset.Position(te.Pos), Category: "sbvet", Message: "type error: " + te.Msg}
+	}
+	return Finding{Category: "sbvet", Message: fmt.Sprintf("%s: type error: %v", pkg.PkgPath, err)}
+}
+
 // RunPackage runs the checker's analyzers over one package, sharing
 // the accumulated call graph and fact store, and returns that
-// package's findings sorted.
+// package's findings sorted. Its type errors are Check's to report.
 func (c *Checker) RunPackage(pkg *Package) []Finding {
 	var findings []Finding
 	report := func(d Diagnostic) {
@@ -167,9 +193,6 @@ func (c *Checker) RunPackage(pkg *Package) []Finding {
 			Category: d.Category,
 			Message:  d.Message,
 		})
-	}
-	for _, err := range pkg.TypeErrors {
-		findings = append(findings, Finding{Category: "sbvet", Message: fmt.Sprintf("%s: type error: %v", pkg.PkgPath, err)})
 	}
 	// Unknown or malformed directives are findings themselves: a typo
 	// like //sbvet:drian must not silently waive nothing.

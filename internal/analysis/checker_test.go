@@ -38,3 +38,29 @@ func TestCheckAnalyzesTestFiles(t *testing.T) {
 		t.Errorf("findings %q, want %q", got, want)
 	}
 }
+
+// TestCheckPositionsTypeErrors runs Check over testdata/typeerrs,
+// whose package c has a type error in c.go, which its test variant
+// type-checks again, and one in c_test.go. Each is reported once, at
+// its file, line and column, and sorts among the positioned findings.
+func TestCheckPositionsTypeErrors(t *testing.T) {
+	l, err := analysis.NewModuleLoader(filepath.Join("testdata", "typeerrs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := analysis.Check(l, []*analysis.Analyzer{ctxdrain.Analyzer}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%s:%d:%d %s", filepath.Base(f.Position.Filename), f.Position.Line, f.Position.Column, f.Category))
+	}
+	want := []string{"c.go:10:2 ctxdrain", "c.go:14:18 sbvet", "c_test.go:3:18 sbvet"}
+	if !slices.Equal(got, want) {
+		for _, f := range findings {
+			t.Log(f)
+		}
+		t.Errorf("findings %q, want %q", got, want)
+	}
+}

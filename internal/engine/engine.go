@@ -191,7 +191,9 @@ type ValidationBinder interface {
 // ValidationSet is a validation set bound to one classifier. It reads
 // the classifier's live counts, so it stays valid while the classifier
 // learns, but it keeps scratch buffers and is not safe for concurrent
-// use.
+// use. A set may keep tables computed from the counts: the first
+// evaluation after a learn or unlearn then rebuilds them, at about the
+// cost of a bind.
 type ValidationSet interface {
 	// ClassifyWith writes into out[i] the label the classifier would
 	// give bound stream i after also learning q (weight 1) with label

@@ -140,6 +140,31 @@ func TestValidationSetSeesLaterLearning(t *testing.T) {
 	}
 }
 
+// TestValidationSetSeesCountsMoveUnderEqualTotals: learning one message
+// and unlearning another of the same label leaves the totals where they
+// were but moves the counts, and the next evaluation of either label
+// must see them move.
+func TestValidationSetSeesCountsMoveUnderEqualTotals(t *testing.T) {
+	r := stats.NewRNG(9)
+	f, streams := trialFixture(r, DefaultOptions(), 10, 30)
+	gone := randomStream(r, 80, 600)
+	f.LearnTokenStream(gone, false, 1)
+	v := f.BindValidation(streams).(*validationSet)
+	q := randomStream(r, 80, 600)
+	checkBound(t, f, v, streams, q, true)
+	checkBound(t, f, v, streams, q, false)
+	nspam, nham := f.Counts()
+	f.LearnTokenStream(streams[0], false, 1)
+	if err := f.UnlearnTokenStream(gone, false, 1); err != nil {
+		t.Fatal(err)
+	}
+	if s, h := f.Counts(); s != nspam || h != nham {
+		t.Fatalf("totals moved: (%d, %d) -> (%d, %d)", nspam, nham, s, h)
+	}
+	checkBound(t, f, v, streams, q, true)
+	checkBound(t, f, v, streams, q, false)
+}
+
 // TestValidationSetLeavesFilterUnchanged: evaluating with a query
 // trains nothing — counts, vocabulary and every score stay put.
 func TestValidationSetLeavesFilterUnchanged(t *testing.T) {

@@ -56,6 +56,7 @@ type DB struct {
 	recs        []Record // indexed by tokenize.Sym; len(recs) == syms.Len()
 	nspam, nham int32    // trained messages
 	vocab       int      // records with a nonzero count
+	mutations   uint64   // learns and unlearns applied
 }
 
 // New returns an empty database. name, the backend's registry name,
@@ -77,6 +78,13 @@ func (db *DB) Tokenizer() *tokenize.Tokenizer { return db.tok }
 
 // Counts returns the number of spam and ham messages trained.
 func (db *DB) Counts() (nspam, nham int) { return int(db.nspam), int(db.nham) }
+
+// Mutations returns the number of learns and unlearns the database has
+// applied. A reader that caches what it computed from the counts
+// compares it to see whether they may have changed since: the totals
+// alone miss a learn followed by an unlearn of another message with the
+// same label.
+func (db *DB) Mutations() uint64 { return db.mutations }
 
 // VocabSize returns the number of distinct tokens with a nonzero count.
 // It is maintained on zero↔nonzero transitions, so it is O(1) even
@@ -198,6 +206,7 @@ func (db *DB) LearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight int
 		return
 	}
 	w := int32(weight)
+	db.mutations++
 	if isSpam {
 		db.nspam += w
 	} else {
@@ -239,6 +248,7 @@ func (db *DB) UnlearnTokenStream(ts *tokenize.TokenStream, isSpam bool, weight i
 			return fmt.Errorf("%s: unlearn underflow on token %q", db.name, ts.At(i))
 		}
 	}
+	db.mutations++
 	*total -= w
 	for i := 0; i < ts.Len(); i++ {
 		// The check above proved every token interned with enough count.
